@@ -66,7 +66,7 @@ class SupportFunction2D:
         if m < MIN_GRID_SIZE or m % 2 != 0:
             raise ValueError(
                 f"grid size must be even and >= {MIN_GRID_SIZE}, got {m}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("support values must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
@@ -156,16 +156,10 @@ def convexity_defect(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     dtheta = 2.0 * np.pi / values.size
-    return (np.roll(values, 1) - 2.0 * values + np.roll(values, -1)
+    # periodic neighbours: ext[j] = h[j-1], ext[j+2] = h[j+1]
+    ext = np.concatenate((values[-1:], values, values[:1]))
+    return (ext[:-2] - 2.0 * values + ext[2:]
             + dtheta * dtheta * values)
-
-
-def second_derivative(values: np.ndarray) -> np.ndarray:
-    """Spectral second derivative of periodic samples (exact for band-limited h)."""
-    values = np.asarray(values, dtype=float)
-    m = values.size
-    k = np.arange(m // 2 + 1, dtype=float)
-    return np.fft.irfft(-(k * k) * np.fft.rfft(values), m)
 
 
 def first_derivative(values: np.ndarray) -> np.ndarray:
@@ -256,6 +250,25 @@ def hukuhara_difference(u: SupportFunction2D, v: SupportFunction2D):
 # ---------------------------------------------------------------------------
 # area functionals
 
+@lru_cache(maxsize=32)
+def _form_weights(m: int) -> np.ndarray:
+    # rFFT bin weights (1 for the mean and Nyquist bins, 2 otherwise) times
+    # the multiplier 1 - k^2 of h -> h + h''.
+    k = np.arange(m // 2 + 1, dtype=float)
+    weight = np.full(m // 2 + 1, 2.0)
+    weight[0] = 1.0
+    weight[-1] = 1.0
+    weights = weight * (1.0 - k * k)
+    weights.setflags(write=False)
+    return weights
+
+
+def _spectral_form(fu: np.ndarray, fv: np.ndarray, m: int) -> float:
+    """The mixed form of two grid-``m`` sample arrays from their rFFTs."""
+    s = (_form_weights(m) * (fu * fv.conjugate()).real).sum()
+    return float(np.pi * s / (m * m))
+
+
 def _mixed_form(hu: np.ndarray, hv: np.ndarray) -> float:
     # (1/2) * integral of h_u (h_v + h_v'') dtheta by the trapezoid rule,
     # evaluated in Fourier space.  The expression is a symmetric bilinear
@@ -263,15 +276,15 @@ def _mixed_form(hu: np.ndarray, hv: np.ndarray) -> float:
     # translation modes (|k| = 1) drop out, all higher modes enter
     # negatively.  Symmetry in (u, v) is exact here, so the symmetrized
     # "mean of both orderings" coincides with the single evaluation.
-    m = hu.size
     fu = np.fft.rfft(hu)
-    fv = np.fft.rfft(hv)
-    k = np.arange(m // 2 + 1, dtype=float)
-    weight = np.full(m // 2 + 1, 2.0)
-    weight[0] = 1.0
-    weight[-1] = 1.0
-    s = np.sum(weight * (1.0 - k * k) * (fu * fv.conjugate()).real)
-    return float(np.pi * s / (m * m))
+    fv = fu if hv is hu else np.fft.rfft(hv)
+    return _spectral_form(fu, fv, hu.size)
+
+
+def _area_from_spectrum(fu: np.ndarray, m: int) -> float:
+    """:func:`area` of the body whose grid-``m`` samples have rFFT ``fu``."""
+    raw = _spectral_form(fu, fu, m)
+    return raw if raw > 0.0 else 0.0
 
 
 def area(u: SupportFunction2D) -> float:
@@ -280,8 +293,7 @@ def area(u: SupportFunction2D) -> float:
     For degenerate bodies the true value is 0 and the quadrature may land a
     hair on either side; tiny negatives are clamped.
     """
-    raw = _mixed_form(u.values, u.values)
-    return raw if raw > 0.0 else 0.0
+    return _area_from_spectrum(np.fft.rfft(u.values), u.grid_size)
 
 
 def perimeter(u: SupportFunction2D) -> float:
@@ -344,33 +356,88 @@ def steiner_fit(u: SupportFunction2D, v: SupportFunction2D, rho_samples):
 # linear images
 
 
+def _nonzero_rows(norms: np.ndarray) -> np.ndarray:
+    # directions whose pull-back M^T p is not numerically zero
+    return norms > 1e-14 * max(1.0, float(norms.max()))
+
+
+@dataclass(frozen=True, eq=False)
+class _PullbackPlan:
+    """The data-independent part of :func:`_image_values` for one (M, grid).
+
+    ``nz`` masks the directions with a nonzero pull-back (None when all
+    are), ``norms`` holds ``|M^T p_j|`` on them, and exactly one of
+    ``gather`` (grid indices) and ``points`` (spline evaluation angles) is
+    set, unless no direction survives and both are None.
+    """
+
+    nz: np.ndarray | None
+    norms: np.ndarray | None
+    gather: np.ndarray | None
+    points: np.ndarray | None
+
+
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+# Bounded: under a volume-dependent clock every step pulls back along a new
+# matrix, and each plan holds a few arrays of the grid size.
+@lru_cache(maxsize=8)
+def _pullback_plan(mat_bytes: bytes, m: int) -> _PullbackPlan:
+    mat = np.frombuffer(mat_bytes).reshape(2, 2)
+    w = grid_directions(m) @ mat            # rows are M^T p_j
+    norms = np.hypot(w[:, 0], w[:, 1])
+    nz = _nonzero_rows(norms)
+    if not np.any(nz):
+        return _PullbackPlan(None, None, None, None)
+    ang = np.arctan2(w[nz, 1], w[nz, 0])
+    dtheta = 2.0 * np.pi / m
+    idx = (ang / dtheta) % m
+    nearest = np.rint(idx)
+    mask = None if np.all(nz) else _frozen(nz)
+    norms = _frozen(norms[nz])
+    if np.max(np.abs(idx - nearest)) < 1e-9:
+        return _PullbackPlan(mask, norms, _frozen(nearest.astype(int) % m), None)
+    return _PullbackPlan(mask, norms, None, _frozen(idx * dtheta))
+
+
+@lru_cache(maxsize=32)
+def _spline_knots(m: int) -> np.ndarray:
+    return _frozen(np.append(grid_angles(m), 2.0 * np.pi))
+
+
 def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Samples of the support function of M u from samples of u.
 
     Uses the pull-back rule ``h_{Mu}(p) = |M^T p| * h_u(M^T p / |M^T p|)``.
     When every pulled-back direction lands on a grid node the resampling is
     an exact gather (rotations by grid multiples, axis reflections, scalar
-    matrices); otherwise a periodic cubic spline interpolates.
+    matrices); otherwise a periodic cubic spline interpolates.  The
+    resampling plan depends only on (M, grid) and is cached; a positive
+    scalar matrix ``c I`` gathers every node onto itself and needs no plan.
     """
     m = values.size
-    w = grid_directions(m) @ mat            # rows are M^T p_j
-    norms = np.hypot(w[:, 0], w[:, 1])
+    if mat[0, 1] == 0.0 and mat[1, 0] == 0.0 and mat[0, 0] == mat[1, 1] > 0.0:
+        w = grid_directions(m) @ mat
+        norms = np.hypot(w[:, 0], w[:, 1])
+        if _nonzero_rows(norms).all():
+            return norms * values
+    plan = _pullback_plan(np.asarray(mat, dtype=float).tobytes(), m)
+    if plan.norms is None:
+        return np.zeros(m)
+    if plan.gather is not None:
+        picked = plan.norms * values[plan.gather]
+    else:
+        from scipy.interpolate import CubicSpline
+        h_ext = np.append(values, values[0])
+        spline = CubicSpline(_spline_knots(m), h_ext, bc_type="periodic")
+        picked = plan.norms * spline(plan.points)
+    if plan.nz is None:
+        return picked
     out = np.zeros(m)
-    nz = norms > 1e-14 * max(1.0, float(np.max(norms)))
-    if not np.any(nz):
-        return out
-    ang = np.arctan2(w[nz, 1], w[nz, 0])
-    dtheta = 2.0 * np.pi / m
-    idx = (ang / dtheta) % m
-    nearest = np.rint(idx)
-    if np.max(np.abs(idx - nearest)) < 1e-9:
-        out[nz] = norms[nz] * values[nearest.astype(int) % m]
-        return out
-    from scipy.interpolate import CubicSpline
-    theta_ext = np.append(grid_angles(m), 2.0 * np.pi)
-    h_ext = np.append(values, values[0])
-    spline = CubicSpline(theta_ext, h_ext, bc_type="periodic")
-    out[nz] = norms[nz] * spline(idx * dtheta)
+    out[plan.nz] = picked
     return out
 
 
@@ -386,7 +453,7 @@ def linear_image(u: SupportFunction2D, op) -> SupportFunction2D:
         return u
     vals = _image_values(u.values, mat)
     body = SupportFunction2D(vals)
-    if np.min(convexity_defect(vals)) < -convexity_tolerance(vals):
+    if convexity_defect(vals).min() < -convexity_tolerance(vals):
         body = convexify(body)
     return body
 

@@ -113,12 +113,6 @@ def _load(target: str) -> scenarios.Scenario:
     return scenarios.get_builtin(target)
 
 
-def _run_one(target: str, out_dir) -> tuple:
-    scenario = _load(target)
-    result = scenarios.run_scenario(scenario, out_dir=out_dir)
-    return target, result
-
-
 def _cmd_run(args) -> int:
     try:
         loaded = [(t, _load(t)) for t in args.scenario]

@@ -67,3 +67,97 @@ def square_plus_disc_area(rho, half=0.5, n=3001):
     dy = np.maximum(np.abs(y) - half, 0.0)
     inside = dx * dx + dy * dy <= rho * rho + 1e-15
     return float(np.count_nonzero(inside)) * cell * cell
+
+
+# ---------------------------------------------------------------------------
+# uncached reference kernels: the plain formulas that the cached kernels in
+# ``bodies`` and ``flow.step`` must reproduce bit for bit
+
+
+def reference_image_values(values, mat):
+    """Pull-back samples of M u, recomputing the resampling plan every call."""
+    m = values.size
+    w = bodies.grid_directions(m) @ mat
+    norms = np.hypot(w[:, 0], w[:, 1])
+    out = np.zeros(m)
+    nz = norms > 1e-14 * max(1.0, float(np.max(norms)))
+    if not np.any(nz):
+        return out
+    ang = np.arctan2(w[nz, 1], w[nz, 0])
+    dtheta = 2.0 * np.pi / m
+    idx = (ang / dtheta) % m
+    nearest = np.rint(idx)
+    if np.max(np.abs(idx - nearest)) < 1e-9:
+        out[nz] = norms[nz] * values[nearest.astype(int) % m]
+        return out
+    from scipy.interpolate import CubicSpline
+    theta_ext = np.append(bodies.grid_angles(m), 2.0 * np.pi)
+    h_ext = np.append(values, values[0])
+    spline = CubicSpline(theta_ext, h_ext, bc_type="periodic")
+    out[nz] = norms[nz] * spline(idx * dtheta)
+    return out
+
+
+def reference_mixed_form(hu, hv):
+    """The mixed form with both rFFTs and the weights recomputed every call."""
+    m = hu.size
+    fu = np.fft.rfft(hu)
+    fv = np.fft.rfft(hv)
+    k = np.arange(m // 2 + 1, dtype=float)
+    weight = np.full(m // 2 + 1, 2.0)
+    weight[0] = 1.0
+    weight[-1] = 1.0
+    s = np.sum(weight * (1.0 - k * k) * (fu * fv.conjugate()).real)
+    return float(np.pi * s / (m * m))
+
+
+def reference_convexity_defect(values):
+    dtheta = 2.0 * np.pi / values.size
+    return (np.roll(values, 1) - 2.0 * values + np.roll(values, -1)
+            + dtheta * dtheta * values)
+
+
+def _reference_area(values):
+    raw = reference_mixed_form(values, values)
+    return raw if raw > 0.0 else 0.0
+
+
+def _reference_source(source, volume, values):
+    if source.kind == "linear":
+        c = float(source.psi(volume))
+        if c < 0:
+            raise ValueError("psi must be nonnegative")
+        return c * reference_image_values(values, source.matrix)
+    return source.values(volume, values)
+
+
+def _reference_linear_image(u, mat):
+    if mat[0, 0] == 1.0 and mat[1, 1] == 1.0 and mat[0, 1] == 0.0 and mat[1, 0] == 0.0:
+        return u
+    vals = reference_image_values(u.values, mat)
+    body = bodies.SupportFunction2D(vals)
+    if np.min(reference_convexity_defect(vals)) < -bodies.convexity_tolerance(vals):
+        body = bodies.convexify(body)
+    return body
+
+
+def reference_step(u, params, dt):
+    """``flow.step`` built from the reference kernels, with nothing cached."""
+    from scipy.linalg import expm
+
+    def scaled(vals, f, factor):
+        return vals if f is None else vals + factor * f
+
+    v0 = _reference_area(u.values)
+    f0 = _reference_source(params.source, v0, u.values)
+    half = scaled(u.values, f0, 0.5 * dt)
+    rate = params.trace * float(params.phi(v0)) * v0
+    if f0 is not None:
+        rate += 2.0 * reference_mixed_form(u.values, f0)
+    v_mid = max(v0 + 0.5 * dt * rate, 0.0)
+    phi_mid = float(params.phi(v_mid))
+    moved = _reference_linear_image(bodies.SupportFunction2D(half),
+                                    expm(params.A * (phi_mid * dt)))
+    v1 = _reference_area(moved.values)
+    f1 = _reference_source(params.source, v1, moved.values)
+    return bodies.SupportFunction2D(scaled(moved.values, f1, 0.5 * dt))
