@@ -263,12 +263,6 @@ def _form_weights(m: int) -> np.ndarray:
     return weights
 
 
-def _spectral_form(fu: np.ndarray, fv: np.ndarray, m: int) -> float:
-    """The mixed form of two grid-``m`` sample arrays from their rFFTs."""
-    s = (_form_weights(m) * (fu * fv.conjugate()).real).sum()
-    return float(np.pi * s / (m * m))
-
-
 def _mixed_form(hu: np.ndarray, hv: np.ndarray) -> float:
     # (1/2) * integral of h_u (h_v + h_v'') dtheta by the trapezoid rule,
     # evaluated in Fourier space.  The expression is a symmetric bilinear
@@ -276,15 +270,11 @@ def _mixed_form(hu: np.ndarray, hv: np.ndarray) -> float:
     # translation modes (|k| = 1) drop out, all higher modes enter
     # negatively.  Symmetry in (u, v) is exact here, so the symmetrized
     # "mean of both orderings" coincides with the single evaluation.
+    m = hu.size
     fu = np.fft.rfft(hu)
     fv = fu if hv is hu else np.fft.rfft(hv)
-    return _spectral_form(fu, fv, hu.size)
-
-
-def _area_from_spectrum(fu: np.ndarray, m: int) -> float:
-    """:func:`area` of the body whose grid-``m`` samples have rFFT ``fu``."""
-    raw = _spectral_form(fu, fu, m)
-    return raw if raw > 0.0 else 0.0
+    s = np.sum(_form_weights(m) * (fu * fv.conjugate()).real)
+    return float(np.pi * s / (m * m))
 
 
 def area(u: SupportFunction2D) -> float:
@@ -293,7 +283,8 @@ def area(u: SupportFunction2D) -> float:
     For degenerate bodies the true value is 0 and the quadrature may land a
     hair on either side; tiny negatives are clamped.
     """
-    return _area_from_spectrum(np.fft.rfft(u.values), u.grid_size)
+    raw = _mixed_form(u.values, u.values)
+    return raw if raw > 0.0 else 0.0
 
 
 def perimeter(u: SupportFunction2D) -> float:
@@ -365,14 +356,13 @@ def _nonzero_rows(norms: np.ndarray) -> np.ndarray:
 class _PullbackPlan:
     """The data-independent part of :func:`_image_values` for one (M, grid).
 
-    ``nz`` masks the directions with a nonzero pull-back (None when all
-    are), ``norms`` holds ``|M^T p_j|`` on them, and exactly one of
-    ``gather`` (grid indices) and ``points`` (spline evaluation angles) is
-    set, unless no direction survives and both are None.
+    ``nz`` masks the directions with a nonzero pull-back, ``norms`` holds
+    ``|M^T p_j|`` on them, and exactly one of ``gather`` (grid indices) and
+    ``points`` (spline evaluation angles) is set.
     """
 
-    nz: np.ndarray | None
-    norms: np.ndarray | None
+    nz: np.ndarray
+    norms: np.ndarray
     gather: np.ndarray | None
     points: np.ndarray | None
 
@@ -390,22 +380,15 @@ def _pullback_plan(mat_bytes: bytes, m: int) -> _PullbackPlan:
     w = grid_directions(m) @ mat            # rows are M^T p_j
     norms = np.hypot(w[:, 0], w[:, 1])
     nz = _nonzero_rows(norms)
-    if not np.any(nz):
-        return _PullbackPlan(None, None, None, None)
     ang = np.arctan2(w[nz, 1], w[nz, 0])
     dtheta = 2.0 * np.pi / m
     idx = (ang / dtheta) % m
     nearest = np.rint(idx)
-    mask = None if np.all(nz) else _frozen(nz)
-    norms = _frozen(norms[nz])
-    if np.max(np.abs(idx - nearest)) < 1e-9:
-        return _PullbackPlan(mask, norms, _frozen(nearest.astype(int) % m), None)
-    return _PullbackPlan(mask, norms, None, _frozen(idx * dtheta))
-
-
-@lru_cache(maxsize=32)
-def _spline_knots(m: int) -> np.ndarray:
-    return _frozen(np.append(grid_angles(m), 2.0 * np.pi))
+    nz, norms = _frozen(nz), _frozen(norms[nz])
+    # with no surviving direction the gather is empty and the image is 0
+    if not nz.any() or np.max(np.abs(idx - nearest)) < 1e-9:
+        return _PullbackPlan(nz, norms, _frozen(nearest.astype(int) % m), None)
+    return _PullbackPlan(nz, norms, None, _frozen(idx * dtheta))
 
 
 def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -425,19 +408,15 @@ def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
         if _nonzero_rows(norms).all():
             return norms * values
     plan = _pullback_plan(np.asarray(mat, dtype=float).tobytes(), m)
-    if plan.norms is None:
-        return np.zeros(m)
-    if plan.gather is not None:
-        picked = plan.norms * values[plan.gather]
-    else:
-        from scipy.interpolate import CubicSpline
-        h_ext = np.append(values, values[0])
-        spline = CubicSpline(_spline_knots(m), h_ext, bc_type="periodic")
-        picked = plan.norms * spline(plan.points)
-    if plan.nz is None:
-        return picked
     out = np.zeros(m)
-    out[plan.nz] = picked
+    if plan.gather is not None:
+        out[plan.nz] = plan.norms * values[plan.gather]
+        return out
+    from scipy.interpolate import CubicSpline
+    theta_ext = np.append(grid_angles(m), 2.0 * np.pi)
+    h_ext = np.append(values, values[0])
+    spline = CubicSpline(theta_ext, h_ext, bc_type="periodic")
+    out[plan.nz] = plan.norms * spline(plan.points)
     return out
 
 

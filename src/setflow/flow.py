@@ -10,9 +10,8 @@ The stepper splits each step into an explicit Euler half-step of the
 source, the exact linear flow over ``dt`` with ``phi`` frozen at a midpoint
 volume estimate, then a second explicit Euler half-step of the source.  It
 is not a symmetric (Strang) composition, so it is first order in ``dt``.
-Per step it takes one rFFT of the body for both its area and its mixed area
-with the source, caches ``exp(A s)``, and reuses the cached resampling plan
-of each pull-back (see :func:`setflow.bodies._image_values`).  A Picard
+Each step caches ``exp(A s)`` and reuses the cached resampling plan of
+its pull-back (see :func:`setflow.bodies._image_values`).  A Picard
 iteration of the defining integral operator is provided as an independent
 oracle on short horizons.
 """
@@ -210,17 +209,16 @@ def volume_rate(u: SupportFunction2D, params: SemiflowParams) -> float:
     contributes through the Liouville determinant factor, the source through
     the mixed area.
     """
-    fu = np.fft.rfft(u.values)
-    v = bodies._area_from_spectrum(fu, u.grid_size)
-    return _volume_rate_from(fu, v, params, params.source.values(v, u.values))
+    v = area(u)
+    return _volume_rate_from(u, v, params)
 
 
-def _volume_rate_from(fu, v, params, source_vals):
-    # fu is the rFFT of the state's samples, v its area
+def _volume_rate_from(u, v, params, source_vals=None):
     rate = params.trace * float(params.phi(v)) * v
+    if source_vals is None:
+        source_vals = params.source.values(v, u.values)
     if source_vals is not None:
-        m = source_vals.size
-        rate += 2.0 * bodies._spectral_form(fu, np.fft.rfft(source_vals), m)
+        rate += 2.0 * mixed_area(u, source_vals)
     return rate
 
 
@@ -248,18 +246,16 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     source half-step, explicit Euler at the moved body.  The two source
     halves are not symmetric about the linear flow, so the step is first
     order in dt, unlike a Strang split.  The result is projected back into
-    the convex cone when needed.  One rFFT of ``u`` serves both its area and
-    its mixed area with the source; ``exp(A s)`` is cached per (A, s) and
-    the pull-back reads a cached resampling plan per (matrix, grid).
+    the convex cone when needed.  ``exp(A s)`` is cached per (A, s) and the
+    pull-back reads a cached resampling plan per (matrix, grid).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    fu = np.fft.rfft(u.values)
-    v0 = bodies._area_from_spectrum(fu, u.grid_size)
+    v0 = area(u)
     f0 = params.source.values(v0, u.values)
     half = _add_scaled(u.values, f0, 0.5 * dt)
 
-    v_mid = max(v0 + 0.5 * dt * _volume_rate_from(fu, v0, params, f0), 0.0)
+    v_mid = max(v0 + 0.5 * dt * _volume_rate_from(u, v0, params, f0), 0.0)
     phi_mid = float(params.phi(v_mid))
     if phi_mid < 0:
         raise ValueError("phi must be nonnegative")

@@ -1,4 +1,4 @@
-"""Cached pull-back plans, shared spectra and the step built on them.
+"""Cached pull-back plans, cached form weights and the step built on them.
 
 Every cached kernel must reproduce the uncached reference formulas in
 ``helpers`` bit for bit, so that CSV/JSON outputs stay byte-identical.
@@ -70,8 +70,7 @@ def test_cached_arrays_are_read_only(name):
     B._image_values(B.make_ball(1.0, grid_size=64).values, mat)
     plan = B._pullback_plan(mat.tobytes(), 64)
     arrays = [a for a in (plan.nz, plan.norms, plan.gather, plan.points) if a is not None]
-    arrays += [B._form_weights(64), B._spline_knots(64),
-               F._flow_matrix(MATRICES["quarter_turn"].tobytes(), 0.5)]
+    arrays += [B._form_weights(64), F._flow_matrix(MATRICES["quarter_turn"].tobytes(), 0.5)]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
