@@ -504,14 +504,16 @@ def hausdorff_stability_report(params: flow.SemiflowParams, clock_sup,
 
     The caller pre-folds the suprema over the ball of the given radius:
     ``clock_sup(t)`` bounds the clock rate and ``source_sup(t, nu)`` the
-    source norm given a state-norm bound.  The verdict of the scalar
-    envelope ``omega' = alpha clock_sup(t) omega + source_sup(t, N omega)``
+    source norm given a state-norm bound.  Both receive numbers and, from
+    the batched stability search, arrays with one entry per sampled state;
+    a constant result is broadcast.  The verdict of the scalar envelope
+    ``omega' = alpha clock_sup(t) omega + source_sup(t, N omega)``
     transfers to the flow in the measures h0 = h = sup-norm.
     """
     n_const, alpha = semigroup_envelope(params.A)
 
     def rhs(t, w):
-        return alpha * float(clock_sup(t)) * w + float(source_sup(t, n_const * w))
+        return alpha * clock_sup(t) * w + source_sup(t, n_const * w)
 
     system = comparison.scalar_system(rhs, name="norm_envelope", time_dependent=True)
     if abs(rhs(0.0, 0.0)) > 1e-10:

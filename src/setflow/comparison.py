@@ -27,8 +27,11 @@ SAMPLED_EVIDENCE_NOTE = ("sampled evidence only: quasimonotonicity and cone "
 class ComparisonSystem:
     """An ODE ``xi' = g(xi)`` on the nonnegative cone.
 
-    ``rhs`` maps a state vector to its derivative; set ``time_dependent``
-    for right-hand sides with signature ``rhs(t, xi)``.
+    ``rhs`` maps states to derivatives along the last axis: a state vector
+    of shape ``(dim,)`` or a batch of rows of shape ``(n, dim)``, each row
+    giving the same result as its own single-state call.  Set
+    ``time_dependent`` for right-hand sides with signature ``rhs(t, xi)``;
+    a batch then comes with one time per row, shape ``(n,)``.
     """
 
     dim: int
@@ -36,13 +39,18 @@ class ComparisonSystem:
     name: str = ""
     time_dependent: bool = False
 
-    def __call__(self, t: float, xi: np.ndarray) -> np.ndarray:
+    def __call__(self, t, xi: np.ndarray) -> np.ndarray:
         if self.time_dependent:
             return np.asarray(self.rhs(t, xi), dtype=float)
         return np.asarray(self.rhs(xi), dtype=float)
 
 
 # -- standard families -------------------------------------------------------
+#
+# Each right-hand side reads the components as ``x = xi.T`` (``x[i]`` is a
+# number for one state and a column for a batch) and assembles the result
+# as ``np.array([...]).T``, so a batch row is computed by exactly the
+# arithmetic of a single state.
 
 
 def nilpotent_source_system(phi, psi, a: float = -1.0) -> ComparisonSystem:
@@ -52,9 +60,10 @@ def nilpotent_source_system(phi, psi, a: float = -1.0) -> ComparisonSystem:
     ``xi1' = 2 a phi(xi0) xi1``  (a = the scalar part of A, usually -1).
     """
     def rhs(xi):
-        p, q = float(phi(xi[0])), float(psi(xi[0]))
-        return np.array([2 * a * p * xi[0] + 2 * q * xi[1],
-                         2 * a * p * xi[1]])
+        x = xi.T
+        p, q = phi(x[0]), psi(x[0])
+        return np.array([2 * a * p * x[0] + 2 * q * x[1],
+                         2 * a * p * x[1]]).T
     return ComparisonSystem(dim=2, rhs=rhs, name="nilpotent_source")
 
 
@@ -68,17 +77,22 @@ def cyclic_mixed_system(phi, psi, k: int, a: float = -1.0) -> ComparisonSystem:
         raise ValueError("k must be >= 1")
 
     def rhs(xi):
-        p, q = float(phi(xi[0])), float(psi(xi[0]))
-        out = np.empty(k)
+        x = xi.T
+        p, q = phi(x[0]), psi(x[0])
         if k == 1:
-            out[0] = 2 * a * p * xi[0] + 2 * q * xi[0]
-            return out
-        out[0] = 2 * a * p * xi[0] + 2 * q * xi[1]
+            return np.array([2 * a * p * x[0] + 2 * q * x[0]]).T
+        out = [2 * a * p * x[0] + 2 * q * x[1]]
         for i in range(1, k - 1):
-            out[i] = 2 * a * p * xi[i] + q * (xi[i - 1] + xi[i + 1])
-        out[k - 1] = 2 * a * p * xi[k - 1] + q * (xi[k - 2] + xi[0])
-        return out
+            out.append(2 * a * p * x[i] + q * (x[i - 1] + x[i + 1]))
+        out.append(2 * a * p * x[k - 1] + q * (x[k - 2] + x[0]))
+        return np.array(out).T
     return ComparisonSystem(dim=k, rhs=rhs, name=f"cyclic_mixed_k{k}")
+
+
+def _matrix_rhs(mat):
+    # the stacked product reproduces ``mat @ xi`` row by row; ``xi @ mat.T``
+    # takes another kernel and can differ in the last bit
+    return lambda xi: (mat @ xi[..., None])[..., 0]
 
 
 def sde_growth_system(matrix) -> ComparisonSystem:
@@ -94,19 +108,27 @@ def sde_growth_system(matrix) -> ComparisonSystem:
     if det >= 0 or tr < 0:
         raise ValueError("requires det B < 0 and tr B >= 0")
     m = np.array([[0.0, 2.0], [2.0 * abs(det), tr]])
-    return ComparisonSystem(dim=2, rhs=lambda xi: m @ xi, name="sde_growth")
+    return ComparisonSystem(dim=2, rhs=_matrix_rhs(m), name="sde_growth")
 
 
 def linear_system(matrix, name: str = "linear") -> ComparisonSystem:
     mat = np.asarray(matrix, dtype=float)
-    return ComparisonSystem(dim=mat.shape[0], rhs=lambda xi: mat @ xi, name=name)
+    return ComparisonSystem(dim=mat.shape[0], rhs=_matrix_rhs(mat), name=name)
 
 
 def scalar_system(f, name: str = "scalar", time_dependent: bool = False) -> ComparisonSystem:
+    """One-dimensional system ``xi' = f(xi)`` (or ``f(t, xi)``).
+
+    ``f`` is called on a number for one state and on a column (with a
+    column of times) for a batch; a constant result is broadcast.
+    """
+    def column(value, x):
+        return np.array([np.broadcast_to(value, np.shape(x))]).T
+
     if time_dependent:
-        return ComparisonSystem(dim=1, rhs=lambda t, xi: np.array([f(t, xi[0])]),
+        return ComparisonSystem(dim=1, rhs=lambda t, xi: column(f(t, xi.T[0]), xi.T[0]),
                                 name=name, time_dependent=True)
-    return ComparisonSystem(dim=1, rhs=lambda xi: np.array([f(xi[0])]), name=name)
+    return ComparisonSystem(dim=1, rhs=lambda xi: column(f(xi.T[0]), xi.T[0]), name=name)
 
 
 # -- integration -------------------------------------------------------------
@@ -115,20 +137,22 @@ def scalar_system(f, name: str = "scalar", time_dependent: bool = False) -> Comp
 @dataclass
 class ComparisonTrajectory:
     times: np.ndarray
-    states: np.ndarray          # shape (len(times), dim)
+    states: np.ndarray          # shape (len(times), dim), or (len(times), n, dim)
+                                # for a batch of n initial states
     clamp_events: int = 0
     stopped_early: bool = False
 
     def component(self, i: int) -> np.ndarray:
-        return self.states[:, i]
+        return self.states[..., i]
 
 
 def _rk4(system, t, xi, h):
+    hx = h if xi.ndim == 1 else h[:, None]      # a batch has one step per row
     k1 = system(t, xi)
-    k2 = system(t + 0.5 * h, xi + 0.5 * h * k1)
-    k3 = system(t + 0.5 * h, xi + 0.5 * h * k2)
-    k4 = system(t + h, xi + h * k3)
-    return xi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = system(t + 0.5 * h, xi + 0.5 * hx * k1)
+    k3 = system(t + 0.5 * h, xi + 0.5 * hx * k2)
+    k4 = system(t + h, xi + hx * k3)
+    return xi + (hx / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
@@ -142,10 +166,21 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
     Raises :class:`BlowupError` when the state escapes the overflow guard;
     an optional ``stop_condition(t, xi)`` terminates the trajectory early
     (used by stability searches once a threshold is crossed).
+
+    ``xi0`` may also be a batch of initial states, shape ``(n, dim)``.  Each
+    row then steps with its own time, step size, tolerance, clamping and
+    guard, so row ``i`` of the result equals ``integrate(system, xi0[i])``
+    bit for bit, and ``states`` has shape ``(len(times), n, dim)``.
+    ``stop_condition`` receives the rows that just took a step (times of
+    shape ``(k,)``, states ``(k, dim)``) and returns one flag per row.  The
+    batch ends as soon as any row stops or escapes the guard: a stop returns
+    the output times that every row has reached, with ``stopped_early``
+    set, and an escape raises :class:`BlowupError`.
     """
     xi = np.asarray(xi0, dtype=float).copy()
-    if xi.shape != (system.dim,):
-        raise ValueError(f"initial state must have dimension {system.dim}")
+    if xi.shape[-1:] != (system.dim,) or xi.ndim > 2 or xi.size == 0:
+        raise ValueError(f"initial state must have shape ({system.dim},) "
+                         f"or (n, {system.dim})")
     if np.any(xi < 0):
         raise ValueError("initial state must lie in the nonnegative cone")
     if times is None:
@@ -157,6 +192,8 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
         times = np.asarray(times, dtype=float)
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("output times must increase from 0")
+    if xi.ndim == 2:
+        return _integrate_rows(system, xi, times, rtol, atol, clamp, stop_condition)
 
     guard = GUARD_FACTOR * max(1.0, float(np.max(np.abs(xi))))
     states = [xi.copy()]
@@ -201,6 +238,74 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
     return ComparisonTrajectory(times=np.asarray(times),
                                 states=np.asarray(states),
                                 clamp_events=clamped)
+
+
+def _integrate_rows(system, xi, times, rtol, atol, clamp, stop_condition):
+    """The loop of :func:`integrate`, run for every row of ``xi`` at once.
+
+    Each operation below is the single-state one applied row by row, except
+    the step factor: it stays in Python floats, because numpy's vectorized
+    power can differ from Python's in the last bit and would change the
+    step sequence.
+    """
+    n, last = xi.shape[0], len(times) - 1
+    guard = GUARD_FACTOR * np.maximum(1.0, np.max(np.abs(xi), axis=1))
+    states = np.empty((len(times), n, system.dim))
+    states[0] = xi
+    nxt = np.ones(n, dtype=int)         # index of each row's next output time
+    t = np.zeros(n)
+    h = np.full(n, (times[-1] / max(last, 1)) / 4.0)
+    clamped = 0
+
+    def reached(**kwargs):
+        done = int(np.min(nxt))
+        return ComparisonTrajectory(times[:done], states[:done], clamped, **kwargs)
+
+    while True:
+        live = np.flatnonzero(nxt <= last)
+        if live.size == 0:
+            return ComparisonTrajectory(times, states, clamped)
+        target = times[nxt[live]]
+        arrived = t[live] >= target - 1e-14 * np.maximum(1.0, target)
+        if np.any(arrived):
+            rows = live[arrived]
+            states[nxt[rows], rows] = xi[rows]
+            nxt[rows] += 1
+            continue
+        t_live, xi_live = t[live], xi[live]
+        h_try = np.minimum(h[live], target - t_live)
+        big = _rk4(system, t_live, xi_live, h_try)
+        half = _rk4(system, t_live, xi_live, 0.5 * h_try)
+        two = _rk4(system, t_live + 0.5 * h_try, half, 0.5 * h_try)
+        err = np.max(np.abs(big - two), axis=1) / 15.0
+        tol = atol + rtol * np.maximum(np.maximum(np.max(np.abs(xi_live), axis=1),
+                                                  np.max(np.abs(two), axis=1)), 1e-300)
+        ok = err <= tol
+        acc = live[ok]
+        t[acc] += h_try[ok]
+        xi[acc] = two[ok]
+        if clamp:
+            neg = xi[acc] < 0
+            clamped += int(np.sum(neg))
+            hit = acc[np.any(neg, axis=1)]
+            xi[hit] = np.maximum(xi[hit], 0.0)
+        moved = xi[acc]
+        escaped = (~np.all(np.isfinite(moved), axis=1)
+                   | (np.max(np.abs(moved), axis=1) > guard[acc]))
+        if np.any(escaped):
+            at = float(t[acc[np.argmax(escaped)]])
+            raise BlowupError(f"comparison state escaped the guard at t={at:.6g}",
+                              reached_time=at, partial=reached())
+        if stop_condition is not None and acc.size and np.any(stop_condition(t[acc], moved)):
+            return reached(stopped_early=True)
+        factor = [min(5.0, max(0.2, 0.9 * (a / max(e, 1e-300)) ** 0.2)) if good
+                  else max(0.1, 0.9 * (a / e) ** 0.2)
+                  for a, e, good in zip(tol.tolist(), err.tolist(), ok.tolist())]
+        h[live] = h_try * np.array(factor)
+        small = h[live] < 1e-13 * np.maximum(1.0, t[live])
+        if np.any(small):
+            raise BlowupError("step size underflow in adaptive RK4",
+                              reached_time=float(t[live[np.argmax(small)]]))
 
 
 # -- measures ----------------------------------------------------------------
@@ -313,6 +418,8 @@ def check_wazewski(system: ComparisonSystem, sample_box, n_samples: int = 256,
     corresponding component of the right-hand side not to decrease:
     ``g_i(xi) <= g_i(eta) + tol``.  Reports the first violation found.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     lo, hi = _box_bounds(sample_box, system.dim)
     rng = np.random.default_rng(seed)
     for _ in range(n_samples):
@@ -340,8 +447,8 @@ def _box_bounds(sample_box, dim):
         lo, hi = box[:, 0], box[:, 1]
     else:
         raise ValueError("sample box must be (lo, hi) or per-dimension rows")
-    if np.any(lo < 0) or np.any(hi <= lo):
-        raise ValueError("sample box must be a nondegenerate box in the cone")
+    if not np.all(np.isfinite(box)) or np.any(lo < 0) or np.any(hi <= lo):
+        raise ValueError("sample box must be a finite, nondegenerate box in the cone")
     return lo, hi
 
 
@@ -361,6 +468,12 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     eps_grid = tuple(eps_grid)
     if not eps_grid or any(e <= 0 for e in eps_grid):
         raise ValueError("eps_grid must hold positive thresholds")
+    if n_directions < 1:
+        raise ValueError("n_directions must be >= 1")
+    if bisect_iters < 0:
+        raise ValueError("bisect_iters must be >= 0")
+    if T_check <= 0:
+        raise ValueError("T_check must be positive")
     g0 = system(0.0, np.zeros(system.dim))
     if np.max(np.abs(g0)) > 1e-10:
         raise ValueError("the comparison system must have a trivial solution at 0")
@@ -370,20 +483,24 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     dirs[n_directions // 2:] /= np.maximum(
         np.max(dirs[n_directions // 2:], axis=1, keepdims=True), 1e-30)
 
-    def survives(delta, eps, collect=None):
-        for d in dirs:
-            xi0 = delta * d * (1 - 1e-12)
-            stop = lambda t, xi: xi[0] >= eps
-            try:
-                traj = integrate(system, xi0, horizon=T_check, dt_out=T_check / 32,
-                                 rtol=rtol, stop_condition=stop)
-            except BlowupError:
-                return False
-            if traj.stopped_early or np.max(traj.states[:, 0]) >= eps:
-                return False
-            if collect is not None:
-                collect.append((xi0[0], traj.states[-1, 0]))
-        return True
+    def run(delta, eps, rows):
+        """(xi_0 at 0, xi_0 at T_check) of each row, or None if any row fails.
+
+        All rows step as one batch, which ends at the first row that
+        crosses ``eps`` or blows up, since that already decides the answer.
+        """
+        xi0 = delta * rows * (1 - 1e-12)
+        try:
+            traj = integrate(system, xi0, horizon=T_check, dt_out=T_check / 32,
+                             rtol=rtol, stop_condition=lambda t, xi: xi[:, 0] >= eps)
+        except BlowupError:
+            return None
+        if traj.stopped_early or np.max(traj.states[:, :, 0]) >= eps:
+            return None
+        return list(zip(xi0[:, 0], traj.states[-1, :, 0]))
+
+    def survives(delta, eps):
+        return run(delta, eps, dirs) is not None
 
     table = []
     floor = 1e-12
@@ -409,9 +526,18 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
                          "delta_table": table, "note": SAMPLED_EVIDENCE_NOTE})
         table.append((eps, lo))
 
-    # decay of the first component from well inside the smallest found delta
-    finals = []
-    survives(0.5 * min(d for _, d in table), min(e for e, _ in table), collect=finals)
+    # decay of the first component from well inside the smallest found delta;
+    # if a direction fails there, the evidence is the directions before the
+    # first failing one, so rerun them in order to find it
+    delta, eps = 0.5 * min(d for _, d in table), min(e for e, _ in table)
+    finals = run(delta, eps, dirs)
+    if finals is None:
+        finals = []
+        for d in dirs:
+            final = run(delta, eps, d[None])
+            if final is None:
+                break
+            finals += final
     decays = [f < decay_factor * x0 for x0, f in finals if x0 > 0]
     kind = "asymptotically_stable" if decays and all(decays) else "stable"
     return StabilityVerdict(kind=kind, witness={
@@ -525,6 +651,8 @@ def lyapunov_quadratic_check(system: ComparisonSystem, weights=None,
             else np.asarray(weights, dtype=float))
     if beta.shape != (system.dim,) or np.any(beta <= 0):
         raise ValueError("weights must be positive, one per component")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     lo, hi = _box_bounds(sample_box, system.dim)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n_samples, system.dim))

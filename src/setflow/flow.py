@@ -54,16 +54,22 @@ class ScalarFunction:
     s_nodes: tuple = ()
     s_values: tuple = ()
 
-    def __call__(self, s: float) -> float:
+    def __call__(self, s):
+        """The value at the number ``s``, or the values at an array ``s``.
+
+        An array gives exactly the values of the elementwise scalar calls.
+        """
+        many = isinstance(s, np.ndarray) and s.ndim > 0
         if self.kind == "constant":
-            return self.value
+            return np.full(s.shape, self.value) if many else self.value
+        s = np.asarray(s, dtype=float) if many else float(s)
         if self.kind == "rational":
-            s = float(s)
-            return float(np.polyval(self.num[::-1], s)
-                         / np.polyval(self.den[::-1], s))
-        if self.kind == "table":
-            return float(np.interp(float(s), self.s_nodes, self.s_values))
-        raise ValueError(f"unknown scalar function kind {self.kind!r}")
+            value = np.polyval(self.num[::-1], s) / np.polyval(self.den[::-1], s)
+        elif self.kind == "table":
+            value = np.interp(s, self.s_nodes, self.s_values)
+        else:
+            raise ValueError(f"unknown scalar function kind {self.kind!r}")
+        return value if many else float(value)
 
     def to_dict(self) -> dict:
         if self.kind == "constant":

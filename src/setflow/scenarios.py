@@ -11,6 +11,7 @@ row-major; scalar functions are referenced by name with a parameter object
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,12 +157,19 @@ def parse_scenario(doc: dict) -> Scenario:
     for c in checks:
         _require(isinstance(c, dict) and "kind" in c,
                  "each check must be an object with a 'kind'")
+        _require(isinstance(c["kind"], str) and c["kind"] in _CHECKS,
+                 f"unknown check kind {c['kind']!r}")
     output = doc.get("output", {})
     _require(isinstance(output, dict), "'output' must be an object")
-    return Scenario(name=name, seed=seed, grid_size=grid_size,
-                    initial_body=initial, params=params,
-                    horizon=float(horizon), dt=float(dt), track=track,
-                    checks=checks, output=output, raw=doc)
+    scenario = Scenario(name=name, seed=seed, grid_size=grid_size,
+                        initial_body=initial, params=params,
+                        horizon=float(horizon), dt=float(dt), track=track,
+                        checks=checks, output=output, raw=doc)
+    for c in checks:
+        validate = _CHECK_PARAMETERS.get(c["kind"])
+        if validate is not None:
+            validate(c, scenario)
+    return scenario
 
 
 def body_record(u: SupportFunction2D) -> dict:
@@ -206,20 +214,25 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
     """
     if isinstance(system_spec, dict):
         kind = system_spec.get("kind")
-        if kind == "nilpotent":
-            return comparison.nilpotent_source_system(
-                _parse_function(system_spec["phi"], "phi"),
-                _parse_function(system_spec["psi"], "psi"),
-                a=float(system_spec.get("a", -1.0)))
-        if kind == "cyclic":
-            return comparison.cyclic_mixed_system(
-                _parse_function(system_spec["phi"], "phi"),
-                _parse_function(system_spec["psi"], "psi"),
-                k=int(system_spec["k"]), a=float(system_spec.get("a", -1.0)))
-        if kind == "sde":
-            return comparison.sde_growth_system(_parse_matrix(system_spec["B"], "B"))
-        if kind == "linear":
-            return comparison.linear_system(np.asarray(system_spec["matrix"], dtype=float))
+        try:
+            if kind == "nilpotent":
+                return comparison.nilpotent_source_system(
+                    _parse_function(system_spec["phi"], "phi"),
+                    _parse_function(system_spec["psi"], "psi"),
+                    a=float(system_spec.get("a", -1.0)))
+            if kind == "cyclic":
+                return comparison.cyclic_mixed_system(
+                    _parse_function(system_spec["phi"], "phi"),
+                    _parse_function(system_spec["psi"], "psi"),
+                    k=int(system_spec["k"]), a=float(system_spec.get("a", -1.0)))
+            if kind == "sde":
+                return comparison.sde_growth_system(_parse_matrix(system_spec["B"], "B"))
+            if kind == "linear":
+                return comparison.linear_system(np.asarray(system_spec["matrix"], dtype=float))
+        except SchemaError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad {kind!r} comparison system parameters: {exc}") from None
         raise SchemaError(f"unknown comparison system kind {kind!r}")
     if system_spec != "auto":
         raise SchemaError("comparison system must be 'auto' or a system object")
@@ -233,7 +246,7 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
     if src.kind == "zero":
         _require(is_scalar_a, "auto system with zero source needs scalar A")
         return comparison.scalar_system(
-            lambda v: 2 * diag * float(params.phi(max(v, 0.0))) * v,
+            lambda v: 2 * diag * params.phi(np.maximum(v, 0.0)) * v,
             name="volume_only")
     if src.kind == "linear":
         mat = src.matrix
@@ -249,6 +262,67 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
                  "auto system needs B nilpotent of order 2 or B^k = identity (k <= 8)")
         return comparison.cyclic_mixed_system(params.phi, src.psi, k=order, a=diag)
     raise SchemaError(f"no automatic comparison system for source kind {src.kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# parse-time validation of the sampled comparison searches: a malformed
+# check is a schema error before the flow runs, not a failure after it
+
+
+def _is_number(x):
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
+
+
+def _require_count(check, key, default, least):
+    value = check.get(key, default)
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= least,
+             f"{check['kind']}: {key!r} must be an integer >= {least}")
+
+
+def _require_box(check, default, system):
+    try:
+        comparison._box_bounds(check.get("box", default), system.dim)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{check['kind']}: bad 'box': {exc}") from None
+
+
+def _validate_xi0(check, scenario):
+    resolve_system(check.get("system", "auto"), scenario)
+    eps = check.get("eps", (0.1, 1.0))
+    _require(isinstance(eps, (list, tuple)) and len(eps) > 0
+             and all(_is_number(e) and e > 0 for e in eps),
+             "xi0_stability: 'eps' must be a non-empty list of positive numbers")
+    t_check = check.get("T_check", 50.0)
+    _require(_is_number(t_check) and t_check > 0,
+             "xi0_stability: 'T_check' must be a positive number")
+    _require_count(check, "directions", 64, 1)
+    _require_count(check, "iters", 40, 0)
+
+
+def _validate_wazewski(check, scenario):
+    _require_box(check, (0.0, 10.0), resolve_system(check.get("system", "auto"), scenario))
+    _require_count(check, "samples", 256, 1)
+
+
+def _validate_lyapunov(check, scenario):
+    system = resolve_system(check.get("system", "auto"), scenario)
+    _require_box(check, (1e-3, 10.0), system)
+    _require_count(check, "samples", 4096, 1)
+    weights = check.get("weights")
+    _require(weights is None or (isinstance(weights, (list, tuple))
+                                 and len(weights) == system.dim
+                                 and all(_is_number(w) and w > 0 for w in weights)),
+             f"lyapunov: 'weights' must hold {system.dim} positive numbers, "
+             f"one per component")
+
+
+_CHECK_PARAMETERS = {
+    "xi0_stability": _validate_xi0,
+    "wazewski": _validate_wazewski,
+    "lyapunov": _validate_lyapunov,
+}
 
 
 # ---------------------------------------------------------------------------

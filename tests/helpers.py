@@ -161,3 +161,69 @@ def reference_step(u, params, dt):
     v1 = _reference_area(moved.values)
     f1 = _reference_source(params.source, v1, moved.values)
     return bodies.SupportFunction2D(scaled(moved.values, f1, 0.5 * dt))
+
+
+# ---------------------------------------------------------------------------
+# the per-direction stability search: one single-state integrate per sampled
+# direction, which the batched ``comparison.check_xi0_stability`` must match
+
+
+def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
+                                  n_directions=64, bisect_iters=40, seed=0,
+                                  rtol=1e-6, decay_factor=1e-3):
+    from setflow import comparison
+    from setflow.errors import BlowupError
+
+    rng = np.random.default_rng(seed)
+    dirs = rng.uniform(0.0, 1.0, size=(n_directions, system.dim))
+    dirs[n_directions // 2:] /= np.maximum(
+        np.max(dirs[n_directions // 2:], axis=1, keepdims=True), 1e-30)
+
+    def survives(delta, eps, collect=None):
+        for d in dirs:
+            xi0 = delta * d * (1 - 1e-12)
+            stop = lambda t, xi: xi[0] >= eps
+            try:
+                traj = comparison.integrate(system, xi0, horizon=T_check,
+                                            dt_out=T_check / 32, rtol=rtol,
+                                            stop_condition=stop)
+            except BlowupError:
+                return False
+            if traj.stopped_early or np.max(traj.states[:, 0]) >= eps:
+                return False
+            if collect is not None:
+                collect.append((xi0[0], traj.states[-1, 0]))
+        return True
+
+    table = []
+    floor = 1e-12
+    for eps in sorted(eps_grid):
+        hi = float(eps)
+        if survives(hi, eps):
+            table.append((eps, hi))
+            continue
+        lo = 0.0
+        for _ in range(bisect_iters):
+            mid = 0.5 * (lo + hi)
+            if mid <= floor:
+                break
+            if survives(mid, eps):
+                lo = mid
+            else:
+                hi = mid
+        if lo <= floor:
+            return comparison.StabilityVerdict(
+                kind="unstable",
+                witness={"failed_eps": eps, "delta_floor": floor,
+                         "samples": n_directions, "T_check": T_check,
+                         "delta_table": table,
+                         "note": comparison.SAMPLED_EVIDENCE_NOTE})
+        table.append((eps, lo))
+
+    finals = []
+    survives(0.5 * min(d for _, d in table), min(e for e, _ in table), collect=finals)
+    decays = [f < decay_factor * x0 for x0, f in finals if x0 > 0]
+    kind = "asymptotically_stable" if decays and all(decays) else "stable"
+    return comparison.StabilityVerdict(kind=kind, witness={
+        "delta_table": table, "samples": n_directions, "T_check": T_check,
+        "decay_checked": len(decays), "note": comparison.SAMPLED_EVIDENCE_NOTE})

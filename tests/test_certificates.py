@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from setflow import bodies as B, certificates as CERT, flow as F
+from setflow import bodies as B, certificates as CERT, comparison as C, flow as F
 
 import helpers
 
@@ -213,6 +213,28 @@ class TestHausdorffStability:
         verdict = CERT.hausdorff_stability_report(
             params, lambda t: 1.0, lambda t, nu: 0.5, radius=1.0)
         assert verdict.kind == "unstable"
+
+    def test_matches_per_direction_search(self):
+        # a time-dependent clock and a quadratic source: states above about
+        # 1/2 grow past eps = 1, so the search bisects
+        params = F.SemiflowParams(A=MINUS_I, phi=F.constant(1.0),
+                                  source=F.zero_source())
+        clock = lambda t: 1.0 + 0.5 * np.cos(t)
+        source = lambda t, nu: 2.0 * nu * nu
+        kwargs = dict(T_check=10.0, eps_grid=(1.0,), n_directions=8,
+                      bisect_iters=8)
+        verdict = CERT.hausdorff_stability_report(params, clock, source,
+                                                  radius=1.0, **kwargs)
+        n_const, alpha = CERT.semigroup_envelope(params.A)
+        envelope = C.scalar_system(
+            lambda t, w: alpha * clock(t) * w + source(t, n_const * w),
+            time_dependent=True)
+        expected = helpers.reference_check_xi0_stability(envelope, **kwargs)
+        got = verdict.to_dict()
+        for key in ("measures", "ball_radius", "growth_constant", "growth_rate"):
+            del got[key]
+        assert got == expected.to_dict()
+        assert got["delta_table"][0][1] < 1.0
 
     def test_agrees_with_linearization_for_disc_source(self):
         # around the fixed ball the source does not depend on the body, so

@@ -15,6 +15,13 @@ MINUS_I = -np.eye(2)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 SHEAR = np.array([[0.0, 1.0], [0.0, 0.0]])
 
+# xi0' = 50 (0.08 - xi1) xi0 with xi1 frozen: only states with xi1 < 0.08
+# grow.  The 16 directions of seed 3 have xi1 >= 0.11 at delta = 1, so all
+# survive eps = 1 there, but one grows past eps in the decay run at delta = 1/2
+NON_MONOTONE = C.ComparisonSystem(
+    dim=2, rhs=lambda xi: np.array([50.0 * (0.08 - xi.T[1]) * xi.T[0],
+                                    0.0 * xi.T[1]]).T, name="non_monotone")
+
 
 class TestIntegrate:
     def test_nilpotent_closed_form(self):
@@ -73,6 +80,68 @@ class TestIntegrate:
             assert traj.clamp_events == 0
             assert np.min(traj.states) >= -1e-12
 
+    @pytest.mark.parametrize("system", [
+        C.cyclic_mixed_system(F.constant(1.0), F.constant(0.5), 1),
+        C.cyclic_mixed_system(F.constant(1.0), F.constant(0.5), 2),
+        C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4), 3),
+        C.cyclic_mixed_system(F.constant(1.0), F.constant(0.5), 4),
+        C.nilpotent_source_system(F.constant(1.0), F.constant(0.5)),
+        C.nilpotent_source_system(F.rational([1.0], [1.0, 1.0]), F.constant(2.0)),
+        C.nilpotent_source_system(F.table([0.0, 1.0, 10.0], [1.0, 0.5, 0.5]),
+                                  F.constant(0.5)),
+        C.sde_growth_system(SWAP),
+        C.linear_system([[-1.0, 0.3, -0.2], [0.5, -2.0, 0.1], [-0.4, 0.2, 0.3]]),
+        C.scalar_system(lambda t, x: -(1.0 + 0.5 * np.cos(t)) * x,
+                        time_dependent=True),
+    ], ids=lambda s: s.name)
+    def test_batch_rows_match_single_calls(self, system):
+        rng = np.random.default_rng(17)
+        xi0 = rng.uniform(0.0, 2.0, size=(7, system.dim))
+        xi0[0] = 0.0
+        batch = C.integrate(system, xi0, horizon=3.0, dt_out=0.1)
+        assert batch.states.shape == (31, 7, system.dim)
+        clamped = 0
+        for i, row in enumerate(xi0):
+            single = C.integrate(system, row, horizon=3.0, dt_out=0.1)
+            assert np.array_equal(batch.states[:, i], single.states)
+            clamped += single.clamp_events
+        assert batch.clamp_events == clamped
+        assert np.array_equal(batch.times, single.times)
+
+    def test_batch_ends_at_first_stop(self):
+        # row 1 grows past 2 near t = ln 2; row 0 would never stop
+        growth = C.linear_system([[1.0]])
+        stop = lambda t, xi: xi[..., 0] >= 2.0
+        single = C.integrate(growth, [1.0], horizon=3.0, dt_out=0.1,
+                             stop_condition=stop)
+        batch = C.integrate(growth, [[0.0], [1.0]], horizon=3.0, dt_out=0.1,
+                            stop_condition=stop)
+        assert single.stopped_early and batch.stopped_early
+        # the batch keeps the output times every row reached before the stop
+        assert np.array_equal(batch.times, single.times[:-1])
+        assert np.array_equal(batch.states[:, 1], single.states[:-1])
+
+    def test_batch_row_leaving_guard_raises(self):
+        # the second row's large scale must not lift the first row's guard
+        system = C.linear_system([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(BlowupError) as single:
+            C.integrate(system, [1.0, 0.0], horizon=30.0, dt_out=1.0)
+        with pytest.raises(BlowupError) as batch:
+            C.integrate(system, [[1.0, 0.0], [0.0, 1e6]], horizon=30.0, dt_out=1.0)
+        assert batch.value.reached_time == single.value.reached_time
+        assert C.integrate(system, [0.0, 1e6], horizon=30.0, dt_out=1.0).states[-1, 1] == 1e6
+
+    @pytest.mark.parametrize("fn", [
+        F.constant(0.7), F.rational([1.0, 0.5], [1.0, 1.0, 0.25]),
+        F.table([0.0, 0.3, 1.0, 10.0], [1.0, 0.2, 0.5, 0.5]),
+    ], ids=lambda f: f.kind)
+    def test_scalar_function_on_array_matches_scalar_calls(self, fn):
+        s = np.random.default_rng(4).uniform(0.0, 12.0, size=(5, 3))
+        values = fn(s)
+        assert values.shape == s.shape
+        assert np.array_equal(values, [[fn(float(x)) for x in row] for row in s])
+        assert type(fn(1.5)) is float
+
 
 class TestWazewski:
     def test_sde_system_passes(self):
@@ -90,6 +159,14 @@ class TestWazewski:
         rep = C.check_wazewski(bad, (0.0, 5.0), 256)
         assert not rep.passed
         assert rep.violation["component"] == 0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_samples": 0}, {"sample_box": (5.0, 1.0)}, {"sample_box": (-1.0, 1.0)},
+    ], ids=["no_samples", "inverted_box", "box_outside_cone"])
+    def test_bad_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            C.check_wazewski(C.sde_growth_system(SWAP),
+                             **{"sample_box": (0.0, 5.0), **kwargs})
 
 
 class TestXi0Stability:
@@ -116,10 +193,32 @@ class TestXi0Stability:
         with pytest.raises(ValueError):
             C.check_xi0_stability(shifted, eps_grid=(0.5,))
 
-    def test_empty_eps_grid_rejected(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"eps_grid": ()}, {"eps_grid": (0.5, -1.0)}, {"n_directions": 0},
+        {"bisect_iters": -1}, {"T_check": 0.0},
+    ], ids=["empty_eps", "negative_eps", "no_directions", "negative_iters",
+            "zero_T_check"])
+    def test_bad_parameters_rejected(self, kwargs):
         flat = C.scalar_system(lambda x: 0.0)
         with pytest.raises(ValueError):
-            C.check_xi0_stability(flat, eps_grid=())
+            C.check_xi0_stability(flat, **kwargs)
+
+    @pytest.mark.parametrize("system, kwargs", [
+        (C.nilpotent_source_system(F.constant(1.0), F.constant(0.5)),
+         dict(eps_grid=(0.5,), T_check=10.0, n_directions=16, bisect_iters=12)),
+        (C.nilpotent_source_system(F.constant(1.0), F.constant(2.0)),
+         dict(eps_grid=(0.5,), T_check=5.0, n_directions=16, bisect_iters=12)),
+        (C.scalar_system(lambda x: 0.0),
+         dict(eps_grid=(0.5,), T_check=5.0, n_directions=8, bisect_iters=8)),
+        (C.sde_growth_system(SWAP),
+         dict(eps_grid=(0.5,), T_check=10.0, n_directions=8, bisect_iters=10)),
+        (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0, n_directions=16,
+                            bisect_iters=4, seed=3)),
+    ], ids=["asymptotic", "bisecting", "flat", "unstable", "decay_run_fails"])
+    def test_matches_per_direction_search(self, system, kwargs):
+        verdict = C.check_xi0_stability(system, **kwargs)
+        expected = helpers.reference_check_xi0_stability(system, **kwargs)
+        assert verdict.to_dict() == expected.to_dict()
 
 
 class TestPractical:
@@ -224,10 +323,14 @@ class TestLyapunovQuadratic:
         assert C.lyapunov_quadratic_check(good, n_samples=2048).passed
         assert not C.lyapunov_quadratic_check(bad, n_samples=2048).passed
 
-    def test_weights_validated(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"weights": (1.0, -1.0)}, {"weights": (1.0,)}, {"n_samples": 0},
+        {"sample_box": (2.0, 2.0)},
+    ], ids=["negative_weight", "weight_count", "no_samples", "degenerate_box"])
+    def test_bad_parameters_rejected(self, kwargs):
         sys2 = C.nilpotent_source_system(F.constant(1.0), F.constant(0.5))
         with pytest.raises(ValueError):
-            C.lyapunov_quadratic_check(sys2, weights=(1.0, -1.0))
+            C.lyapunov_quadratic_check(sys2, **kwargs)
 
 
 class TestMeasureFactories:

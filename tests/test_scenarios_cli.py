@@ -58,9 +58,8 @@ class TestSchema:
 
     def test_unknown_check_kind_rejected(self):
         doc = quick_doc(checks=[{"kind": "mystery"}])
-        scenario = scenarios.parse_scenario(doc)
-        with pytest.raises(SchemaError):
-            scenarios.run_scenario(scenario, write_outputs=False)
+        with pytest.raises(SchemaError, match="mystery"):
+            scenarios.parse_scenario(doc)
 
     def test_support_values_body(self):
         values = (1.0 + 0.1 * np.cos(2 * scenarios.bodies.grid_angles(128))).tolist()
@@ -140,6 +139,20 @@ class TestRunner:
             assert required in names
 
 
+def search_doc():
+    """A reflection-source flow whose "auto" system is the cyclic k=2 chain."""
+    doc = quick_doc(name="search", checks=[
+        {"kind": "xi0_stability", "eps": [0.5], "T_check": 5.0,
+         "directions": 4, "iters": 4},
+        {"kind": "wazewski", "box": [0.0, 10.0], "samples": 16},
+        {"kind": "lyapunov", "samples": 16, "weights": [1.0, 2.0]},
+    ])
+    doc["params"]["source"] = {"kind": "linear_body",
+                               "psi": {"kind": "constant", "value": 0.5},
+                               "B": [[1.0, 0.0], [0.0, -1.0]]}
+    return doc
+
+
 class TestCli:
     def test_list(self, capsys):
         assert cli.main(["list"]) == 0
@@ -185,6 +198,40 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(quick_doc(schema=99)))
         assert cli.main(["run", str(path)]) == cli.EXIT_SCHEMA
+
+    @pytest.mark.parametrize("index, change, field", [
+        (0, {"eps": []}, "eps"),
+        (0, {"eps": [0.1, -1.0]}, "eps"),
+        (0, {"T_check": 0}, "T_check"),
+        (0, {"directions": 0}, "directions"),
+        (0, {"directions": 2.5}, "directions"),
+        (0, {"iters": -1}, "iters"),
+        (1, {"box": [5.0, 1.0]}, "box"),
+        (1, {"box": [-1.0, 1.0]}, "box"),
+        (1, {"samples": 0}, "samples"),
+        (2, {"samples": 0}, "samples"),
+        (2, {"box": [[0.0, 1.0]]}, "box"),
+        (2, {"weights": [1.0]}, "weights"),
+        (2, {"weights": [1.0, -2.0]}, "weights"),
+        (2, {"system": {"kind": "cyclic"}}, "'cyclic'"),
+        (2, {"kind": "mystery"}, "mystery"),
+    ], ids=["xi0_empty_eps", "xi0_negative_eps", "xi0_zero_T_check",
+            "xi0_no_directions", "xi0_fractional_directions",
+            "xi0_negative_iters", "wazewski_inverted_box",
+            "wazewski_box_outside_cone", "wazewski_no_samples",
+            "lyapunov_no_samples", "lyapunov_box_rows", "lyapunov_weight_count",
+            "lyapunov_negative_weight", "lyapunov_bad_system", "unknown_kind"])
+    def test_malformed_search_check_exits_2(self, tmp_path, capsys, index,
+                                            change, field):
+        doc = search_doc()
+        scenarios.parse_scenario(doc)
+        doc["checks"][index].update(change)
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+        assert field in capsys.readouterr().err
+        assert not out.exists()     # rejected before the flow ran
 
     def test_run_blowup_exits_3(self, tmp_path, capsys):
         doc = quick_doc(name="explode", horizon=30.0, dt=0.1)
