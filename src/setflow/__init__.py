@@ -15,15 +15,14 @@ The package splits into four layers:
 experiment files, exposed on the shell as the ``setflow`` command.
 """
 
-from .bodies import (LinearOperator2D, MixedAreaReport, SupportFunction2D,
-                     area, convexify, hausdorff_distance, hukuhara_difference,
-                     linear_image, make_ball, make_polygon, make_segment,
-                     minkowski_add, mixed_area, mixed_area_report, perimeter,
-                     scale, steiner_fit, validate)
-from .comparison import (ComparisonSystem, HahnFunction, MeasurePair,
-                         StabilityVerdict, bound_check, check_practical,
-                         check_wazewski, check_xi0_stability,
-                         cyclic_mixed_system, integrate,
+from .bodies import (MixedAreaReport, SupportFunction2D, area, convexify,
+                     hausdorff_distance, hukuhara_difference, linear_image,
+                     make_ball, make_polygon, make_segment, minkowski_add,
+                     mixed_area, mixed_area_report, perimeter, scale,
+                     steiner_fit, validate)
+from .comparison import (ComparisonSystem, HahnFunction, StabilityVerdict,
+                         bound_check, check_practical, check_wazewski,
+                         check_xi0_stability, cyclic_mixed_system, integrate,
                          lyapunov_quadratic_check, nilpotent_source_system,
                          sde_growth_system)
 from .certificates import (GrowthBounds, LinearizationReport,

@@ -22,10 +22,9 @@ DEFAULT_GRID_SIZE = 512
 MIN_GRID_SIZE = 16
 
 # Discrete convexity is enforced up to a tolerance proportional to the body
-# scale; inequality checks use a looser scale-relative tolerance.  The split
-# keeps honest geometric violations distinguishable from discretization noise.
+# scale, which keeps honest geometric violations distinguishable from
+# discretization noise.
 CONVEXITY_RTOL = 1e-8
-INEQUALITY_RTOL = 1e-6
 
 
 @lru_cache(maxsize=32)
@@ -85,52 +84,8 @@ class SupportFunction2D:
                 f"max|h|={np.max(np.abs(self.values)):.6g})")
 
 
-@dataclass(frozen=True)
-class LinearOperator2D:
-    """A 2x2 real matrix acting on the plane, with finite entries."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=float)
-        if mat.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix entries must be finite")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-
-    @property
-    def trace(self) -> float:
-        return float(self.entries[0, 0] + self.entries[1, 1])
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries))
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(2))
-
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros((2, 2)))
-
-    @classmethod
-    def rotation(cls, angle: float):
-        c, s = np.cos(angle), np.sin(angle)
-        return cls(np.array([[c, -s], [s, c]]))
-
-    @classmethod
-    def diagonal(cls, a: float, b: float):
-        return cls(np.diag([float(a), float(b)]))
-
-
 def as_matrix(op) -> np.ndarray:
-    """Coerce a LinearOperator2D or any 2x2 array-like to an ndarray."""
-    if isinstance(op, LinearOperator2D):
-        return op.entries
+    """Coerce a 2x2 array-like with finite entries to an ndarray."""
     mat = np.asarray(op, dtype=float)
     if mat.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
@@ -141,11 +96,6 @@ def as_matrix(op) -> np.ndarray:
 
 def convexity_tolerance(values) -> float:
     return CONVEXITY_RTOL * max(1.0, float(np.max(np.abs(values))))
-
-
-def inequality_tolerance(*quantities) -> float:
-    scale = max((abs(float(q)) for q in quantities), default=0.0)
-    return INEQUALITY_RTOL * max(1.0, scale)
 
 
 def convexity_defect(values: np.ndarray) -> np.ndarray:

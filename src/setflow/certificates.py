@@ -10,7 +10,7 @@ sources, pure set equations).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,15 +65,6 @@ class LinearizationReport:
     routh_hurwitz: dict
     fd_step: float
     notes: tuple = ()
-
-    def to_dict(self) -> dict:
-        return comparison._plain({
-            "gamma0": self.gamma0, "delta0": self.delta0,
-            "growth_constant": self.growth_constant,
-            "growth_rate": self.growth_rate, "stable": self.stable,
-            "inequality_values": self.inequality_values,
-            "routh_hurwitz": self.routh_hurwitz,
-            "fd_step": self.fd_step, "notes": list(self.notes)})
 
 
 def _smooth_directions(grid_size, count, rng):
@@ -183,16 +174,10 @@ def linearize(u_star: SupportFunction2D, params: flow.SemiflowParams,
 class FixedPointReport:
     lambda0: float              # volume of the fixed body
     radius: float               # radius of the fixed ball
-    body: SupportFunction2D | None
+    body: SupportFunction2D | None = field(metadata={"report": False})
     stable: bool
     log_derivative: float       # d/dl log(l * phi / psi) at lambda0
     residual: float
-
-    def to_dict(self) -> dict:
-        return comparison._plain({
-            "lambda0": self.lambda0, "radius": self.radius,
-            "stable": self.stable, "log_derivative": self.log_derivative,
-            "residual": self.residual})
 
 
 def unit_ball_volume(n: int) -> float:
@@ -281,13 +266,6 @@ class SdeExponentsReport:
     discrepancy: bool
     system_matrix: np.ndarray
 
-    def to_dict(self) -> dict:
-        return comparison._plain({
-            "formula_plus": self.formula_plus, "formula_minus": self.formula_minus,
-            "eigen_plus": self.eigen_plus, "eigen_minus": self.eigen_minus,
-            "discrepancy": self.discrepancy,
-            "system_matrix": self.system_matrix})
-
 
 def sde_growth_exponents(matrix) -> SdeExponentsReport:
     mat = as_matrix(matrix)
@@ -328,7 +306,7 @@ def practical_growth_criterion(matrix, lam: float, bound: float, horizon: float)
         "formula_satisfied": lhs(rep.formula_plus, rep.formula_minus) < rhs,
         "eigen_lhs": lhs(rep.eigen_plus, rep.eigen_minus),
         "eigen_satisfied": lhs(rep.eigen_plus, rep.eigen_minus) < rhs,
-        "exponents": rep.to_dict(),
+        "exponents": comparison._plain(rep),
     }
 
 
@@ -343,12 +321,6 @@ class InstabilityReport:
     threshold: float
     margin: float
     samples: tuple
-
-    def to_dict(self) -> dict:
-        return comparison._plain({
-            "kind": self.kind, "liminf_estimate": self.liminf_estimate,
-            "threshold": self.threshold, "margin": self.margin,
-            "samples": [list(s) for s in self.samples]})
 
 
 def ball_source_instability(phi, psi, tr_a: float, s_grid=None) -> InstabilityReport:
@@ -406,16 +378,6 @@ class GlobalExistenceReport:
     finite: bool
     escape_time: float | None
     norm_check: dict | None
-
-    def to_dict(self) -> dict:
-        out = {"finite": self.finite, "escape_time": self.escape_time,
-               "norm_check": comparison._plain(self.norm_check)}
-        for name in ("zeta_plus", "chi_minus", "omega_plus"):
-            traj = getattr(self, name)
-            out[name] = None if traj is None else {
-                "times": traj.times.tolist(),
-                "values": traj.states[:, 0].tolist()}
-        return out
 
 
 def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,

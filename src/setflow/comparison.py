@@ -12,7 +12,7 @@ conditions -- each verdict records the samples and margins it rests on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -141,9 +141,6 @@ class ComparisonTrajectory:
                                 # for a batch of n initial states
     clamp_events: int = 0
     stopped_early: bool = False
-
-    def component(self, i: int) -> np.ndarray:
-        return self.states[..., i]
 
 
 def _rk4(system, t, xi, h):
@@ -325,48 +322,8 @@ class HahnFunction:
     def __call__(self, s: float) -> float:
         return self.coefficient * float(s) ** self.exponent
 
-    def inverse(self, y: float) -> float:
-        return (float(y) / self.coefficient) ** (1.0 / self.exponent)
-
 
 IDENTITY = HahnFunction()
-
-
-@dataclass(frozen=True)
-class MeasurePair:
-    """Measures of initial (h0) and current (h) deviation with Hahn wrappers.
-
-    ``h0`` and ``h`` are callables on bodies (volume, Hausdorff distance to
-    a reference, max of mixed functionals); ``a`` and ``b`` translate
-    between measure values and comparison-system coordinates:
-    ``W_i[u] <= b(h0[u])`` and ``W_0[u] >= a(h[u])``.
-    """
-
-    h0: object
-    h: object
-    a: HahnFunction = IDENTITY
-    b: HahnFunction = IDENTITY
-
-
-def volume_measure():
-    from .bodies import area
-    fn = lambda u: area(u)
-    fn.name = "volume"
-    return fn
-
-
-def hausdorff_to(reference):
-    from .bodies import hausdorff_distance
-    fn = lambda u: hausdorff_distance(u, reference)
-    fn.name = "hausdorff_to"
-    return fn
-
-
-def max_mixed(op, count: int):
-    from .flow import mixed_functionals
-    fn = lambda u: float(np.max(mixed_functionals(u, op, count)))
-    fn.name = f"max_mixed_{count}"
-    return fn
 
 
 # -- verdicts and checks -----------------------------------------------------
@@ -385,6 +342,11 @@ class StabilityVerdict:
 
 
 def _plain(obj):
+    """Plain JSON data; a dataclass report becomes the dict of its fields,
+    leaving out any field whose metadata sets ``report`` to False."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)
+                if f.metadata.get("report", True)}
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -404,10 +366,6 @@ class WazewskiReport:
     samples: int
     violation: dict | None = None
     note: str = SAMPLED_EVIDENCE_NOTE
-
-    def to_dict(self) -> dict:
-        return _plain({"passed": self.passed, "samples": self.samples,
-                       "violation": self.violation, "note": self.note})
 
 
 def check_wazewski(system: ComparisonSystem, sample_box, n_samples: int = 256,
@@ -483,13 +441,13 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     dirs[n_directions // 2:] /= np.maximum(
         np.max(dirs[n_directions // 2:], axis=1, keepdims=True), 1e-30)
 
-    def run(delta, eps, rows):
-        """(xi_0 at 0, xi_0 at T_check) of each row, or None if any row fails.
+    def run(delta, eps):
+        """(xi_0 at 0, xi_0 at T_check) of each direction, or None if any fails.
 
-        All rows step as one batch, which ends at the first row that
+        All directions step as one batch, which ends at the first one that
         crosses ``eps`` or blows up, since that already decides the answer.
         """
-        xi0 = delta * rows * (1 - 1e-12)
+        xi0 = delta * dirs * (1 - 1e-12)
         try:
             traj = integrate(system, xi0, horizon=T_check, dt_out=T_check / 32,
                              rtol=rtol, stop_condition=lambda t, xi: xi[:, 0] >= eps)
@@ -500,7 +458,7 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
         return list(zip(xi0[:, 0], traj.states[-1, :, 0]))
 
     def survives(delta, eps):
-        return run(delta, eps, dirs) is not None
+        return run(delta, eps) is not None
 
     table = []
     floor = 1e-12
@@ -527,37 +485,32 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
         table.append((eps, lo))
 
     # decay of the first component from well inside the smallest found delta;
-    # if a direction fails there, the evidence is the directions before the
-    # first failing one, so rerun them in order to find it
-    delta, eps = 0.5 * min(d for _, d in table), min(e for e, _ in table)
-    finals = run(delta, eps, dirs)
-    if finals is None:
-        finals = []
-        for d in dirs:
-            final = run(delta, eps, d[None])
-            if final is None:
-                break
-            finals += final
-    decays = [f < decay_factor * x0 for x0, f in finals if x0 > 0]
+    # a direction that fails there leaves no decay evidence at all
+    finals = run(0.5 * min(d for _, d in table), min(e for e, _ in table))
+    decays = [f < decay_factor * x0 for x0, f in finals or () if x0 > 0]
     kind = "asymptotically_stable" if decays and all(decays) else "stable"
-    return StabilityVerdict(kind=kind, witness={
-        "delta_table": table, "samples": n_directions, "T_check": T_check,
-        "decay_checked": len(decays), "note": SAMPLED_EVIDENCE_NOTE})
+    witness = {"delta_table": table, "samples": n_directions, "T_check": T_check,
+               "decay_checked": len(decays), "note": SAMPLED_EVIDENCE_NOTE}
+    if finals is None:
+        witness["decay_run_failed"] = True
+    return StabilityVerdict(kind=kind, witness=witness)
 
 
 def check_practical(system: ComparisonSystem, lam: float, bound: float,
-                    horizon: float, measures: MeasurePair | None = None,
+                    horizon: float, a: HahnFunction = IDENTITY,
+                    b: HahnFunction = IDENTITY,
                     rtol: float = 1e-10) -> StabilityVerdict:
     """Practical stability via the comparison state started at ``b(lam) * e``.
 
     Integrates from the all-ones profile scaled by ``b(lam)`` and compares
     the first component at the horizon against ``a(bound)``; the flow is
     practically (lam, bound, horizon)-stable when the inequality is strict.
+    The Hahn-class wrappers ``a`` and ``b`` carry the two measures of the
+    stability notion into comparison coordinates:
+    ``W_i[u] <= b(h0[u])`` and ``W_0[u] >= a(h[u])``.
     """
     if not 0 < lam < bound:
         raise ValueError("requires 0 < lam < bound")
-    a = measures.a if measures else IDENTITY
-    b = measures.b if measures else IDENTITY
     start = float(b(lam)) * np.ones(system.dim)
     threshold = float(a(bound))
     if horizon == 0:
@@ -592,10 +545,6 @@ class DominanceReport:
     max_violation: float
     tolerance: float
     margins: dict
-
-    def to_dict(self) -> dict:
-        return _plain({"passed": self.passed, "max_violation": self.max_violation,
-                       "tolerance": self.tolerance, "margins": self.margins})
 
 
 def bound_check(trajectory, system: ComparisonSystem, functional_names,
@@ -632,10 +581,6 @@ class QuadraticDecayReport:
     worst_ratio: float
     worst_point: np.ndarray
     samples: int
-
-    def to_dict(self) -> dict:
-        return _plain({"passed": self.passed, "worst_ratio": self.worst_ratio,
-                       "worst_point": self.worst_point, "samples": self.samples})
 
 
 def lyapunov_quadratic_check(system: ComparisonSystem, weights=None,

@@ -71,15 +71,6 @@ class ScalarFunction:
             raise ValueError(f"unknown scalar function kind {self.kind!r}")
         return value if many else float(value)
 
-    def to_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        if self.kind == "rational":
-            return {"kind": "rational", "num": list(self.num),
-                    "den": list(self.den)}
-        return {"kind": "table", "s": list(self.s_nodes),
-                "values": list(self.s_values)}
-
 
 def constant(value: float) -> ScalarFunction:
     if value < 0:
@@ -97,6 +88,8 @@ def table(s_nodes, s_values) -> ScalarFunction:
     s_values = tuple(map(float, s_values))
     if len(s_nodes) != len(s_values) or len(s_nodes) < 2:
         raise ValueError("table needs matching node/value sequences")
+    if any(b <= a for a, b in zip(s_nodes, s_nodes[1:])):
+        raise ValueError("table nodes must strictly increase")
     return ScalarFunction(kind="table", s_nodes=s_nodes, s_values=s_values)
 
 

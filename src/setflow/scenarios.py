@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +106,34 @@ def _parse_source(obj, grid_size):
     raise SchemaError(f"unknown source kind {kind!r}")
 
 
+def _parse_track(track, params, grid_size):
+    """The keyword arguments of :func:`flow.evolve` for a 'track' list."""
+    _require(isinstance(track, list), "'track' must be a list")
+    tracked = []
+    mixed_op, mixed_count, reference = None, 0, None
+    for item in track:
+        if item in ("V", "perimeter"):
+            if item not in tracked:
+                tracked.append(item)
+        elif isinstance(item, dict) and item.get("kind") == "mixed":
+            _require_count(item, "count", 2, 1)
+            mixed_count = item.get("count", 2)
+            mat = item.get("B")
+            mixed_op = (_parse_matrix(mat, "track mixed B") if mat is not None
+                        else params.source.matrix)
+            _require(mixed_op is not None, "track mixed: no operator available")
+            tracked.append("mixed")
+        elif isinstance(item, dict) and item.get("kind") == "hausdorff_to":
+            reference = _parse_body(item.get("body"), grid_size, "reference body")
+            tracked.append("dH_ref")
+        else:
+            raise SchemaError(f"unknown track entry {item!r}")
+    if "V" not in tracked:
+        tracked.insert(0, "V")
+    return dict(tracked=tuple(tracked), mixed_op=mixed_op,
+                mixed_count=mixed_count, reference=reference)
+
+
 @dataclass
 class Scenario:
     """A parsed experiment: everything needed to run and report."""
@@ -117,10 +145,9 @@ class Scenario:
     params: flow.SemiflowParams
     horizon: float
     dt: float
-    track: list
+    track: dict                 # keyword arguments of flow.evolve
     checks: list
     output: dict
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -150,8 +177,7 @@ def parse_scenario(doc: dict) -> Scenario:
     _require(isinstance(horizon, (int, float)) and horizon > 0, "'horizon' must be positive")
     _require(isinstance(dt, (int, float)) and dt > 0, "'dt' must be positive")
 
-    track = doc.get("track", ["V", "perimeter"])
-    _require(isinstance(track, list), "'track' must be a list")
+    track = _parse_track(doc.get("track", ["V", "perimeter"]), params, grid_size)
     checks = doc.get("checks", [])
     _require(isinstance(checks, list), "'checks' must be a list")
     for c in checks:
@@ -164,7 +190,7 @@ def parse_scenario(doc: dict) -> Scenario:
     scenario = Scenario(name=name, seed=seed, grid_size=grid_size,
                         initial_body=initial, params=params,
                         horizon=float(horizon), dt=float(dt), track=track,
-                        checks=checks, output=output, raw=doc)
+                        checks=checks, output=output)
     for c in checks:
         validate = _CHECK_PARAMETERS.get(c["kind"])
         if validate is not None:
@@ -265,8 +291,8 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
 
 
 # ---------------------------------------------------------------------------
-# parse-time validation of the sampled comparison searches: a malformed
-# check is a schema error before the flow runs, not a failure after it
+# parse-time validation of check parameters: a malformed check is a schema
+# error before the flow runs, not a failure or a traceback after it
 
 
 def _is_number(x):
@@ -318,10 +344,27 @@ def _validate_lyapunov(check, scenario):
              f"one per component")
 
 
+def _validate_practical(check, scenario):
+    resolve_system(check.get("system", "auto"), scenario)
+    lam, bound = check.get("lambda"), check.get("A")
+    _require(_is_number(lam) and _is_number(bound) and 0 < lam < bound,
+             "practical: 'lambda' and 'A' must be numbers with 0 < lambda < A")
+    horizon = check.get("T", scenario.horizon)
+    _require(_is_number(horizon) and horizon >= 0,
+             "practical: 'T' must be a number >= 0")
+
+
+def _validate_converge(check, scenario):
+    _parse_body(check.get("body"), scenario.grid_size, "converge_to body")
+    _require(_is_number(check.get("tol", 1e-2)), "converge_to: 'tol' must be a number")
+
+
 _CHECK_PARAMETERS = {
     "xi0_stability": _validate_xi0,
     "wazewski": _validate_wazewski,
     "lyapunov": _validate_lyapunov,
+    "practical": _validate_practical,
+    "converge_to": _validate_converge,
 }
 
 
@@ -353,7 +396,7 @@ def _check_bound(check, scenario, traj):
         _require(n in traj.tracked, f"bound_check: functional {n!r} is not tracked")
     rep = comparison.bound_check(traj, system, names,
                                  tol_scale=float(check.get("tol_scale", 1e-4)))
-    return rep.passed, rep.to_dict()
+    return rep.passed, rep
 
 
 def _check_practical(check, scenario, traj):
@@ -383,7 +426,7 @@ def _check_wazewski(check, scenario, traj):
     rep = comparison.check_wazewski(system, tuple(check.get("box", (0.0, 10.0))),
                                     n_samples=int(check.get("samples", 256)),
                                     seed=scenario.seed)
-    return rep.passed == check.get("expect", True), rep.to_dict()
+    return rep.passed == check.get("expect", True), rep
 
 
 def _check_lyapunov(check, scenario, traj):
@@ -392,7 +435,7 @@ def _check_lyapunov(check, scenario, traj):
         system, weights=check.get("weights"),
         sample_box=tuple(check.get("box", (1e-3, 10.0))),
         n_samples=int(check.get("samples", 4096)), seed=scenario.seed)
-    return rep.passed == check.get("expect", True), rep.to_dict()
+    return rep.passed == check.get("expect", True), rep
 
 
 def _check_fixed_point(check, scenario, traj):
@@ -403,10 +446,10 @@ def _check_fixed_point(check, scenario, traj):
     _require(psi is not None, "fixed_point: no psi available")
     rep = certificates.ball_source_fixed_point(phi, psi, n=int(check.get("n", 2)),
                                                grid_size=scenario.grid_size)
-    details = rep.to_dict()
+    details = comparison._plain(rep)
     if rep.body is not None:
         lin = certificates.linearize(rep.body, scenario.params, seed=scenario.seed)
-        details["linearization"] = lin.to_dict()
+        details["linearization"] = lin
         details["volume_rate_at_fixed_point"] = flow.volume_rate(rep.body, scenario.params)
         stable = rep.stable and lin.stable
     else:
@@ -427,7 +470,7 @@ def _check_sde_exponents(check, scenario, traj):
            else scenario.params.source.matrix)
     _require(mat is not None, "sde_exponents: no matrix available")
     rep = certificates.sde_growth_exponents(mat)
-    details = rep.to_dict()
+    details = comparison._plain(rep)
     if "lambda" in check and "A" in check:
         details["practical_criterion"] = certificates.practical_growth_criterion(
             mat, float(check["lambda"]), float(check["A"]),
@@ -472,7 +515,7 @@ def _check_instability(check, scenario, traj):
     _require(psi is not None, "instability_certificate: no psi available")
     tr_a = float(check.get("trace_A", scenario.params.trace))
     rep = certificates.ball_source_instability(phi, psi, tr_a)
-    return rep.kind == check.get("expect", "unstable"), rep.to_dict()
+    return rep.kind == check.get("expect", "unstable"), rep
 
 
 _CHECKS = {
@@ -507,31 +550,6 @@ class ScenarioResult:
     report_path: Path | None = None
 
 
-def _evolve_kwargs(scenario: Scenario):
-    tracked = []
-    mixed_op, mixed_count, reference = None, 0, None
-    for item in scenario.track:
-        if item in ("V", "perimeter"):
-            if item not in tracked:
-                tracked.append(item)
-        elif isinstance(item, dict) and item.get("kind") == "mixed":
-            mixed_count = int(item.get("count", 2))
-            mat = item.get("B")
-            mixed_op = (_parse_matrix(mat, "track mixed B") if mat is not None
-                        else scenario.params.source.matrix)
-            _require(mixed_op is not None, "track mixed: no operator available")
-            tracked.append("mixed")
-        elif isinstance(item, dict) and item.get("kind") == "hausdorff_to":
-            reference = _parse_body(item["body"], scenario.grid_size, "reference body")
-            tracked.append("dH_ref")
-        else:
-            raise SchemaError(f"unknown track entry {item!r}")
-    if "V" not in tracked:
-        tracked.insert(0, "V")
-    return dict(tracked=tuple(tracked), mixed_op=mixed_op,
-                mixed_count=mixed_count, reference=reference)
-
-
 def run_scenario(scenario: Scenario, out_dir=None,
                  write_outputs: bool = True) -> ScenarioResult:
     """Execute a scenario: evolve, run checks, emit CSV + JSON report.
@@ -546,8 +564,7 @@ def run_scenario(scenario: Scenario, out_dir=None,
     diagnostic = None
     try:
         traj = flow.evolve(scenario.initial_body, scenario.params,
-                           scenario.horizon, scenario.dt,
-                           **_evolve_kwargs(scenario))
+                           scenario.horizon, scenario.dt, **scenario.track)
     except BlowupError as exc:
         blew_up = True
         diagnostic = {"blow_up_at": exc.reached_time, "message": str(exc)}
@@ -555,13 +572,9 @@ def run_scenario(scenario: Scenario, out_dir=None,
 
     check_results = []
     if not blew_up:
-        for i, check in enumerate(scenario.checks):
-            kind = check.get("kind")
-            runner = _CHECKS.get(kind)
-            if runner is None:
-                raise SchemaError(f"unknown check kind {kind!r}")
-            passed, details = runner(check, scenario, traj)
-            check_results.append({"kind": kind, "passed": bool(passed),
+        for check in scenario.checks:
+            passed, details = _CHECKS[check["kind"]](check, scenario, traj)
+            check_results.append({"kind": check["kind"], "passed": bool(passed),
                                   "details": comparison._plain(details)})
 
     passed = (not blew_up) and all(c["passed"] for c in check_results)

@@ -220,10 +220,14 @@ def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
                          "note": comparison.SAMPLED_EVIDENCE_NOTE})
         table.append((eps, lo))
 
+    # a direction that fails the decay run voids the decay evidence of all
     finals = []
-    survives(0.5 * min(d for _, d in table), min(e for e, _ in table), collect=finals)
-    decays = [f < decay_factor * x0 for x0, f in finals if x0 > 0]
+    failed = not survives(0.5 * min(d for _, d in table), min(e for e, _ in table),
+                          collect=finals)
+    decays = [] if failed else [f < decay_factor * x0 for x0, f in finals if x0 > 0]
     kind = "asymptotically_stable" if decays and all(decays) else "stable"
-    return comparison.StabilityVerdict(kind=kind, witness={
-        "delta_table": table, "samples": n_directions, "T_check": T_check,
-        "decay_checked": len(decays), "note": comparison.SAMPLED_EVIDENCE_NOTE})
+    witness = {"delta_table": table, "samples": n_directions, "T_check": T_check,
+               "decay_checked": len(decays), "note": comparison.SAMPLED_EVIDENCE_NOTE}
+    if failed:
+        witness["decay_run_failed"] = True
+    return comparison.StabilityVerdict(kind=kind, witness=witness)

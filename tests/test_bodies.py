@@ -165,15 +165,6 @@ class TestLinearImage:
         seg = B.make_segment(1.0)
         assert B.hausdorff_distance(img, seg) < 1e-12
 
-    def test_operator_wrapper(self):
-        rot = B.LinearOperator2D.rotation(np.pi / 2)
-        assert rot.trace == pytest.approx(0.0)
-        assert rot.det == pytest.approx(1.0)
-        seg = B.make_segment(4.0)
-        a = B.linear_image(seg, rot)
-        b = B.linear_image(seg, [[0.0, -1.0], [1.0, 0.0]])
-        assert B.hausdorff_distance(a, b) < 1e-9
-
 
 # ---------------------------------------------------------------------------
 # areas and mixed areas

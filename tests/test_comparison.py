@@ -214,11 +214,25 @@ class TestXi0Stability:
          dict(eps_grid=(0.5,), T_check=10.0, n_directions=8, bisect_iters=10)),
         (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0, n_directions=16,
                             bisect_iters=4, seed=3)),
-    ], ids=["asymptotic", "bisecting", "flat", "unstable", "decay_run_fails"])
+        (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0, n_directions=8,
+                            bisect_iters=4, seed=4)),
+    ], ids=["asymptotic", "bisecting", "flat", "unstable", "decay_run_fails",
+            "decay_run_fails_late"])
     def test_matches_per_direction_search(self, system, kwargs):
         verdict = C.check_xi0_stability(system, **kwargs)
         expected = helpers.reference_check_xi0_stability(system, **kwargs)
         assert verdict.to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize("seed, n_directions", [(3, 16), (4, 8)])
+    def test_failed_decay_run_is_only_stable(self, seed, n_directions):
+        # one direction grows past eps at half the found delta: the directions
+        # that decayed before it are no evidence of asymptotic stability
+        verdict = C.check_xi0_stability(NON_MONOTONE, eps_grid=(1.0,),
+                                        T_check=10.0, n_directions=n_directions,
+                                        bisect_iters=4, seed=seed)
+        assert verdict.kind == "stable"
+        assert verdict.witness["decay_run_failed"] is True
+        assert verdict.witness["decay_checked"] == 0
 
 
 class TestPractical:
@@ -250,13 +264,13 @@ class TestPractical:
             assert earlier or not later
 
     def test_hahn_wrappers(self):
-        measures = C.MeasurePair(h0=C.volume_measure(), h=C.volume_measure(),
-                                 a=C.HahnFunction(2.0, 1.0),
-                                 b=C.HahnFunction(1.0, 2.0))
-        verdict = C.check_practical(C.sde_growth_system(SWAP), lam=1.0,
+        verdict = C.check_practical(C.sde_growth_system(SWAP), lam=3.0,
                                     bound=100.0, horizon=1.0,
-                                    measures=measures)
+                                    a=C.HahnFunction(2.0, 1.0),
+                                    b=C.HahnFunction(1.0, 2.0))
         assert verdict.witness["threshold"] == pytest.approx(200.0)
+        assert verdict.witness["initial_state"].tolist() == [9.0, 9.0]
+        assert verdict.witness["xi0_final"] == pytest.approx(9.0 * np.exp(2.0), rel=1e-6)
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
@@ -331,19 +345,6 @@ class TestLyapunovQuadratic:
         sys2 = C.nilpotent_source_system(F.constant(1.0), F.constant(0.5))
         with pytest.raises(ValueError):
             C.lyapunov_quadratic_check(sys2, **kwargs)
-
-
-class TestMeasureFactories:
-    def test_named_functionals(self):
-        seg = B.make_segment(4.0)
-        vol = C.volume_measure()
-        assert vol(seg) == pytest.approx(0.0, abs=0.05)
-        ref = B.make_ball(1.0)
-        dist = C.hausdorff_to(ref)
-        assert dist(B.make_ball(2.0)) == pytest.approx(1.0)
-        quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
-        worst = C.max_mixed(quarter, 4)
-        assert worst(seg) == pytest.approx(8.0, rel=1e-5)
 
 
 class TestVerdictSerialization:

@@ -267,3 +267,11 @@ class TestMixedFunctionals:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             F.mixed_functionals(B.make_ball(1.0), np.eye(2), 0)
+
+
+class TestScalarFunction:
+    @pytest.mark.parametrize("nodes", [[2.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+                             ids=["unsorted", "repeated"])
+    def test_table_nodes_must_strictly_increase(self, nodes):
+        with pytest.raises(ValueError, match="strictly increase"):
+            F.table(nodes, [1.0, 1.0, 1.0])

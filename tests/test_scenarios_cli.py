@@ -1,11 +1,12 @@
 """Scenario schema, runner determinism, CSV/JSON artifacts, CLI surface."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from setflow import cli, scenarios
+from setflow import bodies, certificates, cli, comparison, flow, scenarios
 from setflow.scenarios import SchemaError
 
 
@@ -139,6 +140,55 @@ class TestRunner:
             assert required in names
 
 
+def emitted_reports():
+    """One report of each type that a scenario check emits."""
+    one, half = flow.constant(1.0), flow.constant(0.5)
+    swap = [[0.0, 1.0], [1.0, 0.0]]
+    pair = comparison.nilpotent_source_system(one, half)
+    square = bodies.make_polygon([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]],
+                                 grid_size=64)
+    growth = flow.SemiflowParams(A=np.zeros((2, 2)), phi=one,
+                                 source=flow.linear_source(one, swap))
+    traj = flow.evolve(square, growth, 0.1, 0.01, tracked=("V", "mixed"),
+                       mixed_op=swap, mixed_count=2)
+    disc = flow.SemiflowParams(A=-np.eye(2), phi=one, source=flow.ball_source(one))
+    fixed = certificates.ball_source_fixed_point(one, one, grid_size=64)
+    return {
+        "wazewski": comparison.check_wazewski(pair, (0.0, 10.0), n_samples=8),
+        "wazewski_violation": comparison.check_wazewski(
+            comparison.linear_system([[0.0, -1.0], [0.0, 0.0]]), (0.0, 10.0),
+            n_samples=8),
+        "bound_check": comparison.bound_check(traj, comparison.sde_growth_system(swap),
+                                              ["W0", "W1"]),
+        "lyapunov": comparison.lyapunov_quadratic_check(pair, n_samples=8),
+        "fixed_point": fixed,
+        "linearization": certificates.linearize(fixed.body, disc),
+        "sde_exponents": certificates.sde_growth_exponents(swap),
+        "instability": certificates.ball_source_instability(one, one, -2.0),
+    }
+
+
+class TestReportSerialization:
+    def test_every_emitted_report_is_plain_json(self):
+        reports = emitted_reports()
+        assert reports["wazewski_violation"].violation is not None
+        for name, report in reports.items():
+            plain = comparison._plain(report)
+            assert json.loads(json.dumps(plain)) == plain, name
+            names = {f.name for f in dataclasses.fields(report)} - {"body"}
+            assert plain.keys() == names, name
+
+    def test_fixed_point_details_leave_out_the_body(self):
+        doc = quick_doc(checks=[{"kind": "fixed_point"}])
+        result = scenarios.run_scenario(scenarios.parse_scenario(doc),
+                                        write_outputs=False)
+        details = result.checks[0]["details"]
+        assert "body" not in details
+        assert details["radius"] == pytest.approx(0.5)
+        assert "gamma0" in details["linearization"]
+        json.dumps(details)
+
+
 def search_doc():
     """A reflection-source flow whose "auto" system is the cyclic k=2 chain."""
     doc = quick_doc(name="search", checks=[
@@ -227,6 +277,25 @@ class TestCli:
         scenarios.parse_scenario(doc)
         doc["checks"][index].update(change)
         path = tmp_path / "search.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+        assert field in capsys.readouterr().err
+        assert not out.exists()     # rejected before the flow ran
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["checks"].append({"kind": "practical", "A": 100.0}), "'lambda'"),
+        (lambda d: d["checks"].append({"kind": "converge_to"}), "converge_to body"),
+        (lambda d: d.update(track=["V", {"kind": "mixed", "count": 0}]), "'count'"),
+        (lambda d: d["params"].update(phi={"kind": "table", "s": [2.0, 0.0, 1.0],
+                                           "values": [1.0, 1.0, 1.0]}), "phi"),
+    ], ids=["practical_no_lambda", "converge_to_no_body", "mixed_count_0",
+            "table_nodes_unsorted"])
+    def test_malformed_document_exits_2(self, tmp_path, capsys, mutate, field):
+        doc = search_doc()
+        scenarios.parse_scenario(doc)
+        mutate(doc)
+        path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
