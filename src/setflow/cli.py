@@ -125,9 +125,6 @@ def _cmd_run(args) -> int:
         else:
             results = [scenarios.run_scenario(s, out_dir=args.out)
                        for _, s in loaded]
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except BlowupError as exc:
         print(f"error: integration blow-up at t={exc.reached_time:.6g}",
               file=sys.stderr)

@@ -113,6 +113,8 @@ def sde_growth_system(matrix) -> ComparisonSystem:
 
 def linear_system(matrix, name: str = "linear") -> ComparisonSystem:
     mat = np.asarray(matrix, dtype=float)
+    if not (mat.ndim == 2 and mat.shape[0] == mat.shape[1] > 0 and np.all(np.isfinite(mat))):
+        raise ValueError("matrix must be square, nonempty and finite")
     return ComparisonSystem(dim=mat.shape[0], rhs=_matrix_rhs(mat), name=name)
 
 

@@ -79,8 +79,13 @@ def constant(value: float) -> ScalarFunction:
 
 
 def rational(num, den) -> ScalarFunction:
-    return ScalarFunction(kind="rational", num=tuple(map(float, num)),
-                          den=tuple(map(float, den)))
+    """p(s)/q(s); q may not vanish on [0, inf) (a root within 1e-6 of the axis counts)."""
+    num, den = tuple(map(float, num)), tuple(map(float, den))
+    roots = np.roots(den[::-1]) if any(den) else np.zeros(1)
+    on_axis = np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots))
+    if np.any(on_axis & (roots.real >= 0)):
+        raise ValueError("the denominator has a root in [0, inf)")
+    return ScalarFunction(kind="rational", num=num, den=den)
 
 
 def table(s_nodes, s_values) -> ScalarFunction:

@@ -37,6 +37,19 @@ def _require(cond, message):
         raise SchemaError(message)
 
 
+def _build(obj, kinds, what, *args):
+    """``kinds[obj["kind"]](obj, *args)``, any bad parameter a SchemaError."""
+    _require(isinstance(obj, dict) and "kind" in obj, f"{what} must be an object with a 'kind'")
+    kind = obj["kind"]
+    _require(isinstance(kind, str) and kind in kinds, f"unknown {what} kind {kind!r}")
+    try:
+        return kinds[kind](obj, *args)
+    except SchemaError:
+        raise
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad {what} {kind!r} parameters: {exc}") from None
+
+
 def _parse_matrix(obj, what="matrix"):
     try:
         mat = np.asarray(obj, dtype=float)
@@ -47,63 +60,50 @@ def _parse_matrix(obj, what="matrix"):
     return mat
 
 
+_FUNCTIONS = {
+    "constant": lambda obj: flow.constant(float(obj["value"])),
+    "rational": lambda obj: flow.rational(obj["num"], obj["den"]),
+    "table": lambda obj: flow.table(obj["s"], obj["values"]),
+}
+
+
 def _parse_function(obj, what="function"):
-    _require(isinstance(obj, dict) and "kind" in obj, f"{what} must be an object with a 'kind'")
-    kind = obj["kind"]
-    try:
-        if kind == "constant":
-            return flow.constant(float(obj["value"]))
-        if kind == "rational":
-            return flow.rational(obj["num"], obj["den"])
-        if kind == "table":
-            return flow.table(obj["s"], obj["values"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad {what} parameters: {exc}") from None
-    raise SchemaError(f"unknown {what} kind {kind!r}")
+    return _build(obj, _FUNCTIONS, what)
+
+
+def _support_values(obj, grid_size):
+    values = np.asarray(obj["values"], dtype=float)
+    declared = obj.get("grid_size", values.size)
+    if not declared == values.size == grid_size:
+        raise ValueError(f"{values.size} values for declared grid_size {declared} "
+                         f"and scenario grid_size {grid_size}")
+    return SupportFunction2D(values)
+
+
+_BODIES = {
+    "ball": lambda obj, m: bodies.make_ball(float(obj["radius"]),
+                                            center=obj.get("center", (0.0, 0.0)),
+                                            grid_size=m),
+    "polygon": lambda obj, m: bodies.make_polygon(obj["vertices"], grid_size=m),
+    "segment": lambda obj, m: bodies.make_segment(float(obj["length"]),
+                                                  angle=float(obj.get("angle", 0.0)),
+                                                  grid_size=m),
+    "support_values": _support_values,
+}
 
 
 def _parse_body(obj, grid_size, what="body"):
-    _require(isinstance(obj, dict) and "kind" in obj, f"{what} must be an object with a 'kind'")
-    kind = obj["kind"]
-    try:
-        if kind == "ball":
-            return bodies.make_ball(float(obj["radius"]),
-                                    center=obj.get("center", (0.0, 0.0)),
-                                    grid_size=grid_size)
-        if kind == "polygon":
-            return bodies.make_polygon(obj["vertices"], grid_size=grid_size)
-        if kind == "segment":
-            return bodies.make_segment(float(obj["length"]),
-                                       angle=float(obj.get("angle", 0.0)),
-                                       grid_size=grid_size)
-        if kind == "support_values":
-            values = np.asarray(obj["values"], dtype=float)
-            declared = obj.get("grid_size", values.size)
-            _require(declared == values.size,
-                     f"{what}: declared grid_size {declared} != value count {values.size}")
-            _require(values.size == grid_size,
-                     f"{what}: support_values length {values.size} != grid_size {grid_size}")
-            return SupportFunction2D(values)
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad {what} parameters: {exc}") from None
-    raise SchemaError(f"unknown {what} kind {kind!r}")
+    return _build(obj, _BODIES, what, grid_size)
 
 
-def _parse_source(obj, grid_size):
-    _require(isinstance(obj, dict) and "kind" in obj, "source must be an object with a 'kind'")
-    kind = obj["kind"]
-    if kind == "zero":
-        return flow.zero_source()
-    if kind == "ball_source":
-        return flow.ball_source(_parse_function(obj.get("psi"), "psi"))
-    if kind == "linear_body":
-        return flow.linear_source(_parse_function(obj.get("psi"), "psi"),
-                                  _parse_matrix(obj.get("B"), "B"))
-    if kind == "constant_body":
-        return flow.constant_source(_parse_body(obj.get("body"), grid_size, "source body"))
-    raise SchemaError(f"unknown source kind {kind!r}")
+_SOURCES = {
+    "zero": lambda obj, m: flow.zero_source(),
+    "ball_source": lambda obj, m: flow.ball_source(_parse_function(obj.get("psi"), "psi")),
+    "linear_body": lambda obj, m: flow.linear_source(_parse_function(obj.get("psi"), "psi"),
+                                                     _parse_matrix(obj.get("B"), "B")),
+    "constant_body": lambda obj, m: flow.constant_source(
+        _parse_body(obj.get("body"), m, "source body")),
+}
 
 
 def _parse_track(track, params, grid_size):
@@ -116,8 +116,7 @@ def _parse_track(track, params, grid_size):
             if item not in tracked:
                 tracked.append(item)
         elif isinstance(item, dict) and item.get("kind") == "mixed":
-            _require_count(item, "count", 2, 1)
-            mixed_count = item.get("count", 2)
+            mixed_count = _count(item, "count", 2, 1)
             mat = item.get("B")
             mixed_op = (_parse_matrix(mat, "track mixed B") if mat is not None
                         else params.source.matrix)
@@ -146,7 +145,7 @@ class Scenario:
     horizon: float
     dt: float
     track: dict                 # keyword arguments of flow.evolve
-    checks: list
+    checks: list                # (kind, run) pairs; run(trajectory) -> (passed, details)
     output: dict
 
 
@@ -168,7 +167,7 @@ def parse_scenario(doc: dict) -> Scenario:
     params = flow.SemiflowParams(
         A=_parse_matrix(pd.get("A"), "params.A"),
         phi=_parse_function(pd.get("phi"), "phi"),
-        source=_parse_source(pd.get("source", {"kind": "zero"}), grid_size))
+        source=_build(pd.get("source", {"kind": "zero"}), _SOURCES, "source", grid_size))
 
     initial = _parse_body(doc.get("initial_body"), grid_size, "initial_body")
 
@@ -180,21 +179,15 @@ def parse_scenario(doc: dict) -> Scenario:
     track = _parse_track(doc.get("track", ["V", "perimeter"]), params, grid_size)
     checks = doc.get("checks", [])
     _require(isinstance(checks, list), "'checks' must be a list")
-    for c in checks:
-        _require(isinstance(c, dict) and "kind" in c,
-                 "each check must be an object with a 'kind'")
-        _require(isinstance(c["kind"], str) and c["kind"] in _CHECKS,
-                 f"unknown check kind {c['kind']!r}")
     output = doc.get("output", {})
     _require(isinstance(output, dict), "'output' must be an object")
     scenario = Scenario(name=name, seed=seed, grid_size=grid_size,
                         initial_body=initial, params=params,
                         horizon=float(horizon), dt=float(dt), track=track,
-                        checks=checks, output=output)
-    for c in checks:
-        validate = _CHECK_PARAMETERS.get(c["kind"])
-        if validate is not None:
-            validate(c, scenario)
+                        checks=[], output=output)
+    for check in checks:
+        run = _build(check, _CHECKS, "check", scenario)
+        scenario.checks.append((check["kind"], run))
     return scenario
 
 
@@ -230,6 +223,18 @@ def _operator_order(mat, max_order=8):
     return None
 
 
+_SYSTEMS = {
+    "nilpotent": lambda spec: comparison.nilpotent_source_system(
+        _parse_function(spec["phi"], "phi"), _parse_function(spec["psi"], "psi"),
+        a=_number(spec, "a", -1.0)),
+    "cyclic": lambda spec: comparison.cyclic_mixed_system(
+        _parse_function(spec["phi"], "phi"), _parse_function(spec["psi"], "psi"),
+        k=_count(spec, "k", None, 1), a=_number(spec, "a", -1.0)),
+    "sde": lambda spec: comparison.sde_growth_system(_parse_matrix(spec["B"], "B")),
+    "linear": lambda spec: comparison.linear_system(np.asarray(spec["matrix"], dtype=float)),
+}
+
+
 def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSystem:
     """Build the comparison system named by a check (or infer one).
 
@@ -239,29 +244,8 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
     with det B < 0 <= tr B gives the growth system of the set equation.
     """
     if isinstance(system_spec, dict):
-        kind = system_spec.get("kind")
-        try:
-            if kind == "nilpotent":
-                return comparison.nilpotent_source_system(
-                    _parse_function(system_spec["phi"], "phi"),
-                    _parse_function(system_spec["psi"], "psi"),
-                    a=float(system_spec.get("a", -1.0)))
-            if kind == "cyclic":
-                return comparison.cyclic_mixed_system(
-                    _parse_function(system_spec["phi"], "phi"),
-                    _parse_function(system_spec["psi"], "psi"),
-                    k=int(system_spec["k"]), a=float(system_spec.get("a", -1.0)))
-            if kind == "sde":
-                return comparison.sde_growth_system(_parse_matrix(system_spec["B"], "B"))
-            if kind == "linear":
-                return comparison.linear_system(np.asarray(system_spec["matrix"], dtype=float))
-        except SchemaError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad {kind!r} comparison system parameters: {exc}") from None
-        raise SchemaError(f"unknown comparison system kind {kind!r}")
-    if system_spec != "auto":
-        raise SchemaError("comparison system must be 'auto' or a system object")
+        return _build(system_spec, _SYSTEMS, "comparison system")
+    _require(system_spec == "auto", "comparison system must be 'auto' or a system object")
 
     params = scenario.params
     a_mat = params.A
@@ -291,8 +275,8 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
 
 
 # ---------------------------------------------------------------------------
-# parse-time validation of check parameters: a malformed check is a schema
-# error before the flow runs, not a failure or a traceback after it
+# checks: each builder reads and validates its parameters once, when the
+# document is parsed, and returns run(trajectory) -> (passed, details)
 
 
 def _is_number(x):
@@ -301,221 +285,254 @@ def _is_number(x):
     return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
 
 
-def _require_count(check, key, default, least):
-    value = check.get(key, default)
-    _require(isinstance(value, int) and not isinstance(value, bool) and value >= least,
-             f"{check['kind']}: {key!r} must be an integer >= {least}")
+def _positives(x, least=1):
+    return (isinstance(x, (list, tuple)) and len(x) >= least
+            and all(_is_number(v) and v > 0 for v in x))
 
 
-def _require_box(check, default, system):
+def _param(obj, key, default, ok, what):
+    """``obj[key]``, or its default, once ``ok`` accepts it."""
+    value = obj.get(key, default)
+    _require(ok(value), f"{obj['kind']}: {key!r} must be {what}")
+    return value
+
+
+def _number(check, key, default, ok=_is_number, what="a number"):
+    return float(_param(check, key, default, ok, what))
+
+
+def _count(obj, key, default, least):
+    return _param(obj, key, default, lambda v: isinstance(v, int) and not isinstance(v, bool)
+                  and v >= least, f"an integer >= {least}")
+
+
+def _flag(check, key):
+    return _param(check, key, True, lambda v: isinstance(v, bool), "true or false")
+
+
+def _verdict(check, default, verdicts):
+    return _param(check, "expect", default, lambda v: v in verdicts, f"one of {verdicts}")
+
+
+def _system(check, scenario):
+    return resolve_system(check.get("system", "auto"), scenario)
+
+
+def _box(check, default, system):
+    box = check.get("box", default)
     try:
-        comparison._box_bounds(check.get("box", default), system.dim)
+        comparison._box_bounds(box, system.dim)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{check['kind']}: bad 'box': {exc}") from None
+    return tuple(box)
 
 
-def _validate_xi0(check, scenario):
-    resolve_system(check.get("system", "auto"), scenario)
-    eps = check.get("eps", (0.1, 1.0))
-    _require(isinstance(eps, (list, tuple)) and len(eps) > 0
-             and all(_is_number(e) and e > 0 for e in eps),
-             "xi0_stability: 'eps' must be a non-empty list of positive numbers")
-    t_check = check.get("T_check", 50.0)
-    _require(_is_number(t_check) and t_check > 0,
-             "xi0_stability: 'T_check' must be a positive number")
-    _require_count(check, "directions", 64, 1)
-    _require_count(check, "iters", 40, 0)
+def _phi_psi(check, params):
+    phi = _parse_function(check["phi"], "phi") if "phi" in check else params.phi
+    psi = _parse_function(check["psi"], "psi") if "psi" in check else params.source.psi
+    _require(psi is not None, f"{check['kind']}: no psi available")
+    return phi, psi
 
 
-def _validate_wazewski(check, scenario):
-    _require_box(check, (0.0, 10.0), resolve_system(check.get("system", "auto"), scenario))
-    _require_count(check, "samples", 256, 1)
-
-
-def _validate_lyapunov(check, scenario):
-    system = resolve_system(check.get("system", "auto"), scenario)
-    _require_box(check, (1e-3, 10.0), system)
-    _require_count(check, "samples", 4096, 1)
-    weights = check.get("weights")
-    _require(weights is None or (isinstance(weights, (list, tuple))
-                                 and len(weights) == system.dim
-                                 and all(_is_number(w) and w > 0 for w in weights)),
-             f"lyapunov: 'weights' must hold {system.dim} positive numbers, "
-             f"one per component")
-
-
-def _validate_practical(check, scenario):
-    resolve_system(check.get("system", "auto"), scenario)
+def _lambda_bound_horizon(check, scenario):
     lam, bound = check.get("lambda"), check.get("A")
     _require(_is_number(lam) and _is_number(bound) and 0 < lam < bound,
-             "practical: 'lambda' and 'A' must be numbers with 0 < lambda < A")
-    horizon = check.get("T", scenario.horizon)
-    _require(_is_number(horizon) and horizon >= 0,
-             "practical: 'T' must be a number >= 0")
+             f"{check['kind']}: 'lambda' and 'A' must be numbers with 0 < lambda < A")
+    horizon = _number(check, "T", scenario.horizon,
+                      lambda v: _is_number(v) and v >= 0, "a number >= 0")
+    return float(lam), float(bound), horizon
 
 
-def _validate_converge(check, scenario):
-    _parse_body(check.get("body"), scenario.grid_size, "converge_to body")
-    _require(_is_number(check.get("tol", 1e-2)), "converge_to: 'tol' must be a number")
+def _failure(exc, **details):
+    """The details of a check whose certificate could not be computed."""
+    return False, dict(details, error=f"{type(exc).__name__}: {exc}")
 
 
-_CHECK_PARAMETERS = {
-    "xi0_stability": _validate_xi0,
-    "wazewski": _validate_wazewski,
-    "lyapunov": _validate_lyapunov,
-    "practical": _validate_practical,
-    "converge_to": _validate_converge,
-}
-
-
-# ---------------------------------------------------------------------------
-# checks
-
-
-def _check_closed_form_area(check, scenario, traj):
-    terms = int(check.get("terms", 2))
-    rtol = float(check.get("rtol", 1e-3))
-    _require(terms in (2, 4), "closed_form_area: 'terms' must be 2 or 4")
+def _check_closed_form_area(check, scenario):
+    terms = _param(check, "terms", 2, lambda v: isinstance(v, int) and v in (2, 4), "2 or 4")
+    rtol = _number(check, "rtol", 1e-3)
     src = scenario.params.source
     _require(src.kind == "linear", "closed_form_area applies to linear-body sources")
-    w0 = flow.mixed_functionals(scenario.initial_body, src.matrix, terms)
-    if terms == 2:
-        ref = certificates.reflection_area_profile(traj.times, w0[0], w0[1])
-    else:
-        ref = certificates.quarter_turn_area_profile(traj.times, w0)
-    rel = np.abs(traj.tracked["V"] - ref) / np.maximum(np.abs(ref), 1e-300)
-    worst = float(np.max(rel))
-    return worst <= rtol, {"max_rel_error": worst, "rtol": rtol,
-                           "initial_functionals": w0.tolist()}
+
+    def run(traj):
+        w0 = flow.mixed_functionals(scenario.initial_body, src.matrix, terms)
+        if terms == 2:
+            ref = certificates.reflection_area_profile(traj.times, w0[0], w0[1])
+        else:
+            ref = certificates.quarter_turn_area_profile(traj.times, w0)
+        rel = np.abs(traj.tracked["V"] - ref) / np.maximum(np.abs(ref), 1e-300)
+        worst = float(np.max(rel))
+        return worst <= rtol, {"max_rel_error": worst, "rtol": rtol,
+                               "initial_functionals": w0.tolist()}
+    return run
 
 
-def _check_bound(check, scenario, traj):
-    system = resolve_system(check.get("system", "auto"), scenario)
-    names = check.get("functionals", [f"W{i}" for i in range(system.dim)])
-    for n in names:
-        _require(n in traj.tracked, f"bound_check: functional {n!r} is not tracked")
-    rep = comparison.bound_check(traj, system, names,
-                                 tol_scale=float(check.get("tol_scale", 1e-4)))
-    return rep.passed, rep
+def _check_bound(check, scenario):
+    system = _system(check, scenario)
+    tracked = [name for name, _ in flow._tracker_functions(**scenario.track)]
+    names = _param(check, "functionals", [f"W{i}" for i in range(system.dim)],
+                   lambda v: isinstance(v, list) and len(v) == system.dim
+                   and all(n in tracked for n in v),
+                   f"{system.dim} of the tracked functionals {tracked}")
+    tol_scale = _number(check, "tol_scale", 1e-4)
+
+    def run(traj):
+        rep = comparison.bound_check(traj, system, names, tol_scale=tol_scale)
+        return rep.passed, rep
+    return run
 
 
-def _check_practical(check, scenario, traj):
-    system = resolve_system(check.get("system", "auto"), scenario)
-    verdict = comparison.check_practical(
-        system, lam=float(check["lambda"]), bound=float(check["A"]),
-        horizon=float(check.get("T", scenario.horizon)))
-    expect = check.get("expect", "practically_stable")
-    return verdict.kind == expect, verdict.to_dict()
+def _check_practical(check, scenario):
+    system = _system(check, scenario)
+    lam, bound, horizon = _lambda_bound_horizon(check, scenario)
+    expect = _verdict(check, "practically_stable",
+                      ("practically_stable", "inconclusive", "unstable"))
+
+    def run(traj):
+        verdict = comparison.check_practical(system, lam=lam, bound=bound, horizon=horizon)
+        return verdict.kind == expect, verdict.to_dict()
+    return run
 
 
-def _check_xi0(check, scenario, traj):
-    system = resolve_system(check.get("system", "auto"), scenario)
-    verdict = comparison.check_xi0_stability(
-        system, eps_grid=tuple(check.get("eps", (0.1, 1.0))),
-        T_check=float(check.get("T_check", 50.0)),
-        n_directions=int(check.get("directions", 64)),
-        bisect_iters=int(check.get("iters", 40)),
-        seed=scenario.seed)
-    expect = check.get("expect")
-    passed = verdict.kind == expect if expect else verdict.kind != "unstable"
-    return passed, verdict.to_dict()
+def _check_xi0(check, scenario):
+    system = _system(check, scenario)
+    eps = _param(check, "eps", [0.1, 1.0], _positives, "a non-empty list of positive numbers")
+    t_check = _number(check, "T_check", 50.0, lambda v: _is_number(v) and v > 0,
+                      "a positive number")
+    directions = _count(check, "directions", 64, 1)
+    iters = _count(check, "iters", 40, 0)
+    expect = _verdict(check, None, (None, "stable", "asymptotically_stable", "unstable"))
+
+    def run(traj):
+        verdict = comparison.check_xi0_stability(
+            system, eps_grid=tuple(eps), T_check=t_check, n_directions=directions,
+            bisect_iters=iters, seed=scenario.seed)
+        passed = verdict.kind == expect if expect else verdict.kind != "unstable"
+        return passed, verdict.to_dict()
+    return run
 
 
-def _check_wazewski(check, scenario, traj):
-    system = resolve_system(check.get("system", "auto"), scenario)
-    rep = comparison.check_wazewski(system, tuple(check.get("box", (0.0, 10.0))),
-                                    n_samples=int(check.get("samples", 256)),
-                                    seed=scenario.seed)
-    return rep.passed == check.get("expect", True), rep
+def _check_wazewski(check, scenario):
+    system = _system(check, scenario)
+    box = _box(check, (0.0, 10.0), system)
+    samples = _count(check, "samples", 256, 1)
+    expect = _flag(check, "expect")
+
+    def run(traj):
+        rep = comparison.check_wazewski(system, box, n_samples=samples, seed=scenario.seed)
+        return rep.passed == expect, rep
+    return run
 
 
-def _check_lyapunov(check, scenario, traj):
-    system = resolve_system(check.get("system", "auto"), scenario)
-    rep = comparison.lyapunov_quadratic_check(
-        system, weights=check.get("weights"),
-        sample_box=tuple(check.get("box", (1e-3, 10.0))),
-        n_samples=int(check.get("samples", 4096)), seed=scenario.seed)
-    return rep.passed == check.get("expect", True), rep
+def _check_lyapunov(check, scenario):
+    system = _system(check, scenario)
+    box = _box(check, (1e-3, 10.0), system)
+    samples = _count(check, "samples", 4096, 1)
+    weights = _param(check, "weights", None,
+                     lambda v: v is None or (_positives(v) and len(v) == system.dim),
+                     f"{system.dim} positive numbers, one per component")
+    expect = _flag(check, "expect")
+
+    def run(traj):
+        rep = comparison.lyapunov_quadratic_check(system, weights=weights, sample_box=box,
+                                                  n_samples=samples, seed=scenario.seed)
+        return rep.passed == expect, rep
+    return run
 
 
-def _check_fixed_point(check, scenario, traj):
-    phi = (_parse_function(check["phi"], "phi") if "phi" in check
-           else scenario.params.phi)
-    psi = (_parse_function(check["psi"], "psi") if "psi" in check
-           else scenario.params.source.psi)
-    _require(psi is not None, "fixed_point: no psi available")
-    rep = certificates.ball_source_fixed_point(phi, psi, n=int(check.get("n", 2)),
-                                               grid_size=scenario.grid_size)
-    details = comparison._plain(rep)
-    if rep.body is not None:
-        lin = certificates.linearize(rep.body, scenario.params, seed=scenario.seed)
-        details["linearization"] = lin
-        details["volume_rate_at_fixed_point"] = flow.volume_rate(rep.body, scenario.params)
-        stable = rep.stable and lin.stable
-    else:
-        stable = rep.stable
-    passed = stable == bool(check.get("expect_stable", True))
-    return passed, details
+def _check_fixed_point(check, scenario):
+    params = scenario.params
+    _require(params.source.kind == "ball", "fixed_point applies to ball sources")
+    phi, psi = _phi_psi(check, params)
+    n = _count(check, "n", 2, 1)
+    expect = _flag(check, "expect_stable")
+
+    def run(traj):
+        try:
+            rep = certificates.ball_source_fixed_point(phi, psi, n=n,
+                                                       grid_size=scenario.grid_size)
+            details, stable = comparison._plain(rep), rep.stable
+            if rep.body is not None:
+                lin = certificates.linearize(rep.body, params, seed=scenario.seed)
+                details["linearization"] = lin
+                details["volume_rate_at_fixed_point"] = flow.volume_rate(rep.body, params)
+                stable = stable and lin.stable
+        except (ArithmeticError, ValueError) as exc:
+            return _failure(exc)
+        return stable == expect, details
+    return run
 
 
-def _check_converge(check, scenario, traj):
-    target = _parse_body(check["body"], scenario.grid_size, "converge_to body")
-    tol = float(check.get("tol", 1e-2))
-    dist = bodies.hausdorff_distance(traj.final, target)
-    return dist < tol, {"final_distance": dist, "tol": tol}
+def _check_converge(check, scenario):
+    target = _parse_body(check.get("body"), scenario.grid_size, "converge_to body")
+    tol = _number(check, "tol", 1e-2)
+
+    def run(traj):
+        dist = bodies.hausdorff_distance(traj.final, target)
+        return dist < tol, {"final_distance": dist, "tol": tol}
+    return run
 
 
-def _check_sde_exponents(check, scenario, traj):
+def _check_sde_exponents(check, scenario):
     mat = (_parse_matrix(check["B"], "B") if "B" in check
            else scenario.params.source.matrix)
     _require(mat is not None, "sde_exponents: no matrix available")
     rep = certificates.sde_growth_exponents(mat)
     details = comparison._plain(rep)
-    if "lambda" in check and "A" in check:
+    if "lambda" in check or "A" in check:
         details["practical_criterion"] = certificates.practical_growth_criterion(
-            mat, float(check["lambda"]), float(check["A"]),
-            float(check.get("T", scenario.horizon)))
+            mat, *_lambda_bound_horizon(check, scenario))
     details["note"] = ("formula and eigenvalue exponents disagree; direct "
                        "integration of the growth system is the binding bound"
                        if rep.discrepancy else "formula and eigenvalues agree")
-    return True, details
+    return lambda traj: (True, details)
 
 
-def _check_growth_scaling(check, scenario, traj):
-    lengths = [float(x) for x in check.get("lengths", (4, 8, 16))]
-    _require(len(lengths) >= 2, "growth_scaling needs at least two lengths")
-    rtol = float(check.get("rtol", 0.01))
-    ratio_tol = float(check.get("ratio_tol", 0.05))
-    t_end = scenario.horizon
-    finals = []
-    for length in lengths:
-        seg = bodies.make_segment(length, grid_size=scenario.grid_size)
-        tr = flow.evolve(seg, scenario.params, t_end, scenario.dt, tracked=("V",))
-        finals.append(float(tr.tracked["V"][-1]))
-    rel_errors = [abs(v - certificates.segment_growth_value(t_end, l))
-                  / certificates.segment_growth_value(t_end, l)
-                  for v, l in zip(finals, lengths)]
-    ratios = [finals[i + 1] / finals[i] for i in range(len(finals) - 1)]
-    expected = [(lengths[i + 1] / lengths[i]) ** 2 for i in range(len(lengths) - 1)]
-    ratio_errors = [abs(r - e) for r, e in zip(ratios, expected)]
-    passed = max(rel_errors) <= rtol and max(ratio_errors) <= ratio_tol
-    return passed, {
-        "lengths": lengths, "final_areas": finals, "rel_errors": rel_errors,
-        "ratios": ratios, "expected_ratios": expected, "rtol": rtol,
-        "ratio_tol": ratio_tol,
-        "note": ("final area scales with the squared segment length: the flow "
-                 "is unstable in the (volume, volume) pair of measures")}
+def _check_growth_scaling(check, scenario):
+    lengths = _param(check, "lengths", [4, 8, 16], lambda v: _positives(v, 2),
+                     "a list of at least two positive numbers")
+    lengths = [float(x) for x in lengths]
+    rtol = _number(check, "rtol", 0.01)
+    ratio_tol = _number(check, "ratio_tol", 0.05)
+
+    def run(traj):
+        t_end = scenario.horizon
+        finals = []
+        for length in lengths:
+            seg = bodies.make_segment(length, grid_size=scenario.grid_size)
+            tr = flow.evolve(seg, scenario.params, t_end, scenario.dt, tracked=("V",))
+            finals.append(float(tr.tracked["V"][-1]))
+        try:
+            rel_errors = [abs(v - certificates.segment_growth_value(t_end, l))
+                          / certificates.segment_growth_value(t_end, l)
+                          for v, l in zip(finals, lengths)]
+            ratios = [finals[i + 1] / finals[i] for i in range(len(finals) - 1)]
+        except ZeroDivisionError as exc:
+            return _failure(exc, lengths=lengths, final_areas=finals)
+        expected = [(lengths[i + 1] / lengths[i]) ** 2 for i in range(len(lengths) - 1)]
+        ratio_errors = [abs(r - e) for r, e in zip(ratios, expected)]
+        passed = max(rel_errors) <= rtol and max(ratio_errors) <= ratio_tol
+        return passed, {
+            "lengths": lengths, "final_areas": finals, "rel_errors": rel_errors,
+            "ratios": ratios, "expected_ratios": expected, "rtol": rtol,
+            "ratio_tol": ratio_tol,
+            "note": ("final area scales with the squared segment length: the flow "
+                     "is unstable in the (volume, volume) pair of measures")}
+    return run
 
 
-def _check_instability(check, scenario, traj):
-    phi = (_parse_function(check["phi"], "phi") if "phi" in check
-           else scenario.params.phi)
-    psi = (_parse_function(check["psi"], "psi") if "psi" in check
-           else scenario.params.source.psi)
-    _require(psi is not None, "instability_certificate: no psi available")
-    tr_a = float(check.get("trace_A", scenario.params.trace))
-    rep = certificates.ball_source_instability(phi, psi, tr_a)
-    return rep.kind == check.get("expect", "unstable"), rep
+def _check_instability(check, scenario):
+    phi, psi = _phi_psi(check, scenario.params)
+    tr_a = _number(check, "trace_A", scenario.params.trace)
+    expect = _verdict(check, "unstable", ("unstable", "inconclusive"))
+
+    def run(traj):
+        try:
+            rep = certificates.ball_source_instability(phi, psi, tr_a)
+        except ArithmeticError as exc:
+            return _failure(exc)
+        return rep.kind == expect, rep
+    return run
 
 
 _CHECKS = {
@@ -572,9 +589,9 @@ def run_scenario(scenario: Scenario, out_dir=None,
 
     check_results = []
     if not blew_up:
-        for check in scenario.checks:
-            passed, details = _CHECKS[check["kind"]](check, scenario, traj)
-            check_results.append({"kind": check["kind"], "passed": bool(passed),
+        for kind, run in scenario.checks:
+            passed, details = run(traj)
+            check_results.append({"kind": kind, "passed": bool(passed),
                                   "details": comparison._plain(details)})
 
     passed = (not blew_up) and all(c["passed"] for c in check_results)

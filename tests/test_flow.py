@@ -275,3 +275,19 @@ class TestScalarFunction:
     def test_table_nodes_must_strictly_increase(self, nodes):
         with pytest.raises(ValueError, match="strictly increase"):
             F.table(nodes, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("den", [[0.0], [0.0, 0.0], [], [0.0, 1.0], [1.0, -1.0],
+                                     [1.0, -2.0, 1.0], [-1.0, 0.0, 1.0]],
+                             ids=["zero", "zeros", "empty", "root_0", "root_1",
+                                  "double_root_1", "roots_pm_1"])
+    def test_rational_denominator_may_not_vanish_on_the_half_line(self, den):
+        with pytest.raises(ValueError, match="root in"):
+            F.rational([1.0], den)
+
+    @pytest.mark.parametrize("den", [[1.0], [1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.25],
+                                     [2.0, 0.0]],
+                             ids=["constant", "root_-1", "roots_pm_i", "double_root_-2",
+                                  "zero_leading_coefficient"])
+    def test_rational_denominator_without_a_root_on_the_half_line(self, den):
+        f = F.rational([1.0], den)
+        assert f(1.0) == pytest.approx(1.0 / np.polyval(den[::-1], 1.0))

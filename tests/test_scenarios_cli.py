@@ -1,10 +1,12 @@
 """Scenario schema, runner determinism, CSV/JSON artifacts, CLI surface."""
 
+import copy
 import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setflow import bodies, certificates, cli, comparison, flow, scenarios
 from setflow.scenarios import SchemaError
@@ -203,6 +205,19 @@ def search_doc():
     return doc
 
 
+def append_check(check):
+    return lambda doc: doc["checks"].append(check)
+
+
+def with_ball_source(check):
+    """Swap in a disc source (psi = 1/2) and append ``check``."""
+    def mutate(doc):
+        doc["params"]["source"] = {"kind": "ball_source",
+                                   "psi": {"kind": "constant", "value": 0.5}}
+        doc["checks"] = [check]
+    return mutate
+
+
 class TestCli:
     def test_list(self, capsys):
         assert cli.main(["list"]) == 0
@@ -265,12 +280,19 @@ class TestCli:
         (2, {"weights": [1.0, -2.0]}, "weights"),
         (2, {"system": {"kind": "cyclic"}}, "'cyclic'"),
         (2, {"kind": "mystery"}, "mystery"),
+        (2, {"system": {"kind": "linear", "matrix": [[1.0, 2.0, 3.0]]}}, "'linear'"),
+        (1, {"system": {"kind": "cyclic", "phi": {"kind": "constant", "value": 1.0},
+                        "psi": {"kind": "constant", "value": 0.5}, "k": 2.5}}, "'k'"),
+        (0, {"system": {"kind": "nilpotent", "phi": {"kind": "constant", "value": 1.0},
+                        "psi": {"kind": "constant", "value": 0.5}, "a": "nan"}}, "'a'"),
     ], ids=["xi0_empty_eps", "xi0_negative_eps", "xi0_zero_T_check",
             "xi0_no_directions", "xi0_fractional_directions",
             "xi0_negative_iters", "wazewski_inverted_box",
             "wazewski_box_outside_cone", "wazewski_no_samples",
             "lyapunov_no_samples", "lyapunov_box_rows", "lyapunov_weight_count",
-            "lyapunov_negative_weight", "lyapunov_bad_system", "unknown_kind"])
+            "lyapunov_negative_weight", "lyapunov_bad_system", "unknown_kind",
+            "lyapunov_linear_system_not_square", "wazewski_cyclic_k_fraction",
+            "xi0_nilpotent_a_string"])
     def test_malformed_search_check_exits_2(self, tmp_path, capsys, index,
                                             change, field):
         doc = search_doc()
@@ -289,8 +311,41 @@ class TestCli:
         (lambda d: d.update(track=["V", {"kind": "mixed", "count": 0}]), "'count'"),
         (lambda d: d["params"].update(phi={"kind": "table", "s": [2.0, 0.0, 1.0],
                                            "values": [1.0, 1.0, 1.0]}), "phi"),
+        (append_check({"kind": "closed_form_area", "terms": "x"}), "'terms'"),
+        (append_check({"kind": "closed_form_area", "rtol": "x"}), "'rtol'"),
+        (append_check({"kind": "sde_exponents", "lambda": "x", "A": 100.0}), "'lambda'"),
+        (append_check({"kind": "sde_exponents", "lambda": 0.0, "A": 100.0}), "'lambda'"),
+        (append_check({"kind": "sde_exponents", "B": [[1.0, 0.0], [0.0, 1.0]]}), "det B"),
+        (append_check({"kind": "sde_exponents", "lambda": 1.0, "A": 100.0, "T": 1e3}),
+         "'sde_exponents'"),
+        (append_check({"kind": "fixed_point"}), "fixed_point"),
+        (with_ball_source({"kind": "fixed_point", "n": "x"}), "'n'"),
+        (with_ball_source({"kind": "fixed_point", "expect_stable": "yes"}),
+         "'expect_stable'"),
+        (append_check({"kind": "bound_check", "functionals": ["V"]}), "'functionals'"),
+        (append_check({"kind": "growth_scaling", "lengths": ["a", 2]}), "'lengths'"),
+        (append_check({"kind": "growth_scaling", "lengths": [-1.0, 2.0]}), "'lengths'"),
+        (append_check({"kind": "growth_scaling", "lengths": [1.0, 2.0], "rtol": "x"}),
+         "'rtol'"),
+        (append_check({"kind": "instability_certificate", "trace_A": "x"}), "'trace_A'"),
+        (append_check({"kind": "instability_certificate", "expect": "stabel"}), "'expect'"),
+        (lambda d: d["checks"][0].update(expect="stabel"), "'expect'"),
+        (lambda d: d["checks"][1].update(expect=2), "'expect'"),
+        (append_check({"kind": "practical", "lambda": 1.0, "A": 100.0, "expect": "stabel"}),
+         "'expect'"),
+        (lambda d: d["params"].update(phi={"kind": "rational", "num": [1.0], "den": [0.0]}),
+         "phi"),
+        (lambda d: d["params"].update(phi={"kind": "rational", "num": [1.0],
+                                           "den": [1.0, -1.0]}), "phi"),
     ], ids=["practical_no_lambda", "converge_to_no_body", "mixed_count_0",
-            "table_nodes_unsorted"])
+            "table_nodes_unsorted", "closed_form_terms_string", "closed_form_rtol_string",
+            "sde_lambda_string", "sde_lambda_0", "sde_det_B_positive", "sde_T_overflow",
+            "fixed_point_linear_source", "fixed_point_n_string",
+            "fixed_point_expect_string", "bound_functional_count",
+            "growth_length_string", "growth_length_negative", "growth_rtol_string",
+            "instability_trace_string", "instability_expect_typo", "xi0_expect_typo",
+            "wazewski_expect_number", "practical_expect_typo", "rational_den_zero",
+            "rational_pole_at_1"])
     def test_malformed_document_exits_2(self, tmp_path, capsys, mutate, field):
         doc = search_doc()
         scenarios.parse_scenario(doc)
@@ -322,6 +377,33 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("change, check, error", [
+        ({}, {"kind": "fixed_point", "psi": {"kind": "constant", "value": 0.0}},
+         "ValueError: no sign change"),
+        ({}, {"kind": "fixed_point", "psi": {"kind": "constant", "value": 1.0}},
+         "ValueError: not a fixed point"),
+        ({}, {"kind": "instability_certificate", "phi": {"kind": "constant", "value": 0.0}},
+         "ZeroDivisionError"),
+        # a segment keeps a clamped area of 0 for its first steps at this grid size
+        ({"grid_size": 16, "horizon": 0.005, "dt": 1e-3},
+         {"kind": "growth_scaling", "lengths": [1.0, 2.0]}, "ZeroDivisionError"),
+    ], ids=["fixed_point_no_ball", "fixed_point_psi_not_the_flows",
+            "instability_phi_0", "growth_zero_final_area"])
+    def test_uncomputable_certificate_fails_the_check(self, tmp_path, capsys, change,
+                                                      check, error):
+        doc = quick_doc(name="uncomputable", checks=[check], **change)
+        if check["kind"] == "growth_scaling":
+            doc["params"]["source"] = {"kind": "linear_body",
+                                       "psi": {"kind": "constant", "value": 0.5},
+                                       "B": [[0.0, -1.0], [1.0, 0.0]]}
+        path = tmp_path / "uncomputable.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CHECK_FAILED
+        result = json.loads((out / "uncomputable.json").read_text())["checks"][0]
+        assert not result["passed"]
+        assert result["details"]["error"].startswith(error)
+
     def test_run_parallel_jobs(self, tmp_path, capsys):
         paths = []
         for i in range(3):
@@ -345,3 +427,56 @@ class TestCli:
             report = json.loads((tmp_path / f"{name}.json").read_text())
             assert report["passed"] is True, name
             assert (tmp_path / f"{name}.csv").exists()
+
+
+# the parameter keys each check kind reads
+CHECK_KEYS = {
+    "closed_form_area": ["terms", "rtol"],
+    "bound_check": ["system", "functionals", "tol_scale"],
+    "practical": ["system", "lambda", "A", "T", "expect"],
+    "xi0_stability": ["system", "eps", "T_check", "directions", "iters", "expect"],
+    "wazewski": ["system", "box", "samples", "expect"],
+    "lyapunov": ["system", "box", "samples", "weights", "expect"],
+    "fixed_point": ["phi", "psi", "n", "expect_stable"],
+    "converge_to": ["body", "tol"],
+    "sde_exponents": ["B", "lambda", "A", "T"],
+    "growth_scaling": ["lengths", "rtol", "ratio_tol"],
+    "instability_certificate": ["phi", "psi", "trace_A", "expect"],
+}
+
+
+def shrunk_documents():
+    """The builtins and the search document on a 16-point grid, five steps long."""
+    docs = dict(scenarios.builtin_scenarios(), search=search_doc())
+    for doc in docs.values():
+        doc.update(grid_size=16, horizon=5 * doc["dt"])
+    return docs
+
+
+SHRUNK = shrunk_documents()
+SCALARS = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0), st.text(max_size=3),
+                    st.booleans(), st.none())
+JSON_VALUES = st.one_of(
+    SCALARS,
+    st.lists(st.one_of(SCALARS, st.lists(SCALARS, max_size=2)), max_size=3),
+    st.fixed_dictionaries({"kind": st.sampled_from(
+        ["constant", "rational", "ball", "nilpotent", "cyclic", "sde", "linear", "mystery"])}),
+    st.builds(lambda v: {"kind": "constant", "value": v}, st.integers(0, 3)))
+
+
+class TestCheckFuzz:
+    def test_every_check_kind_is_covered(self):
+        kinds = {c["kind"] for doc in SHRUNK.values() for c in doc["checks"]}
+        assert kinds == set(CHECK_KEYS) == set(scenarios._CHECKS)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_a_malformed_check_is_a_schema_error_and_runs_never_raise(self, data):
+        doc = copy.deepcopy(SHRUNK[data.draw(st.sampled_from(sorted(SHRUNK)))])
+        check = doc["checks"][data.draw(st.integers(0, len(doc["checks"]) - 1))]
+        check[data.draw(st.sampled_from(CHECK_KEYS[check["kind"]]))] = data.draw(JSON_VALUES)
+        try:
+            scenario = scenarios.parse_scenario(doc)
+        except SchemaError:
+            return
+        scenarios.run_scenario(scenario, write_outputs=False)
