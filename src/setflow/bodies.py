@@ -84,6 +84,18 @@ class SupportFunction2D:
                 f"max|h|={np.max(np.abs(self.values)):.6g})")
 
 
+def _adopt(values: np.ndarray) -> SupportFunction2D:
+    """A body on ``values`` without the validating copy.
+
+    Only for a one-dimensional float array of valid samples that the caller
+    has made read-only and that nothing writes to again, such as a row of
+    the frame store of :func:`setflow.flow.evolve`.
+    """
+    body = object.__new__(SupportFunction2D)
+    object.__setattr__(body, "values", values)
+    return body
+
+
 def as_matrix(op) -> np.ndarray:
     """Coerce a 2x2 array-like with finite entries to an ndarray."""
     mat = np.asarray(op, dtype=float)
@@ -306,20 +318,60 @@ def _nonzero_rows(norms: np.ndarray) -> np.ndarray:
 class _PullbackPlan:
     """The data-independent part of :func:`_image_values` for one (M, grid).
 
-    ``nz`` masks the directions with a nonzero pull-back, ``norms`` holds
-    ``|M^T p_j|`` on them, and exactly one of ``gather`` (grid indices) and
-    ``points`` (spline evaluation angles) is set.
+    ``nz`` masks the directions with a nonzero pull-back.  A gather plan
+    holds ``|M^T p_j|`` on them (``norms``) and the grid node each one lands
+    on (``gather``).  A spline plan holds, per pulled-back direction, the
+    nodes ``j, j+1`` of its cell and the same nodes shifted by the grid size
+    (``cells``, a (4, n) index into the samples followed by their spline
+    curvatures) and the cubic weights times ``|M^T p_j|`` (``weights``).
     """
 
     nz: np.ndarray
-    norms: np.ndarray
+    norms: np.ndarray | None
     gather: np.ndarray | None
-    points: np.ndarray | None
+    cells: np.ndarray | None
+    weights: np.ndarray | None
 
 
 def _frozen(arr):
     arr.setflags(write=False)
     return arr
+
+
+def _spline_weights(idx: np.ndarray, m: int):
+    """Cell indices and cubic weights of the points ``idx`` (in grid steps).
+
+    On the cell ``[j, j+1]`` at offset ``t`` with ``a = 1 - t``, the
+    periodic cubic spline is
+    ``a h_j + t h_{j+1} - a t ((1 + a) c_j + (1 + t) c_{j+1})``, where
+    ``c`` are the curvatures of :func:`_spline_curvatures`.
+    """
+    cell = np.floor(idx)
+    t = idx - cell
+    a = 1.0 - t
+    j = cell.astype(int) % m
+    k = (j + 1) % m
+    at = a * t
+    cells = np.stack([j, k, j + m, k + m])
+    weights = np.stack([a, t, -at * (1.0 + a), -at * (1.0 + t)])
+    return cells, weights
+
+
+@lru_cache(maxsize=32)
+def _curvature_multipliers(m: int) -> np.ndarray:
+    # rFFT eigenvalues of the periodic spline system
+    # c_{j-1} + 4 c_j + c_{j+1} = h_{j-1} - 2 h_j + h_{j+1}: with
+    # s = sin(pi k / m) the circulants have eigenvalues 6 - 4 s^2 and -4 s^2.
+    s = np.sin(np.pi / m * np.arange(m // 2 + 1))
+    s2 = s * s
+    return _frozen(-2.0 * s2 / (3.0 - 2.0 * s2))
+
+
+def _spline_curvatures(values: np.ndarray) -> np.ndarray:
+    """``dtheta^2 / 6`` times the second derivatives of the periodic cubic
+    spline through the samples, by one rFFT/irFFT pair."""
+    m = values.size
+    return np.fft.irfft(np.fft.rfft(values) * _curvature_multipliers(m), m)
 
 
 # Bounded: under a volume-dependent clock every step pulls back along a new
@@ -334,11 +386,13 @@ def _pullback_plan(mat_bytes: bytes, m: int) -> _PullbackPlan:
     dtheta = 2.0 * np.pi / m
     idx = (ang / dtheta) % m
     nearest = np.rint(idx)
-    nz, norms = _frozen(nz), _frozen(norms[nz])
+    nz, norms = _frozen(nz), norms[nz]
     # with no surviving direction the gather is empty and the image is 0
     if not nz.any() or np.max(np.abs(idx - nearest)) < 1e-9:
-        return _PullbackPlan(nz, norms, _frozen(nearest.astype(int) % m), None)
-    return _PullbackPlan(nz, norms, None, _frozen(idx * dtheta))
+        return _PullbackPlan(nz, _frozen(norms), _frozen(nearest.astype(int) % m),
+                             None, None)
+    cells, weights = _spline_weights(idx, m)
+    return _PullbackPlan(nz, None, None, _frozen(cells), _frozen(norms * weights))
 
 
 def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -347,9 +401,11 @@ def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
     Uses the pull-back rule ``h_{Mu}(p) = |M^T p| * h_u(M^T p / |M^T p|)``.
     When every pulled-back direction lands on a grid node the resampling is
     an exact gather (rotations by grid multiples, axis reflections, scalar
-    matrices); otherwise a periodic cubic spline interpolates.  The
-    resampling plan depends only on (M, grid) and is cached; a positive
-    scalar matrix ``c I`` gathers every node onto itself and needs no plan.
+    matrices); otherwise the periodic cubic spline through the samples
+    interpolates: one solve for its curvatures and one weighted gather of
+    the samples and curvatures.  The resampling plan depends only on
+    (M, grid) and is cached; a positive scalar matrix ``c I`` gathers every
+    node onto itself and needs no plan.
     """
     m = values.size
     if mat[0, 1] == 0.0 and mat[1, 0] == 0.0 and mat[0, 0] == mat[1, 1] > 0.0:
@@ -362,11 +418,8 @@ def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
     if plan.gather is not None:
         out[plan.nz] = plan.norms * values[plan.gather]
         return out
-    from scipy.interpolate import CubicSpline
-    theta_ext = np.append(grid_angles(m), 2.0 * np.pi)
-    h_ext = np.append(values, values[0])
-    spline = CubicSpline(theta_ext, h_ext, bc_type="periodic")
-    out[plan.nz] = plan.norms * spline(plan.points)
+    stacked = np.concatenate((values, _spline_curvatures(values)))
+    out[plan.nz] = (plan.weights * stacked[plan.cells]).sum(axis=0)
     return out
 
 

@@ -10,19 +10,21 @@ The stepper splits each step into an explicit Euler half-step of the
 source, the exact linear flow over ``dt`` with ``phi`` frozen at a midpoint
 volume estimate, then a second explicit Euler half-step of the source.  It
 is not a symmetric (Strang) composition, so it is first order in ``dt``.
-Each step caches ``exp(A s)`` and reuses the cached resampling plan of
-its pull-back (see :func:`setflow.bodies._image_values`).  A Picard
+``exp(A s)`` comes from the closed form of the 2x2 exponential
+(:func:`expm`), cached per ``(A, s)``, and each pull-back reuses the cached
+resampling plan of its matrix (see :func:`setflow.bodies._image_values`),
+so the module needs nothing beyond numpy.  A Picard
 iteration of the defining integral operator is provided as an independent
 oracle on short horizons.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import bodies
 from .bodies import (SupportFunction2D, area, as_matrix, linear_image,
@@ -45,6 +47,8 @@ class ScalarFunction:
     Parametric so that scenario files can name it without embedding code:
     a constant, a rational function p(s)/q(s) (coefficients in ascending
     order), or a linearly interpolated table, assumed locally Lipschitz.
+    The factories :func:`constant`, :func:`rational` and :func:`table`
+    reject non-finite numbers and functions negative somewhere on the axis.
     """
 
     kind: str
@@ -72,29 +76,58 @@ class ScalarFunction:
         return value if many else float(value)
 
 
+def _finite(numbers, what):
+    numbers = tuple(map(float, numbers))
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError(f"{what} must be finite numbers")
+    return numbers
+
+
+def _nonnegative_roots(coeffs):
+    # sorted real roots in [0, inf) of the polynomial with ascending
+    # coefficients (a root within 1e-6 of the axis counts); the zero
+    # polynomial vanishes at 0
+    roots = np.roots(coeffs[::-1]) if any(coeffs) else np.zeros(1)
+    on_axis = np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots))
+    return np.sort(roots.real[on_axis & (roots.real >= 0)])
+
+
 def constant(value: float) -> ScalarFunction:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("a constant value must be finite")
     if value < 0:
         raise ValueError("scalar functions here map into the nonnegative axis")
-    return ScalarFunction(kind="constant", value=float(value))
+    return ScalarFunction(kind="constant", value=value)
 
 
 def rational(num, den) -> ScalarFunction:
-    """p(s)/q(s); q may not vanish on [0, inf) (a root within 1e-6 of the axis counts)."""
-    num, den = tuple(map(float, num)), tuple(map(float, den))
-    roots = np.roots(den[::-1]) if any(den) else np.zeros(1)
-    on_axis = np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots))
-    if np.any(on_axis & (roots.real >= 0)):
+    """p(s)/q(s), nonnegative on [0, inf), where q may not vanish.
+
+    q keeps the sign of q(0) on the axis, so the sign of p q(0) is probed
+    at 0, between consecutive nonnegative real roots of p and past the last
+    one; p keeps one sign between those points.
+    """
+    num = _finite(num, "rational 'num' coefficients")
+    den = _finite(den, "rational 'den' coefficients")
+    if _nonnegative_roots(den).size:
         raise ValueError("the denominator has a root in [0, inf)")
+    nodes = np.concatenate(([0.0], _nonnegative_roots(num)))
+    probes = np.concatenate((nodes[:1], 0.5 * (nodes[1:] + nodes[:-1]), nodes[-1:] + 1.0))
+    if np.any(den[0] * np.polyval(num[::-1], probes) < 0):
+        raise ValueError("the function is negative somewhere on [0, inf)")
     return ScalarFunction(kind="rational", num=num, den=den)
 
 
 def table(s_nodes, s_values) -> ScalarFunction:
-    s_nodes = tuple(map(float, s_nodes))
-    s_values = tuple(map(float, s_values))
+    s_nodes = _finite(s_nodes, "table nodes")
+    s_values = _finite(s_values, "table values")
     if len(s_nodes) != len(s_values) or len(s_nodes) < 2:
         raise ValueError("table needs matching node/value sequences")
     if any(b <= a for a, b in zip(s_nodes, s_nodes[1:])):
         raise ValueError("table nodes must strictly increase")
+    if min(s_values) < 0:
+        raise ValueError("scalar functions here map into the nonnegative axis")
     return ScalarFunction(kind="table", s_nodes=s_nodes, s_values=s_values)
 
 
@@ -177,7 +210,11 @@ class SemiflowParams:
 
 @dataclass
 class Trajectory:
-    """Stored frames of an orbit plus named scalar series along it."""
+    """Stored frames of an orbit plus named scalar series along it.
+
+    The frames :func:`evolve` stores after the initial body share one
+    read-only array, one row each.
+    """
 
     times: np.ndarray
     bodies: list
@@ -230,6 +267,47 @@ def _add_scaled(u_values: np.ndarray, f_values, factor: float) -> np.ndarray:
     if f_values is None:
         return u_values
     return u_values + factor * f_values
+
+
+def expm(mat) -> np.ndarray:
+    """The exponential of a 2x2 matrix in closed form.
+
+    With ``mu = tr M / 2`` and ``N = M - mu I``, ``N^2 = q I`` for
+    ``q = ((m11 - m22) / 2)^2 + m12 m21``, so ``exp(M) = e^mu (C I + S N)``
+    with ``(C, S) = (cosh r, sinh r / r)``, ``r = sqrt(q)``, for ``q > 0``
+    and ``(cos r, sin r / r)``, ``r = sqrt(-q)``, for ``q < 0`` (Moler and
+    Van Loan, "Nineteen dubious ways to compute the exponential of a matrix,
+    twenty-five years later", SIAM Review 45, 2003).  A Taylor series in
+    ``q`` takes over for ``|q| < 1e-6`` and gives exactly ``(1, 1)`` at
+    ``q = 0``.  For ``q > 0``, ``e^mu`` is folded into the hyperbolic pair,
+    so a large ``r`` with a very negative ``mu`` does not overflow, and
+    ``expm1`` keeps the digits of ``sinh r`` at small ``r``.  A diagonal
+    matrix takes the elementwise exponential: ``exp(-s I)`` is
+    ``np.exp(-s) I`` bit for bit and small diagonal entries keep their
+    relative accuracy.
+    """
+    (a, b), (c, d) = np.asarray(mat, dtype=float).tolist()
+    if b == 0.0 and c == 0.0:
+        return np.diag(np.exp([a, d]))
+    mu = 0.5 * (a + d)
+    half = 0.5 * (a - d)
+    q = half * half + b * c
+    # np.exp, not math.exp: it overflows to inf instead of raising
+    if abs(q) < 1e-6:
+        e = float(np.exp(mu))
+        cosh = e * (1.0 + q * (0.5 + q / 24.0))
+        sinhc = e * (1.0 + q * (1.0 / 6.0 + q / 120.0))
+    elif q > 0.0:
+        r = math.sqrt(q)
+        g = 0.5 * float(np.exp(mu + r))
+        cosh = g * (1.0 + math.exp(-2.0 * r))
+        sinhc = -g * math.expm1(-2.0 * r) / r
+    else:
+        r = math.sqrt(-q)
+        e = float(np.exp(mu))
+        cosh, sinhc = e * math.cos(r), e * math.sin(r) / r
+    return np.array([[cosh + sinhc * half, sinhc * b],
+                     [sinhc * c, cosh - sinhc * half]])
 
 
 @lru_cache(maxsize=64)
@@ -318,6 +396,11 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     funcs = _tracker_functions(tracked, mixed_op, mixed_count, reference)
 
     guard = OVERFLOW_FACTOR * max(1.0, float(np.max(np.abs(u0.values))))
+    # The stored frames are read-only rows of one array.  Kept one by one
+    # between each step's temporaries, they would grow the heap every step,
+    # and the allocator would return and re-fault the temporaries' pages
+    # (about 110 minor page faults a step at M=8192).
+    store = np.empty((-(-n_steps // store_every), u0.grid_size))
     times = [0.0]
     frames = [u0]
     series = {name: [fn(u0)] for name, fn in funcs}
@@ -336,6 +419,10 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
                 f"support values exceeded {guard:.3g} at t={t:.6g}",
                 reached_time=t, partial=_finish(times, frames, series))
         if (i + 1) % store_every == 0 or i == n_steps - 1:
+            row = store[len(frames) - 1]
+            row[:] = u.values
+            row.setflags(write=False)
+            u = bodies._adopt(row)
             times.append(t)
             frames.append(u)
             for name, fn in funcs:

@@ -173,8 +173,8 @@ def parse_scenario(doc: dict) -> Scenario:
 
     horizon = doc.get("horizon")
     dt = doc.get("dt", flow.DEFAULT_DT)
-    _require(isinstance(horizon, (int, float)) and horizon > 0, "'horizon' must be positive")
-    _require(isinstance(dt, (int, float)) and dt > 0, "'dt' must be positive")
+    _require(_is_number(horizon) and horizon > 0, "'horizon' must be positive and finite")
+    _require(_is_number(dt) and dt > 0, "'dt' must be positive and finite")
 
     track = _parse_track(doc.get("track", ["V", "perimeter"]), params, grid_size)
     checks = doc.get("checks", [])

@@ -75,7 +75,11 @@ def square_plus_disc_area(rho, half=0.5, n=3001):
 
 
 def reference_image_values(values, mat):
-    """Pull-back samples of M u, recomputing the resampling plan every call."""
+    """Pull-back samples of M u, recomputing the resampling plan every call.
+
+    The spline branch evaluates the cubic term by term instead of through
+    cached cell indices and weights.
+    """
     m = values.size
     w = bodies.grid_directions(m) @ mat
     norms = np.hypot(w[:, 0], w[:, 1])
@@ -90,11 +94,20 @@ def reference_image_values(values, mat):
     if np.max(np.abs(idx - nearest)) < 1e-9:
         out[nz] = norms[nz] * values[nearest.astype(int) % m]
         return out
-    from scipy.interpolate import CubicSpline
-    theta_ext = np.append(bodies.grid_angles(m), 2.0 * np.pi)
-    h_ext = np.append(values, values[0])
-    spline = CubicSpline(theta_ext, h_ext, bc_type="periodic")
-    out[nz] = norms[nz] * spline(idx * dtheta)
+    # periodic cubic spline: the curvatures c = (dtheta^2 / 6) h'' solve the
+    # circulant system c[j-1] + 4 c[j] + c[j+1] = h[j-1] - 2 h[j] + h[j+1]
+    s = np.sin(np.pi / m * np.arange(m // 2 + 1))
+    s2 = s * s
+    curv = np.fft.irfft(np.fft.rfft(values) * (-2.0 * s2 / (3.0 - 2.0 * s2)), m)
+    cell = np.floor(idx)
+    t = idx - cell
+    a = 1.0 - t
+    j = cell.astype(int) % m
+    k = (j + 1) % m
+    n = norms[nz]
+    out[nz] = ((n * a) * values[j] + (n * t) * values[k]
+               + (n * (-(a * t) * (1.0 + a))) * curv[j]
+               + (n * (-(a * t) * (1.0 + t))) * curv[k])
     return out
 
 
@@ -142,9 +155,11 @@ def _reference_linear_image(u, mat):
 
 
 def reference_step(u, params, dt):
-    """``flow.step`` built from the reference kernels, with nothing cached."""
-    from scipy.linalg import expm
+    """``flow.step`` built from the reference kernels, with nothing cached.
 
+    ``flow.expm`` is the uncached closed form; ``flow.step`` reads it
+    through the ``(A, s)`` cache ``flow._flow_matrix``.
+    """
     def scaled(vals, f, factor):
         return vals if f is None else vals + factor * f
 
@@ -157,7 +172,7 @@ def reference_step(u, params, dt):
     v_mid = max(v0 + 0.5 * dt * rate, 0.0)
     phi_mid = float(params.phi(v_mid))
     moved = _reference_linear_image(bodies.SupportFunction2D(half),
-                                    expm(params.A * (phi_mid * dt)))
+                                    flow.expm(params.A * (phi_mid * dt)))
     v1 = _reference_area(moved.values)
     f1 = _reference_source(params.source, v1, moved.values)
     return bodies.SupportFunction2D(scaled(moved.values, f1, 0.5 * dt))

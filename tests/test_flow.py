@@ -291,3 +291,37 @@ class TestScalarFunction:
     def test_rational_denominator_without_a_root_on_the_half_line(self, den):
         f = F.rational([1.0], den)
         assert f(1.0) == pytest.approx(1.0 / np.polyval(den[::-1], 1.0))
+
+    @pytest.mark.parametrize("num, den", [
+        ([-1.0], [1.0]), ([0.0, -1.0], [1.0]), ([-1.0, 0.0, 1.0], [1.0]),
+        ([2.0, -3.0, 1.0], [1.0]), ([1.0, -2.5, 1.0], [1.0]), ([1.0], [-1.0, -1.0]),
+        ([1e-9, -1.0], [1.0, 1.0]),
+    ], ids=["negative_constant", "negative_slope", "negative_before_1",
+            "negative_between_1_and_2", "negative_between_roots_of_a_concave_start",
+            "negative_denominator", "negative_past_a_tiny_root"])
+    def test_rational_negative_on_the_half_line_is_rejected(self, num, den):
+        with pytest.raises(ValueError, match="negative somewhere"):
+            F.rational(num, den)
+
+    @pytest.mark.parametrize("num, den", [
+        ([], [1.0]), ([0.0], [1.0]), ([0.0, 1.0], [1.0]), ([1.0, -2.0, 1.0], [1.0]),
+        ([-1.0], [-1.0, -1.0]), ([1.0, -1.0, 0.3], [1.0]), ([2.0, 3.0, 1.0], [1.0]),
+    ], ids=["empty", "zero", "identity", "double_root_1", "negative_over_negative",
+            "no_real_root", "negative_roots_only"])
+    def test_rational_nonnegative_on_the_half_line_is_accepted(self, num, den):
+        f = F.rational(num, den)
+        assert min(f(s) for s in np.linspace(0.0, 5.0, 501)) >= 0.0
+
+    @pytest.mark.parametrize("make", [
+        lambda x: F.constant(x), lambda x: F.rational([1.0, x], [1.0]),
+        lambda x: F.rational([1.0], [1.0, x]), lambda x: F.table([0.0, x], [1.0, 1.0]),
+        lambda x: F.table([0.0, 1.0], [1.0, x]),
+    ], ids=["constant", "rational_num", "rational_den", "table_nodes", "table_values"])
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_numbers_are_rejected(self, make, x):
+        with pytest.raises(ValueError, match="finite"):
+            make(x)
+
+    def test_negative_table_values_are_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            F.table([0.0, 1.0], [1.0, -0.5])

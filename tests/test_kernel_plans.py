@@ -2,6 +2,8 @@
 
 Every cached kernel must reproduce the uncached reference formulas in
 ``helpers`` bit for bit, so that CSV/JSON outputs stay byte-identical.
+scipy's periodic ``CubicSpline`` and ``expm`` are the tolerance oracles of
+the package's spline and its closed-form exponential.
 """
 
 import numpy as np
@@ -45,6 +47,20 @@ def test_image_values_match_the_uncached_pullback(m, name):
 
 
 @pytest.mark.parametrize("m", GRIDS)
+@pytest.mark.parametrize("name", ["reflection", "quarter_turn", "swap", "rank_one", "zero"])
+def test_grid_landing_pullbacks_are_gathers(m, name):
+    # B = [[0, 1], [0, 0]] (rank_one) maps every p to (0, p_x): B^T p lands on
+    # +-pi/2 or vanishes, so nilpotent sources never reach the spline
+    plan = B._pullback_plan(MATRICES[name].tobytes(), m)
+    assert plan.gather is not None and plan.cells is None
+
+
+def test_rotation_120_pullback_is_a_spline():
+    plan = B._pullback_plan(ROT120.tobytes(), 64)
+    assert plan.gather is None and plan.cells.shape == plan.weights.shape == (4, 64)
+
+
+@pytest.mark.parametrize("m", GRIDS)
 def test_scalar_pullbacks_under_a_moving_clock_match(m):
     u = helpers.random_smooth_body(RNG, m)
     for s in RNG.uniform(0.0, 5e-3, size=50):
@@ -69,8 +85,10 @@ def test_cached_arrays_are_read_only(name):
     mat = MATRICES[name]
     B._image_values(B.make_ball(1.0, grid_size=64).values, mat)
     plan = B._pullback_plan(mat.tobytes(), 64)
-    arrays = [a for a in (plan.nz, plan.norms, plan.gather, plan.points) if a is not None]
-    arrays += [B._form_weights(64), F._flow_matrix(MATRICES["quarter_turn"].tobytes(), 0.5)]
+    arrays = [a for a in (plan.nz, plan.norms, plan.gather, plan.cells, plan.weights)
+              if a is not None]
+    arrays += [B._form_weights(64), B._curvature_multipliers(64),
+               F._flow_matrix(MATRICES["quarter_turn"].tobytes(), 0.5)]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -135,6 +153,17 @@ def test_evolve_frames_match_the_reference_step(name):
         assert np.array_equal(got.values, want.values)
 
 
+def test_stored_frames_are_read_only_and_not_shared_between_runs():
+    _, u0, params = FLOWS["reflection"]
+    first, second = (F.evolve(u0, params, horizon=0.01, dt=1e-3, store_every=3)
+                     for _ in range(2))
+    assert len(first.bodies) == 5                      # t = 0, 3, 6, 9 and 10 dt
+    for a, b in zip(first.bodies[1:], second.bodies[1:]):
+        assert not a.values.flags.writeable
+        assert np.array_equal(a.values, b.values)
+        assert not np.shares_memory(a.values, b.values)
+
+
 def test_volume_rate_matches_the_reference_forms():
     _, u, params = FLOWS["reflection"]
     v = helpers.reference_mixed_form(u.values, u.values)
@@ -144,9 +173,92 @@ def test_volume_rate_matches_the_reference_forms():
     assert F.volume_rate(u, params) == expected
 
 
+# ---------------------------------------------------------------------------
+# scipy as the tolerance oracle of the spline and of the exponential
+
+
+@pytest.mark.parametrize("m", GRIDS)
+@pytest.mark.parametrize("name", ["rotation_120", "rotation_1", "shear"])
+def test_spline_pullback_matches_scipy_cubic_spline(m, name):
+    from scipy.interpolate import CubicSpline
+
+    mat = {"rotation_120": ROT120,
+           "rotation_1": np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]]),
+           "shear": np.array([[1.0, 0.7], [0.2, -0.4]])}[name]
+    w = B.grid_directions(m) @ mat
+    norms = np.hypot(w[:, 0], w[:, 1])
+    points = np.arctan2(w[:, 1], w[:, 0]) % (2.0 * np.pi)
+    assert B._pullback_plan(mat.tobytes(), m).cells is not None
+    for u in sample_bodies(m):
+        spline = CubicSpline(np.append(B.grid_angles(m), 2.0 * np.pi),
+                             np.append(u.values, u.values[0]), bc_type="periodic")
+        expected = norms * spline(points)
+        got = B._image_values(u.values, mat)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(u.values))
+
+
+def test_expm_is_exact_on_scalar_and_zero_matrices():
+    from scipy.linalg import expm
+
+    for s in np.concatenate(([0.0, 1e-300, 700.0], RNG.uniform(0.0, 50.0, 500),
+                             RNG.uniform(0.0, 1e-3, 500))):
+        assert np.array_equal(F.expm(-s * np.eye(2)), expm(-s * np.eye(2)))
+        assert np.array_equal(F.expm(-s * np.eye(2)), np.exp(-s) * np.eye(2))
+    assert np.array_equal(F.expm(np.zeros((2, 2))), np.eye(2))
+
+
+def _matrix_with_q(q, rng):
+    # mu I + N with N = [[h, b], [c, -h]] and N^2 = (h^2 + b c) I = q I
+    mu, h, b = rng.standard_normal(3)
+    return np.array([[mu + h, b], [(q - h * h) / b, mu - h]])
+
+
+@pytest.mark.parametrize("kind", ["random", "q_positive", "q_negative", "nilpotent",
+                                  "q_tiny", "q_near_threshold"])
+def test_expm_matches_scipy(kind):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(7)
+    make = {
+        "random": lambda: rng.standard_normal((2, 2)),
+        "q_positive": lambda: _matrix_with_q(rng.uniform(0.1, 4.0), rng),
+        "q_negative": lambda: _matrix_with_q(-rng.uniform(0.1, 4.0), rng),
+        "nilpotent": lambda: _matrix_with_q(0.0, rng),
+        "q_tiny": lambda: _matrix_with_q(rng.uniform(-1e-6, 1e-6), rng),
+        "q_near_threshold": lambda: _matrix_with_q(rng.choice([-1.0, 1.0])
+                                                   * rng.uniform(0.5e-6, 2e-6), rng),
+    }[kind]
+    for _ in range(500):
+        mat = make()
+        want = expm(mat)
+        got = F.expm(mat)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_expm_does_not_overflow_on_the_way():
+    # e^mu cosh(r) with mu = -500, r = 800: cosh(r) alone would overflow
+    from scipy.linalg import expm
+
+    mat = np.array([[300.0, 1e-3], [0.0, -1300.0]])
+    want = expm(mat)
+    got = F.expm(mat)
+    assert np.isfinite(got).all()
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_expm_of_a_diagonal_matrix_is_elementwise():
+    for a, d in RNG.uniform(-40.0, 5.0, size=(200, 2)):
+        assert np.array_equal(F.expm(np.diag([a, d])), np.diag(np.exp([a, d])))
+
+
+def _negative(v):
+    # a clock the factories would reject; step must still refuse it
+    return -1.0
+
+
 class TestStepErrors:
     def test_negative_phi_rejected(self):
-        params = F.SemiflowParams(A=-np.eye(2), phi=F.rational([-1.0], [1.0]),
+        params = F.SemiflowParams(A=-np.eye(2), phi=_negative,
                                   source=F.zero_source())
         with pytest.raises(ValueError, match="phi must be nonnegative"):
             F.step(B.make_ball(1.0, grid_size=64), params, 1e-3)
@@ -157,7 +269,7 @@ class TestStepErrors:
     ])
     def test_negative_psi_rejected(self, make_source):
         params = F.SemiflowParams(A=-np.eye(2), phi=F.constant(1.0),
-                                  source=make_source(F.rational([-1.0], [1.0])))
+                                  source=make_source(_negative))
         with pytest.raises(ValueError, match="psi must be nonnegative"):
             F.step(B.make_ball(1.0, grid_size=64), params, 1e-3)
 

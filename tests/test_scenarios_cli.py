@@ -3,6 +3,10 @@
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +341,16 @@ class TestCli:
          "phi"),
         (lambda d: d["params"].update(phi={"kind": "rational", "num": [1.0],
                                            "den": [1.0, -1.0]}), "phi"),
+        (lambda d: d["params"].update(phi={"kind": "rational", "num": [-1.0],
+                                           "den": [1.0]}), "phi"),
+        (lambda d: d["params"].update(phi={"kind": "rational", "num": [2.0, -3.0, 1.0],
+                                           "den": [1.0]}), "phi"),
+        (lambda d: d["params"].update(phi={"kind": "rational", "num": [1.0],
+                                           "den": [-1.0, -1.0]}), "phi"),
+        (lambda d: d["params"].update(phi={"kind": "table", "s": [0.0, 1.0],
+                                           "values": [1.0, -1.0]}), "phi"),
+        (lambda d: d.update(horizon=float("inf")), "'horizon'"),
+        (lambda d: d.update(dt=float("nan")), "'dt'"),
     ], ids=["practical_no_lambda", "converge_to_no_body", "mixed_count_0",
             "table_nodes_unsorted", "closed_form_terms_string", "closed_form_rtol_string",
             "sde_lambda_string", "sde_lambda_0", "sde_det_B_positive", "sde_T_overflow",
@@ -345,7 +359,9 @@ class TestCli:
             "growth_length_string", "growth_length_negative", "growth_rtol_string",
             "instability_trace_string", "instability_expect_typo", "xi0_expect_typo",
             "wazewski_expect_number", "practical_expect_typo", "rational_den_zero",
-            "rational_pole_at_1"])
+            "rational_pole_at_1", "rational_negative_num", "rational_negative_between_roots",
+            "rational_negative_den", "table_negative_value", "horizon_infinity",
+            "dt_nan"])
     def test_malformed_document_exits_2(self, tmp_path, capsys, mutate, field):
         doc = search_doc()
         scenarios.parse_scenario(doc)
@@ -355,6 +371,28 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
         assert field in capsys.readouterr().err
+        assert not out.exists()     # rejected before the flow ran
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field, function", [
+        ("phi", lambda x: {"kind": "constant", "value": x}),
+        ("phi", lambda x: {"kind": "rational", "num": [1.0, x], "den": [1.0]}),
+        ("phi", lambda x: {"kind": "rational", "num": [1.0], "den": [1.0, x]}),
+        ("phi", lambda x: {"kind": "table", "s": [0.0, x], "values": [1.0, 1.0]}),
+        ("phi", lambda x: {"kind": "table", "s": [0.0, 1.0], "values": [1.0, x]}),
+        ("psi", lambda x: {"kind": "constant", "value": x}),
+    ], ids=["constant", "rational_num", "rational_den", "table_s", "table_values",
+            "psi_constant"])
+    def test_non_finite_function_numbers_exit_2(self, tmp_path, capsys, x, field, function):
+        # json.dumps writes NaN and Infinity, and json.loads reads them back
+        doc = quick_doc()
+        (doc["params"] if field == "phi" else doc["params"]["source"])[field] = function(x)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+        assert f"bad {field}" in capsys.readouterr().err
         assert not out.exists()     # rejected before the flow ran
 
     def test_run_blowup_exits_3(self, tmp_path, capsys):
@@ -419,6 +457,27 @@ class TestCli:
     def test_run_builtin_by_name(self, tmp_path, capsys):
         assert cli.main(["run", "shrink_instability", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "shrink_instability.json").exists()
+
+    def test_the_runtime_never_imports_scipy(self, tmp_path):
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import setflow.cli",
+            "from setflow import bodies",
+            "assert setflow.cli.main(['run', 'nilpotent_decay', '--out', sys.argv[1]]) == 0",
+            "c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)",
+            "rot = np.array([[c, -s], [s, c]])",
+            "bodies.linear_image(bodies.make_ball(1.0, grid_size=64), rot)",
+            "assert bodies._pullback_plan(rot.tobytes(), 64).cells is not None",
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))",
+        ])
+        src = str(Path(scenarios.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_every_builtin_runs_clean(self, tmp_path, capsys):
         names = [name for name, _ in scenarios.list_builtins()]
