@@ -9,9 +9,10 @@ source, whose growth system is linear, plus its practical stability window.
 
 import numpy as np
 
-from setflow import (SemiflowParams, bound_check, check_practical,
+from setflow import (SemiflowParams, area, bound_check, check_practical,
                      check_wazewski, constant, evolve, integrate,
-                     linear_source, make_polygon, sde_growth_system)
+                     linear_source, make_polygon, mixed_columns,
+                     sde_growth_system)
 from setflow.certificates import sde_growth_exponents
 
 swap = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -24,7 +25,7 @@ print("quasimonotonicity:", "passes" if check_wazewski(system, (0, 5)).passed
       else "fails")
 
 traj = evolve(square, params, horizon=1.0, dt=1e-3,
-              tracked=("V", "mixed"), mixed_op=swap, mixed_count=2)
+              tracked={"V": area, **mixed_columns(swap, 2)})
 rep = bound_check(traj, system, ["W0", "W1"], tol_scale=1e-6)
 print(f"dominance of (W0, W1) along the orbit: passed={rep.passed}, "
       f"worst margin {rep.max_violation:.2e}")

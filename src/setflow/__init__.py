@@ -33,8 +33,9 @@ from .certificates import (GrowthBounds, LinearizationReport,
 from .errors import BlowupError, ContractionError, GridMismatchError
 from .flow import (ScalarFunction, SemiflowParams, SourceTerm, Trajectory,
                    ball_source, constant, constant_source, evolve,
-                   linear_source, mixed_functionals, picard_solve, rational,
-                   reach_set, step, table, volume_rate, zero_source)
+                   linear_source, mixed_columns, mixed_functionals,
+                   picard_solve, rational, reach_set, step, table,
+                   volume_rate, zero_source)
 from .scenarios import (Scenario, SchemaError, body_record, builtin_scenarios,
                         get_builtin, list_builtins, load_scenario,
                         parse_scenario, run_scenario)

@@ -2,7 +2,8 @@
 
 ``setflow run <scenario.json | builtin-name> [...]`` executes scenarios and
 writes their CSV/JSON artifacts (exit 0 on success, 1 on failed checks,
-2 on schema problems, 3 on integration blow-up).  ``setflow geom`` gives
+2 on schema problems, 3 when the main trajectory of a scenario blows up;
+a check that blows up fails).  ``setflow geom`` gives
 one-shot access to the body calculus from the shell, and ``setflow list``
 prints the bundled experiments.
 """
@@ -17,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bodies, scenarios
-from .errors import BlowupError
 from .scenarios import SchemaError
 
 EXIT_OK = 0
@@ -115,20 +115,14 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
-    results = []
-    try:
-        if args.jobs > 1 and len(loaded) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(scenarios.run_scenario, s, args.out)
-                           for _, s in loaded]
-                results = [f.result() for f in futures]
-        else:
-            results = [scenarios.run_scenario(s, out_dir=args.out)
+    if args.jobs > 1 and len(loaded) > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            futures = [pool.submit(scenarios.run_scenario, s, args.out)
                        for _, s in loaded]
-    except BlowupError as exc:
-        print(f"error: integration blow-up at t={exc.reached_time:.6g}",
-              file=sys.stderr)
-        return EXIT_BLOWUP
+            results = [f.result() for f in futures]
+    else:
+        results = [scenarios.run_scenario(s, out_dir=args.out)
+                   for _, s in loaded]
 
     code = EXIT_OK
     for result in results:

@@ -171,10 +171,6 @@ class SourceTerm:
             return self.body.values
         raise ValueError(f"unknown source kind {self.kind!r}")
 
-    def __call__(self, volume: float, u: SupportFunction2D):
-        vals = self.values(volume, u.values)
-        return None if vals is None else SupportFunction2D(vals)
-
 
 def zero_source() -> SourceTerm:
     return SourceTerm(kind="zero")
@@ -225,16 +221,10 @@ class Trajectory:
         return self.bodies[-1]
 
     def to_csv(self) -> str:
-        """CSV record: header ``t, V, perimeter, W0.., dH_ref``, one row per frame."""
-        order = ["V", "perimeter"]
-        order += sorted((k for k in self.tracked if k.startswith("W")),
-                        key=lambda k: int(k[1:]))
-        if "dH_ref" in self.tracked:
-            order.append("dH_ref")
-        cols = [k for k in order if k in self.tracked]
-        lines = ["t," + ",".join(cols)]
+        """CSV record: header ``t`` and the tracked names in order, one row per frame."""
+        lines = ["t," + ",".join(self.tracked)]
         for i, t in enumerate(self.times):
-            row = [f"{t:.12g}"] + [f"{self.tracked[k][i]:.12g}" for k in cols]
+            row = [f"{t:.12g}"] + [f"{series[i]:.12g}" for series in self.tracked.values()]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
@@ -315,6 +305,8 @@ def _flow_matrix(a_bytes: bytes, s: float) -> np.ndarray:
     # exp(A s); calls the module binding ``expm`` so that wrapping it sees
     # every evaluation.
     mat = expm(np.frombuffer(a_bytes).reshape(2, 2) * s)
+    if not np.isfinite(mat).all():
+        raise BlowupError(f"exp(A s) overflows at s={s:.6g}", reached_time=0.0)
     mat.setflags(write=False)
     return mat
 
@@ -329,7 +321,9 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     halves are not symmetric about the linear flow, so the step is first
     order in dt, unlike a Strang split.  The result is projected back into
     the convex cone when needed.  ``exp(A s)`` is cached per (A, s) and the
-    pull-back reads a cached resampling plan per (matrix, grid).
+    pull-back reads a cached resampling plan per (matrix, grid).  Raises
+    :class:`BlowupError` when ``exp(A phi dt)`` or the new support values
+    are not finite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -353,57 +347,36 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     return SupportFunction2D(out)
 
 
-def _tracker_functions(tracked, mixed_op=None, mixed_count=0, reference=None):
-    funcs = []
-    for name in tracked:
-        if name == "V":
-            funcs.append(("V", area))
-        elif name == "perimeter":
-            funcs.append(("perimeter", perimeter))
-        elif name == "mixed":
-            if mixed_op is None or mixed_count < 1:
-                raise ValueError("tracking mixed functionals needs an operator and a count")
-            mat = as_matrix(mixed_op)
-            powers = [np.linalg.matrix_power(mat, i) for i in range(mixed_count)]
-            for i, p in enumerate(powers):
-                funcs.append((f"W{i}", lambda u, p=p: mixed_area(u, linear_image(u, p))))
-        elif name == "dH_ref":
-            if reference is None:
-                raise ValueError("tracking dH_ref needs a reference body")
-            funcs.append(("dH_ref",
-                          lambda u: bodies.hausdorff_distance(u, reference)))
-        else:
-            raise ValueError(f"unknown tracked functional {name!r}")
-    return funcs
-
-
 def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
-           dt: float = DEFAULT_DT, tracked=("V", "perimeter"),
-           mixed_op=None, mixed_count=0, reference=None,
-           store_every: int | None = None) -> Trajectory:
+           dt: float = DEFAULT_DT, tracked=None) -> Trajectory:
     """Integrate the flow over [0, horizon], recording functionals at stored frames.
 
-    Frames are thinned so at most ~1000 are kept unless ``store_every`` is
-    given.  Raises :class:`BlowupError` with the reached time when the
-    support values leave the overflow guard before the horizon (a lower
-    bound for the escape time of the orbit).
+    ``tracked`` maps each column name to a function of a body, in the order
+    of :meth:`Trajectory.to_csv`; the default is
+    ``{"V": area, "perimeter": perimeter}``.  The mixed functionals of an
+    operator come from :func:`mixed_columns`, for example
+    ``{"V": area, **mixed_columns(B, 2)}``.  Frames are thinned so at most
+    ``MAX_STORED_FRAMES`` (+1 for the initial body) are kept.  Raises
+    :class:`BlowupError` with the reached time when the support values leave
+    the overflow guard before the horizon (a lower bound for the escape time
+    of the orbit).
     """
     if horizon <= 0 or dt <= 0:
         raise ValueError("horizon and dt must be positive")
+    if tracked is None:
+        tracked = {"V": area, "perimeter": perimeter}
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
-    if store_every is None:
-        store_every = max(1, int(np.ceil(n_steps / MAX_STORED_FRAMES)))
-    funcs = _tracker_functions(tracked, mixed_op, mixed_count, reference)
+    stride = max(1, int(np.ceil(n_steps / MAX_STORED_FRAMES)))
 
     guard = OVERFLOW_FACTOR * max(1.0, float(np.max(np.abs(u0.values))))
     # The stored frames are read-only rows of one array.  Kept one by one
     # between each step's temporaries, they would grow the heap every step,
     # and the allocator would return and re-fault the temporaries' pages
     # (about 110 minor page faults a step at M=8192).
-    store = np.empty((-(-n_steps // store_every), u0.grid_size))
+    store = np.empty((-(-n_steps // stride), u0.grid_size))
     times = [0.0]
     frames = [u0]
-    series = {name: [fn(u0)] for name, fn in funcs}
+    series = {name: [fn(u0)] for name, fn in tracked.items()}
 
     u, t = u0, 0.0
     for i in range(n_steps):
@@ -418,14 +391,14 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
             raise BlowupError(
                 f"support values exceeded {guard:.3g} at t={t:.6g}",
                 reached_time=t, partial=_finish(times, frames, series))
-        if (i + 1) % store_every == 0 or i == n_steps - 1:
+        if (i + 1) % stride == 0 or i == n_steps - 1:
             row = store[len(frames) - 1]
             row[:] = u.values
             row.setflags(write=False)
             u = bodies._adopt(row)
             times.append(t)
             frames.append(u)
-            for name, fn in funcs:
+            for name, fn in tracked.items():
                 series[name].append(fn(u))
     return _finish(times, frames, series)
 
@@ -566,16 +539,24 @@ def reach_set(A, control_body: SupportFunction2D, start: SupportFunction2D,
     return evolve(start, params, horizon, dt, **kwargs)
 
 
+def mixed_columns(op, count: int) -> dict:
+    """The tracked columns ``W0..W{count-1}`` of an operator B.
+
+    Maps ``f"W{i}"`` to the function ``u -> V[u, B^i u]``, the mixed area of
+    a body with its image under the i-th power of B.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    mat = as_matrix(op)
+    powers = [np.linalg.matrix_power(mat, i) for i in range(count)]
+    return {f"W{i}": lambda u, p=p: mixed_area(u, linear_image(u, p))
+            for i, p in enumerate(powers)}
+
+
 def mixed_functionals(u: SupportFunction2D, op, count: int) -> np.ndarray:
     """Mixed areas of u with the powers of an operator: W_i = V[u, B^i u].
 
     W_0 is the plain area; higher entries measure the interaction of the
     body with its rotated/sheared images.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    mat = as_matrix(op)
-    out = np.empty(count)
-    for i in range(count):
-        out[i] = mixed_area(u, linear_image(u, np.linalg.matrix_power(mat, i)))
-    return out
+    return np.array([fn(u) for fn in mixed_columns(op, count).values()])

@@ -107,30 +107,34 @@ _SOURCES = {
 
 
 def _parse_track(track, params, grid_size):
-    """The keyword arguments of :func:`flow.evolve` for a 'track' list."""
+    """The tracked columns of a 'track' list: ``V, perimeter, W0.., dH_ref``.
+
+    Maps each column name to a function of a body, in CSV order whatever
+    the order of the list; ``V`` is always tracked.
+    """
     _require(isinstance(track, list), "'track' must be a list")
-    tracked = []
-    mixed_op, mixed_count, reference = None, 0, None
+    columns = {"V": bodies.area}
+    mixed, hausdorff = None, None
     for item in track:
-        if item in ("V", "perimeter"):
-            if item not in tracked:
-                tracked.append(item)
+        if item == "perimeter":
+            columns["perimeter"] = bodies.perimeter
+        elif item == "V":
+            pass                # always tracked
         elif isinstance(item, dict) and item.get("kind") == "mixed":
-            mixed_count = _count(item, "count", 2, 1)
+            _require(mixed is None, "track: at most one 'mixed' entry")
+            count = _count(item, "count", 2, 1)
             mat = item.get("B")
-            mixed_op = (_parse_matrix(mat, "track mixed B") if mat is not None
-                        else params.source.matrix)
-            _require(mixed_op is not None, "track mixed: no operator available")
-            tracked.append("mixed")
+            op = (_parse_matrix(mat, "track mixed B") if mat is not None
+                  else params.source.matrix)
+            _require(op is not None, "track mixed: no operator available")
+            mixed = flow.mixed_columns(op, count)
         elif isinstance(item, dict) and item.get("kind") == "hausdorff_to":
+            _require(hausdorff is None, "track: at most one 'hausdorff_to' entry")
             reference = _parse_body(item.get("body"), grid_size, "reference body")
-            tracked.append("dH_ref")
+            hausdorff = {"dH_ref": lambda u: bodies.hausdorff_distance(u, reference)}
         else:
             raise SchemaError(f"unknown track entry {item!r}")
-    if "V" not in tracked:
-        tracked.insert(0, "V")
-    return dict(tracked=tuple(tracked), mixed_op=mixed_op,
-                mixed_count=mixed_count, reference=reference)
+    return {**columns, **(mixed or {}), **(hausdorff or {})}
 
 
 @dataclass
@@ -144,7 +148,7 @@ class Scenario:
     params: flow.SemiflowParams
     horizon: float
     dt: float
-    track: dict                 # keyword arguments of flow.evolve
+    track: dict                 # column name -> function of a body, in CSV order
     checks: list                # (kind, run) pairs; run(trajectory) -> (passed, details)
     output: dict
 
@@ -369,7 +373,7 @@ def _check_closed_form_area(check, scenario):
 
 def _check_bound(check, scenario):
     system = _system(check, scenario)
-    tracked = [name for name, _ in flow._tracker_functions(**scenario.track)]
+    tracked = list(scenario.track)
     names = _param(check, "functionals", [f"W{i}" for i in range(system.dim)],
                    lambda v: isinstance(v, list) and len(v) == system.dim
                    and all(n in tracked for n in v),
@@ -500,7 +504,8 @@ def _check_growth_scaling(check, scenario):
         finals = []
         for length in lengths:
             seg = bodies.make_segment(length, grid_size=scenario.grid_size)
-            tr = flow.evolve(seg, scenario.params, t_end, scenario.dt, tracked=("V",))
+            tr = flow.evolve(seg, scenario.params, t_end, scenario.dt,
+                             tracked={"V": bodies.area})
             finals.append(float(tr.tracked["V"][-1]))
         try:
             rel_errors = [abs(v - certificates.segment_growth_value(t_end, l))
@@ -573,6 +578,7 @@ def run_scenario(scenario: Scenario, out_dir=None,
 
     Blow-up of the main trajectory is recorded in the report (with the
     reached time) rather than raised; the result is then marked failed.
+    A check whose own integration blows up fails with ``details.error``.
     """
     report = {"schema": SCHEMA_VERSION, "name": scenario.name,
               "seed": scenario.seed, "grid_size": scenario.grid_size,
@@ -581,7 +587,7 @@ def run_scenario(scenario: Scenario, out_dir=None,
     diagnostic = None
     try:
         traj = flow.evolve(scenario.initial_body, scenario.params,
-                           scenario.horizon, scenario.dt, **scenario.track)
+                           scenario.horizon, scenario.dt, tracked=scenario.track)
     except BlowupError as exc:
         blew_up = True
         diagnostic = {"blow_up_at": exc.reached_time, "message": str(exc)}
@@ -590,7 +596,10 @@ def run_scenario(scenario: Scenario, out_dir=None,
     check_results = []
     if not blew_up:
         for kind, run in scenario.checks:
-            passed, details = run(traj)
+            try:
+                passed, details = run(traj)
+            except BlowupError as exc:
+                passed, details = _failure(exc)
             check_results.append({"kind": kind, "passed": bool(passed),
                                   "details": comparison._plain(details)})
 

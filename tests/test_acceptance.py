@@ -63,7 +63,7 @@ def test_criterion_3_segment_growth_scaling():
     rel_errs = {}
     for n in (4, 8, 16):
         seg = B.make_segment(float(n), grid_size=512)
-        traj = F.evolve(seg, params, horizon=1.0, dt=1e-3, tracked=("V",))
+        traj = F.evolve(seg, params, horizon=1.0, dt=1e-3, tracked={"V": B.area})
         finals[n] = float(traj.tracked["V"][-1])
         exact = CERT.segment_growth_value(1.0, float(n))
         rel_errs[n] = abs(finals[n] - exact) / exact
@@ -82,7 +82,7 @@ def test_criterion_4_comparison_dominance():
     params = F.SemiflowParams(A=MINUS_I, phi=phi,
                               source=F.linear_source(psi, SHEAR))
     traj = F.evolve(u0, params, horizon=3.0, dt=1e-3,
-                    tracked=("V", "mixed"), mixed_op=SHEAR, mixed_count=2)
+                    tracked={"V": B.area, **F.mixed_columns(SHEAR, 2)})
     system = C.nilpotent_source_system(phi, psi)
     rep = C.bound_check(traj, system, ["W0", "W1"], tol_scale=1e-4)
     ok = rep.passed
@@ -101,7 +101,7 @@ def test_criterion_5_practical_stability_of_set_equation():
     u0 = B.make_polygon(UNIT_SQUARE, grid_size=512)
     params = F.SemiflowParams(A=np.zeros((2, 2)), phi=F.constant(1.0),
                               source=F.linear_source(F.constant(1.0), SWAP))
-    traj = F.evolve(u0, params, horizon=1.0, dt=1e-3, tracked=("V",))
+    traj = F.evolve(u0, params, horizon=1.0, dt=1e-3, tracked={"V": B.area})
     xi_at_frames = C.integrate(system, [1.0, 1.0], times=traj.times)
     below = bool(np.all(traj.tracked["V"] <= xi_at_frames.states[:, 0] + 1e-9))
 
@@ -132,8 +132,8 @@ def test_criterion_6_fixed_point_and_linearization():
     lin = CERT.linearize(rep.body, params)
     gamma_err = abs(lin.gamma0 - (-2.0))
 
-    traj = F.evolve(B.make_ball(1.2, grid_size=512), params, horizon=10.0,
-                    dt=1e-3, tracked=("V", "dH_ref"), reference=unit_ball)
+    traj = F.evolve(B.make_ball(1.2, grid_size=512), params, horizon=10.0, dt=1e-3,
+                    tracked={"dH_ref": lambda u: B.hausdorff_distance(u, unit_ball)})
     final_dist = float(traj.tracked["dH_ref"][-1])
     ok = (lambda_err <= 1e-10 and body_err < 1e-9 and gamma_err <= 1e-3
           and lin.stable and final_dist < 1e-2)

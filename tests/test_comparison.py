@@ -287,7 +287,7 @@ class TestBoundCheck:
         params = F.SemiflowParams(A=MINUS_I, phi=phi,
                                   source=F.linear_source(F.constant(0.5), SHEAR))
         traj = F.evolve(q, params, horizon=2.0, dt=1e-3,
-                        tracked=("V", "mixed"), mixed_op=SHEAR, mixed_count=2)
+                        tracked=F.mixed_columns(SHEAR, 2))
         rep = C.bound_check(traj, C.nilpotent_source_system(phi, F.constant(0.5)),
                             ["W0", "W1"])
         assert rep.passed
@@ -298,7 +298,7 @@ class TestBoundCheck:
         params = F.SemiflowParams(A=np.zeros((2, 2)), phi=F.constant(1.0),
                                   source=F.linear_source(F.constant(1.0), SWAP))
         traj = F.evolve(q, params, horizon=1.0, dt=1e-3,
-                        tracked=("V", "mixed"), mixed_op=SWAP, mixed_count=2)
+                        tracked=F.mixed_columns(SWAP, 2))
         rep = C.bound_check(traj, C.sde_growth_system(SWAP), ["W0", "W1"],
                             tol_scale=1e-6)
         assert rep.passed
@@ -316,7 +316,7 @@ class TestBoundCheck:
         params = F.SemiflowParams(A=np.zeros((2, 2)), phi=F.constant(1.0),
                                   source=F.zero_source())
         traj = F.evolve(u, params, horizon=1.0, dt=0.01,
-                        tracked=("V", "mixed"), mixed_op=np.eye(2), mixed_count=2)
+                        tracked=F.mixed_columns(np.eye(2), 2))
         flat = C.ComparisonSystem(dim=2, rhs=lambda xi: np.zeros(2))
         rep = C.bound_check(traj, flat, ["W0", "W1"])
         assert rep.passed

@@ -128,13 +128,14 @@ class TestEvolve:
         params = F.SemiflowParams(
             A=MINUS_I, phi=F.constant(1.0),
             source=F.linear_source(F.constant(0.5), QUARTER_TURN))
+        disc = B.make_ball(1.0)
         traj = F.evolve(q, params, horizon=0.2, dt=0.01,
-                        tracked=("V", "perimeter", "mixed", "dH_ref"),
-                        mixed_op=QUARTER_TURN, mixed_count=2,
-                        reference=B.make_ball(1.0))
+                        tracked={"dist": lambda u: B.hausdorff_distance(u, disc),
+                                 "perimeter": B.perimeter,
+                                 **F.mixed_columns(QUARTER_TURN, 2), "V": B.area})
         csv = traj.to_csv()
         header = csv.splitlines()[0]
-        assert header == "t,V,perimeter,W0,W1,dH_ref"
+        assert header == "t,dist,perimeter,W0,W1,V"     # the order of the mapping
         assert len(csv.splitlines()) == len(traj.times) + 1
         assert traj.tracked["W0"][0] == pytest.approx(B.area(q))
 

@@ -146,17 +146,17 @@ FLOWS = {
 def test_evolve_frames_match_the_reference_step(name):
     _, u0, params = FLOWS[name]
     dt, n = 1e-3, 200
-    traj = F.evolve(u0, params, horizon=n * dt, dt=dt, store_every=1)
+    traj = F.evolve(u0, params, horizon=n * dt, dt=dt)
     expected = _evolve_reference(u0, params, n * dt, dt)
     assert len(traj.bodies) == len(expected) == n + 1
     for got, want in zip(traj.bodies, expected):
         assert np.array_equal(got.values, want.values)
 
 
-def test_stored_frames_are_read_only_and_not_shared_between_runs():
+def test_stored_frames_are_read_only_and_not_shared_between_runs(monkeypatch):
     _, u0, params = FLOWS["reflection"]
-    first, second = (F.evolve(u0, params, horizon=0.01, dt=1e-3, store_every=3)
-                     for _ in range(2))
+    monkeypatch.setattr(F, "MAX_STORED_FRAMES", 4)    # every third of 10 steps
+    first, second = (F.evolve(u0, params, horizon=0.01, dt=1e-3) for _ in range(2))
     assert len(first.bodies) == 5                      # t = 0, 3, 6, 9 and 10 dt
     for a, b in zip(first.bodies[1:], second.bodies[1:]):
         assert not a.values.flags.writeable

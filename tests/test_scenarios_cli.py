@@ -115,6 +115,14 @@ class TestRunner:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
 
+    def test_track_order_does_not_change_the_csv_header(self):
+        doc = search_doc()
+        reference = {"kind": "hausdorff_to", "body": {"kind": "ball", "radius": 1.0}}
+        doc.update(checks=[], track=["perimeter", reference, {"kind": "mixed", "count": 2},
+                                     "V", "perimeter"])
+        result = scenarios.run_scenario(scenarios.parse_scenario(doc), write_outputs=False)
+        assert result.csv_text.split("\n")[0] == "t,V,perimeter,W0,W1,dH_ref"
+
     def test_report_structure(self, tmp_path):
         result = scenarios.run_scenario(
             scenarios.parse_scenario(quick_doc()), tmp_path)
@@ -155,8 +163,7 @@ def emitted_reports():
                                  grid_size=64)
     growth = flow.SemiflowParams(A=np.zeros((2, 2)), phi=one,
                                  source=flow.linear_source(one, swap))
-    traj = flow.evolve(square, growth, 0.1, 0.01, tracked=("V", "mixed"),
-                       mixed_op=swap, mixed_count=2)
+    traj = flow.evolve(square, growth, 0.1, 0.01, tracked=flow.mixed_columns(swap, 2))
     disc = flow.SemiflowParams(A=-np.eye(2), phi=one, source=flow.ball_source(one))
     fixed = certificates.ball_source_fixed_point(one, one, grid_size=64)
     return {
@@ -351,6 +358,10 @@ class TestCli:
                                            "values": [1.0, -1.0]}), "phi"),
         (lambda d: d.update(horizon=float("inf")), "'horizon'"),
         (lambda d: d.update(dt=float("nan")), "'dt'"),
+        (lambda d: d.update(track=[{"kind": "mixed", "count": 2},
+                                   {"kind": "mixed", "count": 3}]), "track"),
+        (lambda d: d.update(track=[{"kind": "hausdorff_to", "body": {"kind": "ball", "radius": r}}
+                                   for r in (1.0, 2.0)]), "track"),
     ], ids=["practical_no_lambda", "converge_to_no_body", "mixed_count_0",
             "table_nodes_unsorted", "closed_form_terms_string", "closed_form_rtol_string",
             "sde_lambda_string", "sde_lambda_0", "sde_det_B_positive", "sde_T_overflow",
@@ -361,7 +372,7 @@ class TestCli:
             "wazewski_expect_number", "practical_expect_typo", "rational_den_zero",
             "rational_pole_at_1", "rational_negative_num", "rational_negative_between_roots",
             "rational_negative_den", "table_negative_value", "horizon_infinity",
-            "dt_nan"])
+            "dt_nan", "track_two_mixed", "track_two_hausdorff_to"])
     def test_malformed_document_exits_2(self, tmp_path, capsys, mutate, field):
         doc = search_doc()
         scenarios.parse_scenario(doc)
@@ -405,6 +416,33 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_BLOWUP
         report = json.loads((tmp_path / "explode.json").read_text())
         assert "diagnostic" in report
+
+    def test_overflowing_flow_matrix_is_a_blowup(self, tmp_path, capsys):
+        doc = quick_doc(name="overflow", grid_size=16, horizon=0.01, dt=1e-3)
+        doc["params"] = {"A": [[1e6, 0.0], [0.0, 1e6]],
+                         "phi": {"kind": "constant", "value": 1.0},
+                         "source": {"kind": "zero"}}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_BLOWUP
+        report = json.loads((tmp_path / "overflow.json").read_text())
+        assert report["diagnostic"]["blow_up_at"] == 0.0
+
+    def test_a_check_that_blows_up_fails_and_every_report_is_written(self, tmp_path,
+                                                                     capsys):
+        # exp(50 t) leaves the comparison guard 1e12 at t = 0.55
+        explode = {"kind": "bound_check", "functionals": ["V", "perimeter"],
+                   "system": {"kind": "linear", "matrix": [[50.0, 0.0], [0.0, 50.0]]}}
+        paths = [tmp_path / "c0.json", tmp_path / "c1.json"]
+        paths[0].write_text(json.dumps(search_doc() | {"name": "c0", "horizon": 1.0,
+                                                       "checks": [explode]}))
+        paths[1].write_text(json.dumps(search_doc() | {"name": "c1", "checks": []}))
+        out = tmp_path / "out"
+        assert cli.main(["run", *map(str, paths), "--out", str(out)]) == cli.EXIT_CHECK_FAILED
+        result = json.loads((out / "c0.json").read_text())["checks"][0]
+        assert not result["passed"]
+        assert result["details"]["error"].startswith("BlowupError")
+        assert json.loads((out / "c1.json").read_text())["passed"]
 
     def test_run_failed_check_exits_1(self, tmp_path, capsys):
         doc = quick_doc(name="failing",
