@@ -21,7 +21,7 @@ oracle on short horizons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -57,23 +57,65 @@ class ScalarFunction:
     den: tuple = (1.0,)
     s_nodes: tuple = ()
     s_values: tuple = ()
+    _call: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        build = _SCALAR_KINDS.get(self.kind)
+        if build is None:
+            raise ValueError(f"unknown scalar function kind {self.kind!r}")
+        object.__setattr__(self, "_call", build(self))
 
     def __call__(self, s):
         """The value at the number ``s``, or the values at an array ``s``.
 
         An array gives exactly the values of the elementwise scalar calls.
         """
-        many = isinstance(s, np.ndarray) and s.ndim > 0
-        if self.kind == "constant":
-            return np.full(s.shape, self.value) if many else self.value
-        s = np.asarray(s, dtype=float) if many else float(s)
-        if self.kind == "rational":
-            value = np.polyval(self.num[::-1], s) / np.polyval(self.den[::-1], s)
-        elif self.kind == "table":
-            value = np.interp(s, self.s_nodes, self.s_values)
-        else:
-            raise ValueError(f"unknown scalar function kind {self.kind!r}")
-        return value if many else float(value)
+        return self._call(s)
+
+
+def _constant_call(f):
+    value = f.value
+
+    def call(s):
+        if isinstance(s, np.ndarray) and s.ndim > 0:
+            return np.full(s.shape, value)
+        return value
+    return call
+
+
+def _horner(coeffs, x):
+    # np.polyval's loop on a numpy scalar, without its array conversions
+    y = np.float64(0.0)
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
+def _rational_call(f):
+    num, den = f.num[::-1], f.den[::-1]
+    num_arr, den_arr = np.array(num), np.array(den)
+
+    def call(s):
+        if isinstance(s, np.ndarray) and s.ndim > 0:
+            s = np.asarray(s, dtype=float)
+            return np.polyval(num_arr, s) / np.polyval(den_arr, s)
+        x = np.float64(float(s))
+        return float(_horner(num, x) / _horner(den, x))
+    return call
+
+
+def _table_call(f):
+    nodes, values = np.array(f.s_nodes, dtype=float), np.array(f.s_values, dtype=float)
+
+    def call(s):
+        if isinstance(s, np.ndarray) and s.ndim > 0:
+            return np.interp(np.asarray(s, dtype=float), nodes, values)
+        return float(np.interp(float(s), nodes, values))
+    return call
+
+
+_SCALAR_KINDS = {"constant": _constant_call, "rational": _rational_call,
+                 "table": _table_call}
 
 
 def _finite(numbers, what):
@@ -277,27 +319,29 @@ def expm(mat) -> np.ndarray:
     relative accuracy.
     """
     (a, b), (c, d) = np.asarray(mat, dtype=float).tolist()
-    if b == 0.0 and c == 0.0:
-        return np.diag(np.exp([a, d]))
-    mu = 0.5 * (a + d)
-    half = 0.5 * (a - d)
-    q = half * half + b * c
-    # np.exp, not math.exp: it overflows to inf instead of raising
-    if abs(q) < 1e-6:
-        e = float(np.exp(mu))
-        cosh = e * (1.0 + q * (0.5 + q / 24.0))
-        sinhc = e * (1.0 + q * (1.0 / 6.0 + q / 120.0))
-    elif q > 0.0:
-        r = math.sqrt(q)
-        g = 0.5 * float(np.exp(mu + r))
-        cosh = g * (1.0 + math.exp(-2.0 * r))
-        sinhc = -g * math.expm1(-2.0 * r) / r
-    else:
-        r = math.sqrt(-q)
-        e = float(np.exp(mu))
-        cosh, sinhc = e * math.cos(r), e * math.sin(r) / r
-    return np.array([[cosh + sinhc * half, sinhc * b],
-                     [sinhc * c, cosh - sinhc * half]])
+    # np.exp, not math.exp: it overflows to inf instead of raising, and the
+    # caller decides what an infinite exponential means
+    with np.errstate(over="ignore"):
+        if b == 0.0 and c == 0.0:
+            return np.diag(np.exp([a, d]))
+        mu = 0.5 * (a + d)
+        half = 0.5 * (a - d)
+        q = half * half + b * c
+        if abs(q) < 1e-6:
+            e = float(np.exp(mu))
+            cosh = e * (1.0 + q * (0.5 + q / 24.0))
+            sinhc = e * (1.0 + q * (1.0 / 6.0 + q / 120.0))
+        elif q > 0.0:
+            r = math.sqrt(q)
+            g = 0.5 * float(np.exp(mu + r))
+            cosh = g * (1.0 + math.exp(-2.0 * r))
+            sinhc = -g * math.expm1(-2.0 * r) / r
+        else:
+            r = math.sqrt(-q)
+            e = float(np.exp(mu))
+            cosh, sinhc = e * math.cos(r), e * math.sin(r) / r
+        return np.array([[cosh + sinhc * half, sinhc * b],
+                         [sinhc * c, cosh - sinhc * half]])
 
 
 @lru_cache(maxsize=64)
@@ -330,12 +374,14 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     v0 = area(u)
     f0 = params.source.values(v0, u.values)
     half = _add_scaled(u.values, f0, 0.5 * dt)
+    if not np.isfinite(half).all():
+        raise ValueError("support values must be finite")
 
     v_mid = max(v0 + 0.5 * dt * _volume_rate_from(u, v0, params, f0), 0.0)
     phi_mid = float(params.phi(v_mid))
     if phi_mid < 0:
         raise ValueError("phi must be nonnegative")
-    moved = linear_image(SupportFunction2D(half),
+    moved = linear_image(bodies._adopt(half),
                          _flow_matrix(params.A.tobytes(), phi_mid * dt))
 
     v1 = area(moved)
@@ -344,7 +390,7 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     if not np.isfinite(out).all():
         raise BlowupError("non-finite support values produced by step",
                           reached_time=dt)
-    return SupportFunction2D(out)
+    return bodies._adopt(out)
 
 
 def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
@@ -374,11 +420,14 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     # and the allocator would return and re-fault the temporaries' pages
     # (about 110 minor page faults a step at M=8192).
     store = np.empty((-(-n_steps // stride), u0.grid_size))
+    # The columns are computed on the stepping body, whose spectrum the next
+    # step's area reuses; the frames keep only samples, since a spectrum
+    # per stored frame would hold about as much memory again as the store.
+    u, t = bodies._adopt(u0.values), 0.0
     times = [0.0]
     frames = [u0]
-    series = {name: [fn(u0)] for name, fn in tracked.items()}
+    series = {name: [fn(u)] for name, fn in tracked.items()}
 
-    u, t = u0, 0.0
     for i in range(n_steps):
         h = min(dt, horizon - t)
         try:
@@ -394,10 +443,8 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
         if (i + 1) % stride == 0 or i == n_steps - 1:
             row = store[len(frames) - 1]
             row[:] = u.values
-            row.setflags(write=False)
-            u = bodies._adopt(row)
             times.append(t)
-            frames.append(u)
+            frames.append(bodies._adopt(row))
             for name, fn in tracked.items():
                 series[name].append(fn(u))
     return _finish(times, frames, series)

@@ -326,3 +326,32 @@ class TestScalarFunction:
     def test_negative_table_values_are_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             F.table([0.0, 1.0], [1.0, -0.5])
+
+    @pytest.mark.parametrize("f", [
+        F.constant(0.7), F.constant(0.0), F.rational([], [1.0]),
+        F.rational([1.0, 0.5], [1.0, 0.0, 0.25]), F.rational([0.3, -1.0, 1.0], [2.0, 0.1]),
+        F.table([0.0, 1.0, 4.0], [1.0, 0.5, 2.0]),
+    ], ids=["constant", "zero", "empty_rational", "rational", "rational_quadratic", "table"])
+    def test_values_are_bit_equal_to_the_parametric_formulas(self, f):
+        def formula(s):
+            # the scalar function written out from its parameters
+            if f.kind == "constant":
+                return f.value
+            if f.kind == "rational":
+                return np.polyval(f.num[::-1], s) / np.polyval(f.den[::-1], s)
+            return np.interp(s, f.s_nodes, f.s_values)
+
+        s = np.concatenate([[0.0, 1.0, 4.0, 5.0, 1e6],
+                            np.random.default_rng(3).uniform(0.0, 10.0, 200)])
+        for x in s:
+            got = f(x)
+            assert type(got) is float and got == float(formula(float(x)))
+        assert np.array_equal(f(s), np.broadcast_to(formula(s), s.shape))
+        assert np.array_equal(f(s.reshape(5, 41)), f(s).reshape(5, 41))
+
+    def test_parameters_define_equality(self):
+        assert F.rational([1.0], [1.0, 1.0]) == F.rational([1.0], [1.0, 1.0])
+        assert hash(F.table([0.0, 1.0], [1.0, 2.0])) == hash(F.table([0.0, 1.0], [1.0, 2.0]))
+        assert F.constant(1.0) != F.constant(2.0)
+        with pytest.raises(ValueError, match="unknown scalar function kind"):
+            F.ScalarFunction(kind="cubic")

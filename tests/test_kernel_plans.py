@@ -88,7 +88,9 @@ def test_cached_arrays_are_read_only(name):
     arrays = [a for a in (plan.nz, plan.norms, plan.gather, plan.cells, plan.weights)
               if a is not None]
     arrays += [B._form_weights(64), B._curvature_multipliers(64),
-               F._flow_matrix(MATRICES["quarter_turn"].tobytes(), 0.5)]
+               F._flow_matrix(MATRICES["quarter_turn"].tobytes(), 0.5),
+               B._scalar_norms(MATRICES["exp(-0.37)I"].tobytes(), 64),
+               B.make_ball(1.0, grid_size=64)._spectrum]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -112,6 +114,62 @@ def test_plan_cache_stays_bounded_under_a_rational_clock():
     assert mats.currsize <= mats.maxsize
     assert plans.misses >= n                 # one new pull-back per step
     assert plans.hits >= 2 * n - 1           # the source plan, twice per step
+
+
+def test_scalar_norm_cache_stays_bounded_under_a_rational_clock():
+    # A = -I under a volume-dependent clock: exp(-s I) is a new scalar
+    # matrix every step
+    params = F.SemiflowParams(A=-np.eye(2), phi=F.rational([1.0], [1.0, 1.0]),
+                              source=F.ball_source(F.constant(0.5)))
+    u = B.make_ball(1.0, grid_size=64)
+    B._scalar_norms.cache_clear()
+    n = 3000
+    for _ in range(n):
+        u = F.step(u, params, 1e-3)
+    norms = B._scalar_norms.cache_info()
+    assert norms.misses >= n // 2
+    assert norms.currsize <= 8
+
+
+@pytest.mark.parametrize("m", (16, 512))
+def test_body_spectra_reproduce_the_uncached_forms(m):
+    # each body transforms its samples once; interleaving calls on other
+    # bodies and raw arrays must not change any value
+    u, v, w = sample_bodies(m)[:3]
+    raw = helpers.random_smooth_body(RNG, m).values.copy()
+    ref = helpers.reference_mixed_form
+    for _ in range(2):
+        assert B.area(u) == ref(u.values, u.values)
+        assert B.mixed_area(u, raw) == ref(u.values, raw)
+        assert B.mixed_area(v, u) == ref(v.values, u.values)
+        assert B.area(w) == ref(w.values, w.values)
+        assert B.mixed_area(u, v) == ref(u.values, v.values)
+        assert B.mixed_area(w, raw) == ref(w.values, raw)
+        assert B.mixed_area(u, u) == B.area(u)
+        assert B.mixed_area(u, u.values) == ref(u.values, u.values)
+
+
+def test_a_raw_second_argument_is_read_on_every_call():
+    u = helpers.random_smooth_body(RNG, 64)
+    raw = B.make_ball(1.0, grid_size=64).values.copy()
+    before = B.mixed_area(u, raw)
+    raw *= 2.0
+    raw[3] += 0.25
+    assert B.mixed_area(u, raw) == helpers.reference_mixed_form(u.values, raw)
+    assert B.mixed_area(u, raw) != before
+
+
+def test_stored_frames_carry_no_spectrum():
+    _, u0, params = FLOWS["reflection"]
+    u0 = B.SupportFunction2D(u0.values)
+    traj = F.evolve(u0, params, horizon=0.02, dt=1e-3,
+                    tracked={"V": B.area, **F.mixed_columns(MATRICES["swap"], 2)})
+    assert traj.bodies[0] is u0
+    for frame in traj.bodies:
+        assert "_spectrum" not in vars(frame)
+    assert np.array_equal(traj.tracked["V"],
+                          [helpers.reference_mixed_form(b.values, b.values)
+                           for b in traj.bodies])
 
 
 def _evolve_reference(u, params, horizon, dt):

@@ -16,6 +16,15 @@ from setflow import bodies, certificates, cli, comparison, flow, scenarios
 from setflow.scenarios import SchemaError
 
 
+def run_python(*args):
+    """Run ``python ARGS`` in a fresh interpreter that imports this setflow."""
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
+
+
 def quick_doc(**overrides):
     doc = {
         "schema": 1,
@@ -417,16 +426,21 @@ class TestCli:
         report = json.loads((tmp_path / "explode.json").read_text())
         assert "diagnostic" in report
 
-    def test_overflowing_flow_matrix_is_a_blowup(self, tmp_path, capsys):
-        doc = quick_doc(name="overflow", grid_size=16, horizon=0.01, dt=1e-3)
-        doc["params"] = {"A": [[1e6, 0.0], [0.0, 1e6]],
-                         "phi": {"kind": "constant", "value": 1.0},
-                         "source": {"kind": "zero"}}
-        path = tmp_path / "overflow.json"
-        path.write_text(json.dumps(doc))
-        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_BLOWUP
-        report = json.loads((tmp_path / "overflow.json").read_text())
-        assert report["diagnostic"]["blow_up_at"] == 0.0
+    def test_overflowing_flow_matrix_is_a_blowup(self, tmp_path):
+        # in a fresh interpreter, so that numpy's warnings reach stderr as
+        # they do for a user; the diagonal and the closed-form branch of expm
+        for i, A in enumerate(([[1e6, 0.0], [0.0, 1e6]], [[1e6, 1.0], [0.0, 1e6]])):
+            doc = quick_doc(name=f"overflow{i}", grid_size=16, horizon=0.01, dt=1e-3)
+            doc["params"] = {"A": A, "phi": {"kind": "constant", "value": 1.0},
+                             "source": {"kind": "zero"}}
+            path = tmp_path / f"overflow{i}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / "out"
+            proc = run_python("-m", "setflow.cli", "run", str(path), "--out", str(out))
+            assert proc.returncode == cli.EXIT_BLOWUP, proc.stderr
+            assert "Warning" not in proc.stderr
+            report = json.loads((out / path.name).read_text())
+            assert report["diagnostic"]["blow_up_at"] == 0.0
 
     def test_a_check_that_blows_up_fails_and_every_report_is_written(self, tmp_path,
                                                                      capsys):
@@ -509,11 +523,7 @@ class TestCli:
             "assert bodies._pullback_plan(rot.tobytes(), 64).cells is not None",
             "print(sorted(name for name in sys.modules if name.startswith('scipy')))",
         ])
-        src = str(Path(scenarios.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                              capture_output=True, text=True, env=env, timeout=300)
+        proc = run_python("-c", code, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
