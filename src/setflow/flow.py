@@ -21,7 +21,7 @@ oracle on short horizons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,65 +57,32 @@ class ScalarFunction:
     den: tuple = (1.0,)
     s_nodes: tuple = ()
     s_values: tuple = ()
-    _call: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        build = _SCALAR_KINDS.get(self.kind)
-        if build is None:
-            raise ValueError(f"unknown scalar function kind {self.kind!r}")
-        object.__setattr__(self, "_call", build(self))
 
     def __call__(self, s):
         """The value at the number ``s``, or the values at an array ``s``.
 
         An array gives exactly the values of the elementwise scalar calls.
         """
-        return self._call(s)
-
-
-def _constant_call(f):
-    value = f.value
-
-    def call(s):
-        if isinstance(s, np.ndarray) and s.ndim > 0:
-            return np.full(s.shape, value)
-        return value
-    return call
+        many = isinstance(s, np.ndarray) and s.ndim > 0
+        if self.kind == "constant":
+            return np.full(s.shape, self.value) if many else self.value
+        s = np.asarray(s, dtype=float) if many else float(s)
+        if self.kind == "rational":
+            value = _horner(self.num, s) / _horner(self.den, s)
+        elif self.kind == "table":
+            value = np.interp(s, self.s_nodes, self.s_values)
+        else:
+            raise ValueError(f"unknown scalar function kind {self.kind!r}")
+        return value if many else float(value)
 
 
 def _horner(coeffs, x):
-    # np.polyval's loop on a numpy scalar, without its array conversions
+    # np.polyval's loop over the ascending coefficients, without its
+    # conversions of the coefficients and of x to arrays
     y = np.float64(0.0)
-    for c in coeffs:
+    for c in reversed(coeffs):
         y = y * x + c
     return y
-
-
-def _rational_call(f):
-    num, den = f.num[::-1], f.den[::-1]
-    num_arr, den_arr = np.array(num), np.array(den)
-
-    def call(s):
-        if isinstance(s, np.ndarray) and s.ndim > 0:
-            s = np.asarray(s, dtype=float)
-            return np.polyval(num_arr, s) / np.polyval(den_arr, s)
-        x = np.float64(float(s))
-        return float(_horner(num, x) / _horner(den, x))
-    return call
-
-
-def _table_call(f):
-    nodes, values = np.array(f.s_nodes, dtype=float), np.array(f.s_values, dtype=float)
-
-    def call(s):
-        if isinstance(s, np.ndarray) and s.ndim > 0:
-            return np.interp(np.asarray(s, dtype=float), nodes, values)
-        return float(np.interp(float(s), nodes, values))
-    return call
-
-
-_SCALAR_KINDS = {"constant": _constant_call, "rational": _rational_call,
-                 "table": _table_call}
 
 
 def _finite(numbers, what):
@@ -381,7 +348,7 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     phi_mid = float(params.phi(v_mid))
     if phi_mid < 0:
         raise ValueError("phi must be nonnegative")
-    moved = linear_image(bodies._adopt(half),
+    moved = linear_image(u if f0 is None else bodies._adopt(half),
                          _flow_matrix(params.A.tobytes(), phi_mid * dt))
 
     v1 = area(moved)
@@ -390,7 +357,7 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     if not np.isfinite(out).all():
         raise BlowupError("non-finite support values produced by step",
                           reached_time=dt)
-    return bodies._adopt(out)
+    return moved if f1 is None else bodies._adopt(out)
 
 
 def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,

@@ -1,5 +1,7 @@
 """Split-step integrator, Picard oracle, volume rates, reachable sets."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -354,4 +356,15 @@ class TestScalarFunction:
         assert hash(F.table([0.0, 1.0], [1.0, 2.0])) == hash(F.table([0.0, 1.0], [1.0, 2.0]))
         assert F.constant(1.0) != F.constant(2.0)
         with pytest.raises(ValueError, match="unknown scalar function kind"):
-            F.ScalarFunction(kind="cubic")
+            F.ScalarFunction(kind="cubic")(1.0)
+
+    def test_scalar_functions_and_params_survive_pickling(self):
+        fns = [F.constant(0.7), F.rational([1.0, 0.5], [1.0, 0.0, 0.25]),
+               F.table([0.0, 1.0, 4.0], [1.0, 0.5, 2.0])]
+        for f in fns:
+            g = pickle.loads(pickle.dumps(f))
+            assert g == f and g(2.5) == f(2.5)
+        params = F.SemiflowParams(A=MINUS_I, phi=fns[1], source=F.ball_source(fns[2]))
+        u = B.make_ball(1.0, grid_size=64)
+        again = pickle.loads(pickle.dumps(params))
+        assert np.array_equal(F.step(u, again, 1e-3).values, F.step(u, params, 1e-3).values)

@@ -172,6 +172,20 @@ def test_stored_frames_carry_no_spectrum():
                            for b in traj.bodies])
 
 
+def test_a_sourceless_step_keeps_the_spectrum_of_its_result():
+    # with no source, step returns the pulled-back body itself: the body it
+    # was given under the identity, a new one whose area is already known
+    # otherwise
+    u = helpers.random_smooth_body(RNG, 64)
+    B.area(u)
+    still = F.SemiflowParams(A=np.zeros((2, 2)), phi=F.constant(1.0), source=F.zero_source())
+    assert F.step(u, still, 1e-3) is u
+    decay = F.SemiflowParams(A=-np.eye(2), phi=F.constant(1.0), source=F.zero_source())
+    out = F.step(u, decay, 1e-3)
+    assert "_spectrum" in vars(out)
+    assert np.array_equal(out.values, helpers.reference_step(u, decay, 1e-3).values)
+
+
 def _evolve_reference(u, params, horizon, dt):
     frames, t = [u], 0.0
     for _ in range(int(np.ceil(horizon / dt - 1e-12))):
