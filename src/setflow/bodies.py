@@ -115,13 +115,15 @@ def as_matrix(op) -> np.ndarray:
     mat = np.asarray(op, dtype=float)
     if mat.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
     return mat
 
 
-def convexity_tolerance(values) -> float:
-    return CONVEXITY_RTOL * max(1.0, float(np.max(np.abs(values))))
+def convexity_tolerance(values: np.ndarray) -> float:
+    """``CONVEXITY_RTOL * max(1, max|h|)``; not finite when a sample is not."""
+    # the array extremes come first, so that a NaN one propagates
+    return CONVEXITY_RTOL * max(values.max(), -values.min(), 1.0)
 
 
 def convexity_defect(values: np.ndarray) -> np.ndarray:
@@ -247,7 +249,7 @@ def _spectral_form(fu: np.ndarray, fv: np.ndarray, m: int) -> float:
     # out, all higher modes enter negatively.  Symmetry in (u, v) is exact
     # here, so the symmetrized "mean of both orderings" coincides with the
     # single evaluation.
-    s = np.sum(_form_weights(m) * (fu * fv.conjugate()).real)
+    s = (_form_weights(m) * (fu * fv.conjugate()).real).sum()
     return float(np.pi * s / (m * m))
 
 
@@ -461,14 +463,20 @@ def linear_image(u: SupportFunction2D, op) -> SupportFunction2D:
 
     Singular maps are allowed and produce degenerate images.  If resampling
     leaves the discrete convexity cone beyond tolerance, the result is
-    projected back by :func:`convexify`.
+    projected back by :func:`convexify`.  Raises ValueError when the image
+    samples are not finite (an overflowing pull-back).
     """
     mat = as_matrix(op)
     if mat[0, 0] == 1.0 and mat[1, 1] == 1.0 and mat[0, 1] == 0.0 and mat[1, 0] == 0.0:
         return u
     vals = _image_values(u.values, mat)
-    body = SupportFunction2D(vals)
-    if convexity_defect(vals).min() < -convexity_tolerance(vals):
+    # the tolerance is the finiteness test of the fresh samples: inf or nan
+    # when one of them is
+    tol = convexity_tolerance(vals)
+    if not tol < np.inf:
+        raise ValueError("support values must be finite")
+    body = _adopt(vals)
+    if convexity_defect(vals).min() < -tol:
         body = convexify(body)
     return body
 

@@ -1,10 +1,24 @@
 """Shared generators and independent oracles for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from setflow import bodies, flow
 
 GRID = 512
+
+
+def run_python(*args):
+    """Run ``python ARGS`` in a fresh interpreter that imports this setflow."""
+    src = str(Path(flow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
 
 
 def random_polygon(rng, grid_size=GRID, max_vertices=10, spread=1.5):
@@ -149,7 +163,8 @@ def _reference_linear_image(u, mat):
         return u
     vals = reference_image_values(u.values, mat)
     body = bodies.SupportFunction2D(vals)
-    if np.min(reference_convexity_defect(vals)) < -bodies.convexity_tolerance(vals):
+    tol = bodies.CONVEXITY_RTOL * max(1.0, float(np.max(np.abs(vals))))
+    if np.min(reference_convexity_defect(vals)) < -tol:
         body = bodies.convexify(body)
     return body
 

@@ -186,6 +186,89 @@ def test_a_sourceless_step_keeps_the_spectrum_of_its_result():
     assert np.array_equal(out.values, helpers.reference_step(u, decay, 1e-3).values)
 
 
+@pytest.mark.parametrize("phi, calls", [
+    (F.constant(1.0), 0),
+    (F.rational([1.0], [1.0, 1.0]), 1),
+    (F.table([0.0, 2.0], [1.0, 0.5]), 1),
+    (lambda v: 1.0, 1),
+], ids=["constant", "rational", "table", "callable"])
+def test_only_a_non_constant_clock_estimates_the_midpoint_volume(monkeypatch, phi, calls):
+    counted = []
+    mixed_area = F.mixed_area
+    monkeypatch.setattr(F, "mixed_area", lambda u, v: counted.append(v) or mixed_area(u, v))
+    params = F.SemiflowParams(A=-np.eye(2), phi=phi, source=F.ball_source(F.constant(0.5)))
+    u = B.make_ball(1.0, grid_size=64)
+    out = F.step(u, params, 1e-3)
+    assert len(counted) == calls
+    assert np.array_equal(out.values, helpers.reference_step(u, params, 1e-3).values)
+
+
+def test_the_pullback_projects_a_source_half_step_that_leaves_the_cone(monkeypatch):
+    # step never checks half = u + dt/2 F; the convexity test of linear_image
+    # on its pull-back is the step's only projection onto the cone
+    params = F.SemiflowParams(A=-np.eye(2), phi=F.constant(1.0),
+                              source=F.linear_source(F.constant(0.5), ROT120))
+    u, dt = B.make_polygon(SQUARE, 64), 2e-3
+    half = u.values + 0.5 * dt * params.source.values(B.area(u), u.values)
+    assert B.convexity_tolerance(half) == 1e-8
+    assert B.convexity_defect(half).min() < -1.5e-6
+    projected = []
+    convexify = B.convexify
+    monkeypatch.setattr(B, "convexify", lambda body: projected.append(body) or convexify(body))
+    F.step(u, params, dt)
+    assert len(projected) == 1
+
+
+@pytest.mark.parametrize("name", ["scalar", "reflection", "rotation_120", "shear"])
+def test_an_overflowing_pullback_is_rejected(name):
+    # a gather overflows to inf, the spline's curvatures to nan
+    mat = {"scalar": 4.0 * np.eye(2), "reflection": 4.0 * MATRICES["reflection"],
+           "rotation_120": 4.0 * ROT120, "shear": np.array([[4.0, 1.0], [0.0, 3.0]])}[name]
+    u = B.scale(B.make_polygon(SQUARE, 64), 1e308)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="support values must be finite"):
+        B.linear_image(u, mat)
+
+
+def test_the_convexity_tolerance_is_not_finite_for_non_finite_samples():
+    assert B.convexity_tolerance(np.array([0.5, -3.0])) == B.CONVEXITY_RTOL * 3.0
+    assert B.convexity_tolerance(np.array([0.5, -0.25])) == B.CONVEXITY_RTOL
+    assert B.convexity_tolerance(np.array([1.0, -np.inf])) == np.inf
+    for values in ([1.0, np.nan], [np.nan, 1.0], [np.inf, np.nan], [np.nan, -np.inf]):
+        assert np.isnan(B.convexity_tolerance(np.array(values)))
+
+
+def test_a_freed_frame_store_is_not_kept_resident():
+    # A first run's freed store raises glibc's mmap threshold.  The script
+    # then keeps an array allocated above the second run's store and, once
+    # that store is freed, one that a heap allocator would carve from it.
+    # A third store from the heap would then need fresh pages beside the
+    # resident remains of the second.
+    code = """
+import resource
+import numpy as np
+from setflow import bodies, flow
+
+steps, m = 400, 8192
+params = flow.SemiflowParams(A=-np.eye(2), phi=flow.constant(1.0),
+                             source=flow.ball_source(flow.constant(1.0)))
+u0 = bodies.make_ball(1.0, grid_size=m)
+run = lambda: flow.evolve(u0, params, horizon=steps * 1e-3, dt=1e-3)
+peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run()
+traj = run()
+first = peak()
+kept = [np.ones(2 ** 18)]
+del traj
+kept.append(np.ones(2 ** 18))
+traj = run()
+print((peak() - first) * 1024 / (8 * steps * m))
+"""
+    proc = helpers.run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.5     # in stores of 25 MB
+
+
 def _evolve_reference(u, params, horizon, dt):
     frames, t = [u], 0.0
     for _ in range(int(np.ceil(horizon / dt - 1e-12))):
@@ -211,6 +294,15 @@ FLOWS = {
     "rotation_120": (64, B.make_polygon([[1.0, 0.0], [0.0, 0.6], [-1.0, 0.0], [0.0, -0.6]], 64),
                      F.SemiflowParams(A=-np.eye(2), phi=F.constant(1.0),
                                       source=F.linear_source(F.constant(0.4), ROT120))),
+    # a constant clock that is not a ScalarFunction keeps the midpoint estimate
+    "callable_clock": (512, B.make_polygon(SQUARE, 512),
+                       F.SemiflowParams(A=-np.eye(2), phi=lambda v: 1.0,
+                                        source=F.linear_source(F.constant(0.5),
+                                                               MATRICES["reflection"]))),
+    "table_clock": (512, B.make_ball(1.2, grid_size=512),
+                    F.SemiflowParams(A=[[-1.0, 0.3], [0.0, -2.0]],
+                                     phi=F.table([0.0, 2.0, 8.0], [1.0, 0.7, 0.2]),
+                                     source=F.ball_source(F.constant(0.5)))),
 }
 
 

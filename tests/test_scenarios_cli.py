@@ -3,10 +3,6 @@
 import copy
 import dataclasses
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +11,7 @@ from hypothesis import given, settings, strategies as st
 from setflow import bodies, certificates, cli, comparison, flow, scenarios
 from setflow.scenarios import SchemaError
 
-
-def run_python(*args):
-    """Run ``python ARGS`` in a fresh interpreter that imports this setflow."""
-    src = str(Path(scenarios.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=300)
+from helpers import run_python
 
 
 def quick_doc(**overrides):
