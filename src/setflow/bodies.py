@@ -475,10 +475,12 @@ def linear_image(u: SupportFunction2D, op) -> SupportFunction2D:
     tol = convexity_tolerance(vals)
     if not tol < np.inf:
         raise ValueError("support values must be finite")
-    body = _adopt(vals)
-    if convexity_defect(vals).min() < -tol:
-        body = convexify(body)
-    return body
+    return _into_cone(_adopt(vals), tol)
+
+
+def _into_cone(u: SupportFunction2D, tol: float) -> SupportFunction2D:
+    # u, or its projection when its convexity defect falls below -tol
+    return convexify(u) if convexity_defect(u.values).min() < -tol else u
 
 
 def convexify(u: SupportFunction2D) -> SupportFunction2D:
@@ -503,23 +505,15 @@ def convexify(u: SupportFunction2D) -> SupportFunction2D:
 def validate(u: SupportFunction2D) -> list:
     """List of invariant violations (empty when the body is valid).
 
-    Checks grid structure, finiteness, and the discrete convexity
-    inequality at its scale-relative tolerance.  Degenerate bodies pass.
+    The constructor of a body already rejects a bad grid size and
+    non-finite samples, so this checks the discrete convexity inequality at
+    its scale-relative tolerance.  Degenerate bodies pass.
     """
-    problems = []
-    vals = np.asarray(u.values, dtype=float)
-    m = vals.size
-    if m < MIN_GRID_SIZE or m % 2 != 0:
-        problems.append(f"grid size {m} must be even and >= {MIN_GRID_SIZE}")
-    if not np.all(np.isfinite(vals)):
-        problems.append("support values contain non-finite entries")
-        return problems
-    defect = convexity_defect(vals)
-    tol = convexity_tolerance(vals)
+    defect = convexity_defect(u.values)
+    tol = convexity_tolerance(u.values)
     bad = defect < -tol
-    if np.any(bad):
-        j = int(np.argmin(defect))
-        problems.append(
-            f"discrete convexity violated at {int(np.sum(bad))} angles "
-            f"(worst {defect[j]:.3e} < -{tol:.3e} at theta={u.angles[j]:.6f})")
-    return problems
+    if not np.any(bad):
+        return []
+    j = int(np.argmin(defect))
+    return [f"discrete convexity violated at {int(np.sum(bad))} angles "
+            f"(worst {defect[j]:.3e} < -{tol:.3e} at theta={u.angles[j]:.6f})"]

@@ -18,6 +18,14 @@ from . import bodies, comparison, flow
 from .bodies import SupportFunction2D, area, as_matrix, make_ball, mixed_area, perimeter
 from .errors import BlowupError
 
+FD_STEP = 1e-4              # relative step of linearize's central differences
+LINEARIZE_DIRECTIONS = 32   # smooth directions sampled for |F_u| in linearize
+FIXED_POINT_TOL = 1e-3      # largest drift per unit time linearize accepts
+BISECTION_TOL = 1e-12       # root bracket width of the fixed-point bisections
+# decreasing volumes at which ball_source_instability probes its liminf
+INSTABILITY_PROBES = np.geomspace(1e-1, 1e-8, 29)
+INSTABILITY_PROBES.setflags(write=False)
+
 
 def semigroup_envelope(A) -> tuple:
     """Constants (N, alpha) with ``|exp(A t)| <= N exp(alpha t)``.
@@ -81,22 +89,22 @@ def _smooth_directions(grid_size, count, rng):
 
 
 def linearize(u_star: SupportFunction2D, params: flow.SemiflowParams,
-              fd_step: float = 1e-4, n_directions: int = 32, seed: int = 0,
-              fixed_point_tol: float = 1e-3) -> LinearizationReport:
+              seed: int = 0) -> LinearizationReport:
     """Linearization certificate at a fixed body of the flow.
 
     Derivatives of phi and of the source map are estimated by central
-    differences; the operator norm of the body derivative ``F_u`` is a
-    lower bound obtained from random smooth perturbation directions (the
+    differences of relative step ``FD_STEP``; the operator norm of the body
+    derivative ``F_u`` is a lower bound obtained from
+    ``LINEARIZE_DIRECTIONS`` random smooth perturbation directions (the
     conservative direction for the second inequality is noted).  Raises
-    ValueError when ``u_star`` fails the fixed-point probe.
+    ValueError when one step of length ``FD_STEP`` moves ``u_star`` by more
+    than ``FIXED_POINT_TOL`` per unit time.
     """
-    probe = 1e-4
-    drift = bodies.hausdorff_distance(flow.step(u_star, params, probe), u_star) / probe
-    if drift > fixed_point_tol:
+    drift = bodies.hausdorff_distance(flow.step(u_star, params, FD_STEP), u_star) / FD_STEP
+    if drift > FIXED_POINT_TOL:
         raise ValueError(
             f"not a fixed point: drift {drift:.3e} per unit time exceeds "
-            f"{fixed_point_tol:.1e}")
+            f"{FIXED_POINT_TOL:.1e}")
 
     notes = []
     v_star = area(u_star)
@@ -117,12 +125,12 @@ def linearize(u_star: SupportFunction2D, params: flow.SemiflowParams,
         fv_ = (f_hi - f_lo) / (ev + (v_star - lo))
         return dphi_, fv_
 
-    dphi, f_v = derivatives(fd_step)
+    dphi, f_v = derivatives(FD_STEP)
     gamma0 = tr_a * (phi_star + v_star * dphi) + 2.0 * mixed_area(u_star, f_v)
-    if abs(gamma0) < 10 * fd_step * max(1.0, abs(tr_a * phi_star)):
+    if abs(gamma0) < 10 * FD_STEP * max(1.0, abs(tr_a * phi_star)):
         # near the verdict boundary: Richardson-extrapolate the estimates
         dphi_h, fv_h = dphi, f_v
-        dphi_h2, fv_h2 = derivatives(fd_step / 2)
+        dphi_h2, fv_h2 = derivatives(FD_STEP / 2)
         dphi = (4 * dphi_h2 - dphi_h) / 3
         f_v = (4 * fv_h2 - fv_h) / 3
         gamma0 = tr_a * (phi_star + v_star * dphi) + 2.0 * mixed_area(u_star, f_v)
@@ -130,10 +138,10 @@ def linearize(u_star: SupportFunction2D, params: flow.SemiflowParams,
 
     # operator norm of F_u from sampled smooth directions (a lower bound)
     rng = np.random.default_rng(seed)
-    eu = fd_step * max(1.0, float(np.max(np.abs(u_star.values))))
+    eu = FD_STEP * max(1.0, float(np.max(np.abs(u_star.values))))
     f_u_norm = 0.0
     if params.source.kind in ("linear",):
-        for d in _smooth_directions(u_star.grid_size, n_directions, rng):
+        for d in _smooth_directions(u_star.grid_size, LINEARIZE_DIRECTIONS, rng):
             hi = params.source.values(v_star, u_star.values + eu * d)
             lo = params.source.values(v_star, u_star.values - eu * d)
             f_u_norm = max(f_u_norm, float(np.max(np.abs(hi - lo))) / (2 * eu))
@@ -163,7 +171,7 @@ def linearize(u_star: SupportFunction2D, params: flow.SemiflowParams,
         inequality_values={"gamma0": float(gamma0), "combined_lhs": float(combined),
                            "phi_star": phi_star, "dphi": float(dphi),
                            "F_u_norm": f_u_norm, "F_V_norm": f_v_norm},
-        routh_hurwitz=rh, fd_step=fd_step, notes=tuple(notes))
+        routh_hurwitz=rh, fd_step=FD_STEP, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +193,15 @@ def unit_ball_volume(n: int) -> float:
 
 
 def ball_source_fixed_point(phi, psi, n: int = 2, grid_size: int = 512,
-                            bracket=(1e-8, 1e6), tol: float = 1e-12) -> FixedPointReport:
+                            bracket=(1e-8, 1e6)) -> FixedPointReport:
     """Fixed ball of the uniform-contraction flow with source ``psi(V) * K``.
 
     The fixed volume solves ``l = (psi(l)/phi(l))**n * omega_n`` with
     omega_n the unit-ball volume; the fixed body is the ball of radius
     ``psi(l0)/phi(l0)``.  Stability follows from the sign of
     ``d/dl log(l phi(l)/psi(l))`` at the root.  Bisection needs a sign
-    change inside the bracket and fails loudly otherwise.
+    change inside the bracket, which it narrows to ``BISECTION_TOL``
+    relative width, and fails loudly otherwise.
     """
     omega = unit_ball_volume(n)
 
@@ -205,7 +214,7 @@ def ball_source_fixed_point(phi, psi, n: int = 2, grid_size: int = 512,
     if sign_change.size == 0:
         raise ValueError("no sign change of the fixed-point equation in the bracket")
     lo, hi = grid[sign_change[0]], grid[sign_change[0] + 1]
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > BISECTION_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if g(lo) * g(mid) <= 0:
             hi = mid
@@ -225,17 +234,17 @@ def ball_source_fixed_point(phi, psi, n: int = 2, grid_size: int = 512,
                             residual=abs(g(lam0)))
 
 
-def cyclic3_ratio_threshold(tol: float = 1e-12) -> float:
+def cyclic3_ratio_threshold() -> float:
     """Largest ratio psi/phi with decaying quadratic energy for the 3-chain.
 
     The threshold is the least positive root of ``3 l^3 + 14 l^2 - 16``,
     i.e. 2 / (top eigenvalue of the chain's coupling form); bisection on
-    (0, 2) to 1e-12.
+    (0, 2) to ``BISECTION_TOL``.
     """
     def p(x):
         return 3 * x ** 3 + 14 * x ** 2 - 16
     lo, hi = 0.0, 2.0
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if p(lo) * p(mid) <= 0:
             hi = mid
@@ -323,22 +332,18 @@ class InstabilityReport:
     samples: tuple
 
 
-def ball_source_instability(phi, psi, tr_a: float, s_grid=None) -> InstabilityReport:
+def ball_source_instability(phi, psi, tr_a: float) -> InstabilityReport:
     """Volume-measure instability test for the flow with source ``psi(V) K``.
 
     The scalar comparison equation bounds the volume growth from below
     through the isoperimetric inequality; its zero solution is unstable
     whenever ``liminf_{s->0+} sqrt(pi/s) psi(s) / phi(s) > -tr A / 2``.
-    The liminf is estimated as the minimum over the tail of a decreasing
-    probe grid, so a divergent limit shows up as a large estimate.
+    The liminf is estimated as the minimum over the tail of the decreasing
+    probe volumes ``INSTABILITY_PROBES`` (29 from 1e-1 to 1e-8), so a
+    divergent limit shows up as a large estimate.
     """
-    if s_grid is None:
-        s_grid = np.geomspace(1e-1, 1e-8, 29)
-    s_grid = np.asarray(sorted(s_grid, reverse=True), dtype=float)
-    if np.any(s_grid <= 0):
-        raise ValueError("probe grid must be positive")
     vals = np.array([math.sqrt(math.pi / s) * float(psi(s)) / float(phi(s))
-                     for s in s_grid])
+                     for s in INSTABILITY_PROBES])
     tail = vals[len(vals) // 2:]
     estimate = float(np.min(tail))
     threshold = -tr_a / 2.0
@@ -346,7 +351,7 @@ def ball_source_instability(phi, psi, tr_a: float, s_grid=None) -> InstabilityRe
     kind = "unstable" if margin > 0 else "inconclusive"
     return InstabilityReport(kind=kind, liminf_estimate=estimate,
                              threshold=threshold, margin=margin,
-                             samples=tuple(zip(s_grid.tolist(), vals.tolist())))
+                             samples=tuple(zip(INSTABILITY_PROBES.tolist(), vals.tolist())))
 
 
 # ---------------------------------------------------------------------------

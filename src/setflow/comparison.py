@@ -19,6 +19,11 @@ import numpy as np
 from .errors import BlowupError
 
 GUARD_FACTOR = 1e12
+RK4_ATOL = 1e-12            # absolute part of the step tolerance of integrate
+XI0_RTOL = 1e-6             # integrate's rtol in the xi0 stability search
+DECAY_FACTOR = 1e-3         # asymptotic: xi_0(T_check) < DECAY_FACTOR * xi_0(0)
+CHECK_RTOL = 1e-10          # integrate's rtol in check_practical and bound_check
+WAZEWSKI_TOL = 1e-9         # slack of the sampled quasimonotonicity inequality
 SAMPLED_EVIDENCE_NOTE = ("sampled evidence only: quasimonotonicity and cone "
                          "behavior checked on the supplied box, not globally")
 
@@ -156,12 +161,12 @@ def _rk4(system, t, xi, h):
 
 def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
               dt_out: float | None = None, times=None,
-              rtol: float = 1e-8, atol: float = 1e-12,
-              clamp: bool = True, stop_condition=None) -> ComparisonTrajectory:
+              rtol: float = 1e-8, stop_condition=None) -> ComparisonTrajectory:
     """Adaptive RK4 trajectory on [0, horizon], sampled on a uniform grid.
 
-    Step doubling controls the local error.  Negative undershoots are
-    clamped to zero (the cone is the domain of the theory) and counted.
+    Step doubling holds the local error below ``RK4_ATOL + rtol * max|xi|``.
+    Negative undershoots are clamped to zero (the cone is the domain of the
+    theory) and counted.
     Raises :class:`BlowupError` when the state escapes the overflow guard;
     an optional ``stop_condition(t, xi)`` terminates the trajectory early
     (used by stability searches once a threshold is crossed).
@@ -192,7 +197,7 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("output times must increase from 0")
     if xi.ndim == 2:
-        return _integrate_rows(system, xi, times, rtol, atol, clamp, stop_condition)
+        return _integrate_rows(system, xi, times, rtol, stop_condition)
 
     guard = GUARD_FACTOR * max(1.0, float(np.max(np.abs(xi))))
     states = [xi.copy()]
@@ -207,12 +212,12 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
             half = _rk4(system, t, xi, 0.5 * h_try)
             two = _rk4(system, t + 0.5 * h_try, half, 0.5 * h_try)
             err = float(np.max(np.abs(big - two))) / 15.0
-            tol = atol + rtol * max(float(np.max(np.abs(xi))),
-                                    float(np.max(np.abs(two))), 1e-300)
+            tol = RK4_ATOL + rtol * max(float(np.max(np.abs(xi))),
+                                        float(np.max(np.abs(two))), 1e-300)
             if err <= tol:
                 t += h_try
                 xi = two
-                if clamp and np.any(xi < 0):
+                if np.any(xi < 0):
                     clamped += int(np.sum(xi < 0))
                     xi = np.maximum(xi, 0.0)
                 if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard:
@@ -239,7 +244,7 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
                                 clamp_events=clamped)
 
 
-def _integrate_rows(system, xi, times, rtol, atol, clamp, stop_condition):
+def _integrate_rows(system, xi, times, rtol, stop_condition):
     """The loop of :func:`integrate`, run for every row of ``xi`` at once.
 
     Each operation below is the single-state one applied row by row, except
@@ -277,17 +282,16 @@ def _integrate_rows(system, xi, times, rtol, atol, clamp, stop_condition):
         half = _rk4(system, t_live, xi_live, 0.5 * h_try)
         two = _rk4(system, t_live + 0.5 * h_try, half, 0.5 * h_try)
         err = np.max(np.abs(big - two), axis=1) / 15.0
-        tol = atol + rtol * np.maximum(np.maximum(np.max(np.abs(xi_live), axis=1),
-                                                  np.max(np.abs(two), axis=1)), 1e-300)
+        tol = RK4_ATOL + rtol * np.maximum(np.maximum(np.max(np.abs(xi_live), axis=1),
+                                                      np.max(np.abs(two), axis=1)), 1e-300)
         ok = err <= tol
         acc = live[ok]
         t[acc] += h_try[ok]
         xi[acc] = two[ok]
-        if clamp:
-            neg = xi[acc] < 0
-            clamped += int(np.sum(neg))
-            hit = acc[np.any(neg, axis=1)]
-            xi[hit] = np.maximum(xi[hit], 0.0)
+        neg = xi[acc] < 0
+        clamped += int(np.sum(neg))
+        hit = acc[np.any(neg, axis=1)]
+        xi[hit] = np.maximum(xi[hit], 0.0)
         moved = xi[acc]
         escaped = (~np.all(np.isfinite(moved), axis=1)
                    | (np.max(np.abs(moved), axis=1) > guard[acc]))
@@ -371,12 +375,12 @@ class WazewskiReport:
 
 
 def check_wazewski(system: ComparisonSystem, sample_box, n_samples: int = 256,
-                   seed: int = 0, tol: float = 1e-9) -> WazewskiReport:
+                   seed: int = 0) -> WazewskiReport:
     """Sampled quasimonotonicity check.
 
     Draws pairs ``xi <= eta`` agreeing in one coordinate and requires the
     corresponding component of the right-hand side not to decrease:
-    ``g_i(xi) <= g_i(eta) + tol``.  Reports the first violation found.
+    ``g_i(xi) <= g_i(eta) + WAZEWSKI_TOL``.  Reports the first violation found.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -390,7 +394,7 @@ def check_wazewski(system: ComparisonSystem, sample_box, n_samples: int = 256,
             eta_i[i] = xi[i]
             gx = system(0.0, xi)[i]
             ge = system(0.0, eta_i)[i]
-            if gx > ge + tol:
+            if gx > ge + WAZEWSKI_TOL:
                 return WazewskiReport(
                     passed=False, samples=n_samples,
                     violation={"component": i, "xi": xi, "eta": eta_i,
@@ -414,16 +418,15 @@ def _box_bounds(sample_box, dim):
 
 def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
                         T_check: float = 50.0, n_directions: int = 64,
-                        bisect_iters: int = 40, seed: int = 0,
-                        rtol: float = 1e-6,
-                        decay_factor: float = 1e-3) -> StabilityVerdict:
+                        bisect_iters: int = 40, seed: int = 0) -> StabilityVerdict:
     """Sampled first-component stability of the zero solution on the cone.
 
     For each epsilon a bisection searches for delta such that all sampled
     initial states with sup-norm below delta keep ``xi_0(t) < eps`` on
-    [0, T_check].  The asymptotic variant additionally requires the sampled
-    ``xi_0(T_check)`` to fall below ``decay_factor * xi_0(0)``.  The
-    verdict is evidence, not proof, and says so.
+    [0, T_check], each run integrated at ``rtol = XI0_RTOL``.  The
+    asymptotic variant additionally requires the sampled ``xi_0(T_check)``
+    to fall below ``DECAY_FACTOR * xi_0(0)``.  The verdict is evidence, not
+    proof, and says so.
     """
     eps_grid = tuple(eps_grid)
     if not eps_grid or any(e <= 0 for e in eps_grid):
@@ -452,7 +455,7 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
         xi0 = delta * dirs * (1 - 1e-12)
         try:
             traj = integrate(system, xi0, horizon=T_check, dt_out=T_check / 32,
-                             rtol=rtol, stop_condition=lambda t, xi: xi[:, 0] >= eps)
+                             rtol=XI0_RTOL, stop_condition=lambda t, xi: xi[:, 0] >= eps)
         except BlowupError:
             return None
         if traj.stopped_early or np.max(traj.states[:, :, 0]) >= eps:
@@ -489,7 +492,7 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     # decay of the first component from well inside the smallest found delta;
     # a direction that fails there leaves no decay evidence at all
     finals = run(0.5 * min(d for _, d in table), min(e for e, _ in table))
-    decays = [f < decay_factor * x0 for x0, f in finals or () if x0 > 0]
+    decays = [f < DECAY_FACTOR * x0 for x0, f in finals or () if x0 > 0]
     kind = "asymptotically_stable" if decays and all(decays) else "stable"
     witness = {"delta_table": table, "samples": n_directions, "T_check": T_check,
                "decay_checked": len(decays), "note": SAMPLED_EVIDENCE_NOTE}
@@ -500,13 +503,13 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
 
 def check_practical(system: ComparisonSystem, lam: float, bound: float,
                     horizon: float, a: HahnFunction = IDENTITY,
-                    b: HahnFunction = IDENTITY,
-                    rtol: float = 1e-10) -> StabilityVerdict:
+                    b: HahnFunction = IDENTITY) -> StabilityVerdict:
     """Practical stability via the comparison state started at ``b(lam) * e``.
 
-    Integrates from the all-ones profile scaled by ``b(lam)`` and compares
-    the first component at the horizon against ``a(bound)``; the flow is
-    practically (lam, bound, horizon)-stable when the inequality is strict.
+    Integrates (at ``rtol = CHECK_RTOL``) from the all-ones profile scaled
+    by ``b(lam)`` and compares the first component at the horizon against
+    ``a(bound)``; the flow is practically (lam, bound, horizon)-stable when
+    the inequality is strict.
     The Hahn-class wrappers ``a`` and ``b`` carry the two measures of the
     stability notion into comparison coordinates:
     ``W_i[u] <= b(h0[u])`` and ``W_0[u] >= a(h[u])``.
@@ -523,7 +526,7 @@ def check_practical(system: ComparisonSystem, lam: float, bound: float,
             "lambda": lam, "bound": bound, "horizon": 0.0})
     try:
         traj = integrate(system, start, horizon=horizon, dt_out=horizon / 256,
-                         rtol=rtol)
+                         rtol=CHECK_RTOL)
     except BlowupError as exc:
         return StabilityVerdict(kind="unstable", witness={
             "diagnostic": f"comparison system blew up at t={exc.reached_time:.6g}",
@@ -550,21 +553,20 @@ class DominanceReport:
 
 
 def bound_check(trajectory, system: ComparisonSystem, functional_names,
-                tol_scale: float = 1e-4, rtol: float = 1e-10) -> DominanceReport:
+                tol_scale: float = 1e-4) -> DominanceReport:
     """Verify tracked functionals never exceed the comparison solution.
 
     The comparison system starts from the functional values at the first
-    stored frame and is sampled at exactly the stored times; the check is
-    ``W_i(t) <= xi_i(t) + tol`` with a tolerance relative to the overall
-    scale of the compared quantities.
+    stored frame and is sampled at exactly the stored times, at ``rtol =
+    CHECK_RTOL``; the check is ``W_i(t) <= xi_i(t) + tol`` with a tolerance
+    relative to the overall scale of the compared quantities.
     """
     names = list(functional_names)
     if len(names) != system.dim:
         raise ValueError("one functional per comparison component is required")
     series = np.column_stack([trajectory.tracked[n] for n in names])
     xi0 = np.maximum(series[0], 0.0)
-    comp = integrate(system, xi0, horizon=float(trajectory.times[-1]),
-                     times=trajectory.times, rtol=rtol)
+    comp = integrate(system, xi0, times=trajectory.times, rtol=CHECK_RTOL)
     scale = max(1.0, float(np.max(np.abs(comp.states))),
                 float(np.max(np.abs(series))))
     tol = tol_scale * scale

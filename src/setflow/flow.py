@@ -35,6 +35,7 @@ from .errors import BlowupError, ContractionError
 OVERFLOW_FACTOR = 1e6
 DEFAULT_DT = 1e-3
 MAX_STORED_FRAMES = 1000
+PICARD_MAX_ITER = 60
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +335,9 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     order in dt, unlike a Strang split.  A constant clock (a
     :class:`ScalarFunction` of kind ``constant``) needs no midpoint volume,
     so its area forms take 2 rFFTs, one per body; any other clock also
-    transforms the first source to estimate the rate.  The result is
-    projected back into the convex cone when needed.  ``exp(A s)`` is cached
+    transforms the first source to estimate the rate.  The half-step that
+    leaves the convex cone is projected back into it, also when the linear
+    flow is the identity (``A = 0`` or a clock at 0).  ``exp(A s)`` is cached
     per (A, s) and the pull-back reads a cached resampling plan per
     (matrix, grid).  Raises
     :class:`BlowupError` when ``exp(A phi dt)`` or the new support values
@@ -357,8 +359,11 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
         phi_mid = float(phi(v_mid))
     if phi_mid < 0:
         raise ValueError("phi must be nonnegative")
-    moved = linear_image(u if f0 is None else bodies._adopt(half),
-                         _flow_matrix(params.A.tobytes(), phi_mid * dt))
+    start = u if f0 is None else bodies._adopt(half)
+    moved = linear_image(start, _flow_matrix(params.A.tobytes(), phi_mid * dt))
+    if moved is start and f0 is not None:
+        # an identity pull-back hands the half-step back unchecked
+        moved = bodies._into_cone(start, bodies.convexity_tolerance(half))
 
     v1 = area(moved)
     f1 = params.source.values(v1, moved.values)
@@ -494,8 +499,7 @@ def contraction_horizon(u0: SupportFunction2D, params: SemiflowParams) -> float:
 
 
 def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
-                 tol: float = 1e-8, max_iter: int = 60,
-                 n_nodes: int = 17) -> Trajectory:
+                 tol: float = 1e-8, n_nodes: int = 17) -> Trajectory:
     """Solve the flow on a short horizon by fixed-point iteration.
 
     Iterates the integral operator
@@ -505,10 +509,11 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
         Phi(t) = int_0^t phi(V[u(s)]) ds,
 
     on a uniform time grid until the sup-distance of successive iterates
-    drops below ``tol``.  Independent of the split stepper, so it serves as
-    an oracle for it.  Raises ValueError when ``horizon`` exceeds the
-    estimated contraction horizon and :class:`ContractionError` when the
-    iteration fails to contract.
+    drops below ``tol``, for at most ``PICARD_MAX_ITER`` iterations.
+    Independent of the split stepper, so it serves as an oracle for it.
+    Raises ValueError when ``horizon`` exceeds the estimated contraction
+    horizon and :class:`ContractionError` when the iteration fails to
+    contract.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -525,7 +530,7 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     current = [u0.values.copy() for _ in times]
     prev_dist = None
     a_mat = params.A
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         vols = np.array([max(_mixed_self(v), 0.0) for v in current])
         phis = np.array([float(params.phi(v)) for v in vols])
         big_phi = np.concatenate([[0.0], np.cumsum(0.5 * dt * (phis[1:] + phis[:-1]))])
@@ -556,7 +561,7 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
                 f"iteration distance grew {prev_dist:.3g} -> {dist:.3g}; "
                 "horizon too long for contraction")
         prev_dist = dist
-    raise ContractionError(f"no convergence within {max_iter} iterations "
+    raise ContractionError(f"no convergence within {PICARD_MAX_ITER} iterations "
                            f"(last distance {prev_dist:.3g})")
 
 

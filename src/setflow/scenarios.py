@@ -150,7 +150,6 @@ class Scenario:
     dt: float
     track: dict                 # column name -> function of a body, in CSV order
     checks: list                # (kind, run) pairs; run(trajectory) -> (passed, details)
-    output: dict
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -158,7 +157,11 @@ def parse_scenario(doc: dict) -> Scenario:
     _require(doc.get("schema") == SCHEMA_VERSION,
              f"schema field must equal {SCHEMA_VERSION}")
     name = doc.get("name")
-    _require(isinstance(name, str) and name, "scenario needs a nonempty 'name'")
+    # the outputs are {name}.csv and {name}.json inside the output directory
+    _require(isinstance(name, str) and name not in ("", ".", "..")
+             and not set(name) & set("/\\\0"),
+             "'name' must be a plain file name: nonempty, not '.' or '..', "
+             "without '/', '\\' or NUL")
     seed = doc.get("seed", 0)
     _require(isinstance(seed, int), "'seed' must be an integer")
     grid_size = doc.get("grid_size", bodies.DEFAULT_GRID_SIZE)
@@ -183,12 +186,10 @@ def parse_scenario(doc: dict) -> Scenario:
     track = _parse_track(doc.get("track", ["V", "perimeter"]), params, grid_size)
     checks = doc.get("checks", [])
     _require(isinstance(checks, list), "'checks' must be a list")
-    output = doc.get("output", {})
-    _require(isinstance(output, dict), "'output' must be an object")
     scenario = Scenario(name=name, seed=seed, grid_size=grid_size,
                         initial_body=initial, params=params,
                         horizon=float(horizon), dt=float(dt), track=track,
-                        checks=[], output=output)
+                        checks=[])
     for check in checks:
         run = _build(check, _CHECKS, "check", scenario)
         scenario.checks.append((check["kind"], run))
@@ -565,7 +566,6 @@ class ScenarioResult:
     passed: bool
     blew_up: bool
     checks: list
-    trajectory: flow.Trajectory | None
     report: dict
     csv_text: str | None
     csv_path: Path | None = None
@@ -617,17 +617,14 @@ def run_scenario(scenario: Scenario, out_dir=None,
     csv_text = traj.to_csv() if traj is not None else None
 
     result = ScenarioResult(name=scenario.name, passed=passed, blew_up=blew_up,
-                            checks=check_results, trajectory=traj,
-                            report=report, csv_text=csv_text)
+                            checks=check_results, report=report, csv_text=csv_text)
     if write_outputs:
         out_dir = Path(out_dir) if out_dir else Path.cwd()
         out_dir.mkdir(parents=True, exist_ok=True)
-        csv_name = scenario.output.get("csv", f"{scenario.name}.csv")
-        report_name = scenario.output.get("report", f"{scenario.name}.json")
         if csv_text is not None:
-            result.csv_path = out_dir / csv_name
+            result.csv_path = out_dir / f"{scenario.name}.csv"
             result.csv_path.write_text(csv_text, encoding="utf-8", newline="\n")
-        result.report_path = out_dir / report_name
+        result.report_path = out_dir / f"{scenario.name}.json"
         result.report_path.write_text(
             json.dumps(report, sort_keys=True, indent=2) + "\n",
             encoding="utf-8", newline="\n")

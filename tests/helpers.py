@@ -186,8 +186,11 @@ def reference_step(u, params, dt):
         rate += 2.0 * reference_mixed_form(u.values, f0)
     v_mid = max(v0 + 0.5 * dt * rate, 0.0)
     phi_mid = float(params.phi(v_mid))
-    moved = _reference_linear_image(bodies.SupportFunction2D(half),
-                                    flow.expm(params.A * (phi_mid * dt)))
+    start = bodies.SupportFunction2D(half)
+    moved = _reference_linear_image(start, flow.expm(params.A * (phi_mid * dt)))
+    tol = bodies.CONVEXITY_RTOL * max(1.0, float(np.max(np.abs(half))))
+    if moved is start and f0 is not None and np.min(reference_convexity_defect(half)) < -tol:
+        moved = bodies.convexify(start)
     v1 = _reference_area(moved.values)
     f1 = _reference_source(params.source, v1, moved.values)
     return bodies.SupportFunction2D(scaled(moved.values, f1, 0.5 * dt))

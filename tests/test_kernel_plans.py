@@ -203,10 +203,14 @@ def test_only_a_non_constant_clock_estimates_the_midpoint_volume(monkeypatch, ph
     assert np.array_equal(out.values, helpers.reference_step(u, params, 1e-3).values)
 
 
-def test_the_pullback_projects_a_source_half_step_that_leaves_the_cone(monkeypatch):
-    # step never checks half = u + dt/2 F; the convexity test of linear_image
-    # on its pull-back is the step's only projection onto the cone
-    params = F.SemiflowParams(A=-np.eye(2), phi=F.constant(1.0),
+@pytest.mark.parametrize("a, clock", [(-np.eye(2), 1.0), (np.zeros((2, 2)), 1.0),
+                                      (-np.eye(2), 0.0)], ids=["A=-I", "A=0", "clock=0"])
+def test_the_pullback_projects_a_source_half_step_that_leaves_the_cone(monkeypatch, a,
+                                                                        clock):
+    # the convexity test of linear_image projects the pulled-back half-step
+    # u + dt/2 F; an identity pull-back (A = 0, or a clock at 0) hands the
+    # half-step back, and step tests it itself
+    params = F.SemiflowParams(A=a, phi=F.constant(clock),
                               source=F.linear_source(F.constant(0.5), ROT120))
     u, dt = B.make_polygon(SQUARE, 64), 2e-3
     half = u.values + 0.5 * dt * params.source.values(B.area(u), u.values)
@@ -299,6 +303,11 @@ FLOWS = {
                        F.SemiflowParams(A=-np.eye(2), phi=lambda v: 1.0,
                                         source=F.linear_source(F.constant(0.5),
                                                                MATRICES["reflection"]))),
+    # an identity pull-back: the step projects the half-step itself
+    "still_rotation_120": (64, B.make_polygon(SQUARE, 64),
+                           F.SemiflowParams(A=np.zeros((2, 2)), phi=F.constant(1.0),
+                                            source=F.linear_source(F.constant(0.5),
+                                                                   ROT120))),
     "table_clock": (512, B.make_ball(1.2, grid_size=512),
                     F.SemiflowParams(A=[[-1.0, 0.3], [0.0, -2.0]],
                                      phi=F.table([0.0, 2.0, 8.0], [1.0, 0.7, 0.2]),

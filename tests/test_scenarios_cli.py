@@ -1,8 +1,14 @@
 """Scenario schema, runner determinism, CSV/JSON artifacts, CLI surface."""
 
+import contextlib
 import copy
 import dataclasses
+import gc
+import io
 import json
+import tempfile
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +366,8 @@ class TestCli:
                                    {"kind": "mixed", "count": 3}]), "track"),
         (lambda d: d.update(track=[{"kind": "hausdorff_to", "body": {"kind": "ball", "radius": r}}
                                    for r in (1.0, 2.0)]), "track"),
+        *[(lambda d, n=n: d.update(name=n), "'name'")
+          for n in ("sub/probe", "a\\b", ".", "..", "/", "../escaped", "a\0b")],
     ], ids=["practical_no_lambda", "converge_to_no_body", "mixed_count_0",
             "table_nodes_unsorted", "closed_form_terms_string", "closed_form_rtol_string",
             "sde_lambda_string", "sde_lambda_0", "sde_det_B_positive", "sde_T_overflow",
@@ -370,7 +378,9 @@ class TestCli:
             "wazewski_expect_number", "practical_expect_typo", "rational_den_zero",
             "rational_pole_at_1", "rational_negative_num", "rational_negative_between_roots",
             "rational_negative_den", "table_negative_value", "horizon_infinity",
-            "dt_nan", "track_two_mixed", "track_two_hausdorff_to"])
+            "dt_nan", "track_two_mixed", "track_two_hausdorff_to", "name_slash",
+            "name_backslash", "name_dot", "name_dotdot", "name_root", "name_parent",
+            "name_nul"])
     def test_malformed_document_exits_2(self, tmp_path, capsys, mutate, field):
         doc = search_doc()
         scenarios.parse_scenario(doc)
@@ -495,6 +505,39 @@ class TestCli:
         for i in range(3):
             assert (tmp_path / f"par{i}.csv").exists()
 
+    @pytest.mark.parametrize("output", [
+        lambda root: {"csv": "../escaped.csv", "report": str(root / "abs.json")},
+        lambda root: {"csv": 5},
+    ], ids=["escaping_paths", "number"])
+    def test_an_output_object_does_not_rename_the_outputs(self, tmp_path, capsys, output):
+        path = tmp_path / "doc" / "quick.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(quick_doc(output=output(tmp_path))))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["quick.csv", "quick.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc", "out"]
+
+    def test_a_finished_run_releases_its_frames(self, tmp_path, monkeypatch, capsys):
+        runs, alive = [], []
+        evolve = flow.evolve
+
+        def tracked_evolve(*args, **kwargs):
+            if runs:
+                gc.collect()
+                alive.append(runs[-1]() is not None)
+            traj = evolve(*args, **kwargs)
+            runs.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(flow, "evolve", tracked_evolve)
+        paths = []
+        for name in ("first", "second"):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(quick_doc(name=name)))
+        assert cli.main(["run", *map(str, paths), "--out", str(tmp_path / "out")]) == 0
+        assert len(runs) == 2 and alive == [False]
+
     def test_run_builtin_by_name(self, tmp_path, capsys):
         assert cli.main(["run", "shrink_instability", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "shrink_instability.json").exists()
@@ -558,6 +601,24 @@ JSON_VALUES = st.one_of(
     st.fixed_dictionaries({"kind": st.sampled_from(
         ["constant", "rational", "ball", "nilpotent", "cyclic", "sde", "linear", "mystery"])}),
     st.builds(lambda v: {"kind": "constant", "value": v}, st.integers(0, 3)))
+DELETE = object()
+# anything may take the place of a value, path-like names included, or the
+# key may go; the work budget stays fixed
+DOCUMENT_VALUES = st.one_of(
+    JSON_VALUES, st.just(DELETE),
+    st.sampled_from(["a/b", "..", ".", "/", "a\\b", "../x", "/abs/x", "x.csv"]))
+WORK_BUDGET = {("horizon",), ("dt",), ("grid_size",)}
+
+
+def key_paths(obj, prefix=()):
+    """The path of every object key in a JSON document, in document order."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield prefix + (key,)
+            yield from key_paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from key_paths(value, prefix + (i,))
 
 
 class TestCheckFuzz:
@@ -576,3 +637,32 @@ class TestCheckFuzz:
         except SchemaError:
             return
         scenarios.run_scenario(scenario, write_outputs=False)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_document_exits_with_a_code_and_writes_only_into_out(self, data):
+        doc = copy.deepcopy(SHRUNK[data.draw(st.sampled_from(sorted(SHRUNK)))])
+        paths = [p for p in key_paths(doc) if p not in WORK_BUDGET]
+        *parents, key = data.draw(st.one_of(
+            st.just(("name",)), st.sampled_from([p for p in paths if len(p) == 1]),
+            st.sampled_from(paths)))
+        target = doc
+        for k in parents:
+            target = target[k]
+        value = data.draw(DOCUMENT_VALUES)
+        if value is DELETE:
+            del target[key]
+        else:
+            target[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "doc.json").write_text(json.dumps(doc))
+            out, stdout = root / "out", io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["run", str(root / "doc.json"), "--out", str(out)])
+            assert code in (0, 1, 2, 3)
+            assert {p.name for p in root.iterdir()} <= {"doc.json", "out"}
+            written = [Path(line.split("wrote ", 1)[1])
+                       for line in stdout.getvalue().splitlines() if "  wrote " in line]
+            assert all(p.parent == out for p in written)
+            assert sorted(out.iterdir() if out.exists() else []) == sorted(written)
