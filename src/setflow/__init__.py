@@ -15,7 +15,7 @@ The package splits into four layers:
 experiment files, exposed on the shell as the ``setflow`` command.
 """
 
-from .bodies import (MixedAreaReport, SupportFunction2D, area, convexify,
+from .bodies import (MixedAreaReport, SupportFunction2D, area,
                      hausdorff_distance, hukuhara_difference, linear_image,
                      make_ball, make_polygon, make_segment, minkowski_add,
                      mixed_area, mixed_area_report, perimeter, scale,

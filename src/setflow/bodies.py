@@ -5,10 +5,11 @@ function ``h_u(theta) = sup_{x in u} <x, (cos theta, sin theta)>`` on a
 uniform angular grid.  In this representation Minkowski sums are pointwise
 sums, nonnegative scaling is pointwise scaling, the Hausdorff metric is the
 sup norm of the difference, and area / mixed area are quadratic forms that
-the FFT evaluates with spectral accuracy.  Degenerate compacts (segments,
-single points) are first-class citizens: their support functions satisfy
-``h + h'' >= 0`` only distributionally, which the discrete quadrature
-handles without special cases.
+the FFT evaluates with spectral accuracy.  The samples stand for the
+polygon ``{x : <x, p_j> <= h_j}``, whose support values they are exactly
+when they lie in the discrete convex cone (:func:`convexity_defect`).
+Every linear image stays in the cone; degenerate bodies (segments, single
+points) lie on its boundary.
 """
 
 from __future__ import annotations
@@ -127,27 +128,18 @@ def convexity_tolerance(values: np.ndarray) -> float:
 
 
 def convexity_defect(values: np.ndarray) -> np.ndarray:
-    """Three-point discretization of ``h + h''`` (times dtheta^2).
+    """``h_{j-1} + h_{j+1} - 2 cos(dtheta) h_j``: the edge lengths of the
+    polygon ``{x : <x, p_j> <= h_j}`` on the normals ``p_j``, times
+    ``sin(dtheta)``.
 
-    Nonnegative entries (up to tolerance) characterize sampled support
-    functions; degenerate bodies sit exactly on the boundary of the cone.
+    The samples are that polygon's support values exactly when no entry is
+    negative (Schneider, "Convex Bodies", 2nd ed., 2014, section 5.1).  The
+    stencil vanishes on every translation ``<c, p_j>``.
     """
     values = np.asarray(values, dtype=float)
-    dtheta = 2.0 * np.pi / values.size
     # periodic neighbours: ext[j] = h[j-1], ext[j+2] = h[j+1]
     ext = np.concatenate((values[-1:], values, values[:1]))
-    return (ext[:-2] - 2.0 * values + ext[2:]
-            + dtheta * dtheta * values)
-
-
-def first_derivative(values: np.ndarray) -> np.ndarray:
-    """Spectral first derivative; the Nyquist mode is dropped (its slope is ambiguous)."""
-    values = np.asarray(values, dtype=float)
-    m = values.size
-    k = np.arange(m // 2 + 1, dtype=float)
-    coef = 1j * k * np.fft.rfft(values)
-    coef[-1] = 0.0
-    return np.fft.irfft(coef, m)
+    return ext[:-2] + ext[2:] - 2.0 * np.cos(2.0 * np.pi / values.size) * values
 
 
 def _check_same_grid(u: SupportFunction2D, v: SupportFunction2D):
@@ -345,28 +337,29 @@ def _nonzero_rows(norms: np.ndarray) -> np.ndarray:
 class _PullbackPlan:
     """The data-independent part of :func:`_image_values` for one (M, grid).
 
-    ``nz`` masks the directions with a nonzero pull-back.  A gather plan
-    holds ``|M^T p_j|`` on them (``norms``) and the grid node each one lands
-    on (``gather``).  A spline plan holds, per pulled-back direction, the
-    nodes ``j, j+1`` of its cell and the same nodes shifted by the grid size
-    (``cells``, a (4, n) index into the samples followed by their spline
-    curvatures) and the cubic weights times ``|M^T p_j|`` (``weights``).
+    A gather plan holds ``|M^T p_j|`` (``norms``) and the node each
+    direction lands on (``gather``).  A spline plan holds the nodes
+    ``j, j+1`` of each direction's cell, also shifted by M to read the
+    curvatures (``cells``, (4, M)), and the cubic (``weights``) and polygon
+    (``polygon``, on ``cells[:2]``) weights times ``|M^T p_j|``.  A
+    vanishing pull-back reads node 0 with weight 0.
     """
 
-    nz: np.ndarray
     norms: np.ndarray | None
     gather: np.ndarray | None
     cells: np.ndarray | None
     weights: np.ndarray | None
+    polygon: np.ndarray | None
 
 
-def _spline_weights(idx: np.ndarray, m: int):
-    """Cell indices and cubic weights of the points ``idx`` (in grid steps).
+def _cell_weights(idx: np.ndarray, m: int):
+    """Cell indices, cubic and polygon weights of points ``idx`` in grid steps.
 
     On the cell ``[j, j+1]`` at offset ``t`` with ``a = 1 - t``, the
     periodic cubic spline is
     ``a h_j + t h_{j+1} - a t ((1 + a) c_j + (1 + t) c_{j+1})``, where
-    ``c`` are the curvatures of :func:`_spline_curvatures`.
+    ``c`` are the curvatures of :func:`_spline_curvatures`, and the sampled
+    polygon's support is ``(sin(a dtheta) h_j + sin(t dtheta) h_{j+1}) / sin(dtheta)``.
     """
     cell = np.floor(idx)
     t = idx - cell
@@ -374,9 +367,11 @@ def _spline_weights(idx: np.ndarray, m: int):
     j = cell.astype(int) % m
     k = (j + 1) % m
     at = a * t
+    dtheta = 2.0 * np.pi / m
     cells = np.stack([j, k, j + m, k + m])
     weights = np.stack([a, t, -at * (1.0 + a), -at * (1.0 + t)])
-    return cells, weights
+    polygon = np.sin(np.stack([a, t]) * dtheta) / np.sin(dtheta)
+    return cells, weights, polygon
 
 
 @lru_cache(maxsize=32)
@@ -404,17 +399,15 @@ def _pullback_plan(mat_bytes: bytes, m: int) -> _PullbackPlan:
     w = grid_directions(m) @ mat            # rows are M^T p_j
     norms = np.hypot(w[:, 0], w[:, 1])
     nz = _nonzero_rows(norms)
-    ang = np.arctan2(w[nz, 1], w[nz, 0])
-    dtheta = 2.0 * np.pi / m
-    idx = (ang / dtheta) % m
+    norms = np.where(nz, norms, 0.0)
+    idx = np.where(nz, np.arctan2(w[:, 1], w[:, 0]) / (2.0 * np.pi / m) % m, 0.0)
     nearest = np.rint(idx)
-    nz, norms = _frozen(nz), norms[nz]
-    # with no surviving direction the gather is empty and the image is 0
-    if not nz.any() or np.max(np.abs(idx - nearest)) < 1e-9:
-        return _PullbackPlan(nz, _frozen(norms), _frozen(nearest.astype(int) % m),
-                             None, None)
-    cells, weights = _spline_weights(idx, m)
-    return _PullbackPlan(nz, None, None, _frozen(cells), _frozen(norms * weights))
+    if np.max(np.abs(idx - nearest)) < 1e-9:
+        return _PullbackPlan(_frozen(norms), _frozen(nearest.astype(int) % m),
+                             None, None, None)
+    cells, weights, polygon = _cell_weights(idx, m)
+    return _PullbackPlan(None, None, _frozen(cells), _frozen(norms * weights),
+                         _frozen(norms * polygon))
 
 
 # One entry per positive scalar matrix c I in use: ``exp(-s I)`` for each
@@ -427,6 +420,13 @@ def _scalar_norms(mat_bytes: bytes, m: int) -> np.ndarray | None:
     return _frozen(norms) if _nonzero_rows(norms).all() else None
 
 
+def _spline_image(values: np.ndarray, plan: _PullbackPlan) -> np.ndarray:
+    # the periodic cubic spline through the samples: one solve for its
+    # curvatures and one weighted gather of the samples and curvatures
+    stacked = np.concatenate((values, _spline_curvatures(values)))
+    return (plan.weights * stacked[plan.cells]).sum(axis=0)
+
+
 def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Samples of the support function of M u from samples of u.
 
@@ -434,10 +434,12 @@ def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
     When every pulled-back direction lands on a grid node the resampling is
     an exact gather (rotations by grid multiples, axis reflections, scalar
     matrices); otherwise the periodic cubic spline through the samples
-    interpolates: one solve for its curvatures and one weighted gather of
-    the samples and curvatures.  The resampling plan depends only on
-    (M, grid) and is cached; a positive scalar matrix ``c I`` gathers every
-    node onto itself and needs only its cached norms.
+    interpolates, to fourth order on smooth bodies.  Where it overshoots
+    out of the convex cone at a kink, the exact support of the sampled
+    polygon, a two-point gather, takes its place; gathers keep the cone.
+    The resampling plan depends only on (M, grid) and is cached; a
+    positive scalar matrix ``c I`` gathers every node onto itself and needs
+    only its cached norms.
     """
     m = values.size
     mat_bytes = np.asarray(mat, dtype=float).tobytes()
@@ -447,55 +449,29 @@ def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
             return norms * values
     plan = _pullback_plan(mat_bytes, m)
     if plan.gather is not None:
-        image = plan.norms * values[plan.gather]
-    else:
-        stacked = np.concatenate((values, _spline_curvatures(values)))
-        image = (plan.weights * stacked[plan.cells]).sum(axis=0)
-    if image.size == m:
-        return image
-    out = np.zeros(m)
-    out[plan.nz] = image
-    return out
+        return plan.norms * values[plan.gather]
+    image = _spline_image(values, plan)
+    # a non-finite image skips the test: linear_image rejects it
+    if np.isfinite(image).all() and convexity_defect(image).min() < 0.0:
+        image = (plan.polygon * values[plan.cells[:2]]).sum(axis=0)
+    return image
 
 
 def linear_image(u: SupportFunction2D, op) -> SupportFunction2D:
     """Image of the body under a linear map; area multiplies by |det|.
 
-    Singular maps are allowed and produce degenerate images.  If resampling
-    leaves the discrete convexity cone beyond tolerance, the result is
-    projected back by :func:`convexify`.  Raises ValueError when the image
-    samples are not finite (an overflowing pull-back).
+    Singular maps are allowed and produce degenerate images.  The pull-back
+    of :func:`_image_values` keeps a body in the convex cone, so only the
+    finiteness of the image is tested: raises ValueError when a sample is
+    not finite (an overflowing pull-back).
     """
     mat = as_matrix(op)
     if mat[0, 0] == 1.0 and mat[1, 1] == 1.0 and mat[0, 1] == 0.0 and mat[1, 0] == 0.0:
         return u
     vals = _image_values(u.values, mat)
-    # the tolerance is the finiteness test of the fresh samples: inf or nan
-    # when one of them is
-    tol = convexity_tolerance(vals)
-    if not tol < np.inf:
+    if not np.isfinite(vals).all():
         raise ValueError("support values must be finite")
-    return _into_cone(_adopt(vals), tol)
-
-
-def _into_cone(u: SupportFunction2D, tol: float) -> SupportFunction2D:
-    # u, or its projection when its convexity defect falls below -tol
-    return convexify(u) if convexity_defect(u.values).min() < -tol else u
-
-
-def convexify(u: SupportFunction2D) -> SupportFunction2D:
-    """Project onto the discretely convex cone.
-
-    Reconstructs the sampled boundary points ``x(theta) = h p + h' p_perp``
-    and resamples the support function of their convex hull (the max of
-    ``<x_i, p_j>`` over all sample points equals the hull's support).
-    """
-    h = u.values
-    hp = first_derivative(h)
-    dirs = grid_directions(u.grid_size)
-    perp = np.column_stack([-dirs[:, 1], dirs[:, 0]])
-    points = h[:, None] * dirs + hp[:, None] * perp
-    return SupportFunction2D(np.max(points @ dirs.T, axis=0))
+    return _adopt(vals)
 
 
 # ---------------------------------------------------------------------------

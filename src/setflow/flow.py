@@ -335,11 +335,10 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     order in dt, unlike a Strang split.  A constant clock (a
     :class:`ScalarFunction` of kind ``constant``) needs no midpoint volume,
     so its area forms take 2 rFFTs, one per body; any other clock also
-    transforms the first source to estimate the rate.  The half-step that
-    leaves the convex cone is projected back into it, also when the linear
-    flow is the identity (``A = 0`` or a clock at 0).  ``exp(A s)`` is cached
-    per (A, s) and the pull-back reads a cached resampling plan per
-    (matrix, grid).  Raises
+    transforms the first source to estimate the rate.  Nothing is
+    projected: the sources and the pull-back keep a body in the convex
+    cone.  ``exp(A s)`` is cached per (A, s) and the pull-back reads a
+    cached resampling plan per (matrix, grid).  Raises
     :class:`BlowupError` when ``exp(A phi dt)`` or the new support values
     are not finite.
     """
@@ -361,9 +360,6 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
         raise ValueError("phi must be nonnegative")
     start = u if f0 is None else bodies._adopt(half)
     moved = linear_image(start, _flow_matrix(params.A.tobytes(), phi_mid * dt))
-    if moved is start and f0 is not None:
-        # an identity pull-back hands the half-step back unchecked
-        moved = bodies._into_cone(start, bodies.convexity_tolerance(half))
 
     v1 = area(moved)
     f1 = params.source.values(v1, moved.values)

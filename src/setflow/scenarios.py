@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,12 @@ from .bodies import SupportFunction2D
 from .errors import BlowupError
 
 SCHEMA_VERSION = 1
+# The outputs are {name}.csv and {name}.json; a file name holds at most 255
+# bytes on common file systems.
+MAX_FILE_NAME_BYTES = 255
+# The largest work a document may request: flow steps times grid size.  The
+# biggest bundled or benchmark flow takes 12000 steps at M=512 (6.1e6).
+MAX_FLOW_WORK = 10 ** 8
 
 
 class SchemaError(ValueError):
@@ -77,7 +84,11 @@ def _support_values(obj, grid_size):
     if not declared == values.size == grid_size:
         raise ValueError(f"{values.size} values for declared grid_size {declared} "
                          f"and scenario grid_size {grid_size}")
-    return SupportFunction2D(values)
+    body = SupportFunction2D(values)
+    problems = bodies.validate(body)
+    if problems:
+        raise ValueError(f"the values are not a sampled convex body: {problems[0]}")
+    return body
 
 
 _BODIES = {
@@ -159,14 +170,23 @@ def parse_scenario(doc: dict) -> Scenario:
     name = doc.get("name")
     # the outputs are {name}.csv and {name}.json inside the output directory
     _require(isinstance(name, str) and name not in ("", ".", "..")
-             and not set(name) & set("/\\\0"),
+             and not set(name) & set("/\\\0") and _file_name_fits(name + ".json"),
              "'name' must be a plain file name: nonempty, not '.' or '..', "
-             "without '/', '\\' or NUL")
+             "without '/', '\\' or NUL, and with its '.json' suffix at most "
+             f"{MAX_FILE_NAME_BYTES} bytes of UTF-8")
     seed = doc.get("seed", 0)
     _require(isinstance(seed, int), "'seed' must be an integer")
     grid_size = doc.get("grid_size", bodies.DEFAULT_GRID_SIZE)
     _require(isinstance(grid_size, int) and grid_size >= bodies.MIN_GRID_SIZE
              and grid_size % 2 == 0, "'grid_size' must be an even integer >= 16")
+    horizon = doc.get("horizon")
+    dt = doc.get("dt", flow.DEFAULT_DT)
+    _require(_is_number(horizon) and horizon > 0, "'horizon' must be positive and finite")
+    _require(_is_number(dt) and dt > 0, "'dt' must be positive and finite")
+    steps = horizon / dt
+    _require(math.isfinite(steps) and math.ceil(steps) * grid_size <= MAX_FLOW_WORK,
+             f"'dt' is too small: ceil(horizon / dt) * grid_size must be at most "
+             f"{MAX_FLOW_WORK:.0e}, got {steps * grid_size:.3g}")
 
     _require("params" in doc and isinstance(doc["params"], dict),
              "scenario needs a 'params' object")
@@ -177,11 +197,6 @@ def parse_scenario(doc: dict) -> Scenario:
         source=_build(pd.get("source", {"kind": "zero"}), _SOURCES, "source", grid_size))
 
     initial = _parse_body(doc.get("initial_body"), grid_size, "initial_body")
-
-    horizon = doc.get("horizon")
-    dt = doc.get("dt", flow.DEFAULT_DT)
-    _require(_is_number(horizon) and horizon > 0, "'horizon' must be positive and finite")
-    _require(_is_number(dt) and dt > 0, "'dt' must be positive and finite")
 
     track = _parse_track(doc.get("track", ["V", "perimeter"]), params, grid_size)
     checks = doc.get("checks", [])
@@ -194,6 +209,13 @@ def parse_scenario(doc: dict) -> Scenario:
         run = _build(check, _CHECKS, "check", scenario)
         scenario.checks.append((check["kind"], run))
     return scenario
+
+
+def _file_name_fits(file_name: str) -> bool:
+    try:
+        return len(file_name.encode("utf-8")) <= MAX_FILE_NAME_BYTES
+    except UnicodeEncodeError:      # a lone surrogate
+        return False
 
 
 def body_record(u: SupportFunction2D) -> dict:
@@ -285,9 +307,9 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
 
 
 def _is_number(x):
-    if isinstance(x, bool):
-        return False
-    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
+    # finite: an integer (JSON bounds no digits) must also fit a float
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _positives(x, least=1):

@@ -285,7 +285,7 @@ class TestHukuhara:
 
 
 # ---------------------------------------------------------------------------
-# validation and projection
+# validation
 
 
 class TestValidate:
@@ -298,12 +298,6 @@ class TestValidate:
         bad = B.SupportFunction2D(1.0 + 0.5 * np.cos(2 * theta))
         problems = B.validate(bad)
         assert problems and "convexity" in problems[0]
-
-    def test_convexify_projects_back(self):
-        theta = B.grid_angles(512)
-        bad = B.SupportFunction2D(1.0 + 0.5 * np.cos(2 * theta))
-        fixed = B.convexify(bad)
-        assert B.validate(fixed) == []
 
     def test_values_are_immutable(self):
         k = B.make_ball(1.0)

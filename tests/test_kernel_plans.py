@@ -58,6 +58,7 @@ def test_grid_landing_pullbacks_are_gathers(m, name):
 def test_rotation_120_pullback_is_a_spline():
     plan = B._pullback_plan(ROT120.tobytes(), 64)
     assert plan.gather is None and plan.cells.shape == plan.weights.shape == (4, 64)
+    assert plan.polygon.shape == (2, 64)
 
 
 @pytest.mark.parametrize("m", GRIDS)
@@ -85,7 +86,7 @@ def test_cached_arrays_are_read_only(name):
     mat = MATRICES[name]
     B._image_values(B.make_ball(1.0, grid_size=64).values, mat)
     plan = B._pullback_plan(mat.tobytes(), 64)
-    arrays = [a for a in (plan.nz, plan.norms, plan.gather, plan.cells, plan.weights)
+    arrays = [a for a in (plan.norms, plan.gather, plan.cells, plan.weights, plan.polygon)
               if a is not None]
     arrays += [B._form_weights(64), B._curvature_multipliers(64),
                F._flow_matrix(MATRICES["quarter_turn"].tobytes(), 0.5),
@@ -205,22 +206,25 @@ def test_only_a_non_constant_clock_estimates_the_midpoint_volume(monkeypatch, ph
 
 @pytest.mark.parametrize("a, clock", [(-np.eye(2), 1.0), (np.zeros((2, 2)), 1.0),
                                       (-np.eye(2), 0.0)], ids=["A=-I", "A=0", "clock=0"])
-def test_the_pullback_projects_a_source_half_step_that_leaves_the_cone(monkeypatch, a,
-                                                                        clock):
-    # the convexity test of linear_image projects the pulled-back half-step
-    # u + dt/2 F; an identity pull-back (A = 0, or a clock at 0) hands the
-    # half-step back, and step tests it itself
-    params = F.SemiflowParams(A=a, phi=F.constant(clock),
-                              source=F.linear_source(F.constant(0.5), ROT120))
-    u, dt = B.make_polygon(SQUARE, 64), 2e-3
-    half = u.values + 0.5 * dt * params.source.values(B.area(u), u.values)
-    assert B.convexity_tolerance(half) == 1e-8
-    assert B.convexity_defect(half).min() < -1.5e-6
-    projected = []
-    convexify = B.convexify
-    monkeypatch.setattr(B, "convexify", lambda body: projected.append(body) or convexify(body))
-    F.step(u, params, dt)
-    assert len(projected) == 1
+def test_no_half_step_of_a_body_in_the_cone_leaves_it(a, clock):
+    # the step projects nothing: the source of a body in the cone is in the
+    # cone, so is the half-step u + dt/2 F, and so is its pull-back, also
+    # along the identity (A = 0, or a clock at 0), which hands it back as it
+    # is
+    rng = np.random.default_rng(11)
+    dt = 2e-3
+    starts = [B.make_polygon(SQUARE, 64), B.make_segment(2.0, 0.3, 64),
+              B.make_polygon(np.add(SQUARE, [3.0, -1.0]), 64),
+              *(helpers.random_polygon(rng, 64) for _ in range(3))]
+    for mat in (ROT120, np.array([[1.0, 0.7], [0.2, -0.4]]), rng.uniform(-1, 1, (2, 2))):
+        params = F.SemiflowParams(A=a, phi=F.constant(clock),
+                                  source=F.linear_source(F.constant(0.5), mat))
+        for u in starts:
+            for _ in range(20):
+                half = u.values + 0.5 * dt * params.source.values(B.area(u), u.values)
+                assert B.convexity_defect(half).min() >= -B.convexity_tolerance(half)
+                u = F.step(u, params, dt)
+                assert B.validate(u) == []
 
 
 @pytest.mark.parametrize("name", ["scalar", "reflection", "rotation_120", "shear"])
@@ -303,7 +307,7 @@ FLOWS = {
                        F.SemiflowParams(A=-np.eye(2), phi=lambda v: 1.0,
                                         source=F.linear_source(F.constant(0.5),
                                                                MATRICES["reflection"]))),
-    # an identity pull-back: the step projects the half-step itself
+    # an identity pull-back hands the half-step back
     "still_rotation_120": (64, B.make_polygon(SQUARE, 64),
                            F.SemiflowParams(A=np.zeros((2, 2)), phi=F.constant(1.0),
                                             source=F.linear_source(F.constant(0.5),
@@ -361,12 +365,13 @@ def test_spline_pullback_matches_scipy_cubic_spline(m, name):
     w = B.grid_directions(m) @ mat
     norms = np.hypot(w[:, 0], w[:, 1])
     points = np.arctan2(w[:, 1], w[:, 0]) % (2.0 * np.pi)
-    assert B._pullback_plan(mat.tobytes(), m).cells is not None
+    plan = B._pullback_plan(mat.tobytes(), m)
+    assert plan.cells is not None
     for u in sample_bodies(m):
         spline = CubicSpline(np.append(B.grid_angles(m), 2.0 * np.pi),
                              np.append(u.values, u.values[0]), bc_type="periodic")
         expected = norms * spline(points)
-        got = B._image_values(u.values, mat)
+        got = B._spline_image(u.values, plan)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(u.values))
 
 

@@ -47,6 +47,24 @@ class TestSchema:
         assert scenario.name == "quick"
         assert scenario.grid_size == 128
 
+    @pytest.mark.parametrize("overrides", [
+        {"name": "x" * 250},                        # 255 bytes with '.json'
+        {"name": "\u00e9" * 125},                   # 2 bytes each
+        {"horizon": 3.0, "dt": 8e-3 / 32},          # the finest accuracy_ladder rung
+        {"horizon": 0.5, "dt": 1e-3, "grid_size": 8192},
+        # exactly the budget: 1562500 steps at M=64
+        {"horizon": 1562500 / 1024, "dt": 2.0 ** -10, "grid_size": 64},
+    ], ids=["name_255_bytes", "name_250_bytes_of_e_acute", "ladder_rung", "fine_grid",
+            "work_at_the_budget"])
+    def test_the_largest_names_and_flows_parse(self, overrides):
+        scenarios.parse_scenario(quick_doc(**overrides))
+
+    def test_work_over_the_budget_is_rejected(self):
+        assert scenarios.MAX_FLOW_WORK == 1562500 * 64
+        with pytest.raises(SchemaError, match="'dt'"):
+            scenarios.parse_scenario(quick_doc(horizon=1562500 / 1024, dt=2.0 ** -10,
+                                               grid_size=66))
+
     @pytest.mark.parametrize("mutate", [
         {"schema": 2},
         {"name": ""},
@@ -367,7 +385,20 @@ class TestCli:
         (lambda d: d.update(track=[{"kind": "hausdorff_to", "body": {"kind": "ball", "radius": r}}
                                    for r in (1.0, 2.0)]), "track"),
         *[(lambda d, n=n: d.update(name=n), "'name'")
-          for n in ("sub/probe", "a\\b", ".", "..", "/", "../escaped", "a\0b")],
+          for n in ("sub/probe", "a\\b", ".", "..", "/", "../escaped", "a\0b",
+                    "x" * 300, "\ud800", "\u00e9" * 126)],
+        (lambda d: d.update(dt=1e-320), "'dt'"),
+        (lambda d: d.update(dt=10 ** 400), "'dt'"),
+        (lambda d: d.update(horizon=10 ** 400), "'horizon'"),
+        (lambda d: d.update(dt=1e-6, horizon=1.0), "'dt'"),
+        (lambda d: d.update(grid_size=64, initial_body={
+            "kind": "support_values",
+            "values": list(1.0 + 0.5 * np.cos(2.0 * bodies.grid_angles(64)))}), "initial_body"),
+        (lambda d: d.update(grid_size=64, track=["V", {
+            "kind": "hausdorff_to", "body": {
+                "kind": "support_values",
+                "values": list(1.0 + 0.5 * np.cos(2.0 * bodies.grid_angles(64)))}}]),
+         "reference body"),
     ], ids=["practical_no_lambda", "converge_to_no_body", "mixed_count_0",
             "table_nodes_unsorted", "closed_form_terms_string", "closed_form_rtol_string",
             "sde_lambda_string", "sde_lambda_0", "sde_det_B_positive", "sde_T_overflow",
@@ -380,7 +411,10 @@ class TestCli:
             "rational_negative_den", "table_negative_value", "horizon_infinity",
             "dt_nan", "track_two_mixed", "track_two_hausdorff_to", "name_slash",
             "name_backslash", "name_dot", "name_dotdot", "name_root", "name_parent",
-            "name_nul"])
+            "name_nul", "name_300_bytes", "name_lone_surrogate", "name_252_bytes_of_e_acute",
+            "dt_tiny", "dt_integer_beyond_float", "horizon_integer_beyond_float",
+            "dt_over_budget", "support_values_outside_the_cone",
+            "reference_body_outside_the_cone"])
     def test_malformed_document_exits_2(self, tmp_path, capsys, mutate, field):
         doc = search_doc()
         scenarios.parse_scenario(doc)
