@@ -2,8 +2,9 @@
 
 Bodies are sampled support functions on a uniform angular grid, so the
 Minkowski algebra is pointwise arithmetic and the area functionals are
-FFT-evaluated quadratic forms.  This script builds a few bodies and prints
-the quantities the rest of the package is built on.
+those of the sampled polygon, quadratic forms in the samples.  This script
+builds a few bodies and prints the quantities the rest of the package is
+built on.
 """
 
 import numpy as np

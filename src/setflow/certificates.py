@@ -148,7 +148,7 @@ def linearize(u_star: SupportFunction2D, params: flow.SemiflowParams,
         notes.append("|F_u| estimated from sampled directions (lower bound)")
 
     f_star = params.source.values(v_star, u_star.values)
-    per_f = 0.0 if f_star is None else max(float(2 * np.pi * np.mean(f_star)), 0.0)
+    per_f = 0.0 if f_star is None else perimeter(SupportFunction2D(f_star))
     delta0 = per_f + f_u_norm * perimeter(u_star)
 
     f_v_norm = float(np.max(np.abs(f_v)))

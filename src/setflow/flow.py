@@ -334,11 +334,11 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     halves are not symmetric about the linear flow, so the step is first
     order in dt, unlike a Strang split.  A constant clock (a
     :class:`ScalarFunction` of kind ``constant``) needs no midpoint volume,
-    so its area forms take 2 rFFTs, one per body; any other clock also
-    transforms the first source to estimate the rate.  Nothing is
-    projected: the sources and the pull-back keep a body in the convex
-    cone.  ``exp(A s)`` is cached per (A, s) and the pull-back reads a
-    cached resampling plan per (matrix, grid).  Raises
+    so the step evaluates 2 areas, one per body; any other clock also
+    takes the mixed area of the body with the first source to estimate the
+    rate.  Nothing is projected: the sources and the pull-back keep a body
+    in the convex cone.  ``exp(A s)`` is cached per (A, s) and the
+    pull-back reads a cached resampling plan per (matrix, grid).  Raises
     :class:`BlowupError` when ``exp(A phi dt)`` or the new support values
     are not finite.
     """
@@ -397,10 +397,7 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     # and the allocator would return and re-fault the temporaries' pages
     # (about 110 minor page faults a step at M=8192).
     store = _frame_store(-(-n_steps // stride), u0.grid_size)
-    # The columns are computed on the stepping body, whose spectrum the next
-    # step's area reuses; the frames keep only samples, since a spectrum
-    # per stored frame would hold about as much memory again as the store.
-    u, t = bodies._adopt(u0.values), 0.0
+    u, t = u0, 0.0
     times = [0.0]
     frames = [u0]
     series = {name: [fn(u)] for name, fn in tracked.items()}
@@ -475,8 +472,8 @@ def contraction_horizon(u0: SupportFunction2D, params: SemiflowParams) -> float:
     eps = 1e-4 * max(1.0, v0)
     lip_phi = abs(float(params.phi(v0 + eps)) - float(params.phi(max(v0 - eps, 0.0)))) / (2 * eps)
     # area is Lipschitz in the sup norm with constant <= perimeter of the
-    # inflated body: perimeter(u0 + r K) = perimeter(u0) + 2 pi r
-    lip_vol = perimeter(u0) + 2 * np.pi * r
+    # inflated body u0 + r K
+    lip_vol = perimeter(SupportFunction2D(u0.values + r))
     f0 = params.source.values(v0, u0.values)
     f0_norm = 0.0 if f0 is None else float(np.max(np.abs(f0)))
 

@@ -29,6 +29,10 @@ MAX_FILE_NAME_BYTES = 255
 # The largest work a document may request: flow steps times grid size.  The
 # biggest bundled or benchmark flow takes 12000 steps at M=512 (6.1e6).
 MAX_FLOW_WORK = 10 ** 8
+# The largest grid a document may request.  The work cap alone admits a
+# one-step flow at M = 10**8, and a run holds about 100 bytes a grid point;
+# the largest benchmark grid is 8192.
+MAX_GRID_SIZE = 65536
 
 
 class SchemaError(ValueError):
@@ -177,8 +181,9 @@ def parse_scenario(doc: dict) -> Scenario:
     seed = doc.get("seed", 0)
     _require(isinstance(seed, int), "'seed' must be an integer")
     grid_size = doc.get("grid_size", bodies.DEFAULT_GRID_SIZE)
-    _require(isinstance(grid_size, int) and grid_size >= bodies.MIN_GRID_SIZE
-             and grid_size % 2 == 0, "'grid_size' must be an even integer >= 16")
+    _require(isinstance(grid_size, int) and grid_size % 2 == 0
+             and bodies.MIN_GRID_SIZE <= grid_size <= MAX_GRID_SIZE,
+             f"'grid_size' must be an even integer from 16 to {MAX_GRID_SIZE}")
     horizon = doc.get("horizon")
     dt = doc.get("dt", flow.DEFAULT_DT)
     _require(_is_number(horizon) and horizon > 0, "'horizon' must be positive and finite")

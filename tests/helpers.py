@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +98,51 @@ def sourceless_polygon(vertices, a_mat, clock, t, grid_size=GRID):
     return bodies.make_polygon(verts @ expm(np.asarray(a_mat) * (clock * t)).T, grid_size)
 
 
+def sampled_disc_area(m, radius=1.0):
+    """Area of the sampled disc: the regular M-gon circumscribed about it."""
+    return m * math.tan(math.pi / m) * radius * radius
+
+
+def sampled_polygon_vertices(values):
+    """Vertices of the polygon ``{x : <x, p_j> <= h_j}`` of the samples.
+
+    The vertex between the normals ``p_j`` and ``p_{j+1}`` is
+    ``(h_j p_{j+1} - h_{j+1} p_j)^perp / sin(dtheta)`` with
+    ``(a, b)^perp = (b, -a)``: it solves ``<x, p_j> = h_j`` and
+    ``<x, p_{j+1}> = h_{j+1}``.
+    """
+    p = bodies.grid_directions(values.size)
+    q = np.roll(p, -1, axis=0)
+    v = values[:, None] * q - np.roll(values, -1)[:, None] * p
+    return np.column_stack([v[:, 1], -v[:, 0]]) / math.sin(2.0 * math.pi / values.size)
+
+
+def shoelace_area(vertices):
+    """Area of the polygon through ``vertices`` in counter-clockwise order."""
+    x, y = (vertices - vertices.mean(axis=0)).T
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def sampled_polygon_area(values):
+    """Independent oracle of ``bodies.area``: the shoelace formula on the
+    vertices of the sampled polygon."""
+    return shoelace_area(sampled_polygon_vertices(values))
+
+
+def band_limited_support(values, angles):
+    """The trigonometric interpolant of the samples, at arbitrary angles.
+
+    Exact for a support function without a mode at or above M/2, such as
+    the bodies of :func:`random_smooth_body`.
+    """
+    m = values.size
+    coeffs = np.fft.rfft(values)[:m // 2] / m
+    weights = np.full(coeffs.size, 2.0)
+    weights[0] = 1.0
+    k = np.arange(coeffs.size)
+    return (weights * coeffs * np.exp(1j * np.outer(angles, k))).real.sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # uncached reference kernels: the plain formulas that the cached kernels in
 # ``bodies`` and ``flow.step`` must reproduce bit for bit
@@ -107,13 +153,16 @@ def reference_image_values(values, mat):
 
     The spline branch evaluates the cubic term by term instead of through
     cached cell indices and weights, and where its image leaves the convex
-    cone, the support of the sampled polygon the same way.
+    cone, the support of the sampled polygon the same way.  A positive
+    scalar matrix ``c I`` scales the samples: ``h_{cu} = c h_u``.
     """
+    if mat[0, 1] == 0.0 and mat[1, 0] == 0.0 and mat[0, 0] == mat[1, 1] > 0.0:
+        return mat[0, 0] * values
     m = values.size
     w = bodies.grid_directions(m) @ mat
     norms = np.hypot(w[:, 0], w[:, 1])
     out = np.zeros(m)
-    nz = norms > 1e-14 * max(1.0, float(np.max(norms)))
+    nz = norms > 1e-14 * np.max(norms)
     if not np.any(nz):
         return out
     ang = np.arctan2(w[nz, 1], w[nz, 0])
@@ -146,16 +195,13 @@ def reference_image_values(values, mat):
 
 
 def reference_mixed_form(hu, hv):
-    """The mixed form with both rFFTs and the weights recomputed every call."""
+    """The mixed area of the sampled polygons, with the periodic differences
+    taken by ``np.roll`` and the coefficients recomputed every call."""
     m = hu.size
-    fu = np.fft.rfft(hu)
-    fv = np.fft.rfft(hv)
-    k = np.arange(m // 2 + 1, dtype=float)
-    weight = np.full(m // 2 + 1, 2.0)
-    weight[0] = 1.0
-    weight[-1] = 1.0
-    s = np.sum(weight * (1.0 - k * k) * (fu * fv.conjugate()).real)
-    return float(np.pi * s / (m * m))
+    du = np.roll(hu, -1) - hu
+    dv = np.roll(hv, -1) - hv
+    return (math.tan(math.pi / m) * float(np.dot(hu, hv))
+            - float(np.dot(du, dv)) / (2.0 * math.sin(2.0 * math.pi / m)))
 
 
 def reference_convexity_defect(values):

@@ -59,7 +59,8 @@ class TestLinearize:
         rep = CERT.ball_source_fixed_point(F.constant(1.0), F.constant(1.0), n=2)
         lin = CERT.linearize(rep.body, ball_source_params())
         assert lin.gamma0 == pytest.approx(-2.0, abs=1e-6)
-        assert lin.delta0 == pytest.approx(2 * np.pi, rel=1e-6)
+        # the perimeter of the sampled unit disc, the source at the fixed point
+        assert lin.delta0 == pytest.approx(2 * helpers.sampled_disc_area(512), rel=1e-6)
         assert lin.growth_constant == 1.0
         assert lin.growth_rate == pytest.approx(-1.0)
         assert lin.stable
@@ -172,7 +173,11 @@ class TestGlobalExistence:
                                            horizon=3.0, dt=1e-3)
         assert rep.finite
         assert rep.norm_check["passed"]
-        assert rep.zeta_plus.states[-1, 0] == pytest.approx(np.pi, abs=1e-6)
+        # zeta' = -2 zeta + 2 sqrt(pi zeta) from the sampled disc's area:
+        # sqrt(zeta) relaxes to sqrt(pi) at rate 1
+        v0 = helpers.sampled_disc_area(512)
+        exact = (math.sqrt(math.pi) + (math.sqrt(v0) - math.sqrt(math.pi)) * math.exp(-3.0)) ** 2
+        assert rep.zeta_plus.states[-1, 0] == pytest.approx(exact, abs=1e-6)
 
     def test_source_free_is_always_finite(self):
         params = F.SemiflowParams(A=np.array([[0.3, 0.0], [0.0, 0.1]]),

@@ -178,6 +178,4 @@ def test_sourceless_flows_of_polygons_stay_in_the_cone_and_near_the_exact_image(
     assert B.hausdorff_distance(traj.final, exact) <= bound + 1e-12 * np.abs(exact.values).max()
 
     c = data.draw(st.floats(1e-3, 1e3))
-    scaled = B.linear_image(u0, c * np.eye(2))
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(scaled.values - c * u0.values) <= 4 * eps * c * np.abs(u0.values))
+    assert np.array_equal(B.linear_image(u0, c * np.eye(2)).values, c * u0.values)

@@ -1,4 +1,4 @@
-"""Cached pull-back plans, cached form weights and the step built on them.
+"""Cached pull-back plans, the area forms and the step built on them.
 
 Every cached kernel must reproduce the uncached reference formulas in
 ``helpers`` bit for bit, so that CSV/JSON outputs stay byte-identical.
@@ -77,6 +77,8 @@ def test_forms_and_defect_match_the_uncached_formulas(m):
         assert B._mixed_form(hu, hv) == helpers.reference_mixed_form(hu, hv)
     assert B.area(u) == helpers.reference_mixed_form(u.values, u.values)
     assert B.mixed_area(u, v) == helpers.reference_mixed_form(u.values, v.values)
+    assert B.mixed_area(u, v.values) == B.mixed_area(u, v)
+    assert B.mixed_area(u, u) == B.area(u)
     for w in (u.values, v.values, u.values - v.values):
         assert np.array_equal(B.convexity_defect(w), helpers.reference_convexity_defect(w))
 
@@ -88,10 +90,8 @@ def test_cached_arrays_are_read_only(name):
     plan = B._pullback_plan(mat.tobytes(), 64)
     arrays = [a for a in (plan.norms, plan.gather, plan.cells, plan.weights, plan.polygon)
               if a is not None]
-    arrays += [B._form_weights(64), B._curvature_multipliers(64),
-               F._flow_matrix(MATRICES["quarter_turn"].tobytes(), 0.5),
-               B._scalar_norms(MATRICES["exp(-0.37)I"].tobytes(), 64),
-               B.make_ball(1.0, grid_size=64)._spectrum]
+    arrays += [B._curvature_multipliers(64),
+               F._flow_matrix(MATRICES["quarter_turn"].tobytes(), 0.5)]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -117,39 +117,6 @@ def test_plan_cache_stays_bounded_under_a_rational_clock():
     assert plans.hits >= 2 * n - 1           # the source plan, twice per step
 
 
-def test_scalar_norm_cache_stays_bounded_under_a_rational_clock():
-    # A = -I under a volume-dependent clock: exp(-s I) is a new scalar
-    # matrix every step
-    params = F.SemiflowParams(A=-np.eye(2), phi=F.rational([1.0], [1.0, 1.0]),
-                              source=F.ball_source(F.constant(0.5)))
-    u = B.make_ball(1.0, grid_size=64)
-    B._scalar_norms.cache_clear()
-    n = 3000
-    for _ in range(n):
-        u = F.step(u, params, 1e-3)
-    norms = B._scalar_norms.cache_info()
-    assert norms.misses >= n // 2
-    assert norms.currsize <= 8
-
-
-@pytest.mark.parametrize("m", (16, 512))
-def test_body_spectra_reproduce_the_uncached_forms(m):
-    # each body transforms its samples once; interleaving calls on other
-    # bodies and raw arrays must not change any value
-    u, v, w = sample_bodies(m)[:3]
-    raw = helpers.random_smooth_body(RNG, m).values.copy()
-    ref = helpers.reference_mixed_form
-    for _ in range(2):
-        assert B.area(u) == ref(u.values, u.values)
-        assert B.mixed_area(u, raw) == ref(u.values, raw)
-        assert B.mixed_area(v, u) == ref(v.values, u.values)
-        assert B.area(w) == ref(w.values, w.values)
-        assert B.mixed_area(u, v) == ref(u.values, v.values)
-        assert B.mixed_area(w, raw) == ref(w.values, raw)
-        assert B.mixed_area(u, u) == B.area(u)
-        assert B.mixed_area(u, u.values) == ref(u.values, u.values)
-
-
 def test_a_raw_second_argument_is_read_on_every_call():
     u = helpers.random_smooth_body(RNG, 64)
     raw = B.make_ball(1.0, grid_size=64).values.copy()
@@ -160,30 +127,25 @@ def test_a_raw_second_argument_is_read_on_every_call():
     assert B.mixed_area(u, raw) != before
 
 
-def test_stored_frames_carry_no_spectrum():
+def test_the_tracked_areas_are_the_forms_of_the_stored_frames():
     _, u0, params = FLOWS["reflection"]
     u0 = B.SupportFunction2D(u0.values)
     traj = F.evolve(u0, params, horizon=0.02, dt=1e-3,
                     tracked={"V": B.area, **F.mixed_columns(MATRICES["swap"], 2)})
     assert traj.bodies[0] is u0
-    for frame in traj.bodies:
-        assert "_spectrum" not in vars(frame)
     assert np.array_equal(traj.tracked["V"],
                           [helpers.reference_mixed_form(b.values, b.values)
                            for b in traj.bodies])
 
 
-def test_a_sourceless_step_keeps_the_spectrum_of_its_result():
-    # with no source, step returns the pulled-back body itself: the body it
-    # was given under the identity, a new one whose area is already known
-    # otherwise
+def test_a_sourceless_step_under_the_identity_returns_its_input():
+    # with no source, step returns the pulled-back body itself, which is the
+    # body it was given when the flow matrix is the identity
     u = helpers.random_smooth_body(RNG, 64)
-    B.area(u)
     still = F.SemiflowParams(A=np.zeros((2, 2)), phi=F.constant(1.0), source=F.zero_source())
     assert F.step(u, still, 1e-3) is u
     decay = F.SemiflowParams(A=-np.eye(2), phi=F.constant(1.0), source=F.zero_source())
     out = F.step(u, decay, 1e-3)
-    assert "_spectrum" in vars(out)
     assert np.array_equal(out.values, helpers.reference_step(u, decay, 1e-3).values)
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from setflow import bodies, certificates, cli, comparison, flow, scenarios
 from setflow.scenarios import SchemaError
 
-from helpers import run_python
+from helpers import run_python, sampled_disc_area
 
 
 def quick_doc(**overrides):
@@ -54,8 +54,9 @@ class TestSchema:
         {"horizon": 0.5, "dt": 1e-3, "grid_size": 8192},
         # exactly the budget: 1562500 steps at M=64
         {"horizon": 1562500 / 1024, "dt": 2.0 ** -10, "grid_size": 64},
+        {"grid_size": scenarios.MAX_GRID_SIZE},
     ], ids=["name_255_bytes", "name_250_bytes_of_e_acute", "ladder_rung", "fine_grid",
-            "work_at_the_budget"])
+            "work_at_the_budget", "grid_at_the_cap"])
     def test_the_largest_names_and_flows_parse(self, overrides):
         scenarios.parse_scenario(quick_doc(**overrides))
 
@@ -260,11 +261,12 @@ class TestCli:
 
     def test_geom_area(self, capsys):
         assert cli.main(["geom", "area", "ball:1"]) == 0
-        assert float(capsys.readouterr().out) == pytest.approx(np.pi, rel=1e-10)
+        assert float(capsys.readouterr().out) == pytest.approx(
+            sampled_disc_area(bodies.DEFAULT_GRID_SIZE), rel=1e-10)
 
     def test_geom_mixed_segments(self, capsys):
         assert cli.main(["geom", "mixed", "seg:4", "rot90(seg:4)"]) == 0
-        assert float(capsys.readouterr().out) == pytest.approx(8.0, rel=1e-5)
+        assert float(capsys.readouterr().out) == pytest.approx(8.0, rel=1e-12)
 
     def test_geom_hukuhara(self, capsys):
         assert cli.main(["geom", "hukuhara", "ball:1", "ball:2"]) == 0
@@ -391,6 +393,8 @@ class TestCli:
         (lambda d: d.update(dt=10 ** 400), "'dt'"),
         (lambda d: d.update(horizon=10 ** 400), "'horizon'"),
         (lambda d: d.update(dt=1e-6, horizon=1.0), "'dt'"),
+        (lambda d: d.update(grid_size=2 * scenarios.MAX_GRID_SIZE, horizon=1e-3, dt=1e-3),
+         "'grid_size'"),
         (lambda d: d.update(grid_size=64, initial_body={
             "kind": "support_values",
             "values": list(1.0 + 0.5 * np.cos(2.0 * bodies.grid_angles(64)))}), "initial_body"),
@@ -413,7 +417,7 @@ class TestCli:
             "name_backslash", "name_dot", "name_dotdot", "name_root", "name_parent",
             "name_nul", "name_300_bytes", "name_lone_surrogate", "name_252_bytes_of_e_acute",
             "dt_tiny", "dt_integer_beyond_float", "horizon_integer_beyond_float",
-            "dt_over_budget", "support_values_outside_the_cone",
+            "dt_over_budget", "grid_size_twice_the_cap", "support_values_outside_the_cone",
             "reference_body_outside_the_cone"])
     def test_malformed_document_exits_2(self, tmp_path, capsys, mutate, field):
         doc = search_doc()
@@ -507,8 +511,9 @@ class TestCli:
          "ValueError: not a fixed point"),
         ({}, {"kind": "instability_certificate", "phi": {"kind": "constant", "value": 0.0}},
          "ZeroDivisionError"),
-        # a segment keeps a clamped area of 0 for its first steps at this grid size
-        ({"grid_size": 16, "horizon": 0.005, "dt": 1e-3},
+        # exp(-500) crushes each segment to support values whose squares
+        # underflow, so both final areas are exactly 0
+        ({"grid_size": 16, "horizon": 0.5, "dt": 1e-2},
          {"kind": "growth_scaling", "lengths": [1.0, 2.0]}, "ZeroDivisionError"),
     ], ids=["fixed_point_no_ball", "fixed_point_psi_not_the_flows",
             "instability_phi_0", "growth_zero_final_area"])
@@ -516,6 +521,7 @@ class TestCli:
                                                       check, error):
         doc = quick_doc(name="uncomputable", checks=[check], **change)
         if check["kind"] == "growth_scaling":
+            doc["params"]["A"] = [[-1000.0, 0.0], [0.0, -1000.0]]
             doc["params"]["source"] = {"kind": "linear_body",
                                        "psi": {"kind": "constant", "value": 0.5},
                                        "B": [[0.0, -1.0], [1.0, 0.0]]}
