@@ -13,12 +13,19 @@ flattened), with the documents generated once by this tree's
 whose path is masked in the captured stdout.  The script prints each
 difference in CSV/JSON files, stdout, stderr or exit code and exits 1 if
 there is any, 0 if the outputs are byte-identical.
+
+A CSV or JSON file that differs is walked leaf by leaf (a JSON value that
+is not an object or a list, a CSV cell).  Every changed leaf that is not a
+finite number (a verdict, a ``passed`` flag, a header, a leaf on one side
+only) is printed with its path; the numeric leaves that moved are counted,
+with the largest relative change ``|a - b| / max(|a|, |b|)``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -84,6 +91,58 @@ def files(out: Path) -> dict:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def leaves(name: str, data: bytes) -> dict:
+    """``{path: value}`` of the leaves of a JSON or CSV file, {} for others."""
+    if name.endswith(".json"):
+        tree = json.loads(data)
+    elif name.endswith(".csv"):
+        tree = [[_number(cell) for cell in line.split(",")]
+                for line in data.decode().splitlines()]
+    else:
+        return {}
+    out = {}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, child in node.items():
+                walk(child, f"{path}.{key}")
+        elif isinstance(node, list):
+            for i, child in enumerate(node):
+                walk(child, f"{path}[{i}]")
+        else:
+            out[path] = node
+    walk(tree, "")
+    return out
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def leaf_changes(name: str, a: bytes, b: bytes) -> list:
+    """Lines on how two versions of a CSV or JSON file differ, leaf by leaf."""
+    left, right = leaves(name, a), leaves(name, b)
+    lines, moved, largest = [], 0, 0.0
+    for path in sorted(left.keys() | right.keys()):
+        x, y = left.get(path, "<missing>"), right.get(path, "<missing>")
+        if _finite_number(x) and _finite_number(y):
+            if x != y:
+                moved += 1
+                largest = max(largest, abs(x - y) / max(abs(x), abs(y)))
+        elif repr(x) != repr(y):
+            lines.append(f"  {path or '<root>'}: {x!r} != {y!r}")
+    if moved:
+        lines.append(f"  {moved} numeric leaves moved, largest relative change {largest:.3g}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git revision to compare this tree with")
@@ -116,7 +175,8 @@ def main(argv=None) -> int:
             if a is None or b is None:
                 differences.append(f"{name}: only in {'tree' if a is None else args.ref}")
             elif a != b:
-                differences.append(f"{name}: contents differ")
+                differences.append("\n".join([f"{name}: contents differ",
+                                               *leaf_changes(name, a, b)]))
 
     for line in differences:
         print(line)

@@ -60,10 +60,12 @@ class SupportFunction2D:
 
     ``values[j]`` is ``h(theta_j)`` with ``theta_j = 2*pi*j/M``.  The grid
     size must be even and at least 16.  Instances are immutable; every
-    operation in this module returns a new body.
+    operation in this module returns a new body.  The first :func:`area`
+    of a body keeps its raw self form ``V[u, u]`` on it.
     """
 
     values: np.ndarray
+    _form = None                # not a field: set by _self_form
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -111,7 +113,8 @@ def as_matrix(op) -> np.ndarray:
     mat = np.asarray(op, dtype=float)
     if mat.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if not np.isfinite(mat).all():
+    # four scalar tests cost a third of one np.isfinite over the matrix
+    if not all(map(math.isfinite, mat.ravel().tolist())):
         raise ValueError("matrix entries must be finite")
     return mat
 
@@ -238,8 +241,21 @@ def _mixed_form(hu: np.ndarray, hv: np.ndarray) -> float:
     m = hu.size
     du = _difference(hu)
     dv = du if hv is hu else _difference(hv)
-    return (math.tan(math.pi / m) * float(np.dot(hu, hv))
-            - float(np.dot(du, dv)) / (2.0 * math.sin(2.0 * math.pi / m)))
+    return (math.tan(math.pi / m) * float(hu.dot(hv))
+            - float(du.dot(dv)) / (2.0 * math.sin(2.0 * math.pi / m)))
+
+
+def _self_form(u: SupportFunction2D) -> float:
+    """The raw self form ``V[u, u]``, computed once per body and kept on it.
+
+    Along :func:`setflow.flow.evolve` the tracked ``V`` and ``W0`` of a
+    stored frame and the next step's starting area read this one form.
+    """
+    form = u._form
+    if form is None:
+        form = _mixed_form(u.values, u.values)
+        object.__setattr__(u, "_form", form)
+    return form
 
 
 def area(u: SupportFunction2D) -> float:
@@ -249,7 +265,7 @@ def area(u: SupportFunction2D) -> float:
     direction, of area exactly 0, reads about ``1e-15`` to ``1e-12`` of
     either sign.
     """
-    raw = _mixed_form(u.values, u.values)
+    raw = _self_form(u)
     return raw if raw > 0.0 else 0.0
 
 

@@ -8,8 +8,9 @@ pulls ``h`` back along ``exp(A^T phi dt)`` and adds the source samples.
 
 The stepper splits each step into an explicit Euler half-step of the
 source, the exact linear flow over ``dt`` with ``phi`` frozen at a midpoint
-volume estimate, then a second explicit Euler half-step of the source.  It
-is not a symmetric (Strang) composition, so it is first order in ``dt``.
+volume estimate, then a second source half-step evaluated at a predictor of
+the end state.  The two halves make a trapezoidal rule around the exact
+linear flow, so the stepper is second order in ``dt`` (see :func:`step`).
 ``exp(A s)`` comes from the closed form of the 2x2 exponential
 (:func:`expm`), cached per ``(A, s)``, and each pull-back reuses the cached
 resampling plan of its matrix (see :func:`setflow.bodies._image_values`),
@@ -233,10 +234,9 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """CSV record: header ``t`` and the tracked names in order, one row per frame."""
-        lines = ["t," + ",".join(self.tracked)]
-        for i, t in enumerate(self.times):
-            row = [f"{t:.12g}"] + [f"{series[i]:.12g}" for series in self.tracked.values()]
-            lines.append(",".join(row))
+        row = ",".join(["%.12g"] * (1 + len(self.tracked)))
+        columns = [self.times.tolist(), *(s.tolist() for s in self.tracked.values())]
+        lines = ["t," + ",".join(self.tracked), *(row % cells for cells in zip(*columns))]
         return "\n".join(lines) + "\n"
 
 
@@ -262,12 +262,6 @@ def _volume_rate_from(u, v, params, source_vals=None):
     if source_vals is not None:
         rate += 2.0 * mixed_area(u, source_vals)
     return rate
-
-
-def _add_scaled(u_values: np.ndarray, f_values, factor: float) -> np.ndarray:
-    if f_values is None:
-        return u_values
-    return u_values + factor * f_values
 
 
 def expm(mat) -> np.ndarray:
@@ -325,30 +319,35 @@ def _flow_matrix(a_bytes: bytes, s: float) -> np.ndarray:
 
 
 def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunction2D:
-    """One first-order split step of length dt.
+    """One second-order split step of length dt.
 
-    Source half-step (explicit Euler for ``dt/2 * F``, a Minkowski
-    addition), exact linear flow ``h(exp(A^T phi dt) p)`` with phi frozen at
-    the midpoint volume estimate ``V + (dt/2) * dV/dt``, then the second
-    source half-step, explicit Euler at the moved body.  The two source
-    halves are not symmetric about the linear flow, so the step is first
-    order in dt, unlike a Strang split.  A constant clock (a
+    With ``f0 = F(V[u], u)``: a source half-step ``u + (dt/2) f0`` (a
+    Minkowski addition), the exact linear flow ``L = h(exp(A^T phi dt) p)``
+    with phi frozen at the midpoint volume estimate ``V + (dt/2) * dV/dt``,
+    then the second source half-step evaluated at the predictor of the end
+    state ``pred = moved + (dt/2) f0``::
+
+        moved = L(u + (dt/2) f0),    out = moved + (dt/2) F(V[pred], pred).
+
+    ``pred`` is within O(dt^2) of the end state, so the two source halves
+    form a trapezoidal rule around the exact linear flow, and the step is
+    second order in dt (the integrating-factor trapezoidal rule; Lawson,
+    SIAM J. Numer. Anal. 4, 1967).  Without a source ``pred`` is ``moved``,
+    and a source that depends on neither the body nor the volume gives the
+    same ``out`` as an evaluation at ``moved``.  A constant clock (a
     :class:`ScalarFunction` of kind ``constant``) needs no midpoint volume,
-    so the step evaluates 2 areas, one per body; any other clock also
-    takes the mixed area of the body with the first source to estimate the
-    rate.  Nothing is projected: the sources and the pull-back keep a body
-    in the convex cone.  ``exp(A s)`` is cached per (A, s) and the
-    pull-back reads a cached resampling plan per (matrix, grid).  Raises
-    :class:`BlowupError` when ``exp(A phi dt)`` or the new support values
-    are not finite.
+    so the step evaluates 2 areas, of ``u`` and of ``pred``; any other clock
+    also takes the mixed area of the body with the first source to estimate
+    the rate.  Nothing is projected: the sources, their Minkowski sums and
+    the pull-back keep a body in the convex cone.  ``exp(A s)`` is cached
+    per (A, s) and the pull-back reads a cached resampling plan per
+    (matrix, grid).  Raises :class:`BlowupError` when ``exp(A phi dt)``, the
+    half-step or the new support values are not finite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     v0 = area(u)
     f0 = params.source.values(v0, u.values)
-    half = _add_scaled(u.values, f0, 0.5 * dt)
-    if f0 is not None and not np.isfinite(half).all():
-        raise ValueError("support values must be finite")
 
     phi = params.phi
     if isinstance(phi, ScalarFunction) and phi.kind == "constant":
@@ -358,16 +357,26 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
         phi_mid = float(phi(v_mid))
     if phi_mid < 0:
         raise ValueError("phi must be nonnegative")
-    start = u if f0 is None else bodies._adopt(half)
-    moved = linear_image(start, _flow_matrix(params.A.tobytes(), phi_mid * dt))
+    if f0 is None:
+        start = u
+    else:
+        half_f0 = (0.5 * dt) * f0
+        start = bodies._adopt(u.values + half_f0)
+    try:
+        moved = linear_image(start, _flow_matrix(params.A.tobytes(), phi_mid * dt))
+    except ValueError:      # the pull-back of a non-finite half-step
+        raise BlowupError("non-finite support values produced by step",
+                          reached_time=dt) from None
 
-    v1 = area(moved)
-    f1 = params.source.values(v1, moved.values)
-    out = _add_scaled(moved.values, f1, 0.5 * dt)
+    pred = moved if f0 is None else bodies._adopt(moved.values + half_f0)
+    f1 = params.source.values(area(pred), pred.values)
+    if f1 is None:
+        return moved
+    out = moved.values + (0.5 * dt) * f1
     if not np.isfinite(out).all():
         raise BlowupError("non-finite support values produced by step",
                           reached_time=dt)
-    return moved if f1 is None else bodies._adopt(out)
+    return bodies._adopt(out)
 
 
 def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
@@ -410,7 +419,7 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
             raise BlowupError(str(exc), reached_time=t,
                               partial=_finish(times, frames, series)) from None
         t += h
-        if max(u.values.max(), -u.values.min()) > guard:
+        if np.abs(u.values).max() > guard:
             raise BlowupError(
                 f"support values exceeded {guard:.3g} at t={t:.6g}",
                 reached_time=t, partial=_finish(times, frames, series))
@@ -582,14 +591,31 @@ def mixed_columns(op, count: int) -> dict:
     """The tracked columns ``W0..W{count-1}`` of an operator B.
 
     Maps ``f"W{i}"`` to the function ``u -> V[u, B^i u]``, the mixed area of
-    a body with its image under the i-th power of B.
+    a body with its image under the i-th power of B.  The powers are
+    computed and validated here, once; an identity power reads the body's
+    kept self form (see :func:`setflow.bodies.area`).  Raises ValueError
+    when a power is not finite; a column raises it when the image of a body
+    is not finite.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     mat = as_matrix(op)
-    powers = [np.linalg.matrix_power(mat, i) for i in range(count)]
-    return {f"W{i}": lambda u, p=p: mixed_area(u, linear_image(u, p))
-            for i, p in enumerate(powers)}
+    with np.errstate(over="ignore", invalid="ignore"):    # as_matrix rejects it
+        powers = [np.linalg.matrix_power(mat, i) for i in range(count)]
+    return {f"W{i}": _mixed_column(as_matrix(p)) for i, p in enumerate(powers)}
+
+
+def _mixed_column(power: np.ndarray):
+    # linear_image hands a body back under the identity, so V[u, u]
+    if (power == np.eye(2)).all():
+        return bodies._self_form
+
+    def column(u):
+        image = bodies._image_values(u.values, power)
+        if not np.isfinite(image).all():
+            raise ValueError("support values must be finite")
+        return bodies._mixed_form(u.values, image)
+    return column
 
 
 def mixed_functionals(u: SupportFunction2D, op, count: int) -> np.ndarray:

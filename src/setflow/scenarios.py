@@ -142,7 +142,11 @@ def _parse_track(track, params, grid_size):
             op = (_parse_matrix(mat, "track mixed B") if mat is not None
                   else params.source.matrix)
             _require(op is not None, "track mixed: no operator available")
-            mixed = flow.mixed_columns(op, count)
+            try:
+                mixed = flow.mixed_columns(op, count)
+            except ValueError as exc:   # a power of B overflows
+                raise SchemaError(
+                    f"track mixed: the powers of B up to B^{count - 1}: {exc}") from None
         elif isinstance(item, dict) and item.get("kind") == "hausdorff_to":
             _require(hausdorff is None, "track: at most one 'hausdorff_to' entry")
             reference = _parse_body(item.get("body"), grid_size, "reference body")

@@ -249,8 +249,9 @@ def reference_step(u, params, dt):
     phi_mid = float(params.phi(v_mid))
     start = bodies.SupportFunction2D(half)
     moved = _reference_linear_image(start, flow.expm(params.A * (phi_mid * dt)))
-    v1 = _reference_area(moved.values)
-    f1 = _reference_source(params.source, v1, moved.values)
+    # the second source half is evaluated at the predictor of the end state
+    pred = scaled(moved.values, f0, 0.5 * dt)
+    f1 = _reference_source(params.source, _reference_area(pred), pred)
     return bodies.SupportFunction2D(scaled(moved.values, f1, 0.5 * dt))
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from setflow import bodies as B, flow as F
+from setflow import bodies as B, flow as F, scenarios
 from setflow.errors import BlowupError
 
 import helpers
@@ -52,6 +52,26 @@ class TestStep:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
             F.step(B.make_ball(1.0), zero_params(), 0.0)
+
+
+class TestOrder:
+    @pytest.mark.parametrize("name", ["reflection_square", "rotation_rectangle",
+                                      "sde_bound"])
+    def test_the_step_is_second_order(self, name):
+        # the builtin flow's area at t = 1 against dt = 1.25e-4: each halving
+        # of dt from 8e-3 divides the error by 4 (a first-order step divides
+        # it by about 2 here)
+        scenario = scenarios.get_builtin(name)
+
+        def area_at_1(dt):
+            traj = F.evolve(scenario.initial_body, scenario.params, horizon=1.0, dt=dt,
+                            tracked={"V": B.area})
+            return traj.tracked["V"][-1]
+
+        reference = area_at_1(1.25e-4)
+        errors = [abs(area_at_1(dt) - reference) for dt in (8e-3, 4e-3, 2e-3, 1e-3)]
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert orders.min() >= 1.9
 
 
 class TestEvolve:

@@ -292,6 +292,70 @@ def test_evolve_frames_match_the_reference_step(name):
         assert np.array_equal(got.values, want.values)
 
 
+def _step_at_the_moved_body(u, params, dt):
+    # the split step with its second source half evaluated at the moved body
+    # instead of the predictor, from the public kernels
+    v0 = B.area(u)
+    f0 = params.source.values(v0, u.values)
+    v_mid = max(v0 + 0.5 * dt * F.volume_rate(u, params), 0.0)
+    start = u if f0 is None else B._adopt(u.values + (0.5 * dt) * f0)
+    moved = B.linear_image(start, F.expm(params.A * (float(params.phi(v_mid)) * dt)))
+    f1 = params.source.values(B.area(moved), moved.values)
+    return moved if f1 is None else B._adopt(moved.values + (0.5 * dt) * f1)
+
+
+@pytest.mark.parametrize("phi", [F.constant(1.0), F.rational([1.0], [1.0, 1.0])],
+                         ids=["constant_clock", "rational_clock"])
+@pytest.mark.parametrize("source", [
+    F.zero_source(),
+    F.ball_source(F.constant(0.5)),
+    F.constant_source(B.make_polygon([[0.3, 0.0], [0.0, 0.2], [-0.1, -0.1]], 64)),
+], ids=["sourceless", "constant_ball", "constant_body"])
+def test_a_source_independent_of_the_body_keeps_its_bits(phi, source):
+    # without a source the predictor is the moved body, and a source that
+    # reads neither the body nor its volume has the same value at both, so
+    # the frames are those of the step evaluated at the moved body
+    params = F.SemiflowParams(A=[[-1.0, 0.3], [0.0, -2.0]], phi=phi, source=source)
+    u = B.make_polygon(np.add(SQUARE, [3.0, -1.0]), 64)
+    dt = 2.0 ** -10                 # every step of evolve is dt exactly
+    traj = F.evolve(u, params, horizon=50 * dt, dt=dt)
+    for frame in traj.bodies[1:]:
+        u = _step_at_the_moved_body(u, params, dt)
+        assert np.array_equal(frame.values, u.values)
+
+
+def test_v_w0_and_the_next_area_read_one_form_per_frame(monkeypatch):
+    # the tracked V computes the self form of a step's result and keeps it
+    # on the body; W0 and the next step's starting area read it
+    self_forms, results = [], []
+    mixed_form, step = B._mixed_form, F.step
+
+    def counted_form(hu, hv):
+        if hv is hu:
+            self_forms.append(hu)
+        return mixed_form(hu, hv)
+
+    def kept_step(*args):
+        results.append(step(*args))
+        return results[-1]
+
+    monkeypatch.setattr(B, "_mixed_form", counted_form)
+    monkeypatch.setattr(F, "step", kept_step)
+    _, u0, params = FLOWS["reflection"]
+    u0 = B.SupportFunction2D(u0.values)     # no form kept from another test
+    traj = F.evolve(u0, params, horizon=0.01, dt=1e-3,
+                    tracked={"V": B.area, **F.mixed_columns(MATRICES["reflection"], 2)})
+    assert len(results) == 10
+    for body in results:
+        assert sum(h is body.values for h in self_forms) == 1
+    # the other self form of a step is the area of its predictor
+    assert len(self_forms) == 1 + 2 * len(results)
+    assert np.array_equal(traj.tracked["W0"], traj.tracked["V"])
+    assert np.array_equal(traj.tracked["W0"],
+                          [helpers.reference_mixed_form(b.values, b.values)
+                           for b in traj.bodies])
+
+
 def test_stored_frames_are_read_only_and_not_shared_between_runs(monkeypatch):
     _, u0, params = FLOWS["reflection"]
     monkeypatch.setattr(F, "MAX_STORED_FRAMES", 4)    # every third of 10 steps

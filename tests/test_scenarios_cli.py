@@ -403,6 +403,9 @@ class TestCli:
                 "kind": "support_values",
                 "values": list(1.0 + 0.5 * np.cos(2.0 * bodies.grid_angles(64)))}}]),
          "reference body"),
+        (lambda d: d.update(track=["V", {"kind": "mixed", "count": 3,
+                                         "B": [[1e200, 0.0], [0.0, 1e200]]}]),
+         "track mixed"),
     ], ids=["practical_no_lambda", "converge_to_no_body", "mixed_count_0",
             "table_nodes_unsorted", "closed_form_terms_string", "closed_form_rtol_string",
             "sde_lambda_string", "sde_lambda_0", "sde_det_B_positive", "sde_T_overflow",
@@ -418,7 +421,7 @@ class TestCli:
             "name_nul", "name_300_bytes", "name_lone_surrogate", "name_252_bytes_of_e_acute",
             "dt_tiny", "dt_integer_beyond_float", "horizon_integer_beyond_float",
             "dt_over_budget", "grid_size_twice_the_cap", "support_values_outside_the_cone",
-            "reference_body_outside_the_cone"])
+            "reference_body_outside_the_cone", "track_mixed_power_overflows"])
     def test_malformed_document_exits_2(self, tmp_path, capsys, mutate, field):
         doc = search_doc()
         scenarios.parse_scenario(doc)
@@ -478,6 +481,27 @@ class TestCli:
             assert "Warning" not in proc.stderr
             report = json.loads((out / path.name).read_text())
             assert report["diagnostic"]["blow_up_at"] == 0.0
+
+    def test_a_non_finite_source_half_step_is_a_blowup(self, tmp_path):
+        # psi(V) = 1e308 V^2 overflows to inf at the disc's area, so the
+        # first half-step u + (dt/2) F is not finite; in a fresh interpreter,
+        # so that numpy's overflow warning goes to stderr as it does for a
+        # user
+        doc = quick_doc(name="inf_source", grid_size=64, horizon=1.0, dt=1e-3)
+        doc["initial_body"] = {"kind": "ball", "radius": 2.0}
+        doc["params"]["source"] = {"kind": "ball_source",
+                                   "psi": {"kind": "rational", "num": [0.0, 0.0, 1e308],
+                                           "den": [1.0]}}
+        path = tmp_path / "inf_source.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        proc = run_python("-m", "setflow.cli", "run", str(path), "--out", str(out))
+        assert proc.returncode == cli.EXIT_BLOWUP, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "inf_source: blow-up" in proc.stdout
+        report = json.loads((out / path.name).read_text())
+        assert report["diagnostic"]["blow_up_at"] == 0.0
+        assert report["trajectory"]["frames"] == 1
 
     def test_a_check_that_blows_up_fails_and_every_report_is_written(self, tmp_path,
                                                                      capsys):
