@@ -24,6 +24,7 @@ XI0_RTOL = 1e-6             # integrate's rtol in the xi0 stability search
 DECAY_FACTOR = 1e-3         # asymptotic: xi_0(T_check) < DECAY_FACTOR * xi_0(0)
 CHECK_RTOL = 1e-10          # integrate's rtol in check_practical and bound_check
 WAZEWSKI_TOL = 1e-9         # slack of the sampled quasimonotonicity inequality
+WAZEWSKI_BLOCK = 2 ** 18    # doubles in the lowered points of one check_wazewski block
 SAMPLED_EVIDENCE_NOTE = ("sampled evidence only: quasimonotonicity and cone "
                          "behavior checked on the supplied box, not globally")
 
@@ -147,29 +148,79 @@ class ComparisonTrajectory:
     states: np.ndarray          # shape (len(times), dim), or (len(times), n, dim)
                                 # for a batch of n initial states
     clamp_events: int = 0
+    steps: int = 0              # accepted RK4 steps, summed over the rows of a batch
+    rejected: int = 0           # rejected RK4 steps, likewise
     stopped_early: bool = False
 
 
-def _rk4(system, t, xi, h):
+def _rk4(system, t, xi, h, k1):
+    """One classical RK4 step of length ``h`` whose first stage ``k1`` is given."""
     hx = h if xi.ndim == 1 else h[:, None]      # a batch has one step per row
-    k1 = system(t, xi)
     k2 = system(t + 0.5 * h, xi + 0.5 * hx * k1)
     k3 = system(t + 0.5 * h, xi + 0.5 * hx * k2)
     k4 = system(t + h, xi + hx * k3)
     return xi + (hx / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _double_step(system, t, xi, h):
+    """Step doubling from ``(t, xi)``: one step of ``h`` and two of ``h/2``.
+
+    Returns ``(k1, half, k_half, big, two)``: the slope at the start, the
+    state after the first half step and the slope there (the first stage of
+    the second half step), the full step and the two half steps.  The full
+    step and the first half step share ``k1``: 11 right-hand sides in all.
+    """
+    k1 = system(t, xi)
+    big = _rk4(system, t, xi, h, k1)
+    half = _rk4(system, t, xi, 0.5 * h, k1)
+    k_half = system(t + 0.5 * h, half)
+    two = _rk4(system, t + 0.5 * h, half, 0.5 * h, k_half)
+    return k1, half, k_half, big, two
+
+
+def _dense(theta, h, x0, f0, xm, fm, x1):
+    """Dense output of an accepted step at ``theta = (t - t0) / h``, clamped at 0.
+
+    The quartic in ``theta`` through the step's start ``x0`` with slope
+    ``f0``, its midpoint ``xm`` with slope ``fm`` and its end ``x1``.  All
+    arrays broadcast elementwise, so a batch of (row, output) pairs gets the
+    arithmetic of each single-state call.
+    """
+    hf0 = h * f0
+    d1 = x1 - x0 - hf0
+    dm = xm - x0 - 0.5 * hf0
+    df = h * fm - hf0
+    c2 = 16.0 * dm + d1 - 4.0 * df
+    c3 = 12.0 * df - 4.0 * d1 - 32.0 * dm
+    c4 = 16.0 * dm - 8.0 * df + 4.0 * d1
+    return np.maximum(x0 + theta * (hf0 + theta * (c2 + theta * (c3 + theta * c4))), 0.0)
+
+
+def _step_factor(tol, err, ok):
+    if ok:
+        return min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
+    return max(0.1, 0.9 * (tol / err) ** 0.2)
+
+
 def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
               dt_out: float | None = None, times=None,
               rtol: float = 1e-8, stop_condition=None) -> ComparisonTrajectory:
-    """Adaptive RK4 trajectory on [0, horizon], sampled on a uniform grid.
+    """Adaptive RK4 trajectory on [0, horizon], read off at the output times.
 
-    Step doubling holds the local error below ``RK4_ATOL + rtol * max|xi|``.
-    Negative undershoots are clamped to zero (the cone is the domain of the
-    theory) and counted.
+    Step doubling holds the local error of each step below ``RK4_ATOL +
+    rtol * max|xi|``.  Steps are cut only at the final time; an output time
+    inside a step is read from the step's dense output, a quartic through
+    the step's start, midpoint and end values and its slopes at the start
+    and midpoint, which costs no right-hand side and errs by about a fifth
+    of the step's own error estimate.  The outputs thus carry the global
+    error of the step sequence, some tens of ``rtol`` relative over a few
+    dozen steps, whatever their number.  Negative undershoots are
+    clamped to zero (the cone is the domain of the theory) and counted, as
+    are accepted and rejected steps.
     Raises :class:`BlowupError` when the state escapes the overflow guard;
-    an optional ``stop_condition(t, xi)`` terminates the trajectory early
-    (used by stability searches once a threshold is crossed).
+    an optional ``stop_condition(t, xi)``, checked after every accepted step,
+    terminates the trajectory early (used by stability searches once a
+    threshold is crossed): the result then ends with the state at that step.
 
     ``xi0`` may also be a batch of initial states, shape ``(n, dim)``.  Each
     row then steps with its own time, step size, tolerance, clamping and
@@ -196,55 +247,72 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
         times = np.asarray(times, dtype=float)
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("output times must increase from 0")
+    # a step ending at t reaches output j once t >= reach[j]; the output is
+    # the accepted state itself unless it lies inside the step, before inside[j]
+    margin = 1e-14 * np.maximum(1.0, times)
+    reach, inside = times - margin, times + margin
     if xi.ndim == 2:
-        return _integrate_rows(system, xi, times, rtol, stop_condition)
+        return _integrate_rows(system, xi, times, reach, inside, rtol, stop_condition)
 
+    end, last = times[-1], len(times) - 1
     guard = GUARD_FACTOR * max(1.0, float(np.max(np.abs(xi))))
-    states = [xi.copy()]
-    clamped = 0
+    states = np.empty((len(times), system.dim))
+    states[0] = xi
+    nxt = 1                             # index of the next output time
+    clamped = steps = rejected = 0
     t = 0.0
-    h = (times[-1] / max(len(times) - 1, 1)) / 4.0
+    h = (end / max(last, 1)) / 4.0
 
-    for target in times[1:]:
-        while t < target - 1e-14 * max(1.0, target):
-            h_try = min(h, target - t)
-            big = _rk4(system, t, xi, h_try)
-            half = _rk4(system, t, xi, 0.5 * h_try)
-            two = _rk4(system, t + 0.5 * h_try, half, 0.5 * h_try)
-            err = float(np.max(np.abs(big - two))) / 15.0
-            tol = RK4_ATOL + rtol * max(float(np.max(np.abs(xi))),
-                                        float(np.max(np.abs(two))), 1e-300)
-            if err <= tol:
-                t += h_try
-                xi = two
-                if np.any(xi < 0):
-                    clamped += int(np.sum(xi < 0))
-                    xi = np.maximum(xi, 0.0)
-                if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard:
-                    raise BlowupError(
-                        f"comparison state escaped the guard at t={t:.6g}",
-                        reached_time=t,
-                        partial=ComparisonTrajectory(
-                            np.asarray(times[:len(states)]), np.asarray(states),
-                            clamped))
-                if stop_condition is not None and stop_condition(t, xi):
-                    states.append(xi.copy())
-                    return ComparisonTrajectory(
-                        np.append(times[:len(states) - 1], t),
-                        np.asarray(states), clamped, stopped_early=True)
-                h = h_try * min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
-            else:
-                h = h_try * max(0.1, 0.9 * (tol / err) ** 0.2)
+    while nxt <= last:
+        h_try = min(h, end - t)
+        k1, half, k_half, big, two = _double_step(system, t, xi, h_try)
+        err = float(np.max(np.abs(big - two))) / 15.0
+        tol = RK4_ATOL + rtol * max(float(np.max(np.abs(xi))),
+                                    float(np.max(np.abs(two))), 1e-300)
+        if err <= tol:
+            t0, x0 = t, xi
+            t += h_try
+            xi = two
+            steps += 1
+            if np.any(xi < 0):
+                clamped += int(np.sum(xi < 0))
+                xi = np.maximum(xi, 0.0)
+            if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard:
+                raise BlowupError(
+                    f"comparison state escaped the guard at t={t:.6g}",
+                    reached_time=t,
+                    partial=ComparisonTrajectory(times[:nxt], states[:nxt],
+                                                 clamped, steps, rejected))
+            k = int(np.searchsorted(inside, t))
+            if k > nxt:
+                theta = (times[nxt:k] - t0) / h_try
+                states[nxt:k] = _dense(theta[:, None], h_try, x0, k1, half, k_half, xi)
+                nxt = k
+            if stop_condition is not None and stop_condition(t, xi):
+                return ComparisonTrajectory(
+                    np.append(times[:nxt], t), np.vstack([states[:nxt], xi]),
+                    clamped, steps, rejected, stopped_early=True)
+            k = int(np.searchsorted(reach, t, side="right"))
+            if k > nxt:
+                states[nxt:k] = xi
+                nxt = k
+        else:
+            rejected += 1
+        if nxt <= last:
+            h = h_try * _step_factor(tol, err, err <= tol)
             if h < 1e-13 * max(1.0, t):
                 raise BlowupError("step size underflow in adaptive RK4",
                                   reached_time=t)
-        states.append(xi.copy())
-    return ComparisonTrajectory(times=np.asarray(times),
-                                states=np.asarray(states),
-                                clamp_events=clamped)
+    return ComparisonTrajectory(times, states, clamped, steps, rejected)
 
 
-def _integrate_rows(system, xi, times, rtol, stop_condition):
+def _spans(first, count):
+    """``(pair_row, index)`` of the index ranges ``[first[r], first[r] + count[r])``."""
+    row = np.repeat(np.arange(first.size), count)
+    return row, first[row] + np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+
+
+def _integrate_rows(system, xi, times, reach, inside, rtol, stop_condition):
     """The loop of :func:`integrate`, run for every row of ``xi`` at once.
 
     Each operation below is the single-state one applied row by row, except
@@ -252,40 +320,34 @@ def _integrate_rows(system, xi, times, rtol, stop_condition):
     power can differ from Python's in the last bit and would change the
     step sequence.
     """
-    n, last = xi.shape[0], len(times) - 1
+    n, last, end = xi.shape[0], len(times) - 1, times[-1]
     guard = GUARD_FACTOR * np.maximum(1.0, np.max(np.abs(xi), axis=1))
     states = np.empty((len(times), n, system.dim))
     states[0] = xi
     nxt = np.ones(n, dtype=int)         # index of each row's next output time
     t = np.zeros(n)
-    h = np.full(n, (times[-1] / max(last, 1)) / 4.0)
-    clamped = 0
+    h = np.full(n, (end / max(last, 1)) / 4.0)
+    clamped = steps = rejected = 0
 
     def reached(**kwargs):
         done = int(np.min(nxt))
-        return ComparisonTrajectory(times[:done], states[:done], clamped, **kwargs)
+        return ComparisonTrajectory(times[:done], states[:done], clamped, steps,
+                                    rejected, **kwargs)
 
     while True:
         live = np.flatnonzero(nxt <= last)
         if live.size == 0:
-            return ComparisonTrajectory(times, states, clamped)
-        target = times[nxt[live]]
-        arrived = t[live] >= target - 1e-14 * np.maximum(1.0, target)
-        if np.any(arrived):
-            rows = live[arrived]
-            states[nxt[rows], rows] = xi[rows]
-            nxt[rows] += 1
-            continue
+            return ComparisonTrajectory(times, states, clamped, steps, rejected)
         t_live, xi_live = t[live], xi[live]
-        h_try = np.minimum(h[live], target - t_live)
-        big = _rk4(system, t_live, xi_live, h_try)
-        half = _rk4(system, t_live, xi_live, 0.5 * h_try)
-        two = _rk4(system, t_live + 0.5 * h_try, half, 0.5 * h_try)
+        h_try = np.minimum(h[live], end - t_live)
+        k1, half, k_half, big, two = _double_step(system, t_live, xi_live, h_try)
         err = np.max(np.abs(big - two), axis=1) / 15.0
         tol = RK4_ATOL + rtol * np.maximum(np.maximum(np.max(np.abs(xi_live), axis=1),
                                                       np.max(np.abs(two), axis=1)), 1e-300)
         ok = err <= tol
         acc = live[ok]
+        steps += acc.size
+        rejected += live.size - acc.size
         t[acc] += h_try[ok]
         xi[acc] = two[ok]
         neg = xi[acc] < 0
@@ -299,13 +361,27 @@ def _integrate_rows(system, xi, times, rtol, stop_condition):
             at = float(t[acc[np.argmax(escaped)]])
             raise BlowupError(f"comparison state escaped the guard at t={at:.6g}",
                               reached_time=at, partial=reached())
+        first = nxt[acc]
+        count = np.maximum(np.searchsorted(inside, t[acc]) - first, 0)
+        if np.any(count):
+            row, out = _spans(first, count)
+            step = np.flatnonzero(ok)[row]      # each pair's position among the live rows
+            theta = (times[out] - t_live[step]) / h_try[step]
+            states[out, acc[row]] = _dense(theta[:, None], h_try[step, None], xi_live[step],
+                                           k1[step], half[step], k_half[step], moved[row])
+            nxt[acc] += count
         if stop_condition is not None and acc.size and np.any(stop_condition(t[acc], moved)):
             return reached(stopped_early=True)
-        factor = [min(5.0, max(0.2, 0.9 * (a / max(e, 1e-300)) ** 0.2)) if good
-                  else max(0.1, 0.9 * (a / e) ** 0.2)
+        first = nxt[acc]
+        count = np.maximum(np.searchsorted(reach, t[acc], side="right") - first, 0)
+        if np.any(count):
+            row, out = _spans(first, count)
+            states[out, acc[row]] = moved[row]
+            nxt[acc] += count
+        factor = [_step_factor(a, e, good)
                   for a, e, good in zip(tol.tolist(), err.tolist(), ok.tolist())]
         h[live] = h_try * np.array(factor)
-        small = h[live] < 1e-13 * np.maximum(1.0, t[live])
+        small = (nxt[live] <= last) & (h[live] < 1e-13 * np.maximum(1.0, t[live]))
         if np.any(small):
             raise BlowupError("step size underflow in adaptive RK4",
                               reached_time=float(t[live[np.argmax(small)]]))
@@ -380,25 +456,38 @@ def check_wazewski(system: ComparisonSystem, sample_box, n_samples: int = 256,
 
     Draws pairs ``xi <= eta`` agreeing in one coordinate and requires the
     corresponding component of the right-hand side not to decrease:
-    ``g_i(xi) <= g_i(eta) + WAZEWSKI_TOL``.  Reports the first violation found.
+    ``g_i(xi) <= g_i(eta) + WAZEWSKI_TOL``.  The samples are evaluated in
+    batches; the report names the first violation in sample order, then
+    component order.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    lo, hi = _box_bounds(sample_box, system.dim)
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        xi = rng.uniform(lo, hi)
-        eta = xi + rng.uniform(0.0, 1.0, system.dim) * (hi - xi)
-        for i in range(system.dim):
-            eta_i = eta.copy()
-            eta_i[i] = xi[i]
-            gx = system(0.0, xi)[i]
-            ge = system(0.0, eta_i)[i]
-            if gx > ge + WAZEWSKI_TOL:
-                return WazewskiReport(
-                    passed=False, samples=n_samples,
-                    violation={"component": i, "xi": xi, "eta": eta_i,
-                               "g_xi": gx, "g_eta": ge})
+    dim = system.dim
+    lo, hi = _box_bounds(sample_box, dim)
+    # per sample, the doubles of ``xi`` and then of ``eta``, the order in
+    # which sample-by-sample ``uniform`` calls would draw them
+    draws = np.random.default_rng(seed).random((n_samples, 2, dim))
+    xi = lo + (hi - lo) * draws[:, 0]
+    eta = xi + draws[:, 1] * (hi - xi)
+    # blocks of samples bound the memory of the lowered points, dim per sample
+    block = max(1, WAZEWSKI_BLOCK // dim ** 2)
+    component = np.arange(dim)
+    for start in range(0, n_samples, block):
+        x, e = xi[start:start + block], eta[start:start + block]
+        # row (s, i): eta of sample s with coordinate i lowered back to xi's
+        lowered = np.repeat(e[:, None, :], dim, axis=1)
+        lowered[:, component, component] = x
+        lowered = lowered.reshape(-1, dim)
+        g_xi = system(np.zeros(len(x)), x).ravel()
+        g_eta = system(np.zeros(len(lowered)), lowered)[
+            np.arange(len(lowered)), np.tile(component, len(x))]
+        bad = np.flatnonzero(g_xi > g_eta + WAZEWSKI_TOL)
+        if bad.size:                    # the first in sample-then-component order
+            at = int(bad[0])
+            return WazewskiReport(
+                passed=False, samples=n_samples,
+                violation={"component": at % dim, "xi": x[at // dim], "eta": lowered[at],
+                           "g_xi": g_xi[at], "g_eta": g_eta[at]})
     return WazewskiReport(passed=True, samples=n_samples)
 
 
@@ -501,6 +590,11 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     return StabilityVerdict(kind=kind, witness=witness)
 
 
+def _counters(traj: ComparisonTrajectory) -> dict:
+    return {"clamp_events": traj.clamp_events, "steps": traj.steps,
+            "rejected": traj.rejected}
+
+
 def check_practical(system: ComparisonSystem, lam: float, bound: float,
                     horizon: float, a: HahnFunction = IDENTITY,
                     b: HahnFunction = IDENTITY) -> StabilityVerdict:
@@ -509,7 +603,7 @@ def check_practical(system: ComparisonSystem, lam: float, bound: float,
     Integrates (at ``rtol = CHECK_RTOL``) from the all-ones profile scaled
     by ``b(lam)`` and compares the first component at the horizon against
     ``a(bound)``; the flow is practically (lam, bound, horizon)-stable when
-    the inequality is strict.
+    the inequality is strict.  The witness carries the RK4 counters.
     The Hahn-class wrappers ``a`` and ``b`` carry the two measures of the
     stability notion into comparison coordinates:
     ``W_i[u] <= b(h0[u])`` and ``W_0[u] >= a(h[u])``.
@@ -539,7 +633,7 @@ def check_practical(system: ComparisonSystem, lam: float, bound: float,
         "xi0_final": xi0_final, "xi0_max": float(np.max(traj.states[:, 0])),
         "threshold": threshold, "margin": margin,
         "lambda": lam, "bound": bound, "horizon": horizon,
-        "initial_state": start})
+        "initial_state": start, **_counters(traj)})
 
 
 @dataclass(frozen=True)
@@ -550,6 +644,9 @@ class DominanceReport:
     max_violation: float
     tolerance: float
     margins: dict
+    clamp_events: int           # the RK4 counters of the comparison solution
+    steps: int
+    rejected: int
 
 
 def bound_check(trajectory, system: ComparisonSystem, functional_names,
@@ -559,7 +656,8 @@ def bound_check(trajectory, system: ComparisonSystem, functional_names,
     The comparison system starts from the functional values at the first
     stored frame and is sampled at exactly the stored times, at ``rtol =
     CHECK_RTOL``; the check is ``W_i(t) <= xi_i(t) + tol`` with a tolerance
-    relative to the overall scale of the compared quantities.
+    relative to the overall scale of the compared quantities.  The report
+    carries the RK4 counters of that integration.
     """
     names = list(functional_names)
     if len(names) != system.dim:
@@ -574,7 +672,7 @@ def bound_check(trajectory, system: ComparisonSystem, functional_names,
     margins = {n: float(np.max(diff[:, i])) for i, n in enumerate(names)}
     worst = max(margins.values())
     return DominanceReport(passed=worst <= tol, max_violation=worst,
-                           tolerance=tol, margins=margins)
+                           tolerance=tol, margins=margins, **_counters(comp))
 
 
 @dataclass(frozen=True)
@@ -587,6 +685,12 @@ class QuadraticDecayReport:
     samples: int
 
 
+def _row_dots(a, b):
+    # the stacked product gives each row the bits of ``np.dot`` on that row;
+    # an elementwise product summed along the rows can differ in the last bit
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def lyapunov_quadratic_check(system: ComparisonSystem, weights=None,
                              sample_box=(1e-3, 10.0), n_samples: int = 4096,
                              seed: int = 0) -> QuadraticDecayReport:
@@ -594,7 +698,9 @@ def lyapunov_quadratic_check(system: ComparisonSystem, weights=None,
 
     The reported ratio normalizes the derivative by the weighted square
     norm, so homogeneous systems give scale-free numbers; the check passes
-    when every sampled ratio is negative.
+    when every sampled ratio is negative.  The samples are evaluated as one
+    batch; the first of equal worst ratios is reported, and a ratio that is
+    not a number is the worst and fails the check.
     """
     beta = (np.ones(system.dim) if weights is None
             else np.asarray(weights, dtype=float))
@@ -605,12 +711,9 @@ def lyapunov_quadratic_check(system: ComparisonSystem, weights=None,
     lo, hi = _box_bounds(sample_box, system.dim)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n_samples, system.dim))
-    worst = -np.inf
-    worst_pt = pts[0]
-    for xi in pts:
-        dv = float(np.dot(beta * xi, system(0.0, xi)))
-        ratio = dv / float(np.dot(beta, xi * xi))
-        if ratio > worst:
-            worst, worst_pt = ratio, xi
+    dv = _row_dots(beta * pts, system(np.zeros(n_samples), pts))
+    ratio = dv / _row_dots(np.broadcast_to(beta, pts.shape), pts * pts)
+    at = int(np.argmax(ratio))          # the first of equal maxima, or the first NaN
+    worst, worst_pt = float(ratio[at]), pts[at]
     return QuadraticDecayReport(passed=worst < 0.0, worst_ratio=worst,
                                 worst_point=worst_pt, samples=n_samples)

@@ -33,6 +33,19 @@ MAX_FLOW_WORK = 10 ** 8
 # one-step flow at M = 10**8, and a run holds about 100 bytes a grid point;
 # the largest benchmark grid is 8192.
 MAX_GRID_SIZE = 65536
+# The largest 'count' of a 'track' 'mixed' entry: every stored frame
+# evaluates 'count' columns, outside the work cap.  The benchmark uses 4.
+MAX_MIXED_COUNT = 64
+# The largest comparison system: the 'k' of a 'cyclic' system, the order of
+# a 'linear' one.  Its state is a row of every batched sample below.
+MAX_SYSTEM_DIM = 64
+# The largest sampled searches.  The checks evaluate their samples in
+# batches, so a size is memory held at once; the builtins and the benchmark
+# use at most 4096 samples, 64 directions and 40 bisection steps, and 40
+# halvings already take an eps of 1 to the delta floor of 1e-12.
+MAX_SAMPLES = 65536             # 'samples' of wazewski and lyapunov
+MAX_DIRECTIONS = 4096           # 'directions' of xi0_stability
+MAX_BISECT_ITERS = 64           # 'iters' of xi0_stability
 
 
 class SchemaError(ValueError):
@@ -137,7 +150,7 @@ def _parse_track(track, params, grid_size):
             pass                # always tracked
         elif isinstance(item, dict) and item.get("kind") == "mixed":
             _require(mixed is None, "track: at most one 'mixed' entry")
-            count = _count(item, "count", 2, 1)
+            count = _count(item, "count", 2, 1, MAX_MIXED_COUNT)
             mat = item.get("B")
             op = (_parse_matrix(mat, "track mixed B") if mat is not None
                   else params.source.matrix)
@@ -265,9 +278,11 @@ _SYSTEMS = {
         a=_number(spec, "a", -1.0)),
     "cyclic": lambda spec: comparison.cyclic_mixed_system(
         _parse_function(spec["phi"], "phi"), _parse_function(spec["psi"], "psi"),
-        k=_count(spec, "k", None, 1), a=_number(spec, "a", -1.0)),
+        k=_count(spec, "k", None, 1, MAX_SYSTEM_DIM), a=_number(spec, "a", -1.0)),
     "sde": lambda spec: comparison.sde_growth_system(_parse_matrix(spec["B"], "B")),
-    "linear": lambda spec: comparison.linear_system(np.asarray(spec["matrix"], dtype=float)),
+    "linear": lambda spec: comparison.linear_system(_param(
+        spec, "matrix", None, lambda v: isinstance(v, list) and 0 < len(v) <= MAX_SYSTEM_DIM,
+        f"a square matrix of order 1 to {MAX_SYSTEM_DIM}")),
 }
 
 
@@ -337,9 +352,11 @@ def _number(check, key, default, ok=_is_number, what="a number"):
     return float(_param(check, key, default, ok, what))
 
 
-def _count(obj, key, default, least):
+def _count(obj, key, default, least, most=None):
     return _param(obj, key, default, lambda v: isinstance(v, int) and not isinstance(v, bool)
-                  and v >= least, f"an integer >= {least}")
+                  and v >= least and (most is None or v <= most),
+                  f"an integer >= {least}" if most is None
+                  else f"an integer from {least} to {most}")
 
 
 def _flag(check, key):
@@ -435,8 +452,8 @@ def _check_xi0(check, scenario):
     eps = _param(check, "eps", [0.1, 1.0], _positives, "a non-empty list of positive numbers")
     t_check = _number(check, "T_check", 50.0, lambda v: _is_number(v) and v > 0,
                       "a positive number")
-    directions = _count(check, "directions", 64, 1)
-    iters = _count(check, "iters", 40, 0)
+    directions = _count(check, "directions", 64, 1, MAX_DIRECTIONS)
+    iters = _count(check, "iters", 40, 0, MAX_BISECT_ITERS)
     expect = _verdict(check, None, (None, "stable", "asymptotically_stable", "unstable"))
 
     def run(traj):
@@ -451,7 +468,7 @@ def _check_xi0(check, scenario):
 def _check_wazewski(check, scenario):
     system = _system(check, scenario)
     box = _box(check, (0.0, 10.0), system)
-    samples = _count(check, "samples", 256, 1)
+    samples = _count(check, "samples", 256, 1, MAX_SAMPLES)
     expect = _flag(check, "expect")
 
     def run(traj):
@@ -463,7 +480,7 @@ def _check_wazewski(check, scenario):
 def _check_lyapunov(check, scenario):
     system = _system(check, scenario)
     box = _box(check, (1e-3, 10.0), system)
-    samples = _count(check, "samples", 4096, 1)
+    samples = _count(check, "samples", 4096, 1, MAX_SAMPLES)
     weights = _param(check, "weights", None,
                      lambda v: v is None or (_positives(v) and len(v) == system.dim),
                      f"{system.dim} positive numbers, one per component")

@@ -323,3 +323,46 @@ def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
     if failed:
         witness["decay_run_failed"] = True
     return comparison.StabilityVerdict(kind=kind, witness=witness)
+
+
+# ---------------------------------------------------------------------------
+# per-sample sampled checks: one single-state right-hand side per sampled
+# point, which the batched ``check_wazewski`` and ``lyapunov_quadratic_check``
+# must match
+
+
+def reference_check_wazewski(system, sample_box, n_samples=256, seed=0, tol=1e-9):
+    from setflow import comparison
+
+    lo, hi = comparison._box_bounds(sample_box, system.dim)
+    rng = np.random.default_rng(seed)
+    for _ in range(n_samples):
+        xi = rng.uniform(lo, hi)
+        eta = xi + rng.uniform(0.0, 1.0, system.dim) * (hi - xi)
+        for i in range(system.dim):
+            eta_i = eta.copy()
+            eta_i[i] = xi[i]
+            gx = system(0.0, xi)[i]
+            ge = system(0.0, eta_i)[i]
+            if gx > ge + tol:
+                return comparison.WazewskiReport(
+                    passed=False, samples=n_samples,
+                    violation={"component": i, "xi": xi, "eta": eta_i,
+                               "g_xi": gx, "g_eta": ge})
+    return comparison.WazewskiReport(passed=True, samples=n_samples)
+
+
+def reference_lyapunov_quadratic_check(system, weights=None, sample_box=(1e-3, 10.0),
+                                       n_samples=4096, seed=0):
+    from setflow import comparison
+
+    beta = np.ones(system.dim) if weights is None else np.asarray(weights, dtype=float)
+    lo, hi = comparison._box_bounds(sample_box, system.dim)
+    pts = np.random.default_rng(seed).uniform(lo, hi, size=(n_samples, system.dim))
+    worst, worst_pt = -np.inf, pts[0]
+    for xi in pts:
+        ratio = float(np.dot(beta * xi, system(0.0, xi))) / float(np.dot(beta, xi * xi))
+        if ratio > worst:
+            worst, worst_pt = ratio, xi
+    return comparison.QuadraticDecayReport(passed=worst < 0.0, worst_ratio=worst,
+                                           worst_point=worst_pt, samples=n_samples)

@@ -23,6 +23,13 @@ NON_MONOTONE = C.ComparisonSystem(
                                     0.0 * xi.T[1]]).T, name="non_monotone")
 
 
+# g_1 falls once xi_0 passes 4.5, so on the box [0, 5]^2 only the samples
+# whose eta_0 lies past 4.5 break quasimonotonicity, in component 1
+LATE_VIOLATION = C.ComparisonSystem(
+    dim=2, rhs=lambda xi: np.array([0.0 * xi.T[0], -np.maximum(xi.T[0] - 4.5, 0.0)]).T,
+    name="late_violation")
+
+
 class TestIntegrate:
     def test_nilpotent_closed_form(self):
         # phi = 1, psi = 1/2: xi1 = w0 exp(-2t), xi0 = exp(-2t)(s0 + w0 t)
@@ -143,6 +150,83 @@ class TestIntegrate:
         assert type(fn(1.5)) is float
 
 
+class TestDenseOutput:
+    """Output times are read from the accepted steps, which they do not cut."""
+
+    @staticmethod
+    def counted(system):
+        calls = []
+
+        def rhs(xi):
+            calls.append(xi.shape)
+            return system(0.0, xi)
+        return C.ComparisonSystem(dim=system.dim, rhs=rhs), calls
+
+    @pytest.mark.parametrize("horizon", [1.0, 3.0])
+    def test_dense_outputs_match_the_closed_form(self, horizon):
+        # xi' = [[0, 2], [2, 0]] xi from (1, 0) is (cosh 2t, sinh 2t)
+        times = np.linspace(0.0, horizon, 1001)
+        traj = C.integrate(C.sde_growth_system(SWAP), [1.0, 0.0], times=times,
+                           rtol=C.CHECK_RTOL)
+        exact = np.column_stack([np.cosh(2 * times), np.sinh(2 * times)])
+        rel = np.abs(traj.states - exact) / np.maximum(np.abs(exact), 1e-300)
+        assert np.max(rel) < 1e-7
+
+    def test_rhs_calls_do_not_grow_with_the_outputs(self):
+        calls = {}
+        for n_out in (11, 1001):
+            system, log = self.counted(C.sde_growth_system(SWAP))
+            C.integrate(system, [1.0, 0.0], times=np.linspace(0.0, 1.0, n_out),
+                        rtol=C.CHECK_RTOL)
+            calls[n_out] = len(log)
+            # the single-state path never hands the right-hand side a batch
+            assert set(log) == {(2,)}
+        assert calls[1001] <= 1.1 * calls[11]
+
+    def test_each_attempt_takes_eleven_rhs_calls(self):
+        system, log = self.counted(C.sde_growth_system(SWAP))
+        traj = C.integrate(system, [1.0, 0.0], horizon=1.0, dt_out=0.001,
+                           rtol=C.CHECK_RTOL)
+        assert 0 < traj.steps < 100
+        assert len(log) == 11 * (traj.steps + traj.rejected)
+
+    def test_the_last_output_is_the_accepted_state(self):
+        # a stop condition that never fires sees every accepted step
+        accepted = []
+        traj = C.integrate(C.sde_growth_system(SWAP), [1.0, 0.0],
+                           times=np.linspace(0.0, 1.0, 1001), rtol=C.CHECK_RTOL,
+                           stop_condition=lambda t, xi: accepted.append((t, xi.copy())))
+        assert not traj.stopped_early and len(accepted) == traj.steps
+        assert accepted[-1][0] == pytest.approx(1.0, abs=1e-14)
+        assert np.array_equal(traj.states[-1], accepted[-1][1])
+
+    def test_a_stop_ends_with_the_stopping_state(self):
+        growth = C.linear_system([[1.0]])
+        traj = C.integrate(growth, [1.0], horizon=3.0, dt_out=0.01, rtol=C.CHECK_RTOL,
+                           stop_condition=lambda t, xi: xi[0] >= 2.0)
+        # the outputs inside the stopping step come first, then its end state
+        assert traj.stopped_early and traj.states[-1, 0] >= 2.0
+        assert traj.times[-2] < traj.times[-1] <= traj.times[-2] + 0.01
+        assert np.allclose(traj.states[:, 0], np.exp(traj.times), rtol=1e-8)
+
+    def test_batch_counters_sum_the_rows(self):
+        system = C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4), 3)
+        xi0 = np.random.default_rng(5).uniform(0.0, 2.0, size=(5, 3))
+        batch = C.integrate(system, xi0, horizon=3.0, dt_out=0.01)
+        singles = [C.integrate(system, row, horizon=3.0, dt_out=0.01) for row in xi0]
+        assert batch.steps == sum(s.steps for s in singles)
+        assert batch.rejected == sum(s.rejected for s in singles)
+
+    def test_reports_carry_the_rk4_counters(self):
+        system = C.sde_growth_system(SWAP)
+        witness = C.check_practical(system, lam=1.0, bound=100.0, horizon=1.0).witness
+        traj = C.integrate(system, [1.0, 1.0], horizon=1.0, dt_out=1.0 / 256,
+                           rtol=C.CHECK_RTOL)
+        assert (witness["steps"], witness["rejected"], witness["clamp_events"]) == (
+            traj.steps, traj.rejected, traj.clamp_events)
+        assert 0 < witness["steps"] < 256
+
+
 class TestWazewski:
     def test_sde_system_passes(self):
         rep = C.check_wazewski(C.sde_growth_system(SWAP), (0.0, 5.0), 256)
@@ -155,10 +239,33 @@ class TestWazewski:
         assert rep.passed
 
     def test_sign_violation_detected(self):
-        bad = C.ComparisonSystem(dim=2, rhs=lambda xi: np.array([-xi[1], 0.0]))
+        bad = C.ComparisonSystem(dim=2, rhs=lambda xi: np.array([-xi.T[1], 0.0 * xi.T[1]]).T)
         rep = C.check_wazewski(bad, (0.0, 5.0), 256)
         assert not rep.passed
         assert rep.violation["component"] == 0
+
+    @pytest.mark.parametrize("system, box, seed", [
+        (C.ComparisonSystem(dim=2, rhs=lambda xi: np.array([-xi.T[1], 0.0 * xi.T[1]]).T),
+         (0.0, 5.0), 0),
+        (LATE_VIOLATION, (0.0, 5.0), 1),
+        (C.linear_system([[-1.0, 0.3, 0.2], [0.5, -2.0, 0.1], [0.4, 0.2, 0.3]]),
+         [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]], 2),
+        (C.cyclic_mixed_system(F.rational([1.0], [1.0, 1.0]), F.constant(0.4), 4),
+         (0.0, 10.0), 3),
+        (C.nilpotent_source_system(F.table([0.0, 1.0, 10.0], [1.0, 2.0, 0.5]),
+                                   F.constant(0.5)), (0.0, 5.0), 4),
+    ], ids=["sign_violation", "late_violation", "quasimonotone_box", "cyclic_k4",
+            "increasing_clock"])
+    def test_matches_per_sample_loop(self, system, box, seed):
+        rep = C.check_wazewski(system, box, 256, seed=seed)
+        expected = helpers.reference_check_wazewski(system, box, 256, seed=seed)
+        assert C._plain(rep) == C._plain(expected)
+
+    def test_blocks_keep_the_first_violation(self, monkeypatch):
+        whole = C.check_wazewski(LATE_VIOLATION, (0.0, 5.0), 256, seed=1)
+        monkeypatch.setattr(C, "WAZEWSKI_BLOCK", 3 * LATE_VIOLATION.dim ** 2)
+        blocks = C.check_wazewski(LATE_VIOLATION, (0.0, 5.0), 256, seed=1)
+        assert not whole.passed and C._plain(blocks) == C._plain(whole)
 
     @pytest.mark.parametrize("kwargs", [
         {"n_samples": 0}, {"sample_box": (5.0, 1.0)}, {"sample_box": (-1.0, 1.0)},
@@ -336,6 +443,23 @@ class TestLyapunovQuadratic:
         bad = C.cyclic_mixed_system(F.constant(1.0), F.constant(1.1), 2)
         assert C.lyapunov_quadratic_check(good, n_samples=2048).passed
         assert not C.lyapunov_quadratic_check(bad, n_samples=2048).passed
+
+    @pytest.mark.parametrize("system, kwargs", [
+        (C.nilpotent_source_system(F.constant(1.0), F.constant(0.0)),
+         dict(weights=(1.0, 2.0), n_samples=512)),
+        (C.cyclic_mixed_system(F.constant(1.0), F.constant(1.1), 2), dict(n_samples=2048)),
+        (C.cyclic_mixed_system(F.rational([1.0], [1.0, 1.0]), F.constant(0.3), 5),
+         dict(weights=(1.0, 2.0, 3.0, 2.0, 1.0), sample_box=(0.0, 4.0), seed=7)),
+        (C.linear_system([[-1.0, 0.3, -0.2], [0.5, -2.0, 0.1], [-0.4, 0.2, 0.3]]),
+         dict(n_samples=1000, seed=2)),
+        # every ratio ties: the first sample is the worst point
+        (C.linear_system([[-1.0, 0.0], [0.0, -1.0]]), dict(n_samples=64)),
+    ], ids=["pure_decay", "order2_chain_unstable", "cyclic_k5_weighted", "linear_3d",
+            "all_tied"])
+    def test_matches_per_sample_loop(self, system, kwargs):
+        rep = C.lyapunov_quadratic_check(system, **kwargs)
+        expected = helpers.reference_lyapunov_quadratic_check(system, **kwargs)
+        assert C._plain(rep) == C._plain(expected)
 
     @pytest.mark.parametrize("kwargs", [
         {"weights": (1.0, -1.0)}, {"weights": (1.0,)}, {"n_samples": 0},

@@ -433,6 +433,50 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not out.exists()     # rejected before the flow ran
 
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d.update(track=["V", {"kind": "mixed",
+                                         "count": scenarios.MAX_MIXED_COUNT + 1}]),
+         "mixed: 'count'"),
+        (lambda d: d["checks"][0].update(directions=scenarios.MAX_DIRECTIONS + 1),
+         "xi0_stability: 'directions'"),
+        (lambda d: d["checks"][0].update(iters=scenarios.MAX_BISECT_ITERS + 1),
+         "xi0_stability: 'iters'"),
+        (lambda d: d["checks"][1].update(samples=scenarios.MAX_SAMPLES + 1),
+         "wazewski: 'samples'"),
+        (lambda d: d["checks"][2].update(samples=scenarios.MAX_SAMPLES + 1),
+         "lyapunov: 'samples'"),
+        (lambda d: d["checks"][2].update(weights=None, system={
+            "kind": "cyclic", "phi": {"kind": "constant", "value": 1.0},
+            "psi": {"kind": "constant", "value": 0.5}, "k": scenarios.MAX_SYSTEM_DIM + 1}),
+         "cyclic: 'k'"),
+        (lambda d: d["checks"][2].update(weights=None, system={
+            "kind": "linear", "matrix": (-np.eye(scenarios.MAX_SYSTEM_DIM + 1)).tolist()}),
+         "linear: 'matrix'"),
+    ], ids=["mixed_count", "xi0_directions", "xi0_iters", "wazewski_samples",
+            "lyapunov_samples", "cyclic_k", "linear_order"])
+    def test_sizes_over_their_caps_exit_2(self, tmp_path, capsys, mutate, field):
+        doc = search_doc()
+        mutate(doc)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+        assert field in capsys.readouterr().err
+        assert not out.exists()     # rejected before the flow ran
+
+    def test_sizes_at_their_caps_parse(self):
+        doc = search_doc()
+        doc["track"] = ["V", {"kind": "mixed", "count": scenarios.MAX_MIXED_COUNT}]
+        doc["checks"][0].update(directions=scenarios.MAX_DIRECTIONS,
+                                iters=scenarios.MAX_BISECT_ITERS)
+        doc["checks"][1]["samples"] = scenarios.MAX_SAMPLES
+        doc["checks"][2].update(samples=scenarios.MAX_SAMPLES, weights=None, system={
+            "kind": "linear", "matrix": (-np.eye(scenarios.MAX_SYSTEM_DIM)).tolist()})
+        doc["checks"].append({"kind": "wazewski", "system": {
+            "kind": "cyclic", "phi": {"kind": "constant", "value": 1.0},
+            "psi": {"kind": "constant", "value": 0.5}, "k": scenarios.MAX_SYSTEM_DIM}})
+        assert len(scenarios.parse_scenario(doc).checks) == 4
+
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")],
                              ids=["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("field, function", [
