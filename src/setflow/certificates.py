@@ -400,10 +400,14 @@ def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
     n_const, alpha = semigroup_envelope(params.A)
     v0 = area(u0)
 
+    # integrate hands each envelope its one state as a one-row column; the
+    # bounds receive plain numbers
     def upper_rhs(z):
+        z = z.item()
         return tr_a * float(params.phi(max(z, 0.0))) * z + float(bounds.g_upper(max(z, 0.0)))
 
     def lower_rhs(z):
+        z = z.item()
         return tr_a * float(params.phi(max(z, 0.0))) * z + float(bounds.g_lower(max(z, 0.0)))
 
     try:
@@ -431,6 +435,7 @@ def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
             return max(phis) if alpha > 0 else min(phis)
 
     def omega_rhs(t, w):
+        t, w = t.item(), w.item()
         return alpha * float(clock(t, v0)) * w + float(bounds.F_sup(t, n_const * w, v0))
 
     try:

@@ -33,11 +33,11 @@ SAMPLED_EVIDENCE_NOTE = ("sampled evidence only: quasimonotonicity and cone "
 class ComparisonSystem:
     """An ODE ``xi' = g(xi)`` on the nonnegative cone.
 
-    ``rhs`` maps states to derivatives along the last axis: a state vector
-    of shape ``(dim,)`` or a batch of rows of shape ``(n, dim)``, each row
-    giving the same result as its own single-state call.  Set
-    ``time_dependent`` for right-hand sides with signature ``rhs(t, xi)``;
-    a batch then comes with one time per row, shape ``(n,)``.
+    ``rhs`` maps a batch of states, rows of shape ``(n, dim)``, to their
+    derivatives in the same shape (any other is a ValueError), each row
+    independently of the others; :func:`integrate` and the sampled checks
+    always call it so.  Set ``time_dependent`` for right-hand sides with
+    signature ``rhs(t, xi)``; they get one time per row, shape ``(n,)``.
     """
 
     dim: int
@@ -46,17 +46,20 @@ class ComparisonSystem:
     time_dependent: bool = False
 
     def __call__(self, t, xi: np.ndarray) -> np.ndarray:
-        if self.time_dependent:
-            return np.asarray(self.rhs(t, xi), dtype=float)
-        return np.asarray(self.rhs(xi), dtype=float)
+        # a result broadcast against the states would pass the arithmetic
+        # and give wrong dense outputs
+        out = np.asarray(self.rhs(t, xi) if self.time_dependent else self.rhs(xi), dtype=float)
+        if out.shape != np.shape(xi):
+            raise ValueError(f"rhs gave shape {out.shape} for states of shape {np.shape(xi)}")
+        return out
 
 
 # -- standard families -------------------------------------------------------
 #
 # Each right-hand side reads the components as ``x = xi.T`` (``x[i]`` is a
-# number for one state and a column for a batch) and assembles the result
-# as ``np.array([...]).T``, so a batch row is computed by exactly the
-# arithmetic of a single state.
+# column of the batch) and assembles the result as ``np.array([...]).T``, so
+# each row is computed by its own arithmetic.  A single state of shape
+# ``(dim,)`` works as well, which the tests' per-state reference loops use.
 
 
 def nilpotent_source_system(phi, psi, a: float = -1.0) -> ComparisonSystem:
@@ -127,8 +130,8 @@ def linear_system(matrix, name: str = "linear") -> ComparisonSystem:
 def scalar_system(f, name: str = "scalar", time_dependent: bool = False) -> ComparisonSystem:
     """One-dimensional system ``xi' = f(xi)`` (or ``f(t, xi)``).
 
-    ``f`` is called on a number for one state and on a column (with a
-    column of times) for a batch; a constant result is broadcast.
+    ``f`` is called on the column of a batch (and on its column of times);
+    a constant result is broadcast.
     """
     def column(value, x):
         return np.array([np.broadcast_to(value, np.shape(x))]).T
@@ -154,8 +157,8 @@ class ComparisonTrajectory:
 
 
 def _rk4(system, t, xi, h, k1):
-    """One classical RK4 step of length ``h`` whose first stage ``k1`` is given."""
-    hx = h if xi.ndim == 1 else h[:, None]      # a batch has one step per row
+    """One classical RK4 step per row, of that row's length ``h``, from its given ``k1``."""
+    hx = h[:, None]
     k2 = system(t + 0.5 * h, xi + 0.5 * hx * k1)
     k3 = system(t + 0.5 * h, xi + 0.5 * hx * k2)
     k4 = system(t + h, xi + hx * k3)
@@ -183,8 +186,8 @@ def _dense(theta, h, x0, f0, xm, fm, x1):
 
     The quartic in ``theta`` through the step's start ``x0`` with slope
     ``f0``, its midpoint ``xm`` with slope ``fm`` and its end ``x1``.  All
-    arrays broadcast elementwise, so a batch of (row, output) pairs gets the
-    arithmetic of each single-state call.
+    arrays broadcast elementwise, so each (row, output) pair gets its own
+    arithmetic.
     """
     hf0 = h * f0
     d1 = x1 - x0 - hf0
@@ -207,6 +210,13 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
               rtol: float = 1e-8, stop_condition=None) -> ComparisonTrajectory:
     """Adaptive RK4 trajectory on [0, horizon], read off at the output times.
 
+    ``xi0`` is one initial state, shape ``(dim,)``, or a batch of them, shape
+    ``(n, dim)``, and ``states`` has shape ``(len(times), dim)`` or
+    ``(len(times), n, dim)``.  A single state steps as a one-row batch.  The
+    rows are independent: each steps with its own time, step size,
+    tolerance, clamping and guard, so a row's result does not depend on the
+    rows beside it.  The right-hand side always receives rows.
+
     Step doubling holds the local error of each step below ``RK4_ATOL +
     rtol * max|xi|``.  Steps are cut only at the final time; an output time
     inside a step is read from the step's dense output, a quartic through
@@ -216,94 +226,33 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
     error of the step sequence, some tens of ``rtol`` relative over a few
     dozen steps, whatever their number.  Negative undershoots are
     clamped to zero (the cone is the domain of the theory) and counted, as
-    are accepted and rejected steps.
-    Raises :class:`BlowupError` when the state escapes the overflow guard;
-    an optional ``stop_condition(t, xi)``, checked after every accepted step,
-    terminates the trajectory early (used by stability searches once a
-    threshold is crossed): the result then ends with the state at that step.
-
-    ``xi0`` may also be a batch of initial states, shape ``(n, dim)``.  Each
-    row then steps with its own time, step size, tolerance, clamping and
-    guard, so row ``i`` of the result equals ``integrate(system, xi0[i])``
-    bit for bit, and ``states`` has shape ``(len(times), n, dim)``.
-    ``stop_condition`` receives the rows that just took a step (times of
-    shape ``(k,)``, states ``(k, dim)``) and returns one flag per row.  The
-    batch ends as soon as any row stops or escapes the guard: a stop returns
-    the output times that every row has reached, with ``stopped_early``
-    set, and an escape raises :class:`BlowupError`.
+    are accepted and rejected steps, summed over the rows.
+    Raises :class:`BlowupError` when a row escapes the overflow guard or its
+    step size underflows; the error's ``partial`` holds the output times
+    every row reached.  An optional ``stop_condition(t, xi)`` receives the
+    rows that just took an accepted step (times of shape ``(k,)``, states
+    ``(k, dim)``) and returns one flag per row; as soon as any row stops
+    (stability searches stop once a threshold is crossed), the result holds
+    the output times every row reached, with ``stopped_early`` set.
     """
-    xi = np.asarray(xi0, dtype=float).copy()
+    xi = np.asarray(xi0, dtype=float)
     if xi.shape[-1:] != (system.dim,) or xi.ndim > 2 or xi.size == 0:
         raise ValueError(f"initial state must have shape ({system.dim},) "
                          f"or (n, {system.dim})")
-    if np.any(xi < 0):
-        raise ValueError("initial state must lie in the nonnegative cone")
+    if not np.all(np.isfinite(xi)) or np.any(xi < 0):
+        raise ValueError("initial state must be finite and lie in the nonnegative cone")
     if times is None:
-        if horizon is None or horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if horizon is None or not 0 < horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         n_out = max(1, int(round(horizon / dt_out))) if dt_out else 200
         times = np.linspace(0.0, horizon, n_out + 1)
     else:
         times = np.asarray(times, dtype=float)
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValueError("output times must increase from 0")
-    # a step ending at t reaches output j once t >= reach[j]; the output is
-    # the accepted state itself unless it lies inside the step, before inside[j]
-    margin = 1e-14 * np.maximum(1.0, times)
-    reach, inside = times - margin, times + margin
-    if xi.ndim == 2:
-        return _integrate_rows(system, xi, times, reach, inside, rtol, stop_condition)
-
-    end, last = times[-1], len(times) - 1
-    guard = GUARD_FACTOR * max(1.0, float(np.max(np.abs(xi))))
-    states = np.empty((len(times), system.dim))
+        if times[0] != 0.0 or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+            raise ValueError("output times must be finite and increase from 0")
+    states = np.empty((len(times),) + xi.shape)
     states[0] = xi
-    nxt = 1                             # index of the next output time
-    clamped = steps = rejected = 0
-    t = 0.0
-    h = (end / max(last, 1)) / 4.0
-
-    while nxt <= last:
-        h_try = min(h, end - t)
-        k1, half, k_half, big, two = _double_step(system, t, xi, h_try)
-        err = float(np.max(np.abs(big - two))) / 15.0
-        tol = RK4_ATOL + rtol * max(float(np.max(np.abs(xi))),
-                                    float(np.max(np.abs(two))), 1e-300)
-        if err <= tol:
-            t0, x0 = t, xi
-            t += h_try
-            xi = two
-            steps += 1
-            if np.any(xi < 0):
-                clamped += int(np.sum(xi < 0))
-                xi = np.maximum(xi, 0.0)
-            if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard:
-                raise BlowupError(
-                    f"comparison state escaped the guard at t={t:.6g}",
-                    reached_time=t,
-                    partial=ComparisonTrajectory(times[:nxt], states[:nxt],
-                                                 clamped, steps, rejected))
-            k = int(np.searchsorted(inside, t))
-            if k > nxt:
-                theta = (times[nxt:k] - t0) / h_try
-                states[nxt:k] = _dense(theta[:, None], h_try, x0, k1, half, k_half, xi)
-                nxt = k
-            if stop_condition is not None and stop_condition(t, xi):
-                return ComparisonTrajectory(
-                    np.append(times[:nxt], t), np.vstack([states[:nxt], xi]),
-                    clamped, steps, rejected, stopped_early=True)
-            k = int(np.searchsorted(reach, t, side="right"))
-            if k > nxt:
-                states[nxt:k] = xi
-                nxt = k
-        else:
-            rejected += 1
-        if nxt <= last:
-            h = h_try * _step_factor(tol, err, err <= tol)
-            if h < 1e-13 * max(1.0, t):
-                raise BlowupError("step size underflow in adaptive RK4",
-                                  reached_time=t)
-    return ComparisonTrajectory(times, states, clamped, steps, rejected)
+    return _integrate_rows(system, states, times, rtol, stop_condition)
 
 
 def _spans(first, count):
@@ -312,18 +261,23 @@ def _spans(first, count):
     return row, first[row] + np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
 
 
-def _integrate_rows(system, xi, times, reach, inside, rtol, stop_condition):
-    """The loop of :func:`integrate`, run for every row of ``xi`` at once.
+def _integrate_rows(system, states, times, rtol, stop_condition):
+    """The loop of :func:`integrate`: every row of ``states[0]`` steps at once.
 
-    Each operation below is the single-state one applied row by row, except
-    the step factor: it stays in Python floats, because numpy's vectorized
-    power can differ from Python's in the last bit and would change the
-    step sequence.
+    ``states`` holds the initial state or batch at index 0 and takes the
+    outputs; the trajectories returned hold slices of it, in its shape.
+    Each operation below acts elementwise or along a row, except the step
+    factor: it stays in Python floats, because numpy's vectorized power can
+    differ from Python's in the last bit and would change the step sequence.
     """
+    rows = states.reshape(len(times), -1, system.dim)   # a view, one row per state
+    xi = rows[0].copy()
     n, last, end = xi.shape[0], len(times) - 1, times[-1]
+    # a step ending at t reaches output j once t >= reach[j]; the output is
+    # the accepted state itself unless it lies inside the step, before inside[j]
+    margin = 1e-14 * np.maximum(1.0, times)
+    reach, inside = times - margin, times + margin
     guard = GUARD_FACTOR * np.maximum(1.0, np.max(np.abs(xi), axis=1))
-    states = np.empty((len(times), n, system.dim))
-    states[0] = xi
     nxt = np.ones(n, dtype=int)         # index of each row's next output time
     t = np.zeros(n)
     h = np.full(n, (end / max(last, 1)) / 4.0)
@@ -337,7 +291,7 @@ def _integrate_rows(system, xi, times, reach, inside, rtol, stop_condition):
     while True:
         live = np.flatnonzero(nxt <= last)
         if live.size == 0:
-            return ComparisonTrajectory(times, states, clamped, steps, rejected)
+            return reached()
         t_live, xi_live = t[live], xi[live]
         h_try = np.minimum(h[live], end - t_live)
         k1, half, k_half, big, two = _double_step(system, t_live, xi_live, h_try)
@@ -367,8 +321,8 @@ def _integrate_rows(system, xi, times, reach, inside, rtol, stop_condition):
             row, out = _spans(first, count)
             step = np.flatnonzero(ok)[row]      # each pair's position among the live rows
             theta = (times[out] - t_live[step]) / h_try[step]
-            states[out, acc[row]] = _dense(theta[:, None], h_try[step, None], xi_live[step],
-                                           k1[step], half[step], k_half[step], moved[row])
+            rows[out, acc[row]] = _dense(theta[:, None], h_try[step, None], xi_live[step],
+                                         k1[step], half[step], k_half[step], moved[row])
             nxt[acc] += count
         if stop_condition is not None and acc.size and np.any(stop_condition(t[acc], moved)):
             return reached(stopped_early=True)
@@ -376,7 +330,7 @@ def _integrate_rows(system, xi, times, reach, inside, rtol, stop_condition):
         count = np.maximum(np.searchsorted(reach, t[acc], side="right") - first, 0)
         if np.any(count):
             row, out = _spans(first, count)
-            states[out, acc[row]] = moved[row]
+            rows[out, acc[row]] = moved[row]
             nxt[acc] += count
         factor = [_step_factor(a, e, good)
                   for a, e, good in zip(tol.tolist(), err.tolist(), ok.tolist())]
@@ -384,7 +338,8 @@ def _integrate_rows(system, xi, times, reach, inside, rtol, stop_condition):
         small = (nxt[live] <= last) & (h[live] < 1e-13 * np.maximum(1.0, t[live]))
         if np.any(small):
             raise BlowupError("step size underflow in adaptive RK4",
-                              reached_time=float(t[live[np.argmax(small)]]))
+                              reached_time=float(t[live[np.argmax(small)]]),
+                              partial=reached())
 
 
 # -- measures ----------------------------------------------------------------
@@ -526,7 +481,7 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
         raise ValueError("bisect_iters must be >= 0")
     if T_check <= 0:
         raise ValueError("T_check must be positive")
-    g0 = system(0.0, np.zeros(system.dim))
+    g0 = system(np.zeros(1), np.zeros((1, system.dim)))
     if np.max(np.abs(g0)) > 1e-10:
         raise ValueError("the comparison system must have a trivial solution at 0")
 
@@ -603,7 +558,8 @@ def check_practical(system: ComparisonSystem, lam: float, bound: float,
     Integrates (at ``rtol = CHECK_RTOL``) from the all-ones profile scaled
     by ``b(lam)`` and compares the first component at the horizon against
     ``a(bound)``; the flow is practically (lam, bound, horizon)-stable when
-    the inequality is strict.  The witness carries the RK4 counters.
+    the inequality is strict.  The witness carries the RK4 counters, up to
+    the blow-up when the comparison state escapes.
     The Hahn-class wrappers ``a`` and ``b`` carry the two measures of the
     stability notion into comparison coordinates:
     ``W_i[u] <= b(h0[u])`` and ``W_0[u] >= a(h[u])``.
@@ -625,7 +581,7 @@ def check_practical(system: ComparisonSystem, lam: float, bound: float,
         return StabilityVerdict(kind="unstable", witness={
             "diagnostic": f"comparison system blew up at t={exc.reached_time:.6g}",
             "lambda": lam, "bound": bound, "horizon": horizon,
-            "threshold": threshold})
+            "threshold": threshold, **_counters(exc.partial)})
     xi0_final = float(traj.states[-1, 0])
     margin = threshold - xi0_final
     kind = "practically_stable" if margin > 0 else "inconclusive"

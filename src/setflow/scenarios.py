@@ -26,8 +26,9 @@ SCHEMA_VERSION = 1
 # The outputs are {name}.csv and {name}.json; a file name holds at most 255
 # bytes on common file systems.
 MAX_FILE_NAME_BYTES = 255
-# The largest work a document may request: flow steps times grid size.  The
-# biggest bundled or benchmark flow takes 12000 steps at M=512 (6.1e6).
+# The largest work a document may request: flow steps times grid size,
+# summed over its flows, the main one and one per 'growth_scaling' length.
+# The biggest bundled or benchmark flow takes 12000 steps at M=512 (6.1e6).
 MAX_FLOW_WORK = 10 ** 8
 # The largest grid a document may request.  The work cap alone admits a
 # one-step flow at M = 10**8, and a run holds about 100 bytes a grid point;
@@ -46,6 +47,8 @@ MAX_SYSTEM_DIM = 64
 MAX_SAMPLES = 65536             # 'samples' of wazewski and lyapunov
 MAX_DIRECTIONS = 4096           # 'directions' of xi0_stability
 MAX_BISECT_ITERS = 64           # 'iters' of xi0_stability
+MAX_EPS = 64                    # 'eps' of xi0_stability: one bisection each
+GROWTH_LENGTHS = (4, 8, 16)     # the default 'lengths' of growth_scaling
 
 
 class SchemaError(ValueError):
@@ -230,6 +233,13 @@ def parse_scenario(doc: dict) -> Scenario:
     for check in checks:
         run = _build(check, _CHECKS, "check", scenario)
         scenario.checks.append((check["kind"], run))
+    flows = 1 + sum(len(check.get("lengths", GROWTH_LENGTHS)) for check in checks
+                    if check["kind"] == "growth_scaling")
+    work = flows * math.ceil(steps) * grid_size
+    _require(work <= MAX_FLOW_WORK,
+             f"growth_scaling: 'lengths' run one more flow each: (1 + lengths) * "
+             f"ceil(horizon / dt) * grid_size must be at most {MAX_FLOW_WORK:.0e}, "
+             f"got {work:.3g}")
     return scenario
 
 
@@ -449,7 +459,8 @@ def _check_practical(check, scenario):
 
 def _check_xi0(check, scenario):
     system = _system(check, scenario)
-    eps = _param(check, "eps", [0.1, 1.0], _positives, "a non-empty list of positive numbers")
+    eps = _param(check, "eps", [0.1, 1.0], lambda v: _positives(v) and len(v) <= MAX_EPS,
+                 f"a list of 1 to {MAX_EPS} positive numbers")
     t_check = _number(check, "T_check", 50.0, lambda v: _is_number(v) and v > 0,
                       "a positive number")
     directions = _count(check, "directions", 64, 1, MAX_DIRECTIONS)
@@ -542,7 +553,7 @@ def _check_sde_exponents(check, scenario):
 
 
 def _check_growth_scaling(check, scenario):
-    lengths = _param(check, "lengths", [4, 8, 16], lambda v: _positives(v, 2),
+    lengths = _param(check, "lengths", GROWTH_LENGTHS, lambda v: _positives(v, 2),
                      "a list of at least two positive numbers")
     lengths = [float(x) for x in lengths]
     rtol = _number(check, "rtol", 0.01)

@@ -256,7 +256,100 @@ def reference_step(u, params, dt):
 
 
 # ---------------------------------------------------------------------------
-# the per-direction stability search: one single-state integrate per sampled
+# the single-state adaptive RK4 loop: one state, Python-float times, steps and
+# error norms; every row of the batched ``comparison.integrate`` must match it
+# bit for bit, states, times and counters.  Its stop rule differs: it ends
+# with the stopping state appended to the outputs it reached.
+
+
+def _reference_rk4(system, t, xi, h, k1):
+    k2 = system(t + 0.5 * h, xi + 0.5 * h * k1)
+    k3 = system(t + 0.5 * h, xi + 0.5 * h * k2)
+    k4 = system(t + h, xi + h * k3)
+    return xi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _reference_double_step(system, t, xi, h):
+    k1 = system(t, xi)
+    big = _reference_rk4(system, t, xi, h, k1)
+    half = _reference_rk4(system, t, xi, 0.5 * h, k1)
+    k_half = system(t + 0.5 * h, half)
+    two = _reference_rk4(system, t + 0.5 * h, half, 0.5 * h, k_half)
+    return k1, half, k_half, big, two
+
+
+def reference_integrate(system, xi0, horizon=None, dt_out=None, times=None,
+                        rtol=1e-8, stop_condition=None):
+    from setflow.comparison import (GUARD_FACTOR, RK4_ATOL, ComparisonTrajectory,
+                                    _dense, _step_factor)
+    from setflow.errors import BlowupError
+
+    xi = np.asarray(xi0, dtype=float).copy()
+    assert xi.shape == (system.dim,) and np.all(xi >= 0)
+    if times is None:
+        n_out = max(1, int(round(horizon / dt_out))) if dt_out else 200
+        times = np.linspace(0.0, horizon, n_out + 1)
+    else:
+        times = np.asarray(times, dtype=float)
+    # a step ending at t reaches output j once t >= reach[j]; the output is
+    # the accepted state itself unless it lies inside the step, before inside[j]
+    margin = 1e-14 * np.maximum(1.0, times)
+    reach, inside = times - margin, times + margin
+
+    end, last = times[-1], len(times) - 1
+    guard = GUARD_FACTOR * max(1.0, float(np.max(np.abs(xi))))
+    states = np.empty((len(times), system.dim))
+    states[0] = xi
+    nxt = 1                             # index of the next output time
+    clamped = steps = rejected = 0
+    t = 0.0
+    h = (end / max(last, 1)) / 4.0
+
+    while nxt <= last:
+        h_try = min(h, end - t)
+        k1, half, k_half, big, two = _reference_double_step(system, t, xi, h_try)
+        err = float(np.max(np.abs(big - two))) / 15.0
+        tol = RK4_ATOL + rtol * max(float(np.max(np.abs(xi))),
+                                    float(np.max(np.abs(two))), 1e-300)
+        if err <= tol:
+            t0, x0 = t, xi
+            t += h_try
+            xi = two
+            steps += 1
+            if np.any(xi < 0):
+                clamped += int(np.sum(xi < 0))
+                xi = np.maximum(xi, 0.0)
+            if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard:
+                raise BlowupError(
+                    f"comparison state escaped the guard at t={t:.6g}",
+                    reached_time=t,
+                    partial=ComparisonTrajectory(times[:nxt], states[:nxt],
+                                                 clamped, steps, rejected))
+            k = int(np.searchsorted(inside, t))
+            if k > nxt:
+                theta = (times[nxt:k] - t0) / h_try
+                states[nxt:k] = _dense(theta[:, None], h_try, x0, k1, half, k_half, xi)
+                nxt = k
+            if stop_condition is not None and stop_condition(t, xi):
+                return ComparisonTrajectory(
+                    np.append(times[:nxt], t), np.vstack([states[:nxt], xi]),
+                    clamped, steps, rejected, stopped_early=True)
+            k = int(np.searchsorted(reach, t, side="right"))
+            if k > nxt:
+                states[nxt:k] = xi
+                nxt = k
+        else:
+            rejected += 1
+        if nxt <= last:
+            h = h_try * _step_factor(tol, err, err <= tol)
+            if h < 1e-13 * max(1.0, t):
+                raise BlowupError("step size underflow in adaptive RK4",
+                                  reached_time=t)
+    return ComparisonTrajectory(times, states, clamped, steps, rejected)
+
+
+# ---------------------------------------------------------------------------
+# the per-direction stability search: one ``reference_integrate`` per sampled
 # direction, which the batched ``comparison.check_xi0_stability`` must match
 
 
@@ -276,9 +369,9 @@ def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
             xi0 = delta * d * (1 - 1e-12)
             stop = lambda t, xi: xi[0] >= eps
             try:
-                traj = comparison.integrate(system, xi0, horizon=T_check,
-                                            dt_out=T_check / 32, rtol=rtol,
-                                            stop_condition=stop)
+                traj = reference_integrate(system, xi0, horizon=T_check,
+                                           dt_out=T_check / 32, rtol=rtol,
+                                           stop_condition=stop)
             except BlowupError:
                 return False
             if traj.stopped_early or np.max(traj.states[:, 0]) >= eps:

@@ -48,9 +48,15 @@ class TestIntegrate:
         assert np.max(np.abs(traj.states - exact)) < 1e-6
 
     def test_zero_rhs_is_constant(self):
-        flat = C.ComparisonSystem(dim=3, rhs=lambda xi: np.zeros(3))
+        flat = C.ComparisonSystem(dim=3, rhs=lambda xi: np.zeros_like(xi))
         traj = C.integrate(flat, [1.0, 2.0, 3.0], horizon=5.0, dt_out=1.0)
         assert np.allclose(traj.states, [1.0, 2.0, 3.0])
+
+    def test_rhs_of_another_shape_rejected(self):
+        # np.array([1.0, 2.0]) broadcasts against a one-row batch
+        constant = C.ComparisonSystem(dim=2, rhs=lambda xi: np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="shape"):
+            C.integrate(constant, [0.0, 0.0], horizon=1.0, dt_out=0.25)
 
     def test_negative_start_rejected(self):
         flat = C.ComparisonSystem(dim=1, rhs=lambda xi: np.zeros(1))
@@ -62,6 +68,28 @@ class TestIntegrate:
         with pytest.raises(BlowupError) as err:
             C.integrate(quad, [1.0], horizon=2.0, dt_out=0.01)
         assert 0.9 < err.value.reached_time <= 1.05
+
+    def test_an_underflow_carries_the_partial_trajectory(self):
+        # xi = 1 / (1 - t): the step size underflows as t approaches 1
+        quad = C.scalar_system(lambda x: x * x)
+        with pytest.raises(BlowupError, match="underflow") as err:
+            C.integrate(quad, [1.0], horizon=2.0, dt_out=0.01)
+        partial = err.value.partial
+        assert partial.steps > 0 and partial.states.shape == (len(partial.times), 1)
+        assert partial.times[-1] <= err.value.reached_time
+        early = partial.times < 0.9
+        assert np.allclose(partial.states[early, 0], 1.0 / (1.0 - partial.times[early]),
+                           rtol=1e-6)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"horizon": np.nan}, {"horizon": np.inf}, {"times": [0.0, np.nan]},
+        {"times": [0.0, 1.0, np.nan]}, {"xi0": [np.nan]}, {"xi0": [np.inf]},
+    ], ids=["nan_horizon", "inf_horizon", "nan_time", "nan_last_time", "nan_state",
+            "inf_state"])
+    def test_non_finite_inputs_rejected(self, kwargs):
+        decay = C.scalar_system(lambda x: -x)
+        with pytest.raises(ValueError):
+            C.integrate(decay, **{"xi0": [1.0], "horizon": 1.0, **kwargs})
 
     def test_single_functional_chain(self):
         # k = 1 closes on itself: xi0' = (-2 phi + 2 psi) xi0
@@ -107,32 +135,42 @@ class TestIntegrate:
         xi0[0] = 0.0
         batch = C.integrate(system, xi0, horizon=3.0, dt_out=0.1)
         assert batch.states.shape == (31, 7, system.dim)
-        clamped = 0
+        counters = np.zeros(3, dtype=int)
         for i, row in enumerate(xi0):
+            ref = helpers.reference_integrate(system, row, horizon=3.0, dt_out=0.1)
             single = C.integrate(system, row, horizon=3.0, dt_out=0.1)
-            assert np.array_equal(batch.states[:, i], single.states)
-            clamped += single.clamp_events
-        assert batch.clamp_events == clamped
-        assert np.array_equal(batch.times, single.times)
+            assert np.array_equal(batch.states[:, i], ref.states)
+            assert np.array_equal(single.states, ref.states)
+            assert np.array_equal(single.times, ref.times)
+            assert ((single.clamp_events, single.steps, single.rejected)
+                    == (ref.clamp_events, ref.steps, ref.rejected))
+            counters += (ref.clamp_events, ref.steps, ref.rejected)
+        assert (batch.clamp_events, batch.steps, batch.rejected) == tuple(counters)
+        assert np.array_equal(batch.times, ref.times)
 
     def test_batch_ends_at_first_stop(self):
         # row 1 grows past 2 near t = ln 2; row 0 would never stop
         growth = C.linear_system([[1.0]])
         stop = lambda t, xi: xi[..., 0] >= 2.0
+        ref = helpers.reference_integrate(growth, [1.0], horizon=3.0, dt_out=0.1,
+                                          stop_condition=stop)
         single = C.integrate(growth, [1.0], horizon=3.0, dt_out=0.1,
                              stop_condition=stop)
         batch = C.integrate(growth, [[0.0], [1.0]], horizon=3.0, dt_out=0.1,
                             stop_condition=stop)
-        assert single.stopped_early and batch.stopped_early
-        # the batch keeps the output times every row reached before the stop
-        assert np.array_equal(batch.times, single.times[:-1])
-        assert np.array_equal(batch.states[:, 1], single.states[:-1])
+        assert ref.stopped_early and single.stopped_early and batch.stopped_early
+        # both keep the output times every row reached before the stop; the
+        # reference loop appends the stopping state to them
+        assert np.array_equal(single.times, ref.times[:-1])
+        assert np.array_equal(single.states, ref.states[:-1])
+        assert np.array_equal(batch.times, single.times)
+        assert np.array_equal(batch.states[:, 1], single.states)
 
     def test_batch_row_leaving_guard_raises(self):
         # the second row's large scale must not lift the first row's guard
         system = C.linear_system([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(BlowupError) as single:
-            C.integrate(system, [1.0, 0.0], horizon=30.0, dt_out=1.0)
+            helpers.reference_integrate(system, [1.0, 0.0], horizon=30.0, dt_out=1.0)
         with pytest.raises(BlowupError) as batch:
             C.integrate(system, [[1.0, 0.0], [0.0, 1e6]], horizon=30.0, dt_out=1.0)
         assert batch.value.reached_time == single.value.reached_time
@@ -179,8 +217,8 @@ class TestDenseOutput:
             C.integrate(system, [1.0, 0.0], times=np.linspace(0.0, 1.0, n_out),
                         rtol=C.CHECK_RTOL)
             calls[n_out] = len(log)
-            # the single-state path never hands the right-hand side a batch
-            assert set(log) == {(2,)}
+            # a single state reaches the right-hand side as a one-row batch
+            assert set(log) == {(1, 2)}
         assert calls[1001] <= 1.1 * calls[11]
 
     def test_each_attempt_takes_eleven_rhs_calls(self):
@@ -195,25 +233,31 @@ class TestDenseOutput:
         accepted = []
         traj = C.integrate(C.sde_growth_system(SWAP), [1.0, 0.0],
                            times=np.linspace(0.0, 1.0, 1001), rtol=C.CHECK_RTOL,
-                           stop_condition=lambda t, xi: accepted.append((t, xi.copy())))
+                           stop_condition=lambda t, xi: accepted.append((t[0], xi[0].copy())))
         assert not traj.stopped_early and len(accepted) == traj.steps
         assert accepted[-1][0] == pytest.approx(1.0, abs=1e-14)
         assert np.array_equal(traj.states[-1], accepted[-1][1])
 
-    def test_a_stop_ends_with_the_stopping_state(self):
+    def test_a_stop_keeps_the_outputs_before_the_stopping_state(self):
         growth = C.linear_system([[1.0]])
+        seen = []
         traj = C.integrate(growth, [1.0], horizon=3.0, dt_out=0.01, rtol=C.CHECK_RTOL,
-                           stop_condition=lambda t, xi: xi[0] >= 2.0)
-        # the outputs inside the stopping step come first, then its end state
-        assert traj.stopped_early and traj.states[-1, 0] >= 2.0
-        assert traj.times[-2] < traj.times[-1] <= traj.times[-2] + 0.01
+                           stop_condition=lambda t, xi: seen.append((t[0], xi[0, 0]))
+                           or xi[:, 0] >= 2.0)
+        # the stop fires at the first accepted state past 2, and the outputs
+        # end with the last output time before it
+        (_, x_before), (t_stop, x_stop) = seen[-2:]
+        assert traj.stopped_early and x_before < 2.0 <= x_stop
+        assert traj.times[-1] < t_stop <= traj.times[-1] + 0.01
+        assert np.array_equal(traj.times, np.linspace(0.0, 3.0, 301)[:len(traj.times)])
         assert np.allclose(traj.states[:, 0], np.exp(traj.times), rtol=1e-8)
 
     def test_batch_counters_sum_the_rows(self):
         system = C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4), 3)
         xi0 = np.random.default_rng(5).uniform(0.0, 2.0, size=(5, 3))
         batch = C.integrate(system, xi0, horizon=3.0, dt_out=0.01)
-        singles = [C.integrate(system, row, horizon=3.0, dt_out=0.01) for row in xi0]
+        singles = [helpers.reference_integrate(system, row, horizon=3.0, dt_out=0.01)
+                   for row in xi0]
         assert batch.steps == sum(s.steps for s in singles)
         assert batch.rejected == sum(s.rejected for s in singles)
 
@@ -379,6 +423,16 @@ class TestPractical:
         assert verdict.witness["initial_state"].tolist() == [9.0, 9.0]
         assert verdict.witness["xi0_final"] == pytest.approx(9.0 * np.exp(2.0), rel=1e-6)
 
+    def test_blowup_reports_the_rk4_counters(self):
+        quad = C.scalar_system(lambda x: x * x)
+        witness = C.check_practical(quad, lam=1.0, bound=100.0, horizon=2.0).witness
+        with pytest.raises(BlowupError) as err:
+            C.integrate(quad, [1.0], horizon=2.0, dt_out=2.0 / 256, rtol=C.CHECK_RTOL)
+        partial = err.value.partial
+        assert (witness["steps"], witness["rejected"], witness["clamp_events"]) == (
+            partial.steps, partial.rejected, partial.clamp_events)
+        assert witness["steps"] > 0
+
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             C.check_practical(C.sde_growth_system(SWAP), lam=3.0, bound=2.0,
@@ -424,7 +478,7 @@ class TestBoundCheck:
                                   source=F.zero_source())
         traj = F.evolve(u, params, horizon=1.0, dt=0.01,
                         tracked=F.mixed_columns(np.eye(2), 2))
-        flat = C.ComparisonSystem(dim=2, rhs=lambda xi: np.zeros(2))
+        flat = C.ComparisonSystem(dim=2, rhs=lambda xi: np.zeros_like(xi))
         rep = C.bound_check(traj, flat, ["W0", "W1"])
         assert rep.passed
         assert abs(rep.max_violation) < 1e-12

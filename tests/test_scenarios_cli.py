@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import tempfile
 import weakref
 from pathlib import Path
@@ -239,6 +240,12 @@ def search_doc():
     return doc
 
 
+def flows_at_the_cap(doc):
+    """How many flows of the document's size fit in ``MAX_FLOW_WORK``."""
+    work = math.ceil(doc["horizon"] / doc["dt"]) * doc["grid_size"]
+    return scenarios.MAX_FLOW_WORK // work
+
+
 def append_check(check):
     return lambda doc: doc["checks"].append(check)
 
@@ -452,8 +459,14 @@ class TestCli:
         (lambda d: d["checks"][2].update(weights=None, system={
             "kind": "linear", "matrix": (-np.eye(scenarios.MAX_SYSTEM_DIM + 1)).tolist()}),
          "linear: 'matrix'"),
+        (lambda d: d["checks"][0].update(eps=[0.5] * (scenarios.MAX_EPS + 1)),
+         "xi0_stability: 'eps'"),
+        (lambda d: d["checks"].append({"kind": "growth_scaling",
+                                       "lengths": [1.0] * flows_at_the_cap(d)}),
+         "growth_scaling: 'lengths'"),
     ], ids=["mixed_count", "xi0_directions", "xi0_iters", "wazewski_samples",
-            "lyapunov_samples", "cyclic_k", "linear_order"])
+            "lyapunov_samples", "cyclic_k", "linear_order", "xi0_eps",
+            "growth_scaling_lengths"])
     def test_sizes_over_their_caps_exit_2(self, tmp_path, capsys, mutate, field):
         doc = search_doc()
         mutate(doc)
@@ -475,7 +488,11 @@ class TestCli:
         doc["checks"].append({"kind": "wazewski", "system": {
             "kind": "cyclic", "phi": {"kind": "constant", "value": 1.0},
             "psi": {"kind": "constant", "value": 0.5}, "k": scenarios.MAX_SYSTEM_DIM}})
-        assert len(scenarios.parse_scenario(doc).checks) == 4
+        doc["checks"][0]["eps"] = [0.5] * scenarios.MAX_EPS
+        # the main flow and one per length: flows_at_the_cap in all
+        doc["checks"].append({"kind": "growth_scaling",
+                              "lengths": [1.0] * (flows_at_the_cap(doc) - 1)})
+        assert len(scenarios.parse_scenario(doc).checks) == 5
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")],
                              ids=["NaN", "Infinity", "-Infinity"])
