@@ -21,6 +21,10 @@ from .errors import BlowupError
 GUARD_FACTOR = 1e12
 RK4_ATOL = 1e-12            # absolute part of the step tolerance of integrate
 XI0_RTOL = 1e-6             # integrate's rtol in the xi0 stability search
+XI0_OUTPUTS = 32            # output intervals on [0, T_check] of the xi0 search
+# output-state doubles of one integrate call of the xi0 search: one trial of
+# 4096 directions of a 64-dimensional system, the scenario caps
+XI0_BLOCK = 4096 * 64 * (XI0_OUTPUTS + 1)
 DECAY_FACTOR = 1e-3         # asymptotic: xi_0(T_check) < DECAY_FACTOR * xi_0(0)
 CHECK_RTOL = 1e-10          # integrate's rtol in check_practical and bound_check
 WAZEWSKI_TOL = 1e-9         # slack of the sampled quasimonotonicity inequality
@@ -56,10 +60,15 @@ class ComparisonSystem:
 
 # -- standard families -------------------------------------------------------
 #
-# Each right-hand side reads the components as ``x = xi.T`` (``x[i]`` is a
-# column of the batch) and assembles the result as ``np.array([...]).T``, so
-# each row is computed by its own arithmetic.  A single state of shape
-# ``(dim,)`` works as well, which the tests' per-state reference loops use.
+# Each right-hand side computes all rows at once, one product per
+# coefficient on the ``(n, dim)`` batch, so each row is computed by its own
+# arithmetic.  A single state of shape ``(dim,)`` works as well, which the
+# tests' per-state reference loops use.
+
+
+def _column(value):
+    # a per-row coefficient against the rows; a number broadcasts
+    return np.asarray(value)[..., None]
 
 
 def nilpotent_source_system(phi, psi, a: float = -1.0) -> ComparisonSystem:
@@ -69,10 +78,11 @@ def nilpotent_source_system(phi, psi, a: float = -1.0) -> ComparisonSystem:
     ``xi1' = 2 a phi(xi0) xi1``  (a = the scalar part of A, usually -1).
     """
     def rhs(xi):
-        x = xi.T
-        p, q = phi(x[0]), psi(x[0])
-        return np.array([2 * a * p * x[0] + 2 * q * x[1],
-                         2 * a * p * x[1]]).T
+        x0 = xi[..., 0]
+        out = _column(2 * a * phi(x0)) * xi
+        # only xi0 has a coupling term; adding a zero to xi1 could flip its sign of zero
+        out[..., 0] += 2 * psi(x0) * xi[..., 1]
+        return out
     return ComparisonSystem(dim=2, rhs=rhs, name="nilpotent_source")
 
 
@@ -84,17 +94,16 @@ def cyclic_mixed_system(phi, psi, k: int, a: float = -1.0) -> ComparisonSystem:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    # W_i couples to W_left[i] + W_right[i]; W_0 takes twice W_1 (W_0 itself
+    # when k = 1), and ``psi (x + x)`` has the bits of ``2 psi x``
+    right = (np.arange(k) + 1) % k
+    left = (np.arange(k) - 1) % k
+    left[0] = right[0]
 
     def rhs(xi):
-        x = xi.T
-        p, q = phi(x[0]), psi(x[0])
-        if k == 1:
-            return np.array([2 * a * p * x[0] + 2 * q * x[0]]).T
-        out = [2 * a * p * x[0] + 2 * q * x[1]]
-        for i in range(1, k - 1):
-            out.append(2 * a * p * x[i] + q * (x[i - 1] + x[i + 1]))
-        out.append(2 * a * p * x[k - 1] + q * (x[k - 2] + x[0]))
-        return np.array(out).T
+        x0 = xi[..., 0]
+        p, q = phi(x0), psi(x0)
+        return _column(2 * a * p) * xi + _column(q) * (xi[..., left] + xi[..., right])
     return ComparisonSystem(dim=k, rhs=rhs, name=f"cyclic_mixed_k{k}")
 
 
@@ -147,13 +156,15 @@ def scalar_system(f, name: str = "scalar", time_dependent: bool = False) -> Comp
 
 @dataclass
 class ComparisonTrajectory:
-    times: np.ndarray
+    times: np.ndarray           # the output times the farthest row reached
     states: np.ndarray          # shape (len(times), dim), or (len(times), n, dim)
-                                # for a batch of n initial states
+                                # for a batch of n initial states; NaN at the
+                                # outputs a stopped row did not reach
     clamp_events: int = 0
     steps: int = 0              # accepted RK4 steps, summed over the rows of a batch
     rejected: int = 0           # rejected RK4 steps, likewise
-    stopped_early: bool = False
+    stopped: np.ndarray | None = None   # per row (one for a single state): its
+                                        # stop condition fired
 
 
 def _rk4(system, t, xi, h, k1):
@@ -199,10 +210,18 @@ def _dense(theta, h, x0, f0, xm, fm, x1):
     return np.maximum(x0 + theta * (hf0 + theta * (c2 + theta * (c3 + theta * c4))), 0.0)
 
 
-def _step_factor(tol, err, ok):
-    if ok:
-        return min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
-    return max(0.1, 0.9 * (tol / err) ** 0.2)
+def _step_factors(tol, err, ok):
+    """Per row, the factor of the next step size: ``0.9 (tol / err) ** 0.2``,
+    within [0.2, 5] after an accepted step and at least 0.1 after a rejected
+    one, which a NaN error estimate gets.
+
+    Only the power is taken in Python floats: numpy's vectorized power can
+    differ from Python's in the last bit and would change the step sequence.
+    """
+    ratio = tol / np.where(ok, np.maximum(err, 1e-300), err)
+    f = 0.9 * np.array([r ** 0.2 for r in ratio.tolist()])
+    # fmax, like Python's max(0.1, f), keeps the bound when f is NaN
+    return np.where(ok, np.minimum(5.0, np.fmax(0.2, f)), np.fmax(0.1, f))
 
 
 def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
@@ -214,8 +233,8 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
     ``(n, dim)``, and ``states`` has shape ``(len(times), dim)`` or
     ``(len(times), n, dim)``.  A single state steps as a one-row batch.  The
     rows are independent: each steps with its own time, step size,
-    tolerance, clamping and guard, so a row's result does not depend on the
-    rows beside it.  The right-hand side always receives rows.
+    tolerance, clamping, guard and stop, so a row's result does not depend
+    on the rows beside it.  The right-hand side always receives rows.
 
     Step doubling holds the local error of each step below ``RK4_ATOL +
     rtol * max|xi|``.  Steps are cut only at the final time; an output time
@@ -227,13 +246,15 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
     dozen steps, whatever their number.  Negative undershoots are
     clamped to zero (the cone is the domain of the theory) and counted, as
     are accepted and rejected steps, summed over the rows.
-    Raises :class:`BlowupError` when a row escapes the overflow guard or its
-    step size underflows; the error's ``partial`` holds the output times
-    every row reached.  An optional ``stop_condition(t, xi)`` receives the
-    rows that just took an accepted step (times of shape ``(k,)``, states
-    ``(k, dim)``) and returns one flag per row; as soon as any row stops
-    (stability searches stop once a threshold is crossed), the result holds
-    the output times every row reached, with ``stopped_early`` set.
+    An optional ``stop_condition(t, xi, rows)`` receives the rows that just
+    took an accepted step (times of shape ``(k,)``, states ``(k, dim)`` and
+    their indices in the batch, ``(k,)``) and returns one flag per row.  A
+    row whose flag is set stops stepping, before the outputs its stopping
+    state would reach, while the other rows run on; ``stopped`` says which
+    rows stopped, ``times`` ends at the farthest row's, and the outputs a
+    row did not reach are NaN.  Raises :class:`BlowupError` when a row escapes the
+    overflow guard or its step size underflows; the error's ``partial``
+    holds the output times every running row reached.
     """
     xi = np.asarray(xi0, dtype=float)
     if xi.shape[-1:] != (system.dim,) or xi.ndim > 2 or xi.size == 0:
@@ -248,7 +269,8 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
         times = np.linspace(0.0, horizon, n_out + 1)
     else:
         times = np.asarray(times, dtype=float)
-        if times[0] != 0.0 or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+        if (times.ndim != 1 or times.size == 0 or times[0] != 0.0
+                or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0)):
             raise ValueError("output times must be finite and increase from 0")
     states = np.empty((len(times),) + xi.shape)
     states[0] = xi
@@ -266,9 +288,7 @@ def _integrate_rows(system, states, times, rtol, stop_condition):
 
     ``states`` holds the initial state or batch at index 0 and takes the
     outputs; the trajectories returned hold slices of it, in its shape.
-    Each operation below acts elementwise or along a row, except the step
-    factor: it stays in Python floats, because numpy's vectorized power can
-    differ from Python's in the last bit and would change the step sequence.
+    Each operation below acts elementwise or along a row.
     """
     rows = states.reshape(len(times), -1, system.dim)   # a view, one row per state
     xi = rows[0].copy()
@@ -279,19 +299,23 @@ def _integrate_rows(system, states, times, rtol, stop_condition):
     reach, inside = times - margin, times + margin
     guard = GUARD_FACTOR * np.maximum(1.0, np.max(np.abs(xi), axis=1))
     nxt = np.ones(n, dtype=int)         # index of each row's next output time
+    stopped = np.zeros(n, dtype=bool)
     t = np.zeros(n)
     h = np.full(n, (end / max(last, 1)) / 4.0)
     clamped = steps = rejected = 0
 
-    def reached(**kwargs):
-        done = int(np.min(nxt))
+    def result(done):
+        rows[:done][np.arange(done)[:, None] >= nxt] = np.nan
         return ComparisonTrajectory(times[:done], states[:done], clamped, steps,
-                                    rejected, **kwargs)
+                                    rejected, stopped.copy())
+
+    def partial():
+        return result(int(np.min(nxt[~stopped])))
 
     while True:
-        live = np.flatnonzero(nxt <= last)
+        live = np.flatnonzero((nxt <= last) & ~stopped)
         if live.size == 0:
-            return reached()
+            return result(int(np.max(nxt)))
         t_live, xi_live = t[live], xi[live]
         h_try = np.minimum(h[live], end - t_live)
         k1, half, k_half, big, two = _double_step(system, t_live, xi_live, h_try)
@@ -314,7 +338,7 @@ def _integrate_rows(system, states, times, rtol, stop_condition):
         if np.any(escaped):
             at = float(t[acc[np.argmax(escaped)]])
             raise BlowupError(f"comparison state escaped the guard at t={at:.6g}",
-                              reached_time=at, partial=reached())
+                              reached_time=at, partial=partial())
         first = nxt[acc]
         count = np.maximum(np.searchsorted(inside, t[acc]) - first, 0)
         if np.any(count):
@@ -324,22 +348,24 @@ def _integrate_rows(system, states, times, rtol, stop_condition):
             rows[out, acc[row]] = _dense(theta[:, None], h_try[step, None], xi_live[step],
                                          k1[step], half[step], k_half[step], moved[row])
             nxt[acc] += count
-        if stop_condition is not None and acc.size and np.any(stop_condition(t[acc], moved)):
-            return reached(stopped_early=True)
+        if stop_condition is not None and acc.size:
+            halt = np.broadcast_to(np.asarray(stop_condition(t[acc], moved, acc), dtype=bool),
+                                   acc.shape)
+            stopped[acc[halt]] = True
+            acc, moved = acc[~halt], moved[~halt]
         first = nxt[acc]
         count = np.maximum(np.searchsorted(reach, t[acc], side="right") - first, 0)
         if np.any(count):
             row, out = _spans(first, count)
             rows[out, acc[row]] = moved[row]
             nxt[acc] += count
-        factor = [_step_factor(a, e, good)
-                  for a, e, good in zip(tol.tolist(), err.tolist(), ok.tolist())]
-        h[live] = h_try * np.array(factor)
-        small = (nxt[live] <= last) & (h[live] < 1e-13 * np.maximum(1.0, t[live]))
+        h[live] = h_try * _step_factors(tol, err, ok)
+        small = ((nxt[live] <= last) & ~stopped[live]
+                 & (h[live] < 1e-13 * np.maximum(1.0, t[live])))
         if np.any(small):
             raise BlowupError("step size underflow in adaptive RK4",
                               reached_time=float(t[live[np.argmax(small)]]),
-                              partial=reached())
+                              partial=partial())
 
 
 # -- measures ----------------------------------------------------------------
@@ -468,9 +494,20 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     For each epsilon a bisection searches for delta such that all sampled
     initial states with sup-norm below delta keep ``xi_0(t) < eps`` on
     [0, T_check], each run integrated at ``rtol = XI0_RTOL``.  The
-    asymptotic variant additionally requires the sampled ``xi_0(T_check)``
-    to fall below ``DECAY_FACTOR * xi_0(0)``.  The verdict is evidence, not
-    proof, and says so.
+    asymptotic variant additionally requires the sampled ``xi_0(T_check)``,
+    started at half the smallest delta found, to fall below ``DECAY_FACTOR *
+    xi_0(0)``.  The verdict is evidence, not proof, and says so.
+
+    A trial, one ``(delta, eps)`` pair over all the directions, is a group of
+    rows.  The first batch tries every eps at delta = eps together with the
+    decay run at half the smallest eps, which decides a search in which no
+    eps bisects.  An eps that fails there bisects alone, one trial per
+    batch, in increasing order, and the search ends ``unstable`` at the
+    first eps whose bisection reaches the floor; the decay run is repeated
+    at the final deltas only if some eps bisected.  The rows are
+    independent, so the verdict is the one that a run per trial gives.
+    Blocks of trials keep the output states of one batch within
+    ``XI0_BLOCK`` doubles.
     """
     eps_grid = tuple(eps_grid)
     if not eps_grid or any(e <= 0 for e in eps_grid):
@@ -489,31 +526,46 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     dirs = rng.uniform(0.0, 1.0, size=(n_directions, system.dim))
     dirs[n_directions // 2:] /= np.maximum(
         np.max(dirs[n_directions // 2:], axis=1, keepdims=True), 1e-30)
+    per_block = max(1, XI0_BLOCK // (n_directions * system.dim * (XI0_OUTPUTS + 1)))
 
-    def run(delta, eps):
-        """(xi_0 at 0, xi_0 at T_check) of each direction, or None if any fails.
+    def batch(trials):
+        """Per trial, ``(xi_0 at 0, xi_0 at T_check)`` of each direction, or
+        None if any crosses its eps.  A crossing decides its trial, so it
+        stops the trial's other rows as well."""
+        delta, eps = (np.repeat(np.array(v, dtype=float), n_directions) for v in zip(*trials))
+        trial = np.repeat(np.arange(len(trials)), n_directions)
+        failed = np.zeros(len(trials), dtype=bool)
 
-        All directions step as one batch, which ends at the first one that
-        crosses ``eps`` or blows up, since that already decides the answer.
-        """
-        xi0 = delta * dirs * (1 - 1e-12)
-        try:
-            traj = integrate(system, xi0, horizon=T_check, dt_out=T_check / 32,
-                             rtol=XI0_RTOL, stop_condition=lambda t, xi: xi[:, 0] >= eps)
-        except BlowupError:
-            return None
-        if traj.stopped_early or np.max(traj.states[:, :, 0]) >= eps:
-            return None
-        return list(zip(xi0[:, 0], traj.states[-1, :, 0]))
+        def stop(t, xi, rows):
+            failed[trial[rows[xi[:, 0] >= eps[rows]]]] = True
+            return failed[trial[rows]]
 
-    def survives(delta, eps):
-        return run(delta, eps) is not None
+        xi0 = delta[:, None] * np.tile(dirs, (len(trials), 1)) * (1 - 1e-12)
+        traj = integrate(system, xi0, horizon=T_check, dt_out=T_check / XI0_OUTPUTS,
+                         rtol=XI0_RTOL, stop_condition=stop)
+        x = traj.states[:, :, 0]        # NaN past a stopped row's reach
+        failed |= np.any(x >= eps, axis=0).reshape(-1, n_directions).any(axis=1)
+        return [None if f else list(zip(start, final)) for f, start, final in
+                zip(failed, xi0[:, 0].reshape(-1, n_directions), x[-1].reshape(-1, n_directions))]
 
+    def run(trials, size=per_block):
+        outcomes = []
+        for start in range(0, len(trials), size):
+            block = trials[start:start + size]
+            try:
+                outcomes += batch(block)
+            except BlowupError:
+                # a row that blows up fails its own trial only
+                outcomes += [None] if len(block) == 1 else run(block, 1)
+        return outcomes
+
+    levels = sorted(eps_grid)
+    *first, decay = run([(float(e), e) for e in levels] + [(0.5 * float(levels[0]), levels[0])])
     table = []
     floor = 1e-12
-    for eps in sorted(eps_grid):
+    for eps, outcome in zip(levels, first):
         hi = float(eps)
-        if survives(hi, eps):
+        if outcome is not None:
             table.append((eps, hi))
             continue
         lo = 0.0
@@ -521,10 +573,10 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
             mid = 0.5 * (lo + hi)
             if mid <= floor:
                 break
-            if survives(mid, eps):
-                lo = mid
-            else:
+            if run([(mid, eps)])[0] is None:
                 hi = mid
+            else:
+                lo = mid
         if lo <= floor:
             return StabilityVerdict(
                 kind="unstable",
@@ -535,12 +587,13 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
 
     # decay of the first component from well inside the smallest found delta;
     # a direction that fails there leaves no decay evidence at all
-    finals = run(0.5 * min(d for _, d in table), min(e for e, _ in table))
-    decays = [f < DECAY_FACTOR * x0 for x0, f in finals or () if x0 > 0]
+    if any(outcome is None for outcome in first):
+        decay, = run([(0.5 * min(d for _, d in table), levels[0])])
+    decays = [f < DECAY_FACTOR * x0 for x0, f in decay or () if x0 > 0]
     kind = "asymptotically_stable" if decays and all(decays) else "stable"
     witness = {"delta_table": table, "samples": n_directions, "T_check": T_check,
                "decay_checked": len(decays), "note": SAMPLED_EVIDENCE_NOTE}
-    if finals is None:
+    if decay is None:
         witness["decay_run_failed"] = True
     return StabilityVerdict(kind=kind, witness=witness)
 

@@ -256,10 +256,17 @@ def reference_step(u, params, dt):
 
 
 # ---------------------------------------------------------------------------
-# the single-state adaptive RK4 loop: one state, Python-float times, steps and
-# error norms; every row of the batched ``comparison.integrate`` must match it
-# bit for bit, states, times and counters.  Its stop rule differs: it ends
-# with the stopping state appended to the outputs it reached.
+# the single-state adaptive RK4 loop: one state, Python-float times, steps,
+# error norms and step factors; every row of the batched
+# ``comparison.integrate`` must match it bit for bit, states, times, counters
+# and stop.  Its stop condition has integrate's contract, called on a
+# one-row batch whose row index is 0.
+
+
+def reference_step_factor(tol, err, ok):
+    if ok:
+        return min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
+    return max(0.1, 0.9 * (tol / err) ** 0.2)
 
 
 def _reference_rk4(system, t, xi, h, k1):
@@ -280,8 +287,7 @@ def _reference_double_step(system, t, xi, h):
 
 def reference_integrate(system, xi0, horizon=None, dt_out=None, times=None,
                         rtol=1e-8, stop_condition=None):
-    from setflow.comparison import (GUARD_FACTOR, RK4_ATOL, ComparisonTrajectory,
-                                    _dense, _step_factor)
+    from setflow.comparison import GUARD_FACTOR, RK4_ATOL, ComparisonTrajectory, _dense
     from setflow.errors import BlowupError
 
     xi = np.asarray(xi0, dtype=float).copy()
@@ -305,6 +311,10 @@ def reference_integrate(system, xi0, horizon=None, dt_out=None, times=None,
     t = 0.0
     h = (end / max(last, 1)) / 4.0
 
+    def result(stopped=False):
+        return ComparisonTrajectory(times[:nxt], states[:nxt], clamped, steps, rejected,
+                                    np.array([stopped]))
+
     while nxt <= last:
         h_try = min(h, end - t)
         k1, half, k_half, big, two = _reference_double_step(system, t, xi, h_try)
@@ -322,18 +332,15 @@ def reference_integrate(system, xi0, horizon=None, dt_out=None, times=None,
             if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard:
                 raise BlowupError(
                     f"comparison state escaped the guard at t={t:.6g}",
-                    reached_time=t,
-                    partial=ComparisonTrajectory(times[:nxt], states[:nxt],
-                                                 clamped, steps, rejected))
+                    reached_time=t, partial=result())
             k = int(np.searchsorted(inside, t))
             if k > nxt:
                 theta = (times[nxt:k] - t0) / h_try
                 states[nxt:k] = _dense(theta[:, None], h_try, x0, k1, half, k_half, xi)
                 nxt = k
-            if stop_condition is not None and stop_condition(t, xi):
-                return ComparisonTrajectory(
-                    np.append(times[:nxt], t), np.vstack([states[:nxt], xi]),
-                    clamped, steps, rejected, stopped_early=True)
+            if stop_condition is not None and np.asarray(
+                    stop_condition(np.array([t]), xi[None], np.array([0])), dtype=bool).all():
+                return result(stopped=True)
             k = int(np.searchsorted(reach, t, side="right"))
             if k > nxt:
                 states[nxt:k] = xi
@@ -341,11 +348,11 @@ def reference_integrate(system, xi0, horizon=None, dt_out=None, times=None,
         else:
             rejected += 1
         if nxt <= last:
-            h = h_try * _step_factor(tol, err, err <= tol)
+            h = h_try * reference_step_factor(tol, err, err <= tol)
             if h < 1e-13 * max(1.0, t):
                 raise BlowupError("step size underflow in adaptive RK4",
-                                  reached_time=t)
-    return ComparisonTrajectory(times, states, clamped, steps, rejected)
+                                  reached_time=t, partial=result())
+    return result()
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +374,14 @@ def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
     def survives(delta, eps, collect=None):
         for d in dirs:
             xi0 = delta * d * (1 - 1e-12)
-            stop = lambda t, xi: xi[0] >= eps
+            stop = lambda t, xi, rows: xi[:, 0] >= eps
             try:
                 traj = reference_integrate(system, xi0, horizon=T_check,
                                            dt_out=T_check / 32, rtol=rtol,
                                            stop_condition=stop)
             except BlowupError:
                 return False
-            if traj.stopped_early or np.max(traj.states[:, 0]) >= eps:
+            if traj.stopped[0] or np.max(traj.states[:, 0]) >= eps:
                 return False
             if collect is not None:
                 collect.append((xi0[0], traj.states[-1, 0]))

@@ -14,6 +14,7 @@ RNG = np.random.default_rng(9)
 MINUS_I = -np.eye(2)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 SHEAR = np.array([[0.0, 1.0], [0.0, 0.0]])
+RATIONAL = F.rational([1.0], [1.0, 1.0])
 
 # xi0' = 50 (0.08 - xi1) xi0 with xi1 frozen: only states with xi1 < 0.08
 # grow.  The 16 directions of seed 3 have xi1 >= 0.11 at delta = 1, so all
@@ -28,6 +29,11 @@ NON_MONOTONE = C.ComparisonSystem(
 LATE_VIOLATION = C.ComparisonSystem(
     dim=2, rhs=lambda xi: np.array([0.0 * xi.T[0], -np.maximum(xi.T[0] - 4.5, 0.0)]).T,
     name="late_violation")
+
+
+def reach(states):
+    """The output times a trajectory row reached: those not filled with NaN."""
+    return int(np.count_nonzero(~np.isnan(states[:, 0])))
 
 
 class TestIntegrate:
@@ -91,6 +97,25 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             C.integrate(decay, **{"xi0": [1.0], "horizon": 1.0, **kwargs})
 
+    @pytest.mark.parametrize("times", [[], [[0.0, 1.0]]], ids=["empty", "nested"])
+    def test_output_times_of_another_shape_rejected(self, times):
+        decay = C.scalar_system(lambda x: -x)
+        with pytest.raises(ValueError, match="output times must be finite and increase from 0"):
+            C.integrate(decay, [1.0], times=times)
+
+    def test_step_factors_match_the_python_floats(self):
+        rng = np.random.default_rng(8)
+        tol = np.concatenate([rng.uniform(1e-12, 1e-3, 2000), [1e-6, 1e-6, 1e-6, np.nan]])
+        err = np.concatenate([tol[:2000] * 10.0 ** rng.uniform(-8.0, 4.0, 2000),
+                              [0.0, np.nan, np.inf, 1e-6]])
+        ok = err <= tol
+        factors = C._step_factors(tol, err, ok)
+        expected = [helpers.reference_step_factor(a, e, good)
+                    for a, e, good in zip(tol.tolist(), err.tolist(), ok.tolist())]
+        assert np.array_equal(factors, expected)
+        # a rejected step with a NaN error estimate shrinks by the bound
+        assert factors[-3] == factors[-1] == 0.1 and factors[-4] == 5.0
+
     def test_single_functional_chain(self):
         # k = 1 closes on itself: xi0' = (-2 phi + 2 psi) xi0
         sys1 = C.cyclic_mixed_system(F.constant(1.0), F.constant(0.25), 1)
@@ -148,23 +173,68 @@ class TestIntegrate:
         assert (batch.clamp_events, batch.steps, batch.rejected) == tuple(counters)
         assert np.array_equal(batch.times, ref.times)
 
-    def test_batch_ends_at_first_stop(self):
-        # row 1 grows past 2 near t = ln 2; row 0 would never stop
+    def test_a_row_stops_alone(self):
+        # row 1 grows past 2 near t = ln 2 and stops; row 0 never stops and
+        # runs on to the horizon
         growth = C.linear_system([[1.0]])
-        stop = lambda t, xi: xi[..., 0] >= 2.0
+        stop = lambda t, xi, rows: xi[:, 0] >= 2.0
         ref = helpers.reference_integrate(growth, [1.0], horizon=3.0, dt_out=0.1,
                                           stop_condition=stop)
         single = C.integrate(growth, [1.0], horizon=3.0, dt_out=0.1,
                              stop_condition=stop)
+        alone = C.integrate(growth, [0.0], horizon=3.0, dt_out=0.1,
+                            stop_condition=stop)
         batch = C.integrate(growth, [[0.0], [1.0]], horizon=3.0, dt_out=0.1,
                             stop_condition=stop)
-        assert ref.stopped_early and single.stopped_early and batch.stopped_early
-        # both keep the output times every row reached before the stop; the
-        # reference loop appends the stopping state to them
-        assert np.array_equal(single.times, ref.times[:-1])
-        assert np.array_equal(single.states, ref.states[:-1])
-        assert np.array_equal(batch.times, single.times)
-        assert np.array_equal(batch.states[:, 1], single.states)
+        assert ref.stopped.tolist() == single.stopped.tolist() == [True]
+        assert batch.stopped.tolist() == [False, True]
+        # the stopped row keeps the output times it reached before its stopping
+        # state, as the reference loop does
+        reached = len(single.times)
+        assert 1 < reached < 31 and abs(single.times[-1] - np.log(2.0)) < 0.1
+        assert len(ref.times) == reached and not np.any(np.isnan(single.states))
+        assert np.array_equal(single.times, ref.times)
+        assert np.array_equal(single.states, ref.states)
+        # in the batch it keeps the same outputs, and NaN past them
+        assert [reach(batch.states[:, i]) for i in (0, 1)] == [31, reached]
+        assert np.array_equal(batch.times, alone.times) and len(batch.times) == 31
+        assert np.array_equal(batch.states[:, 0], alone.states)
+        assert np.array_equal(batch.states[:reached, 1], single.states)
+        assert np.all(np.isnan(batch.states[reached:, 1]))
+        assert (batch.steps, batch.rejected) == (single.steps + alone.steps,
+                                                 single.rejected + alone.rejected)
+
+    def test_rows_stop_at_their_own_thresholds(self):
+        # the stop condition tells the rows apart by index: each row has its
+        # own threshold on xi_0, and the rows that never reach it run on
+        system = C.cyclic_mixed_system(F.rational([1.0], [1.0, 1.0]), F.constant(0.9), 3)
+        xi0 = np.random.default_rng(21).uniform(0.0, 1.0, size=(6, 3))
+        threshold = np.array([1.5, np.inf, 2.0, 1.2, np.inf, 3.0])
+        seen = []
+
+        def stop(t, xi, rows):
+            seen.append(rows.copy())
+            return xi[:, 0] >= threshold[rows]
+        batch = C.integrate(system, xi0, horizon=4.0, dt_out=0.1, stop_condition=stop)
+        seen = np.concatenate(seen)
+        counters = np.zeros(2, dtype=int)
+        for i, row in enumerate(xi0):
+            own = lambda t, xi, rows, cap=threshold[i]: xi[:, 0] >= cap
+            ref = helpers.reference_integrate(system, row, horizon=4.0, dt_out=0.1,
+                                              stop_condition=own)
+            single = C.integrate(system, row, horizon=4.0, dt_out=0.1, stop_condition=own)
+            k = len(ref.times)
+            assert (batch.stopped[i], reach(batch.states[:, i])) == (ref.stopped[0], k)
+            assert (single.stopped[0], reach(single.states)) == (ref.stopped[0], k)
+            assert np.array_equal(single.states, ref.states)
+            assert np.array_equal(batch.states[:k, i], ref.states)
+            assert np.all(np.isnan(batch.states[k:, i]))
+            # the condition sees the row at each accepted step up to its stop
+            assert np.count_nonzero(seen == i) == ref.steps
+            counters += (ref.steps, ref.rejected)
+        # two rows never stop, so the batch keeps every output time
+        assert batch.stopped.tolist() == [True, False, True, True, False, True]
+        assert len(batch.times) == 41 and (batch.steps, batch.rejected) == tuple(counters)
 
     def test_batch_row_leaving_guard_raises(self):
         # the second row's large scale must not lift the first row's guard
@@ -233,8 +303,8 @@ class TestDenseOutput:
         accepted = []
         traj = C.integrate(C.sde_growth_system(SWAP), [1.0, 0.0],
                            times=np.linspace(0.0, 1.0, 1001), rtol=C.CHECK_RTOL,
-                           stop_condition=lambda t, xi: accepted.append((t[0], xi[0].copy())))
-        assert not traj.stopped_early and len(accepted) == traj.steps
+                           stop_condition=lambda t, xi, rows: accepted.append((t[0], xi[0].copy())))
+        assert not traj.stopped[0] and len(accepted) == traj.steps
         assert accepted[-1][0] == pytest.approx(1.0, abs=1e-14)
         assert np.array_equal(traj.states[-1], accepted[-1][1])
 
@@ -242,12 +312,13 @@ class TestDenseOutput:
         growth = C.linear_system([[1.0]])
         seen = []
         traj = C.integrate(growth, [1.0], horizon=3.0, dt_out=0.01, rtol=C.CHECK_RTOL,
-                           stop_condition=lambda t, xi: seen.append((t[0], xi[0, 0]))
+                           stop_condition=lambda t, xi, rows: seen.append((t[0], xi[0, 0]))
                            or xi[:, 0] >= 2.0)
         # the stop fires at the first accepted state past 2, and the outputs
         # end with the last output time before it
         (_, x_before), (t_stop, x_stop) = seen[-2:]
-        assert traj.stopped_early and x_before < 2.0 <= x_stop
+        assert traj.stopped.tolist() == [True] and reach(traj.states) == len(traj.times)
+        assert x_before < 2.0 <= x_stop
         assert traj.times[-1] < t_stop <= traj.times[-1] + 0.01
         assert np.array_equal(traj.times, np.linspace(0.0, 3.0, 301)[:len(traj.times)])
         assert np.allclose(traj.states[:, 0], np.exp(traj.times), rtol=1e-8)
@@ -373,6 +444,115 @@ class TestXi0Stability:
         verdict = C.check_xi0_stability(system, **kwargs)
         expected = helpers.reference_check_xi0_stability(system, **kwargs)
         assert verdict.to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize("system, kwargs, bisecting", [
+        (C.nilpotent_source_system(F.constant(1.0), F.constant(0.5)),
+         dict(eps_grid=(1.0, 0.1, 0.5), T_check=10.0), []),
+        (C.nilpotent_source_system(RATIONAL, F.constant(0.5)),
+         dict(eps_grid=(0.05, 0.1, 0.5), T_check=10.0), []),
+        (C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0])),
+         dict(eps_grid=(0.05, 0.5, 2.0, 5.0), T_check=10.0, bisect_iters=6), [2.0, 5.0]),
+        (C.nilpotent_source_system(RATIONAL, F.constant(0.5)),
+         dict(eps_grid=(20.0, 0.05, 5.0, 0.5), T_check=10.0, bisect_iters=6), [5.0, 20.0]),
+        (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2),
+         dict(eps_grid=(0.1, 0.5, 1.0), T_check=15.0, n_directions=4, bisect_iters=45),
+         None),
+        (C.cyclic_mixed_system(RATIONAL, F.constant(0.9), 2),
+         dict(eps_grid=(0.05, 0.5, 50.0), T_check=10.0, bisect_iters=3), None),
+    ], ids=["no_level_bisects_constant", "no_level_bisects_rational",
+            "some_levels_bisect_constant", "some_levels_bisect_rational",
+            "floor_constant", "unstable_level_rational"])
+    def test_rounds_match_per_direction_search(self, system, kwargs, bisecting, monkeypatch):
+        kwargs = {"n_directions": 8, "bisect_iters": 8, **kwargs}
+        calls = []
+        integrate = C.integrate
+        monkeypatch.setattr(C, "integrate",
+                            lambda s, xi0, **k: calls.append(len(xi0)) or integrate(s, xi0, **k))
+        verdict = C.check_xi0_stability(system, **kwargs)
+        expected = helpers.reference_check_xi0_stability(system, **kwargs)
+        assert verdict.to_dict() == expected.to_dict()
+        table = verdict.witness["delta_table"]
+        iters = kwargs["bisect_iters"]
+        # the first batch holds every level and the decay run; after it each
+        # bisection trial of a level that failed there is a batch of its own
+        assert calls[0] == (len(kwargs["eps_grid"]) + 1) * kwargs["n_directions"]
+        assert set(calls[1:]) <= {kwargs["n_directions"]}
+        bisected = [e for e, d in table if d != e]
+        if bisecting is None:
+            assert verdict.kind == "unstable"
+            failed = verdict.witness["failed_eps"]
+            if iters > 40:                  # the bisection reached the floor
+                assert failed == min(kwargs["eps_grid"])
+            else:
+                assert len(table) == 2
+            # the search ends at the failing level: no level above it bisects
+            floor_iters = next(k for k in range(iters + 1)
+                               if k == iters or failed / 2 ** (k + 1) <= 1e-12)
+            assert len(calls) == 1 + iters * len(bisected) + floor_iters
+        else:
+            assert verdict.kind == "asymptotically_stable"
+            assert bisected == bisecting
+            # the first batch decides a search in which no level bisects;
+            # otherwise each bisection trial and the repeated decay run add one
+            assert len(calls) == 1 + (iters * len(bisecting) + 1 if bisecting else 0)
+
+    def test_a_level_that_blows_up_fails_alone(self, monkeypatch):
+        # above 0.3 the right-hand side is NaN, so the step size of the rows of
+        # eps = 1 underflows in round 0; the other levels must not fail with them
+        cliff = C.scalar_system(lambda x: np.where(x > 0.3, np.nan, -x))
+        kwargs = dict(eps_grid=(0.1, 1.0, 0.2), T_check=10.0, n_directions=4, bisect_iters=6)
+        with pytest.raises(BlowupError, match="underflow"):
+            C.integrate(cliff, [1.0], horizon=10.0)
+        raised = []
+        integrate = C.integrate
+
+        def counted(system, xi0, **kw):
+            try:
+                return integrate(system, xi0, **kw)
+            except BlowupError:
+                raised.append(len(xi0))
+                raise
+        monkeypatch.setattr(C, "integrate", counted)
+        verdict = C.check_xi0_stability(cliff, **kwargs)
+        expected = helpers.reference_check_xi0_stability(cliff, **kwargs)
+        assert verdict.to_dict() == expected.to_dict()
+        # round 0's batch of four trials raised, then the trial of eps = 1 alone
+        assert raised[:2] == [16, 4]
+        assert verdict.kind == "asymptotically_stable"
+        assert dict(verdict.witness["delta_table"])[0.2] == 0.2
+
+    def test_blocks_keep_the_verdict(self, monkeypatch):
+        system = C.nilpotent_source_system(RATIONAL, F.constant(0.5))
+        kwargs = dict(eps_grid=(0.05, 0.5, 5.0, 20.0), T_check=10.0, n_directions=8,
+                      bisect_iters=6)
+        whole = C.check_xi0_stability(system, **kwargs)
+        # two trials of 8 directions per block
+        monkeypatch.setattr(C, "XI0_BLOCK", 2 * 8 * system.dim * (C.XI0_OUTPUTS + 1))
+        rows = []
+        rhs = system.rhs
+        blocked = C.ComparisonSystem(dim=2, rhs=lambda xi: rows.append(len(xi)) or rhs(xi))
+        assert C.check_xi0_stability(blocked, **kwargs).to_dict() == whole.to_dict()
+        assert max(rows) == 16
+
+    def test_the_largest_search_keeps_within_one_block(self):
+        # 64 levels of 4096 directions of a 64-dimensional system: one trial
+        # per block.  The count stops the search at the first batch.
+        class FirstBatch(Exception):
+            pass
+
+        rows = []
+
+        def rhs(xi):
+            rows.append(len(xi))
+            if len(xi) > 1:
+                raise FirstBatch
+            return -xi
+        system = C.ComparisonSystem(dim=64, rhs=rhs)
+        with pytest.raises(FirstBatch):
+            C.check_xi0_stability(system, eps_grid=np.linspace(0.1, 6.4, 64),
+                                  n_directions=4096)
+        assert rows == [1, 4096]
+        assert rows[-1] * 64 * (C.XI0_OUTPUTS + 1) <= C.XI0_BLOCK == 4096 * 64 * 33
 
     @pytest.mark.parametrize("seed, n_directions", [(3, 16), (4, 8)])
     def test_failed_decay_run_is_only_stable(self, seed, n_directions):
