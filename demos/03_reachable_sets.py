@@ -22,9 +22,11 @@ for t_probe in (0.25, 0.5, 1.0):
           f"{np.pi * traj.times[i] ** 2:12.8f}")
 
 print("\ncontractive system (A = -I): radius saturates at 1 - exp(-t)")
-traj = reach_set(-np.eye(2), disc, origin, horizon=2.0, dt=1e-3)
+# the frames are not kept, so the radius is tracked as a column of its own
+traj = reach_set(-np.eye(2), disc, origin, horizon=2.0, dt=1e-3,
+                 tracked={"radius": lambda u: float(np.max(u.values))})
 print(f"{'t':>5} {'max h':>12} {'1 - exp(-t)':>12}")
 for t_probe in (0.5, 1.0, 2.0):
     i = int(np.argmin(np.abs(traj.times - t_probe)))
-    radius = float(np.max(traj.bodies[i].values))
+    radius = traj.tracked["radius"][i]
     print(f"{traj.times[i]:5.2f} {radius:12.8f} {1 - np.exp(-traj.times[i]):12.8f}")

@@ -99,8 +99,7 @@ def _adopt(values: np.ndarray) -> SupportFunction2D:
     read-only.
 
     Only for a one-dimensional float array of valid samples that nothing
-    writes to again, such as a row of the frame store of
-    :func:`setflow.flow.evolve` or a temporary of :func:`setflow.flow.step`.
+    writes to again, such as a temporary of :func:`setflow.flow.step`.
     """
     values.setflags(write=False)
     body = object.__new__(SupportFunction2D)

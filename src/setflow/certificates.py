@@ -385,6 +385,10 @@ class GlobalExistenceReport:
     norm_check: dict | None
 
 
+def _sup_norm(u: SupportFunction2D) -> float:
+    return float(np.max(np.abs(u.values)))
+
+
 def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
                             u0: SupportFunction2D, horizon: float,
                             dt: float = 1e-3,
@@ -441,7 +445,7 @@ def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
     try:
         omega = comparison.integrate(
             comparison.scalar_system(omega_rhs, time_dependent=True),
-            [float(np.max(np.abs(u0.values)))], horizon=horizon, dt_out=dt * 10)
+            [_sup_norm(u0)], horizon=horizon, dt_out=dt * 10)
     except BlowupError as exc:
         return GlobalExistenceReport(zeta_plus=zeta, chi_minus=chi,
                                      omega_plus=None, finite=False,
@@ -450,14 +454,14 @@ def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
     norm_check = None
     if cross_check:
         try:
-            traj = flow.evolve(u0, params, horizon, dt=dt)
+            traj = flow.evolve(u0, params, horizon, dt=dt, tracked={"norm": _sup_norm})
         except BlowupError as exc:
             return GlobalExistenceReport(zeta_plus=zeta, chi_minus=chi,
                                          omega_plus=omega, finite=False,
                                          escape_time=exc.reached_time,
                                          norm_check={"passed": False,
                                                      "diagnostic": "orbit blow-up"})
-        norms = np.array([float(np.max(np.abs(b.values))) for b in traj.bodies])
+        norms = traj.tracked["norm"]
         env = n_const * np.interp(traj.times, omega.times, omega.states[:, 0])
         tol = 1e-6 * max(1.0, float(np.max(env)))
         worst = float(np.max(norms - env))

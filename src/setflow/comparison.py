@@ -504,7 +504,9 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     eps bisects.  An eps that fails there bisects alone, one trial per
     batch, in increasing order, and the search ends ``unstable`` at the
     first eps whose bisection reaches the floor; the decay run is repeated
-    at the final deltas only if some eps bisected.  The rows are
+    at the final deltas only if some eps bisected.  Equal eps levels share
+    one trial and one bisection, and ``delta_table`` keeps an entry for each
+    listed level.  The rows are
     independent, so the verdict is the one that a run per trial gives.
     Blocks of trials keep the output states of one batch within
     ``XI0_BLOCK`` doubles.
@@ -560,30 +562,31 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
         return outcomes
 
     levels = sorted(eps_grid)
-    *first, decay = run([(float(e), e) for e in levels] + [(0.5 * float(levels[0]), levels[0])])
-    table = []
+    distinct = sorted(set(map(float, levels)))
+    *first, decay = run([(e, e) for e in distinct] + [(0.5 * distinct[0], distinct[0])])
+    outcomes = dict(zip(distinct, first))
+    table, deltas = [], {}      # equal levels share one trial and one delta
     floor = 1e-12
-    for eps, outcome in zip(levels, first):
+    for eps in levels:
         hi = float(eps)
-        if outcome is not None:
-            table.append((eps, hi))
-            continue
-        lo = 0.0
-        for _ in range(bisect_iters):
-            mid = 0.5 * (lo + hi)
-            if mid <= floor:
-                break
-            if run([(mid, eps)])[0] is None:
-                hi = mid
-            else:
-                lo = mid
-        if lo <= floor:
-            return StabilityVerdict(
-                kind="unstable",
-                witness={"failed_eps": eps, "delta_floor": floor,
-                         "samples": n_directions, "T_check": T_check,
-                         "delta_table": table, "note": SAMPLED_EVIDENCE_NOTE})
-        table.append((eps, lo))
+        if hi not in deltas and outcomes[hi] is None:
+            lo = 0.0
+            for _ in range(bisect_iters):
+                mid = 0.5 * (lo + hi)
+                if mid <= floor:
+                    break
+                if run([(mid, eps)])[0] is None:
+                    hi = mid
+                else:
+                    lo = mid
+            if lo <= floor:
+                return StabilityVerdict(
+                    kind="unstable",
+                    witness={"failed_eps": eps, "delta_floor": floor,
+                             "samples": n_directions, "T_check": T_check,
+                             "delta_table": table, "note": SAMPLED_EVIDENCE_NOTE})
+            deltas[float(eps)] = lo
+        table.append((eps, deltas.setdefault(float(eps), float(eps))))
 
     # decay of the first component from well inside the smallest found delta;
     # a direction that fails there leaves no decay evidence at all

@@ -17,12 +17,15 @@ resampling plan of its matrix (see :func:`setflow.bodies._image_values`),
 so the module needs nothing beyond numpy.  A Picard
 iteration of the defining integral operator is provided as an independent
 oracle on short horizons.
+
+A run records the functionals named in ``tracked`` at its stored times and
+keeps no body but the last; the frames are one more column,
+``{"h": lambda u: u.values}``.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -218,26 +221,41 @@ class SemiflowParams:
 
 @dataclass
 class Trajectory:
-    """Stored frames of an orbit plus named scalar series along it.
+    """Named series along an orbit at its stored times, and its last body.
 
-    The frames :func:`evolve` stores after the initial body share one
-    read-only array, one row each.
+    ``tracked`` maps each column name to an array with one entry per
+    stored time; a column of arrays, such as the frames
+    ``{"h": lambda u: u.values}``, is one row per stored time.  ``final``
+    is the body at ``times[-1]``.
     """
 
     times: np.ndarray
-    bodies: list
     tracked: dict
-
-    @property
-    def final(self) -> SupportFunction2D:
-        return self.bodies[-1]
+    final: SupportFunction2D
 
     def to_csv(self) -> str:
-        """CSV record: header ``t`` and the tracked names in order, one row per frame."""
+        """CSV record: header ``t`` and the tracked names in order, one row per frame.
+
+        Raises ValueError naming a column that is not one number per frame.
+        """
+        for name, series in self.tracked.items():
+            if series.ndim != 1:
+                raise ValueError(f"tracked column {name!r} is not one number per "
+                                 "frame, so it has no CSV cell")
         row = ",".join(["%.12g"] * (1 + len(self.tracked)))
         columns = [self.times.tolist(), *(s.tolist() for s in self.tracked.values())]
         lines = ["t," + ",".join(self.tracked), *(row % cells for cells in zip(*columns))]
         return "\n".join(lines) + "\n"
+
+
+def _columns(tracked):
+    return {"V": area, "perimeter": perimeter} if tracked is None else tracked
+
+
+def _finish(times, series, final):
+    return Trajectory(times=np.asarray(times),
+                      tracked={k: np.asarray(v) for k, v in series.items()},
+                      final=final)
 
 
 # ---------------------------------------------------------------------------
@@ -381,34 +399,30 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
 
 def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
            dt: float = DEFAULT_DT, tracked=None) -> Trajectory:
-    """Integrate the flow over [0, horizon], recording functionals at stored frames.
+    """Integrate the flow over [0, horizon], recording functionals at stored times.
 
     ``tracked`` maps each column name to a function of a body, in the order
     of :meth:`Trajectory.to_csv`; the default is
     ``{"V": area, "perimeter": perimeter}``.  The mixed functionals of an
     operator come from :func:`mixed_columns`, for example
-    ``{"V": area, **mixed_columns(B, 2)}``.  Frames are thinned so at most
-    ``MAX_STORED_FRAMES`` (+1 for the initial body) are kept.  Raises
-    :class:`BlowupError` with the reached time when the support values leave
-    the overflow guard before the horizon (a lower bound for the escape time
-    of the orbit).
+    ``{"V": area, **mixed_columns(B, 2)}``, and the frames from
+    ``{"h": lambda u: u.values}``, a ``(frames, M)`` array.  The times are
+    thinned so at most ``MAX_STORED_FRAMES`` (+1 for the initial body) are
+    kept.  Raises :class:`BlowupError` with the reached time when the
+    support values leave the overflow guard before the horizon (a lower
+    bound for the escape time of the orbit); its ``partial`` holds what was
+    stored until then.
     """
     if horizon <= 0 or dt <= 0:
         raise ValueError("horizon and dt must be positive")
-    if tracked is None:
-        tracked = {"V": area, "perimeter": perimeter}
+    tracked = _columns(tracked)
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
     stride = max(1, int(np.ceil(n_steps / MAX_STORED_FRAMES)))
 
     guard = OVERFLOW_FACTOR * max(1.0, float(np.max(np.abs(u0.values))))
-    # The stored frames are read-only rows of one array.  Kept one by one
-    # between each step's temporaries, they would grow the heap every step,
-    # and the allocator would return and re-fault the temporaries' pages
-    # (about 110 minor page faults a step at M=8192).
-    store = _frame_store(-(-n_steps // stride), u0.grid_size)
     u, t = u0, 0.0
     times = [0.0]
-    frames = [u0]
+    last = u0
     series = {name: [fn(u)] for name, fn in tracked.items()}
 
     for i in range(n_steps):
@@ -417,44 +431,18 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
             u = step(u, params, h)
         except BlowupError as exc:
             raise BlowupError(str(exc), reached_time=t,
-                              partial=_finish(times, frames, series)) from None
+                              partial=_finish(times, series, last)) from None
         t += h
         if np.abs(u.values).max() > guard:
             raise BlowupError(
                 f"support values exceeded {guard:.3g} at t={t:.6g}",
-                reached_time=t, partial=_finish(times, frames, series))
+                reached_time=t, partial=_finish(times, series, last))
         if (i + 1) % stride == 0 or i == n_steps - 1:
-            row = store[len(frames) - 1]
-            row[:] = u.values
             times.append(t)
-            frames.append(bodies._adopt(row))
+            last = u
             for name, fn in tracked.items():
                 series[name].append(fn(u))
-    return _finish(times, frames, series)
-
-
-def _frame_store(rows: int, m: int) -> np.ndarray:
-    """A ``(rows, m)`` float array in its own private anonymous mapping.
-
-    The mapping goes back to the system with the last view of it.  From
-    malloc, a store freed by an earlier run raises glibc's mmap threshold,
-    the next store lands on the heap, and small allocations that split the
-    freed chunk keep two stores resident.  Like numpy for its large arrays,
-    the mapping asks for transparent huge pages: three runs of 500 steps at
-    M=8192 fault about 1,100 pages instead of 24,000.
-    """
-    buf = mmap.mmap(-1, 8 * rows * m, flags=mmap.MAP_PRIVATE)
-    try:
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    except (AttributeError, OSError):    # no transparent huge pages here
-        pass
-    return np.frombuffer(buf).reshape(rows, m)
-
-
-def _finish(times, frames, series):
-    return Trajectory(times=np.asarray(times),
-                      bodies=frames,
-                      tracked={k: np.asarray(v) for k, v in series.items()})
+    return _finish(times, series, last)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +489,7 @@ def contraction_horizon(u0: SupportFunction2D, params: SemiflowParams) -> float:
 
 
 def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
-                 tol: float = 1e-8, n_nodes: int = 17) -> Trajectory:
+                 tol: float = 1e-8, n_nodes: int = 17, tracked=None) -> Trajectory:
     """Solve the flow on a short horizon by fixed-point iteration.
 
     Iterates the integral operator
@@ -513,7 +501,8 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     on a uniform time grid until the sup-distance of successive iterates
     drops below ``tol``, for at most ``PICARD_MAX_ITER`` iterations.
     Independent of the split stepper, so it serves as an oracle for it.
-    Raises ValueError when ``horizon`` exceeds the estimated contraction
+    ``tracked`` names the columns of the result at the ``n_nodes`` times,
+    as in :func:`evolve`.  Raises ValueError when ``horizon`` exceeds the estimated contraction
     horizon and :class:`ContractionError` when the iteration fails to
     contract.
     """
@@ -554,10 +543,8 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
         current = new
         if dist < tol:
             frames = [SupportFunction2D(v) for v in current]
-            return Trajectory(
-                times=times, bodies=frames,
-                tracked={"V": np.array([area(b) for b in frames]),
-                         "perimeter": np.array([perimeter(b) for b in frames])})
+            series = {k: [fn(b) for b in frames] for k, fn in _columns(tracked).items()}
+            return _finish(times, series, frames[-1])
         if prev_dist is not None and dist > prev_dist and dist > tol:
             raise ContractionError(
                 f"iteration distance grew {prev_dist:.3g} -> {dist:.3g}; "

@@ -11,6 +11,8 @@ import numpy as np
 from setflow import bodies, flow
 
 GRID = 512
+# the tracked column of the frames of a run: one row of support values each
+FRAMES = {"h": lambda u: u.values}
 
 
 def run_python(*args):
@@ -20,6 +22,11 @@ def run_python(*args):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=300)
+
+
+def frames(traj):
+    """The bodies of the ``h`` column (see ``FRAMES``) of a trajectory."""
+    return [bodies.SupportFunction2D(h) for h in traj.tracked["h"]]
 
 
 def random_polygon(rng, grid_size=GRID, max_vertices=10, spread=1.5):

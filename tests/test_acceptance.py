@@ -191,13 +191,15 @@ def test_criterion_8_semigroup_and_picard_oracle():
                            params, horizon - split, dt=dt).final
         worst_defect = max(worst_defect, B.hausdorff_distance(once, chained))
 
-        pic = F.picard_solve(u0, params, horizon, tol=1e-9, n_nodes=11)
-        ev = F.evolve(u0, params, horizon, dt=dt)
-        for t, body in zip(pic.times, pic.bodies):
+        pic = F.picard_solve(u0, params, horizon, tol=1e-9, n_nodes=11,
+                             tracked=helpers.FRAMES)
+        ev = F.evolve(u0, params, horizon, dt=dt, tracked=helpers.FRAMES)
+        ev_frames = helpers.frames(ev)
+        for t, body in zip(pic.times, helpers.frames(pic)):
             idx = int(np.argmin(np.abs(ev.times - t)))
             if abs(ev.times[idx] - t) < 1e-12:
                 worst_oracle = max(worst_oracle,
-                                   B.hausdorff_distance(body, ev.bodies[idx]))
+                                   B.hausdorff_distance(body, ev_frames[idx]))
     bound = max(1e-4, 10 * dt * dt * horizon)
     ok = worst_defect <= 10 * dt and worst_oracle <= bound
     _report(8, ok, f"20 random draws: worst semigroup defect "

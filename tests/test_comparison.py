@@ -496,6 +496,29 @@ class TestXi0Stability:
             # otherwise each bisection trial and the repeated decay run add one
             assert len(calls) == 1 + (iters * len(bisecting) + 1 if bisecting else 0)
 
+    @pytest.mark.parametrize("system, eps, kwargs", [
+        (C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0])), 0.5,
+         dict(T_check=10.0, n_directions=4, bisect_iters=6)),
+        (C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0])), 2.0,
+         dict(T_check=10.0, n_directions=4, bisect_iters=6)),
+        (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2), 0.1,
+         dict(T_check=15.0, n_directions=4, bisect_iters=45)),
+    ], ids=["passing", "bisecting", "floor"])
+    def test_equal_levels_share_one_trial(self, system, eps, kwargs):
+        rows = []
+        for count in (1, 8):
+            seen = []
+            counted = C.ComparisonSystem(
+                dim=system.dim, rhs=lambda xi: seen.append(len(xi)) or system(0.0, xi))
+            verdict = C.check_xi0_stability(counted, eps_grid=[eps] * count, **kwargs)
+            expected = helpers.reference_check_xi0_stability(
+                system, eps_grid=[eps] * count, **kwargs)
+            assert verdict.to_dict() == expected.to_dict()
+            if verdict.kind != "unstable":
+                assert len(verdict.witness["delta_table"]) == count
+            rows.append(sum(seen))
+        assert rows[0] == rows[1]
+
     def test_a_level_that_blows_up_fails_alone(self, monkeypatch):
         # above 0.3 the right-hand side is NaN, so the step size of the rows of
         # eps = 1 underflows in round 0; the other levels must not fail with them

@@ -89,6 +89,16 @@ class TestEvolve:
         assert 0 < err.value.reached_time < 30.0
         assert err.value.partial is not None
 
+    def test_a_blown_up_run_keeps_the_body_at_its_last_stored_time(self):
+        params = F.SemiflowParams(A=np.eye(2), phi=F.constant(1.0),
+                                  source=F.zero_source())
+        with pytest.raises(BlowupError) as err:
+            F.evolve(B.make_ball(1.0), params, horizon=30.0, dt=0.01,
+                     tracked=helpers.FRAMES)
+        partial = err.value.partial
+        assert len(partial.tracked["h"]) == len(partial.times) > 1
+        assert np.array_equal(partial.final.values, partial.tracked["h"][-1])
+
     def test_linear_part_matches_single_pullback(self):
         u = helpers.random_smooth_body(RNG)
         a_mat = np.array([[0.2, 0.5], [-0.4, 0.1]])
@@ -161,6 +171,13 @@ class TestEvolve:
         assert len(csv.splitlines()) == len(traj.times) + 1
         assert traj.tracked["W0"][0] == pytest.approx(B.area(q))
 
+    def test_a_column_of_frames_has_no_csv_cell(self):
+        traj = F.evolve(B.make_ball(1.0), zero_params(), horizon=0.05, dt=0.01,
+                        tracked={"V": B.area, **helpers.FRAMES})
+        assert traj.tracked["h"].shape == (6, B.DEFAULT_GRID_SIZE)
+        with pytest.raises(ValueError, match="column 'h' is not one number per frame"):
+            traj.to_csv()
+
 
 class TestVolumeRate:
     def test_pure_contraction_rate(self):
@@ -200,8 +217,9 @@ class TestVolumeRate:
 class TestPicard:
     def test_linear_flow_oracle(self):
         k = B.make_ball(1.0)
-        traj = F.picard_solve(k, contraction_params(), horizon=0.1, tol=1e-10)
-        for t, body in zip(traj.times, traj.bodies):
+        traj = F.picard_solve(k, contraction_params(), horizon=0.1, tol=1e-10,
+                              tracked=helpers.FRAMES)
+        for t, body in zip(traj.times, helpers.frames(traj)):
             assert B.hausdorff_distance(body, B.make_ball(np.exp(-t))) < 1e-9
 
     def test_constant_source_is_affine(self):
@@ -209,8 +227,9 @@ class TestPicard:
         control = B.make_ball(1.0)
         params = F.SemiflowParams(A=np.zeros((2, 2)), phi=F.constant(1.0),
                                   source=F.constant_source(control))
-        traj = F.picard_solve(u0, params, horizon=0.05, tol=1e-12)
-        for t, body in zip(traj.times, traj.bodies):
+        traj = F.picard_solve(u0, params, horizon=0.05, tol=1e-12,
+                              tracked=helpers.FRAMES)
+        for t, body in zip(traj.times, helpers.frames(traj)):
             expected = B.minkowski_add(u0, B.scale(control, t))
             assert B.hausdorff_distance(body, expected) < 1e-10
 
@@ -220,14 +239,16 @@ class TestPicard:
             A=MINUS_I, phi=F.rational([1.0], [1.0, 1.0]),
             source=F.linear_source(F.constant(0.5), [[0.0, 1.0], [0.0, 0.0]]))
         horizon = 0.02
-        pic = F.picard_solve(q, params, horizon, tol=1e-10, n_nodes=11)
-        ev = F.evolve(q, params, horizon, dt=horizon / 10)
+        pic = F.picard_solve(q, params, horizon, tol=1e-10, n_nodes=11,
+                             tracked=helpers.FRAMES)
+        ev = F.evolve(q, params, horizon, dt=horizon / 10, tracked=helpers.FRAMES)
         # frames line up: picard node spacing is a multiple of evolve dt
         matches = 0
-        for t, body in zip(pic.times, pic.bodies):
+        ev_frames = helpers.frames(ev)
+        for t, body in zip(pic.times, helpers.frames(pic)):
             idx = np.argmin(np.abs(ev.times - t))
             if abs(ev.times[idx] - t) < 1e-12:
-                assert B.hausdorff_distance(body, ev.bodies[idx]) < 1e-4
+                assert B.hausdorff_distance(body, ev_frames[idx]) < 1e-4
                 matches += 1
         assert matches >= 5
 
@@ -251,10 +272,10 @@ class TestReachSet:
                         rtol=1e-10, atol=1e-12, dense_output=True)
         origin = B.make_ball(0.0)
         traj = F.reach_set(MINUS_I, B.make_ball(1.0), origin,
-                           horizon=1.0, dt=1e-3)
+                           horizon=1.0, dt=1e-3, tracked=helpers.FRAMES)
         for t in (0.25, 0.5, 1.0):
             idx = np.argmin(np.abs(traj.times - t))
-            body = traj.bodies[idx]
+            body = B.SupportFunction2D(traj.tracked["h"][idx])
             expected = B.make_ball(float(sol.sol(traj.times[idx])[0]))
             assert B.hausdorff_distance(body, expected) < 1e-5
 

@@ -130,12 +130,13 @@ def test_a_raw_second_argument_is_read_on_every_call():
 def test_the_tracked_areas_are_the_forms_of_the_stored_frames():
     _, u0, params = FLOWS["reflection"]
     u0 = B.SupportFunction2D(u0.values)
+    read = []
     traj = F.evolve(u0, params, horizon=0.02, dt=1e-3,
-                    tracked={"V": B.area, **F.mixed_columns(MATRICES["swap"], 2)})
-    assert traj.bodies[0] is u0
+                    tracked={"V": B.area, **F.mixed_columns(MATRICES["swap"], 2),
+                             "h": lambda u: read.append(u) or u.values})
+    assert read[0] is u0
     assert np.array_equal(traj.tracked["V"],
-                          [helpers.reference_mixed_form(b.values, b.values)
-                           for b in traj.bodies])
+                          [helpers.reference_mixed_form(h, h) for h in traj.tracked["h"]])
 
 
 def test_a_sourceless_step_under_the_identity_returns_its_input():
@@ -208,12 +209,10 @@ def test_the_convexity_tolerance_is_not_finite_for_non_finite_samples():
         assert np.isnan(B.convexity_tolerance(np.array(values)))
 
 
-def test_a_freed_frame_store_is_not_kept_resident():
-    # A first run's freed store raises glibc's mmap threshold.  The script
-    # then keeps an array allocated above the second run's store and, once
-    # that store is freed, one that a heap allocator would carve from it.
-    # A third store from the heap would then need fresh pages beside the
-    # resident remains of the second.
+def test_a_run_keeps_no_frames_resident():
+    # after a warm-up run of 10 steps has faulted in the temporaries of a
+    # step, a kept run of 400 steps at M=8192 grows the peak by less than a
+    # tenth of the 26 MB that its frames would take
     code = """
 import resource
 import numpy as np
@@ -223,20 +222,16 @@ steps, m = 400, 8192
 params = flow.SemiflowParams(A=-np.eye(2), phi=flow.constant(1.0),
                              source=flow.ball_source(flow.constant(1.0)))
 u0 = bodies.make_ball(1.0, grid_size=m)
-run = lambda: flow.evolve(u0, params, horizon=steps * 1e-3, dt=1e-3)
+run = lambda n: flow.evolve(u0, params, horizon=n * 1e-3, dt=1e-3)
 peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-run()
-traj = run()
+run(10)
 first = peak()
-kept = [np.ones(2 ** 18)]
-del traj
-kept.append(np.ones(2 ** 18))
-traj = run()
+traj = run(steps)
 print((peak() - first) * 1024 / (8 * steps * m))
 """
     proc = helpers.run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 0.5     # in stores of 25 MB
+    assert float(proc.stdout) < 0.1     # in the 26 MB of 400 frames
 
 
 def _evolve_reference(u, params, horizon, dt):
@@ -285,11 +280,12 @@ FLOWS = {
 def test_evolve_frames_match_the_reference_step(name):
     _, u0, params = FLOWS[name]
     dt, n = 1e-3, 200
-    traj = F.evolve(u0, params, horizon=n * dt, dt=dt)
+    traj = F.evolve(u0, params, horizon=n * dt, dt=dt, tracked=helpers.FRAMES)
     expected = _evolve_reference(u0, params, n * dt, dt)
-    assert len(traj.bodies) == len(expected) == n + 1
-    for got, want in zip(traj.bodies, expected):
-        assert np.array_equal(got.values, want.values)
+    assert len(traj.tracked["h"]) == len(expected) == n + 1
+    for got, want in zip(traj.tracked["h"], expected):
+        assert np.array_equal(got, want.values)
+    assert np.array_equal(traj.final.values, expected[-1].values)
 
 
 def _step_at_the_moved_body(u, params, dt):
@@ -318,10 +314,10 @@ def test_a_source_independent_of_the_body_keeps_its_bits(phi, source):
     params = F.SemiflowParams(A=[[-1.0, 0.3], [0.0, -2.0]], phi=phi, source=source)
     u = B.make_polygon(np.add(SQUARE, [3.0, -1.0]), 64)
     dt = 2.0 ** -10                 # every step of evolve is dt exactly
-    traj = F.evolve(u, params, horizon=50 * dt, dt=dt)
-    for frame in traj.bodies[1:]:
+    traj = F.evolve(u, params, horizon=50 * dt, dt=dt, tracked=helpers.FRAMES)
+    for frame in traj.tracked["h"][1:]:
         u = _step_at_the_moved_body(u, params, dt)
-        assert np.array_equal(frame.values, u.values)
+        assert np.array_equal(frame, u.values)
 
 
 def test_v_w0_and_the_next_area_read_one_form_per_frame(monkeypatch):
@@ -344,7 +340,8 @@ def test_v_w0_and_the_next_area_read_one_form_per_frame(monkeypatch):
     _, u0, params = FLOWS["reflection"]
     u0 = B.SupportFunction2D(u0.values)     # no form kept from another test
     traj = F.evolve(u0, params, horizon=0.01, dt=1e-3,
-                    tracked={"V": B.area, **F.mixed_columns(MATRICES["reflection"], 2)})
+                    tracked={"V": B.area, **F.mixed_columns(MATRICES["reflection"], 2),
+                             **helpers.FRAMES})
     assert len(results) == 10
     for body in results:
         assert sum(h is body.values for h in self_forms) == 1
@@ -352,19 +349,24 @@ def test_v_w0_and_the_next_area_read_one_form_per_frame(monkeypatch):
     assert len(self_forms) == 1 + 2 * len(results)
     assert np.array_equal(traj.tracked["W0"], traj.tracked["V"])
     assert np.array_equal(traj.tracked["W0"],
-                          [helpers.reference_mixed_form(b.values, b.values)
-                           for b in traj.bodies])
+                          [helpers.reference_mixed_form(h, h) for h in traj.tracked["h"]])
 
 
 def test_stored_frames_are_read_only_and_not_shared_between_runs(monkeypatch):
     _, u0, params = FLOWS["reflection"]
     monkeypatch.setattr(F, "MAX_STORED_FRAMES", 4)    # every third of 10 steps
-    first, second = (F.evolve(u0, params, horizon=0.01, dt=1e-3) for _ in range(2))
-    assert len(first.bodies) == 5                      # t = 0, 3, 6, 9 and 10 dt
-    for a, b in zip(first.bodies[1:], second.bodies[1:]):
+    read = []
+    tracked = {"h": lambda u: read.append(u) or u.values}
+    first, second = (F.evolve(u0, params, horizon=0.01, dt=1e-3, tracked=tracked)
+                     for _ in range(2))
+    assert len(first.tracked["h"]) == 5                # t = 0, 3, 6, 9 and 10 dt
+    assert len(read) == 10 and read[5] is u0
+    for a, b in zip(read[1:5], read[6:]):
         assert not a.values.flags.writeable
         assert np.array_equal(a.values, b.values)
         assert not np.shares_memory(a.values, b.values)
+    assert read[4] is first.final and read[9] is second.final
+    assert not np.shares_memory(first.tracked["h"], second.tracked["h"])
 
 
 def test_volume_rate_matches_the_reference_forms():

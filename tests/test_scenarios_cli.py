@@ -733,6 +733,15 @@ DOCUMENT_VALUES = st.one_of(
     JSON_VALUES, st.just(DELETE),
     st.sampled_from(["a/b", "..", ".", "/", "a\\b", "../x", "/abs/x", "x.csv"]))
 WORK_BUDGET = {("horizon",), ("dt",), ("grid_size",)}
+# the work budget mutates from a bounded set: values the schema refuses, and
+# small valid ones, so that an accepted document stays a short run
+INVALID_WORK = [0, -1, "0.01", True, False, None]
+WORK_VALUES = {             # key: (refused, accepted)
+    "horizon": (INVALID_WORK + [DELETE], [0.01, 0.02]),
+    "dt": (INVALID_WORK, [DELETE, 0.005, 0.01, 0.05]),
+    "grid_size": (INVALID_WORK + [15, 17, 2.0], [DELETE, 16, 32, 64]),
+}
+SMALL_WORK = 2 ** 16        # steps times grid points of the main flow
 
 
 def key_paths(obj, prefix=()):
@@ -791,3 +800,31 @@ class TestCheckFuzz:
                        for line in stdout.getvalue().splitlines() if "  wrote " in line]
             assert all(p.parent == out for p in written)
             assert sorted(out.iterdir() if out.exists() else []) == sorted(written)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_work_budget_exits_2_or_runs_small(self, data):
+        doc = copy.deepcopy(SHRUNK[data.draw(st.sampled_from(sorted(SHRUNK)))])
+        keys = data.draw(st.lists(st.sampled_from(sorted(WORK_VALUES)),
+                                  min_size=1, max_size=3, unique=True))
+        # at most one key takes a refused value, the others accepted ones
+        refused = data.draw(st.sampled_from([None, *keys]))
+        for key in keys:
+            bad, good = WORK_VALUES[key]
+            value = data.draw(st.sampled_from(bad if key == refused else good))
+            if value is DELETE:
+                del doc[key]
+            else:
+                doc[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["run", str(path), "--out", str(Path(tmp) / "out")])
+        if refused is not None:
+            assert code == cli.EXIT_SCHEMA
+            return
+        assert code in (0, 1, 3)
+        scenario = scenarios.parse_scenario(doc)
+        assert math.ceil(scenario.horizon / scenario.dt) * scenario.grid_size <= SMALL_WORK
