@@ -30,8 +30,8 @@ rep = bound_check(traj, system, ["W0", "W1"], tol_scale=1e-6)
 print(f"dominance of (W0, W1) along the orbit: passed={rep.passed}, "
       f"worst margin {rep.max_violation:.2e}")
 
-xi = integrate(system, [1.0, 1.0], horizon=1.0, dt_out=0.25)
-print("\ncomparison state from (1, 1):")
+xi = integrate(system, [1.0, 1.0], np.linspace(0.0, 1.0, 5))
+print("\ncomparison state from (1, 1), read off at t = 0, 0.25, ..., 1:")
 for t, row in zip(xi.times, xi.states):
     print(f"  t={t:4.2f}  xi0={row[0]:9.5f}  xi1={row[1]:9.5f}")
 

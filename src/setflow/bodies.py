@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import GridMismatchError
+
 DEFAULT_GRID_SIZE = 512
 MIN_GRID_SIZE = 16
 
@@ -139,11 +141,9 @@ def convexity_defect(values: np.ndarray) -> np.ndarray:
     return ext[:-2] + ext[2:] - 2.0 * np.cos(2.0 * np.pi / values.size) * values
 
 
-def _check_same_grid(u: SupportFunction2D, v: SupportFunction2D):
-    if u.grid_size != v.grid_size:
-        from .errors import GridMismatchError
-        raise GridMismatchError(
-            f"grid sizes differ: {u.grid_size} vs {v.grid_size}")
+def _check_same_grid(u: SupportFunction2D, size: int):
+    if u.grid_size != size:
+        raise GridMismatchError(f"grid sizes differ: {u.grid_size} vs {size}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def make_segment(length: float, angle: float = 0.0,
 
 def minkowski_add(u: SupportFunction2D, v: SupportFunction2D) -> SupportFunction2D:
     """Minkowski sum {x + y}; support functions add pointwise."""
-    _check_same_grid(u, v)
+    _check_same_grid(u, v.grid_size)
     return SupportFunction2D(u.values + v.values)
 
 
@@ -197,7 +197,7 @@ def scale(u: SupportFunction2D, factor: float) -> SupportFunction2D:
 
 def hausdorff_distance(u: SupportFunction2D, v: SupportFunction2D) -> float:
     """Hausdorff distance: sup-norm of the support-function difference."""
-    _check_same_grid(u, v)
+    _check_same_grid(u, v.grid_size)
     return float(np.max(np.abs(u.values - v.values)))
 
 
@@ -207,7 +207,7 @@ def hukuhara_difference(u: SupportFunction2D, v: SupportFunction2D):
     The candidate ``h_u - h_v`` is a support function iff it passes the
     discrete convexity test; failure is a legitimate outcome, not an error.
     """
-    _check_same_grid(u, v)
+    _check_same_grid(u, v.grid_size)
     w = u.values - v.values
     if np.min(convexity_defect(w)) < -convexity_tolerance(w):
         return None
@@ -288,14 +288,8 @@ def mixed_area(u: SupportFunction2D, v) -> float:
     (e.g. a directional derivative of a body map), since the form is
     bilinear in the samples.
     """
-    if isinstance(v, SupportFunction2D):
-        _check_same_grid(u, v)
-        return _mixed_form(u.values, v.values)
-    hv = np.asarray(v, float)
-    if hv.size != u.grid_size:
-        from .errors import GridMismatchError
-        raise GridMismatchError(
-            f"grid sizes differ: {u.grid_size} vs {hv.size}")
+    hv = v.values if isinstance(v, SupportFunction2D) else np.asarray(v, float)
+    _check_same_grid(u, hv.size)
     return _mixed_form(u.values, hv)
 
 
@@ -405,7 +399,10 @@ def _pullback_plan(mat_bytes: bytes, m: int) -> _PullbackPlan:
     norms = np.where(nz, norms, 0.0)
     idx = np.where(nz, np.arctan2(w[:, 1], w[:, 0]) / (2.0 * np.pi / m) % m, 0.0)
     nearest = np.rint(idx)
-    if np.max(np.abs(idx - nearest)) < 1e-9:
+    # a gather snaps every direction to its node and so drops any rotation
+    # below the tolerance: it stays at 16 times the rounding of the angles,
+    # at most eps * m cells for the grid-landing maps
+    if np.max(np.abs(idx - nearest)) < 16 * np.finfo(float).eps * m:
         return _PullbackPlan(_frozen(norms), _frozen(nearest.astype(int) % m),
                              None, None, None)
     cells, weights, polygon = _cell_weights(idx, m)

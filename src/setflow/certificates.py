@@ -400,25 +400,26 @@ def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
     norm is then cross-checked against ``N * omega(t)`` along an actual
     trajectory.  Any blow-up is reported with its escape time.
     """
+    if not (0 < horizon < np.inf and dt > 0):
+        raise ValueError("horizon must be positive and finite, and dt positive")
     tr_a = params.trace
     n_const, alpha = semigroup_envelope(params.A)
     v0 = area(u0)
+    times = np.linspace(0.0, horizon, max(1, round(horizon / (10 * dt))) + 1)
 
     # integrate hands each envelope its one state as a one-row column; the
     # bounds receive plain numbers
-    def upper_rhs(z):
+    def upper_rhs(t, z):
         z = z.item()
         return tr_a * float(params.phi(max(z, 0.0))) * z + float(bounds.g_upper(max(z, 0.0)))
 
-    def lower_rhs(z):
+    def lower_rhs(t, z):
         z = z.item()
         return tr_a * float(params.phi(max(z, 0.0))) * z + float(bounds.g_lower(max(z, 0.0)))
 
     try:
-        zeta = comparison.integrate(comparison.scalar_system(upper_rhs), [v0],
-                                    horizon=horizon, dt_out=dt * 10)
-        chi = comparison.integrate(comparison.scalar_system(lower_rhs), [v0],
-                                   horizon=horizon, dt_out=dt * 10)
+        zeta = comparison.integrate(comparison.scalar_system(upper_rhs), [v0], times)
+        chi = comparison.integrate(comparison.scalar_system(lower_rhs), [v0], times)
     except BlowupError as exc:
         return GlobalExistenceReport(zeta_plus=None, chi_minus=None,
                                      omega_plus=None, finite=False,
@@ -443,9 +444,8 @@ def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
         return alpha * float(clock(t, v0)) * w + float(bounds.F_sup(t, n_const * w, v0))
 
     try:
-        omega = comparison.integrate(
-            comparison.scalar_system(omega_rhs, time_dependent=True),
-            [_sup_norm(u0)], horizon=horizon, dt_out=dt * 10)
+        omega = comparison.integrate(comparison.scalar_system(omega_rhs),
+                                     [_sup_norm(u0)], times)
     except BlowupError as exc:
         return GlobalExistenceReport(zeta_plus=zeta, chi_minus=chi,
                                      omega_plus=None, finite=False,
@@ -480,9 +480,9 @@ def hausdorff_stability_report(params: flow.SemiflowParams, clock_sup,
 
     The caller pre-folds the suprema over the ball of the given radius:
     ``clock_sup(t)`` bounds the clock rate and ``source_sup(t, nu)`` the
-    source norm given a state-norm bound.  Both receive numbers and, from
-    the batched stability search, arrays with one entry per sampled state;
-    a constant result is broadcast.  The verdict of the scalar envelope
+    source norm given a state-norm bound.  Both receive arrays, one entry
+    per state the envelope is evaluated at; a constant result is broadcast.
+    The verdict of the scalar envelope
     ``omega' = alpha clock_sup(t) omega + source_sup(t, N omega)``
     transfers to the flow in the measures h0 = h = sup-norm.
     """
@@ -491,13 +491,14 @@ def hausdorff_stability_report(params: flow.SemiflowParams, clock_sup,
     def rhs(t, w):
         return alpha * clock_sup(t) * w + source_sup(t, n_const * w)
 
-    system = comparison.scalar_system(rhs, name="norm_envelope", time_dependent=True)
-    if abs(rhs(0.0, 0.0)) > 1e-10:
+    system = comparison.scalar_system(rhs, name="norm_envelope")
+    at_zero = float(system(np.zeros(1), np.zeros((1, 1)))[0, 0])
+    if abs(at_zero) > 1e-10:
         # the envelope grows even from the zero state: no delta can work
         return comparison.StabilityVerdict(kind="unstable", witness={
             "note": "envelope right-hand side is positive at omega = 0; the "
                     "zero state is not invariant",
-            "rhs_at_zero": float(rhs(0.0, 0.0)), "ball_radius": radius})
+            "rhs_at_zero": at_zero, "ball_radius": radius})
     verdict = comparison.check_xi0_stability(system, eps_grid=eps_grid,
                                              T_check=T_check, **kwargs)
     witness = dict(verdict.witness)

@@ -65,6 +65,10 @@ def parse_body_expr(expr: str, grid_size: int = bodies.DEFAULT_GRID_SIZE):
 
 def _cmd_geom(args) -> int:
     try:
+        if not (args.grid % 2 == 0
+                and bodies.MIN_GRID_SIZE <= args.grid <= scenarios.MAX_GRID_SIZE):
+            raise SchemaError(f"--grid must be an even integer from {bodies.MIN_GRID_SIZE} "
+                              f"to {scenarios.MAX_GRID_SIZE}")
         parsed = [parse_body_expr(e, args.grid) for e in args.bodies]
         op = args.op
         if op == "area":
@@ -131,10 +135,8 @@ def _cmd_run(args) -> int:
         for check in result.checks:
             mark = "ok" if check["passed"] else "FAILED"
             print(f"  {check['kind']}: {mark}")
-        if result.csv_path:
-            print(f"  wrote {result.csv_path}")
-        if result.report_path:
-            print(f"  wrote {result.report_path}")
+        print(f"  wrote {result.csv_path}")
+        print(f"  wrote {result.report_path}")
         if result.blew_up:
             code = EXIT_BLOWUP
         elif not result.passed and code == EXIT_OK:

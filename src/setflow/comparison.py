@@ -35,24 +35,23 @@ SAMPLED_EVIDENCE_NOTE = ("sampled evidence only: quasimonotonicity and cone "
 
 @dataclass(frozen=True)
 class ComparisonSystem:
-    """An ODE ``xi' = g(xi)`` on the nonnegative cone.
+    """An ODE ``xi' = g(t, xi)`` on the nonnegative cone.
 
-    ``rhs`` maps a batch of states, rows of shape ``(n, dim)``, to their
-    derivatives in the same shape (any other is a ValueError), each row
-    independently of the others; :func:`integrate` and the sampled checks
-    always call it so.  Set ``time_dependent`` for right-hand sides with
-    signature ``rhs(t, xi)``; they get one time per row, shape ``(n,)``.
+    ``rhs(t, xi)`` maps a batch of states, rows of shape ``(n, dim)``, with
+    one time per row, shape ``(n,)``, to their derivatives in the shape of
+    the states (any other is a ValueError), each row independently of the
+    others; :func:`integrate` and the sampled checks always call it so.  A
+    right-hand side that does not depend on time ignores ``t``.
     """
 
     dim: int
     rhs: object
     name: str = ""
-    time_dependent: bool = False
 
     def __call__(self, t, xi: np.ndarray) -> np.ndarray:
         # a result broadcast against the states would pass the arithmetic
         # and give wrong dense outputs
-        out = np.asarray(self.rhs(t, xi) if self.time_dependent else self.rhs(xi), dtype=float)
+        out = np.asarray(self.rhs(t, xi), dtype=float)
         if out.shape != np.shape(xi):
             raise ValueError(f"rhs gave shape {out.shape} for states of shape {np.shape(xi)}")
         return out
@@ -63,7 +62,7 @@ class ComparisonSystem:
 # Each right-hand side computes all rows at once, one product per
 # coefficient on the ``(n, dim)`` batch, so each row is computed by its own
 # arithmetic.  A single state of shape ``(dim,)`` works as well, which the
-# tests' per-state reference loops use.
+# tests' per-state reference loops use.  None of them depends on time.
 
 
 def _column(value):
@@ -77,7 +76,7 @@ def nilpotent_source_system(phi, psi, a: float = -1.0) -> ComparisonSystem:
     ``xi0' = 2 a phi(xi0) xi0 + 2 psi(xi0) xi1``,
     ``xi1' = 2 a phi(xi0) xi1``  (a = the scalar part of A, usually -1).
     """
-    def rhs(xi):
+    def rhs(t, xi):
         x0 = xi[..., 0]
         out = _column(2 * a * phi(x0)) * xi
         # only xi0 has a coupling term; adding a zero to xi1 could flip its sign of zero
@@ -100,7 +99,7 @@ def cyclic_mixed_system(phi, psi, k: int, a: float = -1.0) -> ComparisonSystem:
     left = (np.arange(k) - 1) % k
     left[0] = right[0]
 
-    def rhs(xi):
+    def rhs(t, xi):
         x0 = xi[..., 0]
         p, q = phi(x0), psi(x0)
         return _column(2 * a * p) * xi + _column(q) * (xi[..., left] + xi[..., right])
@@ -110,7 +109,7 @@ def cyclic_mixed_system(phi, psi, k: int, a: float = -1.0) -> ComparisonSystem:
 def _matrix_rhs(mat):
     # the stacked product reproduces ``mat @ xi`` row by row; ``xi @ mat.T``
     # takes another kernel and can differ in the last bit
-    return lambda xi: (mat @ xi[..., None])[..., 0]
+    return lambda t, xi: (mat @ xi[..., None])[..., 0]
 
 
 def sde_growth_system(matrix) -> ComparisonSystem:
@@ -136,19 +135,15 @@ def linear_system(matrix, name: str = "linear") -> ComparisonSystem:
     return ComparisonSystem(dim=mat.shape[0], rhs=_matrix_rhs(mat), name=name)
 
 
-def scalar_system(f, name: str = "scalar", time_dependent: bool = False) -> ComparisonSystem:
-    """One-dimensional system ``xi' = f(xi)`` (or ``f(t, xi)``).
+def scalar_system(f, name: str = "scalar") -> ComparisonSystem:
+    """One-dimensional system ``xi' = f(t, xi)``.
 
-    ``f`` is called on the column of a batch (and on its column of times);
-    a constant result is broadcast.
+    ``f`` is called on the times of a batch and on its column of states,
+    both of shape ``(n,)``; a constant result is broadcast.
     """
-    def column(value, x):
-        return np.array([np.broadcast_to(value, np.shape(x))]).T
-
-    if time_dependent:
-        return ComparisonSystem(dim=1, rhs=lambda t, xi: column(f(t, xi.T[0]), xi.T[0]),
-                                name=name, time_dependent=True)
-    return ComparisonSystem(dim=1, rhs=lambda xi: column(f(xi.T[0]), xi.T[0]), name=name)
+    def rhs(t, xi):
+        return np.array([np.broadcast_to(f(t, xi.T[0]), xi.T[0].shape)]).T
+    return ComparisonSystem(dim=1, rhs=rhs, name=name)
 
 
 # -- integration -------------------------------------------------------------
@@ -224,10 +219,9 @@ def _step_factors(tol, err, ok):
     return np.where(ok, np.minimum(5.0, np.fmax(0.2, f)), np.fmax(0.1, f))
 
 
-def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
-              dt_out: float | None = None, times=None,
-              rtol: float = 1e-8, stop_condition=None) -> ComparisonTrajectory:
-    """Adaptive RK4 trajectory on [0, horizon], read off at the output times.
+def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
+              stop_condition=None) -> ComparisonTrajectory:
+    """Adaptive RK4 trajectory read off at ``times``, finite and increasing from 0.
 
     ``xi0`` is one initial state, shape ``(dim,)``, or a batch of them, shape
     ``(n, dim)``, and ``states`` has shape ``(len(times), dim)`` or
@@ -262,16 +256,10 @@ def integrate(system: ComparisonSystem, xi0, horizon: float | None = None,
                          f"or (n, {system.dim})")
     if not np.all(np.isfinite(xi)) or np.any(xi < 0):
         raise ValueError("initial state must be finite and lie in the nonnegative cone")
-    if times is None:
-        if horizon is None or not 0 < horizon < np.inf:
-            raise ValueError("horizon must be positive and finite")
-        n_out = max(1, int(round(horizon / dt_out))) if dt_out else 200
-        times = np.linspace(0.0, horizon, n_out + 1)
-    else:
-        times = np.asarray(times, dtype=float)
-        if (times.ndim != 1 or times.size == 0 or times[0] != 0.0
-                or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0)):
-            raise ValueError("output times must be finite and increase from 0")
+    times = np.asarray(times, dtype=float)
+    if (times.ndim != 1 or times.size == 0 or times[0] != 0.0
+            or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0)):
+        raise ValueError("output times must be finite and increase from 0")
     states = np.empty((len(times),) + xi.shape)
     states[0] = xi
     return _integrate_rows(system, states, times, rtol, stop_condition)
@@ -529,6 +517,7 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     dirs[n_directions // 2:] /= np.maximum(
         np.max(dirs[n_directions // 2:], axis=1, keepdims=True), 1e-30)
     per_block = max(1, XI0_BLOCK // (n_directions * system.dim * (XI0_OUTPUTS + 1)))
+    times = np.linspace(0.0, T_check, XI0_OUTPUTS + 1)
 
     def batch(trials):
         """Per trial, ``(xi_0 at 0, xi_0 at T_check)`` of each direction, or
@@ -543,8 +532,7 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
             return failed[trial[rows]]
 
         xi0 = delta[:, None] * np.tile(dirs, (len(trials), 1)) * (1 - 1e-12)
-        traj = integrate(system, xi0, horizon=T_check, dt_out=T_check / XI0_OUTPUTS,
-                         rtol=XI0_RTOL, stop_condition=stop)
+        traj = integrate(system, xi0, times, rtol=XI0_RTOL, stop_condition=stop)
         x = traj.states[:, :, 0]        # NaN past a stopped row's reach
         failed |= np.any(x >= eps, axis=0).reshape(-1, n_directions).any(axis=1)
         return [None if f else list(zip(start, final)) for f, start, final in
@@ -631,8 +619,7 @@ def check_practical(system: ComparisonSystem, lam: float, bound: float,
             "xi0_final": start[0], "threshold": threshold, "margin": margin,
             "lambda": lam, "bound": bound, "horizon": 0.0})
     try:
-        traj = integrate(system, start, horizon=horizon, dt_out=horizon / 256,
-                         rtol=CHECK_RTOL)
+        traj = integrate(system, start, np.linspace(0.0, horizon, 257), rtol=CHECK_RTOL)
     except BlowupError as exc:
         return StabilityVerdict(kind="unstable", witness={
             "diagnostic": f"comparison system blew up at t={exc.reached_time:.6g}",
@@ -676,7 +663,7 @@ def bound_check(trajectory, system: ComparisonSystem, functional_names,
         raise ValueError("one functional per comparison component is required")
     series = np.column_stack([trajectory.tracked[n] for n in names])
     xi0 = np.maximum(series[0], 0.0)
-    comp = integrate(system, xi0, times=trajectory.times, rtol=CHECK_RTOL)
+    comp = integrate(system, xi0, trajectory.times, rtol=CHECK_RTOL)
     scale = max(1.0, float(np.max(np.abs(comp.states))),
                 float(np.max(np.abs(series))))
     tol = tol_scale * scale

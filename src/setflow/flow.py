@@ -34,7 +34,7 @@ import numpy as np
 from . import bodies
 from .bodies import (SupportFunction2D, area, as_matrix, linear_image,
                      mixed_area, perimeter)
-from .errors import BlowupError, ContractionError
+from .errors import BlowupError, ContractionError, GridMismatchError
 
 OVERFLOW_FACTOR = 1e6
 DEFAULT_DT = 1e-3
@@ -181,7 +181,6 @@ class SourceTerm:
             return c * bodies._image_values(u_values, self.matrix)
         if self.kind == "constant":
             if self.body.grid_size != u_values.size:
-                from .errors import GridMismatchError
                 raise GridMismatchError("source body grid does not match state")
             return self.body.values
         raise ValueError(f"unknown source kind {self.kind!r}")
@@ -522,7 +521,7 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     prev_dist = None
     a_mat = params.A
     for _ in range(PICARD_MAX_ITER):
-        vols = np.array([max(_mixed_self(v), 0.0) for v in current])
+        vols = np.array([max(bodies._mixed_form(v, v), 0.0) for v in current])
         phis = np.array([float(params.phi(v)) for v in vols])
         big_phi = np.concatenate([[0.0], np.cumsum(0.5 * dt * (phis[1:] + phis[:-1]))])
         sources = [params.source.values(vols[j], current[j]) for j in range(n_nodes)]
@@ -552,10 +551,6 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
         prev_dist = dist
     raise ContractionError(f"no convergence within {PICARD_MAX_ITER} iterations "
                            f"(last distance {prev_dist:.3g})")
-
-
-def _mixed_self(values):
-    return bodies._mixed_form(values, values)
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,7 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
     if src.kind == "zero":
         _require(is_scalar_a, "auto system with zero source needs scalar A")
         return comparison.scalar_system(
-            lambda v: 2 * diag * params.phi(np.maximum(v, 0.0)) * v,
+            lambda t, v: 2 * diag * params.phi(np.maximum(v, 0.0)) * v,
             name="volume_only")
     if src.kind == "linear":
         mat = src.matrix
@@ -625,19 +625,18 @@ class ScenarioResult:
     passed: bool
     blew_up: bool
     checks: list
-    report: dict
-    csv_text: str | None
-    csv_path: Path | None = None
-    report_path: Path | None = None
+    csv_path: Path
+    report_path: Path
 
 
-def run_scenario(scenario: Scenario, out_dir=None,
-                 write_outputs: bool = True) -> ScenarioResult:
-    """Execute a scenario: evolve, run checks, emit CSV + JSON report.
+def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
+    """Execute a scenario: evolve, run checks, write the CSV and JSON report.
 
+    The files go to ``out_dir`` (the working directory by default).
     Blow-up of the main trajectory is recorded in the report (with the
-    reached time) rather than raised; the result is then marked failed.
-    A check whose own integration blows up fails with ``details.error``.
+    reached time) rather than raised; the result is then marked failed, and
+    the CSV holds the frames up to the blow-up.  A check whose own
+    integration blows up fails with ``details.error``.
     """
     report = {"schema": SCHEMA_VERSION, "name": scenario.name,
               "seed": scenario.seed, "grid_size": scenario.grid_size,
@@ -667,26 +666,21 @@ def run_scenario(scenario: Scenario, out_dir=None,
     report["checks"] = check_results
     if diagnostic:
         report["diagnostic"] = diagnostic
-    if traj is not None:
-        report["trajectory"] = {
-            "frames": len(traj.times),
-            "final_time": float(traj.times[-1]),
-            "final": {k: float(v[-1]) for k, v in traj.tracked.items()},
-        }
-    csv_text = traj.to_csv() if traj is not None else None
+    report["trajectory"] = {
+        "frames": len(traj.times),
+        "final_time": float(traj.times[-1]),
+        "final": {k: float(v[-1]) for k, v in traj.tracked.items()},
+    }
 
+    out_dir = Path(out_dir) if out_dir else Path.cwd()
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = ScenarioResult(name=scenario.name, passed=passed, blew_up=blew_up,
-                            checks=check_results, report=report, csv_text=csv_text)
-    if write_outputs:
-        out_dir = Path(out_dir) if out_dir else Path.cwd()
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if csv_text is not None:
-            result.csv_path = out_dir / f"{scenario.name}.csv"
-            result.csv_path.write_text(csv_text, encoding="utf-8", newline="\n")
-        result.report_path = out_dir / f"{scenario.name}.json"
-        result.report_path.write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8", newline="\n")
+                            checks=check_results,
+                            csv_path=out_dir / f"{scenario.name}.csv",
+                            report_path=out_dir / f"{scenario.name}.json")
+    result.csv_path.write_text(traj.to_csv(), encoding="utf-8", newline="\n")
+    result.report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
+                                  encoding="utf-8", newline="\n")
     return result
 
 

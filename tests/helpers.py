@@ -176,7 +176,7 @@ def reference_image_values(values, mat):
     dtheta = 2.0 * np.pi / m
     idx = (ang / dtheta) % m
     nearest = np.rint(idx)
-    if np.max(np.abs(idx - nearest)) < 1e-9:
+    if np.max(np.abs(idx - nearest)) < 16 * np.finfo(float).eps * m:
         out[nz] = norms[nz] * values[nearest.astype(int) % m]
         return out
     # periodic cubic spline: the curvatures c = (dtheta^2 / 6) h'' solve the
@@ -292,18 +292,13 @@ def _reference_double_step(system, t, xi, h):
     return k1, half, k_half, big, two
 
 
-def reference_integrate(system, xi0, horizon=None, dt_out=None, times=None,
-                        rtol=1e-8, stop_condition=None):
+def reference_integrate(system, xi0, times, rtol=1e-8, stop_condition=None):
     from setflow.comparison import GUARD_FACTOR, RK4_ATOL, ComparisonTrajectory, _dense
     from setflow.errors import BlowupError
 
     xi = np.asarray(xi0, dtype=float).copy()
     assert xi.shape == (system.dim,) and np.all(xi >= 0)
-    if times is None:
-        n_out = max(1, int(round(horizon / dt_out))) if dt_out else 200
-        times = np.linspace(0.0, horizon, n_out + 1)
-    else:
-        times = np.asarray(times, dtype=float)
+    times = np.asarray(times, dtype=float)
     # a step ending at t reaches output j once t >= reach[j]; the output is
     # the accepted state itself unless it lies inside the step, before inside[j]
     margin = 1e-14 * np.maximum(1.0, times)
@@ -378,13 +373,14 @@ def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
     dirs[n_directions // 2:] /= np.maximum(
         np.max(dirs[n_directions // 2:], axis=1, keepdims=True), 1e-30)
 
+    times = np.linspace(0.0, T_check, 33)
+
     def survives(delta, eps, collect=None):
         for d in dirs:
             xi0 = delta * d * (1 - 1e-12)
             stop = lambda t, xi, rows: xi[:, 0] >= eps
             try:
-                traj = reference_integrate(system, xi0, horizon=T_check,
-                                           dt_out=T_check / 32, rtol=rtol,
+                traj = reference_integrate(system, xi0, times, rtol=rtol,
                                            stop_condition=stop)
             except BlowupError:
                 return False

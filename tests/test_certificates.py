@@ -231,9 +231,7 @@ class TestHausdorffStability:
         verdict = CERT.hausdorff_stability_report(params, clock, source,
                                                   radius=1.0, **kwargs)
         n_const, alpha = CERT.semigroup_envelope(params.A)
-        envelope = C.scalar_system(
-            lambda t, w: alpha * clock(t) * w + source(t, n_const * w),
-            time_dependent=True)
+        envelope = C.scalar_system(lambda t, w: alpha * clock(t) * w + source(t, n_const * w))
         expected = helpers.reference_check_xi0_stability(envelope, **kwargs)
         got = verdict.to_dict()
         for key in ("measures", "ball_radius", "growth_constant", "growth_rate"):

@@ -20,14 +20,14 @@ RATIONAL = F.rational([1.0], [1.0, 1.0])
 # grow.  The 16 directions of seed 3 have xi1 >= 0.11 at delta = 1, so all
 # survive eps = 1 there, but one grows past eps in the decay run at delta = 1/2
 NON_MONOTONE = C.ComparisonSystem(
-    dim=2, rhs=lambda xi: np.array([50.0 * (0.08 - xi.T[1]) * xi.T[0],
+    dim=2, rhs=lambda t, xi: np.array([50.0 * (0.08 - xi.T[1]) * xi.T[0],
                                     0.0 * xi.T[1]]).T, name="non_monotone")
 
 
 # g_1 falls once xi_0 passes 4.5, so on the box [0, 5]^2 only the samples
 # whose eta_0 lies past 4.5 break quasimonotonicity, in component 1
 LATE_VIOLATION = C.ComparisonSystem(
-    dim=2, rhs=lambda xi: np.array([0.0 * xi.T[0], -np.maximum(xi.T[0] - 4.5, 0.0)]).T,
+    dim=2, rhs=lambda t, xi: np.array([0.0 * xi.T[0], -np.maximum(xi.T[0] - 4.5, 0.0)]).T,
     name="late_violation")
 
 
@@ -41,45 +41,45 @@ class TestIntegrate:
         # phi = 1, psi = 1/2: xi1 = w0 exp(-2t), xi0 = exp(-2t)(s0 + w0 t)
         sys2 = C.nilpotent_source_system(F.constant(1.0), F.constant(0.5))
         s0, w0 = 2.0, 1.5
-        traj = C.integrate(sys2, [s0, w0], horizon=2.0, dt_out=0.05)
+        traj = C.integrate(sys2, [s0, w0], np.linspace(0.0, 2.0, 41))
         t = traj.times
         assert np.max(np.abs(traj.states[:, 1] - w0 * np.exp(-2 * t))) < 1e-7
         assert np.max(np.abs(traj.states[:, 0] - np.exp(-2 * t) * (s0 + w0 * t))) < 1e-7
 
     def test_sde_growth_matches_matrix_exponential(self):
         sys_m = C.sde_growth_system(SWAP)
-        traj = C.integrate(sys_m, [1.0, 0.0], horizon=1.0, dt_out=0.1)
+        traj = C.integrate(sys_m, [1.0, 0.0], np.linspace(0.0, 1.0, 11))
         m = np.array([[0.0, 2.0], [2.0, 0.0]])
         exact = np.array([expm(m * t) @ [1.0, 0.0] for t in traj.times])
         assert np.max(np.abs(traj.states - exact)) < 1e-6
 
     def test_zero_rhs_is_constant(self):
-        flat = C.ComparisonSystem(dim=3, rhs=lambda xi: np.zeros_like(xi))
-        traj = C.integrate(flat, [1.0, 2.0, 3.0], horizon=5.0, dt_out=1.0)
+        flat = C.ComparisonSystem(dim=3, rhs=lambda t, xi: np.zeros_like(xi))
+        traj = C.integrate(flat, [1.0, 2.0, 3.0], np.linspace(0.0, 5.0, 6))
         assert np.allclose(traj.states, [1.0, 2.0, 3.0])
 
     def test_rhs_of_another_shape_rejected(self):
         # np.array([1.0, 2.0]) broadcasts against a one-row batch
-        constant = C.ComparisonSystem(dim=2, rhs=lambda xi: np.array([1.0, 2.0]))
+        constant = C.ComparisonSystem(dim=2, rhs=lambda t, xi: np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="shape"):
-            C.integrate(constant, [0.0, 0.0], horizon=1.0, dt_out=0.25)
+            C.integrate(constant, [0.0, 0.0], np.linspace(0.0, 1.0, 5))
 
     def test_negative_start_rejected(self):
-        flat = C.ComparisonSystem(dim=1, rhs=lambda xi: np.zeros(1))
+        flat = C.ComparisonSystem(dim=1, rhs=lambda t, xi: np.zeros(1))
         with pytest.raises(ValueError):
-            C.integrate(flat, [-1.0], horizon=1.0)
+            C.integrate(flat, [-1.0], np.linspace(0.0, 1.0, 201))
 
     def test_blowup_raises(self):
-        quad = C.scalar_system(lambda x: x * x)
+        quad = C.scalar_system(lambda t, x: x * x)
         with pytest.raises(BlowupError) as err:
-            C.integrate(quad, [1.0], horizon=2.0, dt_out=0.01)
+            C.integrate(quad, [1.0], np.linspace(0.0, 2.0, 201))
         assert 0.9 < err.value.reached_time <= 1.05
 
     def test_an_underflow_carries_the_partial_trajectory(self):
         # xi = 1 / (1 - t): the step size underflows as t approaches 1
-        quad = C.scalar_system(lambda x: x * x)
+        quad = C.scalar_system(lambda t, x: x * x)
         with pytest.raises(BlowupError, match="underflow") as err:
-            C.integrate(quad, [1.0], horizon=2.0, dt_out=0.01)
+            C.integrate(quad, [1.0], np.linspace(0.0, 2.0, 201))
         partial = err.value.partial
         assert partial.steps > 0 and partial.states.shape == (len(partial.times), 1)
         assert partial.times[-1] <= err.value.reached_time
@@ -88,18 +88,20 @@ class TestIntegrate:
                            rtol=1e-6)
 
     @pytest.mark.parametrize("kwargs", [
-        {"horizon": np.nan}, {"horizon": np.inf}, {"times": [0.0, np.nan]},
+        {"times": np.linspace(0.0, np.nan, 5)}, {"times": [0.0, 0.5, np.inf]},
+        {"times": [0.0, np.nan]},
         {"times": [0.0, 1.0, np.nan]}, {"xi0": [np.nan]}, {"xi0": [np.inf]},
     ], ids=["nan_horizon", "inf_horizon", "nan_time", "nan_last_time", "nan_state",
             "inf_state"])
     def test_non_finite_inputs_rejected(self, kwargs):
-        decay = C.scalar_system(lambda x: -x)
+        decay = C.scalar_system(lambda t, x: -x)
         with pytest.raises(ValueError):
-            C.integrate(decay, **{"xi0": [1.0], "horizon": 1.0, **kwargs})
+            C.integrate(decay, **{"xi0": [1.0], "times": np.linspace(0.0, 1.0, 201),
+                                  **kwargs})
 
     @pytest.mark.parametrize("times", [[], [[0.0, 1.0]]], ids=["empty", "nested"])
     def test_output_times_of_another_shape_rejected(self, times):
-        decay = C.scalar_system(lambda x: -x)
+        decay = C.scalar_system(lambda t, x: -x)
         with pytest.raises(ValueError, match="output times must be finite and increase from 0"):
             C.integrate(decay, [1.0], times=times)
 
@@ -119,14 +121,14 @@ class TestIntegrate:
     def test_single_functional_chain(self):
         # k = 1 closes on itself: xi0' = (-2 phi + 2 psi) xi0
         sys1 = C.cyclic_mixed_system(F.constant(1.0), F.constant(0.25), 1)
-        traj = C.integrate(sys1, [2.0], horizon=1.0, dt_out=0.25)
+        traj = C.integrate(sys1, [2.0], np.linspace(0.0, 1.0, 5))
         assert np.max(np.abs(traj.states[:, 0]
                              - 2.0 * np.exp(-1.5 * traj.times))) < 1e-7
 
     def test_table_clock(self):
         phi = F.table([0.0, 1.0, 10.0], [1.0, 0.5, 0.5])
         sys2 = C.nilpotent_source_system(phi, F.constant(0.0))
-        traj = C.integrate(sys2, [0.5, 0.0], horizon=0.5, dt_out=0.1)
+        traj = C.integrate(sys2, [0.5, 0.0], np.linspace(0.0, 0.5, 6))
         # below s = 1 the interpolated clock is 1 - s/2
         assert traj.states[-1, 0] < 0.5
 
@@ -136,7 +138,7 @@ class TestIntegrate:
                        C.nilpotent_source_system(F.constant(1.0), F.constant(0.5)),
                        C.cyclic_mixed_system(F.constant(1.0), F.constant(0.5), 4)):
             xi0 = RNG.uniform(0.0, 2.0, system.dim)
-            traj = C.integrate(system, xi0, horizon=1.0, dt_out=0.05)
+            traj = C.integrate(system, xi0, np.linspace(0.0, 1.0, 21))
             assert traj.clamp_events == 0
             assert np.min(traj.states) >= -1e-12
 
@@ -151,19 +153,18 @@ class TestIntegrate:
                                   F.constant(0.5)),
         C.sde_growth_system(SWAP),
         C.linear_system([[-1.0, 0.3, -0.2], [0.5, -2.0, 0.1], [-0.4, 0.2, 0.3]]),
-        C.scalar_system(lambda t, x: -(1.0 + 0.5 * np.cos(t)) * x,
-                        time_dependent=True),
+        C.scalar_system(lambda t, x: -(1.0 + 0.5 * np.cos(t)) * x),
     ], ids=lambda s: s.name)
     def test_batch_rows_match_single_calls(self, system):
         rng = np.random.default_rng(17)
         xi0 = rng.uniform(0.0, 2.0, size=(7, system.dim))
         xi0[0] = 0.0
-        batch = C.integrate(system, xi0, horizon=3.0, dt_out=0.1)
+        batch = C.integrate(system, xi0, np.linspace(0.0, 3.0, 31))
         assert batch.states.shape == (31, 7, system.dim)
         counters = np.zeros(3, dtype=int)
         for i, row in enumerate(xi0):
-            ref = helpers.reference_integrate(system, row, horizon=3.0, dt_out=0.1)
-            single = C.integrate(system, row, horizon=3.0, dt_out=0.1)
+            ref = helpers.reference_integrate(system, row, np.linspace(0.0, 3.0, 31))
+            single = C.integrate(system, row, np.linspace(0.0, 3.0, 31))
             assert np.array_equal(batch.states[:, i], ref.states)
             assert np.array_equal(single.states, ref.states)
             assert np.array_equal(single.times, ref.times)
@@ -178,13 +179,13 @@ class TestIntegrate:
         # runs on to the horizon
         growth = C.linear_system([[1.0]])
         stop = lambda t, xi, rows: xi[:, 0] >= 2.0
-        ref = helpers.reference_integrate(growth, [1.0], horizon=3.0, dt_out=0.1,
+        ref = helpers.reference_integrate(growth, [1.0], np.linspace(0.0, 3.0, 31),
                                           stop_condition=stop)
-        single = C.integrate(growth, [1.0], horizon=3.0, dt_out=0.1,
+        single = C.integrate(growth, [1.0], np.linspace(0.0, 3.0, 31),
                              stop_condition=stop)
-        alone = C.integrate(growth, [0.0], horizon=3.0, dt_out=0.1,
+        alone = C.integrate(growth, [0.0], np.linspace(0.0, 3.0, 31),
                             stop_condition=stop)
-        batch = C.integrate(growth, [[0.0], [1.0]], horizon=3.0, dt_out=0.1,
+        batch = C.integrate(growth, [[0.0], [1.0]], np.linspace(0.0, 3.0, 31),
                             stop_condition=stop)
         assert ref.stopped.tolist() == single.stopped.tolist() == [True]
         assert batch.stopped.tolist() == [False, True]
@@ -215,14 +216,14 @@ class TestIntegrate:
         def stop(t, xi, rows):
             seen.append(rows.copy())
             return xi[:, 0] >= threshold[rows]
-        batch = C.integrate(system, xi0, horizon=4.0, dt_out=0.1, stop_condition=stop)
+        batch = C.integrate(system, xi0, np.linspace(0.0, 4.0, 41), stop_condition=stop)
         seen = np.concatenate(seen)
         counters = np.zeros(2, dtype=int)
         for i, row in enumerate(xi0):
             own = lambda t, xi, rows, cap=threshold[i]: xi[:, 0] >= cap
-            ref = helpers.reference_integrate(system, row, horizon=4.0, dt_out=0.1,
+            ref = helpers.reference_integrate(system, row, np.linspace(0.0, 4.0, 41),
                                               stop_condition=own)
-            single = C.integrate(system, row, horizon=4.0, dt_out=0.1, stop_condition=own)
+            single = C.integrate(system, row, np.linspace(0.0, 4.0, 41), stop_condition=own)
             k = len(ref.times)
             assert (batch.stopped[i], reach(batch.states[:, i])) == (ref.stopped[0], k)
             assert (single.stopped[0], reach(single.states)) == (ref.stopped[0], k)
@@ -240,11 +241,11 @@ class TestIntegrate:
         # the second row's large scale must not lift the first row's guard
         system = C.linear_system([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(BlowupError) as single:
-            helpers.reference_integrate(system, [1.0, 0.0], horizon=30.0, dt_out=1.0)
+            helpers.reference_integrate(system, [1.0, 0.0], np.linspace(0.0, 30.0, 31))
         with pytest.raises(BlowupError) as batch:
-            C.integrate(system, [[1.0, 0.0], [0.0, 1e6]], horizon=30.0, dt_out=1.0)
+            C.integrate(system, [[1.0, 0.0], [0.0, 1e6]], np.linspace(0.0, 30.0, 31))
         assert batch.value.reached_time == single.value.reached_time
-        assert C.integrate(system, [0.0, 1e6], horizon=30.0, dt_out=1.0).states[-1, 1] == 1e6
+        assert C.integrate(system, [0.0, 1e6], np.linspace(0.0, 30.0, 31)).states[-1, 1] == 1e6
 
     @pytest.mark.parametrize("fn", [
         F.constant(0.7), F.rational([1.0, 0.5], [1.0, 1.0, 0.25]),
@@ -265,9 +266,9 @@ class TestDenseOutput:
     def counted(system):
         calls = []
 
-        def rhs(xi):
+        def rhs(t, xi):
             calls.append(xi.shape)
-            return system(0.0, xi)
+            return system(t, xi)
         return C.ComparisonSystem(dim=system.dim, rhs=rhs), calls
 
     @pytest.mark.parametrize("horizon", [1.0, 3.0])
@@ -293,7 +294,7 @@ class TestDenseOutput:
 
     def test_each_attempt_takes_eleven_rhs_calls(self):
         system, log = self.counted(C.sde_growth_system(SWAP))
-        traj = C.integrate(system, [1.0, 0.0], horizon=1.0, dt_out=0.001,
+        traj = C.integrate(system, [1.0, 0.0], np.linspace(0.0, 1.0, 1001),
                            rtol=C.CHECK_RTOL)
         assert 0 < traj.steps < 100
         assert len(log) == 11 * (traj.steps + traj.rejected)
@@ -311,7 +312,7 @@ class TestDenseOutput:
     def test_a_stop_keeps_the_outputs_before_the_stopping_state(self):
         growth = C.linear_system([[1.0]])
         seen = []
-        traj = C.integrate(growth, [1.0], horizon=3.0, dt_out=0.01, rtol=C.CHECK_RTOL,
+        traj = C.integrate(growth, [1.0], np.linspace(0.0, 3.0, 301), rtol=C.CHECK_RTOL,
                            stop_condition=lambda t, xi, rows: seen.append((t[0], xi[0, 0]))
                            or xi[:, 0] >= 2.0)
         # the stop fires at the first accepted state past 2, and the outputs
@@ -326,8 +327,8 @@ class TestDenseOutput:
     def test_batch_counters_sum_the_rows(self):
         system = C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4), 3)
         xi0 = np.random.default_rng(5).uniform(0.0, 2.0, size=(5, 3))
-        batch = C.integrate(system, xi0, horizon=3.0, dt_out=0.01)
-        singles = [helpers.reference_integrate(system, row, horizon=3.0, dt_out=0.01)
+        batch = C.integrate(system, xi0, np.linspace(0.0, 3.0, 301))
+        singles = [helpers.reference_integrate(system, row, np.linspace(0.0, 3.0, 301))
                    for row in xi0]
         assert batch.steps == sum(s.steps for s in singles)
         assert batch.rejected == sum(s.rejected for s in singles)
@@ -335,7 +336,7 @@ class TestDenseOutput:
     def test_reports_carry_the_rk4_counters(self):
         system = C.sde_growth_system(SWAP)
         witness = C.check_practical(system, lam=1.0, bound=100.0, horizon=1.0).witness
-        traj = C.integrate(system, [1.0, 1.0], horizon=1.0, dt_out=1.0 / 256,
+        traj = C.integrate(system, [1.0, 1.0], np.linspace(0.0, 1.0, 257),
                            rtol=C.CHECK_RTOL)
         assert (witness["steps"], witness["rejected"], witness["clamp_events"]) == (
             traj.steps, traj.rejected, traj.clamp_events)
@@ -354,13 +355,13 @@ class TestWazewski:
         assert rep.passed
 
     def test_sign_violation_detected(self):
-        bad = C.ComparisonSystem(dim=2, rhs=lambda xi: np.array([-xi.T[1], 0.0 * xi.T[1]]).T)
+        bad = C.ComparisonSystem(dim=2, rhs=lambda t, xi: np.array([-xi.T[1], 0.0 * xi.T[1]]).T)
         rep = C.check_wazewski(bad, (0.0, 5.0), 256)
         assert not rep.passed
         assert rep.violation["component"] == 0
 
     @pytest.mark.parametrize("system, box, seed", [
-        (C.ComparisonSystem(dim=2, rhs=lambda xi: np.array([-xi.T[1], 0.0 * xi.T[1]]).T),
+        (C.ComparisonSystem(dim=2, rhs=lambda t, xi: np.array([-xi.T[1], 0.0 * xi.T[1]]).T),
          (0.0, 5.0), 0),
         (LATE_VIOLATION, (0.0, 5.0), 1),
         (C.linear_system([[-1.0, 0.3, 0.2], [0.5, -2.0, 0.1], [0.4, 0.2, 0.3]]),
@@ -405,13 +406,13 @@ class TestXi0Stability:
         assert verdict.kind == "unstable"
 
     def test_flat_scalar_is_stable_not_asymptotic(self):
-        flat = C.scalar_system(lambda x: 0.0)
+        flat = C.scalar_system(lambda t, x: 0.0)
         verdict = C.check_xi0_stability(flat, eps_grid=(0.5,), T_check=5.0,
                                         n_directions=8, bisect_iters=8)
         assert verdict.kind == "stable"
 
     def test_nontrivial_origin_rejected(self):
-        shifted = C.scalar_system(lambda x: 1.0 + x)
+        shifted = C.scalar_system(lambda t, x: 1.0 + x)
         with pytest.raises(ValueError):
             C.check_xi0_stability(shifted, eps_grid=(0.5,))
 
@@ -421,7 +422,7 @@ class TestXi0Stability:
     ], ids=["empty_eps", "negative_eps", "no_directions", "negative_iters",
             "zero_T_check"])
     def test_bad_parameters_rejected(self, kwargs):
-        flat = C.scalar_system(lambda x: 0.0)
+        flat = C.scalar_system(lambda t, x: 0.0)
         with pytest.raises(ValueError):
             C.check_xi0_stability(flat, **kwargs)
 
@@ -430,7 +431,7 @@ class TestXi0Stability:
          dict(eps_grid=(0.5,), T_check=10.0, n_directions=16, bisect_iters=12)),
         (C.nilpotent_source_system(F.constant(1.0), F.constant(2.0)),
          dict(eps_grid=(0.5,), T_check=5.0, n_directions=16, bisect_iters=12)),
-        (C.scalar_system(lambda x: 0.0),
+        (C.scalar_system(lambda t, x: 0.0),
          dict(eps_grid=(0.5,), T_check=5.0, n_directions=8, bisect_iters=8)),
         (C.sde_growth_system(SWAP),
          dict(eps_grid=(0.5,), T_check=10.0, n_directions=8, bisect_iters=10)),
@@ -467,7 +468,8 @@ class TestXi0Stability:
         calls = []
         integrate = C.integrate
         monkeypatch.setattr(C, "integrate",
-                            lambda s, xi0, **k: calls.append(len(xi0)) or integrate(s, xi0, **k))
+                            lambda s, xi0, *args, **kw: calls.append(len(xi0))
+                            or integrate(s, xi0, *args, **kw))
         verdict = C.check_xi0_stability(system, **kwargs)
         expected = helpers.reference_check_xi0_stability(system, **kwargs)
         assert verdict.to_dict() == expected.to_dict()
@@ -509,7 +511,7 @@ class TestXi0Stability:
         for count in (1, 8):
             seen = []
             counted = C.ComparisonSystem(
-                dim=system.dim, rhs=lambda xi: seen.append(len(xi)) or system(0.0, xi))
+                dim=system.dim, rhs=lambda t, xi: seen.append(len(xi)) or system(t, xi))
             verdict = C.check_xi0_stability(counted, eps_grid=[eps] * count, **kwargs)
             expected = helpers.reference_check_xi0_stability(
                 system, eps_grid=[eps] * count, **kwargs)
@@ -522,16 +524,16 @@ class TestXi0Stability:
     def test_a_level_that_blows_up_fails_alone(self, monkeypatch):
         # above 0.3 the right-hand side is NaN, so the step size of the rows of
         # eps = 1 underflows in round 0; the other levels must not fail with them
-        cliff = C.scalar_system(lambda x: np.where(x > 0.3, np.nan, -x))
+        cliff = C.scalar_system(lambda t, x: np.where(x > 0.3, np.nan, -x))
         kwargs = dict(eps_grid=(0.1, 1.0, 0.2), T_check=10.0, n_directions=4, bisect_iters=6)
         with pytest.raises(BlowupError, match="underflow"):
-            C.integrate(cliff, [1.0], horizon=10.0)
+            C.integrate(cliff, [1.0], np.linspace(0.0, 10.0, 201))
         raised = []
         integrate = C.integrate
 
-        def counted(system, xi0, **kw):
+        def counted(system, xi0, *args, **kw):
             try:
-                return integrate(system, xi0, **kw)
+                return integrate(system, xi0, *args, **kw)
             except BlowupError:
                 raised.append(len(xi0))
                 raise
@@ -553,7 +555,7 @@ class TestXi0Stability:
         monkeypatch.setattr(C, "XI0_BLOCK", 2 * 8 * system.dim * (C.XI0_OUTPUTS + 1))
         rows = []
         rhs = system.rhs
-        blocked = C.ComparisonSystem(dim=2, rhs=lambda xi: rows.append(len(xi)) or rhs(xi))
+        blocked = C.ComparisonSystem(dim=2, rhs=lambda t, xi: rows.append(len(xi)) or rhs(t, xi))
         assert C.check_xi0_stability(blocked, **kwargs).to_dict() == whole.to_dict()
         assert max(rows) == 16
 
@@ -565,7 +567,7 @@ class TestXi0Stability:
 
         rows = []
 
-        def rhs(xi):
+        def rhs(t, xi):
             rows.append(len(xi))
             if len(xi) > 1:
                 raise FirstBatch
@@ -627,10 +629,10 @@ class TestPractical:
         assert verdict.witness["xi0_final"] == pytest.approx(9.0 * np.exp(2.0), rel=1e-6)
 
     def test_blowup_reports_the_rk4_counters(self):
-        quad = C.scalar_system(lambda x: x * x)
+        quad = C.scalar_system(lambda t, x: x * x)
         witness = C.check_practical(quad, lam=1.0, bound=100.0, horizon=2.0).witness
         with pytest.raises(BlowupError) as err:
-            C.integrate(quad, [1.0], horizon=2.0, dt_out=2.0 / 256, rtol=C.CHECK_RTOL)
+            C.integrate(quad, [1.0], np.linspace(0.0, 2.0, 257), rtol=C.CHECK_RTOL)
         partial = err.value.partial
         assert (witness["steps"], witness["rejected"], witness["clamp_events"]) == (
             partial.steps, partial.rejected, partial.clamp_events)
@@ -681,7 +683,7 @@ class TestBoundCheck:
                                   source=F.zero_source())
         traj = F.evolve(u, params, horizon=1.0, dt=0.01,
                         tracked=F.mixed_columns(np.eye(2), 2))
-        flat = C.ComparisonSystem(dim=2, rhs=lambda xi: np.zeros_like(xi))
+        flat = C.ComparisonSystem(dim=2, rhs=lambda t, xi: np.zeros_like(xi))
         rep = C.bound_check(traj, flat, ["W0", "W1"])
         assert rep.passed
         assert abs(rep.max_violation) < 1e-12

@@ -146,22 +146,11 @@ def _generator(kind, x, y):
     }[kind]
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(data=st.data())
-def test_sourceless_flows_of_polygons_stay_in_the_cone_and_near_the_exact_image(data):
-    coords = st.floats(-1.0, 1.0, allow_nan=False)
-    points = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=8)))
-    diameter = float(np.max(np.linalg.norm(points[:, None] - points[None], axis=2)))
-    angle = data.draw(st.floats(0.0, 2.0 * np.pi))
-    shift = data.draw(st.floats(0.0, 1e3)) * max(diameter, 1e-3)
-    vertices = points + shift * np.array([np.cos(angle), np.sin(angle)])
-    m = data.draw(st.sampled_from([16, 64, 256, 512]))
-    a_mat = _generator(data.draw(st.sampled_from(["rotating", "shearing", "non_normal",
-                                                  "singular"])),
-                       data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(-1.0, 0.5)))
-    clock = data.draw(st.floats(0.5, 2.0))
+def _check_sourceless_flow(points, offset, a_mat, clock, m):
+    """The flow of the polygon ``points + offset`` stays in the cone and within
+    the re-circumscription bound of the exact image of the polygon."""
+    vertices = points + offset
     dt, steps = 1e-2, 20
-
     u0 = B.make_polygon(vertices, m)
     traj = F.evolve(u0, sourceless(a_mat, clock), steps * dt, dt,
                     tracked=helpers.FRAMES)                         # no BlowupError
@@ -181,6 +170,39 @@ def test_sourceless_flows_of_polygons_stay_in_the_cone_and_near_the_exact_image(
     # subnormals: a point at (0, 5e-324) ends one subnormal from its image
     rounding = 1e-12 * np.abs(exact.values).max() + 16 * np.finfo(float).smallest_subnormal
     assert B.hausdorff_distance(traj.final, exact) <= bound + rounding
+    return u0
+
+
+def test_a_subnormal_point_under_rotation_stays_near_its_image():
+    # a draw of the fuzz below: the point ends within a few subnormals of
+    # its exact image, which only the absolute rounding term admits
+    _check_sourceless_flow(np.array([[0.0, 5e-324]]), np.zeros(2),
+                           _generator("rotating", 2.0, 0.0), 2.0, 16)
+
+
+def test_a_tiny_rotation_is_not_snapped_to_a_gather():
+    # a draw of the fuzz below: a rotation of 1e-11 rad a step, 4e-11 cells
+    # at M = 16, pulls back between the nodes; a gather would snap it away,
+    # and the point would not turn at all and end 2e-13 from its image
+    _check_sourceless_flow(np.zeros((1, 2)), np.array([1e-3, 0.0]),
+                           _generator("rotating", 1e-9, 0.0), 1.0, 16)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_sourceless_flows_of_polygons_stay_in_the_cone_and_near_the_exact_image(data):
+    coords = st.floats(-1.0, 1.0, allow_nan=False)
+    points = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=8)))
+    diameter = float(np.max(np.linalg.norm(points[:, None] - points[None], axis=2)))
+    angle = data.draw(st.floats(0.0, 2.0 * np.pi))
+    shift = data.draw(st.floats(0.0, 1e3)) * max(diameter, 1e-3)
+    m = data.draw(st.sampled_from([16, 64, 256, 512]))
+    a_mat = _generator(data.draw(st.sampled_from(["rotating", "shearing", "non_normal",
+                                                  "singular"])),
+                       data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(-1.0, 0.5)))
+    clock = data.draw(st.floats(0.5, 2.0))
+    u0 = _check_sourceless_flow(points, shift * np.array([np.cos(angle), np.sin(angle)]),
+                                a_mat, clock, m)
 
     c = data.draw(st.floats(1e-3, 1e3))
     assert np.array_equal(B.linear_image(u0, c * np.eye(2)).values, c * u0.values)

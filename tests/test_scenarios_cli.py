@@ -80,12 +80,12 @@ class TestSchema:
         {"checks": [{"no_kind": True}]},
         {"track": ["nope"]},
     ])
-    def test_violations_rejected(self, mutate):
+    def test_violations_rejected(self, mutate, tmp_path):
         doc = quick_doc()
         doc.update(mutate)
         with pytest.raises(SchemaError):
             scenario = scenarios.parse_scenario(doc)
-            scenarios.run_scenario(scenario, write_outputs=False)
+            scenarios.run_scenario(scenario, tmp_path)
 
     def test_unknown_check_kind_rejected(self):
         doc = quick_doc(checks=[{"kind": "mystery"}])
@@ -139,13 +139,13 @@ class TestRunner:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
 
-    def test_track_order_does_not_change_the_csv_header(self):
+    def test_track_order_does_not_change_the_csv_header(self, tmp_path):
         doc = search_doc()
         reference = {"kind": "hausdorff_to", "body": {"kind": "ball", "radius": 1.0}}
         doc.update(checks=[], track=["perimeter", reference, {"kind": "mixed", "count": 2},
                                      "V", "perimeter"])
-        result = scenarios.run_scenario(scenarios.parse_scenario(doc), write_outputs=False)
-        assert result.csv_text.split("\n")[0] == "t,V,perimeter,W0,W1,dH_ref"
+        result = scenarios.run_scenario(scenarios.parse_scenario(doc), tmp_path)
+        assert result.csv_path.read_text().split("\n")[0] == "t,V,perimeter,W0,W1,dH_ref"
 
     def test_report_structure(self, tmp_path):
         result = scenarios.run_scenario(
@@ -155,12 +155,11 @@ class TestRunner:
         assert doc["passed"] is True
         assert doc["trajectory"]["frames"] >= 2
 
-    def test_failed_check_marks_run(self):
+    def test_failed_check_marks_run(self, tmp_path):
         doc = quick_doc(checks=[{"kind": "converge_to",
                                  "body": {"kind": "ball", "radius": 5.0},
                                  "tol": 1e-6}])
-        result = scenarios.run_scenario(scenarios.parse_scenario(doc),
-                                        write_outputs=False)
+        result = scenarios.run_scenario(scenarios.parse_scenario(doc), tmp_path)
         assert not result.passed
 
     def test_builtins_parse(self):
@@ -215,10 +214,9 @@ class TestReportSerialization:
             names = {f.name for f in dataclasses.fields(report)} - {"body"}
             assert plain.keys() == names, name
 
-    def test_fixed_point_details_leave_out_the_body(self):
+    def test_fixed_point_details_leave_out_the_body(self, tmp_path):
         doc = quick_doc(checks=[{"kind": "fixed_point"}])
-        result = scenarios.run_scenario(scenarios.parse_scenario(doc),
-                                        write_outputs=False)
+        result = scenarios.run_scenario(scenarios.parse_scenario(doc), tmp_path)
         details = result.checks[0]["details"]
         assert "body" not in details
         assert details["radius"] == pytest.approx(0.5)
@@ -288,6 +286,13 @@ class TestCli:
 
     def test_geom_bad_body_is_schema_error(self, capsys):
         assert cli.main(["geom", "area", "cube:1"]) == cli.EXIT_SCHEMA
+
+    @pytest.mark.parametrize("grid", ["0", "15", "65538"])
+    @pytest.mark.parametrize("body", ["poly:1,1", "seg:1", "rot90(seg:1)"])
+    def test_geom_bad_grid_is_schema_error(self, capsys, grid, body):
+        assert cli.main(["geom", "area", body, "--grid", grid]) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert "--grid" in captured.err and captured.out == ""
 
     def test_run_file(self, tmp_path, capsys):
         path = tmp_path / "quick.json"
@@ -770,7 +775,8 @@ class TestCheckFuzz:
             scenario = scenarios.parse_scenario(doc)
         except SchemaError:
             return
-        scenarios.run_scenario(scenario, write_outputs=False)
+        with tempfile.TemporaryDirectory() as out:
+            scenarios.run_scenario(scenario, out)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
