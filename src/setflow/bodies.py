@@ -150,13 +150,25 @@ def _check_same_grid(u: SupportFunction2D, size: int):
 # constructors
 
 
+def _finite(value, what):
+    """``value`` as a float array, or a ValueError naming ``what`` if an entry
+    is not finite; the constructors check before any arithmetic."""
+    value = np.asarray(value, dtype=float)
+    if not np.isfinite(value).all():
+        raise ValueError(f"{what} must be finite")
+    return value
+
+
 def make_ball(radius: float, center=(0.0, 0.0),
               grid_size: int = DEFAULT_GRID_SIZE) -> SupportFunction2D:
     """Disc of given radius; ``h(theta) = radius + <center, p(theta)>``."""
+    radius = float(_finite(radius, "radius"))
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    center = np.asarray(center, dtype=float)
-    return SupportFunction2D(radius + grid_directions(grid_size) @ center)
+    center = _finite(center, "center")
+    # an overflow gives samples that the body refuses as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SupportFunction2D(radius + grid_directions(grid_size) @ center)
 
 
 def make_polygon(vertices, grid_size: int = DEFAULT_GRID_SIZE) -> SupportFunction2D:
@@ -166,12 +178,16 @@ def make_polygon(vertices, grid_size: int = DEFAULT_GRID_SIZE) -> SupportFunctio
         raise ValueError("need at least one vertex")
     if verts.shape[1] != 2:
         raise ValueError("vertices must be points in the plane")
-    return SupportFunction2D(np.max(grid_directions(grid_size) @ verts.T, axis=1))
+    verts = _finite(verts, "vertices")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SupportFunction2D(np.max(grid_directions(grid_size) @ verts.T, axis=1))
 
 
 def make_segment(length: float, angle: float = 0.0,
                  grid_size: int = DEFAULT_GRID_SIZE) -> SupportFunction2D:
     """Centered segment of the given length along the given direction."""
+    length = float(_finite(length, "length"))
+    angle = float(_finite(angle, "angle"))
     if length < 0:
         raise ValueError("length must be nonnegative")
     tip = 0.5 * length * np.array([np.cos(angle), np.sin(angle)])

@@ -389,6 +389,12 @@ def _sup_norm(u: SupportFunction2D) -> float:
     return float(np.max(np.abs(u.values)))
 
 
+def _envelope(f):
+    """A scalar system calling ``f(t, z)`` on plain numbers, once per row."""
+    return comparison.scalar_system(
+        lambda t, z: np.array([f(s, v) for s, v in zip(t.tolist(), z.tolist())]))
+
+
 def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
                             u0: SupportFunction2D, horizon: float,
                             dt: float = 1e-3,
@@ -407,19 +413,16 @@ def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
     v0 = area(u0)
     times = np.linspace(0.0, horizon, max(1, round(horizon / (10 * dt))) + 1)
 
-    # integrate hands each envelope its one state as a one-row column; the
-    # bounds receive plain numbers
+    # the bounds receive plain numbers, one state at a time
     def upper_rhs(t, z):
-        z = z.item()
         return tr_a * float(params.phi(max(z, 0.0))) * z + float(bounds.g_upper(max(z, 0.0)))
 
     def lower_rhs(t, z):
-        z = z.item()
         return tr_a * float(params.phi(max(z, 0.0))) * z + float(bounds.g_lower(max(z, 0.0)))
 
     try:
-        zeta = comparison.integrate(comparison.scalar_system(upper_rhs), [v0], times)
-        chi = comparison.integrate(comparison.scalar_system(lower_rhs), [v0], times)
+        zeta = comparison.integrate(_envelope(upper_rhs), [v0], times)
+        chi = comparison.integrate(_envelope(lower_rhs), [v0], times)
     except BlowupError as exc:
         return GlobalExistenceReport(zeta_plus=None, chi_minus=None,
                                      omega_plus=None, finite=False,
@@ -440,11 +443,10 @@ def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
             return max(phis) if alpha > 0 else min(phis)
 
     def omega_rhs(t, w):
-        t, w = t.item(), w.item()
         return alpha * float(clock(t, v0)) * w + float(bounds.F_sup(t, n_const * w, v0))
 
     try:
-        omega = comparison.integrate(comparison.scalar_system(omega_rhs),
+        omega = comparison.integrate(_envelope(omega_rhs),
                                      [_sup_norm(u0)], times)
     except BlowupError as exc:
         return GlobalExistenceReport(zeta_plus=zeta, chi_minus=chi,

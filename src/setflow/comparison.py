@@ -12,14 +12,17 @@ conditions -- each verdict records the samples and margins it rests on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .errors import BlowupError
+from .flow import ScalarFunction
 
 GUARD_FACTOR = 1e12
 RK4_ATOL = 1e-12            # absolute part of the step tolerance of integrate
+EXACT_SUBSTEPS = 64         # most sub-steps of one output interval on the exact path
 XI0_RTOL = 1e-6             # integrate's rtol in the xi0 stability search
 XI0_OUTPUTS = 32            # output intervals on [0, T_check] of the xi0 search
 # output-state doubles of one integrate call of the xi0 search: one trial of
@@ -42,11 +45,18 @@ class ComparisonSystem:
     the states (any other is a ValueError), each row independently of the
     others; :func:`integrate` and the sampled checks always call it so.  A
     right-hand side that does not depend on time ignores ``t``.
+
+    ``matrix`` is set only by the factories below, when ``rhs(t, xi) = M xi``
+    for a Metzler matrix ``M`` (off-diagonal entries >= 0, the Wazewski
+    condition); :func:`integrate` then solves the system exactly instead of
+    stepping RK4.  The factories keep their own ``rhs``, which the sampled
+    checks call.
     """
 
     dim: int
     rhs: object
     name: str = ""
+    matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __call__(self, t, xi: np.ndarray) -> np.ndarray:
         # a result broadcast against the states would pass the arithmetic
@@ -70,6 +80,29 @@ def _column(value):
     return np.asarray(value)[..., None]
 
 
+def _inf_norm(mat):
+    with np.errstate(over="ignore"):
+        return float(np.max(np.sum(np.abs(mat), axis=1)))
+
+
+def _metzler(mat):
+    """``mat`` as a read-only copy when it is a Metzler matrix whose norm
+    doubled is finite (the norm of its shift in :func:`_metzler_expm`), else None."""
+    mat = np.array(mat, dtype=float)
+    if (np.any(mat[~np.eye(len(mat), dtype=bool)] < 0)
+            or not math.isfinite(2.0 * _inf_norm(mat))):
+        return None
+    mat.setflags(write=False)
+    return mat
+
+
+def _constants(*functions):
+    """The values of constant clocks, or None if any of them is not one."""
+    if all(isinstance(f, ScalarFunction) and f.kind == "constant" for f in functions):
+        return [f.value for f in functions]
+    return None
+
+
 def nilpotent_source_system(phi, psi, a: float = -1.0) -> ComparisonSystem:
     """Area/mixed-area pair for a linear-body source with B^2 = 0.
 
@@ -82,7 +115,10 @@ def nilpotent_source_system(phi, psi, a: float = -1.0) -> ComparisonSystem:
         # only xi0 has a coupling term; adding a zero to xi1 could flip its sign of zero
         out[..., 0] += 2 * psi(x0) * xi[..., 1]
         return out
-    return ComparisonSystem(dim=2, rhs=rhs, name="nilpotent_source")
+    values = _constants(phi, psi)
+    matrix = _metzler([[2 * a * values[0], 2 * values[1]],
+                       [0.0, 2 * a * values[0]]]) if values else None
+    return ComparisonSystem(dim=2, rhs=rhs, name="nilpotent_source", matrix=matrix)
 
 
 def cyclic_mixed_system(phi, psi, k: int, a: float = -1.0) -> ComparisonSystem:
@@ -103,7 +139,13 @@ def cyclic_mixed_system(phi, psi, k: int, a: float = -1.0) -> ComparisonSystem:
         x0 = xi[..., 0]
         p, q = phi(x0), psi(x0)
         return _column(2 * a * p) * xi + _column(q) * (xi[..., left] + xi[..., right])
-    return ComparisonSystem(dim=k, rhs=rhs, name=f"cyclic_mixed_k{k}")
+    values, matrix = _constants(phi, psi), None
+    if values:
+        coupling = np.zeros((k, k))
+        np.add.at(coupling, (np.arange(k), left), 1.0)
+        np.add.at(coupling, (np.arange(k), right), 1.0)
+        matrix = _metzler(2 * a * values[0] * np.eye(k) + values[1] * coupling)
+    return ComparisonSystem(dim=k, rhs=rhs, name=f"cyclic_mixed_k{k}", matrix=matrix)
 
 
 def _matrix_rhs(mat):
@@ -125,14 +167,17 @@ def sde_growth_system(matrix) -> ComparisonSystem:
     if det >= 0 or tr < 0:
         raise ValueError("requires det B < 0 and tr B >= 0")
     m = np.array([[0.0, 2.0], [2.0 * abs(det), tr]])
-    return ComparisonSystem(dim=2, rhs=_matrix_rhs(m), name="sde_growth")
+    return ComparisonSystem(dim=2, rhs=_matrix_rhs(m), name="sde_growth", matrix=_metzler(m))
 
 
 def linear_system(matrix, name: str = "linear") -> ComparisonSystem:
+    """``xi' = M xi``; solved exactly when ``M`` is Metzler, else stepped by
+    RK4, whose clamping keeps the states in the cone."""
     mat = np.asarray(matrix, dtype=float)
     if not (mat.ndim == 2 and mat.shape[0] == mat.shape[1] > 0 and np.all(np.isfinite(mat))):
         raise ValueError("matrix must be square, nonempty and finite")
-    return ComparisonSystem(dim=mat.shape[0], rhs=_matrix_rhs(mat), name=name)
+    return ComparisonSystem(dim=mat.shape[0], rhs=_matrix_rhs(mat), name=name,
+                            matrix=_metzler(mat))
 
 
 def scalar_system(f, name: str = "scalar") -> ComparisonSystem:
@@ -156,10 +201,20 @@ class ComparisonTrajectory:
                                 # for a batch of n initial states; NaN at the
                                 # outputs a stopped row did not reach
     clamp_events: int = 0
-    steps: int = 0              # accepted RK4 steps, summed over the rows of a batch
-    rejected: int = 0           # rejected RK4 steps, likewise
+    steps: int = 0              # accepted RK4 steps, or exact sub-steps, summed
+                                # over the rows of a batch
+    rejected: int = 0           # rejected RK4 steps, likewise; 0 when exact
     stopped: np.ndarray | None = None   # per row (one for a single state): its
                                         # stop condition fired
+    solver: str = "rk4"         # "exact" for a Metzler system.matrix, else "rk4"
+
+
+def _trajectory(states, times, nxt, stopped, done, **counters):
+    """The first ``done`` output times, NaN at the outputs a row did not reach."""
+    rows = states.reshape(len(times), -1, states.shape[-1])
+    rows[:done][np.arange(done)[:, None] >= nxt] = np.nan
+    return ComparisonTrajectory(times[:done], states[:done], stopped=stopped.copy(),
+                                **counters)
 
 
 def _rk4(system, t, xi, h, k1):
@@ -177,11 +232,13 @@ def _double_step(system, t, xi, h):
     Returns ``(k1, half, k_half, big, two)``: the slope at the start, the
     state after the first half step and the slope there (the first stage of
     the second half step), the full step and the two half steps.  The full
-    step and the first half step share ``k1``: 11 right-hand sides in all.
+    step and the first half step share ``k1`` and take their other stages
+    together, as one batch of twice the rows: 8 right-hand sides in all.
     """
+    n = len(t)
     k1 = system(t, xi)
-    big = _rk4(system, t, xi, h, k1)
-    half = _rk4(system, t, xi, 0.5 * h, k1)
+    big, half = np.split(_rk4(system, np.concatenate((t, t)), np.concatenate((xi, xi)),
+                              np.concatenate((h, 0.5 * h)), np.concatenate((k1, k1))), [n])
     k_half = system(t + 0.5 * h, half)
     two = _rk4(system, t + 0.5 * h, half, 0.5 * h, k_half)
     return k1, half, k_half, big, two
@@ -221,34 +278,47 @@ def _step_factors(tol, err, ok):
 
 def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
               stop_condition=None) -> ComparisonTrajectory:
-    """Adaptive RK4 trajectory read off at ``times``, finite and increasing from 0.
+    """The trajectory read off at ``times``, finite and increasing from 0.
 
     ``xi0`` is one initial state, shape ``(dim,)``, or a batch of them, shape
     ``(n, dim)``, and ``states`` has shape ``(len(times), dim)`` or
-    ``(len(times), n, dim)``.  A single state steps as a one-row batch.  The
-    rows are independent: each steps with its own time, step size,
-    tolerance, clamping, guard and stop, so a row's result does not depend
-    on the rows beside it.  The right-hand side always receives rows.
+    ``(len(times), n, dim)``.  A single state runs as a one-row batch.  The
+    rows are independent: each has its own guard and stop, and on the RK4
+    path its own time, step size, tolerance and clamping, so a row's result
+    does not depend on the rows beside it.  The right-hand side always
+    receives rows.
 
-    Step doubling holds the local error of each step below ``RK4_ATOL +
-    rtol * max|xi|``.  Steps are cut only at the final time; an output time
-    inside a step is read from the step's dense output, a quartic through
-    the step's start, midpoint and end values and its slopes at the start
-    and midpoint, which costs no right-hand side and errs by about a fifth
-    of the step's own error estimate.  The outputs thus carry the global
-    error of the step sequence, some tens of ``rtol`` relative over a few
-    dozen steps, whatever their number.  Negative undershoots are
-    clamped to zero (the cone is the domain of the theory) and counted, as
-    are accepted and rejected steps, summed over the rows.
-    An optional ``stop_condition(t, xi, rows)`` receives the rows that just
-    took an accepted step (times of shape ``(k,)``, states ``(k, dim)`` and
-    their indices in the batch, ``(k,)``) and returns one flag per row.  A
-    row whose flag is set stops stepping, before the outputs its stopping
-    state would reach, while the other rows run on; ``stopped`` says which
-    rows stopped, ``times`` ends at the farthest row's, and the outputs a
-    row did not reach are NaN.  Raises :class:`BlowupError` when a row escapes the
-    overflow guard or its step size underflows; the error's ``partial``
-    holds the output times every running row reached.
+    A system with a Metzler ``matrix`` ``M`` is solved exactly (``solver``
+    "exact"): each output interval is cut into the fewest equal sub-steps
+    with ``h ||M||_inf <= 1/2``, at most ``EXACT_SUBSTEPS``, and each
+    sub-step multiplies the rows by ``exp(M h)``, a matrix with no negative
+    entry, so the states stay in the cone with no clamping, errs by some
+    ulps per sub-step and ignores ``rtol``.  ``steps`` counts the sub-steps.
+
+    Any other system steps adaptive RK4 (``solver`` "rk4").  Step doubling
+    holds the local error of each step below ``RK4_ATOL + rtol * max|xi|``.
+    Steps are cut only at the final time; an output time inside a step is
+    read from the step's dense output, a quartic through the step's start,
+    midpoint and end values and its slopes at the start and midpoint, which
+    costs no right-hand side and errs by about a fifth of the step's own
+    error estimate.  The outputs thus carry the global error of the step
+    sequence, some tens of ``rtol`` relative over a few dozen steps,
+    whatever their number.  Negative undershoots are clamped to zero (the
+    cone is the domain of the theory) and counted, as are accepted and
+    rejected steps, summed over the rows.
+
+    An optional ``stop_condition(t, xi, rows)`` receives the states a step
+    or sub-step just reached (times of shape ``(k,)``, states ``(k, dim)``
+    and their rows' indices in the batch, ``(k,)``) and returns one flag
+    per state.  On the exact path one call holds several sub-steps, in time
+    order, so a row may appear several times in it.  A row stops at its
+    first flagged state, before the outputs that state would reach (an
+    output at the state's own time included), while the other rows run on;
+    ``stopped`` says which rows stopped, ``times`` ends at the farthest
+    row's, and the outputs a row did not reach are NaN.  Raises
+    :class:`BlowupError` when a row escapes the overflow guard or its RK4
+    step size underflows; the error's ``partial`` holds the output times
+    every running row reached.
     """
     xi = np.asarray(xi0, dtype=float)
     if xi.shape[-1:] != (system.dim,) or xi.ndim > 2 or xi.size == 0:
@@ -262,7 +332,113 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
         raise ValueError("output times must be finite and increase from 0")
     states = np.empty((len(times),) + xi.shape)
     states[0] = xi
+    if system.matrix is not None:
+        return _exact_rows(system.matrix, states, times, stop_condition)
     return _integrate_rows(system, states, times, rtol, stop_condition)
+
+
+def _metzler_expm(mat, h):
+    """``exp(h mat)`` of a Metzler ``mat``: no entry negative, none from a cancellation.
+
+    The shifted Taylor series ``e^{-s h} exp(h N)``, ``N = mat + s I`` with
+    ``s = max(0, -min diag mat)``, sums only terms >= 0.  Scaling by
+    ``2^-k`` keeps ``||h N / 2^k||_inf < 1``, and the factor
+    ``e^{-s h / 2^k}`` is applied before the ``k`` squarings, so each one
+    squares an exponential at a shorter time and a finite result never
+    overflows (Moler and Van Loan, SIAM Review 45, 2003; Higham, SIAM J.
+    Matrix Anal. Appl. 26, 2005).  The series runs to at least the order of
+    ``mat``, by which every entry it ever fills is filled, and on until a
+    term changes no entry.
+    """
+    dim = len(mat)
+    shift = max(0.0, -float(np.min(np.diagonal(mat))))
+    shifted = mat + shift * np.eye(dim)
+    k = max(0, math.frexp(h)[1] + math.frexp(_inf_norm(shifted))[1])
+    tau = math.ldexp(h, -k)
+    step = tau * shifted
+    total = term = np.eye(dim)
+    order = 0
+    while True:
+        order += 1
+        term = (term @ step) / order
+        summed = total + term
+        if order >= dim and np.array_equal(summed, total):
+            break
+        total = summed
+    out = math.exp(-shift * tau) * total
+    for _ in range(k):
+        out = out @ out
+    return out
+
+
+def _exact_rows(mat, states, times, stop_condition):
+    """The exact path of :func:`integrate` for the Metzler matrix ``mat``.
+
+    The sub-steps of all output intervals form one sequence, taken in
+    chunks that hold no more states than the output array.  Within a chunk
+    the rows are multiplied by each sub-step's propagator in turn, one
+    stacked product per sub-step, which gives each row the bits of its own
+    product; the guard and the stop condition then see the chunk's states
+    at once.
+    """
+    dim = len(mat)
+    rows = states.reshape(len(times), -1, dim)
+    n, last = rows.shape[1], len(times) - 1
+    lengths = np.diff(times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        count = np.clip(np.ceil(2.0 * lengths * _inf_norm(mat)), 1, EXACT_SUBSTEPS).astype(int)
+        h = lengths / count
+        distinct, kind = np.unique(h, return_inverse=True)
+        props = [_metzler_expm(mat, x) for x in distinct.tolist()]
+    ends = np.cumsum(count) - 1         # the sub-step that reaches each output
+    interval = np.repeat(np.arange(last), count)
+    within = np.arange(interval.size) - ends[interval] + count[interval]    # 1 to count
+    t_sub = times[interval] + within * h[interval]
+    t_sub[ends] = times[1:]
+
+    x = rows[0].copy()
+    guard = GUARD_FACTOR * np.maximum(1.0, np.max(x, axis=1))
+    live = np.arange(n)
+    nxt = np.ones(n, dtype=int)         # index of each row's next output time
+    stopped = np.zeros(n, dtype=bool)
+    steps = first = 0
+    while live.size and first < interval.size:
+        sub = np.empty((min(interval.size - first, max(1, rows.size // x.size)),) + x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, k in enumerate(kind[interval[first:first + len(sub)]]):
+                x = np.matmul(props[k], x[..., None], out=sub[i, ..., None])[..., 0]
+        # the chunk is cut at the first sub-step at which a row escapes the
+        # guard (NaN escapes too); the maximum of each state is only taken
+        # when the chunk's maximum is not below every guard
+        size = len(sub)
+        if not np.max(sub) <= np.min(guard):
+            escaped = np.flatnonzero(~np.all(np.max(sub, axis=2) <= guard, axis=1))
+            size = int(escaped[0]) if escaped.size else size
+        blown = size < len(sub)
+        halt_at = np.full(live.size, size)  # per row, the sub-step of its stop
+        if stop_condition is not None and size:
+            flags = np.asarray(stop_condition(np.repeat(t_sub[first:first + size], live.size),
+                                              sub[:size].reshape(-1, dim),
+                                              np.tile(live, size)), dtype=bool)
+            flags = np.broadcast_to(flags, (size * live.size,)).reshape(size, live.size)
+            halt_at = np.where(flags.any(axis=0), np.argmax(flags, axis=0), size)
+        steps += int(np.sum(np.minimum(halt_at + 1, size + blown)))
+        out = ends[(ends >= first) & (ends < first + size)]
+        at, row = np.nonzero(out[:, None] - first < halt_at)
+        rows[interval[out[at]] + 1, live[row]] = sub[out[at] - first, row]
+        nxt[live] += np.bincount(row, minlength=live.size)
+        stopped[live[halt_at < size]] = True
+        if blown:
+            reached = float(t_sub[first + size])
+            raise BlowupError(
+                f"comparison state escaped the guard at t={reached:.6g}", reached_time=reached,
+                partial=_trajectory(states, times, nxt, stopped, int(np.min(nxt[~stopped])),
+                                    steps=steps, solver="exact"))
+        keep = halt_at == size
+        live, x, guard = live[keep], sub[-1, keep], guard[keep]
+        first += size
+    return _trajectory(states, times, nxt, stopped, int(np.max(nxt)), steps=steps,
+                       solver="exact")
 
 
 def _spans(first, count):
@@ -272,7 +448,7 @@ def _spans(first, count):
 
 
 def _integrate_rows(system, states, times, rtol, stop_condition):
-    """The loop of :func:`integrate`: every row of ``states[0]`` steps at once.
+    """The RK4 path of :func:`integrate`: every row of ``states[0]`` steps at once.
 
     ``states`` holds the initial state or batch at index 0 and takes the
     outputs; the trajectories returned hold slices of it, in its shape.
@@ -293,9 +469,8 @@ def _integrate_rows(system, states, times, rtol, stop_condition):
     clamped = steps = rejected = 0
 
     def result(done):
-        rows[:done][np.arange(done)[:, None] >= nxt] = np.nan
-        return ComparisonTrajectory(times[:done], states[:done], clamped, steps,
-                                    rejected, stopped.copy())
+        return _trajectory(states, times, nxt, stopped, done, clamp_events=clamped,
+                           steps=steps, rejected=rejected)
 
     def partial():
         return result(int(np.min(nxt[~stopped])))
@@ -481,7 +656,11 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
 
     For each epsilon a bisection searches for delta such that all sampled
     initial states with sup-norm below delta keep ``xi_0(t) < eps`` on
-    [0, T_check], each run integrated at ``rtol = XI0_RTOL``.  The
+    [0, T_check], each run integrated at ``rtol = XI0_RTOL``.  A crossing
+    is sampled where :func:`integrate` hands states to its stop condition:
+    at the accepted RK4 steps, or at every exact sub-step (``XI0_OUTPUTS``
+    intervals of at most ``EXACT_SUBSTEPS`` sub-steps each), and at the
+    output times.  The
     asymptotic variant additionally requires the sampled ``xi_0(T_check)``,
     started at half the smallest delta found, to fall below ``DECAY_FACTOR *
     xi_0(0)``.  The verdict is evidence, not proof, and says so.
@@ -591,7 +770,7 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
 
 def _counters(traj: ComparisonTrajectory) -> dict:
     return {"clamp_events": traj.clamp_events, "steps": traj.steps,
-            "rejected": traj.rejected}
+            "rejected": traj.rejected, "solver": traj.solver}
 
 
 def check_practical(system: ComparisonSystem, lam: float, bound: float,
@@ -599,11 +778,12 @@ def check_practical(system: ComparisonSystem, lam: float, bound: float,
                     b: HahnFunction = IDENTITY) -> StabilityVerdict:
     """Practical stability via the comparison state started at ``b(lam) * e``.
 
-    Integrates (at ``rtol = CHECK_RTOL``) from the all-ones profile scaled
-    by ``b(lam)`` and compares the first component at the horizon against
-    ``a(bound)``; the flow is practically (lam, bound, horizon)-stable when
-    the inequality is strict.  The witness carries the RK4 counters, up to
-    the blow-up when the comparison state escapes.
+    Integrates (at ``rtol = CHECK_RTOL`` on the RK4 path) from the all-ones
+    profile scaled by ``b(lam)`` and compares the first component at the
+    horizon against ``a(bound)``; the flow is practically (lam, bound,
+    horizon)-stable when the inequality is strict.  The witness carries the counters of the
+    integration and its ``solver`` (see :func:`integrate`), up to the
+    blow-up when the comparison state escapes.
     The Hahn-class wrappers ``a`` and ``b`` carry the two measures of the
     stability notion into comparison coordinates:
     ``W_i[u] <= b(h0[u])`` and ``W_0[u] >= a(h[u])``.
@@ -643,9 +823,10 @@ class DominanceReport:
     max_violation: float
     tolerance: float
     margins: dict
-    clamp_events: int           # the RK4 counters of the comparison solution
+    clamp_events: int           # the counters of the comparison solution
     steps: int
     rejected: int
+    solver: str                 # "exact" or "rk4": what ``steps`` counts
 
 
 def bound_check(trajectory, system: ComparisonSystem, functional_names,
@@ -654,9 +835,10 @@ def bound_check(trajectory, system: ComparisonSystem, functional_names,
 
     The comparison system starts from the functional values at the first
     stored frame and is sampled at exactly the stored times, at ``rtol =
-    CHECK_RTOL``; the check is ``W_i(t) <= xi_i(t) + tol`` with a tolerance
+    CHECK_RTOL`` on the RK4 path; the check is ``W_i(t) <= xi_i(t) + tol`` with a tolerance
     relative to the overall scale of the compared quantities.  The report
-    carries the RK4 counters of that integration.
+    carries the counters of that integration and its ``solver`` (see
+    :func:`integrate`).
     """
     names = list(functional_names)
     if len(names) != system.dim:

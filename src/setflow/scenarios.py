@@ -300,9 +300,10 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
     """Build the comparison system named by a check (or infer one).
 
     ``"auto"`` inspects the flow parameters: a zero source gives the scalar
-    volume equation; a linear-body source with scalar A gives the nilpotent
-    pair (B^2 = 0) or the cyclic chain (B^k = identity); a driftless flow
-    with det B < 0 <= tr B gives the growth system of the set equation.
+    volume equation, linear under a constant clock; a linear-body source
+    with scalar A gives the nilpotent pair (B^2 = 0) or the cyclic chain
+    (B^k = identity); a driftless flow with det B < 0 <= tr B gives the
+    growth system of the set equation.
     """
     if isinstance(system_spec, dict):
         return _build(system_spec, _SYSTEMS, "comparison system")
@@ -316,6 +317,9 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
 
     if src.kind == "zero":
         _require(is_scalar_a, "auto system with zero source needs scalar A")
+        rate = 2 * float(diag) * params.phi.value   # a Python float: inf on overflow
+        if params.phi.kind == "constant" and math.isfinite(rate):
+            return comparison.linear_system([[rate]], name="volume_only")
         return comparison.scalar_system(
             lambda t, v: 2 * diag * params.phi(np.maximum(v, 0.0)) * v,
             name="volume_only")

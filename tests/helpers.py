@@ -364,7 +364,9 @@ def reference_integrate(system, xi0, times, rtol=1e-8, stop_condition=None):
 
 def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
                                   n_directions=64, bisect_iters=40, seed=0,
-                                  rtol=1e-6, decay_factor=1e-3):
+                                  rtol=1e-6, decay_factor=1e-3, integrate=None):
+    """The search with one run per direction, of ``integrate`` (by default
+    the RK4 oracle ``reference_integrate``)."""
     from setflow import comparison
     from setflow.errors import BlowupError
 
@@ -380,8 +382,8 @@ def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
             xi0 = delta * d * (1 - 1e-12)
             stop = lambda t, xi, rows: xi[:, 0] >= eps
             try:
-                traj = reference_integrate(system, xi0, times, rtol=rtol,
-                                           stop_condition=stop)
+                traj = (integrate or reference_integrate)(system, xi0, times, rtol=rtol,
+                                                          stop_condition=stop)
             except BlowupError:
                 return False
             if traj.stopped[0] or np.max(traj.states[:, 0]) >= eps:

@@ -1,7 +1,10 @@
 """Comparison systems: integration, quasimonotonicity, stability verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from setflow import bodies as B, comparison as C, flow as F
@@ -34,6 +37,11 @@ LATE_VIOLATION = C.ComparisonSystem(
 def reach(states):
     """The output times a trajectory row reached: those not filled with NaN."""
     return int(np.count_nonzero(~np.isnan(states[:, 0])))
+
+
+def rk4(system):
+    """The same right-hand side without its matrix, which ``integrate`` steps by RK4."""
+    return dataclasses.replace(system, matrix=None)
 
 
 class TestIntegrate:
@@ -143,15 +151,15 @@ class TestIntegrate:
             assert np.min(traj.states) >= -1e-12
 
     @pytest.mark.parametrize("system", [
-        C.cyclic_mixed_system(F.constant(1.0), F.constant(0.5), 1),
-        C.cyclic_mixed_system(F.constant(1.0), F.constant(0.5), 2),
-        C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4), 3),
-        C.cyclic_mixed_system(F.constant(1.0), F.constant(0.5), 4),
-        C.nilpotent_source_system(F.constant(1.0), F.constant(0.5)),
+        rk4(C.cyclic_mixed_system(F.constant(1.0), F.constant(0.5), 1)),
+        rk4(C.cyclic_mixed_system(F.constant(1.0), F.constant(0.5), 2)),
+        rk4(C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4), 3)),
+        rk4(C.cyclic_mixed_system(F.constant(1.0), F.constant(0.5), 4)),
+        rk4(C.nilpotent_source_system(F.constant(1.0), F.constant(0.5))),
         C.nilpotent_source_system(F.rational([1.0], [1.0, 1.0]), F.constant(2.0)),
         C.nilpotent_source_system(F.table([0.0, 1.0, 10.0], [1.0, 0.5, 0.5]),
                                   F.constant(0.5)),
-        C.sde_growth_system(SWAP),
+        rk4(C.sde_growth_system(SWAP)),
         C.linear_system([[-1.0, 0.3, -0.2], [0.5, -2.0, 0.1], [-0.4, 0.2, 0.3]]),
         C.scalar_system(lambda t, x: -(1.0 + 0.5 * np.cos(t)) * x),
     ], ids=lambda s: s.name)
@@ -177,7 +185,7 @@ class TestIntegrate:
     def test_a_row_stops_alone(self):
         # row 1 grows past 2 near t = ln 2 and stops; row 0 never stops and
         # runs on to the horizon
-        growth = C.linear_system([[1.0]])
+        growth = rk4(C.linear_system([[1.0]]))
         stop = lambda t, xi, rows: xi[:, 0] >= 2.0
         ref = helpers.reference_integrate(growth, [1.0], np.linspace(0.0, 3.0, 31),
                                           stop_condition=stop)
@@ -239,7 +247,7 @@ class TestIntegrate:
 
     def test_batch_row_leaving_guard_raises(self):
         # the second row's large scale must not lift the first row's guard
-        system = C.linear_system([[1.0, 0.0], [0.0, 0.0]])
+        system = rk4(C.linear_system([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(BlowupError) as single:
             helpers.reference_integrate(system, [1.0, 0.0], np.linspace(0.0, 30.0, 31))
         with pytest.raises(BlowupError) as batch:
@@ -288,21 +296,22 @@ class TestDenseOutput:
             C.integrate(system, [1.0, 0.0], times=np.linspace(0.0, 1.0, n_out),
                         rtol=C.CHECK_RTOL)
             calls[n_out] = len(log)
-            # a single state reaches the right-hand side as a one-row batch
-            assert set(log) == {(1, 2)}
+            # a single state reaches the right-hand side as a one-row batch,
+            # and as two rows in the stages the full and half steps take together
+            assert set(log) == {(1, 2), (2, 2)}
         assert calls[1001] <= 1.1 * calls[11]
 
-    def test_each_attempt_takes_eleven_rhs_calls(self):
+    def test_each_attempt_takes_eight_rhs_calls(self):
         system, log = self.counted(C.sde_growth_system(SWAP))
         traj = C.integrate(system, [1.0, 0.0], np.linspace(0.0, 1.0, 1001),
                            rtol=C.CHECK_RTOL)
         assert 0 < traj.steps < 100
-        assert len(log) == 11 * (traj.steps + traj.rejected)
+        assert len(log) == 8 * (traj.steps + traj.rejected)
 
     def test_the_last_output_is_the_accepted_state(self):
         # a stop condition that never fires sees every accepted step
         accepted = []
-        traj = C.integrate(C.sde_growth_system(SWAP), [1.0, 0.0],
+        traj = C.integrate(rk4(C.sde_growth_system(SWAP)), [1.0, 0.0],
                            times=np.linspace(0.0, 1.0, 1001), rtol=C.CHECK_RTOL,
                            stop_condition=lambda t, xi, rows: accepted.append((t[0], xi[0].copy())))
         assert not traj.stopped[0] and len(accepted) == traj.steps
@@ -310,7 +319,7 @@ class TestDenseOutput:
         assert np.array_equal(traj.states[-1], accepted[-1][1])
 
     def test_a_stop_keeps_the_outputs_before_the_stopping_state(self):
-        growth = C.linear_system([[1.0]])
+        growth = rk4(C.linear_system([[1.0]]))
         seen = []
         traj = C.integrate(growth, [1.0], np.linspace(0.0, 3.0, 301), rtol=C.CHECK_RTOL,
                            stop_condition=lambda t, xi, rows: seen.append((t[0], xi[0, 0]))
@@ -325,7 +334,7 @@ class TestDenseOutput:
         assert np.allclose(traj.states[:, 0], np.exp(traj.times), rtol=1e-8)
 
     def test_batch_counters_sum_the_rows(self):
-        system = C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4), 3)
+        system = rk4(C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4), 3))
         xi0 = np.random.default_rng(5).uniform(0.0, 2.0, size=(5, 3))
         batch = C.integrate(system, xi0, np.linspace(0.0, 3.0, 301))
         singles = [helpers.reference_integrate(system, row, np.linspace(0.0, 3.0, 301))
@@ -334,13 +343,218 @@ class TestDenseOutput:
         assert batch.rejected == sum(s.rejected for s in singles)
 
     def test_reports_carry_the_rk4_counters(self):
-        system = C.sde_growth_system(SWAP)
+        system = rk4(C.sde_growth_system(SWAP))
         witness = C.check_practical(system, lam=1.0, bound=100.0, horizon=1.0).witness
         traj = C.integrate(system, [1.0, 1.0], np.linspace(0.0, 1.0, 257),
                            rtol=C.CHECK_RTOL)
         assert (witness["steps"], witness["rejected"], witness["clamp_events"]) == (
             traj.steps, traj.rejected, traj.clamp_events)
         assert 0 < witness["steps"] < 256
+        assert witness["solver"] == traj.solver == "rk4"
+
+
+# Metzler matrices: the exact path's systems, by factory
+EXACT_SYSTEMS = [
+    C.cyclic_mixed_system(F.constant(1.0), F.constant(0.5), 1),
+    C.cyclic_mixed_system(F.constant(1.0), F.constant(0.5), 2),
+    C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4862523591439185), 3),
+    C.cyclic_mixed_system(F.constant(0.7), F.constant(0.3), 5, a=-1.5),
+    C.nilpotent_source_system(F.constant(1.0), F.constant(0.5)),
+    C.sde_growth_system(SWAP),
+    C.linear_system([[-3.0, 0.5, 0.0, 2.0], [1.0, -1.0, 0.0, 0.0],
+                     [0.0, 0.3, -0.5, 0.1], [0.2, 0.0, 4.0, -6.0]], name="metzler_4d"),
+]
+
+
+class TestExactPath:
+    """Systems with a Metzler ``matrix`` are propagated by ``exp(M h)``."""
+
+    @pytest.mark.parametrize("system", EXACT_SYSTEMS, ids=lambda s: s.name)
+    def test_rhs_is_the_matrix(self, system):
+        rows = np.random.default_rng(3).uniform(0.0, 5.0, size=(50, system.dim))
+        expected = rows @ system.matrix.T
+        assert np.all(system.matrix[~np.eye(system.dim, dtype=bool)] >= 0)
+        assert np.max(np.abs(system(np.zeros(50), rows) - expected)) <= 1e-14 * np.max(
+            np.abs(expected))
+        assert not system.matrix.flags.writeable
+
+    @pytest.mark.parametrize("system", [s for s in EXACT_SYSTEMS if s.name != "sde_growth"],
+                             ids=lambda s: s.name)
+    def test_outputs_match_scipy_expm(self, system):
+        # the xi0 search's 33 outputs on [0, 50], where the rows decay by up
+        # to 45 orders of magnitude; rtol plays no part
+        xi0 = np.random.default_rng(11).uniform(0.0, 1.0, size=(6, system.dim))
+        times = np.linspace(0.0, 50.0, 33)
+        traj = C.integrate(system, xi0, times, rtol=1e-3)
+        exact = np.array([xi0 @ expm(system.matrix * t).T for t in times])
+        assert traj.solver == "exact" and traj.clamp_events == traj.rejected == 0
+        assert np.max(np.abs(traj.states - exact) / exact) <= 1e-12
+
+    def test_growth_matches_its_closed_form(self):
+        # (cosh 2t, sinh 2t) from (1, 0); scipy's expm errs by 1.6e-12 here
+        times = np.linspace(0.0, 5.0, 33)
+        traj = C.integrate(C.sde_growth_system(SWAP), [1.0, 0.0], times)
+        exact = np.column_stack([np.cosh(2 * times), np.sinh(2 * times)])
+        assert np.max(np.abs(traj.states - exact)[1:] / exact[1:]) <= 1e-14
+        assert traj.states[0].tolist() == [1.0, 0.0]
+
+    def test_long_intervals_take_the_squarings(self):
+        # ||M|| h = 1e4 on each interval: 64 sub-steps, each exp(M h) squared
+        # 9 times; the slow mode decays as exp(-t), the fast as exp(-5001 t).
+        # The error stays within 2 ||M|| t ulps, the conditioning of the
+        # exponential (scipy's expm errs by 1.4e-12 at t = 6)
+        mat = np.array([[-2501.0, 2500.0], [2500.0, -2501.0]])
+        times = np.linspace(0.0, 6.0, 4)
+        traj = C.integrate(C.linear_system(mat), [1.0, 0.0], times)
+        exact = 0.5 * np.exp(-times) + np.array([[0.5], [-0.5]]) * np.exp(-5001.0 * times)
+        assert traj.steps == 3 * C.EXACT_SUBSTEPS and traj.states[0].tolist() == [1.0, 0.0]
+        rel = np.abs(traj.states - exact.T)[1:] / exact.T[1:]
+        assert np.all(rel <= 2 * 5002.0 * times[1:, None] * np.finfo(float).eps)
+
+    def test_steps_count_the_sub_steps(self):
+        # ||M||_inf = 2: h <= 1/4, so 1 sub-step per output of [0, 1] at
+        # 0.1 and 4 on [0, 1] alone; 40 on [0, 10], and 64 at most
+        system = C.linear_system([[-1.0, 1.0], [1.0, -1.0]])
+        for times, per_row in ((np.linspace(0.0, 1.0, 11), 10), ([0.0, 1.0], 4),
+                               ([0.0, 10.0], 40), ([0.0, 100.0], 64)):
+            traj = C.integrate(system, [[1.0, 0.0], [0.5, 0.5]], times)
+            assert (traj.steps, traj.rejected, traj.clamp_events) == (2 * per_row, 0, 0)
+
+    @pytest.mark.parametrize("system", EXACT_SYSTEMS, ids=lambda s: s.name)
+    def test_batch_rows_match_single_calls(self, system):
+        rng = np.random.default_rng(17)
+        xi0 = rng.uniform(0.0, 2.0, size=(7, system.dim))
+        xi0[0] = 0.0
+        times = np.linspace(0.0, 3.0, 31)
+        batch = C.integrate(system, xi0, times)
+        singles = [C.integrate(system, row, times) for row in xi0]
+        for i, single in enumerate(singles):
+            assert np.array_equal(batch.states[:, i], single.states)
+        assert batch.steps == sum(s.steps for s in singles)
+        assert np.all(batch.states[:, 0] == 0.0)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda dim: st.tuples(
+        st.lists(st.floats(-10.0, 1.0), min_size=dim, max_size=dim),
+        st.lists(st.floats(0.0, 1.0), min_size=dim * dim, max_size=dim * dim),
+        st.lists(st.lists(st.floats(0.0, 10.0), min_size=dim, max_size=dim),
+                 min_size=1, max_size=4),
+        st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=8))))
+    def test_fuzz_states_stay_in_the_cone(self, case):
+        # every growth rate is at most 1 + 5 = 6 over at most t = 4: no row
+        # reaches its guard
+        diag, off, xi0, steps = case
+        dim = len(diag)
+        mat = np.reshape(off, (dim, dim)) + np.diag(np.subtract(diag, np.diagonal(
+            np.reshape(off, (dim, dim)))))
+        system = C.linear_system(mat)
+        traj = C.integrate(system, xi0, np.concatenate(([0.0], np.cumsum(steps))))
+        assert system.matrix is not None and traj.solver == "exact"
+        assert traj.clamp_events == 0 and np.all(traj.states >= 0.0)
+        assert traj.states.shape == (len(steps) + 1, len(xi0), dim)
+
+    def test_a_stop_inside_an_output_interval(self):
+        # xi' = xi: row 1 passes 2 at t = ln 2, inside (0.6, 0.7]; it keeps
+        # the outputs up to 0.6 and NaN after, while row 0 runs on
+        calls = []
+
+        def stop(t, xi, rows):
+            calls.append((t.copy(), rows.copy(), xi[:, 0] >= 2.0))
+            return calls[-1][2]
+        times = np.linspace(0.0, 3.0, 31)
+        traj = C.integrate(C.linear_system([[1.0]]), [[0.0], [1.0]], times,
+                           stop_condition=stop)
+        assert traj.stopped.tolist() == [False, True] and len(traj.times) == 31
+        assert [reach(traj.states[:, i]) for i in (0, 1)] == [31, 7]
+        assert np.all(np.isnan(traj.states[7:, 1])) and np.all(traj.states[:, 0] == 0.0)
+        assert np.allclose(traj.states[:7, 1, 0], np.exp(times[:7]), rtol=1e-14)
+        # the condition sees the sub-steps in time order, the rows beside each
+        # other, and row 1 first crosses at the end of interval (0.6, 0.7]
+        t_seen, rows, flags = (np.concatenate(c) for c in zip(*calls))
+        assert np.all(np.diff(t_seen) >= 0) and t_seen[-1] == 3.0
+        assert 0.6 < t_seen[np.flatnonzero(flags & (rows == 1))[0]] == times[7]
+        # ||M|| = 1 and intervals of 0.1: one sub-step each, so row 1 took 7
+        assert traj.steps == 30 + 7
+
+    def test_a_stop_at_an_output_time_does_not_reach_it(self):
+        traj = C.integrate(C.linear_system([[1.0]]), [1.0], [0.0, 1.0, 2.0],
+                           stop_condition=lambda t, xi, rows: t >= 1.0)
+        assert traj.stopped.tolist() == [True] and traj.times.tolist() == [0.0]
+
+    def test_stop_calls_hold_no_more_states_than_the_outputs(self):
+        # one output interval of 64 sub-steps: chunks of 2 sub-steps of 3 rows
+        sizes = []
+        C.integrate(C.linear_system([[-1.0, 1.0], [1.0, -1.0]]), np.ones((3, 2)), [0.0, 100.0],
+                    stop_condition=lambda t, xi, rows: sizes.append(len(xi)) or False)
+        assert sizes == [2 * 3] * 32
+
+    def test_guard_escape_raises_with_the_partial_trajectory(self):
+        # xi' = xi passes 1e12 times its scale at t = 12 ln 10 = 27.63; the
+        # second row's larger scale does not lift the first row's guard
+        system = C.linear_system([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(BlowupError, match="escaped the guard") as err:
+            C.integrate(system, [[1.0, 0.0], [0.0, 1e6]], np.linspace(0.0, 30.0, 31))
+        assert 12 * np.log(10.0) < err.value.reached_time < 12 * np.log(10.0) + 0.5
+        partial = err.value.partial
+        assert partial.solver == "exact" and partial.steps > 0
+        assert partial.times.tolist() == list(range(28))
+        assert np.allclose(partial.states[:, 0, 0], np.exp(partial.times), rtol=1e-13)
+        assert C.integrate(system, [0.0, 1e6], np.linspace(0.0, 30.0, 31)).states[-1, 1] == 1e6
+
+    def test_overflow_escapes_the_guard(self):
+        # exp(1e3 * 30) overflows: the guard stops the run, with no warning
+        with pytest.raises(BlowupError):
+            C.integrate(C.linear_system([[1e3]]), [1.0], [0.0, 30.0])
+
+    @pytest.mark.parametrize("system, exact", [
+        (C.linear_system([[-1.0, 0.3, -0.2], [0.5, -2.0, 0.1], [-0.4, 0.2, 0.3]]), False),
+        (C.linear_system([[-1.0, 0.0], [0.0, -1.0]]), True),
+        (C.nilpotent_source_system(RATIONAL, F.constant(0.5)), False),
+        (C.nilpotent_source_system(F.constant(1.0), RATIONAL), False),
+        (C.cyclic_mixed_system(F.table([0.0, 1.0], [1.0, 2.0]), F.constant(0.5), 3), False),
+        (C.cyclic_mixed_system(F.constant(1.0), F.constant(0.0), 3), True),
+        (C.scalar_system(lambda t, x: -x), False),
+    ], ids=["non_metzler", "diagonal", "rational_clock", "rational_psi", "table_clock",
+            "uncoupled", "scalar"])
+    def test_which_systems_are_exact(self, system, exact):
+        traj = C.integrate(system, np.full(system.dim, 0.5), np.linspace(0.0, 1.0, 5))
+        assert (system.matrix is not None) == exact
+        assert traj.solver == ("exact" if exact else "rk4")
+
+    def test_a_non_metzler_system_stays_on_rk4_and_clamps(self):
+        # xi0' = -xi1 drives xi0 below 0, which RK4 clamps and counts
+        system = C.linear_system([[0.0, -1.0], [0.0, 0.0]])
+        traj = C.integrate(system, [0.1, 1.0], np.linspace(0.0, 1.0, 11))
+        assert system.matrix is None and traj.solver == "rk4"
+        assert traj.clamp_events > 0 and traj.rejected >= 0
+
+    @pytest.mark.parametrize("system, kwargs", [
+        (C.nilpotent_source_system(F.constant(1.0), F.constant(2.0)),
+         dict(eps_grid=(0.5,), T_check=5.0, n_directions=16, bisect_iters=12)),
+        (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2),
+         dict(eps_grid=(0.1, 0.5), T_check=15.0, n_directions=4, bisect_iters=45)),
+        (C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4862523591439185), 3),
+         dict(n_directions=16)),
+        (C.sde_growth_system(SWAP),
+         dict(eps_grid=(0.5,), T_check=10.0, n_directions=8, bisect_iters=10)),
+    ], ids=["bisecting", "floor", "cyclic3", "unstable"])
+    def test_search_matches_per_direction_search(self, system, kwargs):
+        verdict = C.check_xi0_stability(system, **kwargs)
+        expected = helpers.reference_check_xi0_stability(system, integrate=C.integrate,
+                                                         **kwargs)
+        assert verdict.to_dict() == expected.to_dict()
+
+    def test_reports_name_the_solver(self):
+        system = C.sde_growth_system(SWAP)
+        witness = C.check_practical(system, lam=1.0, bound=100.0, horizon=1.0).witness
+        traj = C.integrate(system, [1.0, 1.0], np.linspace(0.0, 1.0, 257))
+        assert witness["solver"] == "exact" and witness["xi0_final"] == traj.states[-1, 0]
+        # 256 intervals of 1/256, one sub-step each
+        assert (witness["steps"], witness["rejected"], witness["clamp_events"]) == (256, 0, 0)
+        blown = C.check_practical(C.linear_system([[40.0]]), lam=1.0, bound=100.0,
+                                  horizon=1.0).witness
+        assert blown["solver"] == "exact" and blown["steps"] > 0
+        assert "blew up" in blown["diagnostic"]
 
 
 class TestWazewski:
@@ -429,7 +643,7 @@ class TestXi0Stability:
     @pytest.mark.parametrize("system, kwargs", [
         (C.nilpotent_source_system(F.constant(1.0), F.constant(0.5)),
          dict(eps_grid=(0.5,), T_check=10.0, n_directions=16, bisect_iters=12)),
-        (C.nilpotent_source_system(F.constant(1.0), F.constant(2.0)),
+        (rk4(C.nilpotent_source_system(F.constant(1.0), F.constant(2.0))),
          dict(eps_grid=(0.5,), T_check=5.0, n_directions=16, bisect_iters=12)),
         (C.scalar_system(lambda t, x: 0.0),
          dict(eps_grid=(0.5,), T_check=5.0, n_directions=8, bisect_iters=8)),
@@ -557,7 +771,8 @@ class TestXi0Stability:
         rhs = system.rhs
         blocked = C.ComparisonSystem(dim=2, rhs=lambda t, xi: rows.append(len(xi)) or rhs(t, xi))
         assert C.check_xi0_stability(blocked, **kwargs).to_dict() == whole.to_dict()
-        assert max(rows) == 16
+        # the full and half steps take their stages together, on twice the rows
+        assert max(rows) == 2 * 16
 
     def test_the_largest_search_keeps_within_one_block(self):
         # 64 levels of 4096 directions of a 64-dimensional system: one trial

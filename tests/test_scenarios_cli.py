@@ -8,6 +8,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -116,6 +117,21 @@ class TestSchema:
             scenarios.parse_scenario(doc)
 
 
+    @pytest.mark.parametrize("phi, exact", [
+        ({"kind": "constant", "value": 0.7}, True),
+        ({"kind": "rational", "num": [1.0], "den": [1.0, 1.0]}, False),
+    ], ids=["constant_clock", "rational_clock"])
+    def test_the_auto_volume_system_is_linear_under_a_constant_clock(self, phi, exact):
+        params = {"A": [[-1.0, 0.0], [0.0, -1.0]], "phi": phi, "source": {"kind": "zero"}}
+        scenario = scenarios.parse_scenario(quick_doc(params=params))
+        system = scenarios.resolve_system("auto", scenario)
+        assert system.name == "volume_only" and (system.matrix is not None) == exact
+        # either way the right-hand side is 2 a phi(V) V, bit for bit
+        v = np.random.default_rng(1).uniform(0.0, 3.0, 20)
+        assert np.array_equal(system(np.zeros(20), v[:, None])[:, 0],
+                              2 * -1.0 * scenario.params.phi(v) * v)
+
+
 class TestRunner:
     def test_deterministic_outputs(self, tmp_path):
         doc = quick_doc(checks=[{"kind": "bound_check", "system": "auto",
@@ -213,6 +229,10 @@ class TestReportSerialization:
             assert json.loads(json.dumps(plain)) == plain, name
             names = {f.name for f in dataclasses.fields(report)} - {"body"}
             assert plain.keys() == names, name
+
+    def test_a_dominance_report_names_its_solver(self):
+        # the growth system of the set equation is linear: solved exactly
+        assert comparison._plain(emitted_reports()["bound_check"])["solver"] == "exact"
 
     def test_fixed_point_details_leave_out_the_body(self, tmp_path):
         doc = quick_doc(checks=[{"kind": "fixed_point"}])
@@ -521,6 +541,39 @@ class TestCli:
         assert f"bad {field}" in capsys.readouterr().err
         assert not out.exists()     # rejected before the flow ran
 
+    @pytest.mark.parametrize("name", list(scenarios.builtin_scenarios()))
+    def test_every_non_finite_number_is_a_schema_error(self, name):
+        # each numeric leaf of the document set to NaN and to each infinity
+        # is refused by the parse, with no numpy warning on the way
+        doc = scenarios.builtin_scenarios()[name]
+        leaves = [path for path in value_paths(doc)
+                  if type(lookup(doc, path)) in (int, float)]
+        assert len(leaves) > 10
+        for path in leaves:
+            for x in (math.nan, math.inf, -math.inf):
+                bad = copy.deepcopy(doc)
+                lookup(bad, path[:-1])[path[-1]] = x
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(SchemaError):
+                        scenarios.parse_scenario(bad)
+
+    @pytest.mark.parametrize("body, message", [
+        ({"kind": "ball", "radius": 1e308, "center": [1e308, 0.0]},
+         "support values must be finite"),
+        ({"kind": "ball", "radius": 1.0, "center": [0.0, math.inf]}, "center must be finite"),
+        ({"kind": "polygon", "vertices": [[0.0, 0.0], [math.inf, 1.0]]},
+         "vertices must be finite"),
+        ({"kind": "segment", "length": math.inf}, "length must be finite"),
+        ({"kind": "segment", "length": 1.0, "angle": math.inf}, "angle must be finite"),
+    ], ids=["overflowing_ball", "infinite_center", "infinite_vertex", "infinite_length",
+            "infinite_angle"])
+    def test_bodies_that_overflow_or_are_not_finite_are_refused_by_name(self, body, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match=message):
+                scenarios.parse_scenario(quick_doc(initial_body=body))
+
     def test_run_blowup_exits_3(self, tmp_path, capsys):
         doc = quick_doc(name="explode", horizon=30.0, dt=0.1)
         doc["params"] = {"A": [[1.0, 0.0], [0.0, 1.0]],
@@ -747,6 +800,21 @@ WORK_VALUES = {             # key: (refused, accepted)
     "grid_size": (INVALID_WORK + [15, 17, 2.0], [DELETE, 16, 32, 64]),
 }
 SMALL_WORK = 2 ** 16        # steps times grid points of the main flow
+
+
+def value_paths(obj, prefix=()):
+    """The path of every value in a JSON document that is not a container."""
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from value_paths(value, prefix + (key,))
+    else:
+        yield prefix
+
+
+def lookup(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
 
 
 def key_paths(obj, prefix=()):
