@@ -316,9 +316,9 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
     output at the state's own time included), while the other rows run on;
     ``stopped`` says which rows stopped, ``times`` ends at the farthest
     row's, and the outputs a row did not reach are NaN.  Raises
-    :class:`BlowupError` when a row escapes the overflow guard or its RK4
-    step size underflows; the error's ``partial`` holds the output times
-    every running row reached.
+    :class:`BlowupError` when a row escapes the overflow guard before it
+    stops or its RK4 step size underflows; the error's ``partial`` holds
+    the output times every running row reached.
     """
     xi = np.asarray(xi0, dtype=float)
     if xi.shape[-1:] != (system.dim,) or xi.ndim > 2 or xi.size == 0:
@@ -379,7 +379,8 @@ def _exact_rows(mat, states, times, stop_condition):
     the rows are multiplied by each sub-step's propagator in turn, one
     stacked product per sub-step, which gives each row the bits of its own
     product; the guard and the stop condition then see the chunk's states
-    at once.
+    at once, so a row that stops and then escapes later in the same chunk
+    stops, as it would alone.
     """
     dim = len(mat)
     rows = states.reshape(len(times), -1, dim)
@@ -407,21 +408,33 @@ def _exact_rows(mat, states, times, stop_condition):
         with np.errstate(over="ignore", invalid="ignore"):
             for i, k in enumerate(kind[interval[first:first + len(sub)]]):
                 x = np.matmul(props[k], x[..., None], out=sub[i, ..., None])[..., 0]
-        # the chunk is cut at the first sub-step at which a row escapes the
-        # guard (NaN escapes too); the maximum of each state is only taken
-        # when the chunk's maximum is not below every guard
+        # per row, the first sub-step that escapes the guard (NaN escapes
+        # too); the states are in the cone, so the maximum of each state is
+        # only taken when the chunk's maximum is not below every guard
         size = len(sub)
+        escape_at = np.full(live.size, size)
         if not np.max(sub) <= np.min(guard):
-            escaped = np.flatnonzero(~np.all(np.max(sub, axis=2) <= guard, axis=1))
-            size = int(escaped[0]) if escaped.size else size
-        blown = size < len(sub)
-        halt_at = np.full(live.size, size)  # per row, the sub-step of its stop
-        if stop_condition is not None and size:
-            flags = np.asarray(stop_condition(np.repeat(t_sub[first:first + size], live.size),
-                                              sub[:size].reshape(-1, dim),
-                                              np.tile(live, size)), dtype=bool)
-            flags = np.broadcast_to(flags, (size * live.size,)).reshape(size, live.size)
+            out_of = ~(np.max(np.abs(sub), axis=2) <= guard)
+            escape_at = np.where(out_of.any(axis=0), np.argmax(out_of, axis=0), size)
+        # per row, the first flagged state before its escape: an escape at or
+        # after a row's stop is never reached, one before it (or at the same
+        # sub-step, where the guard comes first as on the RK4 path) raises
+        halt_at = np.full(live.size, size)
+        if stop_condition is not None and np.any(escape_at):
+            t_seen = np.repeat(t_sub[first:first + size], live.size)
+            xi_seen, rows_seen = sub.reshape(-1, dim), np.tile(live, size)
+            seen = slice(None)
+            if np.any(escape_at < size):
+                seen = (np.arange(size)[:, None] < escape_at).ravel()
+                t_seen, xi_seen, rows_seen = t_seen[seen], xi_seen[seen], rows_seen[seen]
+            flags = np.zeros(size * live.size, dtype=bool)
+            flags[seen] = np.asarray(stop_condition(t_seen, xi_seen, rows_seen), dtype=bool)
+            flags = flags.reshape(size, live.size)
             halt_at = np.where(flags.any(axis=0), np.argmax(flags, axis=0), size)
+        blows = escape_at < halt_at
+        blown = bool(np.any(blows))
+        if blown:
+            size = int(np.min(escape_at[blows]))
         steps += int(np.sum(np.minimum(halt_at + 1, size + blown)))
         out = ends[(ends >= first) & (ends < first + size)]
         at, row = np.nonzero(out[:, None] - first < halt_at)

@@ -501,6 +501,52 @@ class TestExactPath:
         assert np.allclose(partial.states[:, 0, 0], np.exp(partial.times), rtol=1e-13)
         assert C.integrate(system, [0.0, 1e6], np.linspace(0.0, 30.0, 31)).states[-1, 1] == 1e6
 
+    def test_a_stop_before_an_escape_in_the_same_chunk_stops(self):
+        # h = 0.5 over 200 sub-steps, one chunk of 101: xi' = xi passes 2 at
+        # sub-step 1 (t = 1, an output time, so only t = 0 is reached) and
+        # would escape the guard at sub-step 55 of the same chunk
+        traj = C.integrate(C.linear_system([[1.0]]), [1.0], np.linspace(0.0, 100.0, 101),
+                           stop_condition=lambda t, xi, rows: xi[:, 0] >= 2.0)
+        assert traj.stopped.tolist() == [True] and traj.times.tolist() == [0.0]
+        assert traj.steps == 2
+
+    def test_a_row_that_stops_then_escapes_leaves_the_others_running(self):
+        # row 0 stops at t = 1 and would escape at t = 28 in its chunk; row 1
+        # holds still; each row gets the bits it gets alone
+        system = C.linear_system([[1.0, 0.0], [0.0, 0.0]])
+        times = np.linspace(0.0, 100.0, 101)
+
+        def stop(t, xi, rows):
+            return xi[:, 0] >= 2.0
+        xi0 = [[1.0, 0.0], [0.0, 1.0]]
+        batch = C.integrate(system, xi0, times, stop_condition=stop)
+        singles = [C.integrate(system, row, times, stop_condition=stop) for row in xi0]
+        assert batch.stopped.tolist() == [True, False] and len(batch.times) == 101
+        for i, single in enumerate(singles):
+            assert np.array_equal(batch.states[:len(single.times), i], single.states,
+                                  equal_nan=True)
+        assert np.all(np.isnan(batch.states[1:, 0])) and np.all(batch.states[:, 1] == [0, 1])
+        assert batch.steps == sum(s.steps for s in singles) == 2 + 200
+
+    def test_an_escape_beside_a_stopped_row_raises(self):
+        # row 0 stops at t = 1; row 1 escapes at t = 12 ln 10 = 27.63 with no
+        # stop before it: the partial trajectory marks row 0 stopped
+        system = C.linear_system([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(BlowupError, match="escaped the guard") as err:
+            C.integrate(system, [[1.0, 0.0], [0.0, 1.0]], np.linspace(0.0, 100.0, 101),
+                        stop_condition=lambda t, xi, rows: xi[:, 0] >= 2.0)
+        assert 12 * np.log(10.0) < err.value.reached_time < 12 * np.log(10.0) + 0.5
+        partial = err.value.partial
+        assert partial.stopped.tolist() == [True, False]
+        assert partial.times.tolist() == list(range(28))
+        assert np.all(np.isnan(partial.states[1:, 0]))
+        assert np.allclose(partial.states[:, 1, 1], np.exp(partial.times), rtol=1e-13)
+
+    def test_a_negative_start_is_rejected(self):
+        # exp(M h) keeps the cone only for starts inside it
+        with pytest.raises(ValueError, match="nonnegative cone"):
+            C.integrate(C.linear_system([[1.0]]), [-1.0], [0.0, 1000.0])
+
     def test_overflow_escapes_the_guard(self):
         # exp(1e3 * 30) overflows: the guard stops the run, with no warning
         with pytest.raises(BlowupError):
