@@ -192,6 +192,18 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(1.0 + n / 2.0)
 
 
+def _bisect(f, lo, hi):
+    """The midpoint of ``[lo, hi]``, a bracket of a sign change of ``f``,
+    once bisection narrows it to ``BISECTION_TOL`` relative width."""
+    while hi - lo > BISECTION_TOL * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if f(lo) * f(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def ball_source_fixed_point(phi, psi, n: int = 2, grid_size: int = 512,
                             bracket=(1e-8, 1e6)) -> FixedPointReport:
     """Fixed ball of the uniform-contraction flow with source ``psi(V) * K``.
@@ -213,14 +225,7 @@ def ball_source_fixed_point(phi, psi, n: int = 2, grid_size: int = 512,
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if sign_change.size == 0:
         raise ValueError("no sign change of the fixed-point equation in the bracket")
-    lo, hi = grid[sign_change[0]], grid[sign_change[0] + 1]
-    while hi - lo > BISECTION_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if g(lo) * g(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    lam0 = 0.5 * (lo + hi)
+    lam0 = _bisect(g, grid[sign_change[0]], grid[sign_change[0] + 1])
     radius = float(psi(lam0)) / float(phi(lam0))
 
     e = 1e-6 * lam0
@@ -241,16 +246,7 @@ def cyclic3_ratio_threshold() -> float:
     i.e. 2 / (top eigenvalue of the chain's coupling form); bisection on
     (0, 2) to ``BISECTION_TOL``.
     """
-    def p(x):
-        return 3 * x ** 3 + 14 * x ** 2 - 16
-    lo, hi = 0.0, 2.0
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if p(lo) * p(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: 3 * x ** 3 + 14 * x ** 2 - 16, 0.0, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,23 @@ def parse_body_expr(expr: str, grid_size: int = bodies.DEFAULT_GRID_SIZE):
                       "poly:, point:, or rot90(...))")
 
 
+def _hukuhara(k, l):
+    diff = bodies.hukuhara_difference(k, l)
+    if diff is None:
+        return "no difference"
+    return f"area {bodies.area(diff):.12g} perimeter {bodies.perimeter(diff):.12g}"
+
+
+# the ``geom`` operations: the number of bodies each takes, and its output line
+_GEOM_OPS = {
+    "area": (1, lambda k: f"{bodies.area(k):.12g}"),
+    "perimeter": (1, lambda k: f"{bodies.perimeter(k):.12g}"),
+    "mixed": (2, lambda k, l: f"{bodies.mixed_area(k, l):.12g}"),
+    "hausdorff": (2, lambda k, l: f"{bodies.hausdorff_distance(k, l):.12g}"),
+    "hukuhara": (2, _hukuhara),
+}
+
+
 def _cmd_geom(args) -> int:
     try:
         if not (args.grid % 2 == 0
@@ -70,36 +87,14 @@ def _cmd_geom(args) -> int:
             raise SchemaError(f"--grid must be an even integer from {bodies.MIN_GRID_SIZE} "
                               f"to {scenarios.MAX_GRID_SIZE}")
         parsed = [parse_body_expr(e, args.grid) for e in args.bodies]
-        op = args.op
-        if op == "area":
-            _need(parsed, 1, op)
-            print(f"{bodies.area(parsed[0]):.12g}")
-        elif op == "perimeter":
-            _need(parsed, 1, op)
-            print(f"{bodies.perimeter(parsed[0]):.12g}")
-        elif op == "mixed":
-            _need(parsed, 2, op)
-            print(f"{bodies.mixed_area(parsed[0], parsed[1]):.12g}")
-        elif op == "hausdorff":
-            _need(parsed, 2, op)
-            print(f"{bodies.hausdorff_distance(parsed[0], parsed[1]):.12g}")
-        elif op == "hukuhara":
-            _need(parsed, 2, op)
-            diff = bodies.hukuhara_difference(parsed[0], parsed[1])
-            if diff is None:
-                print("no difference")
-            else:
-                print(f"area {bodies.area(diff):.12g} "
-                      f"perimeter {bodies.perimeter(diff):.12g}")
+        arity, op = _GEOM_OPS[args.op]
+        if len(parsed) != arity:
+            raise SchemaError(f"{args.op} takes exactly {arity} body argument(s)")
+        print(op(*parsed))
     except ValueError as exc:          # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     return EXIT_OK
-
-
-def _need(parsed, n, op):
-    if len(parsed) != n:
-        raise SchemaError(f"{op} takes exactly {n} body argument(s)")
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_geom = sub.add_parser("geom", help="one-shot geometry operations")
-    p_geom.add_argument("op", choices=["area", "perimeter", "mixed",
-                                       "hausdorff", "hukuhara"])
+    p_geom.add_argument("op", choices=list(_GEOM_OPS))
     p_geom.add_argument("bodies", nargs="+", help="body expressions")
     p_geom.add_argument("--grid", type=int, default=bodies.DEFAULT_GRID_SIZE)
     p_geom.set_defaults(func=_cmd_geom)

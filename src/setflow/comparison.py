@@ -196,25 +196,14 @@ def scalar_system(f, name: str = "scalar") -> ComparisonSystem:
 
 @dataclass
 class ComparisonTrajectory:
-    times: np.ndarray           # the output times the farthest row reached
+    times: np.ndarray           # the output times every row reached
     states: np.ndarray          # shape (len(times), dim), or (len(times), n, dim)
-                                # for a batch of n initial states; NaN at the
-                                # outputs a stopped row did not reach
+                                # for a batch of n initial states
     clamp_events: int = 0
     steps: int = 0              # accepted RK4 steps, or exact sub-steps, summed
                                 # over the rows of a batch
     rejected: int = 0           # rejected RK4 steps, likewise; 0 when exact
-    stopped: np.ndarray | None = None   # per row (one for a single state): its
-                                        # stop condition fired
     solver: str = "rk4"         # "exact" for a Metzler system.matrix, else "rk4"
-
-
-def _trajectory(states, times, nxt, stopped, done, **counters):
-    """The first ``done`` output times, NaN at the outputs a row did not reach."""
-    rows = states.reshape(len(times), -1, states.shape[-1])
-    rows[:done][np.arange(done)[:, None] >= nxt] = np.nan
-    return ComparisonTrajectory(times[:done], states[:done], stopped=stopped.copy(),
-                                **counters)
 
 
 def _rk4(system, t, xi, h, k1):
@@ -277,16 +266,16 @@ def _step_factors(tol, err, ok):
 
 
 def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
-              stop_condition=None) -> ComparisonTrajectory:
+              ceiling=None) -> ComparisonTrajectory:
     """The trajectory read off at ``times``, finite and increasing from 0.
 
     ``xi0`` is one initial state, shape ``(dim,)``, or a batch of them, shape
     ``(n, dim)``, and ``states`` has shape ``(len(times), dim)`` or
     ``(len(times), n, dim)``.  A single state runs as a one-row batch.  The
-    rows are independent: each has its own guard and stop, and on the RK4
-    path its own time, step size, tolerance and clamping, so a row's result
-    does not depend on the rows beside it.  The right-hand side always
-    receives rows.
+    rows are independent: each has its own guard and ceiling, and on the
+    RK4 path its own time, step size, tolerance and clamping, so a row's
+    result does not depend on the rows beside it.  The right-hand side
+    always receives rows.
 
     A system with a Metzler ``matrix`` ``M`` is solved exactly (``solver``
     "exact"): each output interval is cut into the fewest equal sub-steps
@@ -307,18 +296,13 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
     cone is the domain of the theory) and counted, as are accepted and
     rejected steps, summed over the rows.
 
-    An optional ``stop_condition(t, xi, rows)`` receives the states a step
-    or sub-step just reached (times of shape ``(k,)``, states ``(k, dim)``
-    and their rows' indices in the batch, ``(k,)``) and returns one flag
-    per state.  On the exact path one call holds several sub-steps, in time
-    order, so a row may appear several times in it.  A row stops at its
-    first flagged state, before the outputs that state would reach (an
-    output at the state's own time included), while the other rows run on;
-    ``stopped`` says which rows stopped, ``times`` ends at the farthest
-    row's, and the outputs a row did not reach are NaN.  Raises
-    :class:`BlowupError` when a row escapes the overflow guard before it
-    stops or its RK4 step size underflows; the error's ``partial`` holds
-    the output times every running row reached.
+    A run ends early only by an escape, which raises :class:`BlowupError`:
+    a state at an accepted RK4 step or an exact sub-step leaves its row's
+    overflow guard, or its ``xi_0`` reaches (``>=``) its row's ``ceiling``
+    (one number for all rows or one per row; none by default), which
+    escapes the same way, or an RK4 step size underflows.  The error's
+    ``partial`` holds the output times every row reached before the
+    escaping step or sub-step.
     """
     xi = np.asarray(xi0, dtype=float)
     if xi.shape[-1:] != (system.dim,) or xi.ndim > 2 or xi.size == 0:
@@ -330,11 +314,19 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
     if (times.ndim != 1 or times.size == 0 or times[0] != 0.0
             or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0)):
         raise ValueError("output times must be finite and increase from 0")
+    try:
+        ceiling = np.broadcast_to(np.asarray(np.inf if ceiling is None else ceiling,
+                                             dtype=float), (xi.size // system.dim,))
+        valid = not np.any(np.isnan(ceiling))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError("ceiling must be one number, or one per row, and not NaN")
     states = np.empty((len(times),) + xi.shape)
     states[0] = xi
     if system.matrix is not None:
-        return _exact_rows(system.matrix, states, times, stop_condition)
-    return _integrate_rows(system, states, times, rtol, stop_condition)
+        return _exact_rows(system.matrix, states, times, ceiling)
+    return _integrate_rows(system, states, times, rtol, ceiling)
 
 
 def _metzler_expm(mat, h):
@@ -371,16 +363,15 @@ def _metzler_expm(mat, h):
     return out
 
 
-def _exact_rows(mat, states, times, stop_condition):
+def _exact_rows(mat, states, times, ceiling):
     """The exact path of :func:`integrate` for the Metzler matrix ``mat``.
 
     The sub-steps of all output intervals form one sequence, taken in
-    chunks that hold no more states than the output array.  Within a chunk
-    the rows are multiplied by each sub-step's propagator in turn, one
-    stacked product per sub-step, which gives each row the bits of its own
-    product; the guard and the stop condition then see the chunk's states
-    at once, so a row that stops and then escapes later in the same chunk
-    stops, as it would alone.
+    chunks of ``len(times)`` sub-steps, which hold as many states as the
+    output array.  Within a chunk the rows move in lockstep, multiplied by
+    each sub-step's propagator in turn, one stacked product per sub-step,
+    which gives each row the bits of its own product; the guard and the
+    ceiling then see the chunk's states at once.
     """
     dim = len(mat)
     rows = states.reshape(len(times), -1, dim)
@@ -397,61 +388,32 @@ def _exact_rows(mat, states, times, stop_condition):
     t_sub = times[interval] + within * h[interval]
     t_sub[ends] = times[1:]
 
-    x = rows[0].copy()
+    x = rows[0]
     guard = GUARD_FACTOR * np.maximum(1.0, np.max(x, axis=1))
-    live = np.arange(n)
-    nxt = np.ones(n, dtype=int)         # index of each row's next output time
-    stopped = np.zeros(n, dtype=bool)
-    steps = first = 0
-    while live.size and first < interval.size:
-        sub = np.empty((min(interval.size - first, max(1, rows.size // x.size)),) + x.shape)
+    steps = 0
+    for first in range(0, interval.size, len(times)):
+        sub = np.empty((min(interval.size - first, len(times)),) + x.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             for i, k in enumerate(kind[interval[first:first + len(sub)]]):
                 x = np.matmul(props[k], x[..., None], out=sub[i, ..., None])[..., 0]
-        # per row, the first sub-step that escapes the guard (NaN escapes
-        # too); the states are in the cone, so the maximum of each state is
-        # only taken when the chunk's maximum is not below every guard
-        size = len(sub)
-        escape_at = np.full(live.size, size)
+        # the states are in the cone, so a state past its guard (or NaN)
+        # fails ``max <= guard``; the maximum of each state is only taken
+        # when the chunk's maximum is not below every guard
+        escaped = sub[..., 0] >= ceiling
         if not np.max(sub) <= np.min(guard):
-            out_of = ~(np.max(np.abs(sub), axis=2) <= guard)
-            escape_at = np.where(out_of.any(axis=0), np.argmax(out_of, axis=0), size)
-        # per row, the first flagged state before its escape: an escape at or
-        # after a row's stop is never reached, one before it (or at the same
-        # sub-step, where the guard comes first as on the RK4 path) raises
-        halt_at = np.full(live.size, size)
-        if stop_condition is not None and np.any(escape_at):
-            t_seen = np.repeat(t_sub[first:first + size], live.size)
-            xi_seen, rows_seen = sub.reshape(-1, dim), np.tile(live, size)
-            seen = slice(None)
-            if np.any(escape_at < size):
-                seen = (np.arange(size)[:, None] < escape_at).ravel()
-                t_seen, xi_seen, rows_seen = t_seen[seen], xi_seen[seen], rows_seen[seen]
-            flags = np.zeros(size * live.size, dtype=bool)
-            flags[seen] = np.asarray(stop_condition(t_seen, xi_seen, rows_seen), dtype=bool)
-            flags = flags.reshape(size, live.size)
-            halt_at = np.where(flags.any(axis=0), np.argmax(flags, axis=0), size)
-        blows = escape_at < halt_at
-        blown = bool(np.any(blows))
-        if blown:
-            size = int(np.min(escape_at[blows]))
-        steps += int(np.sum(np.minimum(halt_at + 1, size + blown)))
+            escaped |= ~(np.max(sub, axis=2) <= guard)
+        hits = np.flatnonzero(np.any(escaped, axis=1))
+        size = int(hits[0]) if hits.size else len(sub)
         out = ends[(ends >= first) & (ends < first + size)]
-        at, row = np.nonzero(out[:, None] - first < halt_at)
-        rows[interval[out[at]] + 1, live[row]] = sub[out[at] - first, row]
-        nxt[live] += np.bincount(row, minlength=live.size)
-        stopped[live[halt_at < size]] = True
-        if blown:
-            reached = float(t_sub[first + size])
+        rows[interval[out] + 1] = sub[out - first]
+        steps += n * (size + bool(hits.size))
+        if hits.size:
+            reached, done = float(t_sub[first + size]), int(interval[first + size]) + 1
             raise BlowupError(
                 f"comparison state escaped the guard at t={reached:.6g}", reached_time=reached,
-                partial=_trajectory(states, times, nxt, stopped, int(np.min(nxt[~stopped])),
-                                    steps=steps, solver="exact"))
-        keep = halt_at == size
-        live, x, guard = live[keep], sub[-1, keep], guard[keep]
-        first += size
-    return _trajectory(states, times, nxt, stopped, int(np.max(nxt)), steps=steps,
-                       solver="exact")
+                partial=ComparisonTrajectory(times[:done], states[:done], steps=steps,
+                                             solver="exact"))
+    return ComparisonTrajectory(times, states, steps=steps, solver="exact")
 
 
 def _spans(first, count):
@@ -460,7 +422,7 @@ def _spans(first, count):
     return row, first[row] + np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
 
 
-def _integrate_rows(system, states, times, rtol, stop_condition):
+def _integrate_rows(system, states, times, rtol, ceiling):
     """The RK4 path of :func:`integrate`: every row of ``states[0]`` steps at once.
 
     ``states`` holds the initial state or batch at index 0 and takes the
@@ -476,22 +438,18 @@ def _integrate_rows(system, states, times, rtol, stop_condition):
     reach, inside = times - margin, times + margin
     guard = GUARD_FACTOR * np.maximum(1.0, np.max(np.abs(xi), axis=1))
     nxt = np.ones(n, dtype=int)         # index of each row's next output time
-    stopped = np.zeros(n, dtype=bool)
     t = np.zeros(n)
     h = np.full(n, (end / max(last, 1)) / 4.0)
     clamped = steps = rejected = 0
 
     def result(done):
-        return _trajectory(states, times, nxt, stopped, done, clamp_events=clamped,
-                           steps=steps, rejected=rejected)
-
-    def partial():
-        return result(int(np.min(nxt[~stopped])))
+        return ComparisonTrajectory(times[:done], states[:done], clamp_events=clamped,
+                                    steps=steps, rejected=rejected)
 
     while True:
-        live = np.flatnonzero((nxt <= last) & ~stopped)
+        live = np.flatnonzero(nxt <= last)
         if live.size == 0:
-            return result(int(np.max(nxt)))
+            return result(len(times))
         t_live, xi_live = t[live], xi[live]
         h_try = np.minimum(h[live], end - t_live)
         k1, half, k_half, big, two = _double_step(system, t_live, xi_live, h_try)
@@ -510,11 +468,12 @@ def _integrate_rows(system, states, times, rtol, stop_condition):
         xi[hit] = np.maximum(xi[hit], 0.0)
         moved = xi[acc]
         escaped = (~np.all(np.isfinite(moved), axis=1)
-                   | (np.max(np.abs(moved), axis=1) > guard[acc]))
+                   | (np.max(np.abs(moved), axis=1) > guard[acc])
+                   | (moved[:, 0] >= ceiling[acc]))
         if np.any(escaped):
             at = float(t[acc[np.argmax(escaped)]])
             raise BlowupError(f"comparison state escaped the guard at t={at:.6g}",
-                              reached_time=at, partial=partial())
+                              reached_time=at, partial=result(int(np.min(nxt))))
         first = nxt[acc]
         count = np.maximum(np.searchsorted(inside, t[acc]) - first, 0)
         if np.any(count):
@@ -524,11 +483,6 @@ def _integrate_rows(system, states, times, rtol, stop_condition):
             rows[out, acc[row]] = _dense(theta[:, None], h_try[step, None], xi_live[step],
                                          k1[step], half[step], k_half[step], moved[row])
             nxt[acc] += count
-        if stop_condition is not None and acc.size:
-            halt = np.broadcast_to(np.asarray(stop_condition(t[acc], moved, acc), dtype=bool),
-                                   acc.shape)
-            stopped[acc[halt]] = True
-            acc, moved = acc[~halt], moved[~halt]
         first = nxt[acc]
         count = np.maximum(np.searchsorted(reach, t[acc], side="right") - first, 0)
         if np.any(count):
@@ -536,12 +490,11 @@ def _integrate_rows(system, states, times, rtol, stop_condition):
             rows[out, acc[row]] = moved[row]
             nxt[acc] += count
         h[live] = h_try * _step_factors(tol, err, ok)
-        small = ((nxt[live] <= last) & ~stopped[live]
-                 & (h[live] < 1e-13 * np.maximum(1.0, t[live])))
+        small = (nxt[live] <= last) & (h[live] < 1e-13 * np.maximum(1.0, t[live]))
         if np.any(small):
             raise BlowupError("step size underflow in adaptive RK4",
                               reached_time=float(t[live[np.argmax(small)]]),
-                              partial=partial())
+                              partial=result(int(np.min(nxt))))
 
 
 # -- measures ----------------------------------------------------------------
@@ -669,11 +622,11 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
 
     For each epsilon a bisection searches for delta such that all sampled
     initial states with sup-norm below delta keep ``xi_0(t) < eps`` on
-    [0, T_check], each run integrated at ``rtol = XI0_RTOL``.  A crossing
-    is sampled where :func:`integrate` hands states to its stop condition:
-    at the accepted RK4 steps, or at every exact sub-step (``XI0_OUTPUTS``
-    intervals of at most ``EXACT_SUBSTEPS`` sub-steps each), and at the
-    output times.  The
+    [0, T_check], each run integrated at ``rtol = XI0_RTOL`` with ``eps``
+    as the ``ceiling`` of its rows.  A crossing is thus sampled where
+    :func:`integrate` tests for escapes: at the accepted RK4 steps, or at
+    every exact sub-step (``XI0_OUTPUTS`` intervals of at most
+    ``EXACT_SUBSTEPS`` sub-steps each), and at the output times.  The
     asymptotic variant additionally requires the sampled ``xi_0(T_check)``,
     started at half the smallest delta found, to fall below ``DECAY_FACTOR *
     xi_0(0)``.  The verdict is evidence, not proof, and says so.
@@ -686,10 +639,11 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     first eps whose bisection reaches the floor; the decay run is repeated
     at the final deltas only if some eps bisected.  Equal eps levels share
     one trial and one bisection, and ``delta_table`` keeps an entry for each
-    listed level.  The rows are
-    independent, so the verdict is the one that a run per trial gives.
-    Blocks of trials keep the output states of one batch within
-    ``XI0_BLOCK`` doubles.
+    listed level.  A batch that raises :class:`BlowupError` (a crossing, a
+    guard escape or a step size underflow) is rerun one trial per batch, so
+    the escape fails only its own trial.  The rows are independent, so the
+    verdict is the one that a run per trial gives.  Blocks of trials keep
+    the output states of one batch within ``XI0_BLOCK`` doubles.
     """
     eps_grid = tuple(eps_grid)
     if not eps_grid or any(e <= 0 for e in eps_grid):
@@ -713,20 +667,12 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
 
     def batch(trials):
         """Per trial, ``(xi_0 at 0, xi_0 at T_check)`` of each direction, or
-        None if any crosses its eps.  A crossing decides its trial, so it
-        stops the trial's other rows as well."""
+        None if an output of any crosses its eps.  A state that reaches its
+        eps is an escape, which fails the whole batch."""
         delta, eps = (np.repeat(np.array(v, dtype=float), n_directions) for v in zip(*trials))
-        trial = np.repeat(np.arange(len(trials)), n_directions)
-        failed = np.zeros(len(trials), dtype=bool)
-
-        def stop(t, xi, rows):
-            failed[trial[rows[xi[:, 0] >= eps[rows]]]] = True
-            return failed[trial[rows]]
-
         xi0 = delta[:, None] * np.tile(dirs, (len(trials), 1)) * (1 - 1e-12)
-        traj = integrate(system, xi0, times, rtol=XI0_RTOL, stop_condition=stop)
-        x = traj.states[:, :, 0]        # NaN past a stopped row's reach
-        failed |= np.any(x >= eps, axis=0).reshape(-1, n_directions).any(axis=1)
+        x = integrate(system, xi0, times, rtol=XI0_RTOL, ceiling=eps).states[:, :, 0]
+        failed = np.any(x >= eps, axis=0).reshape(-1, n_directions).any(axis=1)
         return [None if f else list(zip(start, final)) for f, start, final in
                 zip(failed, xi0[:, 0].reshape(-1, n_directions), x[-1].reshape(-1, n_directions))]
 
@@ -737,7 +683,7 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
             try:
                 outcomes += batch(block)
             except BlowupError:
-                # a row that blows up fails its own trial only
+                # a row that escapes, by its eps or its guard, fails its own trial only
                 outcomes += [None] if len(block) == 1 else run(block, 1)
         return outcomes
 

@@ -312,13 +312,16 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
     params = scenario.params
     a_mat = params.A
     src = params.source
-    diag = 0.5 * (a_mat[0, 0] + a_mat[1, 1])
+    # Python floats overflow to inf with no warning; halving first keeps a finite mean finite
+    diag = 0.5 * float(a_mat[0, 0]) + 0.5 * float(a_mat[1, 1])
     is_scalar_a = np.max(np.abs(a_mat - diag * np.eye(2))) < 1e-9
+    # the rate 2 a phi of every auto system (2 a under a clock that is not constant)
+    rate = 2 * diag * (params.phi.value if params.phi.kind == "constant" else 1.0)
+    _require(math.isfinite(rate), "params.A: the auto system's rate 2 a phi is not finite")
 
     if src.kind == "zero":
         _require(is_scalar_a, "auto system with zero source needs scalar A")
-        rate = 2 * float(diag) * params.phi.value   # a Python float: inf on overflow
-        if params.phi.kind == "constant" and math.isfinite(rate):
+        if params.phi.kind == "constant":
             return comparison.linear_system([[rate]], name="volume_only")
         return comparison.scalar_system(
             lambda t, v: 2 * diag * params.phi(np.maximum(v, 0.0)) * v,
@@ -364,6 +367,10 @@ def _param(obj, key, default, ok, what):
 
 def _number(check, key, default, ok=_is_number, what="a number"):
     return float(_param(check, key, default, ok, what))
+
+
+def _positive(check, key, default):
+    return _number(check, key, default, lambda v: _is_number(v) and v > 0, "a positive number")
 
 
 def _count(obj, key, default, least, most=None):
@@ -417,7 +424,7 @@ def _failure(exc, **details):
 
 def _check_closed_form_area(check, scenario):
     terms = _param(check, "terms", 2, lambda v: isinstance(v, int) and v in (2, 4), "2 or 4")
-    rtol = _number(check, "rtol", 1e-3)
+    rtol = _positive(check, "rtol", 1e-3)
     src = scenario.params.source
     _require(src.kind == "linear", "closed_form_area applies to linear-body sources")
 
@@ -441,7 +448,7 @@ def _check_bound(check, scenario):
                    lambda v: isinstance(v, list) and len(v) == system.dim
                    and all(n in tracked for n in v),
                    f"{system.dim} of the tracked functionals {tracked}")
-    tol_scale = _number(check, "tol_scale", 1e-4)
+    tol_scale = _positive(check, "tol_scale", 1e-4)
 
     def run(traj):
         rep = comparison.bound_check(traj, system, names, tol_scale=tol_scale)
@@ -465,8 +472,7 @@ def _check_xi0(check, scenario):
     system = _system(check, scenario)
     eps = _param(check, "eps", [0.1, 1.0], lambda v: _positives(v) and len(v) <= MAX_EPS,
                  f"a list of 1 to {MAX_EPS} positive numbers")
-    t_check = _number(check, "T_check", 50.0, lambda v: _is_number(v) and v > 0,
-                      "a positive number")
+    t_check = _positive(check, "T_check", 50.0)
     directions = _count(check, "directions", 64, 1, MAX_DIRECTIONS)
     iters = _count(check, "iters", 40, 0, MAX_BISECT_ITERS)
     expect = _verdict(check, None, (None, "stable", "asymptotically_stable", "unstable"))
@@ -533,7 +539,7 @@ def _check_fixed_point(check, scenario):
 
 def _check_converge(check, scenario):
     target = _parse_body(check.get("body"), scenario.grid_size, "converge_to body")
-    tol = _number(check, "tol", 1e-2)
+    tol = _positive(check, "tol", 1e-2)
 
     def run(traj):
         dist = bodies.hausdorff_distance(traj.final, target)
@@ -560,8 +566,8 @@ def _check_growth_scaling(check, scenario):
     lengths = _param(check, "lengths", GROWTH_LENGTHS, lambda v: _positives(v, 2),
                      "a list of at least two positive numbers")
     lengths = [float(x) for x in lengths]
-    rtol = _number(check, "rtol", 0.01)
-    ratio_tol = _number(check, "ratio_tol", 0.05)
+    rtol = _positive(check, "rtol", 0.01)
+    ratio_tol = _positive(check, "ratio_tol", 0.05)
 
     def run(traj):
         t_end = scenario.horizon

@@ -266,8 +266,8 @@ def reference_step(u, params, dt):
 # the single-state adaptive RK4 loop: one state, Python-float times, steps,
 # error norms and step factors; every row of the batched
 # ``comparison.integrate`` must match it bit for bit, states, times, counters
-# and stop.  Its stop condition has integrate's contract, called on a
-# one-row batch whose row index is 0.
+# and escapes.  Its ceiling is one number: an accepted state whose xi_0
+# reaches it escapes, as one past the guard does.
 
 
 def reference_step_factor(tol, err, ok):
@@ -292,7 +292,7 @@ def _reference_double_step(system, t, xi, h):
     return k1, half, k_half, big, two
 
 
-def reference_integrate(system, xi0, times, rtol=1e-8, stop_condition=None):
+def reference_integrate(system, xi0, times, rtol=1e-8, ceiling=math.inf):
     from setflow.comparison import GUARD_FACTOR, RK4_ATOL, ComparisonTrajectory, _dense
     from setflow.errors import BlowupError
 
@@ -313,9 +313,8 @@ def reference_integrate(system, xi0, times, rtol=1e-8, stop_condition=None):
     t = 0.0
     h = (end / max(last, 1)) / 4.0
 
-    def result(stopped=False):
-        return ComparisonTrajectory(times[:nxt], states[:nxt], clamped, steps, rejected,
-                                    np.array([stopped]))
+    def result():
+        return ComparisonTrajectory(times[:nxt], states[:nxt], clamped, steps, rejected)
 
     while nxt <= last:
         h_try = min(h, end - t)
@@ -331,7 +330,7 @@ def reference_integrate(system, xi0, times, rtol=1e-8, stop_condition=None):
             if np.any(xi < 0):
                 clamped += int(np.sum(xi < 0))
                 xi = np.maximum(xi, 0.0)
-            if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard:
+            if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard or xi[0] >= ceiling:
                 raise BlowupError(
                     f"comparison state escaped the guard at t={t:.6g}",
                     reached_time=t, partial=result())
@@ -340,9 +339,6 @@ def reference_integrate(system, xi0, times, rtol=1e-8, stop_condition=None):
                 theta = (times[nxt:k] - t0) / h_try
                 states[nxt:k] = _dense(theta[:, None], h_try, x0, k1, half, k_half, xi)
                 nxt = k
-            if stop_condition is not None and np.asarray(
-                    stop_condition(np.array([t]), xi[None], np.array([0])), dtype=bool).all():
-                return result(stopped=True)
             k = int(np.searchsorted(reach, t, side="right"))
             if k > nxt:
                 states[nxt:k] = xi
@@ -380,13 +376,12 @@ def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
     def survives(delta, eps, collect=None):
         for d in dirs:
             xi0 = delta * d * (1 - 1e-12)
-            stop = lambda t, xi, rows: xi[:, 0] >= eps
             try:
                 traj = (integrate or reference_integrate)(system, xi0, times, rtol=rtol,
-                                                          stop_condition=stop)
+                                                          ceiling=eps)
             except BlowupError:
                 return False
-            if traj.stopped[0] or np.max(traj.states[:, 0]) >= eps:
+            if np.max(traj.states[:, 0]) >= eps:
                 return False
             if collect is not None:
                 collect.append((xi0[0], traj.states[-1, 0]))

@@ -34,11 +34,6 @@ LATE_VIOLATION = C.ComparisonSystem(
     name="late_violation")
 
 
-def reach(states):
-    """The output times a trajectory row reached: those not filled with NaN."""
-    return int(np.count_nonzero(~np.isnan(states[:, 0])))
-
-
 def rk4(system):
     """The same right-hand side without its matrix, which ``integrate`` steps by RK4."""
     return dataclasses.replace(system, matrix=None)
@@ -183,67 +178,84 @@ class TestIntegrate:
         assert np.array_equal(batch.times, ref.times)
 
     def test_a_row_stops_alone(self):
-        # row 1 grows past 2 near t = ln 2 and stops; row 0 never stops and
-        # runs on to the horizon
+        # row 1 grows past its ceiling 2 near t = ln 2 and escapes; row 0
+        # holds still at 0.  The batch raises where the row alone does, and
+        # its partial trajectory holds each row's own outputs
         growth = rk4(C.linear_system([[1.0]]))
-        stop = lambda t, xi, rows: xi[:, 0] >= 2.0
-        ref = helpers.reference_integrate(growth, [1.0], np.linspace(0.0, 3.0, 31),
-                                          stop_condition=stop)
-        single = C.integrate(growth, [1.0], np.linspace(0.0, 3.0, 31),
-                             stop_condition=stop)
-        alone = C.integrate(growth, [0.0], np.linspace(0.0, 3.0, 31),
-                            stop_condition=stop)
-        batch = C.integrate(growth, [[0.0], [1.0]], np.linspace(0.0, 3.0, 31),
-                            stop_condition=stop)
-        assert ref.stopped.tolist() == single.stopped.tolist() == [True]
-        assert batch.stopped.tolist() == [False, True]
-        # the stopped row keeps the output times it reached before its stopping
-        # state, as the reference loop does
+        times = np.linspace(0.0, 3.0, 31)
+        with pytest.raises(BlowupError, match="escaped the guard") as ref:
+            helpers.reference_integrate(growth, [1.0], times, ceiling=2.0)
+        with pytest.raises(BlowupError, match="escaped the guard") as single:
+            C.integrate(growth, [1.0], times, ceiling=2.0)
+        with pytest.raises(BlowupError, match="escaped the guard") as batch:
+            C.integrate(growth, [[0.0], [1.0]], times, ceiling=2.0)
+        alone = C.integrate(growth, [0.0], times, ceiling=2.0)
+        assert (single.value.reached_time == batch.value.reached_time
+                == ref.value.reached_time)
+        assert abs(single.value.reached_time - np.log(2.0)) < 0.1
+        single, ref, batch = single.value.partial, ref.value.partial, batch.value.partial
         reached = len(single.times)
-        assert 1 < reached < 31 and abs(single.times[-1] - np.log(2.0)) < 0.1
-        assert len(ref.times) == reached and not np.any(np.isnan(single.states))
-        assert np.array_equal(single.times, ref.times)
+        assert 1 < reached < 31 and np.array_equal(single.times, ref.times)
         assert np.array_equal(single.states, ref.states)
-        # in the batch it keeps the same outputs, and NaN past them
-        assert [reach(batch.states[:, i]) for i in (0, 1)] == [31, reached]
-        assert np.array_equal(batch.times, alone.times) and len(batch.times) == 31
-        assert np.array_equal(batch.states[:, 0], alone.states)
-        assert np.array_equal(batch.states[:reached, 1], single.states)
-        assert np.all(np.isnan(batch.states[reached:, 1]))
-        assert (batch.steps, batch.rejected) == (single.steps + alone.steps,
-                                                 single.rejected + alone.rejected)
+        assert (single.steps, single.rejected) == (ref.steps, ref.rejected)
+        assert np.array_equal(batch.times, single.times)
+        assert np.array_equal(batch.states[:, 1], single.states)
+        assert np.array_equal(batch.states[:, 0], alone.states[:reached])
 
     def test_rows_stop_at_their_own_thresholds(self):
-        # the stop condition tells the rows apart by index: each row has its
-        # own threshold on xi_0, and the rows that never reach it run on
+        # one ceiling per row: rows 0, 2, 3 and 5 reach theirs, 1 and 4 never do
         system = C.cyclic_mixed_system(F.rational([1.0], [1.0, 1.0]), F.constant(0.9), 3)
         xi0 = np.random.default_rng(21).uniform(0.0, 1.0, size=(6, 3))
-        threshold = np.array([1.5, np.inf, 2.0, 1.2, np.inf, 3.0])
-        seen = []
+        ceiling = np.array([1.5, 40.0, 2.0, 1.2, 150.0, 3.0])
+        times = np.linspace(0.0, 4.0, 41)
+        with pytest.raises(BlowupError, match="escaped the guard") as batch:
+            C.integrate(system, xi0, times, ceiling=ceiling)
+        partial = batch.value.partial
 
-        def stop(t, xi, rows):
-            seen.append(rows.copy())
-            return xi[:, 0] >= threshold[rows]
-        batch = C.integrate(system, xi0, np.linspace(0.0, 4.0, 41), stop_condition=stop)
-        seen = np.concatenate(seen)
-        counters = np.zeros(2, dtype=int)
+        def run(integrate, row, cap):
+            # the trajectory and None, or the partial one and the escape time
+            try:
+                return integrate(system, row, times, ceiling=cap), None
+            except BlowupError as err:
+                return err.partial, err.reached_time
+        escapes = []
         for i, row in enumerate(xi0):
-            own = lambda t, xi, rows, cap=threshold[i]: xi[:, 0] >= cap
-            ref = helpers.reference_integrate(system, row, np.linspace(0.0, 4.0, 41),
-                                              stop_condition=own)
-            single = C.integrate(system, row, np.linspace(0.0, 4.0, 41), stop_condition=own)
-            k = len(ref.times)
-            assert (batch.stopped[i], reach(batch.states[:, i])) == (ref.stopped[0], k)
-            assert (single.stopped[0], reach(single.states)) == (ref.stopped[0], k)
+            ref, escape = run(helpers.reference_integrate, row, ceiling[i])
+            single, single_escape = run(C.integrate, row, ceiling[i])
+            assert single_escape == escape
             assert np.array_equal(single.states, ref.states)
-            assert np.array_equal(batch.states[:k, i], ref.states)
-            assert np.all(np.isnan(batch.states[k:, i]))
-            # the condition sees the row at each accepted step up to its stop
-            assert np.count_nonzero(seen == i) == ref.steps
-            counters += (ref.steps, ref.rejected)
-        # two rows never stop, so the batch keeps every output time
-        assert batch.stopped.tolist() == [True, False, True, True, False, True]
-        assert len(batch.times) == 41 and (batch.steps, batch.rejected) == tuple(counters)
+            assert (single.steps, single.rejected) == (ref.steps, ref.rejected)
+            # the batch keeps each row's own outputs, up to the output times
+            # every row reached
+            assert np.array_equal(partial.states[:, i], ref.states[:len(partial.times)])
+            escapes += [escape] if escape is not None else []
+        assert len(escapes) == 4 and batch.value.reached_time in escapes
+        # the rows below their ceilings keep the bits they get alone
+        below = C.integrate(system, xi0[[1, 4]], times, ceiling=ceiling[[1, 4]])
+        alone = [helpers.reference_integrate(system, xi0[i], times) for i in (1, 4)]
+        for j, ref in enumerate(alone):
+            assert np.array_equal(below.states[:, j], ref.states)
+        assert below.steps == sum(ref.steps for ref in alone)
+
+    @pytest.mark.parametrize("system", [C.linear_system([[-1.0, 0.5], [0.5, -1.0]]),
+                                        rk4(C.linear_system([[-1.0, 0.5], [0.5, -1.0]]))],
+                             ids=["exact", "rk4"])
+    @pytest.mark.parametrize("ceiling", [np.nan, [1.0, np.nan, 2.0], [[1.0], [2.0], [3.0]],
+                                         [1.0, 2.0], "high"],
+                             ids=["nan", "nan_row", "column", "two_for_three", "text"])
+    def test_a_bad_ceiling_is_refused(self, system, ceiling):
+        with pytest.raises(ValueError, match="ceiling"):
+            C.integrate(system, np.ones((3, 2)), [0.0, 1.0], ceiling=ceiling)
+
+    def test_one_ceiling_serves_all_rows(self):
+        # a number, a one-entry list and a list per row give the same run
+        system = rk4(C.linear_system([[0.5]]))
+        runs = [C.integrate(system, [[1.0], [2.0]], [0.0, 1.0], ceiling=c)
+                for c in (10.0, [10.0], [10.0, 10.0], None)]
+        for run in runs[1:]:
+            assert np.array_equal(run.states, runs[0].states)
+        with pytest.raises(BlowupError, match="escaped the guard"):
+            C.integrate(system, [1.0], [0.0, 1.0], ceiling=[1.5])
 
     def test_batch_row_leaving_guard_raises(self):
         # the second row's large scale must not lift the first row's guard
@@ -309,29 +321,47 @@ class TestDenseOutput:
         assert len(log) == 8 * (traj.steps + traj.rejected)
 
     def test_the_last_output_is_the_accepted_state(self):
-        # a stop condition that never fires sees every accepted step
-        accepted = []
-        traj = C.integrate(rk4(C.sde_growth_system(SWAP)), [1.0, 0.0],
-                           times=np.linspace(0.0, 1.0, 1001), rtol=C.CHECK_RTOL,
-                           stop_condition=lambda t, xi, rows: accepted.append((t[0], xi[0].copy())))
-        assert not traj.stopped[0] and len(accepted) == traj.steps
-        assert accepted[-1][0] == pytest.approx(1.0, abs=1e-14)
-        assert np.array_equal(traj.states[-1], accepted[-1][1])
+        # xi_0 = cosh 2t grows, so a ceiling at the last output's xi_0 is
+        # first reached by the last accepted state, at t = 1, and a ceiling
+        # one ulp above it is never reached: that state has the same xi_0
+        system = rk4(C.sde_growth_system(SWAP))
+        times = np.linspace(0.0, 1.0, 1001)
+        traj = C.integrate(system, [1.0, 0.0], times, rtol=C.CHECK_RTOL)
+        last = traj.states[-1, 0]
+        with pytest.raises(BlowupError, match="escaped the guard") as err:
+            C.integrate(system, [1.0, 0.0], times, rtol=C.CHECK_RTOL, ceiling=last)
+        assert err.value.reached_time == pytest.approx(1.0, abs=1e-14)
+        above = C.integrate(system, [1.0, 0.0], times, rtol=C.CHECK_RTOL,
+                            ceiling=np.nextafter(last, np.inf))
+        assert np.array_equal(above.states, traj.states) and above.steps == traj.steps
+        # the partial trajectory ends before the last step, whose outputs it lacks
+        partial = err.value.partial
+        assert 1 < len(partial.times) < 1000 and partial.steps == traj.steps
+        assert np.array_equal(partial.states, traj.states[:len(partial.times)])
 
     def test_a_stop_keeps_the_outputs_before_the_stopping_state(self):
+        # xi' = xi reaches its ceiling 2 at the first accepted state past
+        # ln 2; the partial trajectory ends with the last output before the
+        # step that reached it, as in the reference loop
         growth = rk4(C.linear_system([[1.0]]))
-        seen = []
-        traj = C.integrate(growth, [1.0], np.linspace(0.0, 3.0, 301), rtol=C.CHECK_RTOL,
-                           stop_condition=lambda t, xi, rows: seen.append((t[0], xi[0, 0]))
-                           or xi[:, 0] >= 2.0)
-        # the stop fires at the first accepted state past 2, and the outputs
-        # end with the last output time before it
-        (_, x_before), (t_stop, x_stop) = seen[-2:]
-        assert traj.stopped.tolist() == [True] and reach(traj.states) == len(traj.times)
-        assert x_before < 2.0 <= x_stop
-        assert traj.times[-1] < t_stop <= traj.times[-1] + 0.01
-        assert np.array_equal(traj.times, np.linspace(0.0, 3.0, 301)[:len(traj.times)])
-        assert np.allclose(traj.states[:, 0], np.exp(traj.times), rtol=1e-8)
+        times = np.linspace(0.0, 3.0, 301)
+        with pytest.raises(BlowupError, match="escaped the guard") as err:
+            C.integrate(growth, [1.0], times, rtol=C.CHECK_RTOL, ceiling=2.0)
+        with pytest.raises(BlowupError, match="escaped the guard") as ref:
+            helpers.reference_integrate(growth, [1.0], times, rtol=C.CHECK_RTOL, ceiling=2.0)
+        partial, expected = err.value.partial, ref.value.partial
+        t_stop = err.value.reached_time
+        assert t_stop == ref.value.reached_time and np.log(2.0) <= t_stop < np.log(2.0) + 0.1
+        assert np.array_equal(partial.states, expected.states)
+        assert (partial.steps, partial.rejected) == (expected.steps, expected.rejected)
+        assert np.array_equal(partial.times, times[:len(partial.times)])
+        assert partial.times[-1] < np.log(2.0) and np.all(partial.states < 2.0)
+        assert np.allclose(partial.states[:, 0], np.exp(partial.times), rtol=1e-8)
+        # the full run's outputs up to there are the same; the next one lies
+        # inside the step that reached the ceiling
+        full = C.integrate(growth, [1.0], times, rtol=C.CHECK_RTOL)
+        assert np.array_equal(full.states[:len(partial.times)], partial.states)
+        assert times[len(partial.times)] < t_stop
 
     def test_batch_counters_sum_the_rows(self):
         system = rk4(C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4), 3))
@@ -454,39 +484,29 @@ class TestExactPath:
         assert traj.states.shape == (len(steps) + 1, len(xi0), dim)
 
     def test_a_stop_inside_an_output_interval(self):
-        # xi' = xi: row 1 passes 2 at t = ln 2, inside (0.6, 0.7]; it keeps
-        # the outputs up to 0.6 and NaN after, while row 0 runs on
-        calls = []
-
-        def stop(t, xi, rows):
-            calls.append((t.copy(), rows.copy(), xi[:, 0] >= 2.0))
-            return calls[-1][2]
+        # xi' = xi: row 1 reaches its ceiling 2 at t = ln 2, inside
+        # (0.6, 0.7]; ||M|| = 1 and intervals of 0.1 take one sub-step each,
+        # so it escapes at the sub-step t = 0.7, and both rows keep the
+        # outputs up to 0.6
         times = np.linspace(0.0, 3.0, 31)
-        traj = C.integrate(C.linear_system([[1.0]]), [[0.0], [1.0]], times,
-                           stop_condition=stop)
-        assert traj.stopped.tolist() == [False, True] and len(traj.times) == 31
-        assert [reach(traj.states[:, i]) for i in (0, 1)] == [31, 7]
-        assert np.all(np.isnan(traj.states[7:, 1])) and np.all(traj.states[:, 0] == 0.0)
-        assert np.allclose(traj.states[:7, 1, 0], np.exp(times[:7]), rtol=1e-14)
-        # the condition sees the sub-steps in time order, the rows beside each
-        # other, and row 1 first crosses at the end of interval (0.6, 0.7]
-        t_seen, rows, flags = (np.concatenate(c) for c in zip(*calls))
-        assert np.all(np.diff(t_seen) >= 0) and t_seen[-1] == 3.0
-        assert 0.6 < t_seen[np.flatnonzero(flags & (rows == 1))[0]] == times[7]
-        # ||M|| = 1 and intervals of 0.1: one sub-step each, so row 1 took 7
-        assert traj.steps == 30 + 7
+        with pytest.raises(BlowupError, match="escaped the guard") as err:
+            C.integrate(C.linear_system([[1.0]]), [[0.0], [1.0]], times, ceiling=2.0)
+        assert err.value.reached_time == times[7]
+        partial = err.value.partial
+        assert partial.solver == "exact" and partial.times.tolist() == times[:7].tolist()
+        assert np.all(partial.states[:, 0] == 0.0)
+        assert np.allclose(partial.states[:, 1, 0], np.exp(times[:7]), rtol=1e-14)
+        # both rows took 7 sub-steps, the escaping one included
+        assert partial.steps == 2 * 7
 
     def test_a_stop_at_an_output_time_does_not_reach_it(self):
-        traj = C.integrate(C.linear_system([[1.0]]), [1.0], [0.0, 1.0, 2.0],
-                           stop_condition=lambda t, xi, rows: t >= 1.0)
-        assert traj.stopped.tolist() == [True] and traj.times.tolist() == [0.0]
-
-    def test_stop_calls_hold_no_more_states_than_the_outputs(self):
-        # one output interval of 64 sub-steps: chunks of 2 sub-steps of 3 rows
-        sizes = []
-        C.integrate(C.linear_system([[-1.0, 1.0], [1.0, -1.0]]), np.ones((3, 2)), [0.0, 100.0],
-                    stop_condition=lambda t, xi, rows: sizes.append(len(xi)) or False)
-        assert sizes == [2 * 3] * 32
+        # a ceiling at the state of t = 1 is reached at that output time,
+        # which the partial trajectory does not hold
+        system = C.linear_system([[1.0]])
+        at_one = C.integrate(system, [1.0], [0.0, 1.0, 2.0]).states[1, 0]
+        with pytest.raises(BlowupError, match="escaped the guard") as err:
+            C.integrate(system, [1.0], [0.0, 1.0, 2.0], ceiling=at_one)
+        assert err.value.reached_time == 1.0 and err.value.partial.times.tolist() == [0.0]
 
     def test_guard_escape_raises_with_the_partial_trajectory(self):
         # xi' = xi passes 1e12 times its scale at t = 12 ln 10 = 27.63; the
@@ -502,45 +522,48 @@ class TestExactPath:
         assert C.integrate(system, [0.0, 1e6], np.linspace(0.0, 30.0, 31)).states[-1, 1] == 1e6
 
     def test_a_stop_before_an_escape_in_the_same_chunk_stops(self):
-        # h = 0.5 over 200 sub-steps, one chunk of 101: xi' = xi passes 2 at
-        # sub-step 1 (t = 1, an output time, so only t = 0 is reached) and
-        # would escape the guard at sub-step 55 of the same chunk
-        traj = C.integrate(C.linear_system([[1.0]]), [1.0], np.linspace(0.0, 100.0, 101),
-                           stop_condition=lambda t, xi, rows: xi[:, 0] >= 2.0)
-        assert traj.stopped.tolist() == [True] and traj.times.tolist() == [0.0]
-        assert traj.steps == 2
-
-    def test_a_row_that_stops_then_escapes_leaves_the_others_running(self):
-        # row 0 stops at t = 1 and would escape at t = 28 in its chunk; row 1
-        # holds still; each row gets the bits it gets alone
-        system = C.linear_system([[1.0, 0.0], [0.0, 0.0]])
-        times = np.linspace(0.0, 100.0, 101)
-
-        def stop(t, xi, rows):
-            return xi[:, 0] >= 2.0
-        xi0 = [[1.0, 0.0], [0.0, 1.0]]
-        batch = C.integrate(system, xi0, times, stop_condition=stop)
-        singles = [C.integrate(system, row, times, stop_condition=stop) for row in xi0]
-        assert batch.stopped.tolist() == [True, False] and len(batch.times) == 101
-        for i, single in enumerate(singles):
-            assert np.array_equal(batch.states[:len(single.times), i], single.states,
-                                  equal_nan=True)
-        assert np.all(np.isnan(batch.states[1:, 0])) and np.all(batch.states[:, 1] == [0, 1])
-        assert batch.steps == sum(s.steps for s in singles) == 2 + 200
-
-    def test_an_escape_beside_a_stopped_row_raises(self):
-        # row 0 stops at t = 1; row 1 escapes at t = 12 ln 10 = 27.63 with no
-        # stop before it: the partial trajectory marks row 0 stopped
-        system = C.linear_system([[1.0, 0.0], [0.0, 1.0]])
+        # h = 0.5 over 200 sub-steps, chunks of 101: xi' = xi reaches its
+        # ceiling 2 at sub-step 1 (t = 1, an output time, so only t = 0 is
+        # reached) and would escape the guard at sub-step 55 of the same chunk
         with pytest.raises(BlowupError, match="escaped the guard") as err:
-            C.integrate(system, [[1.0, 0.0], [0.0, 1.0]], np.linspace(0.0, 100.0, 101),
-                        stop_condition=lambda t, xi, rows: xi[:, 0] >= 2.0)
-        assert 12 * np.log(10.0) < err.value.reached_time < 12 * np.log(10.0) + 0.5
+            C.integrate(C.linear_system([[1.0]]), [1.0], np.linspace(0.0, 100.0, 101),
+                        ceiling=2.0)
+        assert err.value.reached_time == 1.0
+        assert err.value.partial.times.tolist() == [0.0] and err.value.partial.steps == 2
+
+    def test_rows_below_their_ceilings_keep_their_bits(self):
+        # each row has a ceiling a tenth above its largest output, which no
+        # sub-step reaches; the rows move in lockstep and get the bits they
+        # get alone, with no ceiling
+        system = C.cyclic_mixed_system(F.constant(0.7), F.constant(0.3), 5, a=-1.5)
+        xi0 = np.random.default_rng(23).uniform(0.0, 2.0, size=(6, 5))
+        times = np.linspace(0.0, 10.0, 33)
+        peak = C.integrate(system, xi0, times).states[:, :, 0].max(axis=0)
+        batch = C.integrate(system, xi0, times, ceiling=1.1 * peak)
+        for i, row in enumerate(xi0):
+            alone = C.integrate(system, row, times)
+            assert np.array_equal(batch.states[:, i], alone.states)
+        assert batch.steps == 6 * C.integrate(system, xi0[0], times).steps
+
+    def test_a_crossing_cuts_every_row_at_its_sub_step(self):
+        # row 0 reaches its ceiling 5 at sub-step t = 2 (ln 5 = 1.61 lies in
+        # (1, 2]); row 1 has none and would escape the guard at t = 27.63.
+        # The partial trajectory holds the outputs of both rows before t = 2
+        system = C.linear_system([[1.0, 0.0], [0.0, 1.0]])
+        times = np.linspace(0.0, 100.0, 101)
+        with pytest.raises(BlowupError, match="escaped the guard") as err:
+            C.integrate(system, [[1.0, 0.0], [0.0, 1.0]], times, ceiling=[5.0, np.inf])
+        assert err.value.reached_time == 2.0
         partial = err.value.partial
-        assert partial.stopped.tolist() == [True, False]
-        assert partial.times.tolist() == list(range(28))
-        assert np.all(np.isnan(partial.states[1:, 0]))
-        assert np.allclose(partial.states[:, 1, 1], np.exp(partial.times), rtol=1e-13)
+        assert partial.times.tolist() == [0.0, 1.0]
+        assert partial.states[:, 0, 0] == pytest.approx([1.0, np.e], rel=1e-14)
+        assert partial.states[:, 1, 1] == pytest.approx([1.0, np.e], rel=1e-14)
+        # h = 0.5: four sub-steps per row, the escaping one included
+        assert partial.steps == 2 * 4
+        with pytest.raises(BlowupError, match="escaped the guard") as guard:
+            C.integrate(system, [[1.0, 0.0], [0.0, 1.0]], times, ceiling=[np.inf, 5.0])
+        assert 12 * np.log(10.0) < guard.value.reached_time < 12 * np.log(10.0) + 0.5
+        assert guard.value.partial.times.tolist() == list(range(28))
 
     def test_a_negative_start_is_rejected(self):
         # exp(M h) keeps the cone only for starts inside it
@@ -740,6 +763,9 @@ class TestXi0Stability:
         assert calls[0] == (len(kwargs["eps_grid"]) + 1) * kwargs["n_directions"]
         assert set(calls[1:]) <= {kwargs["n_directions"]}
         bisected = [e for e, d in table if d != e]
+        # a level that fails the first batch reaches its eps there, which
+        # raises, so the batch is rerun one trial per call
+        rerun = len(kwargs["eps_grid"]) + 1 if bisecting != [] else 0
         if bisecting is None:
             assert verdict.kind == "unstable"
             failed = verdict.witness["failed_eps"]
@@ -750,13 +776,14 @@ class TestXi0Stability:
             # the search ends at the failing level: no level above it bisects
             floor_iters = next(k for k in range(iters + 1)
                                if k == iters or failed / 2 ** (k + 1) <= 1e-12)
-            assert len(calls) == 1 + iters * len(bisected) + floor_iters
+            assert len(calls) == 1 + rerun + iters * len(bisected) + floor_iters
         else:
             assert verdict.kind == "asymptotically_stable"
             assert bisected == bisecting
             # the first batch decides a search in which no level bisects;
-            # otherwise each bisection trial and the repeated decay run add one
-            assert len(calls) == 1 + (iters * len(bisecting) + 1 if bisecting else 0)
+            # otherwise each rerun and bisection trial and the repeated decay
+            # run add one
+            assert len(calls) == 1 + (rerun + iters * len(bisecting) + 1 if bisecting else 0)
 
     @pytest.mark.parametrize("system, eps, kwargs", [
         (C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0])), 0.5,

@@ -465,6 +465,46 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not out.exists()     # rejected before the flow ran
 
+    @pytest.mark.parametrize("value", [0, -1], ids=["zero", "negative"])
+    @pytest.mark.parametrize("check, field", [
+        ({"kind": "closed_form_area"}, "rtol"),
+        ({"kind": "bound_check", "functionals": ["V", "perimeter"]}, "tol_scale"),
+        ({"kind": "converge_to", "body": {"kind": "ball", "radius": 1.0}}, "tol"),
+        ({"kind": "growth_scaling"}, "rtol"),
+        ({"kind": "growth_scaling"}, "ratio_tol"),
+    ], ids=["closed_form_rtol", "bound_tol_scale", "converge_tol", "growth_rtol",
+            "growth_ratio_tol"])
+    def test_a_tolerance_that_is_not_positive_exits_2(self, tmp_path, capsys, check, field,
+                                                      value):
+        # no check can pass within a tolerance of 0 or less
+        doc = search_doc()
+        doc["checks"].append(dict(check))
+        scenarios.parse_scenario(doc)
+        doc["checks"][-1][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+        assert f"{check['kind']}: {field!r} must be a positive number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_auto_system_whose_rate_overflows_exits_2(self, tmp_path):
+        # 2 a phi = -1e309 under the clock 10; with A = 1.5e308 I the sum of
+        # the diagonal overflows as well.  In a fresh interpreter, so that
+        # numpy's warnings reach stderr as they do for a user
+        for i, a in enumerate((-5e307, 1.5e308)):
+            doc = quick_doc(name=f"rate{i}", grid_size=16, horizon=0.01, dt=1e-3, track=["V"],
+                            checks=[{"kind": "bound_check", "functionals": ["V"]}])
+            doc["params"] = {"A": [[a, 0.0], [0.0, a]], "phi": {"kind": "constant", "value": 10.0},
+                             "source": {"kind": "zero"}}
+            path = tmp_path / f"rate{i}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / "out"
+            proc = run_python("-m", "setflow.cli", "run", str(path), "--out", str(out))
+            assert proc.returncode == cli.EXIT_SCHEMA, proc.stderr
+            assert "params.A" in proc.stderr and "Warning" not in proc.stderr
+            assert not out.exists()
+
     @pytest.mark.parametrize("mutate, field", [
         (lambda d: d.update(track=["V", {"kind": "mixed",
                                          "count": scenarios.MAX_MIXED_COUNT + 1}]),
