@@ -6,13 +6,15 @@ finite-dimensional comparison system.  When that system is quasimonotone
 (Wazewski condition: off-diagonal monotonicity), its solutions dominate
 the functionals, so stability questions about the flow reduce to the ODE.
 Everything here is numerical evidence, not proof: quasimonotonicity is
-sampled on a box, and stability verdicts are sampled over initial
-conditions -- each verdict records the samples and margins it rests on.
+sampled on a box, and the first-component stability search integrates
+from the corner of each box of initial states, which bounds the box only
+for a quasimonotone system -- each verdict records the margins it rests on.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -25,10 +27,7 @@ RK4_ATOL = 1e-12            # absolute part of the step tolerance of integrate
 EXACT_SUBSTEPS = 64         # most sub-steps of one output interval on the exact path
 XI0_RTOL = 1e-6             # integrate's rtol in the xi0 stability search
 XI0_OUTPUTS = 32            # output intervals on [0, T_check] of the xi0 search
-# output-state doubles of one integrate call of the xi0 search: one trial of
-# 4096 directions of a 64-dimensional system, the scenario caps
-XI0_BLOCK = 4096 * 64 * (XI0_OUTPUTS + 1)
-DECAY_FACTOR = 1e-3         # asymptotic: xi_0(T_check) < DECAY_FACTOR * xi_0(0)
+DECAY_FACTOR = 1e-3         # asymptotic: xi_0(T_check) < DECAY_FACTOR * xi_0(0) at the corner
 CHECK_RTOL = 1e-10          # integrate's rtol in check_practical and bound_check
 WAZEWSKI_TOL = 1e-9         # slack of the sampled quasimonotonicity inequality
 WAZEWSKI_BLOCK = 2 ** 18    # doubles in the lowered points of one check_wazewski block
@@ -43,8 +42,9 @@ class ComparisonSystem:
     ``rhs(t, xi)`` maps a batch of states, rows of shape ``(n, dim)``, with
     one time per row, shape ``(n,)``, to their derivatives in the shape of
     the states (any other is a ValueError), each row independently of the
-    others; :func:`integrate` and the sampled checks always call it so.  A
-    right-hand side that does not depend on time ignores ``t``.
+    others; :func:`integrate` and the sampled checks always call it so,
+    :func:`integrate` with its one state as a row.  A right-hand side that
+    does not depend on time ignores ``t``.
 
     ``matrix`` is set only by the factories below, when ``rhs(t, xi) = M xi``
     for a Metzler matrix ``M`` (off-diagonal entries >= 0, the Wazewski
@@ -196,13 +196,11 @@ def scalar_system(f, name: str = "scalar") -> ComparisonSystem:
 
 @dataclass
 class ComparisonTrajectory:
-    times: np.ndarray           # the output times every row reached
-    states: np.ndarray          # shape (len(times), dim), or (len(times), n, dim)
-                                # for a batch of n initial states
+    times: np.ndarray           # the output times reached
+    states: np.ndarray          # shape (len(times), dim)
     clamp_events: int = 0
-    steps: int = 0              # accepted RK4 steps, or exact sub-steps, summed
-                                # over the rows of a batch
-    rejected: int = 0           # rejected RK4 steps, likewise; 0 when exact
+    steps: int = 0              # accepted RK4 steps, or exact sub-steps
+    rejected: int = 0           # rejected RK4 steps; 0 when exact
     solver: str = "rk4"         # "exact" for a Metzler system.matrix, else "rk4"
 
 
@@ -220,17 +218,18 @@ def _double_step(system, t, xi, h):
 
     Returns ``(k1, half, k_half, big, two)``: the slope at the start, the
     state after the first half step and the slope there (the first stage of
-    the second half step), the full step and the two half steps.  The full
-    step and the first half step share ``k1`` and take their other stages
-    together, as one batch of twice the rows: 8 right-hand sides in all.
+    the second half step), the full step and the two half steps.  The
+    right-hand side sees the state as a one-row batch; the full step and the
+    first half step share ``k1`` and take their other stages together, as
+    two rows: 8 right-hand sides in all.
     """
-    n = len(t)
-    k1 = system(t, xi)
-    big, half = np.split(_rk4(system, np.concatenate((t, t)), np.concatenate((xi, xi)),
-                              np.concatenate((h, 0.5 * h)), np.concatenate((k1, k1))), [n])
-    k_half = system(t + 0.5 * h, half)
-    two = _rk4(system, t + 0.5 * h, half, 0.5 * h, k_half)
-    return k1, half, k_half, big, two
+    row, at = xi[None], np.array([t])
+    k1 = system(at, row)
+    big, half = _rk4(system, np.array([t, t]), np.concatenate((row, row)),
+                     np.array([h, 0.5 * h]), np.concatenate((k1, k1)))
+    k_half = system(at + 0.5 * h, half[None])
+    two = _rk4(system, at + 0.5 * h, half[None], np.array([0.5 * h]), k_half)
+    return k1[0], half, k_half[0], big, two[0]
 
 
 def _dense(theta, h, x0, f0, xm, fm, x1):
@@ -238,8 +237,7 @@ def _dense(theta, h, x0, f0, xm, fm, x1):
 
     The quartic in ``theta`` through the step's start ``x0`` with slope
     ``f0``, its midpoint ``xm`` with slope ``fm`` and its end ``x1``.  All
-    arrays broadcast elementwise, so each (row, output) pair gets its own
-    arithmetic.
+    arrays broadcast elementwise, so each output gets its own arithmetic.
     """
     hf0 = h * f0
     d1 = x1 - x0 - hf0
@@ -251,37 +249,26 @@ def _dense(theta, h, x0, f0, xm, fm, x1):
     return np.maximum(x0 + theta * (hf0 + theta * (c2 + theta * (c3 + theta * c4))), 0.0)
 
 
-def _step_factors(tol, err, ok):
-    """Per row, the factor of the next step size: ``0.9 (tol / err) ** 0.2``,
-    within [0.2, 5] after an accepted step and at least 0.1 after a rejected
-    one, which a NaN error estimate gets.
-
-    Only the power is taken in Python floats: numpy's vectorized power can
-    differ from Python's in the last bit and would change the step sequence.
-    """
-    ratio = tol / np.where(ok, np.maximum(err, 1e-300), err)
-    f = 0.9 * np.array([r ** 0.2 for r in ratio.tolist()])
-    # fmax, like Python's max(0.1, f), keeps the bound when f is NaN
-    return np.where(ok, np.minimum(5.0, np.fmax(0.2, f)), np.fmax(0.1, f))
+def _step_factor(tol, err, ok):
+    """The factor of the next step size: ``0.9 (tol / err) ** 0.2``, within
+    [0.2, 5] after an accepted step and at least 0.1 after a rejected one,
+    which a NaN error estimate gets (``max(0.1, nan)`` is 0.1)."""
+    if ok:
+        return min(5.0, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
+    return max(0.1, 0.9 * (tol / err) ** 0.2)
 
 
 def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
               ceiling=None) -> ComparisonTrajectory:
-    """The trajectory read off at ``times``, finite and increasing from 0.
-
-    ``xi0`` is one initial state, shape ``(dim,)``, or a batch of them, shape
-    ``(n, dim)``, and ``states`` has shape ``(len(times), dim)`` or
-    ``(len(times), n, dim)``.  A single state runs as a one-row batch.  The
-    rows are independent: each has its own guard and ceiling, and on the
-    RK4 path its own time, step size, tolerance and clamping, so a row's
-    result does not depend on the rows beside it.  The right-hand side
-    always receives rows.
+    """The trajectory from the state ``xi0``, shape ``(dim,)``, read off at
+    ``times``, finite and increasing from 0; ``states`` has shape
+    ``(len(times), dim)``.
 
     A system with a Metzler ``matrix`` ``M`` is solved exactly (``solver``
     "exact"): each output interval is cut into the fewest equal sub-steps
     with ``h ||M||_inf <= 1/2``, at most ``EXACT_SUBSTEPS``, and each
-    sub-step multiplies the rows by ``exp(M h)``, a matrix with no negative
-    entry, so the states stay in the cone with no clamping, errs by some
+    sub-step multiplies the state by ``exp(M h)``, a matrix with no negative
+    entry, so the state stays in the cone with no clamping, errs by some
     ulps per sub-step and ignores ``rtol``.  ``steps`` counts the sub-steps.
 
     Any other system steps adaptive RK4 (``solver`` "rk4").  Step doubling
@@ -294,39 +281,32 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
     sequence, some tens of ``rtol`` relative over a few dozen steps,
     whatever their number.  Negative undershoots are clamped to zero (the
     cone is the domain of the theory) and counted, as are accepted and
-    rejected steps, summed over the rows.
+    rejected steps.
 
     A run ends early only by an escape, which raises :class:`BlowupError`:
-    a state at an accepted RK4 step or an exact sub-step leaves its row's
-    overflow guard, or its ``xi_0`` reaches (``>=``) its row's ``ceiling``
-    (one number for all rows or one per row; none by default), which
-    escapes the same way, or an RK4 step size underflows.  The error's
-    ``partial`` holds the output times every row reached before the
-    escaping step or sub-step.
+    the state at an accepted RK4 step or an exact sub-step leaves the
+    overflow guard, or its ``xi_0`` reaches (``>=``) ``ceiling`` (one
+    number; none by default), which escapes the same way, or an RK4 step
+    size underflows.  The error's ``partial`` holds the outputs reached
+    before the escaping step or sub-step.
     """
     xi = np.asarray(xi0, dtype=float)
-    if xi.shape[-1:] != (system.dim,) or xi.ndim > 2 or xi.size == 0:
-        raise ValueError(f"initial state must have shape ({system.dim},) "
-                         f"or (n, {system.dim})")
+    if xi.shape != (system.dim,):
+        raise ValueError(f"initial state must have shape ({system.dim},)")
     if not np.all(np.isfinite(xi)) or np.any(xi < 0):
         raise ValueError("initial state must be finite and lie in the nonnegative cone")
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or times.size == 0 or times[0] != 0.0
             or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0)):
         raise ValueError("output times must be finite and increase from 0")
-    try:
-        ceiling = np.broadcast_to(np.asarray(np.inf if ceiling is None else ceiling,
-                                             dtype=float), (xi.size // system.dim,))
-        valid = not np.any(np.isnan(ceiling))
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
-        raise ValueError("ceiling must be one number, or one per row, and not NaN")
-    states = np.empty((len(times),) + xi.shape)
+    ceiling = math.inf if ceiling is None else ceiling
+    if not isinstance(ceiling, numbers.Real) or math.isnan(ceiling):
+        raise ValueError("ceiling must be one number, not NaN")
+    states = np.empty((len(times), system.dim))
     states[0] = xi
     if system.matrix is not None:
-        return _exact_rows(system.matrix, states, times, ceiling)
-    return _integrate_rows(system, states, times, rtol, ceiling)
+        return _exact(system.matrix, states, times, ceiling)
+    return _adaptive(system, states, times, rtol, ceiling)
 
 
 def _metzler_expm(mat, h):
@@ -363,19 +343,14 @@ def _metzler_expm(mat, h):
     return out
 
 
-def _exact_rows(mat, states, times, ceiling):
+def _exact(mat, states, times, ceiling):
     """The exact path of :func:`integrate` for the Metzler matrix ``mat``.
 
     The sub-steps of all output intervals form one sequence, taken in
     chunks of ``len(times)`` sub-steps, which hold as many states as the
-    output array.  Within a chunk the rows move in lockstep, multiplied by
-    each sub-step's propagator in turn, one stacked product per sub-step,
-    which gives each row the bits of its own product; the guard and the
-    ceiling then see the chunk's states at once.
+    output array; the guard and the ceiling see a chunk's states at once.
     """
-    dim = len(mat)
-    rows = states.reshape(len(times), -1, dim)
-    n, last = rows.shape[1], len(times) - 1
+    last = len(times) - 1
     lengths = np.diff(times)
     with np.errstate(over="ignore", invalid="ignore"):
         count = np.clip(np.ceil(2.0 * lengths * _inf_norm(mat)), 1, EXACT_SUBSTEPS).astype(int)
@@ -388,25 +363,25 @@ def _exact_rows(mat, states, times, ceiling):
     t_sub = times[interval] + within * h[interval]
     t_sub[ends] = times[1:]
 
-    x = rows[0]
-    guard = GUARD_FACTOR * np.maximum(1.0, np.max(x, axis=1))
+    x = states[0]
+    guard = GUARD_FACTOR * max(1.0, float(np.max(x)))
     steps = 0
     for first in range(0, interval.size, len(times)):
-        sub = np.empty((min(interval.size - first, len(times)),) + x.shape)
+        sub = np.empty((min(interval.size - first, len(times)), len(mat)))
         with np.errstate(over="ignore", invalid="ignore"):
             for i, k in enumerate(kind[interval[first:first + len(sub)]]):
-                x = np.matmul(props[k], x[..., None], out=sub[i, ..., None])[..., 0]
-        # the states are in the cone, so a state past its guard (or NaN)
+                x = np.matmul(props[k], x, out=sub[i])
+        # the states are in the cone, so a state past the guard (or NaN)
         # fails ``max <= guard``; the maximum of each state is only taken
-        # when the chunk's maximum is not below every guard
-        escaped = sub[..., 0] >= ceiling
-        if not np.max(sub) <= np.min(guard):
-            escaped |= ~(np.max(sub, axis=2) <= guard)
-        hits = np.flatnonzero(np.any(escaped, axis=1))
+        # when the chunk's maximum is not below the guard
+        escaped = sub[:, 0] >= ceiling
+        if not np.max(sub) <= guard:
+            escaped |= ~(np.max(sub, axis=1) <= guard)
+        hits = np.flatnonzero(escaped)
         size = int(hits[0]) if hits.size else len(sub)
         out = ends[(ends >= first) & (ends < first + size)]
-        rows[interval[out] + 1] = sub[out - first]
-        steps += n * (size + bool(hits.size))
+        states[interval[out] + 1] = sub[out - first]
+        steps += size + bool(hits.size)
         if hits.size:
             reached, done = float(t_sub[first + size]), int(interval[first + size]) + 1
             raise BlowupError(
@@ -416,85 +391,56 @@ def _exact_rows(mat, states, times, ceiling):
     return ComparisonTrajectory(times, states, steps=steps, solver="exact")
 
 
-def _spans(first, count):
-    """``(pair_row, index)`` of the index ranges ``[first[r], first[r] + count[r])``."""
-    row = np.repeat(np.arange(first.size), count)
-    return row, first[row] + np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-
-
-def _integrate_rows(system, states, times, rtol, ceiling):
-    """The RK4 path of :func:`integrate`: every row of ``states[0]`` steps at once.
-
-    ``states`` holds the initial state or batch at index 0 and takes the
-    outputs; the trajectories returned hold slices of it, in its shape.
-    Each operation below acts elementwise or along a row.
-    """
-    rows = states.reshape(len(times), -1, system.dim)   # a view, one row per state
-    xi = rows[0].copy()
-    n, last, end = xi.shape[0], len(times) - 1, times[-1]
+def _adaptive(system, states, times, rtol, ceiling):
+    """The RK4 path of :func:`integrate`, from ``states[0]``; the outputs go
+    into ``states``, and the trajectories returned hold slices of it."""
+    xi = states[0]
+    last, end = len(times) - 1, float(times[-1])
     # a step ending at t reaches output j once t >= reach[j]; the output is
     # the accepted state itself unless it lies inside the step, before inside[j]
     margin = 1e-14 * np.maximum(1.0, times)
     reach, inside = times - margin, times + margin
-    guard = GUARD_FACTOR * np.maximum(1.0, np.max(np.abs(xi), axis=1))
-    nxt = np.ones(n, dtype=int)         # index of each row's next output time
-    t = np.zeros(n)
-    h = np.full(n, (end / max(last, 1)) / 4.0)
+    guard = GUARD_FACTOR * max(1.0, float(np.max(np.abs(xi))))
+    nxt = 1                             # index of the next output time
+    t, h = 0.0, (end / max(last, 1)) / 4.0
     clamped = steps = rejected = 0
 
-    def result(done):
-        return ComparisonTrajectory(times[:done], states[:done], clamp_events=clamped,
+    def result():
+        return ComparisonTrajectory(times[:nxt], states[:nxt], clamp_events=clamped,
                                     steps=steps, rejected=rejected)
 
-    while True:
-        live = np.flatnonzero(nxt <= last)
-        if live.size == 0:
-            return result(len(times))
-        t_live, xi_live = t[live], xi[live]
-        h_try = np.minimum(h[live], end - t_live)
-        k1, half, k_half, big, two = _double_step(system, t_live, xi_live, h_try)
-        err = np.max(np.abs(big - two), axis=1) / 15.0
-        tol = RK4_ATOL + rtol * np.maximum(np.maximum(np.max(np.abs(xi_live), axis=1),
-                                                      np.max(np.abs(two), axis=1)), 1e-300)
+    while nxt <= last:
+        h_try = min(h, end - t)
+        k1, half, k_half, big, two = _double_step(system, t, xi, h_try)
+        err = float(np.max(np.abs(big - two))) / 15.0
+        tol = RK4_ATOL + rtol * max(float(np.max(np.abs(xi))), float(np.max(np.abs(two))),
+                                    1e-300)
         ok = err <= tol
-        acc = live[ok]
-        steps += acc.size
-        rejected += live.size - acc.size
-        t[acc] += h_try[ok]
-        xi[acc] = two[ok]
-        neg = xi[acc] < 0
-        clamped += int(np.sum(neg))
-        hit = acc[np.any(neg, axis=1)]
-        xi[hit] = np.maximum(xi[hit], 0.0)
-        moved = xi[acc]
-        escaped = (~np.all(np.isfinite(moved), axis=1)
-                   | (np.max(np.abs(moved), axis=1) > guard[acc])
-                   | (moved[:, 0] >= ceiling[acc]))
-        if np.any(escaped):
-            at = float(t[acc[np.argmax(escaped)]])
-            raise BlowupError(f"comparison state escaped the guard at t={at:.6g}",
-                              reached_time=at, partial=result(int(np.min(nxt))))
-        first = nxt[acc]
-        count = np.maximum(np.searchsorted(inside, t[acc]) - first, 0)
-        if np.any(count):
-            row, out = _spans(first, count)
-            step = np.flatnonzero(ok)[row]      # each pair's position among the live rows
-            theta = (times[out] - t_live[step]) / h_try[step]
-            rows[out, acc[row]] = _dense(theta[:, None], h_try[step, None], xi_live[step],
-                                         k1[step], half[step], k_half[step], moved[row])
-            nxt[acc] += count
-        first = nxt[acc]
-        count = np.maximum(np.searchsorted(reach, t[acc], side="right") - first, 0)
-        if np.any(count):
-            row, out = _spans(first, count)
-            rows[out, acc[row]] = moved[row]
-            nxt[acc] += count
-        h[live] = h_try * _step_factors(tol, err, ok)
-        small = (nxt[live] <= last) & (h[live] < 1e-13 * np.maximum(1.0, t[live]))
-        if np.any(small):
-            raise BlowupError("step size underflow in adaptive RK4",
-                              reached_time=float(t[live[np.argmax(small)]]),
-                              partial=result(int(np.min(nxt))))
+        if ok:
+            t0, x0 = t, xi
+            t += h_try
+            steps += 1
+            clamped += int(np.sum(two < 0))
+            xi = np.maximum(two, 0.0)
+            if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard or xi[0] >= ceiling:
+                raise BlowupError(f"comparison state escaped the guard at t={t:.6g}",
+                                  reached_time=t, partial=result())
+            k = int(np.searchsorted(inside, t))
+            if k > nxt:
+                theta = (times[nxt:k] - t0) / h_try
+                states[nxt:k] = _dense(theta[:, None], h_try, x0, k1, half, k_half, xi)
+                nxt = k
+            k = int(np.searchsorted(reach, t, side="right"))
+            if k > nxt:
+                states[nxt:k] = xi
+                nxt = k
+        else:
+            rejected += 1
+        h = h_try * _step_factor(tol, err, ok)
+        if nxt <= last and h < 1e-13 * max(1.0, t):
+            raise BlowupError("step size underflow in adaptive RK4", reached_time=t,
+                              partial=result())
+    return result()
 
 
 # -- measures ----------------------------------------------------------------
@@ -616,40 +562,41 @@ def _box_bounds(sample_box, dim):
 
 
 def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
-                        T_check: float = 50.0, n_directions: int = 64,
-                        bisect_iters: int = 40, seed: int = 0) -> StabilityVerdict:
-    """Sampled first-component stability of the zero solution on the cone.
+                        T_check: float = 50.0, bisect_iters: int = 40,
+                        seed: int = 0) -> StabilityVerdict:
+    """First-component stability of the zero solution on the cone, decided at the corner.
 
-    For each epsilon a bisection searches for delta such that all sampled
-    initial states with sup-norm below delta keep ``xi_0(t) < eps`` on
-    [0, T_check], each run integrated at ``rtol = XI0_RTOL`` with ``eps``
-    as the ``ceiling`` of its rows.  A crossing is thus sampled where
-    :func:`integrate` tests for escapes: at the accepted RK4 steps, or at
-    every exact sub-step (``XI0_OUTPUTS`` intervals of at most
-    ``EXACT_SUBSTEPS`` sub-steps each), and at the output times.  The
-    asymptotic variant additionally requires the sampled ``xi_0(T_check)``,
-    started at half the smallest delta found, to fall below ``DECAY_FACTOR *
-    xi_0(0)``.  The verdict is evidence, not proof, and says so.
+    For each epsilon a bisection searches for delta such that every initial
+    state in the box ``{x >= 0 : |x|_inf < delta}`` keeps ``xi_0(t) < eps``
+    on [0, T_check].  For a quasimonotone system (the Wazewski condition) a
+    start below another stays below it for all time (Kamke and Mueller; W.
+    Walter, *Ordinary Differential Equations*, 1998, section 10), so the run
+    from the box's corner ``delta (1, ..., 1)``, nudged inside by the factor
+    ``1 - 1e-12``, bounds every start in the box.  A trial ``(delta, eps)``
+    is that one run, integrated at ``rtol = XI0_RTOL`` with ``eps`` as its
+    ``ceiling``; it fails if :func:`integrate` raises (a crossing, a guard
+    escape or a step size underflow) or an output reaches ``eps``.  A
+    crossing is thus sampled at the accepted RK4 steps, or at every exact
+    sub-step (``XI0_OUTPUTS`` intervals of at most ``EXACT_SUBSTEPS``
+    sub-steps each), and at the output times.  The levels are searched in
+    increasing order, equal levels share one trial and one bisection, and
+    the search ends ``unstable`` at the first level whose bisection reaches
+    the floor; ``delta_table`` keeps an entry for each listed level.
 
-    A trial, one ``(delta, eps)`` pair over all the directions, is a group of
-    rows.  The first batch tries every eps at delta = eps together with the
-    decay run at half the smallest eps, which decides a search in which no
-    eps bisects.  An eps that fails there bisects alone, one trial per
-    batch, in increasing order, and the search ends ``unstable`` at the
-    first eps whose bisection reaches the floor; the decay run is repeated
-    at the final deltas only if some eps bisected.  Equal eps levels share
-    one trial and one bisection, and ``delta_table`` keeps an entry for each
-    listed level.  A batch that raises :class:`BlowupError` (a crossing, a
-    guard escape or a step size underflow) is rerun one trial per batch, so
-    the escape fails only its own trial.  The rows are independent, so the
-    verdict is the one that a run per trial gives.  Blocks of trials keep
-    the output states of one batch within ``XI0_BLOCK`` doubles.
+    The asymptotic variant runs from the corner at half the smallest delta
+    found and requires ``xi_0(T_check) < DECAY_FACTOR * xi_0(0)`` of that
+    run: by monotonicity every start in the half box then ends below
+    ``DECAY_FACTOR`` times the corner's ``xi_0(0)``, the half box's width.
+
+    A system with a Metzler ``matrix`` is quasimonotone by construction.
+    Any other is first put to :func:`check_wazewski` on ``[0, max eps]^dim``
+    (its samples drawn from ``seed``); a violation there makes the verdict
+    ``inconclusive``, with the report, since no run then bounds a box.  The
+    verdict is evidence, not proof, and says so.
     """
     eps_grid = tuple(eps_grid)
     if not eps_grid or any(e <= 0 for e in eps_grid):
         raise ValueError("eps_grid must hold positive thresholds")
-    if n_directions < 1:
-        raise ValueError("n_directions must be >= 1")
     if bisect_iters < 0:
         raise ValueError("bisect_iters must be >= 0")
     if T_check <= 0:
@@ -657,74 +604,54 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     g0 = system(np.zeros(1), np.zeros((1, system.dim)))
     if np.max(np.abs(g0)) > 1e-10:
         raise ValueError("the comparison system must have a trivial solution at 0")
+    if system.matrix is None:
+        monotone = check_wazewski(system, (0.0, max(eps_grid)), seed=seed)
+        if not monotone.passed:
+            return StabilityVerdict(kind="inconclusive", witness={
+                "wazewski": monotone, "T_check": T_check,
+                "note": "not quasimonotone on [0, max eps]: the corner bounds no box"})
 
-    rng = np.random.default_rng(seed)
-    dirs = rng.uniform(0.0, 1.0, size=(n_directions, system.dim))
-    dirs[n_directions // 2:] /= np.maximum(
-        np.max(dirs[n_directions // 2:], axis=1, keepdims=True), 1e-30)
-    per_block = max(1, XI0_BLOCK // (n_directions * system.dim * (XI0_OUTPUTS + 1)))
     times = np.linspace(0.0, T_check, XI0_OUTPUTS + 1)
 
-    def batch(trials):
-        """Per trial, ``(xi_0 at 0, xi_0 at T_check)`` of each direction, or
-        None if an output of any crosses its eps.  A state that reaches its
-        eps is an escape, which fails the whole batch."""
-        delta, eps = (np.repeat(np.array(v, dtype=float), n_directions) for v in zip(*trials))
-        xi0 = delta[:, None] * np.tile(dirs, (len(trials), 1)) * (1 - 1e-12)
-        x = integrate(system, xi0, times, rtol=XI0_RTOL, ceiling=eps).states[:, :, 0]
-        failed = np.any(x >= eps, axis=0).reshape(-1, n_directions).any(axis=1)
-        return [None if f else list(zip(start, final)) for f, start, final in
-                zip(failed, xi0[:, 0].reshape(-1, n_directions), x[-1].reshape(-1, n_directions))]
-
-    def run(trials, size=per_block):
-        outcomes = []
-        for start in range(0, len(trials), size):
-            block = trials[start:start + size]
-            try:
-                outcomes += batch(block)
-            except BlowupError:
-                # a row that escapes, by its eps or its guard, fails its own trial only
-                outcomes += [None] if len(block) == 1 else run(block, 1)
-        return outcomes
+    def corner(delta, eps):
+        """``xi_0(T_check)`` from the corner of the delta box, or None if
+        ``xi_0`` reaches eps on the way."""
+        try:
+            x = integrate(system, np.full(system.dim, delta * (1 - 1e-12)), times,
+                          rtol=XI0_RTOL, ceiling=eps).states[:, 0]
+        except BlowupError:
+            return None
+        return None if np.max(x) >= eps else float(x[-1])
 
     levels = sorted(eps_grid)
-    distinct = sorted(set(map(float, levels)))
-    *first, decay = run([(e, e) for e in distinct] + [(0.5 * distinct[0], distinct[0])])
-    outcomes = dict(zip(distinct, first))
     table, deltas = [], {}      # equal levels share one trial and one delta
     floor = 1e-12
     for eps in levels:
         hi = float(eps)
-        if hi not in deltas and outcomes[hi] is None:
+        if hi not in deltas and corner(hi, eps) is None:
             lo = 0.0
             for _ in range(bisect_iters):
                 mid = 0.5 * (lo + hi)
                 if mid <= floor:
                     break
-                if run([(mid, eps)])[0] is None:
+                if corner(mid, eps) is None:
                     hi = mid
                 else:
                     lo = mid
             if lo <= floor:
                 return StabilityVerdict(
                     kind="unstable",
-                    witness={"failed_eps": eps, "delta_floor": floor,
-                             "samples": n_directions, "T_check": T_check,
+                    witness={"failed_eps": eps, "delta_floor": floor, "T_check": T_check,
                              "delta_table": table, "note": SAMPLED_EVIDENCE_NOTE})
             deltas[float(eps)] = lo
         table.append((eps, deltas.setdefault(float(eps), float(eps))))
 
-    # decay of the first component from well inside the smallest found delta;
-    # a direction that fails there leaves no decay evidence at all
-    if any(outcome is None for outcome in first):
-        decay, = run([(0.5 * min(d for _, d in table), levels[0])])
-    decays = [f < DECAY_FACTOR * x0 for x0, f in decay or () if x0 > 0]
-    kind = "asymptotically_stable" if decays and all(decays) else "stable"
-    witness = {"delta_table": table, "samples": n_directions, "T_check": T_check,
-               "decay_checked": len(decays), "note": SAMPLED_EVIDENCE_NOTE}
-    if decay is None:
-        witness["decay_run_failed"] = True
-    return StabilityVerdict(kind=kind, witness=witness)
+    half = 0.5 * min(d for _, d in table)
+    final = corner(half, levels[0])
+    decays = final is not None and final < DECAY_FACTOR * (half * (1 - 1e-12))
+    return StabilityVerdict(kind="asymptotically_stable" if decays else "stable",
+                            witness={"delta_table": table, "T_check": T_check,
+                                     "note": SAMPLED_EVIDENCE_NOTE})
 
 
 def _counters(traj: ComparisonTrajectory) -> dict:

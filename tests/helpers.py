@@ -263,11 +263,12 @@ def reference_step(u, params, dt):
 
 
 # ---------------------------------------------------------------------------
-# the single-state adaptive RK4 loop: one state, Python-float times, steps,
-# error norms and step factors; every row of the batched
-# ``comparison.integrate`` must match it bit for bit, states, times, counters
-# and escapes.  Its ceiling is one number: an accepted state whose xi_0
-# reaches it escapes, as one past the guard does.
+# the scalar adaptive RK4 loop: one state, which the right-hand side sees
+# as a ``(dim,)`` array at a Python-float time, with Python-float steps,
+# error norms and step factors; ``comparison.integrate``, whose right-hand
+# side sees one-row batches, must match it bit for bit, states, times,
+# counters and escapes.  An accepted state whose xi_0 reaches the ceiling
+# escapes, as one past the guard does.
 
 
 def reference_step_factor(tol, err, ok):
@@ -354,44 +355,40 @@ def reference_integrate(system, xi0, times, rtol=1e-8, ceiling=math.inf):
 
 
 # ---------------------------------------------------------------------------
-# the per-direction stability search: one ``reference_integrate`` per sampled
-# direction, which the batched ``comparison.check_xi0_stability`` must match
+# the corner search: every level bisected on its own, each trial one run of
+# ``integrate`` (by default the scalar loop ``reference_integrate``) from the
+# corner of its delta box, which ``comparison.check_xi0_stability`` must
+# match
 
 
 def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
-                                  n_directions=64, bisect_iters=40, seed=0,
-                                  rtol=1e-6, decay_factor=1e-3, integrate=None):
-    """The search with one run per direction, of ``integrate`` (by default
-    the RK4 oracle ``reference_integrate``)."""
+                                  bisect_iters=40, seed=0, rtol=1e-6, decay_factor=1e-3,
+                                  integrate=None):
     from setflow import comparison
     from setflow.errors import BlowupError
 
-    rng = np.random.default_rng(seed)
-    dirs = rng.uniform(0.0, 1.0, size=(n_directions, system.dim))
-    dirs[n_directions // 2:] /= np.maximum(
-        np.max(dirs[n_directions // 2:], axis=1, keepdims=True), 1e-30)
-
+    if system.matrix is None:
+        monotone = reference_check_wazewski(system, (0.0, max(eps_grid)), seed=seed)
+        if not monotone.passed:
+            return comparison.StabilityVerdict(kind="inconclusive", witness={
+                "wazewski": monotone, "T_check": T_check,
+                "note": "not quasimonotone on [0, max eps]: the corner bounds no box"})
     times = np.linspace(0.0, T_check, 33)
 
-    def survives(delta, eps, collect=None):
-        for d in dirs:
-            xi0 = delta * d * (1 - 1e-12)
-            try:
-                traj = (integrate or reference_integrate)(system, xi0, times, rtol=rtol,
-                                                          ceiling=eps)
-            except BlowupError:
-                return False
-            if np.max(traj.states[:, 0]) >= eps:
-                return False
-            if collect is not None:
-                collect.append((xi0[0], traj.states[-1, 0]))
-        return True
+    def final(delta, eps):
+        start = np.full(system.dim, delta * (1 - 1e-12))
+        try:
+            x = (integrate or reference_integrate)(system, start, times, rtol=rtol,
+                                                   ceiling=eps).states[:, 0]
+        except BlowupError:
+            return None
+        return None if np.max(x) >= eps else x[-1]
 
     table = []
     floor = 1e-12
     for eps in sorted(eps_grid):
         hi = float(eps)
-        if survives(hi, eps):
+        if final(hi, eps) is not None:
             table.append((eps, hi))
             continue
         lo = 0.0
@@ -399,30 +396,24 @@ def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
             mid = 0.5 * (lo + hi)
             if mid <= floor:
                 break
-            if survives(mid, eps):
+            if final(mid, eps) is not None:
                 lo = mid
             else:
                 hi = mid
         if lo <= floor:
             return comparison.StabilityVerdict(
                 kind="unstable",
-                witness={"failed_eps": eps, "delta_floor": floor,
-                         "samples": n_directions, "T_check": T_check,
-                         "delta_table": table,
-                         "note": comparison.SAMPLED_EVIDENCE_NOTE})
+                witness={"failed_eps": eps, "delta_floor": floor, "T_check": T_check,
+                         "delta_table": table, "note": comparison.SAMPLED_EVIDENCE_NOTE})
         table.append((eps, lo))
 
-    # a direction that fails the decay run voids the decay evidence of all
-    finals = []
-    failed = not survives(0.5 * min(d for _, d in table), min(e for e, _ in table),
-                          collect=finals)
-    decays = [] if failed else [f < decay_factor * x0 for x0, f in finals if x0 > 0]
-    kind = "asymptotically_stable" if decays and all(decays) else "stable"
-    witness = {"delta_table": table, "samples": n_directions, "T_check": T_check,
-               "decay_checked": len(decays), "note": comparison.SAMPLED_EVIDENCE_NOTE}
-    if failed:
-        witness["decay_run_failed"] = True
-    return comparison.StabilityVerdict(kind=kind, witness=witness)
+    half = 0.5 * min(d for _, d in table)
+    end = final(half, min(eps_grid))
+    decays = end is not None and end < decay_factor * (half * (1 - 1e-12))
+    return comparison.StabilityVerdict(
+        kind="asymptotically_stable" if decays else "stable",
+        witness={"delta_table": table, "T_check": T_check,
+                 "note": comparison.SAMPLED_EVIDENCE_NOTE})
 
 
 # ---------------------------------------------------------------------------

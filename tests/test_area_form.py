@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from setflow import bodies as B, certificates as CERT, flow as F, scenarios
 
@@ -36,12 +36,17 @@ def test_the_form_is_symmetric_bit_for_bit(m, p, q):
 
 @PROPERTIES
 @given(m=GRIDS, p=POINTS, q=POINTS, r=POINTS, a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+@example(m=64, p=np.array([[1.0, 0.0]]), q=np.array([[0.5, 0.0]]), r=np.array([[0.0, 0.0]]),
+         a=2.225073858507203e-309, b=0.0)
 def test_the_form_is_bilinear(m, p, q, r, a, b):
     u, v, w = (B.make_polygon(x, m) for x in (p, q, r))
     combo = a * v.values + b * w.values
     lhs = B.mixed_area(u, combo)
     rhs = a * B.mixed_area(u, v) + b * B.mixed_area(u, w)
-    bound = 64 * EPS * scale_of(u) * (abs(a) * scale_of(v) + abs(b) * scale_of(w))
+    # rounding is relative to the scale of the terms, and absolute among the
+    # subnormals: a subnormal a gives lhs = 1e-322 against rhs = 0
+    bound = (64 * EPS * scale_of(u) * (abs(a) * scale_of(v) + abs(b) * scale_of(w))
+             + 16 * np.finfo(float).smallest_subnormal)
     assert abs(lhs - rhs) <= bound
 
 

@@ -100,6 +100,27 @@ class TestLinearize:
         with pytest.raises(ValueError):
             CERT.linearize(B.make_ball(2.0), ball_source_params())
 
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.0, -1.0], [1.0, 0.0]],
+        [[2.0, 0.5], [-0.3, 0.1]], [[0.0, 1.0], [1.0, 0.0]],
+    ], ids=["reflection", "shear", "quarter_turn", "general", "swap"])
+    def test_body_derivative_norm_is_psi_times_the_spectral_norm(self, matrix):
+        # the origin is fixed under any linear source; |F_u| there is the
+        # Lipschitz constant of u -> psi B u in the Hausdorff metric
+        psi = F.rational([0.7, 0.3], [1.0])
+        params = F.SemiflowParams(A=MINUS_I, phi=F.constant(1.0),
+                                  source=F.linear_source(psi, matrix))
+        origin = B.make_ball(0.0)
+        lin = CERT.linearize(origin, params)
+        norm = lin.inequality_values["F_u_norm"]
+        assert norm == 0.7 * np.linalg.norm(matrix, 2)
+        # no perturbation of the origin moves the source by more
+        rng = np.random.default_rng(6)
+        for _ in range(16):
+            d = helpers.random_smooth_body(rng).values
+            moved = params.source.values(0.0, d)
+            assert np.max(np.abs(moved)) <= norm * np.max(np.abs(d)) * (1 + 1e-12)
+
 
 class TestCubicThreshold:
     def test_root_bracket_and_residual(self):
@@ -208,7 +229,7 @@ class TestHausdorffStability:
                                   source=F.zero_source())
         verdict = CERT.hausdorff_stability_report(
             params, lambda t: 1.0, lambda t, nu: 0.0, radius=1.0,
-            T_check=20.0, eps_grid=(0.5,), n_directions=8, bisect_iters=8)
+            T_check=20.0, eps_grid=(0.5,), bisect_iters=8)
         assert verdict.kind == "asymptotically_stable"
         assert verdict.witness["measures"].startswith("h0 = h")
 
@@ -226,8 +247,7 @@ class TestHausdorffStability:
                                   source=F.zero_source())
         clock = lambda t: 1.0 + 0.5 * np.cos(t)
         source = lambda t, nu: 2.0 * nu * nu
-        kwargs = dict(T_check=10.0, eps_grid=(1.0,), n_directions=8,
-                      bisect_iters=8)
+        kwargs = dict(T_check=10.0, eps_grid=(1.0,), bisect_iters=8)
         verdict = CERT.hausdorff_stability_report(params, clock, source,
                                                   radius=1.0, **kwargs)
         n_const, alpha = CERT.semigroup_envelope(params.A)
@@ -245,7 +265,7 @@ class TestHausdorffStability:
         params = ball_source_params()
         verdict = CERT.hausdorff_stability_report(
             params, lambda t: 1.0, lambda t, nu: 0.0, radius=0.5,
-            T_check=20.0, eps_grid=(0.5,), n_directions=8, bisect_iters=8)
+            T_check=20.0, eps_grid=(0.5,), bisect_iters=8)
         rep = CERT.ball_source_fixed_point(F.constant(1.0), F.constant(1.0), n=2)
         lin = CERT.linearize(rep.body, params)
         assert verdict.kind == "asymptotically_stable"

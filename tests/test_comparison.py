@@ -20,8 +20,8 @@ SHEAR = np.array([[0.0, 1.0], [0.0, 0.0]])
 RATIONAL = F.rational([1.0], [1.0, 1.0])
 
 # xi0' = 50 (0.08 - xi1) xi0 with xi1 frozen: only states with xi1 < 0.08
-# grow.  The 16 directions of seed 3 have xi1 >= 0.11 at delta = 1, so all
-# survive eps = 1 there, but one grows past eps in the decay run at delta = 1/2
+# grow, so a start below another can end above it, and the Wazewski test
+# finds the violation in component 0
 NON_MONOTONE = C.ComparisonSystem(
     dim=2, rhs=lambda t, xi: np.array([50.0 * (0.08 - xi.T[1]) * xi.T[0],
                                     0.0 * xi.T[1]]).T, name="non_monotone")
@@ -114,10 +114,12 @@ class TestIntegrate:
         err = np.concatenate([tol[:2000] * 10.0 ** rng.uniform(-8.0, 4.0, 2000),
                               [0.0, np.nan, np.inf, 1e-6]])
         ok = err <= tol
-        factors = C._step_factors(tol, err, ok)
+        factors = [C._step_factor(a, e, good)
+                   for a, e, good in zip(tol.tolist(), err.tolist(), ok.tolist())]
         expected = [helpers.reference_step_factor(a, e, good)
                     for a, e, good in zip(tol.tolist(), err.tolist(), ok.tolist())]
         assert np.array_equal(factors, expected)
+        assert all(type(f) is float for f in factors)
         # a rejected step with a NaN error estimate shrinks by the bound
         assert factors[-3] == factors[-1] == 0.1 and factors[-4] == 5.0
 
@@ -159,58 +161,49 @@ class TestIntegrate:
         C.scalar_system(lambda t, x: -(1.0 + 0.5 * np.cos(t)) * x),
     ], ids=lambda s: s.name)
     def test_batch_rows_match_single_calls(self, system):
+        # the right-hand side gives each row of a batch the bits of that row
+        # alone, so integrate, which takes the stages of its full and half
+        # steps as a two-row batch, matches the scalar loop, which calls the
+        # right-hand side on one (dim,) state at a time
         rng = np.random.default_rng(17)
         xi0 = rng.uniform(0.0, 2.0, size=(7, system.dim))
         xi0[0] = 0.0
-        batch = C.integrate(system, xi0, np.linspace(0.0, 3.0, 31))
-        assert batch.states.shape == (31, 7, system.dim)
-        counters = np.zeros(3, dtype=int)
+        t = rng.uniform(0.0, 3.0, 7)
+        batch = system(t, xi0)
         for i, row in enumerate(xi0):
+            assert np.array_equal(batch[i], system(t[i:i + 1], row[None])[0])
             ref = helpers.reference_integrate(system, row, np.linspace(0.0, 3.0, 31))
             single = C.integrate(system, row, np.linspace(0.0, 3.0, 31))
-            assert np.array_equal(batch.states[:, i], ref.states)
+            assert single.states.shape == (31, system.dim)
             assert np.array_equal(single.states, ref.states)
             assert np.array_equal(single.times, ref.times)
             assert ((single.clamp_events, single.steps, single.rejected)
                     == (ref.clamp_events, ref.steps, ref.rejected))
-            counters += (ref.clamp_events, ref.steps, ref.rejected)
-        assert (batch.clamp_events, batch.steps, batch.rejected) == tuple(counters)
-        assert np.array_equal(batch.times, ref.times)
 
     def test_a_row_stops_alone(self):
-        # row 1 grows past its ceiling 2 near t = ln 2 and escapes; row 0
-        # holds still at 0.  The batch raises where the row alone does, and
-        # its partial trajectory holds each row's own outputs
+        # the state from 1 grows past its ceiling 2 near t = ln 2 and
+        # escapes where the scalar loop does; the state from 0 holds still
         growth = rk4(C.linear_system([[1.0]]))
         times = np.linspace(0.0, 3.0, 31)
         with pytest.raises(BlowupError, match="escaped the guard") as ref:
             helpers.reference_integrate(growth, [1.0], times, ceiling=2.0)
         with pytest.raises(BlowupError, match="escaped the guard") as single:
             C.integrate(growth, [1.0], times, ceiling=2.0)
-        with pytest.raises(BlowupError, match="escaped the guard") as batch:
-            C.integrate(growth, [[0.0], [1.0]], times, ceiling=2.0)
         alone = C.integrate(growth, [0.0], times, ceiling=2.0)
-        assert (single.value.reached_time == batch.value.reached_time
-                == ref.value.reached_time)
+        assert single.value.reached_time == ref.value.reached_time
         assert abs(single.value.reached_time - np.log(2.0)) < 0.1
-        single, ref, batch = single.value.partial, ref.value.partial, batch.value.partial
-        reached = len(single.times)
-        assert 1 < reached < 31 and np.array_equal(single.times, ref.times)
+        single, ref = single.value.partial, ref.value.partial
+        assert 1 < len(single.times) < 31 and np.array_equal(single.times, ref.times)
         assert np.array_equal(single.states, ref.states)
         assert (single.steps, single.rejected) == (ref.steps, ref.rejected)
-        assert np.array_equal(batch.times, single.times)
-        assert np.array_equal(batch.states[:, 1], single.states)
-        assert np.array_equal(batch.states[:, 0], alone.states[:reached])
+        assert np.all(alone.states == 0.0) and len(alone.times) == 31
 
     def test_rows_stop_at_their_own_thresholds(self):
-        # one ceiling per row: rows 0, 2, 3 and 5 reach theirs, 1 and 4 never do
+        # the states from rows 0, 2, 3 and 5 reach their ceilings, 1 and 4 never do
         system = C.cyclic_mixed_system(F.rational([1.0], [1.0, 1.0]), F.constant(0.9), 3)
         xi0 = np.random.default_rng(21).uniform(0.0, 1.0, size=(6, 3))
         ceiling = np.array([1.5, 40.0, 2.0, 1.2, 150.0, 3.0])
         times = np.linspace(0.0, 4.0, 41)
-        with pytest.raises(BlowupError, match="escaped the guard") as batch:
-            C.integrate(system, xi0, times, ceiling=ceiling)
-        partial = batch.value.partial
 
         def run(integrate, row, cap):
             # the trajectory and None, or the partial one and the escape time
@@ -225,17 +218,12 @@ class TestIntegrate:
             assert single_escape == escape
             assert np.array_equal(single.states, ref.states)
             assert (single.steps, single.rejected) == (ref.steps, ref.rejected)
-            # the batch keeps each row's own outputs, up to the output times
-            # every row reached
-            assert np.array_equal(partial.states[:, i], ref.states[:len(partial.times)])
             escapes += [escape] if escape is not None else []
-        assert len(escapes) == 4 and batch.value.reached_time in escapes
-        # the rows below their ceilings keep the bits they get alone
-        below = C.integrate(system, xi0[[1, 4]], times, ceiling=ceiling[[1, 4]])
-        alone = [helpers.reference_integrate(system, xi0[i], times) for i in (1, 4)]
-        for j, ref in enumerate(alone):
-            assert np.array_equal(below.states[:, j], ref.states)
-        assert below.steps == sum(ref.steps for ref in alone)
+        assert len(escapes) == 4
+        # the states below their ceilings keep the bits they get with none
+        for i in (1, 4):
+            below = C.integrate(system, xi0[i], times, ceiling=ceiling[i])
+            assert np.array_equal(below.states, C.integrate(system, xi0[i], times).states)
 
     @pytest.mark.parametrize("system", [C.linear_system([[-1.0, 0.5], [0.5, -1.0]]),
                                         rk4(C.linear_system([[-1.0, 0.5], [0.5, -1.0]]))],
@@ -245,27 +233,34 @@ class TestIntegrate:
                              ids=["nan", "nan_row", "column", "two_for_three", "text"])
     def test_a_bad_ceiling_is_refused(self, system, ceiling):
         with pytest.raises(ValueError, match="ceiling"):
-            C.integrate(system, np.ones((3, 2)), [0.0, 1.0], ceiling=ceiling)
+            C.integrate(system, np.ones(2), [0.0, 1.0], ceiling=ceiling)
 
     def test_one_ceiling_serves_all_rows(self):
-        # a number, a one-entry list and a list per row give the same run
+        # a ceiling is one real number of any type, or None for none; a
+        # list, even of one entry, is refused
         system = rk4(C.linear_system([[0.5]]))
-        runs = [C.integrate(system, [[1.0], [2.0]], [0.0, 1.0], ceiling=c)
-                for c in (10.0, [10.0], [10.0, 10.0], None)]
+        runs = [C.integrate(system, [1.0], [0.0, 1.0], ceiling=c)
+                for c in (10.0, np.float64(10.0), 10, None)]
         for run in runs[1:]:
             assert np.array_equal(run.states, runs[0].states)
         with pytest.raises(BlowupError, match="escaped the guard"):
-            C.integrate(system, [1.0], [0.0, 1.0], ceiling=[1.5])
+            C.integrate(system, [1.0], [0.0, 1.0], ceiling=np.float64(1.5))
+        with pytest.raises(ValueError, match="ceiling"):
+            C.integrate(system, [1.0], [0.0, 1.0], ceiling=[10.0])
 
     def test_batch_row_leaving_guard_raises(self):
-        # the second row's large scale must not lift the first row's guard
+        # each state's guard scales with its own start: the state from
+        # (1, 0) escapes where the scalar loop does, the one from (0, 1e6)
+        # holds still; a batch of states is refused
         system = rk4(C.linear_system([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(BlowupError) as single:
+        with pytest.raises(BlowupError) as ref:
             helpers.reference_integrate(system, [1.0, 0.0], np.linspace(0.0, 30.0, 31))
-        with pytest.raises(BlowupError) as batch:
-            C.integrate(system, [[1.0, 0.0], [0.0, 1e6]], np.linspace(0.0, 30.0, 31))
-        assert batch.value.reached_time == single.value.reached_time
+        with pytest.raises(BlowupError) as single:
+            C.integrate(system, [1.0, 0.0], np.linspace(0.0, 30.0, 31))
+        assert single.value.reached_time == ref.value.reached_time
         assert C.integrate(system, [0.0, 1e6], np.linspace(0.0, 30.0, 31)).states[-1, 1] == 1e6
+        with pytest.raises(ValueError, match="initial state must have shape"):
+            C.integrate(system, [[1.0, 0.0], [0.0, 1e6]], np.linspace(0.0, 30.0, 31))
 
     @pytest.mark.parametrize("fn", [
         F.constant(0.7), F.rational([1.0, 0.5], [1.0, 1.0, 0.25]),
@@ -363,15 +358,6 @@ class TestDenseOutput:
         assert np.array_equal(full.states[:len(partial.times)], partial.states)
         assert times[len(partial.times)] < t_stop
 
-    def test_batch_counters_sum_the_rows(self):
-        system = rk4(C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4), 3))
-        xi0 = np.random.default_rng(5).uniform(0.0, 2.0, size=(5, 3))
-        batch = C.integrate(system, xi0, np.linspace(0.0, 3.0, 301))
-        singles = [helpers.reference_integrate(system, row, np.linspace(0.0, 3.0, 301))
-                   for row in xi0]
-        assert batch.steps == sum(s.steps for s in singles)
-        assert batch.rejected == sum(s.rejected for s in singles)
-
     def test_reports_carry_the_rk4_counters(self):
         system = rk4(C.sde_growth_system(SWAP))
         witness = C.check_practical(system, lam=1.0, bound=100.0, horizon=1.0).witness
@@ -411,14 +397,14 @@ class TestExactPath:
     @pytest.mark.parametrize("system", [s for s in EXACT_SYSTEMS if s.name != "sde_growth"],
                              ids=lambda s: s.name)
     def test_outputs_match_scipy_expm(self, system):
-        # the xi0 search's 33 outputs on [0, 50], where the rows decay by up
-        # to 45 orders of magnitude; rtol plays no part
-        xi0 = np.random.default_rng(11).uniform(0.0, 1.0, size=(6, system.dim))
+        # the xi0 search's 33 outputs on [0, 50], where the states decay by
+        # up to 45 orders of magnitude; rtol plays no part
         times = np.linspace(0.0, 50.0, 33)
-        traj = C.integrate(system, xi0, times, rtol=1e-3)
-        exact = np.array([xi0 @ expm(system.matrix * t).T for t in times])
-        assert traj.solver == "exact" and traj.clamp_events == traj.rejected == 0
-        assert np.max(np.abs(traj.states - exact) / exact) <= 1e-12
+        for xi0 in np.random.default_rng(11).uniform(0.0, 1.0, size=(6, system.dim)):
+            traj = C.integrate(system, xi0, times, rtol=1e-3)
+            exact = np.array([expm(system.matrix * t) @ xi0 for t in times])
+            assert traj.solver == "exact" and traj.clamp_events == traj.rejected == 0
+            assert np.max(np.abs(traj.states - exact) / exact) <= 1e-12
 
     def test_growth_matches_its_closed_form(self):
         # (cosh 2t, sinh 2t) from (1, 0); scipy's expm errs by 1.6e-12 here
@@ -445,23 +431,30 @@ class TestExactPath:
         # ||M||_inf = 2: h <= 1/4, so 1 sub-step per output of [0, 1] at
         # 0.1 and 4 on [0, 1] alone; 40 on [0, 10], and 64 at most
         system = C.linear_system([[-1.0, 1.0], [1.0, -1.0]])
-        for times, per_row in ((np.linspace(0.0, 1.0, 11), 10), ([0.0, 1.0], 4),
-                               ([0.0, 10.0], 40), ([0.0, 100.0], 64)):
-            traj = C.integrate(system, [[1.0, 0.0], [0.5, 0.5]], times)
-            assert (traj.steps, traj.rejected, traj.clamp_events) == (2 * per_row, 0, 0)
+        for times, steps in ((np.linspace(0.0, 1.0, 11), 10), ([0.0, 1.0], 4),
+                             ([0.0, 10.0], 40), ([0.0, 100.0], 64)):
+            traj = C.integrate(system, [1.0, 0.0], times)
+            assert (traj.steps, traj.rejected, traj.clamp_events) == (steps, 0, 0)
 
     @pytest.mark.parametrize("system", EXACT_SYSTEMS, ids=lambda s: s.name)
     def test_batch_rows_match_single_calls(self, system):
+        # a batch of rows propagated by the stacked product, one sub-step
+        # per output interval of a power of two with h ||M||_inf <= 1/2,
+        # gives each row the bits that integrate gives that state alone
         rng = np.random.default_rng(17)
         xi0 = rng.uniform(0.0, 2.0, size=(7, system.dim))
         xi0[0] = 0.0
-        times = np.linspace(0.0, 3.0, 31)
-        batch = C.integrate(system, xi0, times)
-        singles = [C.integrate(system, row, times) for row in xi0]
-        for i, single in enumerate(singles):
-            assert np.array_equal(batch.states[:, i], single.states)
-        assert batch.steps == sum(s.steps for s in singles)
-        assert np.all(batch.states[:, 0] == 0.0)
+        h = 2.0 ** np.floor(np.log2(0.5 / C._inf_norm(system.matrix)))
+        times = h * np.arange(31)
+        prop = C._metzler_expm(system.matrix, h)
+        batch = [xi0]
+        for _ in times[1:]:
+            batch.append(np.matmul(prop, batch[-1][..., None])[..., 0])
+        for i, row in enumerate(xi0):
+            single = C.integrate(system, row, times)
+            assert single.steps == 30
+            assert np.array_equal(np.array(batch)[:, i], single.states)
+        assert np.all(np.array(batch)[:, 0] == 0.0)
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda dim: st.tuples(
@@ -478,26 +471,25 @@ class TestExactPath:
         mat = np.reshape(off, (dim, dim)) + np.diag(np.subtract(diag, np.diagonal(
             np.reshape(off, (dim, dim)))))
         system = C.linear_system(mat)
-        traj = C.integrate(system, xi0, np.concatenate(([0.0], np.cumsum(steps))))
-        assert system.matrix is not None and traj.solver == "exact"
-        assert traj.clamp_events == 0 and np.all(traj.states >= 0.0)
-        assert traj.states.shape == (len(steps) + 1, len(xi0), dim)
+        for row in xi0:
+            traj = C.integrate(system, row, np.concatenate(([0.0], np.cumsum(steps))))
+            assert system.matrix is not None and traj.solver == "exact"
+            assert traj.clamp_events == 0 and np.all(traj.states >= 0.0)
+            assert traj.states.shape == (len(steps) + 1, dim)
 
     def test_a_stop_inside_an_output_interval(self):
-        # xi' = xi: row 1 reaches its ceiling 2 at t = ln 2, inside
-        # (0.6, 0.7]; ||M|| = 1 and intervals of 0.1 take one sub-step each,
-        # so it escapes at the sub-step t = 0.7, and both rows keep the
-        # outputs up to 0.6
+        # xi' = xi reaches its ceiling 2 at t = ln 2, inside (0.6, 0.7];
+        # ||M|| = 1 and intervals of 0.1 take one sub-step each, so it
+        # escapes at the sub-step t = 0.7 and keeps the outputs up to 0.6
         times = np.linspace(0.0, 3.0, 31)
         with pytest.raises(BlowupError, match="escaped the guard") as err:
-            C.integrate(C.linear_system([[1.0]]), [[0.0], [1.0]], times, ceiling=2.0)
+            C.integrate(C.linear_system([[1.0]]), [1.0], times, ceiling=2.0)
         assert err.value.reached_time == times[7]
         partial = err.value.partial
         assert partial.solver == "exact" and partial.times.tolist() == times[:7].tolist()
-        assert np.all(partial.states[:, 0] == 0.0)
-        assert np.allclose(partial.states[:, 1, 0], np.exp(times[:7]), rtol=1e-14)
-        # both rows took 7 sub-steps, the escaping one included
-        assert partial.steps == 2 * 7
+        assert np.allclose(partial.states[:, 0], np.exp(times[:7]), rtol=1e-14)
+        # 7 sub-steps, the escaping one included
+        assert partial.steps == 7
 
     def test_a_stop_at_an_output_time_does_not_reach_it(self):
         # a ceiling at the state of t = 1 is reached at that output time,
@@ -509,16 +501,16 @@ class TestExactPath:
         assert err.value.reached_time == 1.0 and err.value.partial.times.tolist() == [0.0]
 
     def test_guard_escape_raises_with_the_partial_trajectory(self):
-        # xi' = xi passes 1e12 times its scale at t = 12 ln 10 = 27.63; the
-        # second row's larger scale does not lift the first row's guard
+        # xi' = xi passes 1e12 times its scale at t = 12 ln 10 = 27.63; a
+        # state with a larger scale has a higher guard
         system = C.linear_system([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(BlowupError, match="escaped the guard") as err:
-            C.integrate(system, [[1.0, 0.0], [0.0, 1e6]], np.linspace(0.0, 30.0, 31))
+            C.integrate(system, [1.0, 0.0], np.linspace(0.0, 30.0, 31))
         assert 12 * np.log(10.0) < err.value.reached_time < 12 * np.log(10.0) + 0.5
         partial = err.value.partial
         assert partial.solver == "exact" and partial.steps > 0
         assert partial.times.tolist() == list(range(28))
-        assert np.allclose(partial.states[:, 0, 0], np.exp(partial.times), rtol=1e-13)
+        assert np.allclose(partial.states[:, 0], np.exp(partial.times), rtol=1e-13)
         assert C.integrate(system, [0.0, 1e6], np.linspace(0.0, 30.0, 31)).states[-1, 1] == 1e6
 
     def test_a_stop_before_an_escape_in_the_same_chunk_stops(self):
@@ -532,36 +524,32 @@ class TestExactPath:
         assert err.value.partial.times.tolist() == [0.0] and err.value.partial.steps == 2
 
     def test_rows_below_their_ceilings_keep_their_bits(self):
-        # each row has a ceiling a tenth above its largest output, which no
-        # sub-step reaches; the rows move in lockstep and get the bits they
-        # get alone, with no ceiling
+        # each state has a ceiling a tenth above its largest output, which no
+        # sub-step reaches, and gets the bits and steps it gets with none
         system = C.cyclic_mixed_system(F.constant(0.7), F.constant(0.3), 5, a=-1.5)
-        xi0 = np.random.default_rng(23).uniform(0.0, 2.0, size=(6, 5))
         times = np.linspace(0.0, 10.0, 33)
-        peak = C.integrate(system, xi0, times).states[:, :, 0].max(axis=0)
-        batch = C.integrate(system, xi0, times, ceiling=1.1 * peak)
-        for i, row in enumerate(xi0):
+        for row in np.random.default_rng(23).uniform(0.0, 2.0, size=(6, 5)):
             alone = C.integrate(system, row, times)
-            assert np.array_equal(batch.states[:, i], alone.states)
-        assert batch.steps == 6 * C.integrate(system, xi0[0], times).steps
+            capped = C.integrate(system, row, times, ceiling=1.1 * alone.states[:, 0].max())
+            assert np.array_equal(capped.states, alone.states)
+            assert capped.steps == alone.steps
 
     def test_a_crossing_cuts_every_row_at_its_sub_step(self):
-        # row 0 reaches its ceiling 5 at sub-step t = 2 (ln 5 = 1.61 lies in
-        # (1, 2]); row 1 has none and would escape the guard at t = 27.63.
-        # The partial trajectory holds the outputs of both rows before t = 2
+        # from (1, 0) xi_0 reaches the ceiling 5 at the sub-step t = 2
+        # (ln 5 = 1.61 lies in (1, 2]); from (0, 1) xi_0 stays 0, and the
+        # state escapes the guard at t = 27.63 instead
         system = C.linear_system([[1.0, 0.0], [0.0, 1.0]])
         times = np.linspace(0.0, 100.0, 101)
         with pytest.raises(BlowupError, match="escaped the guard") as err:
-            C.integrate(system, [[1.0, 0.0], [0.0, 1.0]], times, ceiling=[5.0, np.inf])
+            C.integrate(system, [1.0, 0.0], times, ceiling=5.0)
         assert err.value.reached_time == 2.0
         partial = err.value.partial
         assert partial.times.tolist() == [0.0, 1.0]
-        assert partial.states[:, 0, 0] == pytest.approx([1.0, np.e], rel=1e-14)
-        assert partial.states[:, 1, 1] == pytest.approx([1.0, np.e], rel=1e-14)
-        # h = 0.5: four sub-steps per row, the escaping one included
-        assert partial.steps == 2 * 4
+        assert partial.states[:, 0] == pytest.approx([1.0, np.e], rel=1e-14)
+        # h = 0.5: four sub-steps, the escaping one included
+        assert partial.steps == 4
         with pytest.raises(BlowupError, match="escaped the guard") as guard:
-            C.integrate(system, [[1.0, 0.0], [0.0, 1.0]], times, ceiling=[np.inf, 5.0])
+            C.integrate(system, [0.0, 1.0], times, ceiling=5.0)
         assert 12 * np.log(10.0) < guard.value.reached_time < 12 * np.log(10.0) + 0.5
         assert guard.value.partial.times.tolist() == list(range(28))
 
@@ -599,15 +587,14 @@ class TestExactPath:
 
     @pytest.mark.parametrize("system, kwargs", [
         (C.nilpotent_source_system(F.constant(1.0), F.constant(2.0)),
-         dict(eps_grid=(0.5,), T_check=5.0, n_directions=16, bisect_iters=12)),
+         dict(eps_grid=(0.5,), T_check=5.0, bisect_iters=12)),
         (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2),
-         dict(eps_grid=(0.1, 0.5), T_check=15.0, n_directions=4, bisect_iters=45)),
-        (C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4862523591439185), 3),
-         dict(n_directions=16)),
-        (C.sde_growth_system(SWAP),
-         dict(eps_grid=(0.5,), T_check=10.0, n_directions=8, bisect_iters=10)),
+         dict(eps_grid=(0.1, 0.5), T_check=15.0, bisect_iters=45)),
+        (C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4862523591439185), 3), {}),
+        (C.sde_growth_system(SWAP), dict(eps_grid=(0.5,), T_check=10.0, bisect_iters=10)),
     ], ids=["bisecting", "floor", "cyclic3", "unstable"])
     def test_search_matches_per_direction_search(self, system, kwargs):
+        # the one direction searched is the corner (1, ..., 1), on the exact path
         verdict = C.check_xi0_stability(system, **kwargs)
         expected = helpers.reference_check_xi0_stability(system, integrate=C.integrate,
                                                          **kwargs)
@@ -679,19 +666,17 @@ class TestXi0Stability:
     def test_decaying_pair_is_asymptotically_stable(self):
         sys2 = C.nilpotent_source_system(F.constant(1.0), F.constant(0.5))
         verdict = C.check_xi0_stability(sys2, eps_grid=(0.5,), T_check=10.0,
-                                        n_directions=16, bisect_iters=12)
+                                        bisect_iters=12)
         assert verdict.kind == "asymptotically_stable"
 
     def test_growth_system_is_unstable(self):
         verdict = C.check_xi0_stability(C.sde_growth_system(SWAP),
-                                        eps_grid=(0.5,), T_check=10.0,
-                                        n_directions=8, bisect_iters=10)
+                                        eps_grid=(0.5,), T_check=10.0, bisect_iters=10)
         assert verdict.kind == "unstable"
 
     def test_flat_scalar_is_stable_not_asymptotic(self):
         flat = C.scalar_system(lambda t, x: 0.0)
-        verdict = C.check_xi0_stability(flat, eps_grid=(0.5,), T_check=5.0,
-                                        n_directions=8, bisect_iters=8)
+        verdict = C.check_xi0_stability(flat, eps_grid=(0.5,), T_check=5.0, bisect_iters=8)
         assert verdict.kind == "stable"
 
     def test_nontrivial_origin_rejected(self):
@@ -700,10 +685,8 @@ class TestXi0Stability:
             C.check_xi0_stability(shifted, eps_grid=(0.5,))
 
     @pytest.mark.parametrize("kwargs", [
-        {"eps_grid": ()}, {"eps_grid": (0.5, -1.0)}, {"n_directions": 0},
-        {"bisect_iters": -1}, {"T_check": 0.0},
-    ], ids=["empty_eps", "negative_eps", "no_directions", "negative_iters",
-            "zero_T_check"])
+        {"eps_grid": ()}, {"eps_grid": (0.5, -1.0)}, {"bisect_iters": -1}, {"T_check": 0.0},
+    ], ids=["empty_eps", "negative_eps", "negative_iters", "zero_T_check"])
     def test_bad_parameters_rejected(self, kwargs):
         flat = C.scalar_system(lambda t, x: 0.0)
         with pytest.raises(ValueError):
@@ -711,20 +694,18 @@ class TestXi0Stability:
 
     @pytest.mark.parametrize("system, kwargs", [
         (C.nilpotent_source_system(F.constant(1.0), F.constant(0.5)),
-         dict(eps_grid=(0.5,), T_check=10.0, n_directions=16, bisect_iters=12)),
+         dict(eps_grid=(0.5,), T_check=10.0, bisect_iters=12)),
         (rk4(C.nilpotent_source_system(F.constant(1.0), F.constant(2.0))),
-         dict(eps_grid=(0.5,), T_check=5.0, n_directions=16, bisect_iters=12)),
-        (C.scalar_system(lambda t, x: 0.0),
-         dict(eps_grid=(0.5,), T_check=5.0, n_directions=8, bisect_iters=8)),
-        (C.sde_growth_system(SWAP),
-         dict(eps_grid=(0.5,), T_check=10.0, n_directions=8, bisect_iters=10)),
-        (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0, n_directions=16,
-                            bisect_iters=4, seed=3)),
-        (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0, n_directions=8,
-                            bisect_iters=4, seed=4)),
+         dict(eps_grid=(0.5,), T_check=5.0, bisect_iters=12)),
+        (C.scalar_system(lambda t, x: 0.0), dict(eps_grid=(0.5,), T_check=5.0, bisect_iters=8)),
+        (C.sde_growth_system(SWAP), dict(eps_grid=(0.5,), T_check=10.0, bisect_iters=10)),
+        (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0, bisect_iters=4, seed=3)),
+        (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0, bisect_iters=4, seed=4)),
     ], ids=["asymptotic", "bisecting", "flat", "unstable", "decay_run_fails",
             "decay_run_fails_late"])
     def test_matches_per_direction_search(self, system, kwargs):
+        # the one direction searched is the corner (1, ..., 1); NON_MONOTONE
+        # fails the Wazewski test first, with the violation the reference finds
         verdict = C.check_xi0_stability(system, **kwargs)
         expected = helpers.reference_check_xi0_stability(system, **kwargs)
         assert verdict.to_dict() == expected.to_dict()
@@ -739,7 +720,7 @@ class TestXi0Stability:
         (C.nilpotent_source_system(RATIONAL, F.constant(0.5)),
          dict(eps_grid=(20.0, 0.05, 5.0, 0.5), T_check=10.0, bisect_iters=6), [5.0, 20.0]),
         (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2),
-         dict(eps_grid=(0.1, 0.5, 1.0), T_check=15.0, n_directions=4, bisect_iters=45),
+         dict(eps_grid=(0.1, 0.5, 1.0), T_check=15.0, bisect_iters=45),
          None),
         (C.cyclic_mixed_system(RATIONAL, F.constant(0.9), 2),
          dict(eps_grid=(0.05, 0.5, 50.0), T_check=10.0, bisect_iters=3), None),
@@ -747,25 +728,20 @@ class TestXi0Stability:
             "some_levels_bisect_constant", "some_levels_bisect_rational",
             "floor_constant", "unstable_level_rational"])
     def test_rounds_match_per_direction_search(self, system, kwargs, bisecting, monkeypatch):
-        kwargs = {"n_directions": 8, "bisect_iters": 8, **kwargs}
+        kwargs = {"bisect_iters": 8, **kwargs}
         calls = []
         integrate = C.integrate
         monkeypatch.setattr(C, "integrate",
-                            lambda s, xi0, *args, **kw: calls.append(len(xi0))
+                            lambda s, xi0, *args, **kw: calls.append(np.shape(xi0))
                             or integrate(s, xi0, *args, **kw))
         verdict = C.check_xi0_stability(system, **kwargs)
         expected = helpers.reference_check_xi0_stability(system, **kwargs)
         assert verdict.to_dict() == expected.to_dict()
         table = verdict.witness["delta_table"]
         iters = kwargs["bisect_iters"]
-        # the first batch holds every level and the decay run; after it each
-        # bisection trial of a level that failed there is a batch of its own
-        assert calls[0] == (len(kwargs["eps_grid"]) + 1) * kwargs["n_directions"]
-        assert set(calls[1:]) <= {kwargs["n_directions"]}
+        # every trial is one run from the corner, one state
+        assert set(calls) == {(system.dim,)}
         bisected = [e for e, d in table if d != e]
-        # a level that fails the first batch reaches its eps there, which
-        # raises, so the batch is rerun one trial per call
-        rerun = len(kwargs["eps_grid"]) + 1 if bisecting != [] else 0
         if bisecting is None:
             assert verdict.kind == "unstable"
             failed = verdict.witness["failed_eps"]
@@ -773,25 +749,23 @@ class TestXi0Stability:
                 assert failed == min(kwargs["eps_grid"])
             else:
                 assert len(table) == 2
-            # the search ends at the failing level: no level above it bisects
+            # the search ends at the failing level: no level above it is tried
             floor_iters = next(k for k in range(iters + 1)
                                if k == iters or failed / 2 ** (k + 1) <= 1e-12)
-            assert len(calls) == 1 + rerun + iters * len(bisected) + floor_iters
+            assert len(calls) == len(table) + 1 + iters * len(bisected) + floor_iters
         else:
             assert verdict.kind == "asymptotically_stable"
             assert bisected == bisecting
-            # the first batch decides a search in which no level bisects;
-            # otherwise each rerun and bisection trial and the repeated decay
-            # run add one
-            assert len(calls) == 1 + (rerun + iters * len(bisecting) + 1 if bisecting else 0)
+            # a trial per level at delta = eps, the bisections, the decay run
+            assert len(calls) == len(kwargs["eps_grid"]) + iters * len(bisecting) + 1
 
     @pytest.mark.parametrize("system, eps, kwargs", [
         (C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0])), 0.5,
-         dict(T_check=10.0, n_directions=4, bisect_iters=6)),
+         dict(T_check=10.0, bisect_iters=6)),
         (C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0])), 2.0,
-         dict(T_check=10.0, n_directions=4, bisect_iters=6)),
+         dict(T_check=10.0, bisect_iters=6)),
         (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2), 0.1,
-         dict(T_check=15.0, n_directions=4, bisect_iters=45)),
+         dict(T_check=15.0, bisect_iters=45)),
     ], ids=["passing", "bisecting", "floor"])
     def test_equal_levels_share_one_trial(self, system, eps, kwargs):
         rows = []
@@ -809,10 +783,11 @@ class TestXi0Stability:
         assert rows[0] == rows[1]
 
     def test_a_level_that_blows_up_fails_alone(self, monkeypatch):
-        # above 0.3 the right-hand side is NaN, so the step size of the rows of
-        # eps = 1 underflows in round 0; the other levels must not fail with them
+        # above 0.3 the right-hand side is NaN, so the step size of the trial
+        # of eps = 1 at delta = 1 underflows; the other levels must not fail
+        # with it
         cliff = C.scalar_system(lambda t, x: np.where(x > 0.3, np.nan, -x))
-        kwargs = dict(eps_grid=(0.1, 1.0, 0.2), T_check=10.0, n_directions=4, bisect_iters=6)
+        kwargs = dict(eps_grid=(0.1, 1.0, 0.2), T_check=10.0, bisect_iters=6)
         with pytest.raises(BlowupError, match="underflow"):
             C.integrate(cliff, [1.0], np.linspace(0.0, 10.0, 201))
         raised = []
@@ -822,61 +797,57 @@ class TestXi0Stability:
             try:
                 return integrate(system, xi0, *args, **kw)
             except BlowupError:
-                raised.append(len(xi0))
+                raised.append((xi0[0], kw["ceiling"]))
                 raise
         monkeypatch.setattr(C, "integrate", counted)
         verdict = C.check_xi0_stability(cliff, **kwargs)
         expected = helpers.reference_check_xi0_stability(cliff, **kwargs)
         assert verdict.to_dict() == expected.to_dict()
-        # round 0's batch of four trials raised, then the trial of eps = 1 alone
-        assert raised[:2] == [16, 4]
+        # the levels 0.1 and 0.2 passed; the trial of eps = 1 at delta = 1
+        # raised first, then only its bisection trials above 0.3
+        assert raised[0] == (1.0 - 1e-12, 1.0)
+        assert all(eps == 1.0 and start > 0.3 for start, eps in raised)
         assert verdict.kind == "asymptotically_stable"
         assert dict(verdict.witness["delta_table"])[0.2] == 0.2
 
-    def test_blocks_keep_the_verdict(self, monkeypatch):
-        system = C.nilpotent_source_system(RATIONAL, F.constant(0.5))
-        kwargs = dict(eps_grid=(0.05, 0.5, 5.0, 20.0), T_check=10.0, n_directions=8,
-                      bisect_iters=6)
-        whole = C.check_xi0_stability(system, **kwargs)
-        # two trials of 8 directions per block
-        monkeypatch.setattr(C, "XI0_BLOCK", 2 * 8 * system.dim * (C.XI0_OUTPUTS + 1))
-        rows = []
-        rhs = system.rhs
-        blocked = C.ComparisonSystem(dim=2, rhs=lambda t, xi: rows.append(len(xi)) or rhs(t, xi))
-        assert C.check_xi0_stability(blocked, **kwargs).to_dict() == whole.to_dict()
-        # the full and half steps take their stages together, on twice the rows
-        assert max(rows) == 2 * 16
+    @pytest.mark.parametrize("system, kwargs, delta", [
+        # the corner is the Perron vector of M = 0.4 I + 1.2 (C - I), so
+        # xi_0(t) = delta e^{0.4 t}: delta = e^{-2} at eps = 1, T_check = 5
+        (C.cyclic_mixed_system(F.constant(1.0), F.constant(1.2), 8),
+         dict(eps_grid=(1.0,), T_check=5.0, bisect_iters=30), np.exp(-2.0)),
+        (C.nilpotent_source_system(F.constant(1.0), F.constant(2.0)),
+         dict(eps_grid=(0.5,), T_check=5.0, bisect_iters=30), None),
+    ], ids=["cyclic_k8", "nilpotent"])
+    def test_the_corner_bounds_the_box(self, system, kwargs, delta):
+        # 4096 starts in the reported delta box, half drawn uniformly and
+        # half on its far faces (largest coordinate delta), never reach eps
+        # where integrate tests for crossings
+        verdict = C.check_xi0_stability(system, **kwargs)
+        assert verdict.kind != "unstable"
+        (eps, found), = verdict.witness["delta_table"]
+        if delta is None:
+            delta = helpers.reference_check_xi0_stability(
+                system, integrate=C.integrate, **kwargs).witness["delta_table"][0][1]
+        assert abs(found - delta) <= 2.0 ** -kwargs["bisect_iters"]
+        starts = np.random.default_rng(29).uniform(0.0, 1.0, size=(4096, system.dim))
+        starts[2048:] /= np.max(starts[2048:], axis=1, keepdims=True)
+        times = np.linspace(0.0, kwargs["T_check"], C.XI0_OUTPUTS + 1)
+        peak = max(np.max(C.integrate(system, found * (1 - 1e-12) * start, times,
+                                      ceiling=eps).states[:, 0]) for start in starts)
+        assert peak < eps
+        # the corner itself, one step of the bisection above, reaches eps
+        with pytest.raises(BlowupError, match="escaped the guard"):
+            C.integrate(system, np.full(system.dim, found + 2.0 ** -kwargs["bisect_iters"]),
+                        times, ceiling=eps)
 
-    def test_the_largest_search_keeps_within_one_block(self):
-        # 64 levels of 4096 directions of a 64-dimensional system: one trial
-        # per block.  The count stops the search at the first batch.
-        class FirstBatch(Exception):
-            pass
-
-        rows = []
-
-        def rhs(t, xi):
-            rows.append(len(xi))
-            if len(xi) > 1:
-                raise FirstBatch
-            return -xi
-        system = C.ComparisonSystem(dim=64, rhs=rhs)
-        with pytest.raises(FirstBatch):
-            C.check_xi0_stability(system, eps_grid=np.linspace(0.1, 6.4, 64),
-                                  n_directions=4096)
-        assert rows == [1, 4096]
-        assert rows[-1] * 64 * (C.XI0_OUTPUTS + 1) <= C.XI0_BLOCK == 4096 * 64 * 33
-
-    @pytest.mark.parametrize("seed, n_directions", [(3, 16), (4, 8)])
-    def test_failed_decay_run_is_only_stable(self, seed, n_directions):
-        # one direction grows past eps at half the found delta: the directions
-        # that decayed before it are no evidence of asymptotic stability
-        verdict = C.check_xi0_stability(NON_MONOTONE, eps_grid=(1.0,),
-                                        T_check=10.0, n_directions=n_directions,
-                                        bisect_iters=4, seed=seed)
-        assert verdict.kind == "stable"
-        assert verdict.witness["decay_run_failed"] is True
-        assert verdict.witness["decay_checked"] == 0
+    def test_a_non_quasimonotone_system_is_inconclusive(self):
+        # xi_0' falls as xi_1 grows, so no start bounds the states below it
+        verdict = C.check_xi0_stability(NON_MONOTONE, eps_grid=(0.5, 1.0), T_check=10.0)
+        wazewski = C.check_wazewski(NON_MONOTONE, (0.0, 1.0))
+        assert verdict.kind == "inconclusive" and not wazewski.passed
+        assert C._plain(verdict.witness["wazewski"]) == C._plain(wazewski)
+        assert wazewski.violation["component"] == 0
+        assert "delta_table" not in verdict.witness
 
 
 class TestPractical:
