@@ -849,6 +849,27 @@ class TestXi0Stability:
         assert wazewski.violation["component"] == 0
         assert "delta_table" not in verdict.witness
 
+    @pytest.mark.parametrize("seed, bisect_iters", [(3, 16), (4, 8)])
+    def test_failed_decay_run_is_only_stable(self, seed, bisect_iters):
+        # xi_0' = 2 xi_1 - xi_0 with xi_1 frozen: from the corner delta (1, 1)
+        # xi_0(t) = delta (2 - e^{-t}) rises and never decays, so the run at
+        # half the found delta fails the decay rule.  The system has no
+        # matrix, so it passes the Wazewski pre-check drawn from seed first
+        rising = C.ComparisonSystem(
+            dim=2, rhs=lambda t, xi: np.array([2.0 * xi.T[1] - xi.T[0], 0.0 * xi.T[1]]).T,
+            name="rising")
+        T_check = 10.0
+        verdict = C.check_xi0_stability(rising, eps_grid=(1.0,), T_check=T_check,
+                                        bisect_iters=bisect_iters, seed=seed)
+        assert verdict.kind == "stable"
+        assert "wazewski" not in verdict.witness
+        (eps, found), = verdict.witness["delta_table"]
+        assert abs(found - 1.0 / (2.0 - np.exp(-T_check))) <= 2.0 ** -bisect_iters
+        half = 0.5 * found * (1 - 1e-12)
+        times = np.linspace(0.0, T_check, C.XI0_OUTPUTS + 1)
+        final = C.integrate(rising, np.full(2, half), times, rtol=C.XI0_RTOL).states[-1, 0]
+        assert final >= C.DECAY_FACTOR * half
+
 
 class TestPractical:
     def test_swap_matrix_bound(self):
