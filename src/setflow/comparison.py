@@ -5,10 +5,10 @@ satisfy differential inequalities whose right-hand sides form a
 finite-dimensional comparison system.  When that system is quasimonotone
 (Wazewski condition: off-diagonal monotonicity), its solutions dominate
 the functionals, so stability questions about the flow reduce to the ODE.
-Everything here is numerical evidence, not proof: quasimonotonicity is
-sampled on a box, and the first-component stability search integrates
-from the corner of each box of initial states, which bounds the box only
-for a quasimonotone system -- each verdict records the margins it rests on.
+Everything here is numerical evidence, not proof, unless a Metzler matrix
+decides a check on the whole cone: quasimonotonicity is sampled on a box,
+and the first-component stability search integrates from the corner of each
+box of starts, which bounds the box only for a quasimonotone system.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ EXACT_SUBSTEPS = 64         # most sub-steps of one output interval on the exact
 XI0_RTOL = 1e-6             # integrate's rtol in the xi0 stability search
 XI0_OUTPUTS = 32            # output intervals on [0, T_check] of the xi0 search
 DECAY_FACTOR = 1e-3         # asymptotic: xi_0(T_check) < DECAY_FACTOR * xi_0(0) at the corner
+DELTA_FLOOR = 1e-12         # the xi0 search ends unstable at a level whose delta is at most this
 CHECK_RTOL = 1e-10          # integrate's rtol in check_practical and bound_check
 WAZEWSKI_TOL = 1e-9         # slack of the sampled quasimonotonicity inequality
 WAZEWSKI_BLOCK = 2 ** 18    # doubles in the lowered points of one check_wazewski block
 SAMPLED_EVIDENCE_NOTE = ("sampled evidence only: quasimonotonicity and cone "
                          "behavior checked on the supplied box, not globally")
+MATRIX_EVIDENCE_NOTE = "decided in closed form from the Metzler matrix on the whole cone"
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,8 @@ class ComparisonSystem:
     ``matrix`` is set only by the factories below, when ``rhs(t, xi) = M xi``
     for a Metzler matrix ``M`` (off-diagonal entries >= 0, the Wazewski
     condition); :func:`integrate` then solves the system exactly instead of
-    stepping RK4.  The factories keep their own ``rhs``, which the sampled
-    checks call.
+    stepping RK4, and the checks answer from the matrix.  The factories
+    keep their own ``rhs``, which the systems' matrix-free twins call.
     """
 
     dim: int
@@ -514,12 +516,14 @@ def check_wazewski(system: ComparisonSystem, sample_box, n_samples: int = 256,
     corresponding component of the right-hand side not to decrease:
     ``g_i(xi) <= g_i(eta) + WAZEWSKI_TOL``.  The samples are evaluated in
     batches; the report names the first violation in sample order, then
-    component order.
+    component order.  A Metzler ``matrix`` passes by construction, unsampled.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     dim = system.dim
     lo, hi = _box_bounds(sample_box, dim)
+    if system.matrix is not None:
+        return WazewskiReport(passed=True, samples=0, note=MATRIX_EVIDENCE_NOTE)
     # per sample, the doubles of ``xi`` and then of ``eta``, the order in
     # which sample-by-sample ``uniform`` calls would draw them
     draws = np.random.default_rng(seed).random((n_samples, 2, dim))
@@ -566,33 +570,21 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
                         seed: int = 0) -> StabilityVerdict:
     """First-component stability of the zero solution on the cone, decided at the corner.
 
-    For each epsilon a bisection searches for delta such that every initial
-    state in the box ``{x >= 0 : |x|_inf < delta}`` keeps ``xi_0(t) < eps``
-    on [0, T_check].  For a quasimonotone system (the Wazewski condition) a
-    start below another stays below it for all time (Kamke and Mueller; W.
-    Walter, *Ordinary Differential Equations*, 1998, section 10), so the run
-    from the box's corner ``delta (1, ..., 1)``, nudged inside by the factor
-    ``1 - 1e-12``, bounds every start in the box.  A trial ``(delta, eps)``
-    is that one run, integrated at ``rtol = XI0_RTOL`` with ``eps`` as its
-    ``ceiling``; it fails if :func:`integrate` raises (a crossing, a guard
-    escape or a step size underflow) or an output reaches ``eps``.  A
-    crossing is thus sampled at the accepted RK4 steps, or at every exact
-    sub-step (``XI0_OUTPUTS`` intervals of at most ``EXACT_SUBSTEPS``
-    sub-steps each), and at the output times.  The levels are searched in
-    increasing order, equal levels share one trial and one bisection, and
-    the search ends ``unstable`` at the first level whose bisection reaches
-    the floor; ``delta_table`` keeps an entry for each listed level.
+    For each epsilon the search finds delta such that every start in the box
+    ``{x >= 0 : |x|_inf < delta}`` keeps ``xi_0(t) < eps`` on [0, T_check]; for
+    a quasimonotone system (the Wazewski condition) the run from the corner
+    ``delta (1, ..., 1)`` bounds the box (Kamke and Mueller; W. Walter,
+    *Ordinary Differential Equations*, 1998, section 10).  The verdict is
+    ``unstable`` at the first level whose delta is at most ``DELTA_FLOOR``,
+    and ``asymptotically_stable`` when the corner run at half the smallest
+    delta ends below ``DECAY_FACTOR`` times its start.
 
-    The asymptotic variant runs from the corner at half the smallest delta
-    found and requires ``xi_0(T_check) < DECAY_FACTOR * xi_0(0)`` of that
-    run: by monotonicity every start in the half box then ends below
-    ``DECAY_FACTOR`` times the corner's ``xi_0(0)``, the half box's width.
-
-    A system with a Metzler ``matrix`` is quasimonotone by construction.
-    Any other is first put to :func:`check_wazewski` on ``[0, max eps]^dim``
-    (its samples drawn from ``seed``); a violation there makes the verdict
-    ``inconclusive``, with the report, since no run then bounds a box.  The
-    verdict is evidence, not proof, and says so.
+    A Metzler ``matrix`` is decided by :func:`_exact_xi0`.  Any other system
+    must pass :func:`check_wazewski` on ``[0, max eps]^dim`` (drawn from
+    ``seed``), else the verdict is ``inconclusive``; each level then bisects
+    (equal levels share one) on corner runs nudged inside by ``1 - 1e-12``,
+    at ``rtol = XI0_RTOL`` with ``eps`` as the ``ceiling``, so a crossing is
+    tested only at the accepted RK4 steps and the output times.
     """
     eps_grid = tuple(eps_grid)
     if not eps_grid or any(e <= 0 for e in eps_grid):
@@ -604,12 +596,14 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     g0 = system(np.zeros(1), np.zeros((1, system.dim)))
     if np.max(np.abs(g0)) > 1e-10:
         raise ValueError("the comparison system must have a trivial solution at 0")
-    if system.matrix is None:
-        monotone = check_wazewski(system, (0.0, max(eps_grid)), seed=seed)
-        if not monotone.passed:
-            return StabilityVerdict(kind="inconclusive", witness={
-                "wazewski": monotone, "T_check": T_check,
-                "note": "not quasimonotone on [0, max eps]: the corner bounds no box"})
+    levels = sorted(eps_grid)
+    if system.matrix is not None:
+        return _exact_xi0(system, levels, T_check)
+    monotone = check_wazewski(system, (0.0, max(eps_grid)), seed=seed)
+    if not monotone.passed:
+        return StabilityVerdict(kind="inconclusive", witness={
+            "wazewski": monotone, "T_check": T_check,
+            "note": "not quasimonotone on [0, max eps]: the corner bounds no box"})
 
     times = np.linspace(0.0, T_check, XI0_OUTPUTS + 1)
 
@@ -623,25 +617,23 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
             return None
         return None if np.max(x) >= eps else float(x[-1])
 
-    levels = sorted(eps_grid)
     table, deltas = [], {}      # equal levels share one trial and one delta
-    floor = 1e-12
     for eps in levels:
         hi = float(eps)
         if hi not in deltas and corner(hi, eps) is None:
             lo = 0.0
             for _ in range(bisect_iters):
                 mid = 0.5 * (lo + hi)
-                if mid <= floor:
+                if mid <= DELTA_FLOOR:
                     break
                 if corner(mid, eps) is None:
                     hi = mid
                 else:
                     lo = mid
-            if lo <= floor:
+            if lo <= DELTA_FLOOR:
                 return StabilityVerdict(
                     kind="unstable",
-                    witness={"failed_eps": eps, "delta_floor": floor, "T_check": T_check,
+                    witness={"failed_eps": eps, "delta_floor": DELTA_FLOOR, "T_check": T_check,
                              "delta_table": table, "note": SAMPLED_EVIDENCE_NOTE})
             deltas[float(eps)] = lo
         table.append((eps, deltas.setdefault(float(eps), float(eps))))
@@ -652,6 +644,43 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     return StabilityVerdict(kind="asymptotically_stable" if decays else "stable",
                             witness={"delta_table": table, "T_check": T_check,
                                      "note": SAMPLED_EVIDENCE_NOTE})
+
+
+def _exact_xi0(system, levels, T_check):
+    """:func:`check_xi0_stability` of a Metzler ``matrix`` ``M``: as ``xi(t; delta 1)
+    = delta xi(t; 1)``, each level's delta is ``eps / peak``, ``peak`` the largest
+    ``xi_0`` of one exact run from the unit corner, read at its sub-steps and,
+    where the slope ``(M xi)_0`` falls from above 0 to at most 0 across one, at
+    the bound ``xi_0 + slope * width`` of a bracket of 1e-9 of it, bisected on
+    the slope's sign through ``exp(M s)``.  An escape of the run is unstable.
+    """
+    mat = system.matrix
+    per = max(1, math.ceil(min(2.0 * T_check / XI0_OUTPUTS * _inf_norm(mat), EXACT_SUBSTEPS)))
+    times = np.linspace(0.0, T_check, XI0_OUTPUTS * per + 1)
+    failed = {"failed_eps": levels[0], "delta_floor": DELTA_FLOOR, "delta_table": []}
+    witness = {"T_check": T_check, "solver": "exact", "note": MATRIX_EVIDENCE_NOTE}
+    try:
+        states = integrate(system, np.ones(system.dim), times).states
+    except BlowupError as exc:
+        return StabilityVerdict(kind="unstable", witness={**failed, **witness, "diagnostic":
+                                f"comparison system blew up at t={exc.reached_time:.6g}"})
+    x0, slope = states[:, 0], states @ mat[0]
+    peak, peak_time = float(np.max(x0)), float(times[np.argmax(x0)])
+    for i in np.flatnonzero((slope[:-1] > 0) & (slope[1:] <= 0)).tolist():
+        lo, hi, value, rate = 0.0, times[i + 1] - times[i], float(x0[i]), float(slope[i])
+        while hi - lo > 1e-9 * (times[i + 1] - times[i]):
+            mid = 0.5 * (lo + hi)
+            x = _metzler_expm(mat, mid) @ states[i]
+            if mat[0] @ x > 0:
+                lo, value, rate = mid, float(x[0]), float(mat[0] @ x)
+            else:
+                hi = mid
+        peak, peak_time = max((peak, peak_time), (value + rate * (hi - lo), float(times[i]) + lo))
+    witness.update(peak=peak, peak_time=peak_time, decay_ratio=float(x0[-1]))
+    if levels[0] / peak <= DELTA_FLOOR:
+        return StabilityVerdict(kind="unstable", witness={**failed, **witness})
+    return StabilityVerdict(kind="asymptotically_stable" if x0[-1] < DECAY_FACTOR else "stable",
+                            witness={"delta_table": [(e, e / peak) for e in levels], **witness})
 
 
 def _counters(traj: ComparisonTrajectory) -> dict:
@@ -744,12 +773,13 @@ def bound_check(trajectory, system: ComparisonSystem, functional_names,
 
 @dataclass(frozen=True)
 class QuadraticDecayReport:
-    """Sampled negative-definiteness of a quadratic form's orbital derivative."""
+    """Negative-definiteness of a quadratic form's orbital derivative on the cone."""
 
     passed: bool
     worst_ratio: float
     worst_point: np.ndarray
-    samples: int
+    samples: int                # 0 when decided from the matrix
+    note: str = SAMPLED_EVIDENCE_NOTE
 
 
 def _row_dots(a, b):
@@ -768,6 +798,10 @@ def lyapunov_quadratic_check(system: ComparisonSystem, weights=None,
     when every sampled ratio is negative.  The samples are evaluated as one
     batch; the first of equal worst ratios is reported, and a ratio that is
     not a number is the worst and fails the check.
+
+    A Metzler ``matrix`` ``M`` draws no sample: the worst ratio on the cone is
+    the top eigenvalue of ``D^{-1/2} sym(D M) D^{-1/2}``, ``D = diag(beta)``,
+    and its Perron vector, mapped back by ``D^{-1/2}``, the worst point.
     """
     beta = (np.ones(system.dim) if weights is None
             else np.asarray(weights, dtype=float))
@@ -776,6 +810,16 @@ def lyapunov_quadratic_check(system: ComparisonSystem, weights=None,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     lo, hi = _box_bounds(sample_box, system.dim)
+    if system.matrix is not None:
+        root = np.sqrt(beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            form = (root[:, None] / root) * system.matrix
+            values, vectors = np.linalg.eigh(0.5 * (form + form.T))
+        # a top eigenvector of either sign, or mixed in a tied eigenspace:
+        # its absolute value has a Rayleigh quotient no lower, so it is one too
+        return QuadraticDecayReport(passed=bool(values[-1] < 0.0), worst_ratio=float(values[-1]),
+                                    worst_point=np.abs(vectors[:, -1]) / root, samples=0,
+                                    note=MATRIX_EVIDENCE_NOTE)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n_samples, system.dim))
     dv = _row_dots(beta * pts, system(np.zeros(n_samples), pts))

@@ -43,9 +43,11 @@ MAX_MIXED_COUNT = 64
 MAX_SYSTEM_DIM = 64
 # The largest sampled checks and searches.  Wazewski and Lyapunov evaluate
 # their samples in batches, so a size is memory held at once; each trial of
-# xi0_stability is one run from a corner.  The builtins and the benchmark
-# use at most 4096 samples and 40 bisection steps, and 40 halvings already
-# take an eps of 1 to the delta floor of 1e-12.
+# xi0_stability is one run from a corner.  A system with a Metzler matrix
+# reads none of these sizes: its checks are decided from the matrix, and
+# its xi0 search is one run.  The builtins and the benchmark use at most
+# 4096 samples and 40 bisection steps, and 40 halvings already take an eps
+# of 1 to the delta floor of 1e-12.
 MAX_SAMPLES = 65536             # 'samples' of wazewski and lyapunov
 MAX_BISECT_ITERS = 64           # 'iters' of xi0_stability
 MAX_EPS = 64                    # 'eps' of xi0_stability: one bisection each

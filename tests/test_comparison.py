@@ -4,10 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from setflow import bodies as B, comparison as C, flow as F
+from setflow import bodies as B, certificates as CERT, comparison as C, flow as F
 from setflow.errors import BlowupError
 
 import helpers
@@ -37,6 +37,32 @@ LATE_VIOLATION = C.ComparisonSystem(
 def rk4(system):
     """The same right-hand side without its matrix, which ``integrate`` steps by RK4."""
     return dataclasses.replace(system, matrix=None)
+
+
+def dense_xi0_peak(matrix, starts, T, points=10 ** 5 + 1):
+    """The largest ``xi_0`` of the starts, rows in the cone, on ``points``
+    equal times of [0, T].
+
+    Row ``j`` of the table is ``e_0 P^j``, with ``P`` scipy's ``expm`` of
+    ``M T / (points - 1)``, built by doubling.  A start's largest ``xi_0``
+    is at most the product of its coordinates with the largest positive
+    entry of each column, so the starts are evaluated in decreasing order
+    of that bound, 64 at a time, until no bound passes the largest value.
+    """
+    step = expm(np.asarray(matrix) * (T / (points - 1)))
+    rows = np.eye(len(step))[:1]
+    while len(rows) < points:
+        rows = np.vstack((rows, rows @ step))
+        step = step @ step
+    rows = rows[:points]
+    bound = starts @ np.max(np.maximum(rows, 0.0), axis=0)
+    order = np.argsort(bound)[::-1]
+    peak = -np.inf
+    for block in range(0, len(order), 64):
+        if bound[order[block]] <= peak:
+            break
+        peak = max(peak, float(np.max(rows @ starts[order[block:block + 64]].T)))
+    return peak
 
 
 class TestIntegrate:
@@ -477,6 +503,47 @@ class TestExactPath:
             assert traj.clamp_events == 0 and np.all(traj.states >= 0.0)
             assert traj.states.shape == (len(steps) + 1, dim)
 
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda dim: st.tuples(
+        st.lists(st.floats(-4.0, 1.0), min_size=dim, max_size=dim),
+        st.lists(st.floats(0.0, 2.0), min_size=dim * dim, max_size=dim * dim),
+        st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim),
+        st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3),
+        st.floats(0.5, 8.0), st.integers(4, 12))))
+    # the nilpotent pair at phi = 1, psi = 2, whose xi_0 peaks between sub-steps
+    @example(([-2.0, -2.0], [0.0, 4.0, 0.0, 0.0], [1.0, 1.0], [0.5], 5.0, 12))
+    def test_the_closed_forms_bound_the_sampled_checks(self, case):
+        # against the matrix-free twin: its corner bisection finds a delta
+        # no smaller, to one bisection step (a twin ending unstable found
+        # none above eps 2^-iters); 4096 starts drawn in the box stay below
+        # eps on 10^5 + 1 times; no sampled Lyapunov ratio passes the top
+        # eigenvalue, and the sampled Wazewski test passes
+        diag, off, weights, eps_grid, T_check, iters = case
+        dim = len(diag)
+        mat = np.reshape(off, (dim, dim))
+        system = C.linear_system(mat + np.diag(np.subtract(diag, np.diagonal(mat))))
+        kwargs = dict(eps_grid=eps_grid, T_check=T_check, bisect_iters=iters)
+        verdict = C.check_xi0_stability(system, **kwargs)
+        twin = C.check_xi0_stability(rk4(system), **kwargs)
+        found = dict(twin.witness["delta_table"])
+        if twin.kind == "unstable":
+            found[twin.witness["failed_eps"]] = 0.0
+        if verdict.kind != "unstable":
+            for eps, delta in verdict.witness["delta_table"]:
+                assert delta <= found.get(eps, delta) + eps * 2.0 ** -iters
+            eps, delta = verdict.witness["delta_table"][0]
+            starts = np.random.default_rng(7).uniform(0.0, delta, size=(4096, dim))
+            assert dense_xi0_peak(system.matrix, starts, T_check) < eps
+        exact = C.lyapunov_quadratic_check(system, weights=weights)
+        sampled = C.lyapunov_quadratic_check(rk4(system), weights=weights)
+        assert sampled.worst_ratio <= exact.worst_ratio + 1e-12
+        assert exact.samples == 0 and sampled.samples == 4096
+        point, beta = exact.worst_point, np.array(weights)
+        assert np.all(point >= 0.0)
+        assert (beta * point) @ system(0.0, point) / (beta @ (point * point)) == pytest.approx(
+            exact.worst_ratio, abs=1e-10)
+        assert C.check_wazewski(rk4(system), (0.0, 10.0)).passed
+
     def test_a_stop_inside_an_output_interval(self):
         # xi' = xi reaches its ceiling 2 at t = ln 2, inside (0.6, 0.7];
         # ||M|| = 1 and intervals of 0.1 take one sub-step each, so it
@@ -585,20 +652,35 @@ class TestExactPath:
         assert system.matrix is None and traj.solver == "rk4"
         assert traj.clamp_events > 0 and traj.rejected >= 0
 
-    @pytest.mark.parametrize("system, kwargs", [
+    @pytest.mark.parametrize("system, kwargs, kind", [
         (C.nilpotent_source_system(F.constant(1.0), F.constant(2.0)),
-         dict(eps_grid=(0.5,), T_check=5.0, bisect_iters=12)),
+         dict(eps_grid=(0.5,), T_check=5.0, bisect_iters=12), "asymptotically_stable"),
         (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2),
-         dict(eps_grid=(0.1, 0.5), T_check=15.0, bisect_iters=45)),
-        (C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4862523591439185), 3), {}),
-        (C.sde_growth_system(SWAP), dict(eps_grid=(0.5,), T_check=10.0, bisect_iters=10)),
+         dict(eps_grid=(0.1, 0.5), T_check=15.0, bisect_iters=45), "unstable"),
+        (C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4862523591439185), 3), {},
+         "asymptotically_stable"),
+        (C.sde_growth_system(SWAP), dict(eps_grid=(0.5,), T_check=10.0, bisect_iters=10),
+         "stable"),
     ], ids=["bisecting", "floor", "cyclic3", "unstable"])
-    def test_search_matches_per_direction_search(self, system, kwargs):
-        # the one direction searched is the corner (1, ..., 1), on the exact path
+    def test_search_matches_per_direction_search(self, system, kwargs, kind):
+        # the closed form against the corner bisection on the exact path,
+        # which tests crossings at the sub-steps only: its delta is never
+        # smaller, to one bisection step.  The bisection of the growth
+        # system stops 10 steps short of its delta 0.5 e^-20 and ends
+        # unstable; the closed form finds that delta
         verdict = C.check_xi0_stability(system, **kwargs)
-        expected = helpers.reference_check_xi0_stability(system, integrate=C.integrate,
+        bisected = helpers.reference_check_xi0_stability(system, integrate=C.integrate,
                                                          **kwargs)
-        assert verdict.to_dict() == expected.to_dict()
+        assert verdict.kind == kind and verdict.witness["solver"] == "exact"
+        assert bisected.kind == ("unstable" if kind == "stable" else kind)
+        step = 2.0 ** -kwargs.get("bisect_iters", 40)
+        for (eps, delta), (_, found) in zip(verdict.witness["delta_table"],
+                                            bisected.witness["delta_table"]):
+            assert delta <= found + eps * step
+        if kind == "stable":
+            (eps, delta), = verdict.witness["delta_table"]
+            assert delta == pytest.approx(0.5 * np.exp(-20.0), rel=1e-13)
+            assert delta < eps * step
 
     def test_reports_name_the_solver(self):
         system = C.sde_growth_system(SWAP)
@@ -615,8 +697,13 @@ class TestExactPath:
 
 class TestWazewski:
     def test_sde_system_passes(self):
+        # its Metzler matrix passes by construction, with no sample drawn;
+        # the twin without the matrix passes its 256 samples
         rep = C.check_wazewski(C.sde_growth_system(SWAP), (0.0, 5.0), 256)
-        assert rep.passed
+        assert (rep.passed, rep.samples, rep.violation) == (True, 0, None)
+        assert rep.note == C.MATRIX_EVIDENCE_NOTE
+        twin = C.check_wazewski(rk4(C.sde_growth_system(SWAP)), (0.0, 5.0), 256)
+        assert (twin.passed, twin.samples, twin.note) == (True, 256, C.SAMPLED_EVIDENCE_NOTE)
 
     def test_nonincreasing_clock_passes(self):
         sys2 = C.nilpotent_source_system(F.rational([1.0], [1.0, 1.0]),
@@ -634,7 +721,7 @@ class TestWazewski:
         (C.ComparisonSystem(dim=2, rhs=lambda t, xi: np.array([-xi.T[1], 0.0 * xi.T[1]]).T),
          (0.0, 5.0), 0),
         (LATE_VIOLATION, (0.0, 5.0), 1),
-        (C.linear_system([[-1.0, 0.3, 0.2], [0.5, -2.0, 0.1], [0.4, 0.2, 0.3]]),
+        (rk4(C.linear_system([[-1.0, 0.3, 0.2], [0.5, -2.0, 0.1], [0.4, 0.2, 0.3]])),
          [[0.0, 1.0], [0.5, 2.0], [0.0, 3.0]], 2),
         (C.cyclic_mixed_system(F.rational([1.0], [1.0, 1.0]), F.constant(0.4), 4),
          (0.0, 10.0), 3),
@@ -670,9 +757,21 @@ class TestXi0Stability:
         assert verdict.kind == "asymptotically_stable"
 
     def test_growth_system_is_unstable(self):
-        verdict = C.check_xi0_stability(C.sde_growth_system(SWAP),
-                                        eps_grid=(0.5,), T_check=10.0, bisect_iters=10)
-        assert verdict.kind == "unstable"
+        # from the unit corner xi_0 = e^{2t}: at T_check = 13.6 its peak
+        # e^27.2 puts delta = 0.5 e^-27.2 below the floor, and by 14 the run
+        # leaves the guard 1e12.  The twin without a matrix bisects 10 steps
+        # at T_check = 10 and stops short of its delta 0.5 e^-20
+        system = C.sde_growth_system(SWAP)
+        floor = C.check_xi0_stability(system, eps_grid=(0.5,), T_check=13.6)
+        escape = C.check_xi0_stability(system, eps_grid=(0.5,), T_check=14.0)
+        twin = C.check_xi0_stability(rk4(system), eps_grid=(0.5,), T_check=10.0,
+                                     bisect_iters=10)
+        assert floor.kind == escape.kind == twin.kind == "unstable"
+        assert floor.witness["peak"] == pytest.approx(np.exp(27.2), rel=1e-12)
+        assert "blew up" in escape.witness["diagnostic"] and "peak" not in escape.witness
+        for witness in (floor.witness, escape.witness):
+            assert witness["failed_eps"] == 0.5 and witness["delta_table"] == []
+            assert witness["delta_floor"] == C.DELTA_FLOOR and witness["solver"] == "exact"
 
     def test_flat_scalar_is_stable_not_asymptotic(self):
         flat = C.scalar_system(lambda t, x: 0.0)
@@ -693,12 +792,12 @@ class TestXi0Stability:
             C.check_xi0_stability(flat, **kwargs)
 
     @pytest.mark.parametrize("system, kwargs", [
-        (C.nilpotent_source_system(F.constant(1.0), F.constant(0.5)),
+        (rk4(C.nilpotent_source_system(F.constant(1.0), F.constant(0.5))),
          dict(eps_grid=(0.5,), T_check=10.0, bisect_iters=12)),
         (rk4(C.nilpotent_source_system(F.constant(1.0), F.constant(2.0))),
          dict(eps_grid=(0.5,), T_check=5.0, bisect_iters=12)),
         (C.scalar_system(lambda t, x: 0.0), dict(eps_grid=(0.5,), T_check=5.0, bisect_iters=8)),
-        (C.sde_growth_system(SWAP), dict(eps_grid=(0.5,), T_check=10.0, bisect_iters=10)),
+        (rk4(C.sde_growth_system(SWAP)), dict(eps_grid=(0.5,), T_check=10.0, bisect_iters=10)),
         (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0, bisect_iters=4, seed=3)),
         (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0, bisect_iters=4, seed=4)),
     ], ids=["asymptotic", "bisecting", "flat", "unstable", "decay_run_fails",
@@ -711,7 +810,7 @@ class TestXi0Stability:
         assert verdict.to_dict() == expected.to_dict()
 
     @pytest.mark.parametrize("system, kwargs, bisecting", [
-        (C.nilpotent_source_system(F.constant(1.0), F.constant(0.5)),
+        (rk4(C.nilpotent_source_system(F.constant(1.0), F.constant(0.5))),
          dict(eps_grid=(1.0, 0.1, 0.5), T_check=10.0), []),
         (C.nilpotent_source_system(RATIONAL, F.constant(0.5)),
          dict(eps_grid=(0.05, 0.1, 0.5), T_check=10.0), []),
@@ -719,7 +818,7 @@ class TestXi0Stability:
          dict(eps_grid=(0.05, 0.5, 2.0, 5.0), T_check=10.0, bisect_iters=6), [2.0, 5.0]),
         (C.nilpotent_source_system(RATIONAL, F.constant(0.5)),
          dict(eps_grid=(20.0, 0.05, 5.0, 0.5), T_check=10.0, bisect_iters=6), [5.0, 20.0]),
-        (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2),
+        (rk4(C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2)),
          dict(eps_grid=(0.1, 0.5, 1.0), T_check=15.0, bisect_iters=45),
          None),
         (C.cyclic_mixed_system(RATIONAL, F.constant(0.9), 2),
@@ -814,31 +913,49 @@ class TestXi0Stability:
         # the corner is the Perron vector of M = 0.4 I + 1.2 (C - I), so
         # xi_0(t) = delta e^{0.4 t}: delta = e^{-2} at eps = 1, T_check = 5
         (C.cyclic_mixed_system(F.constant(1.0), F.constant(1.2), 8),
-         dict(eps_grid=(1.0,), T_check=5.0, bisect_iters=30), np.exp(-2.0)),
+         dict(eps_grid=(1.0,), T_check=5.0), np.exp(-2.0)),
+        # xi_0(t) = delta e^{-2t} (1 + 4t) peaks at t = 1/4 between two
+        # sub-steps: delta = 0.5 / (2 e^{-1/2}), where the bisection of
+        # the corner on the exact path finds 0.412386
         (C.nilpotent_source_system(F.constant(1.0), F.constant(2.0)),
-         dict(eps_grid=(0.5,), T_check=5.0, bisect_iters=30), None),
+         dict(eps_grid=(0.5,), T_check=5.0), 0.25 * np.exp(0.5)),
     ], ids=["cyclic_k8", "nilpotent"])
     def test_the_corner_bounds_the_box(self, system, kwargs, delta):
         # 4096 starts in the reported delta box, half drawn uniformly and
         # half on its far faces (largest coordinate delta), never reach eps
-        # where integrate tests for crossings
+        # on 10^5 + 1 equal times of [0, T_check], t = 1/4 among them; the
+        # corner at delta (1 + 1e-9) does
         verdict = C.check_xi0_stability(system, **kwargs)
         assert verdict.kind != "unstable"
         (eps, found), = verdict.witness["delta_table"]
-        if delta is None:
-            delta = helpers.reference_check_xi0_stability(
-                system, integrate=C.integrate, **kwargs).witness["delta_table"][0][1]
-        assert abs(found - delta) <= 2.0 ** -kwargs["bisect_iters"]
+        assert found == pytest.approx(delta, rel=1e-13)
         starts = np.random.default_rng(29).uniform(0.0, 1.0, size=(4096, system.dim))
         starts[2048:] /= np.max(starts[2048:], axis=1, keepdims=True)
-        times = np.linspace(0.0, kwargs["T_check"], C.XI0_OUTPUTS + 1)
-        peak = max(np.max(C.integrate(system, found * (1 - 1e-12) * start, times,
-                                      ceiling=eps).states[:, 0]) for start in starts)
-        assert peak < eps
-        # the corner itself, one step of the bisection above, reaches eps
-        with pytest.raises(BlowupError, match="escaped the guard"):
-            C.integrate(system, np.full(system.dim, found + 2.0 ** -kwargs["bisect_iters"]),
-                        times, ceiling=eps)
+        assert dense_xi0_peak(system.matrix, found * (1 - 1e-12) * starts,
+                              kwargs["T_check"]) < eps
+        corner = np.full((1, system.dim), found * (1 + 1e-9))
+        assert dense_xi0_peak(system.matrix, corner, kwargs["T_check"]) > eps
+
+    def test_a_metzler_witness_explains_itself(self, monkeypatch):
+        # from the unit corner xi_0 = e^{-2t} (1 + 4t): peak 2 e^{-1/2} at
+        # t = 1/4, and 21 e^{-10} at T_check = 5.  One integration decides
+        # every level, and neither bisect_iters nor seed is read
+        system = C.nilpotent_source_system(F.constant(1.0), F.constant(2.0))
+        kwargs = dict(eps_grid=(0.5, 0.25, 0.5), T_check=5.0)
+        calls = []
+        integrate = C.integrate
+        monkeypatch.setattr(C, "integrate",
+                            lambda *args, **kw: calls.append(args) or integrate(*args, **kw))
+        verdict = C.check_xi0_stability(system, **kwargs)
+        witness = verdict.witness
+        assert len(calls) == 1 and verdict.kind == "asymptotically_stable"
+        assert witness["solver"] == "exact" and witness["note"] == C.MATRIX_EVIDENCE_NOTE
+        assert witness["peak"] == pytest.approx(2.0 * np.exp(-0.5), rel=1e-13)
+        assert witness["peak_time"] == pytest.approx(0.25, abs=1e-9)
+        assert witness["decay_ratio"] == pytest.approx(21.0 * np.exp(-10.0), rel=1e-12)
+        assert witness["delta_table"] == [(e, e / witness["peak"]) for e in (0.25, 0.5, 0.5)]
+        for other in (dict(bisect_iters=0), dict(seed=9)):
+            assert C.check_xi0_stability(system, **kwargs, **other).to_dict() == verdict.to_dict()
 
     def test_a_non_quasimonotone_system_is_inconclusive(self):
         # xi_0' falls as xi_1 grows, so no start bounds the states below it
@@ -977,6 +1094,30 @@ class TestLyapunovQuadratic:
         assert rep.passed
         assert rep.worst_ratio < 0
 
+    def test_the_cyclic3_ratio_changes_sign_at_the_threshold(self):
+        # the paper's threshold: psi = lam phi puts the top eigenvalue of the
+        # chain's form at 0, so a relative step of 1e-9 moves it by 2e-9
+        lam = CERT.cyclic3_ratio_threshold()
+        for factor, ratio in ((1 - 1e-9, -2e-9), (1 + 1e-9, 2e-9)):
+            system = C.cyclic_mixed_system(F.constant(1.0), F.constant(factor * lam), 3)
+            rep = C.lyapunov_quadratic_check(system)
+            assert rep.worst_ratio == pytest.approx(ratio, rel=1e-2)
+            assert rep.passed == (ratio < 0)
+            assert rep.samples == 0 and rep.note == C.MATRIX_EVIDENCE_NOTE
+
+    @pytest.mark.parametrize("k, worst", [(16, 0.044739), (32, 0.041395), (64, 0.041242)])
+    def test_long_cyclic_chains_fail_at_psi_one(self, k, worst):
+        # the energy grows along the Perron vector, which the reported point
+        # is; 4096 samples of (1e-3, 10)^k miss it, and the twin passes
+        system = C.cyclic_mixed_system(F.constant(1.0), F.constant(1.0), k)
+        rep = C.lyapunov_quadratic_check(system)
+        assert not rep.passed and rep.worst_ratio == pytest.approx(worst, abs=1e-6)
+        point = rep.worst_point
+        assert np.all(point >= 0.0)
+        assert point @ system(0.0, point) / (point @ point) == pytest.approx(rep.worst_ratio,
+                                                                             abs=1e-12)
+        assert C.lyapunov_quadratic_check(rk4(system)).passed
+
     def test_order2_chain_threshold(self):
         good = C.cyclic_mixed_system(F.constant(1.0), F.constant(0.9), 2)
         bad = C.cyclic_mixed_system(F.constant(1.0), F.constant(1.1), 2)
@@ -984,15 +1125,15 @@ class TestLyapunovQuadratic:
         assert not C.lyapunov_quadratic_check(bad, n_samples=2048).passed
 
     @pytest.mark.parametrize("system, kwargs", [
-        (C.nilpotent_source_system(F.constant(1.0), F.constant(0.0)),
+        (rk4(C.nilpotent_source_system(F.constant(1.0), F.constant(0.0))),
          dict(weights=(1.0, 2.0), n_samples=512)),
-        (C.cyclic_mixed_system(F.constant(1.0), F.constant(1.1), 2), dict(n_samples=2048)),
+        (rk4(C.cyclic_mixed_system(F.constant(1.0), F.constant(1.1), 2)), dict(n_samples=2048)),
         (C.cyclic_mixed_system(F.rational([1.0], [1.0, 1.0]), F.constant(0.3), 5),
          dict(weights=(1.0, 2.0, 3.0, 2.0, 1.0), sample_box=(0.0, 4.0), seed=7)),
         (C.linear_system([[-1.0, 0.3, -0.2], [0.5, -2.0, 0.1], [-0.4, 0.2, 0.3]]),
          dict(n_samples=1000, seed=2)),
         # every ratio ties: the first sample is the worst point
-        (C.linear_system([[-1.0, 0.0], [0.0, -1.0]]), dict(n_samples=64)),
+        (rk4(C.linear_system([[-1.0, 0.0], [0.0, -1.0]])), dict(n_samples=64)),
     ], ids=["pure_decay", "order2_chain_unstable", "cyclic_k5_weighted", "linear_3d",
             "all_tied"])
     def test_matches_per_sample_loop(self, system, kwargs):

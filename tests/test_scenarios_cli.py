@@ -209,7 +209,10 @@ def emitted_reports():
     """One report of each type that a scenario check emits."""
     one, half = flow.constant(1.0), flow.constant(0.5)
     swap = [[0.0, 1.0], [1.0, 0.0]]
+    # constant clocks give a Metzler matrix, which decides the checks; a
+    # rational clock gives none, so its checks are sampled
     pair = comparison.nilpotent_source_system(one, half)
+    sampled = comparison.nilpotent_source_system(flow.rational([1.0], [1.0, 1.0]), half)
     square = bodies.make_polygon([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]],
                                  grid_size=64)
     growth = flow.SemiflowParams(A=np.zeros((2, 2)), phi=one,
@@ -219,12 +222,14 @@ def emitted_reports():
     fixed = certificates.ball_source_fixed_point(one, one, grid_size=64)
     return {
         "wazewski": comparison.check_wazewski(pair, (0.0, 10.0), n_samples=8),
+        "wazewski_sampled": comparison.check_wazewski(sampled, (0.0, 10.0), n_samples=8),
         "wazewski_violation": comparison.check_wazewski(
             comparison.linear_system([[0.0, -1.0], [0.0, 0.0]]), (0.0, 10.0),
             n_samples=8),
         "bound_check": comparison.bound_check(traj, comparison.sde_growth_system(swap),
                                               ["W0", "W1"]),
         "lyapunov": comparison.lyapunov_quadratic_check(pair, n_samples=8),
+        "lyapunov_sampled": comparison.lyapunov_quadratic_check(sampled, n_samples=8),
         "fixed_point": fixed,
         "linearization": certificates.linearize(fixed.body, disc),
         "sde_exponents": certificates.sde_growth_exponents(swap),
@@ -236,6 +241,8 @@ class TestReportSerialization:
     def test_every_emitted_report_is_plain_json(self):
         reports = emitted_reports()
         assert reports["wazewski_violation"].violation is not None
+        assert reports["wazewski"].samples == reports["lyapunov"].samples == 0
+        assert reports["wazewski_sampled"].samples == reports["lyapunov_sampled"].samples == 8
         for name, report in reports.items():
             plain = comparison._plain(report)
             assert json.loads(json.dumps(plain)) == plain, name
