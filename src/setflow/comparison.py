@@ -24,7 +24,7 @@ from .flow import ScalarFunction
 
 GUARD_FACTOR = 1e12
 RK4_ATOL = 1e-12            # absolute part of the step tolerance of integrate
-EXACT_SUBSTEPS = 64         # most sub-steps of one output interval on the exact path
+EXACT_SUBSTEPS = 64         # most grid intervals per output interval of the exact xi0 search
 XI0_RTOL = 1e-6             # integrate's rtol in the xi0 stability search
 XI0_OUTPUTS = 32            # output intervals on [0, T_check] of the xi0 search
 DECAY_FACTOR = 1e-3         # asymptotic: xi_0(T_check) < DECAY_FACTOR * xi_0(0) at the corner
@@ -201,7 +201,7 @@ class ComparisonTrajectory:
     times: np.ndarray           # the output times reached
     states: np.ndarray          # shape (len(times), dim)
     clamp_events: int = 0
-    steps: int = 0              # accepted RK4 steps, or exact sub-steps
+    steps: int = 0              # accepted RK4 steps, or exact output intervals
     rejected: int = 0           # rejected RK4 steps; 0 when exact
     solver: str = "rk4"         # "exact" for a Metzler system.matrix, else "rk4"
 
@@ -267,11 +267,10 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
     ``(len(times), dim)``.
 
     A system with a Metzler ``matrix`` ``M`` is solved exactly (``solver``
-    "exact"): each output interval is cut into the fewest equal sub-steps
-    with ``h ||M||_inf <= 1/2``, at most ``EXACT_SUBSTEPS``, and each
-    sub-step multiplies the state by ``exp(M h)``, a matrix with no negative
-    entry, so the state stays in the cone with no clamping, errs by some
-    ulps per sub-step and ignores ``rtol``.  ``steps`` counts the sub-steps.
+    "exact"): each output interval, of length ``h``, multiplies the state
+    by ``exp(M h)``, a matrix with no negative entry, so the state stays in
+    the cone with no clamping, errs by some ``||M|| h`` ulps per interval
+    and ignores ``rtol``.  ``steps`` counts the output intervals.
 
     Any other system steps adaptive RK4 (``solver`` "rk4").  Step doubling
     holds the local error of each step below ``RK4_ATOL + rtol * max|xi|``.
@@ -286,11 +285,11 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
     rejected steps.
 
     A run ends early only by an escape, which raises :class:`BlowupError`:
-    the state at an accepted RK4 step or an exact sub-step leaves the
+    the state at an accepted RK4 step or an exact output leaves the
     overflow guard, or its ``xi_0`` reaches (``>=``) ``ceiling`` (one
     number; none by default), which escapes the same way, or an RK4 step
     size underflows.  The error's ``partial`` holds the outputs reached
-    before the escaping step or sub-step.
+    before the escaping step or output.
     """
     xi = np.asarray(xi0, dtype=float)
     if xi.shape != (system.dim,):
@@ -346,51 +345,32 @@ def _metzler_expm(mat, h):
 
 
 def _exact(mat, states, times, ceiling):
-    """The exact path of :func:`integrate` for the Metzler matrix ``mat``.
-
-    The sub-steps of all output intervals form one sequence, taken in
-    chunks of ``len(times)`` sub-steps, which hold as many states as the
-    output array; the guard and the ceiling see a chunk's states at once.
-    """
-    last = len(times) - 1
-    lengths = np.diff(times)
+    """The exact path of :func:`integrate` for the Metzler matrix ``mat``:
+    output interval ``j`` multiplies the state by ``exp(M h_j)``, one
+    exponential per distinct length ``h_j``.  The guard and the ceiling see
+    all the outputs at once, after the last product."""
     with np.errstate(over="ignore", invalid="ignore"):
-        count = np.clip(np.ceil(2.0 * lengths * _inf_norm(mat)), 1, EXACT_SUBSTEPS).astype(int)
-        h = lengths / count
-        distinct, kind = np.unique(h, return_inverse=True)
-        props = [_metzler_expm(mat, x) for x in distinct.tolist()]
-    ends = np.cumsum(count) - 1         # the sub-step that reaches each output
-    interval = np.repeat(np.arange(last), count)
-    within = np.arange(interval.size) - ends[interval] + count[interval]    # 1 to count
-    t_sub = times[interval] + within * h[interval]
-    t_sub[ends] = times[1:]
-
-    x = states[0]
-    guard = GUARD_FACTOR * max(1.0, float(np.max(x)))
-    steps = 0
-    for first in range(0, interval.size, len(times)):
-        sub = np.empty((min(interval.size - first, len(times)), len(mat)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, k in enumerate(kind[interval[first:first + len(sub)]]):
-                x = np.matmul(props[k], x, out=sub[i])
-        # the states are in the cone, so a state past the guard (or NaN)
-        # fails ``max <= guard``; the maximum of each state is only taken
-        # when the chunk's maximum is not below the guard
-        escaped = sub[:, 0] >= ceiling
-        if not np.max(sub) <= guard:
-            escaped |= ~(np.max(sub, axis=1) <= guard)
-        hits = np.flatnonzero(escaped)
-        size = int(hits[0]) if hits.size else len(sub)
-        out = ends[(ends >= first) & (ends < first + size)]
-        states[interval[out] + 1] = sub[out - first]
-        steps += size + bool(hits.size)
-        if hits.size:
-            reached, done = float(t_sub[first + size]), int(interval[first + size]) + 1
-            raise BlowupError(
-                f"comparison state escaped the guard at t={reached:.6g}", reached_time=reached,
-                partial=ComparisonTrajectory(times[:done], states[:done], steps=steps,
-                                             solver="exact"))
-    return ComparisonTrajectory(times, states, steps=steps, solver="exact")
+        lengths, kind = np.unique(np.diff(times), return_inverse=True)
+        props = [_metzler_expm(mat, h) for h in lengths.tolist()]
+        for j, k in enumerate(kind.tolist()):
+            np.matmul(props[k], states[j], out=states[j + 1])
+    # the states are in the cone, so a state past the guard (or NaN) fails
+    # ``max <= guard``; the maximum of each state is only taken when the
+    # overall maximum fails that test
+    guard = GUARD_FACTOR * max(1.0, float(np.max(states[0])))
+    ends = states[1:]
+    escaped = ends[:, 0] >= ceiling
+    if not np.max(ends, initial=0.0) <= guard:
+        escaped |= ~(np.max(ends, axis=1) <= guard)
+    hits = np.flatnonzero(escaped)
+    if hits.size:
+        done = int(hits[0]) + 1         # the escaping output, and the intervals taken
+        reached = float(times[done])
+        raise BlowupError(
+            f"comparison state escaped the guard at t={reached:.6g}", reached_time=reached,
+            partial=ComparisonTrajectory(times[:done], states[:done], steps=done,
+                                         solver="exact"))
+    return ComparisonTrajectory(times, states, steps=len(times) - 1, solver="exact")
 
 
 def _adaptive(system, states, times, rtol, ceiling):
@@ -400,7 +380,7 @@ def _adaptive(system, states, times, rtol, ceiling):
     last, end = len(times) - 1, float(times[-1])
     # a step ending at t reaches output j once t >= reach[j]; the output is
     # the accepted state itself unless it lies inside the step, before inside[j]
-    margin = 1e-14 * np.maximum(1.0, times)
+    margin = 1e-14 * end
     reach, inside = times - margin, times + margin
     guard = GUARD_FACTOR * max(1.0, float(np.max(np.abs(xi))))
     nxt = 1                             # index of the next output time
@@ -439,7 +419,7 @@ def _adaptive(system, states, times, rtol, ceiling):
         else:
             rejected += 1
         h = h_try * _step_factor(tol, err, ok)
-        if nxt <= last and h < 1e-13 * max(1.0, t):
+        if nxt <= last and h < 1e-13 * end:
             raise BlowupError("step size underflow in adaptive RK4", reached_time=t,
                               partial=result())
     return result()
@@ -649,10 +629,13 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
 def _exact_xi0(system, levels, T_check):
     """:func:`check_xi0_stability` of a Metzler ``matrix`` ``M``: as ``xi(t; delta 1)
     = delta xi(t; 1)``, each level's delta is ``eps / peak``, ``peak`` the largest
-    ``xi_0`` of one exact run from the unit corner, read at its sub-steps and,
-    where the slope ``(M xi)_0`` falls from above 0 to at most 0 across one, at
-    the bound ``xi_0 + slope * width`` of a bracket of 1e-9 of it, bisected on
-    the slope's sign through ``exp(M s)``.  An escape of the run is unstable.
+    ``xi_0`` of one exact run from the unit corner, read at its outputs and,
+    where the slope ``(M xi)_0`` falls from above 0 to at most 0 across an
+    interval, at the bound ``xi_0 + slope * width`` of a bracket of 1e-9 of it,
+    bisected on the slope's sign through ``exp(M s)``.  The run takes
+    ``XI0_OUTPUTS`` output intervals of the fewest equal pieces with
+    ``h ||M||_inf <= 1/2``, at most ``EXACT_SUBSTEPS``.  An escape of the run
+    is unstable.
     """
     mat = system.matrix
     per = max(1, math.ceil(min(2.0 * T_check / XI0_OUTPUTS * _inf_norm(mat), EXACT_SUBSTEPS)))
@@ -707,14 +690,9 @@ def check_practical(system: ComparisonSystem, lam: float, bound: float,
         raise ValueError("requires 0 < lam < bound")
     start = float(b(lam)) * np.ones(system.dim)
     threshold = float(a(bound))
-    if horizon == 0:
-        margin = threshold - start[0]
-        kind = "practically_stable" if margin > 0 else "inconclusive"
-        return StabilityVerdict(kind=kind, witness={
-            "xi0_final": start[0], "threshold": threshold, "margin": margin,
-            "lambda": lam, "bound": bound, "horizon": 0.0})
     try:
-        traj = integrate(system, start, np.linspace(0.0, horizon, 257), rtol=CHECK_RTOL)
+        traj = integrate(system, start, np.linspace(0.0, horizon, 257 if horizon else 1),
+                         rtol=CHECK_RTOL)
     except BlowupError as exc:
         return StabilityVerdict(kind="unstable", witness={
             "diagnostic": f"comparison system blew up at t={exc.reached_time:.6g}",
@@ -741,7 +719,7 @@ class DominanceReport:
     clamp_events: int           # the counters of the comparison solution
     steps: int
     rejected: int
-    solver: str                 # "exact" or "rk4": what ``steps`` counts
+    solver: str                 # "exact" (``steps`` counts output intervals) or "rk4"
 
 
 def bound_check(trajectory, system: ComparisonSystem, functional_names,

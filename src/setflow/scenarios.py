@@ -378,6 +378,16 @@ def _positive(check, key, default):
     return _number(check, key, default, lambda v: _is_number(v) and v > 0, "a positive number")
 
 
+def _span(check, key, default, zero=False):
+    # a time span cut into output intervals: at least the smallest normal
+    # float (or 0 where ``zero`` allows), as a subnormal span cuts into
+    # intervals that round to repeated times
+    least = sys.float_info.min
+    return _number(check, key, default,
+                   lambda v: _is_number(v) and (v >= least or zero and v == 0),
+                   f"{'0 or ' if zero else ''}a number >= {least:.2g}")
+
+
 def _count(obj, key, default, least, most=None):
     return _param(obj, key, default, lambda v: isinstance(v, int) and not isinstance(v, bool)
                   and v >= least and (most is None or v <= most),
@@ -417,8 +427,7 @@ def _lambda_bound_horizon(check, scenario):
     lam, bound = check.get("lambda"), check.get("A")
     _require(_is_number(lam) and _is_number(bound) and 0 < lam < bound,
              f"{check['kind']}: 'lambda' and 'A' must be numbers with 0 < lambda < A")
-    horizon = _number(check, "T", scenario.horizon,
-                      lambda v: _is_number(v) and v >= 0, "a number >= 0")
+    horizon = _span(check, "T", scenario.horizon, zero=True)
     return float(lam), float(bound), horizon
 
 
@@ -477,7 +486,7 @@ def _check_xi0(check, scenario):
     system = _system(check, scenario)
     eps = _param(check, "eps", [0.1, 1.0], lambda v: _positives(v) and len(v) <= MAX_EPS,
                  f"a list of 1 to {MAX_EPS} positive numbers")
-    t_check = _positive(check, "T_check", 50.0)
+    t_check = _span(check, "T_check", 50.0)
     iters = _count(check, "iters", 40, 0, MAX_BISECT_ITERS)
     expect = _verdict(check, None, (None, "stable", "asymptotically_stable", "unstable"))
 

@@ -300,12 +300,12 @@ def reference_integrate(system, xi0, times, rtol=1e-8, ceiling=math.inf):
     xi = np.asarray(xi0, dtype=float).copy()
     assert xi.shape == (system.dim,) and np.all(xi >= 0)
     times = np.asarray(times, dtype=float)
+    end, last = times[-1], len(times) - 1
     # a step ending at t reaches output j once t >= reach[j]; the output is
     # the accepted state itself unless it lies inside the step, before inside[j]
-    margin = 1e-14 * np.maximum(1.0, times)
+    margin = 1e-14 * end
     reach, inside = times - margin, times + margin
 
-    end, last = times[-1], len(times) - 1
     guard = GUARD_FACTOR * max(1.0, float(np.max(np.abs(xi))))
     states = np.empty((len(times), system.dim))
     states[0] = xi
@@ -348,7 +348,7 @@ def reference_integrate(system, xi0, times, rtol=1e-8, ceiling=math.inf):
             rejected += 1
         if nxt <= last:
             h = h_try * reference_step_factor(tol, err, err <= tol)
-            if h < 1e-13 * max(1.0, t):
+            if h < 1e-13 * end:
                 raise BlowupError("step size underflow in adaptive RK4",
                                   reached_time=t, partial=result())
     return result()

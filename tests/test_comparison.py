@@ -116,6 +116,18 @@ class TestIntegrate:
         assert np.allclose(partial.states[early, 0], 1.0 / (1.0 - partial.times[early]),
                            rtol=1e-6)
 
+    @pytest.mark.parametrize("T", [1e-14, 1e-13, 1e-12, 1e-10, 1.0])
+    def test_short_horizons_step_to_their_end(self, T):
+        # the step size floor and the output margin scale with the horizon:
+        # floors of 1e-13 and 1e-14 in absolute time read the steps of a
+        # horizon of 1e-12 as an underflow, and a horizon of 1e-14 as reached
+        # by its first step
+        system = C.nilpotent_source_system(RATIONAL, F.constant(0.5))
+        practical = C.check_practical(system, lam=0.1, bound=10.0, horizon=T)
+        assert practical.kind == "practically_stable" and practical.witness["steps"] >= 6
+        verdict = C.check_xi0_stability(system, eps_grid=(0.5,), T_check=T)
+        assert verdict.kind == "stable" and verdict.witness["delta_table"] == [(0.5, 0.5)]
+
     @pytest.mark.parametrize("kwargs", [
         {"times": np.linspace(0.0, np.nan, 5)}, {"times": [0.0, 0.5, np.inf]},
         {"times": [0.0, np.nan]},
@@ -441,30 +453,47 @@ class TestExactPath:
         assert traj.states[0].tolist() == [1.0, 0.0]
 
     def test_long_intervals_take_the_squarings(self):
-        # ||M|| h = 1e4 on each interval: 64 sub-steps, each exp(M h) squared
-        # 9 times; the slow mode decays as exp(-t), the fast as exp(-5001 t).
+        # ||M|| h = 1e4 on each interval: one exp(M h) each, squared 14
+        # times; the slow mode decays as exp(-t), the fast as exp(-5001 t).
         # The error stays within 2 ||M|| t ulps, the conditioning of the
         # exponential (scipy's expm errs by 1.4e-12 at t = 6)
         mat = np.array([[-2501.0, 2500.0], [2500.0, -2501.0]])
         times = np.linspace(0.0, 6.0, 4)
         traj = C.integrate(C.linear_system(mat), [1.0, 0.0], times)
         exact = 0.5 * np.exp(-times) + np.array([[0.5], [-0.5]]) * np.exp(-5001.0 * times)
-        assert traj.steps == 3 * C.EXACT_SUBSTEPS and traj.states[0].tolist() == [1.0, 0.0]
+        assert traj.steps == 3 and traj.states[0].tolist() == [1.0, 0.0]
         rel = np.abs(traj.states - exact.T)[1:] / exact.T[1:]
         assert np.all(rel <= 2 * 5002.0 * times[1:, None] * np.finfo(float).eps)
 
     def test_steps_count_the_sub_steps(self):
-        # ||M||_inf = 2: h <= 1/4, so 1 sub-step per output of [0, 1] at
-        # 0.1 and 4 on [0, 1] alone; 40 on [0, 10], and 64 at most
+        # one exp(M h) per output interval, whatever ||M||_inf h (here 2 h)
         system = C.linear_system([[-1.0, 1.0], [1.0, -1.0]])
-        for times, steps in ((np.linspace(0.0, 1.0, 11), 10), ([0.0, 1.0], 4),
-                             ([0.0, 10.0], 40), ([0.0, 100.0], 64)):
+        for times, steps in ((np.linspace(0.0, 1.0, 11), 10), ([0.0, 1.0], 1),
+                             ([0.0, 10.0], 1), ([0.0, 100.0], 1)):
             traj = C.integrate(system, [1.0, 0.0], times)
             assert (traj.steps, traj.rejected, traj.clamp_events) == (steps, 0, 0)
 
+    def test_each_output_interval_takes_one_exponential(self):
+        # a grid of unequal intervals, each with h ||M||_inf > 1/2: the
+        # outputs are the chain of exp(M h_j) products, and agree with
+        # scipy's expm at each time to 2 ||M|| t ulps
+        system = EXACT_SYSTEMS[-1]
+        times = np.array([0.0, 0.3, 0.35, 1.0, 1.1, 2.5, 4.0])
+        norm = C._inf_norm(system.matrix)
+        assert np.all(np.diff(times) * norm > 0.5)
+        xi0 = np.ones(system.dim)
+        traj = C.integrate(system, xi0, times)
+        chain = [xi0]
+        for h in np.diff(times):
+            chain.append(C._metzler_expm(system.matrix, h) @ chain[-1])
+        assert np.array_equal(traj.states, chain) and traj.steps == len(times) - 1
+        exact = np.array([expm(system.matrix * t) @ xi0 for t in times])
+        rel = np.abs(traj.states - exact)[1:] / exact[1:]
+        assert np.all(rel <= 2 * norm * times[1:, None] * np.finfo(float).eps)
+
     @pytest.mark.parametrize("system", EXACT_SYSTEMS, ids=lambda s: s.name)
     def test_batch_rows_match_single_calls(self, system):
-        # a batch of rows propagated by the stacked product, one sub-step
+        # a batch of rows propagated by the stacked product, one exp(M h)
         # per output interval of a power of two with h ||M||_inf <= 1/2,
         # gives each row the bits that integrate gives that state alone
         rng = np.random.default_rng(17)
@@ -510,7 +539,7 @@ class TestExactPath:
         st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim),
         st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3),
         st.floats(0.5, 8.0), st.integers(4, 12))))
-    # the nilpotent pair at phi = 1, psi = 2, whose xi_0 peaks between sub-steps
+    # the nilpotent pair at phi = 1, psi = 2, whose xi_0 peaks between grid points
     @example(([-2.0, -2.0], [0.0, 4.0, 0.0, 0.0], [1.0, 1.0], [0.5], 5.0, 12))
     def test_the_closed_forms_bound_the_sampled_checks(self, case):
         # against the matrix-free twin: its corner bisection finds a delta
@@ -546,8 +575,8 @@ class TestExactPath:
 
     def test_a_stop_inside_an_output_interval(self):
         # xi' = xi reaches its ceiling 2 at t = ln 2, inside (0.6, 0.7];
-        # ||M|| = 1 and intervals of 0.1 take one sub-step each, so it
-        # escapes at the sub-step t = 0.7 and keeps the outputs up to 0.6
+        # the run escapes at the output t = 0.7 and keeps the outputs up
+        # to 0.6
         times = np.linspace(0.0, 3.0, 31)
         with pytest.raises(BlowupError, match="escaped the guard") as err:
             C.integrate(C.linear_system([[1.0]]), [1.0], times, ceiling=2.0)
@@ -555,7 +584,7 @@ class TestExactPath:
         partial = err.value.partial
         assert partial.solver == "exact" and partial.times.tolist() == times[:7].tolist()
         assert np.allclose(partial.states[:, 0], np.exp(times[:7]), rtol=1e-14)
-        # 7 sub-steps, the escaping one included
+        # 7 output intervals, the escaping one included
         assert partial.steps == 7
 
     def test_a_stop_at_an_output_time_does_not_reach_it(self):
@@ -581,18 +610,18 @@ class TestExactPath:
         assert C.integrate(system, [0.0, 1e6], np.linspace(0.0, 30.0, 31)).states[-1, 1] == 1e6
 
     def test_a_stop_before_an_escape_in_the_same_chunk_stops(self):
-        # h = 0.5 over 200 sub-steps, chunks of 101: xi' = xi reaches its
-        # ceiling 2 at sub-step 1 (t = 1, an output time, so only t = 0 is
-        # reached) and would escape the guard at sub-step 55 of the same chunk
+        # one escape test over all outputs: xi' = xi reaches its ceiling 2 at
+        # the first output, t = 1 (so only t = 0 is reached), and would
+        # escape the guard at t = 28; the first escape stops the run
         with pytest.raises(BlowupError, match="escaped the guard") as err:
             C.integrate(C.linear_system([[1.0]]), [1.0], np.linspace(0.0, 100.0, 101),
                         ceiling=2.0)
         assert err.value.reached_time == 1.0
-        assert err.value.partial.times.tolist() == [0.0] and err.value.partial.steps == 2
+        assert err.value.partial.times.tolist() == [0.0] and err.value.partial.steps == 1
 
     def test_rows_below_their_ceilings_keep_their_bits(self):
         # each state has a ceiling a tenth above its largest output, which no
-        # sub-step reaches, and gets the bits and steps it gets with none
+        # output reaches, and gets the bits and steps it gets with none
         system = C.cyclic_mixed_system(F.constant(0.7), F.constant(0.3), 5, a=-1.5)
         times = np.linspace(0.0, 10.0, 33)
         for row in np.random.default_rng(23).uniform(0.0, 2.0, size=(6, 5)):
@@ -602,9 +631,9 @@ class TestExactPath:
             assert capped.steps == alone.steps
 
     def test_a_crossing_cuts_every_row_at_its_sub_step(self):
-        # from (1, 0) xi_0 reaches the ceiling 5 at the sub-step t = 2
+        # from (1, 0) xi_0 reaches the ceiling 5 at the output t = 2
         # (ln 5 = 1.61 lies in (1, 2]); from (0, 1) xi_0 stays 0, and the
-        # state escapes the guard at t = 27.63 instead
+        # state escapes the guard at t = 28 (past 27.63) instead
         system = C.linear_system([[1.0, 0.0], [0.0, 1.0]])
         times = np.linspace(0.0, 100.0, 101)
         with pytest.raises(BlowupError, match="escaped the guard") as err:
@@ -613,8 +642,8 @@ class TestExactPath:
         partial = err.value.partial
         assert partial.times.tolist() == [0.0, 1.0]
         assert partial.states[:, 0] == pytest.approx([1.0, np.e], rel=1e-14)
-        # h = 0.5: four sub-steps, the escaping one included
-        assert partial.steps == 4
+        # two output intervals, the escaping one included
+        assert partial.steps == 2
         with pytest.raises(BlowupError, match="escaped the guard") as guard:
             C.integrate(system, [0.0, 1.0], times, ceiling=5.0)
         assert 12 * np.log(10.0) < guard.value.reached_time < 12 * np.log(10.0) + 0.5
@@ -664,7 +693,7 @@ class TestExactPath:
     ], ids=["bisecting", "floor", "cyclic3", "unstable"])
     def test_search_matches_per_direction_search(self, system, kwargs, kind):
         # the closed form against the corner bisection on the exact path,
-        # which tests crossings at the sub-steps only: its delta is never
+        # which tests crossings at the output times only: its delta is never
         # smaller, to one bisection step.  The bisection of the growth
         # system stops 10 steps short of its delta 0.5 e^-20 and ends
         # unstable; the closed form finds that delta
@@ -687,7 +716,7 @@ class TestExactPath:
         witness = C.check_practical(system, lam=1.0, bound=100.0, horizon=1.0).witness
         traj = C.integrate(system, [1.0, 1.0], np.linspace(0.0, 1.0, 257))
         assert witness["solver"] == "exact" and witness["xi0_final"] == traj.states[-1, 0]
-        # 256 intervals of 1/256, one sub-step each
+        # 256 intervals of 1/256, one exp(M h) each
         assert (witness["steps"], witness["rejected"], witness["clamp_events"]) == (256, 0, 0)
         blown = C.check_practical(C.linear_system([[40.0]]), lam=1.0, bound=100.0,
                                   horizon=1.0).witness
@@ -915,8 +944,8 @@ class TestXi0Stability:
         (C.cyclic_mixed_system(F.constant(1.0), F.constant(1.2), 8),
          dict(eps_grid=(1.0,), T_check=5.0), np.exp(-2.0)),
         # xi_0(t) = delta e^{-2t} (1 + 4t) peaks at t = 1/4 between two
-        # sub-steps: delta = 0.5 / (2 e^{-1/2}), where the bisection of
-        # the corner on the exact path finds 0.412386
+        # grid points: delta = 0.5 / (2 e^{-1/2}), where the bisection of
+        # the corner on the 33 exact outputs finds 0.415166
         (C.nilpotent_source_system(F.constant(1.0), F.constant(2.0)),
          dict(eps_grid=(0.5,), T_check=5.0), 0.25 * np.exp(0.5)),
     ], ids=["cyclic_k8", "nilpotent"])
@@ -997,9 +1026,12 @@ class TestPractical:
         assert verdict.witness["margin"] > 0
 
     def test_zero_horizon_compares_measures(self):
-        verdict = C.check_practical(C.sde_growth_system(SWAP), lam=1.0,
-                                    bound=2.0, horizon=0.0)
-        assert verdict.kind == "practically_stable"
+        # integrate reads the one output t = 0 on either path, in no step
+        for system in (C.sde_growth_system(SWAP), rk4(C.sde_growth_system(SWAP))):
+            verdict = C.check_practical(system, lam=1.0, bound=2.0, horizon=0.0)
+            assert verdict.kind == "practically_stable"
+            assert verdict.witness["xi0_final"] == verdict.witness["xi0_max"] == 1.0
+            assert verdict.witness["steps"] == 0
 
     def test_failure_side(self):
         verdict = C.check_practical(C.sde_growth_system(SWAP), lam=1.0,

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import math
+import sys
 import tempfile
 import warnings
 import weakref
@@ -353,6 +354,7 @@ class TestCli:
         (0, {"eps": []}, "eps"),
         (0, {"eps": [0.1, -1.0]}, "eps"),
         (0, {"T_check": 0}, "T_check"),
+        (0, {"T_check": 5e-324}, "T_check"),
         (0, {"iters": -1}, "iters"),
         (1, {"box": [5.0, 1.0]}, "box"),
         (1, {"box": [-1.0, 1.0]}, "box"),
@@ -368,7 +370,7 @@ class TestCli:
                         "psi": {"kind": "constant", "value": 0.5}, "k": 2.5}}, "'k'"),
         (0, {"system": {"kind": "nilpotent", "phi": {"kind": "constant", "value": 1.0},
                         "psi": {"kind": "constant", "value": 0.5}, "a": "nan"}}, "'a'"),
-    ], ids=["xi0_empty_eps", "xi0_negative_eps", "xi0_zero_T_check",
+    ], ids=["xi0_empty_eps", "xi0_negative_eps", "xi0_zero_T_check", "xi0_subnormal_T_check",
             "xi0_negative_iters", "wazewski_inverted_box",
             "wazewski_box_outside_cone", "wazewski_no_samples",
             "lyapunov_no_samples", "lyapunov_box_rows", "lyapunov_weight_count",
@@ -386,6 +388,25 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
         assert field in capsys.readouterr().err
         assert not out.exists()     # rejected before the flow ran
+
+    @pytest.mark.parametrize("check, key", [
+        ({"kind": "xi0_stability", "eps": [0.5]}, "T_check"),
+        ({"kind": "practical", "lambda": 1.0, "A": 100.0}, "T"),
+    ], ids=["xi0_stability", "practical"])
+    @pytest.mark.parametrize("phi", [{"kind": "constant", "value": 1.0},
+                                     {"kind": "rational", "num": [1.0], "den": [1.0, 1.0]}],
+                             ids=["exact", "rk4"])
+    def test_the_shortest_spans_run(self, check, key, phi):
+        # a subnormal span exits 2 (above); the smallest normal float and
+        # 1e-300 cut the output grids of either path into increasing times
+        doc = search_doc()
+        doc["checks"] = [dict(check, system={"kind": "nilpotent", "phi": phi,
+                                             "psi": {"kind": "constant", "value": 0.5}})]
+        for span in (sys.float_info.min, 1e-300):
+            doc["checks"][0][key] = span
+            (_, run), = scenarios.parse_scenario(doc).checks
+            passed, details = run(None)
+            assert passed and details["T_check" if key == "T_check" else "horizon"] == span
 
     @pytest.mark.parametrize("mutate, field", [
         (lambda d: d["checks"].append({"kind": "practical", "A": 100.0}), "'lambda'"),
@@ -415,6 +436,7 @@ class TestCli:
         (lambda d: d["checks"][1].update(expect=2), "'expect'"),
         (append_check({"kind": "practical", "lambda": 1.0, "A": 100.0, "expect": "stabel"}),
          "'expect'"),
+        (append_check({"kind": "practical", "lambda": 1.0, "A": 100.0, "T": 5e-324}), "'T'"),
         (lambda d: d["params"].update(phi={"kind": "rational", "num": [1.0], "den": [0.0]}),
          "phi"),
         (lambda d: d["params"].update(phi={"kind": "rational", "num": [1.0],
@@ -460,7 +482,8 @@ class TestCli:
             "fixed_point_expect_string", "bound_functional_count",
             "growth_length_string", "growth_length_negative", "growth_rtol_string",
             "instability_trace_string", "instability_expect_typo", "xi0_expect_typo",
-            "wazewski_expect_number", "practical_expect_typo", "rational_den_zero",
+            "wazewski_expect_number", "practical_expect_typo", "practical_subnormal_T",
+            "rational_den_zero",
             "rational_pole_at_1", "rational_negative_num", "rational_negative_between_roots",
             "rational_negative_den", "table_negative_value", "horizon_infinity",
             "dt_nan", "track_two_mixed", "track_two_hausdorff_to", "name_slash",
