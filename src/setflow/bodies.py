@@ -62,12 +62,18 @@ class SupportFunction2D:
 
     ``values[j]`` is ``h(theta_j)`` with ``theta_j = 2*pi*j/M``.  The grid
     size must be even and at least 16.  Instances are immutable; every
-    operation in this module returns a new body.  The first :func:`area`
-    of a body keeps its raw self form ``V[u, u]`` on it.
+    operation in this module returns a new body.  A body keeps two numbers
+    once computed: its raw self form ``V[u, u]``, set by the first
+    :func:`area`, and its sup norm ``max_j |h_j|``, set where its samples
+    are made (the constructor, :func:`linear_image`,
+    :func:`setflow.flow.step`), whose finiteness test it is.  Both are
+    attributes of the body, not module-level buffers, so runs on separate
+    threads share nothing mutable.
     """
 
     values: np.ndarray
-    _form = None                # not a field: set by _self_form
+    _form = None                # not fields: set by _self_form and _sup_norm
+    _norm = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -77,11 +83,13 @@ class SupportFunction2D:
         if m < MIN_GRID_SIZE or m % 2 != 0:
             raise ValueError(
                 f"grid size must be even and >= {MIN_GRID_SIZE}, got {m}")
-        if not np.isfinite(vals).all():
+        norm = _max_abs(vals)
+        if not norm < math.inf:
             raise ValueError("support values must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_norm", norm)
 
     @property
     def grid_size(self) -> int:
@@ -93,31 +101,62 @@ class SupportFunction2D:
 
     def __repr__(self):
         return (f"SupportFunction2D(grid_size={self.grid_size}, "
-                f"max|h|={np.max(np.abs(self.values)):.6g})")
+                f"max|h|={_sup_norm(self):.6g})")
 
 
-def _adopt(values: np.ndarray) -> SupportFunction2D:
+def _max_abs(values: np.ndarray) -> float:
+    """``max |h_j|`` over all entries, without a warning; NaN when an entry is
+    NaN, so ``_max_abs(h) < inf`` is the finiteness test of ``h``."""
+    return float(np.maximum.reduce(np.abs(values), axis=None))
+
+
+def _adopt(values: np.ndarray, norm: float | None = None) -> SupportFunction2D:
     """A body on ``values`` without the validating copy; ``values`` is made
-    read-only.
+    read-only, and ``norm``, when given, is kept as its sup norm.
 
     Only for a one-dimensional float array of valid samples that nothing
-    writes to again, such as a temporary of :func:`setflow.flow.step`.
+    writes to again, such as the new body of :func:`setflow.flow.step`.
     """
     values.setflags(write=False)
+    return _scratch(values, norm)
+
+
+def _scratch(values: np.ndarray, norm: float | None = None) -> SupportFunction2D:
+    """:func:`_adopt` without making ``values`` read-only: for a body that
+    never leaves its maker, such as the half-step and the predictor of
+    :func:`setflow.flow.step`.  Writes the instance dictionary directly,
+    the cheapest way past the frozen dataclass's ``__setattr__``."""
     body = object.__new__(SupportFunction2D)
-    object.__setattr__(body, "values", values)
+    fields = body.__dict__
+    fields["values"] = values
+    if norm is not None:
+        fields["_norm"] = norm
     return body
+
+
+def _sup_norm(u: SupportFunction2D) -> float:
+    """``max_j |h_j|``, computed once per body and kept on it."""
+    norm = u._norm
+    if norm is None:
+        norm = u.__dict__["_norm"] = _max_abs(u.values)
+    return norm
 
 
 def as_matrix(op) -> np.ndarray:
     """Coerce a 2x2 array-like with finite entries to an ndarray."""
+    return _matrix_rows(op)[0]
+
+
+def _matrix_rows(op):
+    """``(mat, rows)``: ``as_matrix(op)`` and its rows as float lists, read once."""
     mat = np.asarray(op, dtype=float)
     if mat.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
+    rows = (a, b), (c, d) = mat.tolist()
     # four scalar tests cost a third of one np.isfinite over the matrix
-    if not all(map(math.isfinite, mat.ravel().tolist())):
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
         raise ValueError("matrix entries must be finite")
-    return mat
+    return mat, rows
 
 
 def convexity_tolerance(values: np.ndarray) -> float:
@@ -214,7 +253,7 @@ def scale(u: SupportFunction2D, factor: float) -> SupportFunction2D:
 def hausdorff_distance(u: SupportFunction2D, v: SupportFunction2D) -> float:
     """Hausdorff distance: sup-norm of the support-function difference."""
     _check_same_grid(u, v.grid_size)
-    return float(np.max(np.abs(u.values - v.values)))
+    return _max_abs(u.values - v.values)
 
 
 def hukuhara_difference(u: SupportFunction2D, v: SupportFunction2D):
@@ -233,8 +272,14 @@ def hukuhara_difference(u: SupportFunction2D, v: SupportFunction2D):
 # ---------------------------------------------------------------------------
 # area functionals
 
+@lru_cache(maxsize=32)
+def _form_weights(m: int) -> tuple:
+    """``(tan(dtheta / 2), 2 sin(dtheta))`` of the area forms on ``m`` points."""
+    return math.tan(math.pi / m), 2.0 * math.sin(2.0 * math.pi / m)
+
+
 def _difference(values: np.ndarray) -> np.ndarray:
-    """The periodic forward difference ``h_{j+1} - h_j``."""
+    """The periodic forward difference ``h_{j+1} - h_j`` along the first axis."""
     out = np.empty_like(values)
     np.subtract(values[1:], values[:-1], out=out[:-1])
     out[-1] = values[0] - values[-1]
@@ -253,11 +298,10 @@ def _mixed_form(hu: np.ndarray, hv: np.ndarray) -> float:
     the digits of a body far from the origin; swapping ``u`` and ``v``
     gives the same bits.
     """
-    m = hu.size
+    tan_half, sin2 = _form_weights(hu.size)
     du = _difference(hu)
     dv = du if hv is hu else _difference(hv)
-    return (math.tan(math.pi / m) * float(hu.dot(hv))
-            - float(du.dot(dv)) / (2.0 * math.sin(2.0 * math.pi / m)))
+    return tan_half * float(hu.dot(hv)) - float(du.dot(dv)) / sin2
 
 
 def _self_form(u: SupportFunction2D) -> float:
@@ -268,8 +312,7 @@ def _self_form(u: SupportFunction2D) -> float:
     """
     form = u._form
     if form is None:
-        form = _mixed_form(u.values, u.values)
-        object.__setattr__(u, "_form", form)
+        form = u.__dict__["_form"] = _mixed_form(u.values, u.values)
     return form
 
 
@@ -291,7 +334,7 @@ def perimeter(u: SupportFunction2D) -> float:
     It is ``2 V[u, K]`` for the unit disc ``K``, so Steiner's formula
     ``area(u + r K) = area(u) + r perimeter(u) + r^2 area(K)`` holds.
     """
-    raw = 2.0 * math.tan(math.pi / u.grid_size) * float(u.values.sum())
+    raw = 2.0 * _form_weights(u.values.size)[0] * float(np.add.reduce(u.values))
     return raw if raw > 0.0 else 0.0
 
 
@@ -426,13 +469,6 @@ def _pullback_plan(mat_bytes: bytes, m: int) -> _PullbackPlan:
                          _frozen(norms * polygon))
 
 
-def _spline_image(values: np.ndarray, plan: _PullbackPlan) -> np.ndarray:
-    # the periodic cubic spline through the samples: one solve for its
-    # curvatures and one weighted gather of the samples and curvatures
-    stacked = np.concatenate((values, _spline_curvatures(values)))
-    return (plan.weights * stacked[plan.cells]).sum(axis=0)
-
-
 def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Samples of the support function of M u from samples of u.
 
@@ -446,13 +482,34 @@ def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
     The resampling plan depends only on (M, grid) and is cached.  A
     positive scalar matrix ``c I`` needs none: ``h_{cu} = c h_u``.
     """
-    if mat[0, 1] == 0.0 and mat[1, 0] == 0.0 and mat[0, 0] == mat[1, 1] > 0.0:
-        return mat[0, 0] * values
-    plan = _pullback_plan(np.asarray(mat, dtype=float).tobytes(), values.size)
+    (a, b), (c, d) = mat.tolist()
+    if b == 0.0 and c == 0.0 and a == d > 0.0:
+        return a * values
+    plan = _pullback_plan(mat.tobytes(), values.size)
     if plan.gather is not None:
         return plan.norms * values[plan.gather]
-    image = _spline_image(values, plan)
-    # a non-finite image skips the test: linear_image rejects it
+    return _spline_or_polygon(values, plan)
+
+
+def _spline_stack(values: np.ndarray) -> np.ndarray:
+    # the samples and the curvatures of their periodic cubic spline, the
+    # rows that a spline plan's cells read
+    return np.concatenate((values, _spline_curvatures(values)))
+
+
+def _spline_image(values: np.ndarray, plan: _PullbackPlan, stacked=None) -> np.ndarray:
+    # the periodic cubic spline through the samples: one solve for its
+    # curvatures (none when ``stacked`` is given) and one weighted gather of
+    # the samples and curvatures
+    stacked = _spline_stack(values) if stacked is None else stacked
+    return (plan.weights * stacked[plan.cells]).sum(axis=0)
+
+
+def _spline_or_polygon(values, plan, stacked=None):
+    # the spline image, or where it leaves the convex cone the sampled
+    # polygon's support; a non-finite image skips the test: its caller
+    # rejects it
+    image = _spline_image(values, plan, stacked)
     if np.isfinite(image).all() and convexity_defect(image).min() < 0.0:
         image = (plan.polygon * values[plan.cells[:2]]).sum(axis=0)
     return image
@@ -463,16 +520,96 @@ def linear_image(u: SupportFunction2D, op) -> SupportFunction2D:
 
     Singular maps are allowed and produce degenerate images.  The pull-back
     of :func:`_image_values` keeps a body in the convex cone, so only the
-    finiteness of the image is tested: raises ValueError when a sample is
-    not finite (an overflowing pull-back).
+    finiteness of the image is tested, by its sup norm, which the image
+    keeps: raises ValueError when a sample is not finite (an overflowing
+    pull-back).
     """
-    mat = as_matrix(op)
-    if mat[0, 0] == 1.0 and mat[1, 1] == 1.0 and mat[0, 1] == 0.0 and mat[1, 0] == 0.0:
+    mat, ((a, b), (c, d)) = _matrix_rows(op)
+    if a == d == 1.0 and b == c == 0.0:
         return u
-    vals = _image_values(u.values, mat)
-    if not np.isfinite(vals).all():
+    # the scalar rule of _image_values, from the entries already read
+    vals = a * u.values if b == c == 0.0 and a == d > 0.0 else _image_values(u.values, mat)
+    norm = _max_abs(vals)
+    if not norm < math.inf:
         raise ValueError("support values must be finite")
-    return _adopt(vals)
+    return _adopt(vals, norm)
+
+
+# The most samples in one block of a stacked gather.  A temporary of 64 KiB
+# comes from the allocator's heap; a larger one can be a fresh mapping, whose
+# page faults cost more than the calls the stacking saves (on a 2-CPU x86-64
+# host, three gather powers at M = 8192 took 1.7 times as long in one block
+# as one by one).
+STACK_SAMPLES = 2 ** 13
+
+
+@dataclass(frozen=True, eq=False)
+class _PowersPlan:
+    """The pull-backs of :func:`_image_forms` for a tuple of matrices on one
+    grid, grouped so that one pass computes every image.
+
+    The images come in order: first the gathers, read by a stacked gather
+    (``norms`` and ``gather``, (g, M)), then the positive scalar matrices
+    (``scalars``), then the splines (``splines``, one plan each), which
+    share one curvature solve.  ``rows[i]`` is the place of matrix i.
+    """
+
+    norms: np.ndarray
+    gather: np.ndarray
+    scalars: tuple
+    splines: tuple
+    rows: tuple
+
+
+@lru_cache(maxsize=8)
+def _powers_plan(mats: tuple, m: int) -> _PowersPlan:
+    groups = ([], [], [])       # gather plans, scalars, spline plans
+    kinds = []                  # (group, index in it) of each matrix
+    for mat_bytes in mats:
+        (a, b), (c, d) = np.frombuffer(mat_bytes).reshape(2, 2).tolist()
+        if b == 0.0 and c == 0.0 and a == d > 0.0:
+            group, entry = 1, a
+        else:
+            entry = _pullback_plan(mat_bytes, m)
+            group = 0 if entry.gather is not None else 2
+        groups[group].append(entry)
+        kinds.append((group, len(groups[group]) - 1))
+    gathers, scalars, splines = groups
+    starts = (0, len(gathers), len(gathers) + len(scalars))
+    return _PowersPlan(
+        norms=_frozen(np.array([p.norms for p in gathers]).reshape(-1, m)),
+        gather=_frozen(np.array([p.gather for p in gathers], dtype=int).reshape(-1, m)),
+        scalars=tuple(scalars), splines=tuple(splines),
+        rows=tuple(starts[group] + j for group, j in kinds))
+
+
+def _image_forms(values: np.ndarray, mats: tuple) -> list:
+    """``V[u, M u]`` for each matrix ``M``, given by its bytes in ``mats``,
+    with the bits of ``_mixed_form(values, _image_values(values, M))``.
+
+    One pass serves all of them: one difference of the body, one stacked
+    gather for the gather matrices (in blocks of at most ``STACK_SAMPLES``
+    samples) and one curvature solve for the spline ones, one finiteness
+    test per block; then each image's form is dotted row by row in the
+    order of :func:`_mixed_form`.  Raises ValueError when an image is not
+    finite.
+    """
+    m = values.size
+    plan = _powers_plan(mats, m)
+    per_block = max(1, STACK_SAMPLES // m)
+    blocks = [plan.norms[i:i + per_block] * values[plan.gather[i:i + per_block]]
+              for i in range(0, len(plan.norms), per_block)]
+    blocks += [(c * values)[None] for c in plan.scalars]
+    if plan.splines:
+        stacked = _spline_stack(values)
+        blocks += [_spline_or_polygon(values, spline, stacked)[None] for spline in plan.splines]
+    if not all(np.isfinite(block).all() for block in blocks):
+        raise ValueError("support values must be finite")
+    tan_half, sin2 = _form_weights(m)
+    du = _difference(values)
+    forms = [tan_half * float(values.dot(h)) - float(du.dot(_difference(h))) / sin2
+             for block in blocks for h in block]
+    return [forms[row] for row in plan.rows]
 
 
 # ---------------------------------------------------------------------------

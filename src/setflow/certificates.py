@@ -361,10 +361,6 @@ class GlobalExistenceReport:
     norm_check: dict | None
 
 
-def _sup_norm(u: SupportFunction2D) -> float:
-    return float(np.max(np.abs(u.values)))
-
-
 def _envelope(f):
     """A scalar system calling ``f(t, z)`` on plain numbers, once per row."""
     return comparison.scalar_system(
@@ -423,7 +419,7 @@ def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
 
     try:
         omega = comparison.integrate(_envelope(omega_rhs),
-                                     [_sup_norm(u0)], times)
+                                     [bodies._sup_norm(u0)], times)
     except BlowupError as exc:
         return GlobalExistenceReport(zeta_plus=zeta, chi_minus=chi,
                                      omega_plus=None, finite=False,
@@ -432,7 +428,7 @@ def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
     norm_check = None
     if cross_check:
         try:
-            traj = flow.evolve(u0, params, horizon, dt=dt, tracked={"norm": _sup_norm})
+            traj = flow.evolve(u0, params, horizon, dt=dt, tracked={"norm": bodies._sup_norm})
         except BlowupError as exc:
             return GlobalExistenceReport(zeta_plus=zeta, chi_minus=chi,
                                          omega_plus=omega, finite=False,

@@ -25,6 +25,10 @@ from .flow import ScalarFunction
 GUARD_FACTOR = 1e12
 RK4_ATOL = 1e-12            # absolute part of the step tolerance of integrate
 EXACT_SUBSTEPS = 64         # most grid intervals per output interval of the exact xi0 search
+# The longest run of the exact path, as times[-1] * ||M||_inf: it errs by
+# about that many ulps, and the unit corner of [[-1, 1], [1, -1]], a fixed
+# point, drifts by more than 1e-8 from a span of 1.7e7 on equal output grids
+EXACT_MAX_SPAN = 1e7
 XI0_RTOL = 1e-6             # integrate's rtol in the xi0 stability search
 XI0_OUTPUTS = 32            # output intervals on [0, T_check] of the xi0 search
 DECAY_FACTOR = 1e-3         # asymptotic: xi_0(T_check) < DECAY_FACTOR * xi_0(0) at the corner
@@ -270,7 +274,10 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
     "exact"): each output interval, of length ``h``, multiplies the state
     by ``exp(M h)``, a matrix with no negative entry, so the state stays in
     the cone with no clamping, errs by some ``||M|| h`` ulps per interval
-    and ignores ``rtol``.  ``steps`` counts the output intervals.
+    and ignores ``rtol``.  ``steps`` counts the output intervals.  It
+    refuses, with a ValueError, a run whose ``times[-1] * ||M||_inf``
+    exceeds ``EXACT_MAX_SPAN``, past which that rounding, not the system,
+    would decide a verdict.
 
     Any other system steps adaptive RK4 (``solver`` "rk4").  Step doubling
     holds the local error of each step below ``RK4_ATOL + rtol * max|xi|``.
@@ -306,6 +313,10 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
     states = np.empty((len(times), system.dim))
     states[0] = xi
     if system.matrix is not None:
+        span = float(times[-1]) * _inf_norm(system.matrix)
+        if span > EXACT_MAX_SPAN:
+            raise ValueError(f"the exact path runs to times[-1] * ||M||_inf <= "
+                             f"{EXACT_MAX_SPAN:.0e}, got {span:.3g}")
         return _exact(system.matrix, states, times, ceiling)
     return _adaptive(system, states, times, rtol, ceiling)
 

@@ -26,7 +26,7 @@ keeps no body but the last; the frames are one more column,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -166,24 +166,34 @@ class SourceTerm:
     body: SupportFunction2D = None  # for 'constant'
 
     def values(self, volume: float, u_values: np.ndarray) -> np.ndarray | None:
-        """Sample array of F(volume, u), or None when the source vanishes."""
-        if self.kind == "zero":
+        """Sample array of F(volume, u), or None when the source vanishes.
+
+        A ball source under a constant psi returns one cached, read-only
+        array per grid size.
+        """
+        kind = self.kind
+        if kind == "zero":
             return None
-        if self.kind == "ball":
-            r = float(self.psi(volume))
-            if r < 0:
-                raise ValueError("psi must be nonnegative")
-            return np.full(u_values.size, r)
-        if self.kind == "linear":
-            c = float(self.psi(volume))
-            if c < 0:
-                raise ValueError("psi must be nonnegative")
-            return c * bodies._image_values(u_values, self.matrix)
-        if self.kind == "constant":
+        if kind == "constant":
             if self.body.grid_size != u_values.size:
                 raise GridMismatchError("source body grid does not match state")
             return self.body.values
-        raise ValueError(f"unknown source kind {self.kind!r}")
+        if kind != "ball" and kind != "linear":
+            raise ValueError(f"unknown source kind {kind!r}")
+        psi = self.psi
+        constant_psi = isinstance(psi, ScalarFunction) and psi.kind == "constant"
+        scale = float(psi.value if constant_psi else psi(volume))
+        if scale < 0:
+            raise ValueError("psi must be nonnegative")
+        if kind == "linear":
+            return scale * bodies._image_values(u_values, self.matrix)
+        return _ball_samples(scale, u_values.size) if constant_psi else np.full(u_values.size, scale)
+
+
+@lru_cache(maxsize=8)
+def _ball_samples(radius: float, m: int) -> np.ndarray:
+    # the read-only samples of a constant psi's disc, one array per (psi, M)
+    return bodies._frozen(np.full(m, radius))
 
 
 def zero_source() -> SourceTerm:
@@ -204,14 +214,21 @@ def constant_source(body: SupportFunction2D) -> SourceTerm:
 
 @dataclass(frozen=True)
 class SemiflowParams:
-    """The triple (A, phi, F) defining the flow."""
+    """The triple (A, phi, F) defining the flow.
+
+    ``A`` is kept as a read-only copy, with its bytes, the key of the
+    cached flow matrices of :func:`step`.
+    """
 
     A: np.ndarray
     phi: object                 # callable on the nonnegative axis
     source: SourceTerm
+    _a_bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A))
+        a_mat = bodies._frozen(as_matrix(self.A).copy())
+        object.__setattr__(self, "A", a_mat)
+        object.__setattr__(self, "_a_bytes", a_mat.tobytes())
 
     @property
     def trace(self) -> float:
@@ -355,16 +372,23 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     :class:`ScalarFunction` of kind ``constant``) needs no midpoint volume,
     so the step evaluates 2 areas, of ``u`` and of ``pred``; any other clock
     also takes the mixed area of the body with the first source to estimate
-    the rate.  Nothing is projected: the sources, their Minkowski sums and
-    the pull-back keep a body in the convex cone.  ``exp(A s)`` is cached
-    per (A, s) and the pull-back reads a cached resampling plan per
-    (matrix, grid).  Raises :class:`BlowupError` when ``exp(A phi dt)``, the
-    half-step or the new support values are not finite.
+    the rate.  Under a constant clock and a constant psi neither area is
+    read, but both are computed: the benchmark's tests pin 2 area calls per
+    step until the benchmark-only change of ROADMAP item 1.  Nothing is
+    projected: the sources, their Minkowski sums and the pull-back keep a
+    body in the convex cone.  ``exp(A s)`` is cached per (A, s) and the
+    pull-back reads a cached resampling plan per (matrix, grid); both hold
+    read-only arrays.  The new body keeps its sup norm, which is its
+    finiteness test here and :func:`evolve`'s overflow guard.  Raises
+    ValueError when ``dt`` is not positive and finite, and
+    :class:`BlowupError` when ``exp(A phi dt)``, the half-step or the new
+    support values are not finite.
     """
-    if dt <= 0:
+    if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive")
+    source = params.source
     v0 = area(u)
-    f0 = params.source.values(v0, u.values)
+    f0 = source.values(v0, u.values)
 
     phi = params.phi
     if isinstance(phi, ScalarFunction) and phi.kind == "constant":
@@ -378,22 +402,23 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
         start = u
     else:
         half_f0 = (0.5 * dt) * f0
-        start = bodies._adopt(u.values + half_f0)
+        start = bodies._scratch(u.values + half_f0)
     try:
-        moved = linear_image(start, _flow_matrix(params.A.tobytes(), phi_mid * dt))
+        moved = linear_image(start, _flow_matrix(params._a_bytes, phi_mid * dt))
     except ValueError:      # the pull-back of a non-finite half-step
         raise BlowupError("non-finite support values produced by step",
                           reached_time=dt) from None
 
-    pred = moved if f0 is None else bodies._adopt(moved.values + half_f0)
-    f1 = params.source.values(area(pred), pred.values)
+    pred = moved if f0 is None else bodies._scratch(moved.values + half_f0)
+    f1 = source.values(area(pred), pred.values)
     if f1 is None:
         return moved
     out = moved.values + (0.5 * dt) * f1
-    if not np.isfinite(out).all():
+    norm = bodies._max_abs(out)
+    if not norm < math.inf:
         raise BlowupError("non-finite support values produced by step",
                           reached_time=dt)
-    return bodies._adopt(out)
+    return bodies._adopt(out, norm)
 
 
 def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
@@ -407,18 +432,22 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     ``{"V": area, **mixed_columns(B, 2)}``, and the frames from
     ``{"h": lambda u: u.values}``, a ``(frames, M)`` array.  The times are
     thinned so at most ``MAX_STORED_FRAMES`` (+1 for the initial body) are
-    kept.  Raises :class:`BlowupError` with the reached time when the
-    support values leave the overflow guard before the horizon (a lower
-    bound for the escape time of the orbit); its ``partial`` holds what was
-    stored until then.
+    kept.  The overflow guard, ``OVERFLOW_FACTOR * max(1, max|h|)`` of
+    ``u0``, is compared with the sup norm that each step's body keeps (see
+    :func:`step`), so it takes no pass of its own.  Raises ValueError when
+    ``horizon`` or ``dt`` is not positive and finite, and
+    :class:`BlowupError` with the reached time when the support values
+    leave the overflow guard before the horizon (a lower bound for the
+    escape time of the orbit); its ``partial`` holds what was stored until
+    then.
     """
-    if horizon <= 0 or dt <= 0:
+    if not (0.0 < horizon < math.inf and 0.0 < dt < math.inf):
         raise ValueError("horizon and dt must be positive")
     tracked = _columns(tracked)
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
     stride = max(1, int(np.ceil(n_steps / MAX_STORED_FRAMES)))
 
-    guard = OVERFLOW_FACTOR * max(1.0, float(np.max(np.abs(u0.values))))
+    guard = OVERFLOW_FACTOR * max(1.0, bodies._sup_norm(u0))
     u, t = u0, 0.0
     times = [0.0]
     last = u0
@@ -432,7 +461,7 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
             raise BlowupError(str(exc), reached_time=t,
                               partial=_finish(times, series, last)) from None
         t += h
-        if np.abs(u.values).max() > guard:
+        if bodies._sup_norm(u) > guard:
             raise BlowupError(
                 f"support values exceeded {guard:.3g} at t={t:.6g}",
                 reached_time=t, partial=_finish(times, series, last))
@@ -449,7 +478,7 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
 
 
 def _perturbation_scale(u0):
-    return max(1.0, float(np.max(np.abs(u0.values))))
+    return max(1.0, bodies._sup_norm(u0))
 
 
 def contraction_horizon(u0: SupportFunction2D, params: SemiflowParams) -> float:
@@ -462,7 +491,7 @@ def contraction_horizon(u0: SupportFunction2D, params: SemiflowParams) -> float:
     ``beta = phi(V0) + L H r``.  A safety factor of 1/2 is applied.
     """
     v0 = area(u0)
-    norm0 = float(np.max(np.abs(u0.values)))
+    norm0 = bodies._sup_norm(u0)
     r = 0.5 * _perturbation_scale(u0)
 
     eps = 1e-4 * max(1.0, v0)
@@ -575,29 +604,53 @@ def mixed_columns(op, count: int) -> dict:
     Maps ``f"W{i}"`` to the function ``u -> V[u, B^i u]``, the mixed area of
     a body with its image under the i-th power of B.  The powers are
     computed and validated here, once; an identity power reads the body's
-    kept self form (see :func:`setflow.bodies.area`).  Raises ValueError
-    when a power is not finite; a column raises it when the image of a body
-    is not finite.
+    kept self form (see :func:`setflow.bodies.area`).  Two or more other
+    columns of a body are computed together, in one pass (one difference
+    of the body, one stacked gather, one curvature solve), the first time
+    one of them reads it; each keeps the bits of its own ``V[u, B^i u]``.
+    They keep the values of the last body they read, in their own closure
+    and not in a module-level buffer, so columns made for separate runs
+    share nothing.  Raises ValueError when a power is not finite; a
+    column raises it when the image of a body is not finite.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     mat = as_matrix(op)
     with np.errstate(over="ignore", invalid="ignore"):    # as_matrix rejects it
-        powers = [np.linalg.matrix_power(mat, i) for i in range(count)]
-    return {f"W{i}": _mixed_column(as_matrix(p)) for i, p in enumerate(powers)}
+        powers = [as_matrix(np.linalg.matrix_power(mat, i)) for i in range(count)]
+    # linear_image hands a body back under the identity, so V[u, u]
+    moved = [i for i, p in enumerate(powers) if not (p == np.eye(2)).all()]
+    columns = {f"W{i}": bodies._self_form for i in range(count)}
+    if len(moved) == 1:         # nothing to share
+        columns[f"W{moved[0]}"] = _mixed_column(powers[moved[0]])
+    elif moved:
+        forms = _frame_forms(tuple(powers[i].tobytes() for i in moved))
+        for j, i in enumerate(moved):
+            columns[f"W{i}"] = lambda u, j=j: forms(u)[j]
+    return columns
 
 
 def _mixed_column(power: np.ndarray):
-    # linear_image hands a body back under the identity, so V[u, u]
-    if (power == np.eye(2)).all():
-        return bodies._self_form
-
     def column(u):
         image = bodies._image_values(u.values, power)
         if not np.isfinite(image).all():
             raise ValueError("support values must be finite")
         return bodies._mixed_form(u.values, image)
     return column
+
+
+def _frame_forms(mats):
+    # V[u, M u] for every M in ``mats`` in one pass, kept for the last body
+    kept = (None, [])
+
+    def forms(u):
+        nonlocal kept
+        body, values = kept
+        if body is not u:
+            values = bodies._image_forms(u.values, mats)
+            kept = (u, values)
+        return values
+    return forms
 
 
 def mixed_functionals(u: SupportFunction2D, op, count: int) -> np.ndarray:

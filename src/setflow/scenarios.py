@@ -407,6 +407,16 @@ def _system(check, scenario):
     return resolve_system(check.get("system", "auto"), scenario)
 
 
+def _exact_span(system, span, field):
+    # the exact solver of a Metzler system refuses a longer run
+    # (comparison.EXACT_MAX_SPAN); 'field' names where the span came from
+    if system.matrix is not None:
+        norm = comparison._inf_norm(system.matrix)
+        _require(span * norm <= comparison.EXACT_MAX_SPAN,
+                 f"{field} times the comparison matrix's ||M||_inf ({norm:.3g}) must be "
+                 f"at most {comparison.EXACT_MAX_SPAN:.0e}, got {span * norm:.3g}")
+
+
 def _box(check, default, system):
     box = check.get("box", default)
     try:
@@ -463,6 +473,7 @@ def _check_bound(check, scenario):
                    and all(n in tracked for n in v),
                    f"{system.dim} of the tracked functionals {tracked}")
     tol_scale = _positive(check, "tol_scale", 1e-4)
+    _exact_span(system, scenario.horizon, "bound_check: 'horizon'")
 
     def run(traj):
         rep = comparison.bound_check(traj, system, names, tol_scale=tol_scale)
@@ -473,6 +484,7 @@ def _check_bound(check, scenario):
 def _check_practical(check, scenario):
     system = _system(check, scenario)
     lam, bound, horizon = _lambda_bound_horizon(check, scenario)
+    _exact_span(system, horizon, "practical: 'T'" if "T" in check else "practical: 'horizon'")
     expect = _verdict(check, "practically_stable",
                       ("practically_stable", "inconclusive", "unstable"))
 
@@ -487,6 +499,7 @@ def _check_xi0(check, scenario):
     eps = _param(check, "eps", [0.1, 1.0], lambda v: _positives(v) and len(v) <= MAX_EPS,
                  f"a list of 1 to {MAX_EPS} positive numbers")
     t_check = _span(check, "T_check", 50.0)
+    _exact_span(system, t_check, "xi0_stability: 'T_check'")
     iters = _count(check, "iters", 40, 0, MAX_BISECT_ITERS)
     expect = _verdict(check, None, (None, "stable", "asymptotically_stable", "unstable"))
 

@@ -465,6 +465,29 @@ class TestExactPath:
         rel = np.abs(traj.states - exact.T)[1:] / exact.T[1:]
         assert np.all(rel <= 2 * 5002.0 * times[1:, None] * np.finfo(float).eps)
 
+    def test_a_conserved_corner_holds_up_to_the_longest_exact_run(self):
+        # xi = (1, 1) is a fixed point; the exact path keeps it within 1e-8
+        # on every grid the checks use up to times[-1] ||M||_inf = 1e7, and
+        # refuses a longer run, where the rounding of exp(M h) would decide
+        system = C.linear_system([[-1.0, 1.0], [1.0, -1.0]])
+        longest = C.EXACT_MAX_SPAN / C._inf_norm(system.matrix)
+        for outputs in (2, 33, 257, 1001, 2049):
+            for end in np.geomspace(1.0, longest, 9):
+                states = C.integrate(system, np.ones(2), np.linspace(0.0, end, outputs)).states
+                assert np.max(np.abs(states - 1.0)) <= 1e-8
+            with pytest.raises(ValueError, match="times\\[-1\\] \\* \\|\\|M\\|\\|_inf"):
+                C.integrate(system, np.ones(2), np.linspace(0.0, 2.0 * longest, outputs))
+
+    @pytest.mark.parametrize("end", [1e12, 1e17, 1e20, 1e300])
+    def test_the_searches_refuse_a_run_past_the_longest(self, end):
+        # these read decay 0.99961, unstable, asymptotically_stable and a
+        # false escape of a system whose corner never moves
+        system = C.linear_system([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(ValueError, match="1e\\+07"):
+            C.check_xi0_stability(system, eps_grid=(0.5,), T_check=end)
+        with pytest.raises(ValueError, match="1e\\+07"):
+            C.check_practical(system, lam=0.5, bound=2.0, horizon=end)
+
     def test_steps_count_the_sub_steps(self):
         # one exp(M h) per output interval, whatever ||M||_inf h (here 2 h)
         system = C.linear_system([[-1.0, 1.0], [1.0, -1.0]])

@@ -391,6 +391,32 @@ class TestCli:
 
     @pytest.mark.parametrize("check, key", [
         ({"kind": "xi0_stability", "eps": [0.5]}, "T_check"),
+        ({"kind": "practical", "lambda": 0.5, "A": 2.0}, "T"),
+        ({"kind": "practical", "lambda": 0.5, "A": 2.0}, "horizon"),
+        ({"kind": "bound_check", "functionals": ["V", "perimeter"]}, "horizon"),
+    ], ids=["xi0_T_check", "practical_T", "practical_horizon", "bound_check_horizon"])
+    def test_a_span_past_the_longest_exact_run_exits_2(self, tmp_path, capsys, check, key):
+        # ||M||_inf = 2 for this Metzler system, whose exact solver runs to
+        # times ||M||_inf = comparison.EXACT_MAX_SPAN = 1e7 and no further
+        def doc(span):
+            checks = [dict(check, system={"kind": "linear",
+                                          "matrix": [[-1.0, 1.0], [1.0, -1.0]]})]
+            if key == "horizon":
+                return quick_doc(horizon=span, dt=span / 10, checks=checks)
+            checks[0][key] = span
+            return quick_doc(checks=checks)
+
+        scenarios.parse_scenario(doc(5e6))
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc(1e7)))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+        assert (f"{check['kind']}: {key!r} times the comparison matrix's ||M||_inf"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("check, key", [
+        ({"kind": "xi0_stability", "eps": [0.5]}, "T_check"),
         ({"kind": "practical", "lambda": 1.0, "A": 100.0}, "T"),
     ], ids=["xi0_stability", "practical"])
     @pytest.mark.parametrize("phi", [{"kind": "constant", "value": 1.0},
