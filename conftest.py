@@ -10,7 +10,7 @@ import pytest
 from setflow import bodies, flow
 
 KERNEL_CACHES = (flow._flow_matrix, flow._ball_samples, bodies._pullback_plan,
-                 bodies._powers_plan, bodies._form_weights)
+                 bodies._form_weights)
 
 
 @pytest.fixture(autouse=True)

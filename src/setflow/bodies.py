@@ -115,17 +115,11 @@ def _adopt(values: np.ndarray, norm: float | None = None) -> SupportFunction2D:
     read-only, and ``norm``, when given, is kept as its sup norm.
 
     Only for a one-dimensional float array of valid samples that nothing
-    writes to again, such as the new body of :func:`setflow.flow.step`.
+    writes to again, such as the bodies made by :func:`setflow.flow.step`.
+    Writes the instance dictionary directly, the cheapest way past the
+    frozen dataclass's ``__setattr__``.
     """
-    values.setflags(write=False)
-    return _scratch(values, norm)
-
-
-def _scratch(values: np.ndarray, norm: float | None = None) -> SupportFunction2D:
-    """:func:`_adopt` without making ``values`` read-only: for a body that
-    never leaves its maker, such as the half-step and the predictor of
-    :func:`setflow.flow.step`.  Writes the instance dictionary directly,
-    the cheapest way past the frozen dataclass's ``__setattr__``."""
+    values.setflags(False)      # write=False; the keyword costs twice as much
     body = object.__new__(SupportFunction2D)
     fields = body.__dict__
     fields["values"] = values
@@ -469,6 +463,26 @@ def _pullback_plan(mat_bytes: bytes, m: int) -> _PullbackPlan:
                          _frozen(norms * polygon))
 
 
+def _plan(mat: np.ndarray, m: int):
+    """The pull-back of ``mat`` on ``m`` points: the factor ``c`` of a
+    positive scalar matrix ``c I``, which needs no plan (``h_{cu} = c h_u``),
+    or else the cached :class:`_PullbackPlan` of ``mat``."""
+    (a, b), (c, d) = mat.tolist()
+    if b == 0.0 and c == 0.0 and a == d > 0.0:
+        return a
+    return _pullback_plan(mat.tobytes(), m)
+
+
+def _pull_back(values: np.ndarray, plan, stacked=None) -> np.ndarray:
+    # the samples of M u from those of u along the plan of M; ``stacked``,
+    # when given, is the _spline_stack of the samples
+    if type(plan) is float:
+        return plan * values
+    if plan.gather is not None:
+        return plan.norms * values[plan.gather]
+    return _spline_or_polygon(values, plan, stacked)
+
+
 def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Samples of the support function of M u from samples of u.
 
@@ -482,13 +496,7 @@ def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
     The resampling plan depends only on (M, grid) and is cached.  A
     positive scalar matrix ``c I`` needs none: ``h_{cu} = c h_u``.
     """
-    (a, b), (c, d) = mat.tolist()
-    if b == 0.0 and c == 0.0 and a == d > 0.0:
-        return a * values
-    plan = _pullback_plan(mat.tobytes(), values.size)
-    if plan.gather is not None:
-        return plan.norms * values[plan.gather]
-    return _spline_or_polygon(values, plan)
+    return _pull_back(values, _plan(mat, values.size))
 
 
 def _spline_stack(values: np.ndarray) -> np.ndarray:
@@ -527,89 +535,35 @@ def linear_image(u: SupportFunction2D, op) -> SupportFunction2D:
     mat, ((a, b), (c, d)) = _matrix_rows(op)
     if a == d == 1.0 and b == c == 0.0:
         return u
-    # the scalar rule of _image_values, from the entries already read
-    vals = a * u.values if b == c == 0.0 and a == d > 0.0 else _image_values(u.values, mat)
+    vals = _image_values(u.values, mat)
     norm = _max_abs(vals)
     if not norm < math.inf:
         raise ValueError("support values must be finite")
     return _adopt(vals, norm)
 
 
-# The most samples in one block of a stacked gather.  A temporary of 64 KiB
-# comes from the allocator's heap; a larger one can be a fresh mapping, whose
-# page faults cost more than the calls the stacking saves (on a 2-CPU x86-64
-# host, three gather powers at M = 8192 took 1.7 times as long in one block
-# as one by one).
-STACK_SAMPLES = 2 ** 13
-
-
-@dataclass(frozen=True, eq=False)
-class _PowersPlan:
-    """The pull-backs of :func:`_image_forms` for a tuple of matrices on one
-    grid, grouped so that one pass computes every image.
-
-    The images come in order: first the gathers, read by a stacked gather
-    (``norms`` and ``gather``, (g, M)), then the positive scalar matrices
-    (``scalars``), then the splines (``splines``, one plan each), which
-    share one curvature solve.  ``rows[i]`` is the place of matrix i.
-    """
-
-    norms: np.ndarray
-    gather: np.ndarray
-    scalars: tuple
-    splines: tuple
-    rows: tuple
-
-
-@lru_cache(maxsize=8)
-def _powers_plan(mats: tuple, m: int) -> _PowersPlan:
-    groups = ([], [], [])       # gather plans, scalars, spline plans
-    kinds = []                  # (group, index in it) of each matrix
-    for mat_bytes in mats:
-        (a, b), (c, d) = np.frombuffer(mat_bytes).reshape(2, 2).tolist()
-        if b == 0.0 and c == 0.0 and a == d > 0.0:
-            group, entry = 1, a
-        else:
-            entry = _pullback_plan(mat_bytes, m)
-            group = 0 if entry.gather is not None else 2
-        groups[group].append(entry)
-        kinds.append((group, len(groups[group]) - 1))
-    gathers, scalars, splines = groups
-    starts = (0, len(gathers), len(gathers) + len(scalars))
-    return _PowersPlan(
-        norms=_frozen(np.array([p.norms for p in gathers]).reshape(-1, m)),
-        gather=_frozen(np.array([p.gather for p in gathers], dtype=int).reshape(-1, m)),
-        scalars=tuple(scalars), splines=tuple(splines),
-        rows=tuple(starts[group] + j for group, j in kinds))
-
-
 def _image_forms(values: np.ndarray, mats: tuple) -> list:
-    """``V[u, M u]`` for each matrix ``M``, given by its bytes in ``mats``,
-    with the bits of ``_mixed_form(values, _image_values(values, M))``.
+    """``V[u, M u]`` for each matrix ``M`` of ``mats``, with the bits of
+    ``_mixed_form(values, _image_values(values, M))``.
 
-    One pass serves all of them: one difference of the body, one stacked
-    gather for the gather matrices (in blocks of at most ``STACK_SAMPLES``
-    samples) and one curvature solve for the spline ones, one finiteness
-    test per block; then each image's form is dotted row by row in the
-    order of :func:`_mixed_form`.  Raises ValueError when an image is not
-    finite.
+    The forms share one difference of the body and, among the spline
+    pull-backs, one curvature solve.  Raises ValueError when an image is
+    not finite.
     """
     m = values.size
-    plan = _powers_plan(mats, m)
-    per_block = max(1, STACK_SAMPLES // m)
-    blocks = [plan.norms[i:i + per_block] * values[plan.gather[i:i + per_block]]
-              for i in range(0, len(plan.norms), per_block)]
-    blocks += [(c * values)[None] for c in plan.scalars]
-    if plan.splines:
+    plans = [_plan(mat, m) for mat in mats]
+    stacked = None
+    if any(type(plan) is not float and plan.cells is not None for plan in plans):
         stacked = _spline_stack(values)
-        blocks += [_spline_or_polygon(values, spline, stacked)[None] for spline in plan.splines]
-    if not all(np.isfinite(block).all() for block in blocks):
-        raise ValueError("support values must be finite")
     tan_half, sin2 = _form_weights(m)
     du = _difference(values)
-    forms = [tan_half * float(values.dot(h)) - float(du.dot(_difference(h))) / sin2
-             for block in blocks for h in block]
-    return [forms[row] for row in plan.rows]
+    forms = []
+    for plan in plans:
+        image = _pull_back(values, plan, stacked)
+        if not np.isfinite(image).all():
+            raise ValueError("support values must be finite")
+        forms.append(tan_half * float(values.dot(image)) - float(du.dot(_difference(image))) / sin2)
+    return forms
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ class SourceTerm:
         """Sample array of F(volume, u), or None when the source vanishes.
 
         A ball source under a constant psi returns one cached, read-only
-        array per grid size.
+        array per psi value (a zero's sign included) and grid size.
         """
         kind = self.kind
         if kind == "zero":
@@ -187,12 +187,16 @@ class SourceTerm:
             raise ValueError("psi must be nonnegative")
         if kind == "linear":
             return scale * bodies._image_values(u_values, self.matrix)
-        return _ball_samples(scale, u_values.size) if constant_psi else np.full(u_values.size, scale)
+        if constant_psi:
+            return _ball_samples(scale, math.copysign(1.0, scale), u_values.size)
+        return np.full(u_values.size, scale)
 
 
 @lru_cache(maxsize=8)
-def _ball_samples(radius: float, m: int) -> np.ndarray:
-    # the read-only samples of a constant psi's disc, one array per (psi, M)
+def _ball_samples(radius: float, sign: float, m: int) -> np.ndarray:
+    # the read-only samples of a constant psi's disc, one array per (psi, M);
+    # ``sign`` keys -0.0 apart from 0.0, which hash and compare equal but
+    # give sums of different signs
     return bodies._frozen(np.full(m, radius))
 
 
@@ -402,14 +406,14 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
         start = u
     else:
         half_f0 = (0.5 * dt) * f0
-        start = bodies._scratch(u.values + half_f0)
+        start = bodies._adopt(u.values + half_f0)
     try:
         moved = linear_image(start, _flow_matrix(params._a_bytes, phi_mid * dt))
     except ValueError:      # the pull-back of a non-finite half-step
         raise BlowupError("non-finite support values produced by step",
                           reached_time=dt) from None
 
-    pred = moved if f0 is None else bodies._scratch(moved.values + half_f0)
+    pred = moved if f0 is None else bodies._adopt(moved.values + half_f0)
     f1 = source.values(area(pred), pred.values)
     if f1 is None:
         return moved
@@ -604,10 +608,10 @@ def mixed_columns(op, count: int) -> dict:
     Maps ``f"W{i}"`` to the function ``u -> V[u, B^i u]``, the mixed area of
     a body with its image under the i-th power of B.  The powers are
     computed and validated here, once; an identity power reads the body's
-    kept self form (see :func:`setflow.bodies.area`).  Two or more other
-    columns of a body are computed together, in one pass (one difference
-    of the body, one stacked gather, one curvature solve), the first time
-    one of them reads it; each keeps the bits of its own ``V[u, B^i u]``.
+    kept self form (see :func:`setflow.bodies.area`).  The other columns of
+    a body are computed together, in one pass (one difference of the body,
+    one curvature solve for the spline powers), the first time one of them
+    reads it; each keeps the bits of its own ``V[u, B^i u]``.
     They keep the values of the last body they read, in their own closure
     and not in a module-level buffer, so columns made for separate runs
     share nothing.  Raises ValueError when a power is not finite; a
@@ -621,22 +625,11 @@ def mixed_columns(op, count: int) -> dict:
     # linear_image hands a body back under the identity, so V[u, u]
     moved = [i for i, p in enumerate(powers) if not (p == np.eye(2)).all()]
     columns = {f"W{i}": bodies._self_form for i in range(count)}
-    if len(moved) == 1:         # nothing to share
-        columns[f"W{moved[0]}"] = _mixed_column(powers[moved[0]])
-    elif moved:
-        forms = _frame_forms(tuple(powers[i].tobytes() for i in moved))
+    if moved:
+        forms = _frame_forms(tuple(powers[i] for i in moved))
         for j, i in enumerate(moved):
             columns[f"W{i}"] = lambda u, j=j: forms(u)[j]
     return columns
-
-
-def _mixed_column(power: np.ndarray):
-    def column(u):
-        image = bodies._image_values(u.values, power)
-        if not np.isfinite(image).all():
-            raise ValueError("support values must be finite")
-        return bodies._mixed_form(u.values, image)
-    return column
 
 
 def _frame_forms(mats):

@@ -1,7 +1,7 @@
 """The lean paths of ``step``, ``evolve`` and the frame columns keep their bits.
 
 A frame's mixed columns are computed together (one difference of the body,
-one stacked gather, one curvature solve), and a body's sup norm is both the
+one curvature solve), and a body's sup norm is both the
 finiteness test of a new body and the overflow guard of ``evolve``.  Each
 must give exactly what the per-column and per-test formulas gave.
 """
@@ -64,12 +64,9 @@ def test_frame_columns_keep_the_bits_of_each_column(name, count, m, seed, smooth
         for i in range(count)]
 
 
-@pytest.mark.parametrize("m, stack", [(64, 64), (64, 128), (8192, 2 ** 13)],
-                         ids=["one_row_blocks", "two_row_blocks", "fine_grid"])
-def test_the_stacked_gather_keeps_the_bits_in_blocks(monkeypatch, m, stack):
-    # the quarter turn's powers R, -I and R^3 are three gathers, read in
-    # blocks of at most STACK_SAMPLES samples
-    monkeypatch.setattr(B, "STACK_SAMPLES", stack)
+@pytest.mark.parametrize("m", [64, 8192])
+def test_the_gather_powers_keep_their_bits(m):
+    # the quarter turn's powers R, -I and R^3 are three gathers
     u = helpers.random_polygon(np.random.default_rng(8), m)
     got = [fn(u) for fn in F.mixed_columns(OPERATORS["quarter_turn"], 4).values()]
     assert got == _reference_columns(u, OPERATORS["quarter_turn"], 4)
@@ -117,6 +114,20 @@ def test_a_constant_ball_source_reads_one_cached_array():
     assert np.array_equal(varying.values(1.0, u.values), first)
     with pytest.raises(ValueError, match="psi must be nonnegative"):
         F.ball_source(F.ScalarFunction(kind="constant", value=-1.0)).values(1.0, u.values)
+
+
+@pytest.mark.parametrize("radii", [(-0.0, 0.0), (0.0, -0.0)],
+                         ids=["negative_zero_first", "zero_first"])
+def test_a_zero_ball_keeps_its_sign_whatever_ran_before(radii):
+    # -0.0 and 0.0 compare equal, but a sum with a -0.0 body keeps the sign
+    # of the source's zero, so each psi reads its own cached samples
+    u = B.SupportFunction2D(np.full(64, -0.0))
+    for radius in radii:
+        params = F.SemiflowParams(A=np.zeros((2, 2)), phi=F.constant(1.0),
+                                  source=F.ball_source(F.constant(radius)))
+        negative = math.copysign(1.0, radius) < 0.0
+        assert np.signbit(params.source.values(0.0, u.values)).tolist() == [negative] * 64
+        assert np.signbit(F.step(u, params, 1e-3).values).tolist() == [negative] * 64
 
 
 def test_the_params_keep_a_read_only_copy_of_a():
