@@ -463,11 +463,12 @@ def _pullback_plan(mat_bytes: bytes, m: int) -> _PullbackPlan:
                          _frozen(norms * polygon))
 
 
-def _plan(mat: np.ndarray, m: int):
+def _plan(mat: np.ndarray, m: int, rows=None):
     """The pull-back of ``mat`` on ``m`` points: the factor ``c`` of a
     positive scalar matrix ``c I``, which needs no plan (``h_{cu} = c h_u``),
-    or else the cached :class:`_PullbackPlan` of ``mat``."""
-    (a, b), (c, d) = mat.tolist()
+    or else the cached :class:`_PullbackPlan` of ``mat``.  ``rows`` are
+    ``mat.tolist()`` when the caller has read them already."""
+    (a, b), (c, d) = mat.tolist() if rows is None else rows
     if b == 0.0 and c == 0.0 and a == d > 0.0:
         return a
     return _pullback_plan(mat.tobytes(), m)
@@ -535,7 +536,7 @@ def linear_image(u: SupportFunction2D, op) -> SupportFunction2D:
     mat, ((a, b), (c, d)) = _matrix_rows(op)
     if a == d == 1.0 and b == c == 0.0:
         return u
-    vals = _image_values(u.values, mat)
+    vals = _pull_back(u.values, _plan(mat, u.values.size, ((a, b), (c, d))))
     norm = _max_abs(vals)
     if not norm < math.inf:
         raise ValueError("support values must be finite")

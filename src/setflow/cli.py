@@ -11,9 +11,9 @@ prints the bundled experiments.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
@@ -102,26 +102,30 @@ def _cmd_geom(args) -> int:
 
 
 def _load(target: str) -> scenarios.Scenario:
-    if Path(target).exists():
+    # os.path.exists, unlike Path.exists, is False for a name too long for a path
+    if os.path.exists(target):
         return scenarios.load_scenario(target)
     return scenarios.get_builtin(target)
 
 
 def _cmd_run(args) -> int:
     try:
-        loaded = [(t, _load(t)) for t in args.scenario]
+        loaded = [_load(t) for t in args.scenario]
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    try:        # once every document has parsed, and before any flow runs
+        os.makedirs(args.out or ".", exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out: cannot create the output directory: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
     if args.jobs > 1 and len(loaded) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(scenarios.run_scenario, s, args.out)
-                       for _, s in loaded]
+            futures = [pool.submit(scenarios.run_scenario, s, args.out) for s in loaded]
             results = [f.result() for f in futures]
     else:
-        results = [scenarios.run_scenario(s, out_dir=args.out)
-                   for _, s in loaded]
+        results = [scenarios.run_scenario(s, out_dir=args.out) for s in loaded]
 
     code = EXIT_OK
     for result in results:

@@ -204,7 +204,9 @@ def parse_scenario(doc: dict) -> Scenario:
              "without '/', '\\' or control characters, and with its '.json' suffix "
              f"at most {MAX_FILE_NAME_BYTES} bytes of UTF-8")
     seed = doc.get("seed", 0)
-    _require(isinstance(seed, int), "'seed' must be an integer")
+    # the seed of numpy's generators, which refuse a negative one
+    _require(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+             "'seed' must be a non-negative integer")
     grid_size = doc.get("grid_size", bodies.DEFAULT_GRID_SIZE)
     _require(isinstance(grid_size, int) and grid_size % 2 == 0
              and bodies.MIN_GRID_SIZE <= grid_size <= MAX_GRID_SIZE,
@@ -261,16 +263,19 @@ def body_record(u: SupportFunction2D) -> dict:
             "values": [float(v) for v in u.values]}
 
 
-def load_scenario(path) -> Scenario:
+def _read_document(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise SchemaError(f"cannot read scenario file: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"scenario file is not valid JSON: {exc}") from None
-    return parse_scenario(doc)
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, text that is not JSON, an integer past
+        # Python's digit limit, or arrays nested past its recursion limit
+        raise SchemaError(f"scenario file is not UTF-8 JSON: {exc}") from None
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(_read_document(path))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +286,8 @@ def _operator_order(mat, max_order=8):
     """Smallest k <= max_order with B^k = identity, or None."""
     power = np.eye(2)
     for k in range(1, max_order + 1):
-        power = power @ mat
+        with np.errstate(over="ignore", invalid="ignore"):     # a large B
+            power = power @ mat
         if np.max(np.abs(power - np.eye(2))) < 1e-9:
             return k
     return None
@@ -449,8 +455,15 @@ def _failure(exc, **details):
 def _check_closed_form_area(check, scenario):
     terms = _param(check, "terms", 2, lambda v: isinstance(v, int) and v in (2, 4), "2 or 4")
     rtol = _positive(check, "rtol", 1e-3)
-    src = scenario.params.source
+    params, src = scenario.params, scenario.params.source
     _require(src.kind == "linear", "closed_form_area applies to linear-body sources")
+    # the closed forms are the cyclic solutions for A = -I, phi = 1, psi = 1/2
+    # and B^terms = I (the order of B divides terms), and describe no other flow
+    _require(np.array_equal(params.A, -np.eye(2)), "closed_form_area needs params.A = -I")
+    _require(params.phi == flow.constant(1.0), "closed_form_area needs a constant phi of 1")
+    _require(src.psi == flow.constant(0.5), "closed_form_area needs a constant psi of 0.5")
+    _require(_operator_order(src.matrix, terms) in (1, 2, terms),
+             f"closed_form_area: 'terms' {terms} needs B^{terms} = I")
 
     def run(traj):
         w0 = flow.mixed_functionals(scenario.initial_body, src.matrix, terms)
@@ -722,153 +735,26 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
 
 
 # ---------------------------------------------------------------------------
-# built-in scenarios
+# built-in scenarios: the documents under builtins/, each with a one-line
+# 'description' that the parser ignores
 
 
-def _square(half=0.5):
-    return {"kind": "polygon", "vertices": [[half, half], [-half, half],
-                                            [-half, -half], [half, -half]]}
-
-
-_CONST_1 = {"kind": "constant", "value": 1.0}
-_CONST_HALF = {"kind": "constant", "value": 0.5}
-_MINUS_I = [[-1.0, 0.0], [0.0, -1.0]]
-_QUARTER_TURN = [[0.0, -1.0], [1.0, 0.0]]
+BUILTINS_DIR = Path(__file__).with_name("builtins")
 
 
 def builtin_scenarios() -> dict:
-    """The bundled experiments, as plain scenario documents."""
-    docs = {}
-
-    docs["ball_fixed_point"] = {
-        "schema": 1, "name": "ball_fixed_point", "seed": 7, "grid_size": 512,
-        "initial_body": {"kind": "ball", "radius": 1.2},
-        "params": {"A": _MINUS_I, "phi": _CONST_1,
-                   "source": {"kind": "ball_source", "psi": _CONST_1}},
-        "horizon": 10.0, "dt": 1e-3,
-        "track": ["V", "perimeter",
-                  {"kind": "hausdorff_to", "body": {"kind": "ball", "radius": 1.0}}],
-        "checks": [
-            {"kind": "fixed_point", "expect_stable": True},
-            {"kind": "converge_to", "body": {"kind": "ball", "radius": 1.0},
-             "tol": 1e-2},
-        ],
-    }
-
-    docs["nilpotent_decay"] = {
-        "schema": 1, "name": "nilpotent_decay", "seed": 11, "grid_size": 512,
-        "initial_body": _square(),
-        "params": {"A": _MINUS_I,
-                   "phi": {"kind": "rational", "num": [1.0], "den": [1.0, 1.0]},
-                   "source": {"kind": "linear_body", "psi": _CONST_HALF,
-                              "B": [[0.0, 1.0], [0.0, 0.0]]}},
-        "horizon": 3.0, "dt": 1e-3,
-        "track": ["V", "perimeter", {"kind": "mixed", "count": 2}],
-        "checks": [
-            {"kind": "wazewski", "box": [0.0, 10.0], "samples": 256},
-            {"kind": "bound_check", "system": "auto", "tol_scale": 1e-4},
-        ],
-    }
-
-    docs["reflection_square"] = {
-        "schema": 1, "name": "reflection_square", "seed": 3, "grid_size": 512,
-        "initial_body": _square(),
-        "params": {"A": _MINUS_I, "phi": _CONST_1,
-                   "source": {"kind": "linear_body", "psi": _CONST_HALF,
-                              "B": [[1.0, 0.0], [0.0, -1.0]]}},
-        "horizon": 3.0, "dt": 1e-3,
-        "track": ["V", "perimeter", {"kind": "mixed", "count": 2}],
-        "checks": [
-            {"kind": "closed_form_area", "terms": 2, "rtol": 1e-3},
-            {"kind": "bound_check", "system": "auto", "tol_scale": 1e-4},
-        ],
-    }
-
-    docs["rotation_rectangle"] = {
-        "schema": 1, "name": "rotation_rectangle", "seed": 3, "grid_size": 512,
-        "initial_body": {"kind": "polygon",
-                         "vertices": [[1.0, 0.5], [-1.0, 0.5],
-                                      [-1.0, -0.5], [1.0, -0.5]]},
-        "params": {"A": _MINUS_I, "phi": _CONST_1,
-                   "source": {"kind": "linear_body", "psi": _CONST_HALF,
-                              "B": _QUARTER_TURN}},
-        "horizon": 3.0, "dt": 1e-3,
-        "track": ["V", "perimeter", {"kind": "mixed", "count": 4}],
-        "checks": [
-            {"kind": "closed_form_area", "terms": 4, "rtol": 2e-3},
-        ],
-    }
-
-    docs["segment_growth"] = {
-        "schema": 1, "name": "segment_growth", "seed": 3, "grid_size": 512,
-        "initial_body": {"kind": "segment", "length": 4.0},
-        "params": {"A": _MINUS_I, "phi": _CONST_1,
-                   "source": {"kind": "linear_body", "psi": _CONST_HALF,
-                              "B": _QUARTER_TURN}},
-        "horizon": 1.0, "dt": 1e-3,
-        "track": ["V", {"kind": "mixed", "count": 4}],
-        "checks": [
-            {"kind": "growth_scaling", "lengths": [4.0, 8.0, 16.0],
-             "rtol": 0.01, "ratio_tol": 0.05},
-        ],
-    }
-
-    docs["sde_bound"] = {
-        "schema": 1, "name": "sde_bound", "seed": 5, "grid_size": 512,
-        "initial_body": _square(),
-        "params": {"A": [[0.0, 0.0], [0.0, 0.0]], "phi": _CONST_1,
-                   "source": {"kind": "linear_body", "psi": _CONST_1,
-                              "B": [[0.0, 1.0], [1.0, 0.0]]}},
-        "horizon": 1.0, "dt": 1e-3,
-        "track": ["V", "perimeter", {"kind": "mixed", "count": 2}],
-        "checks": [
-            {"kind": "wazewski", "box": [0.0, 10.0], "samples": 256},
-            {"kind": "practical", "lambda": 1.0, "A": 100.0, "T": 1.0},
-            {"kind": "bound_check", "system": "auto", "tol_scale": 1e-6},
-            {"kind": "sde_exponents", "lambda": 1.0, "A": 100.0, "T": 1.0},
-        ],
-    }
-
-    docs["shrink_instability"] = {
-        "schema": 1, "name": "shrink_instability", "seed": 13, "grid_size": 512,
-        "initial_body": {"kind": "ball", "radius": 0.05},
-        "params": {"A": _MINUS_I, "phi": _CONST_1,
-                   "source": {"kind": "ball_source", "psi": _CONST_1}},
-        "horizon": 5.0, "dt": 1e-3,
-        "track": ["V", "perimeter"],
-        "checks": [
-            {"kind": "instability_certificate", "expect": "unstable"},
-        ],
-    }
-    return docs
-
-
-BUILTIN_DESCRIPTIONS = {
-    "ball_fixed_point": ("uniform contraction fed by a unit-disc source: fixed "
-                         "ball, linearization certificate, convergence run"),
-    "nilpotent_decay": ("rank-one shear source with a saturating clock: "
-                        "quasimonotonicity and comparison dominance of the "
-                        "tracked functionals"),
-    "reflection_square": ("axis-reflection source on the unit square: simulated "
-                          "area against the two-mode closed form"),
-    "rotation_rectangle": ("quarter-turn source on a rectangle: simulated area "
-                           "against the four-mode closed form"),
-    "segment_growth": ("segments inflated by the quarter-turn source: area at "
-                       "t=1 scales with length squared (volume-measure "
-                       "instability)"),
-    "sde_bound": ("pure set equation with a swap matrix: growth-system bound, "
-                  "practical stability verdict, exponent report"),
-    "shrink_instability": ("disc source with vanishing bodies: closed-form "
-                           "volume-measure instability certificate"),
-}
+    """The bundled experiments, as plain scenario documents, in name order."""
+    return {path.stem: _read_document(path)
+            for path in sorted(BUILTINS_DIR.glob("*.json"))}
 
 
 def list_builtins() -> list:
     """Names and one-line descriptions of the bundled experiments."""
-    return [(name, BUILTIN_DESCRIPTIONS[name]) for name in builtin_scenarios()]
+    return [(name, doc["description"]) for name, doc in builtin_scenarios().items()]
 
 
 def get_builtin(name: str) -> Scenario:
+    # looked up among the files present: the name never becomes a path
     docs = builtin_scenarios()
     if name not in docs:
         raise SchemaError(f"unknown builtin scenario {name!r}; "

@@ -111,19 +111,19 @@ def _ellipse(m):
 @pytest.mark.parametrize("body", [lambda m: B.make_ball(1.0, grid_size=m), _ellipse],
                          ids=["disc", "ellipse"])
 def test_smooth_bodies_keep_the_spline(monkeypatch, body):
-    image_values = B._image_values
+    # every spline pull-back, whichever kernel asks for it, goes through
+    # _spline_or_polygon, which falls back to the polygon off the cone
+    spline_or_polygon = B._spline_or_polygon
     pullbacks, fallbacks = [], []
 
-    def counted(values, mat):
-        out = image_values(values, mat)
-        plan = B._pullback_plan(np.asarray(mat, dtype=float).tobytes(), values.size)
-        if plan.cells is not None:
-            pullbacks.append(mat)
-            if not np.array_equal(out, B._spline_image(values, plan)):
-                fallbacks.append(mat)
+    def counted(values, plan, stacked=None):
+        out = spline_or_polygon(values, plan, stacked)
+        pullbacks.append(plan)
+        if not np.array_equal(out, B._spline_image(values, plan, stacked)):
+            fallbacks.append(plan)
         return out
 
-    monkeypatch.setattr(B, "_image_values", counted)
+    monkeypatch.setattr(B, "_spline_or_polygon", counted)
     cyclic3 = F.SemiflowParams(A=-np.eye(2), phi=F.constant(1.0),
                                source=F.linear_source(F.constant(CYCLIC3_PSI), ROT120))
     for params in (sourceless(NON_NORMAL), cyclic3):
