@@ -463,28 +463,7 @@ def _pullback_plan(mat_bytes: bytes, m: int) -> _PullbackPlan:
                          _frozen(norms * polygon))
 
 
-def _plan(mat: np.ndarray, m: int, rows=None):
-    """The pull-back of ``mat`` on ``m`` points: the factor ``c`` of a
-    positive scalar matrix ``c I``, which needs no plan (``h_{cu} = c h_u``),
-    or else the cached :class:`_PullbackPlan` of ``mat``.  ``rows`` are
-    ``mat.tolist()`` when the caller has read them already."""
-    (a, b), (c, d) = mat.tolist() if rows is None else rows
-    if b == 0.0 and c == 0.0 and a == d > 0.0:
-        return a
-    return _pullback_plan(mat.tobytes(), m)
-
-
-def _pull_back(values: np.ndarray, plan, stacked=None) -> np.ndarray:
-    # the samples of M u from those of u along the plan of M; ``stacked``,
-    # when given, is the _spline_stack of the samples
-    if type(plan) is float:
-        return plan * values
-    if plan.gather is not None:
-        return plan.norms * values[plan.gather]
-    return _spline_or_polygon(values, plan, stacked)
-
-
-def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
+def _image_values(values: np.ndarray, mat: np.ndarray, rows=None) -> np.ndarray:
     """Samples of the support function of M u from samples of u.
 
     Uses the pull-back rule ``h_{Mu}(p) = |M^T p| * h_u(M^T p / |M^T p|)``.
@@ -496,29 +475,29 @@ def _image_values(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
     polygon, a two-point gather, takes its place; gathers keep the cone.
     The resampling plan depends only on (M, grid) and is cached.  A
     positive scalar matrix ``c I`` needs none: ``h_{cu} = c h_u``.
+    ``rows`` are ``mat.tolist()`` when the caller has read them already.
     """
-    return _pull_back(values, _plan(mat, values.size))
+    (a, b), (c, d) = mat.tolist() if rows is None else rows
+    if b == 0.0 and c == 0.0 and a == d > 0.0:
+        return a * values
+    plan = _pullback_plan(mat.tobytes(), values.size)
+    if plan.gather is not None:
+        return plan.norms * values[plan.gather]
+    return _spline_or_polygon(values, plan)
 
 
-def _spline_stack(values: np.ndarray) -> np.ndarray:
-    # the samples and the curvatures of their periodic cubic spline, the
-    # rows that a spline plan's cells read
-    return np.concatenate((values, _spline_curvatures(values)))
-
-
-def _spline_image(values: np.ndarray, plan: _PullbackPlan, stacked=None) -> np.ndarray:
+def _spline_image(values: np.ndarray, plan: _PullbackPlan) -> np.ndarray:
     # the periodic cubic spline through the samples: one solve for its
-    # curvatures (none when ``stacked`` is given) and one weighted gather of
-    # the samples and curvatures
-    stacked = _spline_stack(values) if stacked is None else stacked
+    # curvatures and one weighted gather of the samples and curvatures
+    stacked = np.concatenate((values, _spline_curvatures(values)))
     return (plan.weights * stacked[plan.cells]).sum(axis=0)
 
 
-def _spline_or_polygon(values, plan, stacked=None):
+def _spline_or_polygon(values, plan):
     # the spline image, or where it leaves the convex cone the sampled
     # polygon's support; a non-finite image skips the test: its caller
     # rejects it
-    image = _spline_image(values, plan, stacked)
+    image = _spline_image(values, plan)
     if np.isfinite(image).all() and convexity_defect(image).min() < 0.0:
         image = (plan.polygon * values[plan.cells[:2]]).sum(axis=0)
     return image
@@ -533,38 +512,14 @@ def linear_image(u: SupportFunction2D, op) -> SupportFunction2D:
     keeps: raises ValueError when a sample is not finite (an overflowing
     pull-back).
     """
-    mat, ((a, b), (c, d)) = _matrix_rows(op)
-    if a == d == 1.0 and b == c == 0.0:
+    mat, rows = _matrix_rows(op)
+    if rows == [[1.0, 0.0], [0.0, 1.0]]:
         return u
-    vals = _pull_back(u.values, _plan(mat, u.values.size, ((a, b), (c, d))))
+    vals = _image_values(u.values, mat, rows)
     norm = _max_abs(vals)
     if not norm < math.inf:
         raise ValueError("support values must be finite")
     return _adopt(vals, norm)
-
-
-def _image_forms(values: np.ndarray, mats: tuple) -> list:
-    """``V[u, M u]`` for each matrix ``M`` of ``mats``, with the bits of
-    ``_mixed_form(values, _image_values(values, M))``.
-
-    The forms share one difference of the body and, among the spline
-    pull-backs, one curvature solve.  Raises ValueError when an image is
-    not finite.
-    """
-    m = values.size
-    plans = [_plan(mat, m) for mat in mats]
-    stacked = None
-    if any(type(plan) is not float and plan.cells is not None for plan in plans):
-        stacked = _spline_stack(values)
-    tan_half, sin2 = _form_weights(m)
-    du = _difference(values)
-    forms = []
-    for plan in plans:
-        image = _pull_back(values, plan, stacked)
-        if not np.isfinite(image).all():
-            raise ValueError("support values must be finite")
-        forms.append(tan_half * float(values.dot(image)) - float(du.dot(_difference(image))) / sin2)
-    return forms
 
 
 # ---------------------------------------------------------------------------

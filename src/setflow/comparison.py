@@ -573,7 +573,7 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     A Metzler ``matrix`` is decided by :func:`_exact_xi0`.  Any other system
     must pass :func:`check_wazewski` on ``[0, max eps]^dim`` (drawn from
     ``seed``), else the verdict is ``inconclusive``; each level then bisects
-    (equal levels share one) on corner runs nudged inside by ``1 - 1e-12``,
+    on corner runs nudged inside by ``1 - 1e-12``,
     at ``rtol = XI0_RTOL`` with ``eps`` as the ``ceiling``, so a crossing is
     tested only at the accepted RK4 steps and the output times.
     """
@@ -608,10 +608,10 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
             return None
         return None if np.max(x) >= eps else float(x[-1])
 
-    table, deltas = [], {}      # equal levels share one trial and one delta
+    table = []
     for eps in levels:
-        hi = float(eps)
-        if hi not in deltas and corner(hi, eps) is None:
+        hi = lo = float(eps)
+        if corner(hi, eps) is None:
             lo = 0.0
             for _ in range(bisect_iters):
                 mid = 0.5 * (lo + hi)
@@ -626,8 +626,7 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
                     kind="unstable",
                     witness={"failed_eps": eps, "delta_floor": DELTA_FLOOR, "T_check": T_check,
                              "delta_table": table, "note": SAMPLED_EVIDENCE_NOTE})
-            deltas[float(eps)] = lo
-        table.append((eps, deltas.setdefault(float(eps), float(eps))))
+        table.append((eps, lo))
 
     half = 0.5 * min(d for _, d in table)
     final = corner(half, levels[0])

@@ -290,13 +290,13 @@ def volume_rate(u: SupportFunction2D, params: SemiflowParams) -> float:
     the mixed area.
     """
     v = area(u)
-    return _volume_rate_from(u, v, params)
+    return _volume_rate_from(u, v, params, params.source.values(v, u.values))
 
 
-def _volume_rate_from(u, v, params, source_vals=None):
+def _volume_rate_from(u, v, params, source_vals):
+    # the rate at a body of area v whose source samples are source_vals
+    # (None for a vanishing source)
     rate = params.trace * float(params.phi(v)) * v
-    if source_vals is None:
-        source_vals = params.source.values(v, u.values)
     if source_vals is not None:
         rate += 2.0 * mixed_area(u, source_vals)
     return rate
@@ -608,14 +608,11 @@ def mixed_columns(op, count: int) -> dict:
     Maps ``f"W{i}"`` to the function ``u -> V[u, B^i u]``, the mixed area of
     a body with its image under the i-th power of B.  The powers are
     computed and validated here, once; an identity power reads the body's
-    kept self form (see :func:`setflow.bodies.area`).  The other columns of
-    a body are computed together, in one pass (one difference of the body,
-    one curvature solve for the spline powers), the first time one of them
-    reads it; each keeps the bits of its own ``V[u, B^i u]``.
-    They keep the values of the last body they read, in their own closure
-    and not in a module-level buffer, so columns made for separate runs
-    share nothing.  Raises ValueError when a power is not finite; a
-    column raises it when the image of a body is not finite.
+    kept self form (see :func:`setflow.bodies.area`), and every other
+    column pulls the body back along its power and takes one mixed form.
+    A column holds no state, so columns made for separate runs share
+    nothing.  Raises ValueError when a power is not finite; a column
+    raises it when the image of a body is not finite.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -623,27 +620,18 @@ def mixed_columns(op, count: int) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):    # as_matrix rejects it
         powers = [as_matrix(np.linalg.matrix_power(mat, i)) for i in range(count)]
     # linear_image hands a body back under the identity, so V[u, u]
-    moved = [i for i, p in enumerate(powers) if not (p == np.eye(2)).all()]
-    columns = {f"W{i}": bodies._self_form for i in range(count)}
-    if moved:
-        forms = _frame_forms(tuple(powers[i] for i in moved))
-        for j, i in enumerate(moved):
-            columns[f"W{i}"] = lambda u, j=j: forms(u)[j]
-    return columns
+    return {f"W{i}": bodies._self_form if (p == np.eye(2)).all() else _mixed_column(p)
+            for i, p in enumerate(powers)}
 
 
-def _frame_forms(mats):
-    # V[u, M u] for every M in ``mats`` in one pass, kept for the last body
-    kept = (None, [])
-
-    def forms(u):
-        nonlocal kept
-        body, values = kept
-        if body is not u:
-            values = bodies._image_forms(u.values, mats)
-            kept = (u, values)
-        return values
-    return forms
+def _mixed_column(mat):
+    # u -> V[u, M u] for a matrix M that moves the body
+    def column(u):
+        image = bodies._image_values(u.values, mat)
+        if not np.isfinite(image).all():
+            raise ValueError("support values must be finite")
+        return bodies._mixed_form(u.values, image)
+    return column
 
 
 def mixed_functionals(u: SupportFunction2D, op, count: int) -> np.ndarray:

@@ -282,6 +282,16 @@ def load_scenario(path) -> Scenario:
 # comparison-system resolution
 
 
+def _finite_products(mat, what):
+    """``(mat, det B, B @ B)`` of a parsed B, taken without a warning; a
+    SchemaError naming ``what`` when either product is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, square = float(np.linalg.det(mat)), mat @ mat
+    _require(math.isfinite(det) and bool(np.isfinite(square).all()),
+             f"{what}: det B and B @ B must be finite")
+    return mat, det, square
+
+
 def _operator_order(mat, max_order=8):
     """Smallest k <= max_order with B^k = identity, or None."""
     power = np.eye(2)
@@ -300,7 +310,8 @@ _SYSTEMS = {
     "cyclic": lambda spec: comparison.cyclic_mixed_system(
         _parse_function(spec["phi"], "phi"), _parse_function(spec["psi"], "psi"),
         k=_count(spec, "k", None, 1, MAX_SYSTEM_DIM), a=_number(spec, "a", -1.0)),
-    "sde": lambda spec: comparison.sde_growth_system(_parse_matrix(spec["B"], "B")),
+    "sde": lambda spec: comparison.sde_growth_system(
+        _finite_products(_parse_matrix(spec["B"], "B"), "comparison system 'sde' B")[0]),
     "linear": lambda spec: comparison.linear_system(_param(
         spec, "matrix", None, lambda v: isinstance(v, list) and 0 < len(v) <= MAX_SYSTEM_DIM,
         f"a square matrix of order 1 to {MAX_SYSTEM_DIM}")),
@@ -338,13 +349,13 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
             lambda t, v: 2 * diag * params.phi(np.maximum(v, 0.0)) * v,
             name="volume_only")
     if src.kind == "linear":
-        mat = src.matrix
-        det = float(np.linalg.det(mat))
+        mat, det, square = _finite_products(src.matrix, "params.source.B")
         tr = float(np.trace(mat))
         if np.max(np.abs(a_mat)) < 1e-12 and det < 0 and tr >= 0:
             return comparison.sde_growth_system(mat)
         _require(is_scalar_a, "auto system for a linear-body source needs scalar A")
-        if np.max(np.abs(mat @ mat)) < 1e-12 * max(1.0, np.max(np.abs(mat)) ** 2):
+        scale = max(1.0, float(np.max(np.abs(mat))))   # a Python float squares to inf quietly
+        if np.max(np.abs(square)) < 1e-12 * (scale * scale):
             return comparison.nilpotent_source_system(params.phi, src.psi, a=diag)
         order = _operator_order(mat)
         _require(order is not None,
@@ -591,6 +602,7 @@ def _check_sde_exponents(check, scenario):
     mat = (_parse_matrix(check["B"], "B") if "B" in check
            else scenario.params.source.matrix)
     _require(mat is not None, "sde_exponents: no matrix available")
+    _finite_products(mat, "sde_exponents B" if "B" in check else "params.source.B")
     rep = certificates.sde_growth_exponents(mat)
     details = comparison._plain(rep)
     if "lambda" in check or "A" in check:

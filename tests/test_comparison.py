@@ -918,20 +918,28 @@ class TestXi0Stability:
         (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2), 0.1,
          dict(T_check=15.0, bisect_iters=45)),
     ], ids=["passing", "bisecting", "floor"])
-    def test_equal_levels_share_one_trial(self, system, eps, kwargs):
-        rows = []
-        for count in (1, 8):
-            seen = []
-            counted = C.ComparisonSystem(
-                dim=system.dim, rhs=lambda t, xi: seen.append(len(xi)) or system(t, xi))
-            verdict = C.check_xi0_stability(counted, eps_grid=[eps] * count, **kwargs)
-            expected = helpers.reference_check_xi0_stability(
-                system, eps_grid=[eps] * count, **kwargs)
-            assert verdict.to_dict() == expected.to_dict()
-            if verdict.kind != "unstable":
-                assert len(verdict.witness["delta_table"]) == count
-            rows.append(sum(seen))
-        assert rows[0] == rows[1]
+    def test_equal_levels_repeat_one_entry(self, system, eps, kwargs):
+        # the search is deterministic: a repeated level takes the same trials
+        # again and finds the same delta (the bisection, also for a Metzler system)
+        single = C.check_xi0_stability(rk4(system), eps_grid=[eps], **kwargs)
+        verdict = C.check_xi0_stability(rk4(system), eps_grid=[eps] * 8, **kwargs)
+        expected = helpers.reference_check_xi0_stability(system, eps_grid=[eps] * 8, **kwargs)
+        assert verdict.to_dict() == expected.to_dict()
+        if single.kind == "unstable":
+            assert verdict.to_dict() == single.to_dict()
+        else:
+            assert verdict.kind == single.kind
+            assert verdict.witness["delta_table"] == single.witness["delta_table"] * 8
+
+    def test_a_repeated_level_repeats_its_entry_in_the_table(self):
+        system = C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0]))
+        kwargs = dict(T_check=10.0, bisect_iters=6)
+        distinct = C.check_xi0_stability(system, eps_grid=(0.5, 1.0), **kwargs)
+        repeated = C.check_xi0_stability(system, eps_grid=(0.5, 0.5, 1.0), **kwargs)
+        (low, high) = distinct.witness["delta_table"]
+        assert high[1] < high[0]        # the level 1.0 bisects
+        assert repeated.kind == distinct.kind == "asymptotically_stable"
+        assert repeated.witness["delta_table"] == [low, low, high]
 
     def test_a_level_that_blows_up_fails_alone(self, monkeypatch):
         # above 0.3 the right-hand side is NaN, so the step size of the trial

@@ -116,10 +116,10 @@ def test_smooth_bodies_keep_the_spline(monkeypatch, body):
     spline_or_polygon = B._spline_or_polygon
     pullbacks, fallbacks = [], []
 
-    def counted(values, plan, stacked=None):
-        out = spline_or_polygon(values, plan, stacked)
+    def counted(values, plan):
+        out = spline_or_polygon(values, plan)
         pullbacks.append(plan)
-        if not np.array_equal(out, B._spline_image(values, plan, stacked)):
+        if not np.array_equal(out, B._spline_image(values, plan)):
             fallbacks.append(plan)
         return out
 

@@ -1,9 +1,8 @@
 """The lean paths of ``step``, ``evolve`` and the frame columns keep their bits.
 
-A frame's mixed columns are computed together (one difference of the body,
-one curvature solve), and a body's sup norm is both the
-finiteness test of a new body and the overflow guard of ``evolve``.  Each
-must give exactly what the per-column and per-test formulas gave.
+Each mixed column is one pull-back and one mixed form, and a body's sup
+norm is both the finiteness test of a new body and the overflow guard of
+``evolve``.  Each must give exactly what the reference formulas give.
 """
 
 import math
@@ -39,8 +38,8 @@ OPERATORS = {
 
 
 def _reference_columns(u, op, count):
-    # the column formula of each power on its own, as it was before the
-    # columns shared one pass
+    # the column formula of each power on its own: one pull-back of the
+    # body along the power, one mixed form
     powers = [B.as_matrix(np.linalg.matrix_power(B.as_matrix(op), i)) for i in range(count)]
     return [B._mixed_form(u.values, B._image_values(u.values, p)) for p in powers]
 
@@ -55,8 +54,7 @@ def test_frame_columns_keep_the_bits_of_each_column(name, count, m, seed, smooth
     columns = F.mixed_columns(OPERATORS[name], count)
     assert list(columns) == [f"W{i}" for i in range(count)]
     expected = _reference_columns(u, OPERATORS[name], count)
-    # the last column first, so that a column read out of order also computes
-    # the shared pass
+    # the last column first: a column read out of order gives the same bits
     got = [columns[f"W{i}"](u) for i in reversed(range(count))][::-1]
     assert got == expected
     assert got == [helpers.reference_mixed_form(u.values, helpers.reference_image_values(
@@ -78,6 +76,21 @@ def test_the_columns_recompute_for_each_new_body():
     for u in (helpers.random_polygon(rng, 64), helpers.random_smooth_body(rng, 64)):
         got = [fn(u) for fn in columns.values()]
         assert got == _reference_columns(u, OPERATORS["rotation_120"], 3)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(OPERATORS)), count=st.integers(1, 5),
+       m=st.sampled_from([16, 64, 512]), seed=st.integers(0, 2 ** 16),
+       smooth=st.booleans())
+def test_the_mixed_columns_obey_minkowskis_inequality(name, count, m, seed, smooth):
+    # W_i^2 >= V[u] V[B^i u], to 1e-6 of the scale of the compared quantities
+    rng = np.random.default_rng(seed)
+    u = helpers.random_smooth_body(rng, m) if smooth else helpers.random_polygon(rng, m)
+    op = OPERATORS[name]
+    for i, column in enumerate(F.mixed_columns(op, count).values()):
+        w = column(u)
+        product = B.area(u) * B.area(B.linear_image(u, np.linalg.matrix_power(op, i)))
+        assert w * w - product >= -1e-6 * max(w * w, product)
 
 
 @pytest.mark.parametrize("name", ["scalar", "reflection_x", "rotation_120", "shear"])
@@ -128,6 +141,40 @@ def test_a_zero_ball_keeps_its_sign_whatever_ran_before(radii):
         negative = math.copysign(1.0, radius) < 0.0
         assert np.signbit(params.source.values(0.0, u.values)).tolist() == [negative] * 64
         assert np.signbit(F.step(u, params, 1e-3).values).tolist() == [negative] * 64
+
+
+SOURCES = {
+    "zero": F.zero_source(),
+    "ball": F.ball_source(F.rational([0.5], [1.0, 0.1])),
+    "linear": F.linear_source(F.constant(0.5), OPERATORS["rotation_120"]),
+    "constant": F.constant_source(B.make_ball(0.25, grid_size=64)),
+}
+CLOCKS = {
+    "constant": F.constant(1.0),
+    "rational": F.rational([1.0], [1.0, 0.5]),
+    "table": F.table([0.0, 10.0], [1.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("clock", sorted(CLOCKS))
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_a_step_evaluates_its_source_twice(monkeypatch, source, clock):
+    # once at the body and once at the predictor; the midpoint volume of a
+    # clock that is not constant reads the first samples, a zero source's too
+    values = F.SourceTerm.values
+    calls = []
+
+    def counted(self, volume, u_values):
+        calls.append(volume)
+        return values(self, volume, u_values)
+
+    params = F.SemiflowParams(A=-np.eye(2), phi=CLOCKS[clock], source=SOURCES[source])
+    u = helpers.random_polygon(np.random.default_rng(4), 64)
+    expected = helpers.reference_step(u, params, 1e-3)
+    monkeypatch.setattr(F.SourceTerm, "values", counted)
+    out = F.step(u, params, 1e-3)
+    assert len(calls) == 2
+    assert np.array_equal(out.values, expected.values)
 
 
 def test_the_params_keep_a_read_only_copy_of_a():

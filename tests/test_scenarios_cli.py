@@ -718,6 +718,41 @@ class TestCli:
             assert "params.A" in proc.stderr and "Warning" not in proc.stderr
             assert not out.exists()
 
+    @pytest.mark.parametrize("source, check, field", [
+        ({"kind": "linear_body", "psi": {"kind": "constant", "value": 0.5},
+          "B": [[1e200, 0.0], [0.0, -1e200]]},
+         {"kind": "wazewski"}, "params.source.B"),
+        ({"kind": "zero"},
+         {"kind": "wazewski", "system": {"kind": "sde", "B": [[1e200, 0.0], [0.0, -1e200]]}},
+         "comparison system 'sde' B"),
+        ({"kind": "zero"},
+         {"kind": "sde_exponents", "B": [[1e200, 1.0], [1.0, -1e200]]}, "sde_exponents B"),
+    ], ids=["auto_system", "sde_system", "sde_exponents"])
+    def test_a_b_whose_products_overflow_exits_2(self, tmp_path, capsys, source, check,
+                                                 field):
+        # det B and B @ B overflow; the suite turns numpy's warnings into errors
+        doc = quick_doc(name="huge_b", grid_size=16, horizon=0.01, dt=1e-3, track=["V"],
+                        checks=[check])
+        doc["params"]["source"] = source
+        path = tmp_path / "huge_b.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+        assert f"{field}: det B and B @ B must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_nilpotent_b_with_a_huge_entry_resolves_without_a_warning(self):
+        # B @ B = 0 while its largest entry squares past the float range
+        doc = quick_doc(checks=[{"kind": "wazewski"}])
+        doc["params"]["source"] = {"kind": "linear_body", "B": [[0.0, 1e200], [0.0, 0.0]],
+                                   "psi": {"kind": "constant", "value": 0.5}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scenario = scenarios.parse_scenario(doc)
+            system = scenarios.resolve_system("auto", scenario)
+        assert system.name == comparison.nilpotent_source_system(
+            flow.constant(1.0), flow.constant(0.5)).name
+
     @pytest.mark.parametrize("mutate, field", [
         (lambda d: d.update(track=["V", {"kind": "mixed",
                                          "count": scenarios.MAX_MIXED_COUNT + 1}]),
