@@ -33,7 +33,7 @@ CONVEXITY_RTOL = 1e-8
 
 
 def _frozen(arr):
-    arr.setflags(write=False)
+    arr.setflags(False)         # write=False, as in _adopt
     return arr
 
 
@@ -62,18 +62,19 @@ class SupportFunction2D:
 
     ``values[j]`` is ``h(theta_j)`` with ``theta_j = 2*pi*j/M``.  The grid
     size must be even and at least 16.  Instances are immutable; every
-    operation in this module returns a new body.  A body keeps two numbers
-    once computed: its raw self form ``V[u, u]``, set by the first
-    :func:`area`, and its sup norm ``max_j |h_j|``, set where its samples
-    are made (the constructor, :func:`linear_image`,
-    :func:`setflow.flow.step`), whose finiteness test it is.  Both are
-    attributes of the body, not module-level buffers, so runs on separate
-    threads share nothing mutable.
+    operation in this module returns a new body.  A body keeps, once
+    computed, its raw self form ``V[u, u]`` (set by the first :func:`area`),
+    its sup norm ``max_j |h_j|`` (set where its samples are made, whose
+    finiteness test it is) and, read-only, its periodic difference and its
+    pull-back along each matrix (:func:`_kept_difference`,
+    :func:`_kept_image`).  They are attributes of the body, not module-level
+    buffers, so runs on separate threads share nothing mutable.
     """
 
     values: np.ndarray
-    _form = None                # not fields: set by _self_form and _sup_norm
-    _norm = None
+    _form = None        # not fields: set by _self_form, _sup_norm
+    _norm = None        # and _kept_difference
+    _diff = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -280,7 +281,15 @@ def _difference(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mixed_form(hu: np.ndarray, hv: np.ndarray) -> float:
+def _kept_difference(u: SupportFunction2D) -> np.ndarray:
+    """``_difference(u.values)``, computed once per body and kept on it."""
+    diff = u._diff
+    if diff is None:
+        diff = u.__dict__["_diff"] = _frozen(_difference(u.values))
+    return diff
+
+
+def _mixed_form(hu: np.ndarray, hv: np.ndarray, du=None) -> float:
     """The mixed area of the sampled polygons of two sample arrays.
 
     ``V[u, v] = tan(dtheta / 2) <h_u, h_v> - <D h_u, D h_v> / (2 sin dtheta)``
@@ -290,10 +299,10 @@ def _mixed_form(hu: np.ndarray, hv: np.ndarray) -> float:
     Bodies", 2nd ed., 2014, section 5.1), summed by parts.  Written with
     differences, not as ``sum_j h_j h_{j+1} - cos(dtheta) h_j^2``, it keeps
     the digits of a body far from the origin; swapping ``u`` and ``v``
-    gives the same bits.
+    gives the same bits; ``du``, when given, is ``D h_u``.
     """
     tan_half, sin2 = _form_weights(hu.size)
-    du = _difference(hu)
+    du = _difference(hu) if du is None else du
     dv = du if hv is hu else _difference(hv)
     return tan_half * float(hu.dot(hv)) - float(du.dot(dv)) / sin2
 
@@ -306,7 +315,7 @@ def _self_form(u: SupportFunction2D) -> float:
     """
     form = u._form
     if form is None:
-        form = u.__dict__["_form"] = _mixed_form(u.values, u.values)
+        form = u.__dict__["_form"] = _mixed_form(u.values, u.values, _kept_difference(u))
     return form
 
 
@@ -343,7 +352,7 @@ def mixed_area(u: SupportFunction2D, v) -> float:
     """
     hv = v.values if isinstance(v, SupportFunction2D) else np.asarray(v, float)
     _check_same_grid(u, hv.size)
-    return _mixed_form(u.values, hv)
+    return _mixed_form(u.values, hv, _kept_difference(u))
 
 
 @dataclass(frozen=True)
@@ -484,6 +493,16 @@ def _image_values(values: np.ndarray, mat: np.ndarray, rows=None) -> np.ndarray:
     if plan.gather is not None:
         return plan.norms * values[plan.gather]
     return _spline_or_polygon(values, plan)
+
+
+def _kept_image(u: SupportFunction2D, mat: np.ndarray) -> np.ndarray:
+    """``_image_values(u.values, mat)``, kept on the body per matrix bytes."""
+    images = u.__dict__.setdefault("_images", {})
+    key = mat.tobytes()
+    image = images.get(key)
+    if image is None:
+        image = images[key] = _frozen(_image_values(u.values, mat))
+    return image
 
 
 def _spline_image(values: np.ndarray, plan: _PullbackPlan) -> np.ndarray:

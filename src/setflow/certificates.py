@@ -102,8 +102,8 @@ def linearize(u_star: SupportFunction2D, params: flow.SemiflowParams) -> Lineari
         ev = h * max(1.0, v_star)
         lo = max(v_star - ev, 0.0)
         dphi_ = (float(params.phi(v_star + ev)) - float(params.phi(lo))) / (ev + (v_star - lo))
-        f_hi = params.source.values(v_star + ev, u_star.values)
-        f_lo = params.source.values(lo, u_star.values)
+        f_hi = params.source.values(v_star + ev, u_star)
+        f_lo = params.source.values(lo, u_star)
         zeros = np.zeros(u_star.grid_size)
         f_hi = zeros if f_hi is None else f_hi
         f_lo = zeros if f_lo is None else f_lo
@@ -127,7 +127,7 @@ def linearize(u_star: SupportFunction2D, params: flow.SemiflowParams) -> Lineari
         f_u_norm = abs(float(params.source.psi(v_star))) * float(
             np.linalg.norm(params.source.matrix, 2))
 
-    f_star = params.source.values(v_star, u_star.values)
+    f_star = params.source.values(v_star, u_star)
     per_f = 0.0 if f_star is None else perimeter(SupportFunction2D(f_star))
     delta0 = per_f + f_u_norm * perimeter(u_star)
 
@@ -275,24 +275,26 @@ def practical_growth_criterion(matrix, lam: float, bound: float, horizon: float)
     Evaluates ``2 + (2 - mu_minus) exp(mu_plus T) < bound * sqrt(tr^2 B +
     16 |det B|) / lam`` with the formula exponents, next to the same
     inequality with the eigenvalue exponents.  Reported for reference; the
-    binding verdict comes from integrating the growth system.
+    binding verdict comes from integrating the growth system.  A left side
+    that is infinite (by the sign of ``2 - mu_minus``) is reported as None.
     """
     rep = sde_growth_exponents(matrix)
     mat = as_matrix(matrix)
     root = math.sqrt(float(np.trace(mat)) ** 2 + 16 * abs(float(np.linalg.det(mat))))
     rhs = bound * root / lam
-
-    def lhs(mu_plus, mu_minus):
-        return 2.0 + (2.0 - mu_minus) * math.exp(mu_plus * horizon)
-
-    return {
-        "rhs": rhs,
-        "formula_lhs": lhs(rep.formula_plus, rep.formula_minus),
-        "formula_satisfied": lhs(rep.formula_plus, rep.formula_minus) < rhs,
-        "eigen_lhs": lhs(rep.eigen_plus, rep.eigen_minus),
-        "eigen_satisfied": lhs(rep.eigen_plus, rep.eigen_minus) < rhs,
-        "exponents": comparison._plain(rep),
-    }
+    report = {"rhs": rhs}
+    for name, mu_plus, mu_minus in (("formula", rep.formula_plus, rep.formula_minus),
+                                    ("eigen", rep.eigen_plus, rep.eigen_minus)):
+        try:
+            growth = math.exp(mu_plus * horizon)
+        except OverflowError:
+            growth = math.inf
+        # 0 times the exponential is 0, however large it is
+        lhs = 2.0 if mu_minus == 2.0 else 2.0 + (2.0 - mu_minus) * growth
+        report[f"{name}_lhs"] = lhs if math.isfinite(lhs) else None
+        report[f"{name}_satisfied"] = lhs < rhs
+    report["exponents"] = comparison._plain(rep)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -165,17 +165,18 @@ class SourceTerm:
     matrix: np.ndarray = None   # for 'linear'
     body: SupportFunction2D = None  # for 'constant'
 
-    def values(self, volume: float, u_values: np.ndarray) -> np.ndarray | None:
+    def values(self, volume: float, u: SupportFunction2D) -> np.ndarray | None:
         """Sample array of F(volume, u), or None when the source vanishes.
 
         A ball source under a constant psi returns one cached, read-only
-        array per psi value (a zero's sign included) and grid size.
+        array per psi value (a zero's sign included) and grid size.  A
+        linear source scales the pull-back along B that ``u`` keeps.
         """
         kind = self.kind
         if kind == "zero":
             return None
         if kind == "constant":
-            if self.body.grid_size != u_values.size:
+            if self.body.grid_size != u.grid_size:
                 raise GridMismatchError("source body grid does not match state")
             return self.body.values
         if kind != "ball" and kind != "linear":
@@ -186,10 +187,10 @@ class SourceTerm:
         if scale < 0:
             raise ValueError("psi must be nonnegative")
         if kind == "linear":
-            return scale * bodies._image_values(u_values, self.matrix)
+            return scale * bodies._kept_image(u, self.matrix)
         if constant_psi:
-            return _ball_samples(scale, math.copysign(1.0, scale), u_values.size)
-        return np.full(u_values.size, scale)
+            return _ball_samples(scale, math.copysign(1.0, scale), u.grid_size)
+        return np.full(u.grid_size, scale)
 
 
 @lru_cache(maxsize=8)
@@ -290,7 +291,7 @@ def volume_rate(u: SupportFunction2D, params: SemiflowParams) -> float:
     the mixed area.
     """
     v = area(u)
-    return _volume_rate_from(u, v, params, params.source.values(v, u.values))
+    return _volume_rate_from(u, v, params, params.source.values(v, u))
 
 
 def _volume_rate_from(u, v, params, source_vals):
@@ -378,7 +379,9 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     also takes the mixed area of the body with the first source to estimate
     the rate.  Under a constant clock and a constant psi neither area is
     read, but both are computed: the benchmark's tests pin 2 area calls per
-    step until the benchmark-only change of ROADMAP item 1.  Nothing is
+    step until the benchmark-only change of ROADMAP item 1.  When both
+    sources are one array (a ball under a constant psi, a constant body),
+    ``out`` is ``pred``, bit for bit and with its kept form.  Nothing is
     projected: the sources, their Minkowski sums and the pull-back keep a
     body in the convex cone.  ``exp(A s)`` is cached per (A, s) and the
     pull-back reads a cached resampling plan per (matrix, grid); both hold
@@ -392,7 +395,7 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
         raise ValueError("dt must be positive")
     source = params.source
     v0 = area(u)
-    f0 = source.values(v0, u.values)
+    f0 = source.values(v0, u)
 
     phi = params.phi
     if isinstance(phi, ScalarFunction) and phi.kind == "constant":
@@ -414,15 +417,15 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
                           reached_time=dt) from None
 
     pred = moved if f0 is None else bodies._adopt(moved.values + half_f0)
-    f1 = source.values(area(pred), pred.values)
+    f1 = source.values(area(pred), pred)
     if f1 is None:
         return moved
-    out = moved.values + (0.5 * dt) * f1
-    norm = bodies._max_abs(out)
-    if not norm < math.inf:
+    # f1 is f0: moved + (dt/2) f1 is the predictor, bit for bit
+    out = pred if f1 is f0 else bodies._adopt(moved.values + (0.5 * dt) * f1)
+    if not bodies._sup_norm(out) < math.inf:
         raise BlowupError("non-finite support values produced by step",
                           reached_time=dt)
-    return bodies._adopt(out, norm)
+    return out
 
 
 def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
@@ -503,12 +506,12 @@ def contraction_horizon(u0: SupportFunction2D, params: SemiflowParams) -> float:
     # area is Lipschitz in the sup norm with constant <= perimeter of the
     # inflated body u0 + r K
     lip_vol = perimeter(SupportFunction2D(u0.values + r))
-    f0 = params.source.values(v0, u0.values)
+    f0 = params.source.values(v0, u0)
     f0_norm = 0.0 if f0 is None else float(np.max(np.abs(f0)))
 
     du = 1e-3 * _perturbation_scale(u0)
-    f_pert = params.source.values(area(SupportFunction2D(u0.values + du)),
-                                  u0.values + du)
+    perturbed = SupportFunction2D(u0.values + du)
+    f_pert = params.source.values(area(perturbed), perturbed)
     if f_pert is None and f0 is None:
         lip_src = 0.0
     else:
@@ -550,16 +553,16 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     times = np.linspace(0.0, horizon, n_nodes)
     dt = times[1] - times[0]
 
-    current = [u0.values.copy() for _ in times]
+    current = [u0] * n_nodes
     prev_dist = None
     a_mat = params.A
     for _ in range(PICARD_MAX_ITER):
-        vols = np.array([max(bodies._mixed_form(v, v), 0.0) for v in current])
+        vols = np.array([max(bodies._self_form(v), 0.0) for v in current])
         phis = np.array([float(params.phi(v)) for v in vols])
         big_phi = np.concatenate([[0.0], np.cumsum(0.5 * dt * (phis[1:] + phis[:-1]))])
         sources = [params.source.values(vols[j], current[j]) for j in range(n_nodes)]
 
-        new = [u0.values.copy()]
+        new = [u0]
         for i in range(1, n_nodes):
             acc = bodies._image_values(u0.values, expm(a_mat * big_phi[i]))
             # trapezoid in s over nodes 0..i
@@ -570,11 +573,11 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
                 pulled = bodies._image_values(
                     sources[j], expm(a_mat * (big_phi[i] - big_phi[j])))
                 acc = acc + w * pulled
-            new.append(acc)
-        dist = max(float(np.max(np.abs(a - b))) for a, b in zip(new, current))
+            new.append(bodies._adopt(acc))
+        dist = max(float(np.max(np.abs(a.values - b.values))) for a, b in zip(new, current))
         current = new
         if dist < tol:
-            frames = [SupportFunction2D(v) for v in current]
+            frames = [SupportFunction2D(v.values) for v in current]
             series = {k: [fn(b) for b in frames] for k, fn in _columns(tracked).items()}
             return _finish(times, series, frames[-1])
         if prev_dist is not None and dist > prev_dist and dist > tol:
@@ -610,9 +613,9 @@ def mixed_columns(op, count: int) -> dict:
     computed and validated here, once; an identity power reads the body's
     kept self form (see :func:`setflow.bodies.area`), and every other
     column pulls the body back along its power and takes one mixed form.
-    A column holds no state, so columns made for separate runs share
-    nothing.  Raises ValueError when a power is not finite; a column
-    raises it when the image of a body is not finite.
+    The body keeps both arrays; a column holds no state, so columns made
+    for separate runs share nothing.  Raises ValueError when a power is not
+    finite; a column raises it when the image of a body is not finite.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -627,10 +630,10 @@ def mixed_columns(op, count: int) -> dict:
 def _mixed_column(mat):
     # u -> V[u, M u] for a matrix M that moves the body
     def column(u):
-        image = bodies._image_values(u.values, mat)
+        image = bodies._kept_image(u, mat)
         if not np.isfinite(image).all():
             raise ValueError("support values must be finite")
-        return bodies._mixed_form(u.values, image)
+        return bodies._mixed_form(u.values, image, bodies._kept_difference(u))
     return column
 
 

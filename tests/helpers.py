@@ -228,7 +228,7 @@ def _reference_source(source, volume, values):
         if c < 0:
             raise ValueError("psi must be nonnegative")
         return c * reference_image_values(values, source.matrix)
-    return source.values(volume, values)
+    return source.values(volume, bodies.SupportFunction2D(values))
 
 
 def _reference_linear_image(u, mat):

@@ -117,9 +117,9 @@ class TestLinearize:
         # no perturbation of the origin moves the source by more
         rng = np.random.default_rng(6)
         for _ in range(16):
-            d = helpers.random_smooth_body(rng).values
+            d = helpers.random_smooth_body(rng)
             moved = params.source.values(0.0, d)
-            assert np.max(np.abs(moved)) <= norm * np.max(np.abs(d)) * (1 + 1e-12)
+            assert np.max(np.abs(moved)) <= norm * np.max(np.abs(d.values)) * (1 + 1e-12)
 
 
 class TestCubicThreshold:

@@ -1,11 +1,14 @@
 """The lean paths of ``step``, ``evolve`` and the frame columns keep their bits.
 
-Each mixed column is one pull-back and one mixed form, and a body's sup
+Each mixed column is one pull-back and one mixed form, a body keeps its
+difference and its pull-backs for every later reader, and a body's sup
 norm is both the finiteness test of a new body and the overflow guard of
 ``evolve``.  Each must give exactly what the reference formulas give.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -93,6 +96,70 @@ def test_the_mixed_columns_obey_minkowskis_inequality(name, count, m, seed, smoo
         assert w * w - product >= -1e-6 * max(w * w, product)
 
 
+def _signed_zeros(op):
+    # the operator with every zero entry made -0.0: equal, but other bytes
+    op = np.array(op, dtype=float)
+    op[op == 0.0] = -0.0
+    return op
+
+
+def _bits(result):
+    return np.asarray(result, dtype=float).tobytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(OPERATORS)), m=st.sampled_from([16, 64, 512]),
+       seed=st.integers(0, 2 ** 16), smooth=st.booleans(), order=st.permutations(range(8)))
+def test_a_kept_array_never_changes_a_result(name, m, seed, smooth, order):
+    # each reader gives on a body that keeps its difference and pull-backs
+    # the bits it gives on a fresh body, whichever reader ran first
+    rng = np.random.default_rng(seed)
+    make = helpers.random_smooth_body if smooth else helpers.random_polygon
+    u, v = make(rng, m), make(rng, m)
+    op = OPERATORS[name]
+    columns = F.mixed_columns(op, 3)
+    readers = [B.area, lambda b: B.mixed_area(b, v), lambda b: B.mixed_area(b, v.values),
+               *columns.values(),
+               *(lambda b, mat=mat: F.linear_source(F.constant(0.5), mat).values(1.0, b)
+                 for mat in (op, _signed_zeros(op)))]
+    fresh = [_bits(read(B.SupportFunction2D(u.values))) for read in readers]
+    kept = B.SupportFunction2D(u.values)
+    for _ in range(2):
+        assert [_bits(readers[i](kept)) for i in order] == [fresh[i] for i in order]
+    # the -0.0 matrix keeps a pull-back of its own, keyed by its bytes
+    assert {op.tobytes(), _signed_zeros(op).tobytes()} <= set(kept._images)
+    arrays = [kept._diff, *kept._images.values()]
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_threads_reading_one_body_get_the_bits_of_a_fresh_body():
+    # a body sets its kept arrays without a lock: a race computes one array
+    # twice, with the same bits, so no reader sees another result
+    rng = np.random.default_rng(21)
+    op = OPERATORS["rotation_120"]
+    source = F.linear_source(F.constant(0.5), op)
+    readers = [B.area, *F.mixed_columns(op, 3).values(), lambda b: source.values(1.0, b)]
+    shared = [helpers.random_smooth_body(rng, 512) for _ in range(20)]
+    expected = [[_bits(read(B.SupportFunction2D(u.values))) for read in readers] for u in shared]
+    results = [[] for _ in range(8)]
+
+    def work(out):
+        out.extend([_bits(read(u)) for read in readers] for u in shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(out == expected for out in results)
+
+
 @pytest.mark.parametrize("name", ["scalar", "reflection_x", "rotation_120", "shear"])
 def test_a_non_finite_column_image_is_rejected(name):
     u = B.scale(B.make_polygon([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]], 64), 1e308)
@@ -120,13 +187,13 @@ def test_a_body_keeps_its_sup_norm():
 def test_a_constant_ball_source_reads_one_cached_array():
     source = F.ball_source(F.constant(0.5))
     u = B.make_ball(1.0, grid_size=64)
-    first, second = source.values(1.0, u.values), source.values(2.0, u.values)
+    first, second = source.values(1.0, u), source.values(2.0, u)
     assert first is second and not first.flags.writeable
     assert np.array_equal(first, np.full(64, 0.5))
     varying = F.ball_source(F.rational([0.5], [1.0]))
-    assert np.array_equal(varying.values(1.0, u.values), first)
+    assert np.array_equal(varying.values(1.0, u), first)
     with pytest.raises(ValueError, match="psi must be nonnegative"):
-        F.ball_source(F.ScalarFunction(kind="constant", value=-1.0)).values(1.0, u.values)
+        F.ball_source(F.ScalarFunction(kind="constant", value=-1.0)).values(1.0, u)
 
 
 @pytest.mark.parametrize("radii", [(-0.0, 0.0), (0.0, -0.0)],
@@ -139,7 +206,7 @@ def test_a_zero_ball_keeps_its_sign_whatever_ran_before(radii):
         params = F.SemiflowParams(A=np.zeros((2, 2)), phi=F.constant(1.0),
                                   source=F.ball_source(F.constant(radius)))
         negative = math.copysign(1.0, radius) < 0.0
-        assert np.signbit(params.source.values(0.0, u.values)).tolist() == [negative] * 64
+        assert np.signbit(params.source.values(0.0, u)).tolist() == [negative] * 64
         assert np.signbit(F.step(u, params, 1e-3).values).tolist() == [negative] * 64
 
 
@@ -164,9 +231,9 @@ def test_a_step_evaluates_its_source_twice(monkeypatch, source, clock):
     values = F.SourceTerm.values
     calls = []
 
-    def counted(self, volume, u_values):
+    def counted(self, volume, u):
         calls.append(volume)
-        return values(self, volume, u_values)
+        return values(self, volume, u)
 
     params = F.SemiflowParams(A=-np.eye(2), phi=CLOCKS[clock], source=SOURCES[source])
     u = helpers.random_polygon(np.random.default_rng(4), 64)

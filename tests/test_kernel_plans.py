@@ -184,7 +184,7 @@ def test_no_half_step_of_a_body_in_the_cone_leaves_it(a, clock):
                                   source=F.linear_source(F.constant(0.5), mat))
         for u in starts:
             for _ in range(20):
-                half = u.values + 0.5 * dt * params.source.values(B.area(u), u.values)
+                half = u.values + 0.5 * dt * params.source.values(B.area(u), u)
                 assert B.convexity_defect(half).min() >= -B.convexity_tolerance(half)
                 u = F.step(u, params, dt)
                 assert B.validate(u) == []
@@ -292,11 +292,11 @@ def _step_at_the_moved_body(u, params, dt):
     # the split step with its second source half evaluated at the moved body
     # instead of the predictor, from the public kernels
     v0 = B.area(u)
-    f0 = params.source.values(v0, u.values)
+    f0 = params.source.values(v0, u)
     v_mid = max(v0 + 0.5 * dt * F.volume_rate(u, params), 0.0)
     start = u if f0 is None else B._adopt(u.values + (0.5 * dt) * f0)
     moved = B.linear_image(start, F.expm(params.A * (float(params.phi(v_mid)) * dt)))
-    f1 = params.source.values(B.area(moved), moved.values)
+    f1 = params.source.values(B.area(moved), moved)
     return moved if f1 is None else B._adopt(moved.values + (0.5 * dt) * f1)
 
 
@@ -326,10 +326,10 @@ def test_v_w0_and_the_next_area_read_one_form_per_frame(monkeypatch):
     self_forms, results = [], []
     mixed_form, step = B._mixed_form, F.step
 
-    def counted_form(hu, hv):
+    def counted_form(hu, hv, *diffs):
         if hv is hu:
             self_forms.append(hu)
-        return mixed_form(hu, hv)
+        return mixed_form(hu, hv, *diffs)
 
     def kept_step(*args):
         results.append(step(*args))
@@ -352,6 +352,49 @@ def test_v_w0_and_the_next_area_read_one_form_per_frame(monkeypatch):
                           [helpers.reference_mixed_form(h, h) for h in traj.tracked["h"]])
 
 
+def test_a_stored_step_pulls_the_body_back_along_b_twice(monkeypatch):
+    # the W1 column keeps its pull-back on the stored body, and the next
+    # step's source reads it: only the predictor's source and the new body's
+    # column pull back along B
+    reflection = MATRICES["reflection"].tobytes()
+    pullbacks = []
+    image_values = B._image_values
+
+    def counted(values, mat, rows=None):
+        if mat.tobytes() == reflection:
+            pullbacks.append(values)
+        return image_values(values, mat, rows)
+
+    monkeypatch.setattr(B, "_image_values", counted)
+    _, u0, params = FLOWS["reflection"]
+    u0 = B.SupportFunction2D(u0.values)     # no pull-back kept from another test
+    traj = F.evolve(u0, params, horizon=0.01, dt=1e-3,
+                    tracked={"V": B.area, **F.mixed_columns(MATRICES["reflection"], 2)})
+    assert len(traj.times) == 11
+    assert len(pullbacks) == 1 + 2 * 10
+
+
+def test_a_body_takes_the_difference_of_its_samples_once(monkeypatch):
+    # its area, a mixed area and three moving columns read one kept difference
+    rng = np.random.default_rng(12)
+    u, v = helpers.random_polygon(rng, 64), helpers.random_smooth_body(rng, 64)
+    differences = []
+    difference = B._difference
+
+    def counted(values):
+        differences.append(values)
+        return difference(values)
+
+    monkeypatch.setattr(B, "_difference", counted)
+    B.area(u)
+    B.mixed_area(u, v)
+    columns = F.mixed_columns(MATRICES["quarter_turn"], 4)    # R, -I and R^3
+    for name in ("W1", "W2", "W3"):
+        columns[name](u)
+    assert sum(values is u.values for values in differences) == 1
+    assert not u._diff.flags.writeable
+
+
 def test_stored_frames_are_read_only_and_not_shared_between_runs(monkeypatch):
     _, u0, params = FLOWS["reflection"]
     monkeypatch.setattr(F, "MAX_STORED_FRAMES", 4)    # every third of 10 steps
@@ -372,7 +415,7 @@ def test_stored_frames_are_read_only_and_not_shared_between_runs(monkeypatch):
 def test_volume_rate_matches_the_reference_forms():
     _, u, params = FLOWS["reflection"]
     v = helpers.reference_mixed_form(u.values, u.values)
-    f = params.source.values(v, u.values)
+    f = params.source.values(v, u)
     expected = params.trace * float(params.phi(v)) * v \
         + 2.0 * helpers.reference_mixed_form(u.values, f)
     assert F.volume_rate(u, params) == expected

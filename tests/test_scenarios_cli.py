@@ -580,8 +580,6 @@ class TestCli:
         (append_check({"kind": "sde_exponents", "lambda": "x", "A": 100.0}), "'lambda'"),
         (append_check({"kind": "sde_exponents", "lambda": 0.0, "A": 100.0}), "'lambda'"),
         (append_check({"kind": "sde_exponents", "B": [[1.0, 0.0], [0.0, 1.0]]}), "det B"),
-        (append_check({"kind": "sde_exponents", "lambda": 1.0, "A": 100.0, "T": 1e3}),
-         "'sde_exponents'"),
         (append_check({"kind": "fixed_point"}), "fixed_point"),
         (with_ball_source({"kind": "fixed_point", "n": "x"}), "'n'"),
         (with_ball_source({"kind": "fixed_point", "expect_stable": "yes"}),
@@ -638,7 +636,7 @@ class TestCli:
          "track mixed"),
     ], ids=["practical_no_lambda", "converge_to_no_body", "mixed_count_0",
             "table_nodes_unsorted", "closed_form_terms_string", "closed_form_rtol_string",
-            "sde_lambda_string", "sde_lambda_0", "sde_det_B_positive", "sde_T_overflow",
+            "sde_lambda_string", "sde_lambda_0", "sde_det_B_positive",
             "fixed_point_linear_source", "fixed_point_n_string",
             "fixed_point_expect_string", "bound_functional_count",
             "growth_length_string", "growth_length_negative", "growth_rtol_string",
@@ -740,6 +738,29 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
         assert f"{field}: det B and B @ B must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("check, satisfied", [
+        ({"kind": "sde_exponents", "lambda": 1.0, "A": 100.0,
+          "B": [[0.0, 1000.0], [1000.0, 0.0]], "T": 1.0}, {"formula": True, "eigen": False}),
+        ({"kind": "sde_exponents", "lambda": 1.0, "A": 100.0, "T": 1e3},
+         {"formula": False, "eigen": False}),
+    ], ids=["large_B", "sde_T_overflow"])
+    def test_an_overflowing_growth_criterion_is_reported(self, tmp_path, check, satisfied):
+        # exp(mu_plus T) overflows: the left side is +-inf by the sign of
+        # 2 - mu_minus, which decides the inequality, and is reported as null
+        doc = search_doc()
+        doc["checks"].append(check)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        text = (tmp_path / "out" / "search.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        check = json.loads(text)["checks"][-1]
+        assert check["kind"] == "sde_exponents" and check["passed"] is True
+        criterion = check["details"]["practical_criterion"]
+        for name in ("formula", "eigen"):
+            assert criterion[f"{name}_lhs"] is None
+            assert criterion[f"{name}_satisfied"] is satisfied[name]
 
     def test_a_nilpotent_b_with_a_huge_entry_resolves_without_a_warning(self):
         # B @ B = 0 while its largest entry squares past the float range
