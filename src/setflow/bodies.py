@@ -72,9 +72,10 @@ class SupportFunction2D:
     """
 
     values: np.ndarray
-    _form = None        # not fields: set by _self_form, _sup_norm
-    _norm = None        # and _kept_difference
+    _form = None        # not fields: set by _self_form, _sup_norm,
+    _norm = None        # _kept_difference and _kept_image
     _diff = None
+    _images = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -472,7 +473,7 @@ def _pullback_plan(mat_bytes: bytes, m: int) -> _PullbackPlan:
                          _frozen(norms * polygon))
 
 
-def _image_values(values: np.ndarray, mat: np.ndarray, rows=None) -> np.ndarray:
+def _image_values(values: np.ndarray, mat: np.ndarray, rows=None, key=None) -> np.ndarray:
     """Samples of the support function of M u from samples of u.
 
     Uses the pull-back rule ``h_{Mu}(p) = |M^T p| * h_u(M^T p / |M^T p|)``.
@@ -484,24 +485,31 @@ def _image_values(values: np.ndarray, mat: np.ndarray, rows=None) -> np.ndarray:
     polygon, a two-point gather, takes its place; gathers keep the cone.
     The resampling plan depends only on (M, grid) and is cached.  A
     positive scalar matrix ``c I`` needs none: ``h_{cu} = c h_u``.
-    ``rows`` are ``mat.tolist()`` when the caller has read them already.
+    ``rows`` and ``key`` are ``mat.tolist()`` and ``mat.tobytes()`` when
+    the caller has them already.
     """
     (a, b), (c, d) = mat.tolist() if rows is None else rows
     if b == 0.0 and c == 0.0 and a == d > 0.0:
         return a * values
-    plan = _pullback_plan(mat.tobytes(), values.size)
+    plan = _pullback_plan(mat.tobytes() if key is None else key, values.size)
     if plan.gather is not None:
-        return plan.norms * values[plan.gather]
+        image = values[plan.gather]
+        return np.multiply(plan.norms, image, out=image)
     return _spline_or_polygon(values, plan)
 
 
-def _kept_image(u: SupportFunction2D, mat: np.ndarray) -> np.ndarray:
-    """``_image_values(u.values, mat)``, kept on the body per matrix bytes."""
-    images = u.__dict__.setdefault("_images", {})
-    key = mat.tobytes()
+def _kept_image(u: SupportFunction2D, mat: np.ndarray, key: bytes, rows) -> np.ndarray:
+    """``_image_values(u.values, mat)``, kept on the body per matrix bytes.
+
+    ``key`` and ``rows`` are ``mat.tobytes()`` and ``mat.tolist()``, which
+    the caller resolves once per matrix.
+    """
+    images = u._images
+    if images is None:
+        images = u.__dict__["_images"] = {}
     image = images.get(key)
     if image is None:
-        image = images[key] = _frozen(_image_values(u.values, mat))
+        image = images[key] = _frozen(_image_values(u.values, mat, rows, key))
     return image
 
 

@@ -615,6 +615,16 @@ def _check_sde_exponents(check, scenario):
 
 
 def _check_growth_scaling(check, scenario):
+    """The final area of a centred segment of each of 'lengths' against its
+    closed form, and the ratios of consecutive areas against the squared
+    length ratios.
+
+    Each length evolves its segment under the scenario's flow to the
+    horizon, except a length whose segment has the samples of the initial
+    body bit for bit: the main run already evolved that body, so its final
+    area is read from the main run's last body, the value a second run
+    would compute.
+    """
     lengths = _param(check, "lengths", GROWTH_LENGTHS, lambda v: _positives(v, 2),
                      "a list of at least two positive numbers")
     lengths = [float(x) for x in lengths]
@@ -623,9 +633,13 @@ def _check_growth_scaling(check, scenario):
 
     def run(traj):
         t_end = scenario.horizon
+        initial = scenario.initial_body.values.tobytes()
         finals = []
         for length in lengths:
             seg = bodies.make_segment(length, grid_size=scenario.grid_size)
+            if seg.values.tobytes() == initial:
+                finals.append(float(bodies.area(traj.final)))
+                continue
             tr = flow.evolve(seg, scenario.params, t_end, scenario.dt,
                              tracked={"V": bodies.area})
             finals.append(float(tr.tracked["V"][-1]))

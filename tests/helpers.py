@@ -223,10 +223,13 @@ def _reference_area(values):
 
 
 def _reference_source(source, volume, values):
-    if source.kind == "linear":
+    # psi is called every time: nothing resolved by the source is read
+    if source.kind in ("ball", "linear"):
         c = float(source.psi(volume))
         if c < 0:
             raise ValueError("psi must be nonnegative")
+        if source.kind == "ball":
+            return np.full(values.size, c)
         return c * reference_image_values(values, source.matrix)
     return source.values(volume, bodies.SupportFunction2D(values))
 

@@ -6,6 +6,7 @@ norm is both the finiteness test of a new body and the overflow guard of
 ``evolve``.  Each must give exactly what the reference formulas give.
 """
 
+import dataclasses
 import math
 import sys
 import threading
@@ -210,16 +211,34 @@ def test_a_zero_ball_keeps_its_sign_whatever_ran_before(radii):
         assert np.signbit(F.step(u, params, 1e-3).values).tolist() == [negative] * 64
 
 
+def _plain_psi(volume):
+    return 0.5 / (1.0 + 0.1 * volume)
+
+
+def _plain_clock(volume):
+    return 1.0 / (1.0 + 0.5 * volume)
+
+
+# the resolved psi and matrix of a source rebuilt by dataclasses.replace are
+# those of the new fields, not of the source it was made from
 SOURCES = {
     "zero": F.zero_source(),
     "ball": F.ball_source(F.rational([0.5], [1.0, 0.1])),
+    "ball_plain": F.ball_source(_plain_psi),
+    "ball_replaced": dataclasses.replace(F.ball_source(F.constant(2.0)),
+                                         psi=F.constant(0.25)),
     "linear": F.linear_source(F.constant(0.5), OPERATORS["rotation_120"]),
+    "linear_plain": F.linear_source(_plain_psi, OPERATORS["shear"]),
+    "linear_replaced": dataclasses.replace(
+        F.linear_source(F.constant(2.0), OPERATORS["swap"]),
+        psi=F.constant(0.5), matrix=OPERATORS["rotation_120"]),
     "constant": F.constant_source(B.make_ball(0.25, grid_size=64)),
 }
 CLOCKS = {
     "constant": F.constant(1.0),
     "rational": F.rational([1.0], [1.0, 0.5]),
     "table": F.table([0.0, 10.0], [1.0, 0.5]),
+    "plain": _plain_clock,
 }
 
 
@@ -227,7 +246,8 @@ CLOCKS = {
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_a_step_evaluates_its_source_twice(monkeypatch, source, clock):
     # once at the body and once at the predictor; the midpoint volume of a
-    # clock that is not constant reads the first samples, a zero source's too
+    # clock that is not constant reads the first samples, a zero source's too.
+    # Params rebuilt by dataclasses.replace resolve their own clock.
     values = F.SourceTerm.values
     calls = []
 
@@ -235,13 +255,36 @@ def test_a_step_evaluates_its_source_twice(monkeypatch, source, clock):
         calls.append(volume)
         return values(self, volume, u)
 
-    params = F.SemiflowParams(A=-np.eye(2), phi=CLOCKS[clock], source=SOURCES[source])
+    made = F.SemiflowParams(A=-np.eye(2), phi=CLOCKS[clock], source=SOURCES[source])
+    rebuilt = dataclasses.replace(
+        F.SemiflowParams(A=0.5 * np.eye(2), phi=F.constant(3.0),
+                         source=F.ball_source(F.constant(2.0))),
+        A=-np.eye(2), phi=CLOCKS[clock], source=SOURCES[source])
     u = helpers.random_polygon(np.random.default_rng(4), 64)
-    expected = helpers.reference_step(u, params, 1e-3)
+    expected = helpers.reference_step(u, made, 1e-3)
     monkeypatch.setattr(F.SourceTerm, "values", counted)
-    out = F.step(u, params, 1e-3)
-    assert len(calls) == 2
-    assert np.array_equal(out.values, expected.values)
+    for params in (made, rebuilt):
+        calls.clear()
+        out = F.step(B.SupportFunction2D(u.values), params, 1e-3)
+        assert len(calls) == 2
+        assert np.array_equal(out.values, expected.values)
+
+
+def test_a_linear_source_keeps_a_read_only_copy_of_its_matrix():
+    # a later write to the caller's array changes neither the source nor
+    # its samples; a source made directly coerces its matrix too
+    b = np.array([[1.0, 0.0], [0.0, -1.0]])
+    source = F.linear_source(F.constant(0.5), b)
+    u = helpers.random_polygon(np.random.default_rng(5), 64)
+    before = source.values(1.0, u)
+    b[0, 1] = 0.7
+    assert source.matrix is not b and not source.matrix.flags.writeable
+    assert np.array_equal(source.matrix, [[1.0, 0.0], [0.0, -1.0]])
+    assert np.array_equal(source.values(1.0, B.SupportFunction2D(u.values)), before)
+    direct = F.SourceTerm(kind="linear", psi=F.constant(0.5), matrix=[[0, 1], [1, 0]])
+    assert direct.matrix.dtype == float and not direct.matrix.flags.writeable
+    assert np.array_equal(direct.values(1.0, u),
+                          0.5 * helpers.reference_image_values(u.values, direct.matrix))
 
 
 def test_the_params_keep_a_read_only_copy_of_a():

@@ -360,10 +360,10 @@ def test_a_stored_step_pulls_the_body_back_along_b_twice(monkeypatch):
     pullbacks = []
     image_values = B._image_values
 
-    def counted(values, mat, rows=None):
+    def counted(values, mat, *resolved):
         if mat.tobytes() == reflection:
             pullbacks.append(values)
-        return image_values(values, mat, rows)
+        return image_values(values, mat, *resolved)
 
     monkeypatch.setattr(B, "_image_values", counted)
     _, u0, params = FLOWS["reflection"]

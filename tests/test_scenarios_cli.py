@@ -191,6 +191,37 @@ class TestRunner:
         result = scenarios.run_scenario(scenarios.parse_scenario(doc), tmp_path)
         assert not result.passed
 
+    @pytest.mark.parametrize("initial, lengths, evolved", [
+        (4.0, [4.0, 8.0, 16.0], [8.0, 16.0]),     # segment_growth as bundled
+        (5.0, [8.0, 16.0], [8.0, 16.0]),          # no length is the main body's
+    ], ids=["segment_growth", "main_length_left_out"])
+    def test_growth_scaling_reads_the_main_run_for_its_own_segment(
+            self, tmp_path, monkeypatch, initial, lengths, evolved):
+        doc = scenarios.builtin_scenarios()["segment_growth"]
+        doc.update(initial_body={"kind": "segment", "length": initial},
+                   checks=[dict(doc["checks"][0], lengths=lengths)])
+        scenario = scenarios.parse_scenario(doc)
+        evolve, starts = flow.evolve, []
+
+        def counted(u0, *args, **kwargs):
+            starts.append(u0.values)
+            return evolve(u0, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "evolve", counted)
+        result = scenarios.run_scenario(scenario, tmp_path)
+        monkeypatch.undo()
+        assert len(starts) == 1 + len(evolved)
+        assert starts[0] is scenario.initial_body.values
+        segments = [bodies.make_segment(length, grid_size=512) for length in lengths]
+        assert [s.tobytes() for s in starts[1:]] == [
+            seg.values.tobytes() for seg, length in zip(segments, lengths)
+            if length in evolved]
+        direct = [float(evolve(seg, scenario.params, 1.0, 1e-3,
+                               tracked={"V": bodies.area}).tracked["V"][-1])
+                  for seg in segments]
+        assert result.checks[0]["details"]["final_areas"] == direct
+        assert result.passed
+
     def test_builtins_parse(self):
         for name, _ in scenarios.list_builtins():
             scenario = scenarios.get_builtin(name)
