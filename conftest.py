@@ -9,8 +9,7 @@ import pytest
 
 from setflow import bodies, flow
 
-KERNEL_CACHES = (flow._flow_matrix, flow._ball_samples, bodies._pullback_plan,
-                 bodies._form_weights)
+KERNEL_CACHES = (flow._flow_matrix, bodies._pullback_plan, bodies._form_weights)
 
 
 @pytest.fixture(autouse=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class SupportFunction2D:
     computed, its raw self form ``V[u, u]`` (set by the first :func:`area`),
     its sup norm ``max_j |h_j|`` (set where its samples are made, whose
     finiteness test it is) and, read-only, its periodic difference and its
-    pull-back along each matrix (:func:`_kept_difference`,
+    pull-back along each operator (:func:`_kept_difference`,
     :func:`_kept_image`).  They are attributes of the body, not module-level
     buffers, so runs on separate threads share nothing mutable.
     """
@@ -138,21 +139,37 @@ def _sup_norm(u: SupportFunction2D) -> float:
     return norm
 
 
-def as_matrix(op) -> np.ndarray:
-    """Coerce a 2x2 array-like with finite entries to an ndarray."""
-    return _matrix_rows(op)[0]
+class _Operator(NamedTuple):
+    """A finite 2x2 matrix resolved for its pull-backs, made by :func:`_operator`:
+    a read-only float copy, its bytes (the key of its resampling plan and of
+    the pull-back a body keeps), ``scale`` (``c`` for ``c I`` with ``c > 0``,
+    else None) and whether it is the identity."""
+
+    matrix: np.ndarray
+    key: bytes
+    scale: float | None
+    identity: bool
 
 
-def _matrix_rows(op):
-    """``(mat, rows)``: ``as_matrix(op)`` and its rows as float lists, read once."""
-    mat = np.asarray(op, dtype=float)
+def _operator(op) -> _Operator:
+    """The operator of a finite 2x2 array-like; an operator is handed back."""
+    if isinstance(op, _Operator):
+        return op
+    mat = np.array(op, dtype=float)
     if mat.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    rows = (a, b), (c, d) = mat.tolist()
+    (a, b), (c, d) = mat.tolist()
     # four scalar tests cost a third of one np.isfinite over the matrix
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
         raise ValueError("matrix entries must be finite")
-    return mat, rows
+    diagonal = b == 0.0 and c == 0.0 and a == d
+    return _Operator(_frozen(mat), mat.tobytes(), a if diagonal and a > 0.0 else None,
+                     diagonal and a == 1.0)
+
+
+def as_matrix(op) -> np.ndarray:
+    """Coerce a 2x2 array-like with finite entries to a read-only ndarray."""
+    return _operator(op).matrix
 
 
 def convexity_tolerance(values: np.ndarray) -> float:
@@ -325,21 +342,21 @@ def area(u: SupportFunction2D) -> float:
 
     The clamp only guards against rounding: a segment along a grid
     direction, of area exactly 0, reads about ``1e-15`` to ``1e-12`` of
-    either sign.
+    either sign.  A NaN form, from samples whose squares overflow, stays NaN.
     """
     raw = _self_form(u)
-    return raw if raw > 0.0 else 0.0
+    return 0.0 if raw <= 0.0 else raw
 
 
 def perimeter(u: SupportFunction2D) -> float:
     """Perimeter of the sampled polygon, ``2 tan(dtheta / 2) sum_j h_j``,
-    clamped at zero.
+    clamped at zero as in :func:`area`.
 
     It is ``2 V[u, K]`` for the unit disc ``K``, so Steiner's formula
     ``area(u + r K) = area(u) + r perimeter(u) + r^2 area(K)`` holds.
     """
     raw = 2.0 * _form_weights(u.values.size)[0] * float(np.add.reduce(u.values))
-    return raw if raw > 0.0 else 0.0
+    return 0.0 if raw <= 0.0 else raw
 
 
 def mixed_area(u: SupportFunction2D, v) -> float:
@@ -473,7 +490,7 @@ def _pullback_plan(mat_bytes: bytes, m: int) -> _PullbackPlan:
                          _frozen(norms * polygon))
 
 
-def _image_values(values: np.ndarray, mat: np.ndarray, rows=None, key=None) -> np.ndarray:
+def _image_values(values: np.ndarray, op: _Operator) -> np.ndarray:
     """Samples of the support function of M u from samples of u.
 
     Uses the pull-back rule ``h_{Mu}(p) = |M^T p| * h_u(M^T p / |M^T p|)``.
@@ -485,31 +502,24 @@ def _image_values(values: np.ndarray, mat: np.ndarray, rows=None, key=None) -> n
     polygon, a two-point gather, takes its place; gathers keep the cone.
     The resampling plan depends only on (M, grid) and is cached.  A
     positive scalar matrix ``c I`` needs none: ``h_{cu} = c h_u``.
-    ``rows`` and ``key`` are ``mat.tolist()`` and ``mat.tobytes()`` when
-    the caller has them already.
     """
-    (a, b), (c, d) = mat.tolist() if rows is None else rows
-    if b == 0.0 and c == 0.0 and a == d > 0.0:
-        return a * values
-    plan = _pullback_plan(mat.tobytes() if key is None else key, values.size)
+    if op.scale is not None:
+        return op.scale * values
+    plan = _pullback_plan(op.key, values.size)
     if plan.gather is not None:
         image = values[plan.gather]
         return np.multiply(plan.norms, image, out=image)
     return _spline_or_polygon(values, plan)
 
 
-def _kept_image(u: SupportFunction2D, mat: np.ndarray, key: bytes, rows) -> np.ndarray:
-    """``_image_values(u.values, mat)``, kept on the body per matrix bytes.
-
-    ``key`` and ``rows`` are ``mat.tobytes()`` and ``mat.tolist()``, which
-    the caller resolves once per matrix.
-    """
+def _kept_image(u: SupportFunction2D, op: _Operator) -> np.ndarray:
+    """``_image_values(u.values, op)``, kept on the body per operator key."""
     images = u._images
     if images is None:
         images = u.__dict__["_images"] = {}
-    image = images.get(key)
+    image = images.get(op.key)
     if image is None:
-        image = images[key] = _frozen(_image_values(u.values, mat, rows, key))
+        image = images[op.key] = _frozen(_image_values(u.values, op))
     return image
 
 
@@ -533,16 +543,17 @@ def _spline_or_polygon(values, plan):
 def linear_image(u: SupportFunction2D, op) -> SupportFunction2D:
     """Image of the body under a linear map; area multiplies by |det|.
 
-    Singular maps are allowed and produce degenerate images.  The pull-back
-    of :func:`_image_values` keeps a body in the convex cone, so only the
-    finiteness of the image is tested, by its sup norm, which the image
-    keeps: raises ValueError when a sample is not finite (an overflowing
-    pull-back).
+    ``op`` is a finite 2x2 array-like or its :func:`_operator`, validated
+    once.  Singular maps give degenerate images, and the identity the body
+    itself.  The pull-back of :func:`_image_values` keeps a body in the
+    convex cone, so only the finiteness of the image is tested, by its sup
+    norm, which the image keeps: raises ValueError when a sample is not
+    finite (an overflowing pull-back).
     """
-    mat, rows = _matrix_rows(op)
-    if rows == [[1.0, 0.0], [0.0, 1.0]]:
+    op = _operator(op)
+    if op.identity:
         return u
-    vals = _image_values(u.values, mat, rows)
+    vals = _image_values(u.values, op)
     norm = _max_abs(vals)
     if not norm < math.inf:
         raise ValueError("support values must be finite")

@@ -523,22 +523,25 @@ def check_wazewski(system: ComparisonSystem, sample_box, n_samples: int = 256,
     # blocks of samples bound the memory of the lowered points, dim per sample
     block = max(1, WAZEWSKI_BLOCK // dim ** 2)
     component = np.arange(dim)
-    for start in range(0, n_samples, block):
-        x, e = xi[start:start + block], eta[start:start + block]
-        # row (s, i): eta of sample s with coordinate i lowered back to xi's
-        lowered = np.repeat(e[:, None, :], dim, axis=1)
-        lowered[:, component, component] = x
-        lowered = lowered.reshape(-1, dim)
-        g_xi = system(np.zeros(len(x)), x).ravel()
-        g_eta = system(np.zeros(len(lowered)), lowered)[
-            np.arange(len(lowered)), np.tile(component, len(x))]
-        bad = np.flatnonzero(g_xi > g_eta + WAZEWSKI_TOL)
-        if bad.size:                    # the first in sample-then-component order
-            at = int(bad[0])
-            return WazewskiReport(
-                passed=False, samples=n_samples,
-                violation={"component": at % dim, "xi": x[at // dim], "eta": lowered[at],
-                           "g_xi": g_xi[at], "g_eta": g_eta[at]})
+    # a right-hand side that overflows at a sample gives inf or NaN, whose
+    # comparison decides the verdict; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_samples, block):
+            x, e = xi[start:start + block], eta[start:start + block]
+            # row (s, i): eta of sample s with coordinate i lowered back to xi's
+            lowered = np.repeat(e[:, None, :], dim, axis=1)
+            lowered[:, component, component] = x
+            lowered = lowered.reshape(-1, dim)
+            g_xi = system(np.zeros(len(x)), x).ravel()
+            g_eta = system(np.zeros(len(lowered)), lowered)[
+                np.arange(len(lowered)), np.tile(component, len(x))]
+            bad = np.flatnonzero(g_xi > g_eta + WAZEWSKI_TOL)
+            if bad.size:                    # the first in sample-then-component order
+                at = int(bad[0])
+                return WazewskiReport(
+                    passed=False, samples=n_samples,
+                    violation={"component": at % dim, "xi": x[at // dim], "eta": lowered[at],
+                               "g_xi": g_xi[at], "g_eta": g_eta[at]})
     return WazewskiReport(passed=True, samples=n_samples)
 
 
@@ -810,8 +813,9 @@ def lyapunov_quadratic_check(system: ComparisonSystem, weights=None,
                                     note=MATRIX_EVIDENCE_NOTE)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n_samples, system.dim))
-    dv = _row_dots(beta * pts, system(np.zeros(n_samples), pts))
-    ratio = dv / _row_dots(np.broadcast_to(beta, pts.shape), pts * pts)
+    with np.errstate(over="ignore", invalid="ignore"):    # a NaN ratio fails the check
+        dv = _row_dots(beta * pts, system(np.zeros(n_samples), pts))
+        ratio = dv / _row_dots(np.broadcast_to(beta, pts.shape), pts * pts)
     at = int(np.argmax(ratio))          # the first of equal maxima, or the first NaN
     worst, worst_pt = float(ratio[at]), pts[at]
     return QuadraticDecayReport(passed=worst < 0.0, worst_ratio=worst,

@@ -160,41 +160,38 @@ class SourceTerm:
     ``zero``     -- no source
 
     What a step would otherwise re-derive is resolved once, when the source
-    is made (and again by ``dataclasses.replace``).  ``matrix`` is kept as
-    a read-only copy, with its rows and its bytes, the key of the pull-back
-    a body keeps (:func:`setflow.bodies._kept_image`).  A constant
-    :class:`ScalarFunction` psi is kept as its value and the sign of that
-    value.
+    is made (and again by ``dataclasses.replace``).  ``matrix`` is resolved
+    to its operator (:func:`setflow.bodies._operator`), whose read-only
+    copy it keeps and whose key names the pull-back a body keeps
+    (:func:`setflow.bodies._kept_image`).  A constant
+    :class:`ScalarFunction` psi is kept as its value, and its disc's
+    samples are kept on the source, one read-only array per grid size.
     """
 
     kind: str
     psi: object = None          # callable for 'ball' / 'linear'
     matrix: np.ndarray = None   # for 'linear'
     body: SupportFunction2D = None  # for 'constant'
-    _key: bytes = field(init=False, repr=False, compare=False, default=None)
-    _rows: list = field(init=False, repr=False, compare=False, default=None)
+    _op: bodies._Operator = field(init=False, repr=False, compare=False, default=None)
     _psi_value: float = field(init=False, repr=False, compare=False, default=None)
-    _psi_sign: float = field(init=False, repr=False, compare=False, default=None)
+    _discs: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.matrix is not None:
-            mat, rows = bodies._matrix_rows(self.matrix)
-            mat = bodies._frozen(mat.copy())
-            object.__setattr__(self, "matrix", mat)
-            object.__setattr__(self, "_key", mat.tobytes())
-            object.__setattr__(self, "_rows", rows)
+            op = bodies._operator(self.matrix)
+            object.__setattr__(self, "matrix", op.matrix)
+            object.__setattr__(self, "_op", op)
         psi = self.psi
         if isinstance(psi, ScalarFunction) and psi.kind == "constant":
-            value = float(psi.value)
-            object.__setattr__(self, "_psi_value", value)
-            object.__setattr__(self, "_psi_sign", math.copysign(1.0, value))
+            object.__setattr__(self, "_psi_value", float(psi.value))
+            object.__setattr__(self, "_discs", {})
 
     def values(self, volume: float, u: SupportFunction2D) -> np.ndarray | None:
         """Sample array of F(volume, u), or None when the source vanishes.
 
-        A ball source under a constant psi returns one cached, read-only
-        array per psi value (a zero's sign included) and grid size.  A
-        linear source scales the pull-back along B that ``u`` keeps.
+        A ball source under a constant psi returns the disc samples it
+        keeps for the grid size of ``u``.  A linear source scales the
+        pull-back along B that ``u`` keeps.
         """
         kind = self.kind
         if kind == "zero":
@@ -211,18 +208,14 @@ class SourceTerm:
         if scale < 0:
             raise ValueError("psi must be nonnegative")
         if kind == "linear":
-            return scale * bodies._kept_image(u, self.matrix, self._key, self._rows)
-        if self._psi_sign is not None:
-            return _ball_samples(scale, self._psi_sign, u.grid_size)
-        return np.full(u.grid_size, scale)
-
-
-@lru_cache(maxsize=8)
-def _ball_samples(radius: float, sign: float, m: int) -> np.ndarray:
-    # the read-only samples of a constant psi's disc, one array per (psi, M);
-    # ``sign`` keys -0.0 apart from 0.0, which hash and compare equal but
-    # give sums of different signs
-    return bodies._frozen(np.full(m, radius))
+            return scale * bodies._kept_image(u, self._op)
+        m, discs = u.grid_size, self._discs
+        if discs is None:
+            return np.full(m, scale)
+        disc = discs.get(m)
+        if disc is None:
+            disc = discs[m] = bodies._frozen(np.full(m, scale))
+        return disc
 
 
 def zero_source() -> SourceTerm:
@@ -246,23 +239,23 @@ class SemiflowParams:
     """The triple (A, phi, F) defining the flow.
 
     What a step would otherwise re-derive is resolved once, when the
-    params are made (and again by ``dataclasses.replace``).  ``A`` is kept
-    as a read-only copy, with its bytes, the key of the cached flow
-    matrices of :func:`step`.  A constant :class:`ScalarFunction` clock is
-    kept as its value, which :func:`step` reads in place of a midpoint
-    volume.
+    params are made (and again by ``dataclasses.replace``).  ``A`` is
+    resolved to its operator (:func:`setflow.bodies._operator`), whose
+    read-only copy it keeps and whose key names the cached flow operators
+    of :func:`step`.  A constant :class:`ScalarFunction` clock is kept as
+    its value, which :func:`step` reads in place of a midpoint volume.
     """
 
     A: np.ndarray
     phi: object                 # callable on the nonnegative axis
     source: SourceTerm
-    _a_bytes: bytes = field(init=False, repr=False, compare=False)
+    _a: bodies._Operator = field(init=False, repr=False, compare=False)
     _phi_value: float = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        a_mat = bodies._frozen(as_matrix(self.A).copy())
-        object.__setattr__(self, "A", a_mat)
-        object.__setattr__(self, "_a_bytes", a_mat.tobytes())
+        op = bodies._operator(self.A)
+        object.__setattr__(self, "A", op.matrix)
+        object.__setattr__(self, "_a", op)
         phi = self.phi
         if isinstance(phi, ScalarFunction) and phi.kind == "constant":
             object.__setattr__(self, "_phi_value", float(phi.value))
@@ -379,15 +372,13 @@ def expm(mat) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _flow_matrix(a_bytes: bytes, s: float) -> np.ndarray:
-    # exp(A s); calls the module binding ``expm`` so that wrapping it sees
-    # every evaluation.
-    mat = expm(np.frombuffer(a_bytes).reshape(2, 2) * s)
-    (a, b), (c, d) = mat.tolist()
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
-        raise BlowupError(f"exp(A s) overflows at s={s:.6g}", reached_time=0.0)
-    mat.setflags(write=False)
-    return mat
+def _flow_matrix(a_key: bytes, s: float) -> bodies._Operator:
+    # the operator of exp(A s), validated once; calls the module binding
+    # ``expm`` so that wrapping it sees every evaluation.
+    try:
+        return bodies._operator(expm(np.frombuffer(a_key).reshape(2, 2) * s))
+    except ValueError:      # an entry is not finite
+        raise BlowupError(f"exp(A s) overflows at s={s:.6g}", reached_time=0.0) from None
 
 
 def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunction2D:
@@ -409,9 +400,9 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     same ``out`` as an evaluation at ``moved``.  A constant clock (a
     :class:`ScalarFunction` of kind ``constant``) needs no midpoint volume:
     the step reads the value that ``params`` resolved when it was made, as
-    the sources read their resolved psi and matrix keys, so a step pays
-    only for its arithmetic.  It evaluates 2 areas, of ``u`` and of
-    ``pred``; any other clock
+    the sources read their resolved psi, disc samples and operator, so a
+    step pays only for its arithmetic.  It evaluates 2 areas, of ``u`` and
+    of ``pred``; any other clock
     also takes the mixed area of the body with the first source to estimate
     the rate.  Under a constant clock and a constant psi neither area is
     read, but both are computed: the benchmark's tests pin 2 area calls per
@@ -419,10 +410,11 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     sources are one array (a ball under a constant psi, a constant body),
     ``out`` is ``pred``, bit for bit and with its kept form.  Nothing is
     projected: the sources, their Minkowski sums and the pull-back keep a
-    body in the convex cone.  ``exp(A s)`` is cached per (A, s) and the
-    pull-back reads a cached resampling plan per (matrix, grid); both hold
-    read-only arrays.  The new body keeps its sup norm, which is its
-    finiteness test here and :func:`evolve`'s overflow guard.  Raises
+    body in the convex cone.  The operator of ``exp(A s)`` is validated
+    once and cached per (A, s), and the pull-back reads a cached resampling
+    plan per (matrix, grid); both hold read-only arrays.  The new body
+    keeps its sup norm, which is its finiteness test here and
+    :func:`evolve`'s overflow guard.  Raises
     ValueError when ``dt`` is not positive and finite, and
     :class:`BlowupError` when ``exp(A phi dt)``, the half-step or the new
     support values are not finite.
@@ -445,7 +437,7 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
         half_f0 = (0.5 * dt) * f0
         start = bodies._adopt(u.values + half_f0)
     try:
-        moved = linear_image(start, _flow_matrix(params._a_bytes, phi_mid * dt))
+        moved = linear_image(start, _flow_matrix(params._a.key, phi_mid * dt))
     except ValueError:      # the pull-back of a non-finite half-step
         raise BlowupError("non-finite support values produced by step",
                           reached_time=dt) from None
@@ -518,10 +510,6 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
 # Picard oracle
 
 
-def _perturbation_scale(u0):
-    return max(1.0, bodies._sup_norm(u0))
-
-
 def contraction_horizon(u0: SupportFunction2D, params: SemiflowParams) -> float:
     """Estimated horizon on which the integral operator is a contraction.
 
@@ -533,7 +521,8 @@ def contraction_horizon(u0: SupportFunction2D, params: SemiflowParams) -> float:
     """
     v0 = area(u0)
     norm0 = bodies._sup_norm(u0)
-    r = 0.5 * _perturbation_scale(u0)
+    scale = max(1.0, norm0)
+    r = 0.5 * scale
 
     eps = 1e-4 * max(1.0, v0)
     lip_phi = abs(float(params.phi(v0 + eps)) - float(params.phi(max(v0 - eps, 0.0)))) / (2 * eps)
@@ -541,17 +530,12 @@ def contraction_horizon(u0: SupportFunction2D, params: SemiflowParams) -> float:
     # inflated body u0 + r K
     lip_vol = perimeter(SupportFunction2D(u0.values + r))
     f0 = params.source.values(v0, u0)
-    f0_norm = 0.0 if f0 is None else float(np.max(np.abs(f0)))
-
-    du = 1e-3 * _perturbation_scale(u0)
+    du = 1e-3 * scale
     perturbed = SupportFunction2D(u0.values + du)
     f_pert = params.source.values(area(perturbed), perturbed)
-    if f_pert is None and f0 is None:
-        lip_src = 0.0
-    else:
-        a = np.zeros(u0.grid_size) if f0 is None else f0
-        b = np.zeros(u0.grid_size) if f_pert is None else f_pert
-        lip_src = float(np.max(np.abs(b - a))) / du
+    # only a zero source vanishes, and it vanishes at every body
+    f0_norm, lip_src = ((0.0, 0.0) if f0 is None else
+                        (bodies._max_abs(f0), bodies._max_abs(f_pert - f0) / du))
     beta = max(float(params.phi(v0)) + lip_vol * lip_phi * r, 1e-12)
     t_ball = np.log1p(r * beta / (norm0 * beta + f0_norm + lip_src * r + 1e-12)) / beta
     return 0.5 * float(t_ball)
@@ -571,9 +555,9 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     drops below ``tol``, for at most ``PICARD_MAX_ITER`` iterations.
     Independent of the split stepper, so it serves as an oracle for it.
     ``tracked`` names the columns of the result at the ``n_nodes`` times,
-    as in :func:`evolve`.  Raises ValueError when ``horizon`` exceeds the estimated contraction
-    horizon and :class:`ContractionError` when the iteration fails to
-    contract.
+    as in :func:`evolve`.  Raises ValueError when ``horizon`` exceeds the
+    estimated contraction horizon or an ``exp(A Phi)`` is not finite, and
+    :class:`ContractionError` when the iteration fails to contract.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -589,7 +573,11 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
 
     current = [u0] * n_nodes
     prev_dist = None
-    a_mat = params.A
+
+    def pulled(values, s):
+        # the samples pulled back along exp(A s)
+        return bodies._image_values(values, bodies._operator(expm(params.A * s)))
+
     for _ in range(PICARD_MAX_ITER):
         vols = np.array([max(bodies._self_form(v), 0.0) for v in current])
         phis = np.array([float(params.phi(v)) for v in vols])
@@ -598,15 +586,13 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
 
         new = [u0]
         for i in range(1, n_nodes):
-            acc = bodies._image_values(u0.values, expm(a_mat * big_phi[i]))
+            acc = pulled(u0.values, big_phi[i])
             # trapezoid in s over nodes 0..i
             for j in range(i + 1):
                 if sources[j] is None:
                     continue
                 w = dt if 0 < j < i else 0.5 * dt
-                pulled = bodies._image_values(
-                    sources[j], expm(a_mat * (big_phi[i] - big_phi[j])))
-                acc = acc + w * pulled
+                acc = acc + w * pulled(sources[j], big_phi[i] - big_phi[j])
             new.append(bodies._adopt(acc))
         dist = max(float(np.max(np.abs(a.values - b.values))) for a, b in zip(new, current))
         current = new
@@ -634,7 +620,7 @@ def reach_set(A, control_body: SupportFunction2D, start: SupportFunction2D,
     The support function of the reachable set solves ``dh/dt = A*h + h_U``,
     which is the flow with unit clock and constant source.
     """
-    params = SemiflowParams(A=as_matrix(A), phi=constant(1.0),
+    params = SemiflowParams(A=A, phi=constant(1.0),
                             source=constant_source(control_body))
     return evolve(start, params, horizon, dt, **kwargs)
 
@@ -654,20 +640,17 @@ def mixed_columns(op, count: int) -> dict:
     if count < 1:
         raise ValueError("count must be >= 1")
     mat = as_matrix(op)
-    with np.errstate(over="ignore", invalid="ignore"):    # _matrix_rows rejects it
-        powers = [bodies._matrix_rows(np.linalg.matrix_power(mat, i)) for i in range(count)]
+    with np.errstate(over="ignore", invalid="ignore"):    # _operator rejects it
+        powers = [bodies._operator(np.linalg.matrix_power(mat, i)) for i in range(count)]
     # linear_image hands a body back under the identity, so V[u, u]
-    return {f"W{i}": bodies._self_form if rows == [[1.0, 0.0], [0.0, 1.0]]
-            else _mixed_column(p, rows) for i, (p, rows) in enumerate(powers)}
+    return {f"W{i}": bodies._self_form if p.identity else _mixed_column(p)
+            for i, p in enumerate(powers)}
 
 
-def _mixed_column(mat, rows):
-    # u -> V[u, M u] for a matrix M that moves the body; its pull-back key
-    # and rows are resolved here, once
-    key = mat.tobytes()
-
+def _mixed_column(op):
+    # u -> V[u, M u] for the operator of a matrix M that moves the body
     def column(u):
-        image = bodies._kept_image(u, mat, key, rows)
+        image = bodies._kept_image(u, op)
         if not np.isfinite(image).all():
             raise ValueError("support values must be finite")
         return bodies._mixed_form(u.values, image, bodies._kept_difference(u))

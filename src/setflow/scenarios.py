@@ -35,6 +35,13 @@ MAX_FLOW_WORK = 10 ** 8
 # one-step flow at M = 10**8, and a run holds about 100 bytes a grid point;
 # the largest benchmark grid is 8192.
 MAX_GRID_SIZE = 65536
+# The largest sup norm N = max |h| of a document body, and half the largest
+# 'lengths' entry of growth_scaling (a segment's N).  Up to
+# flow.OVERFLOW_FACTOR times it (1e146), every area form is finite at
+# MAX_GRID_SIZE, even of samples outside the cone: <h, h> <= M N^2 and
+# sum_j (D h)_j^2 <= 4 M N^2 = 2.6e297, which the form divides by
+# 2 sin(2 pi / M) = 1.9e-4.
+MAX_BODY_NORM = 1e140
 # The largest 'count' of a 'track' 'mixed' entry: every stored frame
 # evaluates 'count' columns, outside the work cap.  The benchmark uses 4.
 MAX_MIXED_COUNT = 64
@@ -101,13 +108,22 @@ def _parse_function(obj, what="function"):
     return _build(obj, _FUNCTIONS, what)
 
 
+def _bounded(body):
+    """``body``, or a ValueError when its max |h| passes MAX_BODY_NORM."""
+    norm = bodies._sup_norm(body)
+    if not norm <= MAX_BODY_NORM:
+        raise ValueError(f"max |h| must be at most {MAX_BODY_NORM:.0e}, got {norm:.3g}")
+    return body
+
+
 def _support_values(obj, grid_size):
     values = np.asarray(obj["values"], dtype=float)
     declared = obj.get("grid_size", values.size)
     if not declared == values.size == grid_size:
         raise ValueError(f"{values.size} values for declared grid_size {declared} "
                          f"and scenario grid_size {grid_size}")
-    body = SupportFunction2D(values)
+    # bounded before the convexity test, whose sums of huge samples overflow
+    body = _bounded(SupportFunction2D(values))
     problems = bodies.validate(body)
     if problems:
         raise ValueError(f"the values are not a sampled convex body: {problems[0]}")
@@ -127,7 +143,11 @@ _BODIES = {
 
 
 def _parse_body(obj, grid_size, what="body"):
-    return _build(obj, _BODIES, what, grid_size)
+    body = _build(obj, _BODIES, what, grid_size)
+    try:
+        return _bounded(body)
+    except ValueError as exc:
+        raise SchemaError(f"{what}: {exc}") from None
 
 
 _SOURCES = {
@@ -625,8 +645,10 @@ def _check_growth_scaling(check, scenario):
     area is read from the main run's last body, the value a second run
     would compute.
     """
-    lengths = _param(check, "lengths", GROWTH_LENGTHS, lambda v: _positives(v, 2),
-                     "a list of at least two positive numbers")
+    lengths = _param(check, "lengths", GROWTH_LENGTHS,
+                     lambda v: _positives(v, 2) and max(v) <= 2 * MAX_BODY_NORM,
+                     f"a list of at least two positive numbers up to {2 * MAX_BODY_NORM:.0e}"
+                     " (a segment's max |h| is half its length)")
     lengths = [float(x) for x in lengths]
     rtol = _positive(check, "rtol", 0.01)
     ratio_tol = _positive(check, "ratio_tol", 0.05)

@@ -44,7 +44,7 @@ OPERATORS = {
 def _reference_columns(u, op, count):
     # the column formula of each power on its own: one pull-back of the
     # body along the power, one mixed form
-    powers = [B.as_matrix(np.linalg.matrix_power(B.as_matrix(op), i)) for i in range(count)]
+    powers = [B._operator(np.linalg.matrix_power(B.as_matrix(op), i)) for i in range(count)]
     return [B._mixed_form(u.values, B._image_values(u.values, p)) for p in powers]
 
 
@@ -292,7 +292,7 @@ def test_the_params_keep_a_read_only_copy_of_a():
     params = F.SemiflowParams(A=a, phi=F.constant(1.0), source=F.zero_source())
     a[0, 0] = 5.0
     assert params.A[0, 0] == -1.0 and not params.A.flags.writeable
-    assert params._a_bytes == (-np.eye(2)).tobytes()
+    assert params._a.key == (-np.eye(2)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ scipy's periodic ``CubicSpline`` and ``expm`` are the tolerance oracles of
 the package's spline and its closed-form exponential.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setflow import bodies as B, flow as F
 from setflow.errors import BlowupError
@@ -42,7 +45,7 @@ def test_image_values_match_the_uncached_pullback(m, name):
     mat = MATRICES[name]
     for u in sample_bodies(m):
         for _ in range(2):      # the second call reads the cached plan
-            got = B._image_values(u.values, mat)
+            got = B._image_values(u.values, B._operator(mat))
             assert np.array_equal(got, helpers.reference_image_values(u.values, mat))
 
 
@@ -66,7 +69,7 @@ def test_scalar_pullbacks_under_a_moving_clock_match(m):
     u = helpers.random_smooth_body(RNG, m)
     for s in RNG.uniform(0.0, 5e-3, size=50):
         mat = np.exp(-s) * np.eye(2)
-        assert np.array_equal(B._image_values(u.values, mat),
+        assert np.array_equal(B._image_values(u.values, B._operator(mat)),
                               helpers.reference_image_values(u.values, mat))
 
 
@@ -86,15 +89,86 @@ def test_forms_and_defect_match_the_uncached_formulas(m):
 @pytest.mark.parametrize("name", ["reflection", "rank_one", "rotation_120", "zero"])
 def test_cached_arrays_are_read_only(name):
     mat = MATRICES[name]
-    B._image_values(B.make_ball(1.0, grid_size=64).values, mat)
+    B._image_values(B.make_ball(1.0, grid_size=64).values, B._operator(mat))
     plan = B._pullback_plan(mat.tobytes(), 64)
     arrays = [a for a in (plan.norms, plan.gather, plan.cells, plan.weights, plan.polygon)
               if a is not None]
     arrays += [B._curvature_multipliers(64),
-               F._flow_matrix(MATRICES["quarter_turn"].tobytes(), 0.5)]
+               F._flow_matrix(MATRICES["quarter_turn"].tobytes(), 0.5).matrix]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def _grid_matrices(m):
+    # every rotation by a grid multiple, and each composed with the axis
+    # reflection
+    rotations = [np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+                 for a in 2.0 * np.pi * np.arange(m) / m]
+    return rotations + [r @ MATRICES["reflection"] for r in rotations]
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def two_by_two(draw, m):
+    kind = draw(st.sampled_from(["zeros", "scalar", "identity", "grid", "random"]))
+    if kind == "zeros":
+        return np.array(draw(st.lists(SIGNED_ZEROS, min_size=4, max_size=4))).reshape(2, 2)
+    if kind == "scalar":
+        c = draw(st.one_of(SIGNED_ZEROS, st.floats(-5.0, 5.0)))
+        return np.array([[c, draw(SIGNED_ZEROS)], [draw(SIGNED_ZEROS), c]])
+    if kind == "identity":
+        return np.array([[1.0, draw(SIGNED_ZEROS)], [draw(SIGNED_ZEROS), 1.0]])
+    if kind == "grid":
+        return draw(st.sampled_from(_grid_matrices(m)))
+    entry = st.one_of(SIGNED_ZEROS, st.floats(-4.0, 4.0))
+    return np.array(draw(st.lists(entry, min_size=4, max_size=4))).reshape(2, 2)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), m=st.sampled_from([16, 64]), seed=st.integers(0, 2 ** 16),
+       smooth=st.booleans())
+def test_the_operator_pulls_back_as_its_matrix(data, m, seed, smooth):
+    mat = data.draw(two_by_two(m))
+    rng = np.random.default_rng(seed)
+    u = helpers.random_smooth_body(rng, m) if smooth else helpers.random_polygon(rng, m)
+    op = B._operator(mat)
+    (a, b), (c, d) = mat.tolist()
+    scalar = b == c == 0.0 and a == d
+    assert op.scale == (a if scalar and a > 0.0 else None)
+    assert op.identity is (scalar and a == 1.0)
+    assert op.key == mat.tobytes() and np.array_equal(op.matrix, mat)
+    assert not op.matrix.flags.writeable and not np.shares_memory(op.matrix, mat)
+    assert B._operator(op) is op and B.as_matrix(op) is op.matrix
+    resolved, raw = B.linear_image(u, op), B.linear_image(u, mat)
+    assert resolved.values.tobytes() == raw.values.tobytes()
+    assert (resolved is u) is (raw is u) is op.identity
+    # as numbers: where M^T p vanishes the reference writes +0.0, and the
+    # plan 0.0 times a sample, which is -0.0 on a negative one
+    assert np.array_equal(resolved.values, helpers.reference_image_values(u.values, mat))
+
+
+def test_a_constant_clock_resolves_the_flow_operator_once(monkeypatch):
+    # every step pulls back along exp(A dt): its operator is made and
+    # validated once, and each step hands it to linear_image as it is
+    a = np.array([[-1.0, 0.3], [0.0, -2.0]])
+    made = []
+    operator = B._operator
+
+    def counted(op):
+        if not isinstance(op, B._Operator):
+            made.append(np.array(op, dtype=float))
+        return operator(op)
+
+    monkeypatch.setattr(B, "_operator", counted)
+    params = F.SemiflowParams(A=a, phi=F.constant(1.0),
+                              source=F.ball_source(F.constant(0.5)))
+    F.evolve(B.make_ball(1.0, grid_size=64), params, horizon=0.05, dt=1e-3)
+    flow_matrix = F.expm(a * 1e-3)
+    assert sum(np.array_equal(mat, flow_matrix) for mat in made) == 1
+    assert len(made) <= 3       # A, exp(A dt) and a shorter last step
 
 
 def test_plan_cache_stays_bounded_under_a_rational_clock():
@@ -360,10 +434,10 @@ def test_a_stored_step_pulls_the_body_back_along_b_twice(monkeypatch):
     pullbacks = []
     image_values = B._image_values
 
-    def counted(values, mat, *resolved):
-        if mat.tobytes() == reflection:
+    def counted(values, op):
+        if op.key == reflection:
             pullbacks.append(values)
-        return image_values(values, mat, *resolved)
+        return image_values(values, op)
 
     monkeypatch.setattr(B, "_image_values", counted)
     _, u0, params = FLOWS["reflection"]

@@ -959,6 +959,68 @@ class TestCli:
         assert report["diagnostic"]["blow_up_at"] == 0.0
         assert report["trajectory"]["frames"] == 1
 
+    @pytest.mark.parametrize("builtin, edit, message", [
+        ("segment_growth", {"initial_body": {"kind": "segment", "length": 1e300}},
+         "initial_body: max |h| must be at most 1e+140"),
+        ("segment_growth", {"checks": [{"kind": "growth_scaling", "lengths": [1e200, 2e200]}]},
+         "growth_scaling: 'lengths' must be"),
+        ("segment_growth", {"initial_body": {"kind": "support_values",
+                                             "values": [1.7e308] * 512}},
+         "bad initial_body 'support_values' parameters: max |h| must be at most 1e+140"),
+        ("segment_growth", {"initial_body": {"kind": "ball", "radius": 1.0,
+                                             "center": [1e308, 1e308]}},
+         "initial_body: max |h| must be at most 1e+140"),
+    ], ids=["long_segment", "long_growth_lengths", "huge_support_values", "far_ball"])
+    def test_a_body_whose_area_form_overflows_is_refused_by_name(self, tmp_path, builtin,
+                                                                 edit, message):
+        # in a fresh interpreter, so that a numpy warning would reach stderr
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(scenarios.builtin_scenarios()[builtin] | edit
+                                   | {"name": "huge"}))
+        proc = run_python("-m", "setflow.cli", "run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == cli.EXIT_SCHEMA and proc.stdout == ""
+        # one line, and no warning before it
+        assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+
+    def test_the_area_forms_of_the_largest_bodies_stay_finite(self):
+        # a body at the document bound may grow to OVERFLOW_FACTOR times it
+        # before evolve stops it; on the largest grid its forms stay finite
+        big = flow.OVERFLOW_FACTOR * scenarios.MAX_BODY_NORM
+        m = scenarios.MAX_GRID_SIZE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in (bodies.make_ball(big, grid_size=m), bodies.make_segment(2 * big, 0.3, m),
+                      bodies.make_polygon([[big, big], [-big, big], [0.0, -big]], m)):
+                assert math.isfinite(bodies._self_form(u)) and bodies.area(u) > 0.0
+                assert math.isfinite(bodies.mixed_area(u, u.values[::-1]))
+                assert math.isfinite(bodies.perimeter(u))
+            # samples outside the cone, with the largest differences
+            zigzag = big * (-1.0) ** np.arange(m)
+            assert math.isfinite(bodies._mixed_form(zigzag, zigzag))
+
+    @pytest.mark.parametrize("check", [
+        {"kind": "lyapunov", "box": [0.0, 1e300]},
+        {"kind": "wazewski", "system": {"kind": "linear",
+                                        "matrix": [[-1e308, -1e308], [1e308, -1e308]]}},
+    ], ids=["lyapunov", "wazewski"])
+    def test_sampled_checks_that_overflow_fail_without_a_warning(self, tmp_path, check):
+        # the right-hand side overflows at the samples: the lyapunov ratio is
+        # NaN and the wazewski comparison reads -inf; in a fresh interpreter,
+        # so that numpy's warnings would reach stderr
+        doc = scenarios.builtin_scenarios()["nilpotent_decay"] | {"name": "huge",
+                                                                  "checks": [check]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        proc = run_python("-m", "setflow.cli", "run", str(path), "--out", str(out))
+        assert proc.returncode == cli.EXIT_CHECK_FAILED and proc.stderr == ""
+        details = json.loads((out / "huge.json").read_text())["checks"][0]["details"]
+        assert details["passed"] is False
+        if check["kind"] == "lyapunov":
+            assert details["samples"] == 4096 and math.isnan(details["worst_ratio"])
+        else:
+            assert details["samples"] == 256 and details["violation"]["g_eta"] == -math.inf
+
     def test_a_check_that_blows_up_fails_and_every_report_is_written(self, tmp_path,
                                                                      capsys):
         # exp(50 t) leaves the comparison guard 1e12 at t = 0.55
