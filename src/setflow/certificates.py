@@ -276,7 +276,7 @@ def practical_growth_criterion(matrix, lam: float, bound: float, horizon: float)
     16 |det B|) / lam`` with the formula exponents, next to the same
     inequality with the eigenvalue exponents.  Reported for reference; the
     binding verdict comes from integrating the growth system.  A left side
-    that is infinite (by the sign of ``2 - mu_minus``) is reported as None.
+    that is infinite (by the sign of ``2 - mu_minus``) becomes None in a report.
     """
     rep = sde_growth_exponents(matrix)
     mat = as_matrix(matrix)
@@ -291,7 +291,7 @@ def practical_growth_criterion(matrix, lam: float, bound: float, horizon: float)
             growth = math.inf
         # 0 times the exponential is 0, however large it is
         lhs = 2.0 if mu_minus == 2.0 else 2.0 + (2.0 - mu_minus) * growth
-        report[f"{name}_lhs"] = lhs if math.isfinite(lhs) else None
+        report[f"{name}_lhs"] = lhs
         report[f"{name}_satisfied"] = lhs < rhs
     report["exponents"] = comparison._plain(rep)
     return report
@@ -364,9 +364,8 @@ class GlobalExistenceReport:
 
 
 def _envelope(f):
-    """A scalar system calling ``f(t, z)`` on plain numbers, once per row."""
-    return comparison.scalar_system(
-        lambda t, z: np.array([f(s, v) for s, v in zip(t.tolist(), z.tolist())]))
+    """A scalar system calling ``f(t, z)`` on numbers, once per state."""
+    return comparison.scalar_system(np.vectorize(f, otypes=[float]))
 
 
 def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
@@ -387,16 +386,13 @@ def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
     v0 = area(u0)
     times = np.linspace(0.0, horizon, max(1, round(horizon / (10 * dt))) + 1)
 
-    # the bounds receive plain numbers, one state at a time
-    def upper_rhs(t, z):
-        return tr_a * float(params.phi(max(z, 0.0))) * z + float(bounds.g_upper(max(z, 0.0)))
-
-    def lower_rhs(t, z):
-        return tr_a * float(params.phi(max(z, 0.0))) * z + float(bounds.g_lower(max(z, 0.0)))
+    # the bounds receive numbers, one state at a time
+    def volume_rhs(g):
+        return lambda t, z: tr_a * float(params.phi(max(z, 0.0))) * z + float(g(max(z, 0.0)))
 
     try:
-        zeta = comparison.integrate(_envelope(upper_rhs), [v0], times)
-        chi = comparison.integrate(_envelope(lower_rhs), [v0], times)
+        zeta = comparison.integrate(_envelope(volume_rhs(bounds.g_upper)), [v0], times)
+        chi = comparison.integrate(_envelope(volume_rhs(bounds.g_lower)), [v0], times)
     except BlowupError as exc:
         return GlobalExistenceReport(zeta_plus=None, chi_minus=None,
                                      omega_plus=None, finite=False,
@@ -456,8 +452,8 @@ def hausdorff_stability_report(params: flow.SemiflowParams, clock_sup,
 
     The caller pre-folds the suprema over the ball of the given radius:
     ``clock_sup(t)`` bounds the clock rate and ``source_sup(t, nu)`` the
-    source norm given a state-norm bound.  Both receive arrays, one entry
-    per state the envelope is evaluated at; a constant result is broadcast.
+    source norm given a state-norm bound ``nu``, at one time: a number in the
+    RK4 runs, a column in the sampled checks.  A constant result is broadcast.
     The verdict of the scalar envelope
     ``omega' = alpha clock_sup(t) omega + source_sup(t, N omega)``
     transfers to the flow in the measures h0 = h = sup-norm.
@@ -468,7 +464,7 @@ def hausdorff_stability_report(params: flow.SemiflowParams, clock_sup,
         return alpha * clock_sup(t) * w + source_sup(t, n_const * w)
 
     system = comparison.scalar_system(rhs, name="norm_envelope")
-    at_zero = float(system(np.zeros(1), np.zeros((1, 1)))[0, 0])
+    at_zero = float(system(0.0, np.zeros(1))[0])
     if abs(at_zero) > 1e-10:
         # the envelope grows even from the zero state: no delta can work
         return comparison.StabilityVerdict(kind="unstable", witness={

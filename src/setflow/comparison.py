@@ -45,12 +45,13 @@ MATRIX_EVIDENCE_NOTE = "decided in closed form from the Metzler matrix on the wh
 class ComparisonSystem:
     """An ODE ``xi' = g(t, xi)`` on the nonnegative cone.
 
-    ``rhs(t, xi)`` maps a batch of states, rows of shape ``(n, dim)``, with
-    one time per row, shape ``(n,)``, to their derivatives in the shape of
-    the states (any other is a ValueError), each row independently of the
-    others; :func:`integrate` and the sampled checks always call it so,
-    :func:`integrate` with its one state as a row.  A right-hand side that
-    does not depend on time ignores ``t``.
+    ``rhs(t, xi)`` maps states at the one time ``t``, a number, to their
+    derivatives in the shape of the states (any other is a ValueError).
+    The states lie along the last axis of ``xi``: :func:`integrate` passes
+    its one state, shape ``(dim,)``, and the sampled checks a batch of
+    rows, shape ``(n, dim)``, at time 0, each row to be mapped
+    independently of the others.  A right-hand side that does not depend on
+    time ignores ``t``.
 
     ``matrix`` is set only by the factories below, when ``rhs(t, xi) = M xi``
     for a Metzler matrix ``M`` (off-diagonal entries >= 0, the Wazewski
@@ -75,14 +76,14 @@ class ComparisonSystem:
 
 # -- standard families -------------------------------------------------------
 #
-# Each right-hand side computes all rows at once, one product per
-# coefficient on the ``(n, dim)`` batch, so each row is computed by its own
-# arithmetic.  A single state of shape ``(dim,)`` works as well, which the
-# tests' per-state reference loops use.  None of them depends on time.
+# Each right-hand side indexes the states along their last axis, so one
+# state ``(dim,)`` and a batch of rows ``(n, dim)`` take the same arithmetic,
+# one product per coefficient, and each row is computed by its own.  None of
+# them depends on time.
 
 
 def _column(value):
-    # a per-row coefficient against the rows; a number broadcasts
+    # a per-state coefficient against the states; a number broadcasts
     return np.asarray(value)[..., None]
 
 
@@ -189,11 +190,12 @@ def linear_system(matrix, name: str = "linear") -> ComparisonSystem:
 def scalar_system(f, name: str = "scalar") -> ComparisonSystem:
     """One-dimensional system ``xi' = f(t, xi)``.
 
-    ``f`` is called on the times of a batch and on its column of states,
-    both of shape ``(n,)``; a constant result is broadcast.
+    ``f(t, x)`` is called at one time ``t``, a number, on the states'
+    values ``x``: a number from :func:`integrate`, a column of shape
+    ``(n,)`` from a sampled check.  A constant result is broadcast.
     """
     def rhs(t, xi):
-        return np.array([np.broadcast_to(f(t, xi.T[0]), xi.T[0].shape)]).T
+        return np.broadcast_to(f(t, xi[..., 0]), xi.shape[:-1])[..., None]
     return ComparisonSystem(dim=1, rhs=rhs, name=name)
 
 
@@ -211,12 +213,11 @@ class ComparisonTrajectory:
 
 
 def _rk4(system, t, xi, h, k1):
-    """One classical RK4 step per row, of that row's length ``h``, from its given ``k1``."""
-    hx = h[:, None]
-    k2 = system(t + 0.5 * h, xi + 0.5 * hx * k1)
-    k3 = system(t + 0.5 * h, xi + 0.5 * hx * k2)
-    k4 = system(t + h, xi + hx * k3)
-    return xi + (hx / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    """One classical RK4 step of the state ``xi`` of length ``h`` from its given ``k1``."""
+    k2 = system(t + 0.5 * h, xi + 0.5 * h * k1)
+    k3 = system(t + 0.5 * h, xi + 0.5 * h * k2)
+    k4 = system(t + h, xi + h * k3)
+    return xi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _double_step(system, t, xi, h):
@@ -224,18 +225,14 @@ def _double_step(system, t, xi, h):
 
     Returns ``(k1, half, k_half, big, two)``: the slope at the start, the
     state after the first half step and the slope there (the first stage of
-    the second half step), the full step and the two half steps.  The
-    right-hand side sees the state as a one-row batch; the full step and the
-    first half step share ``k1`` and take their other stages together, as
-    two rows: 8 right-hand sides in all.
+    the second half step), the full step and the two half steps.  The full
+    step and the first half step share ``k1``: 11 right-hand sides in all.
     """
-    row, at = xi[None], np.array([t])
-    k1 = system(at, row)
-    big, half = _rk4(system, np.array([t, t]), np.concatenate((row, row)),
-                     np.array([h, 0.5 * h]), np.concatenate((k1, k1)))
-    k_half = system(at + 0.5 * h, half[None])
-    two = _rk4(system, at + 0.5 * h, half[None], np.array([0.5 * h]), k_half)
-    return k1[0], half, k_half[0], big, two[0]
+    k1 = system(t, xi)
+    big = _rk4(system, t, xi, h, k1)
+    half = _rk4(system, t, xi, 0.5 * h, k1)
+    k_half = system(t + 0.5 * h, half)
+    return k1, half, k_half, big, _rk4(system, t + 0.5 * h, half, 0.5 * h, k_half)
 
 
 def _dense(theta, h, x0, f0, xm, fm, x1):
@@ -474,7 +471,8 @@ class StabilityVerdict:
 
 def _plain(obj):
     """Plain JSON data; a dataclass report becomes the dict of its fields,
-    leaving out any field whose metadata sets ``report`` to False."""
+    leaving out any field whose metadata sets ``report`` to False, and a
+    float that is not finite becomes None, which strict JSON can hold."""
     if is_dataclass(obj):
         return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)
                 if f.metadata.get("report", True)}
@@ -483,11 +481,11 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        return _plain(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -532,9 +530,8 @@ def check_wazewski(system: ComparisonSystem, sample_box, n_samples: int = 256,
             lowered = np.repeat(e[:, None, :], dim, axis=1)
             lowered[:, component, component] = x
             lowered = lowered.reshape(-1, dim)
-            g_xi = system(np.zeros(len(x)), x).ravel()
-            g_eta = system(np.zeros(len(lowered)), lowered)[
-                np.arange(len(lowered)), np.tile(component, len(x))]
+            g_xi = system(0.0, x).ravel()
+            g_eta = system(0.0, lowered)[np.arange(len(lowered)), np.tile(component, len(x))]
             bad = np.flatnonzero(g_xi > g_eta + WAZEWSKI_TOL)
             if bad.size:                    # the first in sample-then-component order
                 at = int(bad[0])
@@ -587,7 +584,7 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
         raise ValueError("bisect_iters must be >= 0")
     if T_check <= 0:
         raise ValueError("T_check must be positive")
-    g0 = system(np.zeros(1), np.zeros((1, system.dim)))
+    g0 = system(0.0, np.zeros(system.dim))
     if np.max(np.abs(g0)) > 1e-10:
         raise ValueError("the comparison system must have a trivial solution at 0")
     levels = sorted(eps_grid)
@@ -814,7 +811,7 @@ def lyapunov_quadratic_check(system: ComparisonSystem, weights=None,
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n_samples, system.dim))
     with np.errstate(over="ignore", invalid="ignore"):    # a NaN ratio fails the check
-        dv = _row_dots(beta * pts, system(np.zeros(n_samples), pts))
+        dv = _row_dots(beta * pts, system(0.0, pts))
         ratio = dv / _row_dots(np.broadcast_to(beta, pts.shape), pts * pts)
     at = int(np.argmax(ratio))          # the first of equal maxima, or the first NaN
     worst, worst_pt = float(ratio[at]), pts[at]

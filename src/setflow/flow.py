@@ -517,7 +517,9 @@ def contraction_horizon(u0: SupportFunction2D, params: SemiflowParams) -> float:
     estimates L (volume), H (phi) and L1 (source) sampled numerically
     around u0, the operator keeps a ball of radius r invariant as long as
     ``(e^{beta T} - 1)(|u0| + (|F0| + L1 r)/beta) <= r`` with
-    ``beta = phi(V0) + L H r``.  A safety factor of 1/2 is applied.
+    ``beta = max(1, ||A||_2) (phi(V0) + L H r)`` (at least 1e-12), as
+    ``exp(A Phi)`` grows at most at the rate ``||A||_2``.  A safety factor
+    of 1/2 is applied.
     """
     v0 = area(u0)
     norm0 = bodies._sup_norm(u0)
@@ -536,7 +538,8 @@ def contraction_horizon(u0: SupportFunction2D, params: SemiflowParams) -> float:
     # only a zero source vanishes, and it vanishes at every body
     f0_norm, lip_src = ((0.0, 0.0) if f0 is None else
                         (bodies._max_abs(f0), bodies._max_abs(f_pert - f0) / du))
-    beta = max(float(params.phi(v0)) + lip_vol * lip_phi * r, 1e-12)
+    growth = max(1.0, float(np.linalg.norm(params.A, 2)))
+    beta = max(growth * (float(params.phi(v0)) + lip_vol * lip_phi * r), 1e-12)
     t_ball = np.log1p(r * beta / (norm0 * beta + f0_norm + lip_src * r + 1e-12)) / beta
     return 0.5 * float(t_ball)
 
@@ -564,7 +567,7 @@ def picard_solve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     if n_nodes < 3:
         raise ValueError("need at least 3 time nodes")
     t_star = contraction_horizon(u0, params)
-    if horizon > t_star:
+    if not horizon <= t_star:           # a NaN estimate, from an overflowing ||A||_2, too
         raise ValueError(
             f"horizon {horizon:.4g} exceeds estimated contraction horizon "
             f"{t_star:.4g}; use the stepper or a smaller horizon")

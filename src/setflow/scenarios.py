@@ -734,7 +734,8 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
     Blow-up of the main trajectory is recorded in the report (with the
     reached time) rather than raised; the result is then marked failed, and
     the CSV holds the frames up to the blow-up.  A check whose own
-    integration blows up fails with ``details.error``.
+    integration blows up fails with ``details.error``.  The report is strict
+    JSON: a number that is not finite is written as null.
     """
     report = {"schema": SCHEMA_VERSION, "name": scenario.name,
               "seed": scenario.seed, "grid_size": scenario.grid_size,
@@ -756,8 +757,7 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
                 passed, details = run(traj)
             except BlowupError as exc:
                 passed, details = _failure(exc)
-            check_results.append({"kind": kind, "passed": bool(passed),
-                                  "details": comparison._plain(details)})
+            check_results.append({"kind": kind, "passed": bool(passed), "details": details})
 
     passed = (not blew_up) and all(c["passed"] for c in check_results)
     report["passed"] = passed
@@ -770,15 +770,17 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
         "final": {k: float(v[-1]) for k, v in traj.tracked.items()},
     }
 
+    report = comparison._plain(report)
+
     out_dir = Path(out_dir) if out_dir else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
     result = ScenarioResult(name=scenario.name, passed=passed, blew_up=blew_up,
-                            checks=check_results,
+                            checks=report["checks"],
                             csv_path=out_dir / f"{scenario.name}.csv",
                             report_path=out_dir / f"{scenario.name}.json")
     result.csv_path.write_text(traj.to_csv(), encoding="utf-8", newline="\n")
-    result.report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
-                                  encoding="utf-8", newline="\n")
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    result.report_path.write_text(text + "\n", encoding="utf-8", newline="\n")
     return result
 
 

@@ -39,6 +39,18 @@ def rk4(system):
     return dataclasses.replace(system, matrix=None)
 
 
+def counted(system):
+    """The right-hand side of ``system`` without its matrix, and the list of
+    the shapes of the states it is called on; each call must be at one time."""
+    calls = []
+
+    def rhs(t, xi):
+        assert np.ndim(t) == 0, t
+        calls.append(xi.shape)
+        return system(t, xi)
+    return C.ComparisonSystem(dim=system.dim, rhs=rhs, name=system.name), calls
+
+
 def dense_xi0_peak(matrix, starts, T, points=10 ** 5 + 1):
     """The largest ``xi_0`` of the starts, rows in the cone, on ``points``
     equal times of [0, T].
@@ -88,8 +100,8 @@ class TestIntegrate:
         assert np.allclose(traj.states, [1.0, 2.0, 3.0])
 
     def test_rhs_of_another_shape_rejected(self):
-        # np.array([1.0, 2.0]) broadcasts against a one-row batch
-        constant = C.ComparisonSystem(dim=2, rhs=lambda t, xi: np.array([1.0, 2.0]))
+        # a result of shape (1, 2) broadcasts against the (2,) state
+        constant = C.ComparisonSystem(dim=2, rhs=lambda t, xi: np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError, match="shape"):
             C.integrate(constant, [0.0, 0.0], np.linspace(0.0, 1.0, 5))
 
@@ -315,15 +327,6 @@ class TestIntegrate:
 class TestDenseOutput:
     """Output times are read from the accepted steps, which they do not cut."""
 
-    @staticmethod
-    def counted(system):
-        calls = []
-
-        def rhs(t, xi):
-            calls.append(xi.shape)
-            return system(t, xi)
-        return C.ComparisonSystem(dim=system.dim, rhs=rhs), calls
-
     @pytest.mark.parametrize("horizon", [1.0, 3.0])
     def test_dense_outputs_match_the_closed_form(self, horizon):
         # xi' = [[0, 2], [2, 0]] xi from (1, 0) is (cosh 2t, sinh 2t)
@@ -337,21 +340,21 @@ class TestDenseOutput:
     def test_rhs_calls_do_not_grow_with_the_outputs(self):
         calls = {}
         for n_out in (11, 1001):
-            system, log = self.counted(C.sde_growth_system(SWAP))
+            system, log = counted(C.sde_growth_system(SWAP))
             C.integrate(system, [1.0, 0.0], times=np.linspace(0.0, 1.0, n_out),
                         rtol=C.CHECK_RTOL)
             calls[n_out] = len(log)
-            # a single state reaches the right-hand side as a one-row batch,
-            # and as two rows in the stages the full and half steps take together
-            assert set(log) == {(1, 2), (2, 2)}
+            # the right-hand side sees the one state, at one time
+            assert set(log) == {(2,)}
         assert calls[1001] <= 1.1 * calls[11]
 
-    def test_each_attempt_takes_eight_rhs_calls(self):
-        system, log = self.counted(C.sde_growth_system(SWAP))
+    def test_each_attempt_takes_eleven_rhs_calls(self):
+        # the full step and the two half steps, the first two sharing k1
+        system, log = counted(C.sde_growth_system(SWAP))
         traj = C.integrate(system, [1.0, 0.0], np.linspace(0.0, 1.0, 1001),
                            rtol=C.CHECK_RTOL)
         assert 0 < traj.steps < 100
-        assert len(log) == 8 * (traj.steps + traj.rejected)
+        assert len(log) == 11 * (traj.steps + traj.rejected)
 
     def test_the_last_output_is_the_accepted_state(self):
         # xi_0 = cosh 2t grows, so a ceiling at the last output's xi_0 is
@@ -782,9 +785,12 @@ class TestWazewski:
     ], ids=["sign_violation", "late_violation", "quasimonotone_box", "cyclic_k4",
             "increasing_clock"])
     def test_matches_per_sample_loop(self, system, box, seed):
-        rep = C.check_wazewski(system, box, 256, seed=seed)
+        logged, calls = counted(system)
+        rep = C.check_wazewski(logged, box, 256, seed=seed)
         expected = helpers.reference_check_wazewski(system, box, 256, seed=seed)
         assert C._plain(rep) == C._plain(expected)
+        # batches of rows, each at one time
+        assert calls and all(len(shape) == 2 for shape in calls)
 
     def test_blocks_keep_the_first_violation(self, monkeypatch):
         whole = C.check_wazewski(LATE_VIOLATION, (0.0, 5.0), 256, seed=1)
@@ -1200,9 +1206,11 @@ class TestLyapunovQuadratic:
     ], ids=["pure_decay", "order2_chain_unstable", "cyclic_k5_weighted", "linear_3d",
             "all_tied"])
     def test_matches_per_sample_loop(self, system, kwargs):
-        rep = C.lyapunov_quadratic_check(system, **kwargs)
+        logged, calls = counted(system)
+        rep = C.lyapunov_quadratic_check(logged, **kwargs)
         expected = helpers.reference_lyapunov_quadratic_check(system, **kwargs)
         assert C._plain(rep) == C._plain(expected)
+        assert calls == [(kwargs.get("n_samples", 4096), system.dim)]
 
     @pytest.mark.parametrize("kwargs", [
         {"weights": (1.0, -1.0)}, {"weights": (1.0,)}, {"n_samples": 0},

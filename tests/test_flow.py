@@ -257,6 +257,33 @@ class TestPicard:
             F.picard_solve(B.make_ball(1.0), contraction_params(psi=1.0),
                            horizon=10.0)
 
+    def test_the_horizon_shrinks_with_the_growth_of_the_semigroup(self):
+        # u(t) is the disc of radius e^{at} + psi (e^{at} - 1) / a under A = a I;
+        # at a = 1e5, exp(A Phi) overflows long before t = 0.05
+        u0 = B.make_ball(1.0, grid_size=64)
+        source = F.ball_source(F.constant(0.5))
+
+        def params(A):
+            return F.SemiflowParams(A=A, phi=F.constant(1.0), source=source)
+        large = params(1e5 * np.eye(2))
+        horizon = F.contraction_horizon(u0, large)
+        assert 0 < horizon < 1e-5
+        traj = F.picard_solve(u0, large, 0.9 * horizon, tracked=helpers.FRAMES)
+        t = traj.times[-1]
+        radius = np.exp(1e5 * t) + 0.5 * np.expm1(1e5 * t) / 1e5
+        assert np.max(np.abs(helpers.frames(traj)[-1].values - radius)) < 1e-9
+        with pytest.raises(ValueError, match="exceeds estimated contraction horizon"):
+            F.picard_solve(u0, large, horizon=0.05)
+        # ||A||_2 overflows: no horizon is estimated, and none passes the guard
+        with pytest.raises(ValueError, match="exceeds estimated contraction horizon nan"):
+            F.picard_solve(u0, params(np.full((2, 2), 1e308)), horizon=1e-300)
+        # a semigroup growing at most at the clock's rate keeps the horizon
+        # of A = 0, which reads no A
+        unit = F.contraction_horizon(u0, params(np.zeros((2, 2))))
+        for A in (-np.eye(2), np.eye(2), [[0.0, -1.0], [1.0, 0.0]], [[0.6, 0.0], [0.8, 0.0]]):
+            assert F.contraction_horizon(u0, params(A)) == unit
+        assert F.contraction_horizon(u0, params(3 * np.eye(2))) < unit
+
 
 class TestReachSet:
     def test_growing_disc(self):

@@ -23,6 +23,13 @@ from setflow.scenarios import SchemaError
 from helpers import run_python, sampled_disc_area
 
 
+def strict_json(text):
+    """``text`` parsed as strict JSON (RFC 8259), which has no NaN or Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def quick_doc(**overrides):
     doc = {
         "schema": 1,
@@ -322,6 +329,16 @@ class TestReportSerialization:
             assert json.loads(json.dumps(plain)) == plain, name
             names = {f.name for f in dataclasses.fields(report)} - {"body"}
             assert plain.keys() == names, name
+
+    def test_a_number_that_is_not_finite_becomes_none(self):
+        verdict = comparison.StabilityVerdict(kind="unstable", witness={
+            "nan": float("nan"), "inf": np.float32(np.inf), "finite": np.float64(1.5),
+            "row": np.array([1.0, -np.inf]), "nested": (np.nan, [True, np.bool_(False)])})
+        plain = comparison._plain(verdict)
+        assert plain == {"kind": "unstable", "witness": {
+            "nan": None, "inf": None, "finite": 1.5, "row": [1.0, None],
+            "nested": [None, [True, False]]}}
+        assert strict_json(json.dumps(plain, allow_nan=False)) == plain
 
     def test_a_dominance_report_names_its_solver(self):
         # the growth system of the set equation is linear: solved exactly
@@ -1005,8 +1022,8 @@ class TestCli:
     ], ids=["lyapunov", "wazewski"])
     def test_sampled_checks_that_overflow_fail_without_a_warning(self, tmp_path, check):
         # the right-hand side overflows at the samples: the lyapunov ratio is
-        # NaN and the wazewski comparison reads -inf; in a fresh interpreter,
-        # so that numpy's warnings would reach stderr
+        # NaN and the wazewski comparison reads -inf, both written as null; in
+        # a fresh interpreter, so that numpy's warnings would reach stderr
         doc = scenarios.builtin_scenarios()["nilpotent_decay"] | {"name": "huge",
                                                                   "checks": [check]}
         path = tmp_path / "huge.json"
@@ -1014,12 +1031,12 @@ class TestCli:
         out = tmp_path / "out"
         proc = run_python("-m", "setflow.cli", "run", str(path), "--out", str(out))
         assert proc.returncode == cli.EXIT_CHECK_FAILED and proc.stderr == ""
-        details = json.loads((out / "huge.json").read_text())["checks"][0]["details"]
+        details = strict_json((out / "huge.json").read_text())["checks"][0]["details"]
         assert details["passed"] is False
         if check["kind"] == "lyapunov":
-            assert details["samples"] == 4096 and math.isnan(details["worst_ratio"])
+            assert details["samples"] == 4096 and details["worst_ratio"] is None
         else:
-            assert details["samples"] == 256 and details["violation"]["g_eta"] == -math.inf
+            assert details["samples"] == 256 and details["violation"]["g_eta"] is None
 
     def test_a_check_that_blows_up_fails_and_every_report_is_written(self, tmp_path,
                                                                      capsys):
@@ -1145,7 +1162,7 @@ class TestCli:
         names = [name for name, _ in scenarios.list_builtins()]
         assert cli.main(["run", *names, "--out", str(tmp_path)]) == 0
         for name in names:
-            report = json.loads((tmp_path / f"{name}.json").read_text())
+            report = strict_json((tmp_path / f"{name}.json").read_text())
             assert report["passed"] is True, name
             assert (tmp_path / f"{name}.csv").exists()
 
@@ -1288,6 +1305,8 @@ class TestCheckFuzz:
                        for line in stdout.getvalue().splitlines() if "  wrote " in line]
             assert all(p.parent == out for p in written)
             assert sorted(out.iterdir() if out.exists() else []) == sorted(written)
+            assert all(isinstance(strict_json(p.read_text()), dict)
+                       for p in written if p.suffix == ".json")
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
