@@ -18,7 +18,11 @@ A CSV or JSON file that differs is walked leaf by leaf (a JSON value that
 is not an object or a list, a CSV cell).  Every changed leaf that is not a
 finite number (a verdict, a ``passed`` flag, a header, a leaf on one side
 only) is printed with its path; the numeric leaves that moved are counted,
-with the largest relative change ``|a - b| / max(|a|, |b|)``.
+with the largest relative change ``|a - b| / max(|a|, |b|)``.  The last
+line sums up every file: the runs whose exit code, stdout or stderr
+differ, the largest relative change of any numeric leaf with its file and
+path, and each path of a changed non-numeric leaf with the number of files
+it changed in.
 """
 
 from __future__ import annotations
@@ -126,21 +130,53 @@ def _finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def leaf_changes(name: str, a: bytes, b: bytes) -> list:
-    """Lines on how two versions of a CSV or JSON file differ, leaf by leaf."""
+def compare_leaves(name: str, a: bytes, b: bytes):
+    """``(changed, moved, largest, where)`` of two versions of a CSV or JSON
+    file: the ``(path, old, new)`` of each changed leaf that is not a finite
+    number on both sides, the count of the numeric leaves that moved, and
+    the largest relative change ``|a - b| / max(|a|, |b|)`` and its path."""
     left, right = leaves(name, a), leaves(name, b)
-    lines, moved, largest = [], 0, 0.0
+    changed, moved, largest, where = [], 0, 0.0, None
     for path in sorted(left.keys() | right.keys()):
         x, y = left.get(path, "<missing>"), right.get(path, "<missing>")
         if _finite_number(x) and _finite_number(y):
             if x != y:
                 moved += 1
-                largest = max(largest, abs(x - y) / max(abs(x), abs(y)))
+                change = abs(x - y) / max(abs(x), abs(y))
+                if change > largest or where is None:
+                    largest, where = change, path
         elif repr(x) != repr(y):
-            lines.append(f"  {path or '<root>'}: {x!r} != {y!r}")
+            changed.append((path or "<root>", x, y))
+    return changed, moved, largest, where
+
+
+def leaf_changes(name: str, a: bytes, b: bytes) -> list:
+    """Lines on how two versions of a CSV or JSON file differ, leaf by leaf."""
+    changed, moved, largest, _ = compare_leaves(name, a, b)
+    lines = [f"  {path}: {x!r} != {y!r}" for path, x, y in changed]
     if moved:
         lines.append(f"  {moved} numeric leaves moved, largest relative change {largest:.3g}")
     return lines
+
+
+def summary(files_changes, runs_differing: int) -> str:
+    """One line over every changed file: the largest relative change of a
+    numeric leaf, with its file and path, and each path of a changed
+    non-numeric leaf with the number of files it changed in.
+
+    ``files_changes`` maps a file name to its :func:`compare_leaves`.
+    """
+    largest, where, paths = 0.0, None, {}
+    for name, (changed, moved, change, path) in sorted(files_changes.items()):
+        if moved and (where is None or change > largest):
+            largest, where = change, f"{name}{path}"
+        for leaf, _, _ in changed:
+            paths[leaf] = paths.get(leaf, 0) + 1
+    numeric = f"{largest:.3g} at {where}" if where else "none"
+    other = ", ".join(f"{leaf} ({n} files)" for leaf, n in sorted(paths.items())) or "none"
+    return (f"summary: {runs_differing} runs differ in exit code, stdout or stderr; "
+            f"largest relative change of a numeric leaf: {numeric}; "
+            f"changed non-numeric leaves: {other}")
 
 
 def main(argv=None) -> int:
@@ -164,17 +200,21 @@ def main(argv=None) -> int:
             results[side] = {label: run for label, *run in json.loads(stdout)}
             outputs[side] = files(tmp / "out" / side)
 
-        differences = []
+        differences, runs_differing, files_changes = [], 0, {}
         for label, _ in runs:
+            differs = False
             for what, a, b in zip(("exit code", "stdout", "stderr"),
                                   results["ref"][label], results["tree"][label]):
                 if a != b:
+                    differs = True
                     differences.append(f"{label}: {what} differs: {a!r} != {b!r}")
+            runs_differing += differs
         for name in sorted(outputs["ref"].keys() | outputs["tree"].keys()):
             a, b = outputs["ref"].get(name), outputs["tree"].get(name)
             if a is None or b is None:
                 differences.append(f"{name}: only in {'tree' if a is None else args.ref}")
             elif a != b:
+                files_changes[name] = compare_leaves(name, a, b)
                 differences.append("\n".join([f"{name}: contents differ",
                                                *leaf_changes(name, a, b)]))
 
@@ -182,6 +222,7 @@ def main(argv=None) -> int:
         print(line)
     print(f"{len(runs)} runs, {len(outputs['tree'])} files: "
           f"{len(differences)} differences against {args.ref}")
+    print(summary(files_changes, runs_differing))
     return 1 if differences else 0
 
 

@@ -433,27 +433,6 @@ def _adaptive(system, states, times, rtol, ceiling):
     return result()
 
 
-# -- measures ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HahnFunction:
-    """Strictly increasing wrapper with value 0 at 0: ``c * s ** p``."""
-
-    coefficient: float = 1.0
-    exponent: float = 1.0
-
-    def __post_init__(self):
-        if self.coefficient <= 0 or self.exponent <= 0:
-            raise ValueError("Hahn-class functions need positive coefficient and exponent")
-
-    def __call__(self, s: float) -> float:
-        return self.coefficient * float(s) ** self.exponent
-
-
-IDENTITY = HahnFunction()
-
-
 # -- verdicts and checks -----------------------------------------------------
 
 
@@ -682,24 +661,20 @@ def _counters(traj: ComparisonTrajectory) -> dict:
 
 
 def check_practical(system: ComparisonSystem, lam: float, bound: float,
-                    horizon: float, a: HahnFunction = IDENTITY,
-                    b: HahnFunction = IDENTITY) -> StabilityVerdict:
-    """Practical stability via the comparison state started at ``b(lam) * e``.
+                    horizon: float) -> StabilityVerdict:
+    """Practical stability via the comparison state started at ``lam * e``.
 
     Integrates (at ``rtol = CHECK_RTOL`` on the RK4 path) from the all-ones
-    profile scaled by ``b(lam)`` and compares the first component at the
-    horizon against ``a(bound)``; the flow is practically (lam, bound,
+    profile scaled by ``lam`` and compares the first component at the
+    horizon against ``bound``; the flow is practically (lam, bound,
     horizon)-stable when the inequality is strict.  The witness carries the counters of the
     integration and its ``solver`` (see :func:`integrate`), up to the
     blow-up when the comparison state escapes.
-    The Hahn-class wrappers ``a`` and ``b`` carry the two measures of the
-    stability notion into comparison coordinates:
-    ``W_i[u] <= b(h0[u])`` and ``W_0[u] >= a(h[u])``.
     """
     if not 0 < lam < bound:
         raise ValueError("requires 0 < lam < bound")
-    start = float(b(lam)) * np.ones(system.dim)
-    threshold = float(a(bound))
+    start = float(lam) * np.ones(system.dim)
+    threshold = float(bound)
     try:
         traj = integrate(system, start, np.linspace(0.0, horizon, 257 if horizon else 1),
                          rtol=CHECK_RTOL)

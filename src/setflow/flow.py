@@ -272,12 +272,15 @@ class Trajectory:
     ``tracked`` maps each column name to an array with one entry per
     stored time; a column of arrays, such as the frames
     ``{"h": lambda u: u.values}``, is one row per stored time.  ``final``
-    is the body at ``times[-1]``.
+    is the body at ``times[-1]``, and ``solver`` names what made the
+    series: ``"split_step"`` (:func:`evolve`) or ``"reduced"``
+    (:func:`solve_reduced`).
     """
 
     times: np.ndarray
     tracked: dict
     final: SupportFunction2D
+    solver: str = "split_step"
 
     def to_csv(self) -> str:
         """CSV record: header ``t`` and the tracked names in order, one row per frame.
@@ -298,10 +301,10 @@ def _columns(tracked):
     return {"V": area, "perimeter": perimeter} if tracked is None else tracked
 
 
-def _finish(times, series, final):
+def _finish(times, series, final, solver="split_step"):
     return Trajectory(times=np.asarray(times),
                       tracked={k: np.asarray(v) for k, v in series.items()},
-                      final=final)
+                      final=final, solver=solver)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +507,155 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
             for name, fn in tracked.items():
                 series[name].append(fn(u))
     return _finish(times, series, last)
+
+
+# ---------------------------------------------------------------------------
+# reduced solution of scalar-A flows
+
+
+def _stored_times(horizon, dt):
+    # evolve's stored times: its running sum and its stride rule
+    n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
+    stride = max(1, int(np.ceil(n_steps / MAX_STORED_FRAMES)))
+    t, times = 0.0, [0.0]
+    for i in range(n_steps):
+        t += min(dt, horizon - t)
+        if (i + 1) % stride == 0 or i == n_steps - 1:
+            times.append(t)
+    return np.array(times)
+
+
+def cyclic_order(mat, max_order=8, tol=1e-9):
+    """Smallest k <= max_order with ``max |B^k - I| < tol``, or None."""
+    power = np.eye(2)
+    for k in range(1, max_order + 1):
+        with np.errstate(over="ignore", invalid="ignore"):     # a large B
+            power = power @ mat
+        if np.max(np.abs(power - np.eye(2))) < tol:
+            return k
+    return None
+
+
+def reducible(params: SemiflowParams):
+    """Whether :func:`solve_reduced` solves the flow: ``(a, k, cyclic)`` when
+    ``A = aI`` exactly and the source is not linear or has ``B^2 = 0``
+    (``k = 2`` kept bodies) or ``B^k = I`` to a few ulps for some ``k <= 8``
+    (``cyclic``), else None."""
+    (a, b), (c, d) = params.A.tolist()
+    if b != 0.0 or c != 0.0 or a != d:
+        return None
+    mat = params.source.matrix
+    with np.errstate(over="ignore", invalid="ignore"):     # a large B
+        if params.source.kind != "linear" or not (mat @ mat).any():
+            return a, 2, False
+    k = cyclic_order(mat, tol=16 * np.finfo(float).eps)
+    return None if k is None else (a, k, True)
+
+
+def _shift_exponential(sigma, k, cyclic):
+    # the first column c of exp(sigma S) for the shift S on k bodies: c_i is
+    # sigma^i / i!, and for a cyclic shift the sum of sigma^n / n! over
+    # n = i mod k, summed until a term is below the last bit of c_0 (at once
+    # when a term is not finite)
+    c = np.zeros(np.shape(sigma) + (k,))
+    c[..., 0] = term = 1.0
+    n = 1
+    while n < k or cyclic and np.any(term > 1e-17 * c[..., 0]):
+        term = term * sigma / n
+        c[..., n % k] += term
+        n += 1
+    return c
+
+
+def solve_reduced(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
+                  dt: float = DEFAULT_DT, tracked=None, clocks=None) -> Trajectory:
+    """:func:`evolve`'s trajectory of a :func:`reducible` flow, at its stored
+    times bit for bit, solved in the cone of a few fixed bodies instead of
+    stepped: ``h = e^{a tau} h0 + rho g1`` (``g1`` nothing, the disc or
+    ``K``; ``rho' = a phi rho + 0, psi or 1``), or ``e^{a tau} c(sigma) g``
+    with ``g_n = B^n h0`` and ``c`` the first column of ``exp(sigma S)``
+    for the shift ``S`` (mod ``k`` when ``B^k = I``), where
+    ``tau = int phi`` and ``sigma = int psi``.  Constant clocks give closed
+    forms; otherwise ``clocks(rhs, start, times)``, needed only then,
+    returns the ODE's states ``(tau, rho or sigma)``, and the flow goes to
+    :func:`evolve` when it raises :class:`BlowupError` (escaping clocks, or
+    more RK4 steps than :func:`evolve`'s).  Each stored time forms its body,
+    evaluates ``tracked`` on it and reads :func:`evolve`'s overflow guard.
+    """
+    if not (0.0 < horizon < math.inf and 0.0 < dt < math.inf):
+        raise ValueError("horizon and dt must be positive")
+    cone = reducible(params)
+    if cone is None:
+        raise ValueError("the flow has no reduced solution: it needs A = aI and "
+                         "B^2 = 0 or B^k = I for a linear source")
+    (a, k, cyclic), source, h0 = cone, params.source, u0.values
+    kind = source.kind
+    if kind == "linear":
+        basis = [linear_image(u0, np.linalg.matrix_power(source.matrix, n)).values
+                 for n in range(k)]
+    else:
+        basis = [h0, source.body.values if kind == "constant"
+                 else np.full(h0.size, 1.0 if kind == "ball" else 0.0)]
+    basis = np.array(basis)
+
+    def coefficients(tau, r):
+        # the weights of the g_n at the clocks (tau, r), numpy floats or arrays
+        scale = np.exp(a * tau)[..., None]
+        if kind == "linear":
+            return scale * _shift_exponential(r, k, cyclic)
+        return np.concatenate([scale, r[..., None]], axis=-1)
+
+    times, phi = _stored_times(horizon, dt), params._phi_value
+    psi = {"zero": 0.0, "constant": 1.0}.get(kind, source._psi_value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if phi is not None and psi is not None:
+            tau, r = phi * times, psi * times
+            if kind != "linear":
+                # rho = psi t expm1(x) / x for x = a phi t, which is 1 at x = 0
+                x = (a * phi) * times
+                moving = x != 0.0
+                r[moving] *= np.expm1(x[moving]) / x[moving]
+        else:
+            gram = np.array([[bodies._mixed_form(g, f) for f in basis] for g in basis])
+            # 11 calls an RK4 attempt, as many attempts as evolve's steps or
+            # stored frames: a stiff clock costs no unbounded work
+            budget = 11 * max(MAX_STORED_FRAMES, math.ceil(horizon / dt))
+
+            def rhs(t, state):
+                nonlocal budget
+                budget -= 1
+                if budget < 0:
+                    raise BlowupError("the clock ODE takes more steps than evolve", t)
+                tau, r = state
+                c = coefficients(tau, r)
+                v = max(float(c @ gram @ c), 0.0)
+                p = float(params.phi(v))
+                q = float(source.psi(v)) if psi is None else psi
+                return np.array([p, q if kind == "linear" else a * p * r + q])
+            try:
+                tau, r = clocks(rhs, np.zeros(2), times).T
+            except BlowupError:     # escaping or stiff clocks: the stepper decides
+                tau = None
+        weights = None if tau is None else coefficients(tau, r)
+    if weights is None:
+        return evolve(u0, params, horizon, dt, tracked)
+
+    tracked = _columns(tracked)
+    guard = OVERFLOW_FACTOR * max(1.0, bodies._sup_norm(u0))
+    series = {name: [] for name in tracked}
+    last = u0
+    for i, w in enumerate(weights):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = w @ basis
+        norm = bodies._max_abs(values)
+        if not norm <= guard:
+            raise BlowupError(f"support values exceeded {guard:.3g} at t={times[i]:.6g}",
+                              reached_time=times[i] if norm < math.inf else times[i - 1],
+                              partial=_finish(times[:i], series, last, "reduced"))
+        last = bodies._adopt(values, norm)
+        for name, fn in tracked.items():
+            series[name].append(fn(last))
+    return _finish(times, series, last, "reduced")
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,8 @@ MAX_SAMPLES = 65536             # 'samples' of wazewski and lyapunov
 MAX_BISECT_ITERS = 64           # 'iters' of xi0_stability
 MAX_EPS = 64                    # 'eps' of xi0_stability: one bisection each
 GROWTH_LENGTHS = (4, 8, 16)     # the default 'lengths' of growth_scaling
+# integrate's rtol for the clocks of a reduced flow (solve)
+CLOCK_RTOL = 1e-12
 
 
 class SchemaError(ValueError):
@@ -312,17 +314,6 @@ def _finite_products(mat, what):
     return mat, det, square
 
 
-def _operator_order(mat, max_order=8):
-    """Smallest k <= max_order with B^k = identity, or None."""
-    power = np.eye(2)
-    for k in range(1, max_order + 1):
-        with np.errstate(over="ignore", invalid="ignore"):     # a large B
-            power = power @ mat
-        if np.max(np.abs(power - np.eye(2))) < 1e-9:
-            return k
-    return None
-
-
 _SYSTEMS = {
     "nilpotent": lambda spec: comparison.nilpotent_source_system(
         _parse_function(spec["phi"], "phi"), _parse_function(spec["psi"], "psi"),
@@ -377,7 +368,7 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
         scale = max(1.0, float(np.max(np.abs(mat))))   # a Python float squares to inf quietly
         if np.max(np.abs(square)) < 1e-12 * (scale * scale):
             return comparison.nilpotent_source_system(params.phi, src.psi, a=diag)
-        order = _operator_order(mat)
+        order = flow.cyclic_order(mat)
         _require(order is not None,
                  "auto system needs B nilpotent of order 2 or B^k = identity (k <= 8)")
         return comparison.cyclic_mixed_system(params.phi, src.psi, k=order, a=diag)
@@ -493,7 +484,7 @@ def _check_closed_form_area(check, scenario):
     _require(np.array_equal(params.A, -np.eye(2)), "closed_form_area needs params.A = -I")
     _require(params.phi == flow.constant(1.0), "closed_form_area needs a constant phi of 1")
     _require(src.psi == flow.constant(0.5), "closed_form_area needs a constant psi of 0.5")
-    _require(_operator_order(src.matrix, terms) in (1, 2, terms),
+    _require(flow.cyclic_order(src.matrix, terms) in (1, 2, terms),
              f"closed_form_area: 'terms' {terms} needs B^{terms} = I")
 
     def run(traj):
@@ -639,11 +630,11 @@ def _check_growth_scaling(check, scenario):
     closed form, and the ratios of consecutive areas against the squared
     length ratios.
 
-    Each length evolves its segment under the scenario's flow to the
-    horizon, except a length whose segment has the samples of the initial
-    body bit for bit: the main run already evolved that body, so its final
-    area is read from the main run's last body, the value a second run
-    would compute.
+    Each length runs its segment under the scenario's flow to the horizon
+    (through :func:`solve`), except a length whose segment has the samples
+    of the initial body bit for bit: the main run already solved that body,
+    so its final area is read from the main run's last body, the value a
+    second run would compute.
     """
     lengths = _param(check, "lengths", GROWTH_LENGTHS,
                      lambda v: _positives(v, 2) and max(v) <= 2 * MAX_BODY_NORM,
@@ -662,8 +653,7 @@ def _check_growth_scaling(check, scenario):
             if seg.values.tobytes() == initial:
                 finals.append(float(bodies.area(traj.final)))
                 continue
-            tr = flow.evolve(seg, scenario.params, t_end, scenario.dt,
-                             tracked={"V": bodies.area})
+            tr = solve(seg, scenario.params, t_end, scenario.dt, tracked={"V": bodies.area})
             finals.append(float(tr.tracked["V"][-1]))
         try:
             rel_errors = [abs(v - certificates.segment_growth_value(t_end, l))
@@ -717,6 +707,22 @@ _CHECKS = {
 # running
 
 
+def _clocks(rhs, start, times):
+    # the clock ODE of flow.solve_reduced, by the comparison layer's RK4
+    system = comparison.ComparisonSystem(dim=len(start), rhs=rhs, name="clocks")
+    return comparison.integrate(system, start, times, rtol=CLOCK_RTOL).states
+
+
+def solve(u0: SupportFunction2D, params: flow.SemiflowParams, horizon: float, dt: float,
+          tracked=None) -> flow.Trajectory:
+    """The flow by :func:`setflow.flow.solve_reduced` when it is reducible
+    (its clocks by :func:`setflow.comparison.integrate`), else by
+    :func:`setflow.flow.evolve`; ``solver`` of the trajectory says which."""
+    if flow.reducible(params):
+        return flow.solve_reduced(u0, params, horizon, dt, tracked, clocks=_clocks)
+    return flow.evolve(u0, params, horizon, dt, tracked=tracked)
+
+
 @dataclass
 class ScenarioResult:
     name: str
@@ -728,14 +734,15 @@ class ScenarioResult:
 
 
 def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
-    """Execute a scenario: evolve, run checks, write the CSV and JSON report.
+    """Execute a scenario: :func:`solve`, run checks, write the CSV and JSON report.
 
-    The files go to ``out_dir`` (the working directory by default).
-    Blow-up of the main trajectory is recorded in the report (with the
-    reached time) rather than raised; the result is then marked failed, and
-    the CSV holds the frames up to the blow-up.  A check whose own
-    integration blows up fails with ``details.error``.  The report is strict
-    JSON: a number that is not finite is written as null.
+    The report's ``solver`` is ``"reduced"`` or ``"split_step"``.  The
+    files go to ``out_dir`` (the working directory by default).  Blow-up of
+    the main trajectory is recorded in the report (with the reached time)
+    rather than raised; the result is then marked failed, and the CSV holds
+    the frames up to the blow-up.  A check whose own integration blows up
+    fails with ``details.error``.  The report is strict JSON: a number that
+    is not finite is written as null.
     """
     report = {"schema": SCHEMA_VERSION, "name": scenario.name,
               "seed": scenario.seed, "grid_size": scenario.grid_size,
@@ -743,8 +750,8 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
     blew_up = False
     diagnostic = None
     try:
-        traj = flow.evolve(scenario.initial_body, scenario.params,
-                           scenario.horizon, scenario.dt, tracked=scenario.track)
+        traj = solve(scenario.initial_body, scenario.params,
+                     scenario.horizon, scenario.dt, tracked=scenario.track)
     except BlowupError as exc:
         blew_up = True
         diagnostic = {"blow_up_at": exc.reached_time, "message": str(exc)}
@@ -761,6 +768,7 @@ def run_scenario(scenario: Scenario, out_dir=None) -> ScenarioResult:
 
     passed = (not blew_up) and all(c["passed"] for c in check_results)
     report["passed"] = passed
+    report["solver"] = traj.solver
     report["checks"] = check_results
     if diagnostic:
         report["diagnostic"] = diagnostic

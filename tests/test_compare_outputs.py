@@ -57,3 +57,25 @@ def test_non_finite_numbers_compare_by_value():
     assert compare_outputs.leaf_changes("r.json", nan, nan) == []
     assert compare_outputs.leaf_changes("r.json", nan, b'{"x": NaN, "y": 1.0}') == [
         "  .y: inf != 1.0"]
+
+
+def test_the_summary_line_reads_the_largest_numeric_change_and_every_changed_path():
+    a = report()
+    files = {
+        "x/r.json": compare_outputs.compare_leaves(
+            "x/r.json", a, report(**{"trajectory/final/V": 0.49, "solver": "reduced"})),
+        "y/r.json": compare_outputs.compare_leaves(
+            "y/r.json", a, report(**{"checks/0/details/max_rel_error": 2e-4,
+                                     "solver": "reduced"})),
+        "y/r.csv": compare_outputs.compare_leaves("y/r.csv", b"t,V\n0,1\n", b"t,V\n0,1.5\n"),
+    }
+    assert compare_outputs.summary(files, 2) == (
+        "summary: 2 runs differ in exit code, stdout or stderr; "
+        "largest relative change of a numeric leaf: 0.5 at y/r.json.checks[0].details."
+        "max_rel_error; changed non-numeric leaves: .solver (2 files)")
+
+
+def test_the_summary_of_identical_outputs_reads_none():
+    assert compare_outputs.summary({}, 0) == (
+        "summary: 0 runs differ in exit code, stdout or stderr; largest relative change "
+        "of a numeric leaf: none; changed non-numeric leaves: none")

@@ -1085,15 +1085,6 @@ class TestPractical:
         for earlier, later in zip(passed, passed[1:]):
             assert earlier or not later
 
-    def test_hahn_wrappers(self):
-        verdict = C.check_practical(C.sde_growth_system(SWAP), lam=3.0,
-                                    bound=100.0, horizon=1.0,
-                                    a=C.HahnFunction(2.0, 1.0),
-                                    b=C.HahnFunction(1.0, 2.0))
-        assert verdict.witness["threshold"] == pytest.approx(200.0)
-        assert verdict.witness["initial_state"].tolist() == [9.0, 9.0]
-        assert verdict.witness["xi0_final"] == pytest.approx(9.0 * np.exp(2.0), rel=1e-6)
-
     def test_blowup_reports_the_rk4_counters(self):
         quad = C.scalar_system(lambda t, x: x * x)
         witness = C.check_practical(quad, lam=1.0, bound=100.0, horizon=2.0).witness

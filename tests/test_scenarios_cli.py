@@ -208,13 +208,13 @@ class TestRunner:
         doc.update(initial_body={"kind": "segment", "length": initial},
                    checks=[dict(doc["checks"][0], lengths=lengths)])
         scenario = scenarios.parse_scenario(doc)
-        evolve, starts = flow.evolve, []
+        solve, starts = scenarios.solve, []
 
         def counted(u0, *args, **kwargs):
             starts.append(u0.values)
-            return evolve(u0, *args, **kwargs)
+            return solve(u0, *args, **kwargs)
 
-        monkeypatch.setattr(flow, "evolve", counted)
+        monkeypatch.setattr(scenarios, "solve", counted)
         result = scenarios.run_scenario(scenario, tmp_path)
         monkeypatch.undo()
         assert len(starts) == 1 + len(evolved)
@@ -223,10 +223,11 @@ class TestRunner:
         assert [s.tobytes() for s in starts[1:]] == [
             seg.values.tobytes() for seg, length in zip(segments, lengths)
             if length in evolved]
-        direct = [float(evolve(seg, scenario.params, 1.0, 1e-3,
-                               tracked={"V": bodies.area}).tracked["V"][-1])
+        direct = [float(flow.solve_reduced(seg, scenario.params, 1.0, 1e-3,
+                                           tracked={"V": bodies.area}).tracked["V"][-1])
                   for seg in segments]
         assert result.checks[0]["details"]["final_areas"] == direct
+        assert json.loads(result.report_path.read_text())["solver"] == "reduced"
         assert result.passed
 
     def test_builtins_parse(self):
@@ -1119,17 +1120,17 @@ class TestCli:
 
     def test_a_finished_run_releases_its_frames(self, tmp_path, monkeypatch, capsys):
         runs, alive = [], []
-        evolve = flow.evolve
+        solve = scenarios.solve
 
-        def tracked_evolve(*args, **kwargs):
+        def tracked_solve(*args, **kwargs):
             if runs:
                 gc.collect()
                 alive.append(runs[-1]() is not None)
-            traj = evolve(*args, **kwargs)
+            traj = solve(*args, **kwargs)
             runs.append(weakref.ref(traj))
             return traj
 
-        monkeypatch.setattr(flow, "evolve", tracked_evolve)
+        monkeypatch.setattr(scenarios, "solve", tracked_solve)
         paths = []
         for name in ("first", "second"):
             paths.append(tmp_path / f"{name}.json")
