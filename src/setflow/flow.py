@@ -457,6 +457,19 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
     return out
 
 
+def _schedule(horizon, dt):
+    # evolve's steps as (h, t, stored): the step length, the running sum
+    # t += h after it, and whether t is a stored time (every stride-th step
+    # and the last, so at most MAX_STORED_FRAMES are stored)
+    n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
+    stride = max(1, int(np.ceil(n_steps / MAX_STORED_FRAMES)))
+    t = 0.0
+    for i in range(n_steps):
+        h = min(dt, horizon - t)
+        t += h
+        yield h, t, (i + 1) % stride == 0 or i == n_steps - 1
+
+
 def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
            dt: float = DEFAULT_DT, tracked=None) -> Trajectory:
     """Integrate the flow over [0, horizon], recording functionals at stored times.
@@ -480,28 +493,24 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     if not (0.0 < horizon < math.inf and 0.0 < dt < math.inf):
         raise ValueError("horizon and dt must be positive")
     tracked = _columns(tracked)
-    n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
-    stride = max(1, int(np.ceil(n_steps / MAX_STORED_FRAMES)))
-
     guard = OVERFLOW_FACTOR * max(1.0, bodies._sup_norm(u0))
     u, t = u0, 0.0
     times = [0.0]
     last = u0
     series = {name: [fn(u)] for name, fn in tracked.items()}
 
-    for i in range(n_steps):
-        h = min(dt, horizon - t)
+    for h, t_next, stored in _schedule(horizon, dt):
         try:
             u = step(u, params, h)
         except BlowupError as exc:
             raise BlowupError(str(exc), reached_time=t,
                               partial=_finish(times, series, last)) from None
-        t += h
+        t = t_next
         if bodies._sup_norm(u) > guard:
             raise BlowupError(
                 f"support values exceeded {guard:.3g} at t={t:.6g}",
                 reached_time=t, partial=_finish(times, series, last))
-        if (i + 1) % stride == 0 or i == n_steps - 1:
+        if stored:
             times.append(t)
             last = u
             for name, fn in tracked.items():
@@ -511,18 +520,6 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
 
 # ---------------------------------------------------------------------------
 # reduced solution of scalar-A flows
-
-
-def _stored_times(horizon, dt):
-    # evolve's stored times: its running sum and its stride rule
-    n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
-    stride = max(1, int(np.ceil(n_steps / MAX_STORED_FRAMES)))
-    t, times = 0.0, [0.0]
-    for i in range(n_steps):
-        t += min(dt, horizon - t)
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            times.append(t)
-    return np.array(times)
 
 
 def cyclic_order(mat, max_order=8, tol=1e-9):
@@ -552,61 +549,52 @@ def reducible(params: SemiflowParams):
     return None if k is None else (a, k, True)
 
 
-def _shift_exponential(sigma, k, cyclic):
-    # the first column c of exp(sigma S) for the shift S on k bodies: c_i is
-    # sigma^i / i!, and for a cyclic shift the sum of sigma^n / n! over
-    # n = i mod k, summed until a term is below the last bit of c_0 (at once
-    # when a term is not finite)
-    c = np.zeros(np.shape(sigma) + (k,))
-    c[..., 0] = term = 1.0
-    n = 1
-    while n < k or cyclic and np.any(term > 1e-17 * c[..., 0]):
-        term = term * sigma / n
-        c[..., n % k] += term
-        n += 1
-    return c
-
-
 def solve_reduced(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
                   dt: float = DEFAULT_DT, tracked=None, clocks=None) -> Trajectory:
-    """:func:`evolve`'s trajectory of a :func:`reducible` flow, at its stored
-    times bit for bit, solved in the cone of a few fixed bodies instead of
-    stepped: ``h = e^{a tau} h0 + rho g1`` (``g1`` nothing, the disc or
-    ``K``; ``rho' = a phi rho + 0, psi or 1``), or ``e^{a tau} c(sigma) g``
-    with ``g_n = B^n h0`` and ``c`` the first column of ``exp(sigma S)``
-    for the shift ``S`` (mod ``k`` when ``B^k = I``), where
+    """:func:`evolve`'s trajectory, by :func:`evolve` unless the flow is
+    :func:`reducible`: then at its stored times bit for bit, in the cone of
+    a few fixed bodies: ``h = e^{a tau} h0 + rho g1`` (``g1`` nothing, the
+    disc or ``K``; ``rho' = a phi rho + 0, psi or 1``), or ``e^{a tau}
+    c(sigma) g`` with ``g_n = B^n h0`` and ``c`` the first column of
+    ``exp(sigma S)`` for the shift ``S`` (mod ``k`` when ``B^k = I``), where
     ``tau = int phi`` and ``sigma = int psi``.  Constant clocks give closed
-    forms; otherwise ``clocks(rhs, start, times)``, needed only then,
-    returns the ODE's states ``(tau, rho or sigma)``, and the flow goes to
-    :func:`evolve` when it raises :class:`BlowupError` (escaping clocks, or
-    more RK4 steps than :func:`evolve`'s).  Each stored time forms its body,
-    evaluates ``tracked`` on it and reads :func:`evolve`'s overflow guard.
+    forms; other clocks need ``clocks(rhs, start, times)``, the ODE's states
+    ``(tau, rho or sigma)``, and go to :func:`evolve` without it or when it
+    raises :class:`BlowupError` (escaping clocks, or more RK4 steps than
+    :func:`evolve`'s).  Each stored time forms its body, evaluates
+    ``tracked`` on it and reads :func:`evolve`'s overflow guard.
     """
     if not (0.0 < horizon < math.inf and 0.0 < dt < math.inf):
         raise ValueError("horizon and dt must be positive")
-    cone = reducible(params)
-    if cone is None:
-        raise ValueError("the flow has no reduced solution: it needs A = aI and "
-                         "B^2 = 0 or B^k = I for a linear source")
-    (a, k, cyclic), source, h0 = cone, params.source, u0.values
+    cone, source, phi = reducible(params), params.source, params._phi_value
     kind = source.kind
+    psi = {"zero": 0.0, "constant": 1.0}.get(kind, source._psi_value)
+    if cone is None or clocks is None and (phi is None or psi is None):
+        return evolve(u0, params, horizon, dt, tracked)
+    (a, k, cyclic), h0 = cone, u0.values
     if kind == "linear":
         basis = [linear_image(u0, np.linalg.matrix_power(source.matrix, n)).values
                  for n in range(k)]
     else:
-        basis = [h0, source.body.values if kind == "constant"
+        basis = [h0, source.values(0.0, u0) if kind == "constant"
                  else np.full(h0.size, 1.0 if kind == "ball" else 0.0)]
     basis = np.array(basis)
+    # exp(sigma S) for the cyclic shift by its eigenvalues w^j = e^{2 pi i j/k}:
+    # c_n = (1/k) sum_j w^{-jn} e^{sigma w^j}, a DFT whose terms carry
+    # e^{a tau} in their exponents, so no factor overflows where the weight
+    # does not
+    roots = np.exp(2j * np.pi * np.arange(k) / k)
 
     def coefficients(tau, r):
         # the weights of the g_n at the clocks (tau, r), numpy floats or arrays
-        scale = np.exp(a * tau)[..., None]
-        if kind == "linear":
-            return scale * _shift_exponential(r, k, cyclic)
-        return np.concatenate([scale, r[..., None]], axis=-1)
+        x, r = a * np.asarray(tau)[..., None], np.asarray(r)[..., None]
+        if kind != "linear":
+            return np.concatenate([np.exp(x), r], axis=-1)
+        if cyclic:
+            return np.fft.fft(np.exp(x + r * roots), axis=-1).real / k
+        return np.exp(x) * r ** np.arange(k)        # B^2 = 0: c = (1, sigma)
 
-    times, phi = _stored_times(horizon, dt), params._phi_value
-    psi = {"zero": 0.0, "constant": 1.0}.get(kind, source._psi_value)
+    times = np.array([0.0, *(t for _, t, stored in _schedule(horizon, dt) if stored)])
     with np.errstate(over="ignore", invalid="ignore"):
         if phi is not None and psi is not None:
             tau, r = phi * times, psi * times

@@ -59,8 +59,6 @@ MAX_SAMPLES = 65536             # 'samples' of wazewski and lyapunov
 MAX_BISECT_ITERS = 64           # 'iters' of xi0_stability
 MAX_EPS = 64                    # 'eps' of xi0_stability: one bisection each
 GROWTH_LENGTHS = (4, 8, 16)     # the default 'lengths' of growth_scaling
-# integrate's rtol for the clocks of a reduced flow (solve)
-CLOCK_RTOL = 1e-12
 
 
 class SchemaError(ValueError):
@@ -710,17 +708,14 @@ _CHECKS = {
 def _clocks(rhs, start, times):
     # the clock ODE of flow.solve_reduced, by the comparison layer's RK4
     system = comparison.ComparisonSystem(dim=len(start), rhs=rhs, name="clocks")
-    return comparison.integrate(system, start, times, rtol=CLOCK_RTOL).states
+    return comparison.integrate(system, start, times, rtol=1e-12).states
 
 
 def solve(u0: SupportFunction2D, params: flow.SemiflowParams, horizon: float, dt: float,
           tracked=None) -> flow.Trajectory:
-    """The flow by :func:`setflow.flow.solve_reduced` when it is reducible
-    (its clocks by :func:`setflow.comparison.integrate`), else by
-    :func:`setflow.flow.evolve`; ``solver`` of the trajectory says which."""
-    if flow.reducible(params):
-        return flow.solve_reduced(u0, params, horizon, dt, tracked, clocks=_clocks)
-    return flow.evolve(u0, params, horizon, dt, tracked=tracked)
+    """The flow by :func:`setflow.flow.solve_reduced`, its clocks by
+    :func:`setflow.comparison.integrate`; the trajectory's ``solver`` says how."""
+    return flow.solve_reduced(u0, params, horizon, dt, tracked, clocks=_clocks)
 
 
 @dataclass

@@ -109,8 +109,6 @@ def test_a_rotation_of_finite_order_is_folded_and_a_near_one_is_stepped(k):
     stepped = scenarios.solve(u0, params(near), 0.05, 1e-2)
     assert stepped.solver == "split_step"
     assert stepped.to_csv() == flow.evolve(u0, params(near), 0.05, 1e-2).to_csv()
-    with pytest.raises(ValueError, match="no reduced solution"):
-        flow.solve_reduced(u0, params(near), 0.05, 1e-2)
 
 
 @pytest.mark.parametrize("mat", [[[2.0, 0.0], [0.0, 2.0]], [[1e200, 0.0], [0.0, 1e200]],
@@ -129,6 +127,36 @@ def test_the_folded_reflection_meets_its_closed_form_to_rounding():
     closed = 0.5 * np.exp(-traj.times) * (w["W0"][0] + w["W1"][0]) \
         + 0.5 * np.exp(-3.0 * traj.times) * (w["W0"][0] - w["W1"][0])
     assert relative_error(w["V"], closed) < 1e-14
+
+
+@pytest.mark.parametrize("psi, horizon, dt", [(0.99, 720.0, 0.05), (0.5, 1500.0, 0.1)])
+def test_a_decaying_cyclic_flow_over_a_long_horizon_finishes_as_evolve_does(
+        tmp_path, psi, horizon, dt):
+    # sigma = psi t passes 710, where cosh(sigma) alone overflows while the
+    # weight e^{-t} cosh(sigma) stays below 1
+    doc = scenarios.builtin_scenarios()["reflection_square"]
+    source = {**doc["params"]["source"], "psi": {"kind": "constant", "value": psi}}
+    doc.update(grid_size=64, horizon=horizon, dt=dt, checks=[],
+               params={**doc["params"], "source": source})
+    code, report, _ = run(doc, tmp_path)
+    assert code == cli.EXIT_OK and report["solver"] == "reduced"
+    scenario = scenarios.parse_scenario(doc)
+    want = scenarios.solve(scenario.initial_body, scenario.params, horizon, dt,
+                           scenario.track).tracked["V"][-1]
+    errors = [abs(flow.evolve(scenario.initial_body, scenario.params, horizon, h,
+                              scenario.track).tracked["V"][-1] - want)
+              for h in (dt, dt / 2)]
+    assert errors[1] <= errors[0] / 3.5
+
+
+def test_a_clock_ode_without_its_solver_is_stepped():
+    u0 = bodies.make_ball(1.0, center=(0.3, 0.0), grid_size=64)
+    params = flow.SemiflowParams(A=-np.eye(2), phi=flow.rational([2.0, 1.0], [1.0, 1.0]),
+                                 source=flow.linear_source(flow.constant(0.5),
+                                                           OPERATORS["reflection"]))
+    traj = flow.solve_reduced(u0, params, 0.05, 1e-2)
+    assert traj.solver == "split_step"
+    assert traj.to_csv() == flow.evolve(u0, params, 0.05, 1e-2).to_csv()
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +199,7 @@ def test_a_growing_ball_flow_still_blows_up(tmp_path, phi, solver):
     scenario = scenarios.parse_scenario(doc)
     with pytest.raises(BlowupError) as stepped:
         flow.evolve(scenario.initial_body, scenario.params, 20.0, 1e-2, scenario.track)
-    times = flow._stored_times(20.0, 1e-2)
+    times = np.array([0.0, *(t for _, t, stored in flow._schedule(20.0, 1e-2) if stored)])
     interval = float(np.max(np.diff(times)))
     reached = report["diagnostic"]["blow_up_at"]
     assert abs(reached - stepped.value.reached_time) <= interval
