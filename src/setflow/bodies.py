@@ -63,8 +63,10 @@ class SupportFunction2D:
 
     ``values[j]`` is ``h(theta_j)`` with ``theta_j = 2*pi*j/M``.  The grid
     size must be even and at least 16.  Instances are immutable; every
-    operation in this module returns a new body.  A body keeps, once
-    computed, its raw self form ``V[u, u]`` (set by the first :func:`area`),
+    operation in this module returns a new body.  The kernels read samples
+    along the last axis: :func:`_adopt` of a ``(frames, M)`` array is a stack
+    of frames, with a measure, sup norm or image per frame.  A body keeps,
+    once computed, its raw self form ``V[u, u]`` (set by the first :func:`area`),
     its sup norm ``max_j |h_j|`` (set where its samples are made, whose
     finiteness test it is) and, read-only, its periodic difference and its
     pull-back along each operator (:func:`_kept_difference`,
@@ -96,7 +98,7 @@ class SupportFunction2D:
 
     @property
     def grid_size(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     @property
     def angles(self) -> np.ndarray:
@@ -107,18 +109,29 @@ class SupportFunction2D:
                 f"max|h|={_sup_norm(self):.6g})")
 
 
+def _per_frame(value):
+    # a reduction of one body's samples as a float, of a stack's as its array
+    return value if value.ndim else float(value)
+
+
+def _clamped(raw):
+    # max(raw, 0) per frame: NaN stays NaN, and a clamped value is 0.0, never
+    # -0.0 (np.maximum returns its second operand for two zeros)
+    return np.maximum(raw, 0.0) if isinstance(raw, np.ndarray) else 0.0 if raw <= 0.0 else raw
+
+
 def _max_abs(values: np.ndarray) -> float:
-    """``max |h_j|`` over all entries, without a warning; NaN when an entry is
-    NaN, so ``_max_abs(h) < inf`` is the finiteness test of ``h``."""
-    return float(np.maximum.reduce(np.abs(values), axis=None))
+    """``max |h_j|`` along the last axis, without a warning; NaN when an entry
+    is NaN, so ``_max_abs(h) < inf`` is the finiteness test of ``h``."""
+    return _per_frame(np.maximum.reduce(np.abs(values), axis=-1))
 
 
 def _adopt(values: np.ndarray, norm: float | None = None) -> SupportFunction2D:
     """A body on ``values`` without the validating copy; ``values`` is made
     read-only, and ``norm``, when given, is kept as its sup norm.
 
-    Only for a one-dimensional float array of valid samples that nothing
-    writes to again, such as the bodies made by :func:`setflow.flow.step`.
+    Only for valid samples that nothing writes to again, such as those of
+    :func:`setflow.flow.step`, or a stack of them, with one norm per frame.
     Writes the instance dictionary directly, the cheapest way past the
     frozen dataclass's ``__setattr__``.
     """
@@ -189,8 +202,8 @@ def convexity_defect(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     # periodic neighbours: ext[j] = h[j-1], ext[j+2] = h[j+1]
-    ext = np.concatenate((values[-1:], values, values[:1]))
-    return ext[:-2] + ext[2:] - 2.0 * np.cos(2.0 * np.pi / values.size) * values
+    ext = np.concatenate((values[..., -1:], values, values[..., :1]), axis=-1)
+    return ext[..., :-2] + ext[..., 2:] - 2.0 * np.cos(2.0 * np.pi / values.shape[-1]) * values
 
 
 def _check_same_grid(u: SupportFunction2D, size: int):
@@ -292,10 +305,10 @@ def _form_weights(m: int) -> tuple:
 
 
 def _difference(values: np.ndarray) -> np.ndarray:
-    """The periodic forward difference ``h_{j+1} - h_j`` along the first axis."""
+    """The periodic forward difference ``h_{j+1} - h_j`` along the last axis."""
     out = np.empty_like(values)
-    np.subtract(values[1:], values[:-1], out=out[:-1])
-    out[-1] = values[0] - values[-1]
+    np.subtract(values[..., 1:], values[..., :-1], out=out[..., :-1])
+    np.subtract(values[..., 0], values[..., -1], out=out[..., -1])
     return out
 
 
@@ -319,10 +332,10 @@ def _mixed_form(hu: np.ndarray, hv: np.ndarray, du=None) -> float:
     the digits of a body far from the origin; swapping ``u`` and ``v``
     gives the same bits; ``du``, when given, is ``D h_u``.
     """
-    tan_half, sin2 = _form_weights(hu.size)
+    tan_half, sin2 = _form_weights(hu.shape[-1])
     du = _difference(hu) if du is None else du
     dv = du if hv is hu else _difference(hv)
-    return tan_half * float(hu.dot(hv)) - float(du.dot(dv)) / sin2
+    return tan_half * _per_frame(np.vecdot(hu, hv)) - _per_frame(np.vecdot(du, dv)) / sin2
 
 
 def _self_form(u: SupportFunction2D) -> float:
@@ -344,8 +357,7 @@ def area(u: SupportFunction2D) -> float:
     direction, of area exactly 0, reads about ``1e-15`` to ``1e-12`` of
     either sign.  A NaN form, from samples whose squares overflow, stays NaN.
     """
-    raw = _self_form(u)
-    return 0.0 if raw <= 0.0 else raw
+    return _clamped(_self_form(u))
 
 
 def perimeter(u: SupportFunction2D) -> float:
@@ -355,8 +367,8 @@ def perimeter(u: SupportFunction2D) -> float:
     It is ``2 V[u, K]`` for the unit disc ``K``, so Steiner's formula
     ``area(u + r K) = area(u) + r perimeter(u) + r^2 area(K)`` holds.
     """
-    raw = 2.0 * _form_weights(u.values.size)[0] * float(np.add.reduce(u.values))
-    return 0.0 if raw <= 0.0 else raw
+    return _clamped(2.0 * _form_weights(u.grid_size)[0]
+                    * _per_frame(np.add.reduce(u.values, axis=-1)))
 
 
 def mixed_area(u: SupportFunction2D, v) -> float:
@@ -369,7 +381,7 @@ def mixed_area(u: SupportFunction2D, v) -> float:
     bilinear in the samples.
     """
     hv = v.values if isinstance(v, SupportFunction2D) else np.asarray(v, float)
-    _check_same_grid(u, hv.size)
+    _check_same_grid(u, hv.shape[-1])
     return _mixed_form(u.values, hv, _kept_difference(u))
 
 
@@ -416,10 +428,9 @@ class _PullbackPlan:
 
     A gather plan holds ``|M^T p_j|`` (``norms``) and the node each
     direction lands on (``gather``).  A spline plan holds the nodes
-    ``j, j+1`` of each direction's cell, also shifted by M to read the
-    curvatures (``cells``, (4, M)), and the cubic (``weights``) and polygon
-    (``polygon``, on ``cells[:2]``) weights times ``|M^T p_j|``.  A
-    vanishing pull-back reads node 0 with weight 0.
+    ``j, j+1`` of each direction's cell (``cells``, (2, M)), and the cubic
+    (``weights``, (4, M)) and polygon (``polygon``) weights times
+    ``|M^T p_j|``.  A vanishing pull-back reads node 0 with weight 0.
     """
 
     norms: np.ndarray | None
@@ -445,10 +456,9 @@ def _cell_weights(idx: np.ndarray, m: int):
     k = (j + 1) % m
     at = a * t
     dtheta = 2.0 * np.pi / m
-    cells = np.stack([j, k, j + m, k + m])
     weights = np.stack([a, t, -at * (1.0 + a), -at * (1.0 + t)])
     polygon = np.sin(np.stack([a, t]) * dtheta) / np.sin(dtheta)
-    return cells, weights, polygon
+    return np.stack([j, k]), weights, polygon
 
 
 @lru_cache(maxsize=32)
@@ -463,8 +473,8 @@ def _curvature_multipliers(m: int) -> np.ndarray:
 
 def _spline_curvatures(values: np.ndarray) -> np.ndarray:
     """``dtheta^2 / 6`` times the second derivatives of the periodic cubic
-    spline through the samples, by one rFFT/irFFT pair."""
-    m = values.size
+    spline through the samples, by one rFFT/irFFT pair along the last axis."""
+    m = values.shape[-1]
     return np.fft.irfft(np.fft.rfft(values) * _curvature_multipliers(m), m)
 
 
@@ -505,9 +515,9 @@ def _image_values(values: np.ndarray, op: _Operator) -> np.ndarray:
     """
     if op.scale is not None:
         return op.scale * values
-    plan = _pullback_plan(op.key, values.size)
+    plan = _pullback_plan(op.key, values.shape[-1])
     if plan.gather is not None:
-        image = values[plan.gather]
+        image = values.take(plan.gather, axis=-1)
         return np.multiply(plan.norms, image, out=image)
     return _spline_or_polygon(values, plan)
 
@@ -525,18 +535,26 @@ def _kept_image(u: SupportFunction2D, op: _Operator) -> np.ndarray:
 
 def _spline_image(values: np.ndarray, plan: _PullbackPlan) -> np.ndarray:
     # the periodic cubic spline through the samples: one solve for its
-    # curvatures and one weighted gather of the samples and curvatures
-    stacked = np.concatenate((values, _spline_curvatures(values)))
-    return (plan.weights * stacked[plan.cells]).sum(axis=0)
+    # curvatures, then the weighted samples and curvatures at each cell's
+    # nodes, added a term at a time as a sum over the four terms adds them,
+    # so that no temporary is larger than the image
+    j, k = plan.cells
+    curv = _spline_curvatures(values)
+    image = plan.weights[0] * values.take(j, axis=-1)
+    for weight, source, nodes in zip(plan.weights[1:], (values, curv, curv), (k, j, k)):
+        image += weight * source.take(nodes, axis=-1)
+    return image
 
 
 def _spline_or_polygon(values, plan):
-    # the spline image, or where it leaves the convex cone the sampled
-    # polygon's support; a non-finite image skips the test: its caller
-    # rejects it
+    # the spline image, or in each frame where it leaves the convex cone the
+    # sampled polygon's support; a non-finite frame keeps its image: its
+    # caller rejects it
     image = _spline_image(values, plan)
-    if np.isfinite(image).all() and convexity_defect(image).min() < 0.0:
-        image = (plan.polygon * values[plan.cells[:2]]).sum(axis=0)
+    kinked = np.isfinite(image).all(axis=-1) & (convexity_defect(image).min(axis=-1) < 0.0)
+    if np.count_nonzero(kinked):
+        polygon = (plan.polygon * values.take(plan.cells, axis=-1)).sum(axis=-2)
+        np.copyto(image, polygon, where=kinked[..., None])
     return image
 
 

@@ -40,6 +40,11 @@ OVERFLOW_FACTOR = 1e6
 DEFAULT_DT = 1e-3
 MAX_STORED_FRAMES = 1000
 PICARD_MAX_ITER = 60
+# solve_reduced forms and measures its stored frames in blocks of about
+# this many bytes (at least one frame)
+BLOCK_BYTES = 128 * 1024
+# the largest float whose np.exp is finite
+EXP_MAX = math.log(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +306,11 @@ def _columns(tracked):
     return {"V": area, "perimeter": perimeter} if tracked is None else tracked
 
 
+def _joined(series):
+    # a column's blocks as one series; the first block is never empty
+    return {name: np.concatenate(blocks) for name, blocks in series.items()}
+
+
 def _finish(times, series, final, solver="split_step"):
     return Trajectory(times=np.asarray(times),
                       tracked={k: np.asarray(v) for k, v in series.items()},
@@ -349,29 +359,32 @@ def expm(mat) -> np.ndarray:
     relative accuracy.
     """
     (a, b), (c, d) = np.asarray(mat, dtype=float).tolist()
-    # np.exp, not math.exp: it overflows to inf instead of raising, and the
-    # caller decides what an infinite exponential means
-    with np.errstate(over="ignore"):
-        if b == 0.0 and c == 0.0:
-            return np.array([[np.exp(a), 0.0], [0.0, np.exp(d)]])
-        mu = 0.5 * (a + d)
-        half = 0.5 * (a - d)
-        q = half * half + b * c
-        if abs(q) < 1e-6:
-            e = float(np.exp(mu))
-            cosh = e * (1.0 + q * (0.5 + q / 24.0))
-            sinhc = e * (1.0 + q * (1.0 / 6.0 + q / 120.0))
-        elif q > 0.0:
-            r = math.sqrt(q)
-            g = 0.5 * float(np.exp(mu + r))
-            cosh = g * (1.0 + math.exp(-2.0 * r))
-            sinhc = -g * math.expm1(-2.0 * r) / r
-        else:
-            r = math.sqrt(-q)
-            e = float(np.exp(mu))
-            cosh, sinhc = e * math.cos(r), e * math.sin(r) / r
-        return np.array([[cosh + sinhc * half, sinhc * b],
-                         [sinhc * c, cosh - sinhc * half]])
+    if b == 0.0 and c == 0.0:
+        return np.array([[_exp(a), 0.0], [0.0, _exp(d)]])
+    mu = 0.5 * (a + d)
+    half = 0.5 * (a - d)
+    q = half * half + b * c
+    if abs(q) < 1e-6:
+        e = _exp(mu)
+        cosh = e * (1.0 + q * (0.5 + q / 24.0))
+        sinhc = e * (1.0 + q * (1.0 / 6.0 + q / 120.0))
+    elif q > 0.0:
+        r = math.sqrt(q)
+        g = 0.5 * _exp(mu + r)
+        cosh = g * (1.0 + math.exp(-2.0 * r))
+        sinhc = -g * math.expm1(-2.0 * r) / r
+    else:
+        r = math.sqrt(-q)
+        e = _exp(mu)
+        cosh, sinhc = e * math.cos(r), e * math.sin(r) / r
+    return np.array([[cosh + sinhc * half, sinhc * b],
+                     [sinhc * c, cosh - sinhc * half]])
+
+
+def _exp(x: float) -> float:
+    # np.exp's bits, not math.exp's, and inf past EXP_MAX with no overflow
+    # warning: the test of the exponent costs less than an np.errstate
+    return math.inf if x > EXP_MAX else float(np.exp(x))
 
 
 @lru_cache(maxsize=64)
@@ -458,26 +471,32 @@ def step(u: SupportFunction2D, params: SemiflowParams, dt: float) -> SupportFunc
 
 
 def _schedule(horizon, dt):
-    # evolve's steps as (h, t, stored): the step length, the running sum
-    # t += h after it, and whether t is a stored time (every stride-th step
-    # and the last, so at most MAX_STORED_FRAMES are stored)
+    # evolve's steps as arrays (h, t, stored): the step lengths
+    # h = min(dt, horizon - t), the running sums t += h after each, and
+    # whether t is a stored time (every stride-th step and the last, so at
+    # most MAX_STORED_FRAMES are stored).  horizon - t falls as t grows, so
+    # the full steps (h = dt) come first and their sums are one sequential
+    # cumsum; the loop sums the short steps after them one at a time
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
     stride = max(1, int(np.ceil(n_steps / MAX_STORED_FRAMES)))
-    t = 0.0
-    for i in range(n_steps):
-        h = min(dt, horizon - t)
-        t += h
-        yield h, t, (i + 1) % stride == 0 or i == n_steps - 1
+    h = np.full(n_steps, dt)
+    t = np.cumsum(np.concatenate(([0.0], h)))      # t[i] is where step i starts
+    for i in range(np.count_nonzero(horizon - t[:-1] >= dt), n_steps):
+        h[i] = min(dt, horizon - t[i])
+        t[i + 1] = t[i] + h[i]
+    stored = np.zeros(n_steps, dtype=bool)
+    stored[stride - 1::stride] = stored[-1] = True
+    return h, t[1:], stored
 
 
 def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
            dt: float = DEFAULT_DT, tracked=None) -> Trajectory:
     """Integrate the flow over [0, horizon], recording functionals at stored times.
 
-    ``tracked`` maps each column name to a function of a body, in the order
-    of :meth:`Trajectory.to_csv`; the default is
-    ``{"V": area, "perimeter": perimeter}``.  The mixed functionals of an
-    operator come from :func:`mixed_columns`, for example
+    ``tracked`` maps each column name, in the order of :meth:`Trajectory.to_csv`,
+    to a function of a body giving one value or row per frame of a stack (see
+    :func:`solve_reduced`); the default is ``{"V": area, "perimeter": perimeter}``;
+    the mixed functionals of an operator come from :func:`mixed_columns`, for example
     ``{"V": area, **mixed_columns(B, 2)}``, and the frames from
     ``{"h": lambda u: u.values}``, a ``(frames, M)`` array.  The times are
     thinned so at most ``MAX_STORED_FRAMES`` (+1 for the initial body) are
@@ -499,7 +518,7 @@ def evolve(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     last = u0
     series = {name: [fn(u)] for name, fn in tracked.items()}
 
-    for h, t_next, stored in _schedule(horizon, dt):
+    for h, t_next, stored in zip(*(map(float, a) for a in _schedule(horizon, dt))):
         try:
             u = step(u, params, h)
         except BlowupError as exc:
@@ -561,8 +580,10 @@ def solve_reduced(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     forms; other clocks need ``clocks(rhs, start, times)``, the ODE's states
     ``(tau, rho or sigma)``, and go to :func:`evolve` without it or when it
     raises :class:`BlowupError` (escaping clocks, or more RK4 steps than
-    :func:`evolve`'s).  Each stored time forms its body, evaluates
-    ``tracked`` on it and reads :func:`evolve`'s overflow guard.
+    :func:`evolve`'s).  The frames are formed ``BLOCK_BYTES`` at a time, as
+    ``weights[i:j, None, :] @ basis``, and each reads :func:`evolve`'s overflow
+    guard; each ``tracked`` column is called once on each block as one body and
+    returns one value or row per frame, else a ValueError names it.
     """
     if not (0.0 < horizon < math.inf and 0.0 < dt < math.inf):
         raise ValueError("horizon and dt must be positive")
@@ -594,7 +615,8 @@ def solve_reduced(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
             return np.fft.fft(np.exp(x + r * roots), axis=-1).real / k
         return np.exp(x) * r ** np.arange(k)        # B^2 = 0: c = (1, sigma)
 
-    times = np.array([0.0, *(t for _, t, stored in _schedule(horizon, dt) if stored)])
+    _, ends, stored = _schedule(horizon, dt)
+    times = np.concatenate(([0.0], ends[stored]))
     with np.errstate(over="ignore", invalid="ignore"):
         if phi is not None and psi is not None:
             tau, r = phi * times, psi * times
@@ -632,18 +654,26 @@ def solve_reduced(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     guard = OVERFLOW_FACTOR * max(1.0, bodies._sup_norm(u0))
     series = {name: [] for name in tracked}
     last = u0
-    for i, w in enumerate(weights):
+    rows = max(1, BLOCK_BYTES // basis[0].nbytes)
+    for start in range(0, len(times), rows):
         with np.errstate(over="ignore", invalid="ignore"):
-            values = w @ basis
-        norm = bodies._max_abs(values)
-        if not norm <= guard:
+            values = (weights[start:start + rows, None, :] @ basis)[:, 0]
+        norms = bodies._max_abs(values)
+        good = len(values) if norms.max() <= guard else int(np.argmin(norms <= guard))
+        if good:
+            block = bodies._adopt(values[:good], norms[:good])
+            for name, fn in tracked.items():
+                column = fn(block)
+                if np.shape(column)[:1] != (good,):
+                    raise ValueError(f"tracked column {name!r} gives no value per frame")
+                series[name].append(column)
+            last = bodies._adopt(values[good - 1], float(norms[good - 1]))
+        if good < len(values):
+            i = start + good
             raise BlowupError(f"support values exceeded {guard:.3g} at t={times[i]:.6g}",
-                              reached_time=times[i] if norm < math.inf else times[i - 1],
-                              partial=_finish(times[:i], series, last, "reduced"))
-        last = bodies._adopt(values, norm)
-        for name, fn in tracked.items():
-            series[name].append(fn(last))
-    return _finish(times, series, last, "reduced")
+                              reached_time=times[i] if norms[good] < math.inf else times[i - 1],
+                              partial=_finish(times[:i], _joined(series), last, "reduced"))
+    return _finish(times, _joined(series), last, "reduced")
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +806,9 @@ def mixed_columns(op, count: int) -> dict:
     computed and validated here, once; an identity power reads the body's
     kept self form (see :func:`setflow.bodies.area`), and every other
     column pulls the body back along its power and takes one mixed form.
-    The body keeps both arrays; a column holds no state, so columns made
-    for separate runs share nothing.  Raises ValueError when a power is not
-    finite; a column raises it when the image of a body is not finite.
+    The body keeps both arrays; a column holds no state (columns made for
+    separate runs share nothing) and gives one value per frame of a stack.
+    Raises ValueError when a power is not finite, a column when an image is.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -791,12 +821,15 @@ def mixed_columns(op, count: int) -> dict:
 
 
 def _mixed_column(op):
-    # u -> V[u, M u] for the operator of a matrix M that moves the body
+    # u -> V[u, M u] for the operator of a matrix M that moves the body; a
+    # sample of the image that is not finite makes its form not finite, so
+    # only then is the image tested
     def column(u):
         image = bodies._kept_image(u, op)
-        if not np.isfinite(image).all():
+        form = bodies._mixed_form(u.values, image, bodies._kept_difference(u))
+        if not np.isfinite(form).all() and not np.isfinite(image).all():
             raise ValueError("support values must be finite")
-        return bodies._mixed_form(u.values, image, bodies._kept_difference(u))
+        return form
     return column
 
 

@@ -139,3 +139,22 @@ def test_segment_growth_has_area_from_its_first_step(m):
     assert np.all(volumes[1:] > 0.0)
     exact = [CERT.segment_growth_value(t, 4.0) for t in traj.times[1:]]
     np.testing.assert_allclose(volumes[1:], exact, rtol=1e-6)
+
+
+def test_a_stack_of_frames_clamps_each_frame_as_that_frame_alone():
+    # rows outside the cone (a negative area form, a perimeter sum of -0.0),
+    # squares that overflow (a NaN form) and a disc
+    m = 64
+    theta = B.grid_angles(m)
+    rows = np.array([np.cos(2.0 * theta), np.full(m, -0.0), 1e200 * (2.0 + np.cos(theta)),
+                     B.make_ball(1.0, grid_size=m).values])
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = B._adopt(rows.copy())
+        got = {"area": B.area(stack), "perimeter": B.perimeter(stack)}
+        alone = {name: np.array([fn(B._adopt(row.copy())) for row in rows])
+                 for name, fn in (("area", B.area), ("perimeter", B.perimeter))}
+    for name in got:
+        assert got[name].tobytes() == alone[name].tobytes(), name
+    assert got["area"][0] == 0.0 and not np.signbit(got["area"][0])
+    assert got["perimeter"][1] == 0.0 and not np.signbit(got["perimeter"][1])
+    assert np.isnan(got["area"][2])

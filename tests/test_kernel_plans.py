@@ -7,6 +7,7 @@ the package's spline and its closed-form exponential.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,8 +61,22 @@ def test_grid_landing_pullbacks_are_gathers(m, name):
 
 def test_rotation_120_pullback_is_a_spline():
     plan = B._pullback_plan(ROT120.tobytes(), 64)
-    assert plan.gather is None and plan.cells.shape == plan.weights.shape == (4, 64)
+    assert plan.gather is None and plan.cells.shape == (2, 64) and plan.weights.shape == (4, 64)
     assert plan.polygon.shape == (2, 64)
+
+
+@pytest.mark.parametrize("name", ["rotation_120", "reflection", "exp(-0.37)I"])
+def test_a_stack_of_frames_is_pulled_back_as_each_frame_alone(name):
+    # the square plus a growing disc: the spline images of the first frames
+    # leave the cone and take the polygon fallback, those of the last do not
+    rows = np.array([B.make_polygon(SQUARE, 64).values + r for r in (0.0, 1.0, 10.0, 100.0)])
+    op = B._operator(MATRICES[name])
+    alone = np.array([B._image_values(row.copy(), op) for row in rows])
+    assert B._image_values(rows, op).tobytes() == alone.tobytes()
+    if name == "rotation_120":
+        plan = B._pullback_plan(op.key, 64)
+        kinked = [B.convexity_defect(B._spline_image(row, plan)).min() < 0.0 for row in rows]
+        assert kinked == [True, True, False, False]
 
 
 @pytest.mark.parametrize("m", GRIDS)
@@ -567,6 +582,24 @@ def test_expm_does_not_overflow_on_the_way():
     got = F.expm(mat)
     assert np.isfinite(got).all()
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: np.diag([x, -1.0]),
+    lambda x: np.array([[x, 1.0], [0.0, x]]),                   # q = 0
+    lambda x: np.array([[x - 1.0, 1.0], [1.0, x - 1.0]]),       # q = 1: mu + r = x
+    lambda x: np.array([[x, -1.0], [1.0, x]]),                  # q = -1: mu = x
+], ids=["diagonal", "q_zero", "q_positive", "q_negative"])
+def test_expm_overflows_past_the_threshold_without_a_warning(make):
+    with np.errstate(over="ignore"):
+        assert np.exp(np.nextafter(F.EXP_MAX, np.inf)) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at = F.expm(make(F.EXP_MAX))
+        past = F.expm(make(np.nextafter(F.EXP_MAX, np.inf)))
+    assert np.isfinite(at).all() and not np.isfinite(past[0, 0])
+    if make(0.0)[0, 1] == 0.0:
+        assert at[0, 0] == np.exp(F.EXP_MAX) and past[0, 0] == np.inf
 
 
 def test_expm_of_a_diagonal_matrix_is_elementwise():

@@ -6,13 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from setflow import bodies, cli, flow, scenarios
+from setflow import bodies, cli, comparison, flow, scenarios
 from setflow.errors import BlowupError
 from setflow.scenarios import SchemaError
 
-from helpers import random_polygon, random_smooth_body
+from helpers import FRAMES, random_polygon, random_smooth_body
 
 _C, _S = -0.5, math.sqrt(3.0) / 2.0
 ROTATION_120 = ((_C, -_S), (_S, _C))
@@ -72,12 +72,19 @@ def reducible_flows(draw):
     return u0, params, tracked
 
 
+def tight_clocks(rhs, start, times):
+    """The clock ODE of ``flow.solve_reduced`` at rtol 1e-14, a reference
+    whose own error lies below the stepper's at ``DT / 4``."""
+    system = comparison.ComparisonSystem(dim=len(start), rhs=rhs, name="clocks")
+    return comparison.integrate(system, start, times, rtol=1e-14).states
+
+
 @settings(max_examples=60, deadline=None)
 @given(reducible_flows())
 def test_evolve_converges_to_the_reduced_flow_at_second_order(case):
     u0, params, tracked = case
     assert flow.reducible(params)
-    reduced = scenarios.solve(u0, params, HORIZON, DT, tracked)
+    reduced = flow.solve_reduced(u0, params, HORIZON, DT, tracked, clocks=tight_clocks)
     assert reduced.solver == "reduced"
     coarse = flow.evolve(u0, params, HORIZON, DT, tracked)
     fine = flow.evolve(u0, params, HORIZON, DT / 4, tracked)
@@ -199,7 +206,8 @@ def test_a_growing_ball_flow_still_blows_up(tmp_path, phi, solver):
     scenario = scenarios.parse_scenario(doc)
     with pytest.raises(BlowupError) as stepped:
         flow.evolve(scenario.initial_body, scenario.params, 20.0, 1e-2, scenario.track)
-    times = np.array([0.0, *(t for _, t, stored in flow._schedule(20.0, 1e-2) if stored)])
+    _, ends, stored = flow._schedule(20.0, 1e-2)
+    times = np.concatenate(([0.0], ends[stored]))
     interval = float(np.max(np.diff(times)))
     reached = report["diagnostic"]["blow_up_at"]
     assert abs(reached - stepped.value.reached_time) <= interval
@@ -241,3 +249,144 @@ def test_the_work_cap_still_counts_the_steps_of_a_reduced_flow():
     assert flow.reducible(scenarios.parse_scenario(at_cap).params)
     with pytest.raises(SchemaError, match="'dt' is too small"):
         scenarios.parse_scenario(document(horizon=float(steps + 1), dt=1.0))
+
+
+# ---------------------------------------------------------------------------
+# the stored frames, measured a block at a time
+
+
+def measured_per_frame(traj, tracked):
+    """Each tracked column of each stored row, applied to the row alone."""
+    return {name: [np.asarray(fn(bodies._adopt(row.copy()))) for row in traj.tracked["h"]]
+            for name, fn in tracked.items()}
+
+
+def assert_blocks_equal_frames(traj, tracked):
+    for name, per_frame in measured_per_frame(traj, tracked).items():
+        assert len(traj.tracked[name]) == len(per_frame), name
+        for got, want in zip(traj.tracked[name], per_frame):
+            assert np.asarray(got).tobytes() == want.tobytes(), name
+    assert traj.final.values.tobytes() == traj.tracked["h"][-1].tobytes()
+
+
+BLOCK_OPERATORS = {name: OPERATORS[name]
+                   for name in ("reflection", "quarter_turn", "nilpotent", "rotation_120")}
+
+
+@st.composite
+def blocked_flows(draw):
+    """(u0, params, horizon, dt, tracked): a reduced flow whose stored frames
+    fill one to three blocks, the last one whole or not."""
+    grid_size = draw(st.sampled_from([16, 64, 512, 8192]))
+    operator = draw(st.sampled_from(sorted(BLOCK_OPERATORS)))
+    mat = BLOCK_OPERATORS[operator]
+    u0 = body(draw(st.sampled_from(["polygon", "smooth"])), draw(st.integers(0, 2 ** 32)),
+              grid_size)
+    psi = clock(draw(st.sampled_from(["constant", "rational"])), draw(st.floats(0.1, 1.0)))
+    source = {"zero": flow.zero_source(), "ball": flow.ball_source(psi),
+              "constant": flow.constant_source(body("smooth", 1, grid_size)),
+              "linear": flow.linear_source(psi, mat)}[
+        draw(st.sampled_from(["zero", "ball", "constant", "linear"]))]
+    phi = clock(draw(st.sampled_from(["constant", "rational"])), draw(st.floats(0.2, 1.5)))
+    params = flow.SemiflowParams(A=draw(st.floats(-2.0, 0.5)) * np.eye(2), phi=phi,
+                                 source=source)
+    rows = max(1, flow.BLOCK_BYTES // (8 * grid_size))
+    frames = draw(st.integers(1, 3)) * rows + draw(st.sampled_from([0, 1, rows - 1]))
+    frames = min(max(frames, 2), flow.MAX_STORED_FRAMES + 1)
+    dt = 0.01
+    k = flow.cyclic_order(mat) or 2
+    tracked = {"V": bodies.area, "perimeter": bodies.perimeter,
+               **flow.mixed_columns(mat, k),
+               "dH_ref": lambda u: bodies.hausdorff_distance(
+                   u, bodies.make_ball(1.0, grid_size=grid_size)),
+               **FRAMES}
+    return u0, params, (frames - 1) * dt, dt, tracked
+
+
+@settings(max_examples=30, deadline=None)
+@given(blocked_flows())
+def test_each_block_measures_its_frames_bit_for_bit(case):
+    u0, params, horizon, dt, tracked = case
+    traj = scenarios.solve(u0, params, horizon, dt, tracked)
+    assert traj.solver == "reduced"
+    assert len(traj.times) == round(horizon / dt) + 1
+    assert_blocks_equal_frames(traj, tracked)
+    with pytest.MonkeyPatch.context() as patch:      # one frame a block
+        patch.setattr(flow, "BLOCK_BYTES", 1)
+        alone = scenarios.solve(u0, params, horizon, dt, tracked)
+    for name, series in traj.tracked.items():
+        assert series.tobytes() == alone.tracked[name].tobytes(), name
+
+
+@pytest.mark.parametrize("grid_size", [64, 512, 8192])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("radius", [1.0, 1e-305], ids=["guard", "not_finite"])
+def test_a_blow_up_inside_a_block_keeps_the_per_frame_rule(grid_size, where, radius):
+    # the frames are e^{a t} h0: the unit disc first passes the guard
+    # 1e6 at frame i; the tiny one stays inside it until e^{a t} overflows
+    # at frame i, a row that is not finite
+    rows = max(1, flow.BLOCK_BYTES // (8 * grid_size))
+    i = rows + {"first": 0, "middle": rows // 2, "last": rows - 1}[where]
+    dt = 0.01
+    exponent = math.log(1e6) if radius == 1.0 else flow.EXP_MAX
+    params = flow.SemiflowParams(A=exponent / ((i - 0.5) * dt) * np.eye(2),
+                                 phi=flow.constant(1.0), source=flow.zero_source())
+    u0 = bodies.make_ball(radius, grid_size=grid_size)
+    horizon = (i + 3) * dt
+    tracked = {"V": bodies.area, "perimeter": bodies.perimeter, **FRAMES}
+    with pytest.raises(BlowupError) as err:
+        flow.solve_reduced(u0, params, horizon, dt, tracked)
+    _, ends, stored = flow._schedule(horizon, dt)
+    times = np.concatenate(([0.0], ends[stored]))
+    reached = times[i] if radius == 1.0 else times[i - 1]
+    assert err.value.reached_time == reached
+    assert str(err.value) == f"support values exceeded {1e6:.3g} at t={times[i]:.6g}"
+    partial = err.value.partial
+    assert partial.solver == "reduced"
+    assert partial.times.tobytes() == times[:i].tobytes()
+    assert_blocks_equal_frames(partial, tracked)
+
+
+def test_a_column_that_does_not_give_one_value_per_frame_is_named():
+    u0 = bodies.make_ball(1.0, grid_size=64)
+    params = flow.SemiflowParams(A=-np.eye(2), phi=flow.constant(1.0),
+                                 source=flow.ball_source(flow.constant(0.5)))
+    with pytest.raises(ValueError, match="column 'one'"):
+        flow.solve_reduced(u0, params, 1.0, 0.01, {"V": bodies.area, "one": lambda u: 1.0})
+
+
+def sequential_schedule(horizon, dt):
+    """evolve's steps ``(h, t, stored)`` as the loop ``t += min(dt, horizon - t)``."""
+    n_steps = max(1, math.ceil(horizon / dt - 1e-12))
+    stride = max(1, math.ceil(n_steps / flow.MAX_STORED_FRAMES))
+    t, steps = 0.0, []
+    for i in range(n_steps):
+        h = min(dt, horizon - t)
+        t += h
+        steps.append((h, t, (i + 1) % stride == 0 or i == n_steps - 1))
+    return steps
+
+
+@st.composite
+def horizons(draw):
+    """(horizon, dt) below one step, near a whole number of steps, or anywhere."""
+    dt = draw(st.floats(1e-3, 10.0))
+    kind = draw(st.sampled_from(["below_dt", "near_whole", "any"]))
+    if kind == "below_dt":
+        return dt * draw(st.floats(1e-6, 1.0, exclude_max=True)), dt
+    if kind == "near_whole":
+        return dt * draw(st.integers(1, 20000)) * (1.0 + draw(st.floats(-1e-12, 1e-12))), dt
+    return dt * draw(st.floats(1e-3, 20000.0)), dt
+
+
+@settings(max_examples=300, deadline=None)
+@example((1500.0, 0.1))
+@example((0.05, 0.1))
+@given(horizons())
+def test_the_schedule_arrays_are_the_sequential_loop_bit_for_bit(case):
+    horizon, dt = case
+    steps, ends, stored = flow._schedule(horizon, dt)
+    want = sequential_schedule(horizon, dt)
+    assert steps.tobytes() == np.array([h for h, _, _ in want]).tobytes()
+    assert ends.tobytes() == np.array([t for _, t, _ in want]).tobytes()
+    assert stored.tolist() == [s for _, _, s in want]
