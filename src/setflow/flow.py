@@ -40,9 +40,14 @@ OVERFLOW_FACTOR = 1e6
 DEFAULT_DT = 1e-3
 MAX_STORED_FRAMES = 1000
 PICARD_MAX_ITER = 60
-# solve_reduced forms and measures its stored frames in blocks of about
-# this many bytes (at least one frame)
-BLOCK_BYTES = 128 * 1024
+# solve_reduced forms and measures its stored frames in blocks of at most
+# this many bytes, or two frames where a frame is larger.  Arrays under
+# 64 KB come from and go back to the C heap's free lists; a larger one is
+# mapped fresh or, freed, shrinks the heap, and the next block takes the
+# memory back a page fault at a time, a cost that varies with the host's
+# load.  At M = 8192 a frame alone is 64 KB, and blocks of one frame pay
+# each block's calls twice as often: the flows took 25% longer
+BLOCK_BYTES = 60 * 1024
 # the largest float whose np.exp is finite
 EXP_MAX = math.log(np.finfo(float).max)
 
@@ -654,7 +659,7 @@ def solve_reduced(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     guard = OVERFLOW_FACTOR * max(1.0, bodies._sup_norm(u0))
     series = {name: [] for name in tracked}
     last = u0
-    rows = max(1, BLOCK_BYTES // basis[0].nbytes)
+    rows = max(2, BLOCK_BYTES // basis[0].nbytes)
     for start in range(0, len(times), rows):
         with np.errstate(over="ignore", invalid="ignore"):
             values = (weights[start:start + rows, None, :] @ basis)[:, 0]

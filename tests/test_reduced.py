@@ -290,7 +290,7 @@ def blocked_flows(draw):
     phi = clock(draw(st.sampled_from(["constant", "rational"])), draw(st.floats(0.2, 1.5)))
     params = flow.SemiflowParams(A=draw(st.floats(-2.0, 0.5)) * np.eye(2), phi=phi,
                                  source=source)
-    rows = max(1, flow.BLOCK_BYTES // (8 * grid_size))
+    rows = max(2, flow.BLOCK_BYTES // (8 * grid_size))
     frames = draw(st.integers(1, 3)) * rows + draw(st.sampled_from([0, 1, rows - 1]))
     frames = min(max(frames, 2), flow.MAX_STORED_FRAMES + 1)
     dt = 0.01
@@ -311,7 +311,7 @@ def test_each_block_measures_its_frames_bit_for_bit(case):
     assert traj.solver == "reduced"
     assert len(traj.times) == round(horizon / dt) + 1
     assert_blocks_equal_frames(traj, tracked)
-    with pytest.MonkeyPatch.context() as patch:      # one frame a block
+    with pytest.MonkeyPatch.context() as patch:      # two frames a block
         patch.setattr(flow, "BLOCK_BYTES", 1)
         alone = scenarios.solve(u0, params, horizon, dt, tracked)
     for name, series in traj.tracked.items():
@@ -325,7 +325,7 @@ def test_a_blow_up_inside_a_block_keeps_the_per_frame_rule(grid_size, where, rad
     # the frames are e^{a t} h0: the unit disc first passes the guard
     # 1e6 at frame i; the tiny one stays inside it until e^{a t} overflows
     # at frame i, a row that is not finite
-    rows = max(1, flow.BLOCK_BYTES // (8 * grid_size))
+    rows = max(2, flow.BLOCK_BYTES // (8 * grid_size))
     i = rows + {"first": 0, "middle": rows // 2, "last": rows - 1}[where]
     dt = 0.01
     exponent = math.log(1e6) if radius == 1.0 else flow.EXP_MAX
