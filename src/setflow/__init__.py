@@ -9,7 +9,7 @@ The package splits into four layers:
 - :mod:`setflow.comparison` -- comparison ODE systems on the nonnegative
   cone and sampled stability verdicts;
 - :mod:`setflow.certificates` -- closed-form criteria: fixed points,
-  linearization, growth exponents, existence envelopes.
+  linearization, growth exponents, Hausdorff-norm stability.
 
 :mod:`setflow.scenarios` ties them together behind declarative JSON
 experiment files, exposed on the shell as the ``setflow`` command.
@@ -25,9 +25,8 @@ from .comparison import (ComparisonSystem, StabilityVerdict, bound_check,
                          cyclic_mixed_system, integrate,
                          lyapunov_quadratic_check, nilpotent_source_system,
                          sde_growth_system)
-from .certificates import (GrowthBounds, LinearizationReport,
-                           ball_source_fixed_point, ball_source_instability,
-                           cyclic3_ratio_threshold, global_existence_report,
+from .certificates import (LinearizationReport, ball_source_fixed_point,
+                           ball_source_instability, cyclic3_ratio_threshold,
                            hausdorff_stability_report, linearize,
                            sde_growth_exponents, semigroup_envelope)
 from .errors import BlowupError, ContractionError, GridMismatchError

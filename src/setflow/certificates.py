@@ -1,10 +1,9 @@
 """Closed-form stability criteria and linearization reports.
 
 These are the desk-scale certificates: linearization around a fixed body,
-global-existence envelopes from scalar comparison equations, a
-Hausdorff-norm stability transfer, and the closed-form criteria for the
-standard parametric flows (ball sources, nilpotent and cyclic linear-body
-sources, pure set equations).
+a Hausdorff-norm stability transfer decided by a 1x1 Metzler envelope, and
+the closed-form criteria for the standard parametric flows (ball sources,
+nilpotent and cyclic linear-body sources, pure set equations).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 
 from . import bodies, comparison, flow
 from .bodies import SupportFunction2D, area, as_matrix, make_ball, mixed_area, perimeter
-from .errors import BlowupError
 
 FD_STEP = 1e-4              # relative step of linearize's central differences
 FIXED_POINT_TOL = 1e-3      # largest drift per unit time linearize accepts
@@ -333,152 +331,43 @@ def ball_source_instability(phi, psi, tr_a: float) -> InstabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# global existence and Hausdorff-norm stability
+# Hausdorff-norm stability
 
 
-@dataclass(frozen=True)
-class GrowthBounds:
-    """User-supplied envelopes for the source and clock of the flow.
+def hausdorff_stability_report(params: flow.SemiflowParams, clock_range, source_bound,
+                               radius: float, T_check: float = 50.0,
+                               eps_grid=(0.1, 1.0)) -> comparison.StabilityVerdict:
+    """Norm-measure stability of the flow from its 1x1 Metzler envelope.
 
-    ``g_upper``/``g_lower`` bound the volume production ``2 V[u, F]`` by
-    functions of the volume alone; ``F_sup(t, nu, v0)`` bounds the source
-    norm given a state-norm bound ``nu``; ``clock(t, v0)`` bounds the
-    effective clock rate (when None it is derived by sampling phi over the
-    corridor between the lower and upper volume envelopes).
+    On the sup-norm ball of ``radius``, ``phi`` lies in ``clock_range = (lo, hi)``
+    and the source norm at state norm ``nu`` is at most ``s0 + gain nu``
+    (``source_bound = (s0, gain)``).  With ``|exp(A t)| <= N exp(alpha t)`` from
+    :func:`semigroup_envelope`, the norm obeys ``omega' <= rate omega + s0``,
+    ``rate = alpha phi_ext + N gain``, ``phi_ext`` the end of the clock range
+    maximizing ``alpha phi``.  An ``s0 > 0`` is ``unstable``; else the exact path
+    of :func:`comparison.check_xi0_stability` decides ``[[rate]]``, and the
+    verdict holds in the measures h0 = h = sup-norm.  A level of ``eps_grid``
+    past ``radius`` or a ``T_check |rate|`` past ``comparison.EXACT_MAX_SPAN`` is
+    a ValueError.  A nonlinear or time-varying envelope ``f(t, omega)`` goes to
+    ``check_xi0_stability(comparison.scalar_system(f))`` instead.
     """
-
-    g_upper: object
-    g_lower: object
-    F_sup: object
-    clock: object = None
-
-
-@dataclass
-class GlobalExistenceReport:
-    zeta_plus: comparison.ComparisonTrajectory | None
-    chi_minus: comparison.ComparisonTrajectory | None
-    omega_plus: comparison.ComparisonTrajectory | None
-    finite: bool
-    escape_time: float | None
-    norm_check: dict | None
-
-
-def _envelope(f):
-    """A scalar system calling ``f(t, z)`` on numbers, once per state."""
-    return comparison.scalar_system(np.vectorize(f, otypes=[float]))
-
-
-def global_existence_report(params: flow.SemiflowParams, bounds: GrowthBounds,
-                            u0: SupportFunction2D, horizon: float,
-                            dt: float = 1e-3,
-                            cross_check: bool = True) -> GlobalExistenceReport:
-    """Envelope integration certifying the orbit exists up to the horizon.
-
-    Integrates the upper/lower volume envelopes and the norm envelope
-    ``omega' = alpha * clock(t) * omega + F_sup(t, N omega)``; the orbit
-    norm is then cross-checked against ``N * omega(t)`` along an actual
-    trajectory.  Any blow-up is reported with its escape time.
-    """
-    if not (0 < horizon < np.inf and dt > 0):
-        raise ValueError("horizon must be positive and finite, and dt positive")
-    tr_a = params.trace
-    n_const, alpha = semigroup_envelope(params.A)
-    v0 = area(u0)
-    times = np.linspace(0.0, horizon, max(1, round(horizon / (10 * dt))) + 1)
-
-    # the bounds receive numbers, one state at a time
-    def volume_rhs(g):
-        return lambda t, z: tr_a * float(params.phi(max(z, 0.0))) * z + float(g(max(z, 0.0)))
-
-    try:
-        zeta = comparison.integrate(_envelope(volume_rhs(bounds.g_upper)), [v0], times)
-        chi = comparison.integrate(_envelope(volume_rhs(bounds.g_lower)), [v0], times)
-    except BlowupError as exc:
-        return GlobalExistenceReport(zeta_plus=None, chi_minus=None,
-                                     omega_plus=None, finite=False,
-                                     escape_time=exc.reached_time, norm_check=None)
-
-    if bounds.clock is not None:
-        clock = bounds.clock
-    else:
-        zt, zs = zeta.times, zeta.states[:, 0]
-        ct, cs = chi.times, chi.states[:, 0]
-
-        def clock(t, _v0=v0):
-            lo = float(np.interp(t, ct, cs))
-            hi = float(np.interp(t, zt, zs))
-            lo, hi = min(lo, hi), max(lo, hi)
-            probes = np.linspace(max(lo, 0.0), max(hi, 0.0), 17)
-            phis = [float(params.phi(p)) for p in probes]
-            return max(phis) if alpha > 0 else min(phis)
-
-    def omega_rhs(t, w):
-        return alpha * float(clock(t, v0)) * w + float(bounds.F_sup(t, n_const * w, v0))
-
-    try:
-        omega = comparison.integrate(_envelope(omega_rhs),
-                                     [bodies._sup_norm(u0)], times)
-    except BlowupError as exc:
-        return GlobalExistenceReport(zeta_plus=zeta, chi_minus=chi,
-                                     omega_plus=None, finite=False,
-                                     escape_time=exc.reached_time, norm_check=None)
-
-    norm_check = None
-    if cross_check:
-        try:
-            traj = flow.evolve(u0, params, horizon, dt=dt, tracked={"norm": bodies._sup_norm})
-        except BlowupError as exc:
-            return GlobalExistenceReport(zeta_plus=zeta, chi_minus=chi,
-                                         omega_plus=omega, finite=False,
-                                         escape_time=exc.reached_time,
-                                         norm_check={"passed": False,
-                                                     "diagnostic": "orbit blow-up"})
-        norms = traj.tracked["norm"]
-        env = n_const * np.interp(traj.times, omega.times, omega.states[:, 0])
-        tol = 1e-6 * max(1.0, float(np.max(env)))
-        worst = float(np.max(norms - env))
-        norm_check = {"passed": bool(worst <= tol), "max_excess": worst,
-                      "tolerance": tol}
-    return GlobalExistenceReport(zeta_plus=zeta, chi_minus=chi, omega_plus=omega,
-                                 finite=True, escape_time=None,
-                                 norm_check=norm_check)
-
-
-def hausdorff_stability_report(params: flow.SemiflowParams, clock_sup,
-                               source_sup, radius: float,
-                               T_check: float = 50.0, eps_grid=(0.1, 1.0),
-                               **kwargs) -> comparison.StabilityVerdict:
-    """Norm-measure stability via the folded scalar envelope equation.
-
-    The caller pre-folds the suprema over the ball of the given radius:
-    ``clock_sup(t)`` bounds the clock rate and ``source_sup(t, nu)`` the
-    source norm given a state-norm bound ``nu``, at one time: a number in the
-    RK4 runs, a column in the sampled checks.  A constant result is broadcast.
-    The verdict of the scalar envelope
-    ``omega' = alpha clock_sup(t) omega + source_sup(t, N omega)``
-    transfers to the flow in the measures h0 = h = sup-norm.
-    """
-    n_const, alpha = semigroup_envelope(params.A)
-
-    def rhs(t, w):
-        return alpha * clock_sup(t) * w + source_sup(t, n_const * w)
-
-    system = comparison.scalar_system(rhs, name="norm_envelope")
-    at_zero = float(system(0.0, np.zeros(1))[0])
-    if abs(at_zero) > 1e-10:
+    (lo, hi), (s0, gain) = clock_range, source_bound
+    if max(eps_grid) > radius:
+        raise ValueError(f"eps_grid reaches past radius {radius:g}, where the bounds hold")
+    if s0 > 0:
         # the envelope grows even from the zero state: no delta can work
         return comparison.StabilityVerdict(kind="unstable", witness={
             "note": "envelope right-hand side is positive at omega = 0; the "
                     "zero state is not invariant",
-            "rhs_at_zero": at_zero, "ball_radius": radius})
-    verdict = comparison.check_xi0_stability(system, eps_grid=eps_grid,
-                                             T_check=T_check, **kwargs)
-    witness = dict(verdict.witness)
-    witness["measures"] = "h0 = h = sup-norm of the support function"
-    witness["ball_radius"] = radius
-    witness["growth_constant"] = n_const
-    witness["growth_rate"] = alpha
-    return comparison.StabilityVerdict(kind=verdict.kind, witness=witness)
+            "rhs_at_zero": s0, "ball_radius": radius})
+    n_const, alpha = semigroup_envelope(params.A)
+    rate = alpha * (hi if alpha > 0 else lo) + n_const * gain
+    system = comparison.linear_system([[rate]], name="norm_envelope")
+    verdict = comparison.check_xi0_stability(system, eps_grid=eps_grid, T_check=T_check)
+    return comparison.StabilityVerdict(kind=verdict.kind, witness={
+        **verdict.witness, "measures": "h0 = h = sup-norm of the support function",
+        "ball_radius": radius, "growth_constant": n_const, "growth_rate": alpha,
+        "envelope_rate": rate})
 
 
 # ---------------------------------------------------------------------------

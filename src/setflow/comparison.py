@@ -93,12 +93,13 @@ def _inf_norm(mat):
 
 
 def _metzler(mat):
-    """``mat`` as a read-only copy when it is a Metzler matrix whose norm
-    doubled is finite (the norm of its shift in :func:`_metzler_expm`), else None."""
+    """``mat`` as a read-only copy when it is a Metzler matrix, else None; a ValueError
+    if its norm doubled (the norm of its shift in :func:`_metzler_expm`) is not finite."""
     mat = np.array(mat, dtype=float)
-    if (np.any(mat[~np.eye(len(mat), dtype=bool)] < 0)
-            or not math.isfinite(2.0 * _inf_norm(mat))):
+    if np.any(mat[~np.eye(len(mat), dtype=bool)] < 0):
         return None
+    if not math.isfinite(2.0 * _inf_norm(mat)):
+        raise ValueError("the Metzler matrix's norm doubled, 2 ||M||_inf, is not finite")
     mat.setflags(write=False)
     return mat
 
@@ -108,6 +109,15 @@ def _constants(*functions):
     if all(isinstance(f, ScalarFunction) and f.kind == "constant" for f in functions):
         return [f.value for f in functions]
     return None
+
+
+def _rate(a, phi):
+    """``2 a phi`` (``2 a`` under a clock that is not constant); a ValueError if not finite."""
+    value = _constants(phi)
+    rate = 2 * a * (value[0] if value else 1.0)    # Python floats overflow with no warning
+    if not math.isfinite(rate):
+        raise ValueError("the rate 2 a phi is not finite")
+    return rate
 
 
 def nilpotent_source_system(phi, psi, a: float = -1.0) -> ComparisonSystem:
@@ -122,9 +132,8 @@ def nilpotent_source_system(phi, psi, a: float = -1.0) -> ComparisonSystem:
         # only xi0 has a coupling term; adding a zero to xi1 could flip its sign of zero
         out[..., 0] += 2 * psi(x0) * xi[..., 1]
         return out
-    values = _constants(phi, psi)
-    matrix = _metzler([[2 * a * values[0], 2 * values[1]],
-                       [0.0, 2 * a * values[0]]]) if values else None
+    rate, values = _rate(a, phi), _constants(phi, psi)
+    matrix = _metzler([[rate, 2 * values[1]], [0.0, rate]]) if values else None
     return ComparisonSystem(dim=2, rhs=rhs, name="nilpotent_source", matrix=matrix)
 
 
@@ -136,6 +145,7 @@ def cyclic_mixed_system(phi, psi, k: int, a: float = -1.0) -> ComparisonSystem:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    rate = _rate(a, phi)
     # W_i couples to W_left[i] + W_right[i]; W_0 takes twice W_1 (W_0 itself
     # when k = 1), and ``psi (x + x)`` has the bits of ``2 psi x``
     right = (np.arange(k) + 1) % k
@@ -151,7 +161,8 @@ def cyclic_mixed_system(phi, psi, k: int, a: float = -1.0) -> ComparisonSystem:
         coupling = np.zeros((k, k))
         np.add.at(coupling, (np.arange(k), left), 1.0)
         np.add.at(coupling, (np.arange(k), right), 1.0)
-        matrix = _metzler(2 * a * values[0] * np.eye(k) + values[1] * coupling)
+        with np.errstate(over="ignore"):    # an entry that overflows is _metzler's error
+            matrix = _metzler(rate * np.eye(k) + values[1] * coupling)
     return ComparisonSystem(dim=k, rhs=rhs, name=f"cyclic_mixed_k{k}", matrix=matrix)
 
 
@@ -178,8 +189,8 @@ def sde_growth_system(matrix) -> ComparisonSystem:
 
 
 def linear_system(matrix, name: str = "linear") -> ComparisonSystem:
-    """``xi' = M xi``; solved exactly when ``M`` is Metzler, else stepped by
-    RK4, whose clamping keeps the states in the cone."""
+    """``xi' = M xi``; solved exactly when ``M`` is Metzler (one whose norm doubled
+    overflows is a ValueError), else stepped by RK4, which clamps states to the cone."""
     mat = np.asarray(matrix, dtype=float)
     if not (mat.ndim == 2 and mat.shape[0] == mat.shape[1] > 0 and np.all(np.isfinite(mat))):
         raise ValueError("matrix must be square, nonempty and finite")

@@ -10,8 +10,6 @@ from setflow import bodies as B, certificates as CERT, comparison as C, flow as 
 
 import helpers
 
-RNG = np.random.default_rng(5150)
-
 MINUS_I = -np.eye(2)
 
 
@@ -183,93 +181,64 @@ class TestInstability:
         assert rep.liminf_estimate == pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
 
-class TestGlobalExistence:
-    def test_disc_source_equilibrium(self):
-        params = ball_source_params()
-        gb = CERT.GrowthBounds(
-            g_upper=lambda v: 2 * math.sqrt(math.pi) * math.sqrt(max(v, 0.0)),
-            g_lower=lambda v: 2 * math.sqrt(math.pi) * math.sqrt(max(v, 0.0)),
-            F_sup=lambda t, nu, v0: 1.0)
-        rep = CERT.global_existence_report(params, gb, B.make_ball(1.0),
-                                           horizon=3.0, dt=1e-3)
-        assert rep.finite
-        assert rep.norm_check["passed"]
-        # zeta' = -2 zeta + 2 sqrt(pi zeta) from the sampled disc's area:
-        # sqrt(zeta) relaxes to sqrt(pi) at rate 1
-        v0 = helpers.sampled_disc_area(512)
-        exact = (math.sqrt(math.pi) + (math.sqrt(v0) - math.sqrt(math.pi)) * math.exp(-3.0)) ** 2
-        assert rep.zeta_plus.states[-1, 0] == pytest.approx(exact, abs=1e-6)
-
-    def test_source_free_is_always_finite(self):
-        params = F.SemiflowParams(A=np.array([[0.3, 0.0], [0.0, 0.1]]),
-                                  phi=F.constant(1.0), source=F.zero_source())
-        gb = CERT.GrowthBounds(g_upper=lambda v: 0.0, g_lower=lambda v: 0.0,
-                               F_sup=lambda t, nu, v0: 0.0)
-        rep = CERT.global_existence_report(params, gb,
-                                           helpers.random_smooth_body(RNG),
-                                           horizon=2.0, dt=1e-2)
-        assert rep.finite
-        assert rep.norm_check["passed"]
-
-    def test_superlinear_blowup_detected(self):
-        params = F.SemiflowParams(A=np.zeros((2, 2)), phi=F.constant(1.0),
-                                  source=F.zero_source())
-        gb = CERT.GrowthBounds(g_upper=lambda v: v * v, g_lower=lambda v: 0.0,
-                               F_sup=lambda t, nu, v0: 0.0)
-        rep = CERT.global_existence_report(params, gb, B.make_ball(1.0),
-                                           horizon=3.0, cross_check=False)
-        assert not rep.finite
-        # the volume starts at pi, so the upper envelope escapes near 1/pi
-        assert rep.escape_time == pytest.approx(1 / np.pi, abs=1e-2)
-
-
 class TestHausdorffStability:
-    def test_contractive_envelope(self):
+    def test_contractive_envelope(self, monkeypatch):
+        def no_rk4(*args):
+            raise AssertionError("the norm envelope stepped RK4")
+        monkeypatch.setattr(C, "_adaptive", no_rk4)
         params = F.SemiflowParams(A=MINUS_I, phi=F.constant(1.0),
                                   source=F.zero_source())
         verdict = CERT.hausdorff_stability_report(
-            params, lambda t: 1.0, lambda t, nu: 0.0, radius=1.0,
-            T_check=20.0, eps_grid=(0.5,), bisect_iters=8)
+            params, (1.0, 1.0), (0.0, 0.0), radius=1.0, T_check=20.0, eps_grid=(0.5,))
         assert verdict.kind == "asymptotically_stable"
         assert verdict.witness["measures"].startswith("h0 = h")
+        assert verdict.witness["solver"] == "exact"
+        assert verdict.witness["envelope_rate"] == -1.0
 
     def test_constant_forcing_is_unstable(self):
         params = F.SemiflowParams(A=np.zeros((2, 2)), phi=F.constant(1.0),
                                   source=F.zero_source())
-        verdict = CERT.hausdorff_stability_report(
-            params, lambda t: 1.0, lambda t, nu: 0.5, radius=1.0)
+        verdict = CERT.hausdorff_stability_report(params, (1.0, 1.0), (0.5, 0.0), radius=1.0)
         assert verdict.kind == "unstable"
-
-    def test_matches_per_direction_search(self):
-        # a time-dependent clock and a quadratic source: states above about
-        # 1/2 grow past eps = 1, so the search bisects
-        params = F.SemiflowParams(A=MINUS_I, phi=F.constant(1.0),
-                                  source=F.zero_source())
-        clock = lambda t: 1.0 + 0.5 * np.cos(t)
-        source = lambda t, nu: 2.0 * nu * nu
-        kwargs = dict(T_check=10.0, eps_grid=(1.0,), bisect_iters=8)
-        verdict = CERT.hausdorff_stability_report(params, clock, source,
-                                                  radius=1.0, **kwargs)
-        n_const, alpha = CERT.semigroup_envelope(params.A)
-        envelope = C.scalar_system(lambda t, w: alpha * clock(t) * w + source(t, n_const * w))
-        expected = helpers.reference_check_xi0_stability(envelope, **kwargs)
-        got = verdict.to_dict()
-        for key in ("measures", "ball_radius", "growth_constant", "growth_rate"):
-            del got[key]
-        assert got == expected.to_dict()
-        assert got["delta_table"][0][1] < 1.0
+        assert verdict.witness["rhs_at_zero"] == 0.5
 
     def test_agrees_with_linearization_for_disc_source(self):
         # around the fixed ball the source does not depend on the body, so
-        # the folded deviation envelope is a pure contraction
+        # the deviation envelope is a pure contraction
         params = ball_source_params()
         verdict = CERT.hausdorff_stability_report(
-            params, lambda t: 1.0, lambda t, nu: 0.0, radius=0.5,
-            T_check=20.0, eps_grid=(0.5,), bisect_iters=8)
+            params, (1.0, 1.0), (0.0, 0.0), radius=0.5, T_check=20.0, eps_grid=(0.5,))
         rep = CERT.ball_source_fixed_point(F.constant(1.0), F.constant(1.0), n=2)
         lin = CERT.linearize(rep.body, params)
         assert verdict.kind == "asymptotically_stable"
         assert lin.stable
+
+    def test_a_contracting_flow_takes_the_slowest_clock(self):
+        # alpha = -1 contracts least at the clock's infimum 0.05, where the
+        # source gain 0.6 outgrows it: rate 0.55.  Bounding the clock by its
+        # supremum 1 instead would give rate -0.4 and a decaying envelope
+        params = F.SemiflowParams(A=MINUS_I, phi=F.constant(1.0), source=F.zero_source())
+        verdict = CERT.hausdorff_stability_report(params, (0.05, 1.0), (0.0, 0.6), radius=1.0)
+        assert verdict.kind == "unstable"
+        assert verdict.witness["envelope_rate"] == pytest.approx(0.55)
+        at_sup = C.check_xi0_stability(C.linear_system([[-1.0 + 0.6]]))
+        assert at_sup.kind == "asymptotically_stable"
+
+    def test_an_expanding_flow_takes_the_fastest_clock(self):
+        params = F.SemiflowParams(A=np.eye(2), phi=F.constant(1.0), source=F.zero_source())
+        verdict = CERT.hausdorff_stability_report(params, (0.5, 2.0), (0.0, 0.0), radius=1.0)
+        assert verdict.kind == "unstable" and verdict.witness["envelope_rate"] == 2.0
+
+    def test_a_level_past_the_ball_is_refused(self):
+        params = F.SemiflowParams(A=MINUS_I, phi=F.constant(1.0), source=F.zero_source())
+        with pytest.raises(ValueError, match="radius"):
+            CERT.hausdorff_stability_report(params, (1.0, 1.0), (0.0, 0.0), radius=0.5)
+
+    def test_a_span_past_the_exact_path_is_refused(self):
+        params = F.SemiflowParams(A=MINUS_I, phi=F.constant(1.0), source=F.zero_source())
+        with pytest.raises(ValueError, match="times\\[-1\\] \\* \\|\\|M\\|\\|_inf"):
+            CERT.hausdorff_stability_report(params, (1.0, 1.0), (0.0, 0.0), radius=1.0,
+                                            T_check=2.0 * C.EXACT_MAX_SPAN)
 
 
 class TestAreaProfiles:

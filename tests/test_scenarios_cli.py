@@ -765,6 +765,29 @@ class TestCli:
             assert "params.A" in proc.stderr and "Warning" not in proc.stderr
             assert not out.exists()
 
+    def test_an_explicit_system_whose_constants_overflow_exits_2(self, tmp_path):
+        # 2 a phi = 2e308, the coupling 2 psi = 2e308, and the norm of a
+        # Metzler matrix doubled overflow; each system used to fall back to
+        # RK4 runs of NaN.  In a fresh interpreter, as above
+        clocks = {"phi": {"kind": "constant", "value": 1.0},
+                  "psi": {"kind": "constant", "value": 0.5}}
+        huge_psi = clocks | {"psi": {"kind": "constant", "value": 1e308}}
+        for i, system in enumerate([
+                {"kind": "cyclic", "k": 3, "a": 1e308, **clocks},
+                {"kind": "nilpotent", **huge_psi},
+                {"kind": "cyclic", "k": 3, **huge_psi},
+                {"kind": "linear", "matrix": [[-1e308, 1e308], [0.0, -1e308]]}]):
+            doc = quick_doc(name=f"huge{i}", grid_size=16, horizon=0.01, dt=1e-3, track=["V"],
+                            checks=[{"kind": "xi0_stability", "system": system}])
+            path = tmp_path / f"huge{i}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / "out"
+            proc = run_python("-m", "setflow.cli", "run", str(path), "--out", str(out))
+            assert proc.returncode == cli.EXIT_SCHEMA, proc.stderr
+            assert f"bad comparison system {system['kind']!r}" in proc.stderr
+            assert "not finite" in proc.stderr and "Warning" not in proc.stderr
+            assert not out.exists()
+
     @pytest.mark.parametrize("source, check, field", [
         ({"kind": "linear_body", "psi": {"kind": "constant", "value": 0.5},
           "B": [[1e200, 0.0], [0.0, -1e200]]},
