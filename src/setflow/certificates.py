@@ -348,8 +348,8 @@ def hausdorff_stability_report(params: flow.SemiflowParams, clock_range, source_
     of :func:`comparison.check_xi0_stability` decides ``[[rate]]``, and the
     verdict holds in the measures h0 = h = sup-norm.  A level of ``eps_grid``
     past ``radius`` or a ``T_check |rate|`` past ``comparison.EXACT_MAX_SPAN`` is
-    a ValueError.  A nonlinear or time-varying envelope ``f(t, omega)`` goes to
-    ``check_xi0_stability(comparison.scalar_system(f))`` instead.
+    a ValueError.  A nonlinear or time-varying envelope ``f(t, omega)`` is not decided:
+    ``check_xi0_stability`` reads ``comparison.scalar_system(f)`` inconclusive.
     """
     (lo, hi), (s0, gain) = clock_range, source_bound
     if max(eps_grid) > radius:

@@ -5,10 +5,8 @@ satisfy differential inequalities whose right-hand sides form a
 finite-dimensional comparison system.  When that system is quasimonotone
 (Wazewski condition: off-diagonal monotonicity), its solutions dominate
 the functionals, so stability questions about the flow reduce to the ODE.
-Everything here is numerical evidence, not proof, unless a Metzler matrix
-decides a check on the whole cone: quasimonotonicity is sampled on a box,
-and the first-component stability search integrates from the corner of each
-box of starts, which bounds the box only for a quasimonotone system.
+A Metzler matrix decides the checks on the whole cone, and two bracket a
+clocked chain (:func:`_bracket`); the sampled checks are evidence, not proof.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .errors import BlowupError
-from .flow import ScalarFunction
+from .flow import ScalarFunction, constant
 
 GUARD_FACTOR = 1e12
 RK4_ATOL = 1e-12            # absolute part of the step tolerance of integrate
@@ -29,7 +27,6 @@ EXACT_SUBSTEPS = 64         # most grid intervals per output interval of the exa
 # about that many ulps, and the unit corner of [[-1, 1], [1, -1]], a fixed
 # point, drifts by more than 1e-8 from a span of 1.7e7 on equal output grids
 EXACT_MAX_SPAN = 1e7
-XI0_RTOL = 1e-6             # integrate's rtol in the xi0 stability search
 XI0_OUTPUTS = 32            # output intervals on [0, T_check] of the xi0 search
 DECAY_FACTOR = 1e-3         # asymptotic: xi_0(T_check) < DECAY_FACTOR * xi_0(0) at the corner
 DELTA_FLOOR = 1e-12         # the xi0 search ends unstable at a level whose delta is at most this
@@ -39,6 +36,9 @@ WAZEWSKI_BLOCK = 2 ** 18    # doubles in the lowered points of one check_wazewsk
 SAMPLED_EVIDENCE_NOTE = ("sampled evidence only: quasimonotonicity and cone "
                          "behavior checked on the supplied box, not globally")
 MATRIX_EVIDENCE_NOTE = "decided in closed form from the Metzler matrix on the whole cone"
+BRACKET_EVIDENCE_NOTE = ("decided in closed form from the two Metzler matrices that "
+                         "bracket the clocked chain while xi_0 stays in [0, level]")
+NO_BOUND_NOTE = "no Metzler matrix or bracket bounds the box: the check is not decided"
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,15 @@ class ComparisonSystem:
     condition); :func:`integrate` then solves the system exactly instead of
     stepping RK4, and the checks answer from the matrix.  The factories
     keep their own ``rhs``, which the systems' matrix-free twins call.
+    ``chain = (a, phi, psi, N)`` is set by the factories of clocked chains,
+    ``rhs(t, xi) = 2 a phi(xi_0) xi + psi(xi_0) N xi`` with ``N >= 0``.
     """
 
     dim: int
     rhs: object
     name: str = ""
     matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
+    chain: tuple | None = field(default=None, compare=False, repr=False)
 
     def __call__(self, t, xi: np.ndarray) -> np.ndarray:
         # a result broadcast against the states would pass the arithmetic
@@ -104,20 +107,27 @@ def _metzler(mat):
     return mat
 
 
-def _constants(*functions):
-    """The values of constant clocks, or None if any of them is not one."""
-    if all(isinstance(f, ScalarFunction) and f.kind == "constant" for f in functions):
-        return [f.value for f in functions]
-    return None
+def _bracket(chain, level):
+    """Metzler ``(M_lo, M_up)`` with ``M_lo xi <= rhs(xi) <= M_up xi`` on the cone
+    where ``xi_0 <= level``: ``M_up = 2 a phi_ext I + psi_max N``, ``phi_ext`` the end
+    of the clock's range that maximizes ``2 a phi``; ``M_lo`` takes the other ends."""
+    a, phi, psi, coupling = chain
+    (p_lo, p_hi), psis = phi.range(0.0, level), psi.range(0.0, level)
+    if a < 0:
+        p_lo, p_hi = p_hi, p_lo
+    # an entry that overflows is _metzler's error
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(_metzler(2 * a * p * np.eye(len(coupling)) + q * coupling)
+                     for p, q in ((p_lo, psis[0]), (p_hi, psis[1])))
 
 
-def _rate(a, phi):
-    """``2 a phi`` (``2 a`` under a clock that is not constant); a ValueError if not finite."""
-    value = _constants(phi)
-    rate = 2 * a * (value[0] if value else 1.0)    # Python floats overflow with no warning
-    if not math.isfinite(rate):
+def _chain_system(dim, rhs, name, a, phi, psi, coupling):
+    """The chain of the ``coupling`` ``N >= 0``, with its matrix under constant clocks."""
+    if not math.isfinite(2 * a):    # Python floats overflow with no warning
         raise ValueError("the rate 2 a phi is not finite")
-    return rate
+    chain = (a, phi, psi, coupling)
+    matrix = _bracket(chain, 0.0)[1] if phi.kind == psi.kind == "constant" else None
+    return ComparisonSystem(dim=dim, rhs=rhs, name=name, matrix=matrix, chain=chain)
 
 
 def nilpotent_source_system(phi, psi, a: float = -1.0) -> ComparisonSystem:
@@ -132,9 +142,7 @@ def nilpotent_source_system(phi, psi, a: float = -1.0) -> ComparisonSystem:
         # only xi0 has a coupling term; adding a zero to xi1 could flip its sign of zero
         out[..., 0] += 2 * psi(x0) * xi[..., 1]
         return out
-    rate, values = _rate(a, phi), _constants(phi, psi)
-    matrix = _metzler([[rate, 2 * values[1]], [0.0, rate]]) if values else None
-    return ComparisonSystem(dim=2, rhs=rhs, name="nilpotent_source", matrix=matrix)
+    return _chain_system(2, rhs, "nilpotent_source", a, phi, psi, np.diag([2.0], 1))
 
 
 def cyclic_mixed_system(phi, psi, k: int, a: float = -1.0) -> ComparisonSystem:
@@ -145,7 +153,6 @@ def cyclic_mixed_system(phi, psi, k: int, a: float = -1.0) -> ComparisonSystem:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rate = _rate(a, phi)
     # W_i couples to W_left[i] + W_right[i]; W_0 takes twice W_1 (W_0 itself
     # when k = 1), and ``psi (x + x)`` has the bits of ``2 psi x``
     right = (np.arange(k) + 1) % k
@@ -156,14 +163,16 @@ def cyclic_mixed_system(phi, psi, k: int, a: float = -1.0) -> ComparisonSystem:
         x0 = xi[..., 0]
         p, q = phi(x0), psi(x0)
         return _column(2 * a * p) * xi + _column(q) * (xi[..., left] + xi[..., right])
-    values, matrix = _constants(phi, psi), None
-    if values:
-        coupling = np.zeros((k, k))
-        np.add.at(coupling, (np.arange(k), left), 1.0)
-        np.add.at(coupling, (np.arange(k), right), 1.0)
-        with np.errstate(over="ignore"):    # an entry that overflows is _metzler's error
-            matrix = _metzler(rate * np.eye(k) + values[1] * coupling)
-    return ComparisonSystem(dim=k, rhs=rhs, name=f"cyclic_mixed_k{k}", matrix=matrix)
+    coupling = np.zeros((k, k))
+    np.add.at(coupling, (np.arange(k), left), 1.0)
+    np.add.at(coupling, (np.arange(k), right), 1.0)
+    return _chain_system(k, rhs, f"cyclic_mixed_k{k}", a, phi, psi, coupling)
+
+
+def volume_system(phi, a: float = -1.0) -> ComparisonSystem:
+    """The volume equation ``V' = 2 a phi(V) V`` of a flow with no source."""
+    return _chain_system(1, lambda t, xi: _column(2 * a * phi(xi[..., 0])) * xi,
+                         "volume_only", a, phi, constant(0.0), np.zeros((1, 1)))
 
 
 def _matrix_rhs(mat):
@@ -547,31 +556,19 @@ def _box_bounds(sample_box, dim):
 
 
 def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
-                        T_check: float = 50.0, bisect_iters: int = 40,
-                        seed: int = 0) -> StabilityVerdict:
+                        T_check: float = 50.0) -> StabilityVerdict:
     """First-component stability of the zero solution on the cone, decided at the corner.
 
-    For each epsilon the search finds delta such that every start in the box
-    ``{x >= 0 : |x|_inf < delta}`` keeps ``xi_0(t) < eps`` on [0, T_check]; for
-    a quasimonotone system (the Wazewski condition) the run from the corner
-    ``delta (1, ..., 1)`` bounds the box (Kamke and Mueller; W. Walter,
-    *Ordinary Differential Equations*, 1998, section 10).  The verdict is
-    ``unstable`` at the first level whose delta is at most ``DELTA_FLOOR``,
-    and ``asymptotically_stable`` when the corner run at half the smallest
-    delta ends below ``DECAY_FACTOR`` times its start.
-
-    A Metzler ``matrix`` is decided by :func:`_exact_xi0`.  Any other system
-    must pass :func:`check_wazewski` on ``[0, max eps]^dim`` (drawn from
-    ``seed``), else the verdict is ``inconclusive``; each level then bisects
-    on corner runs nudged inside by ``1 - 1e-12``,
-    at ``rtol = XI0_RTOL`` with ``eps`` as the ``ceiling``, so a crossing is
-    tested only at the accepted RK4 steps and the output times.
+    For each epsilon, a delta such that every start in the box ``{x >= 0 :
+    |x|_inf < delta}`` keeps ``xi_0(t) < eps`` on [0, T_check]; for a Metzler
+    system the run from the corner ``delta (1, ..., 1)`` bounds the box (W.
+    Walter, *Ordinary Differential Equations*, 1998, section 10).  Decided by
+    :func:`_exact_xi0` of a ``matrix`` or :func:`_bracket_xi0` of a ``chain``;
+    any other system is ``inconclusive``.
     """
     eps_grid = tuple(eps_grid)
     if not eps_grid or any(e <= 0 for e in eps_grid):
         raise ValueError("eps_grid must hold positive thresholds")
-    if bisect_iters < 0:
-        raise ValueError("bisect_iters must be >= 0")
     if T_check <= 0:
         raise ValueError("T_check must be positive")
     g0 = system(0.0, np.zeros(system.dim))
@@ -580,63 +577,18 @@ def check_xi0_stability(system: ComparisonSystem, eps_grid=(0.1, 1.0),
     levels = sorted(eps_grid)
     if system.matrix is not None:
         return _exact_xi0(system, levels, T_check)
-    monotone = check_wazewski(system, (0.0, max(eps_grid)), seed=seed)
-    if not monotone.passed:
-        return StabilityVerdict(kind="inconclusive", witness={
-            "wazewski": monotone, "T_check": T_check,
-            "note": "not quasimonotone on [0, max eps]: the corner bounds no box"})
-
-    times = np.linspace(0.0, T_check, XI0_OUTPUTS + 1)
-
-    def corner(delta, eps):
-        """``xi_0(T_check)`` from the corner of the delta box, or None if
-        ``xi_0`` reaches eps on the way."""
-        try:
-            x = integrate(system, np.full(system.dim, delta * (1 - 1e-12)), times,
-                          rtol=XI0_RTOL, ceiling=eps).states[:, 0]
-        except BlowupError:
-            return None
-        return None if np.max(x) >= eps else float(x[-1])
-
-    table = []
-    for eps in levels:
-        hi = lo = float(eps)
-        if corner(hi, eps) is None:
-            lo = 0.0
-            for _ in range(bisect_iters):
-                mid = 0.5 * (lo + hi)
-                if mid <= DELTA_FLOOR:
-                    break
-                if corner(mid, eps) is None:
-                    hi = mid
-                else:
-                    lo = mid
-            if lo <= DELTA_FLOOR:
-                return StabilityVerdict(
-                    kind="unstable",
-                    witness={"failed_eps": eps, "delta_floor": DELTA_FLOOR, "T_check": T_check,
-                             "delta_table": table, "note": SAMPLED_EVIDENCE_NOTE})
-        table.append((eps, lo))
-
-    half = 0.5 * min(d for _, d in table)
-    final = corner(half, levels[0])
-    decays = final is not None and final < DECAY_FACTOR * (half * (1 - 1e-12))
-    return StabilityVerdict(kind="asymptotically_stable" if decays else "stable",
-                            witness={"delta_table": table, "T_check": T_check,
-                                     "note": SAMPLED_EVIDENCE_NOTE})
+    if system.chain is not None:
+        return _bracket_xi0(system.chain, levels, T_check)
+    return StabilityVerdict(kind="inconclusive",
+                            witness={"T_check": T_check, "note": NO_BOUND_NOTE})
 
 
 def _exact_xi0(system, levels, T_check):
-    """:func:`check_xi0_stability` of a Metzler ``matrix`` ``M``: as ``xi(t; delta 1)
-    = delta xi(t; 1)``, each level's delta is ``eps / peak``, ``peak`` the largest
-    ``xi_0`` of one exact run from the unit corner, read at its outputs and,
-    where the slope ``(M xi)_0`` falls from above 0 to at most 0 across an
-    interval, at the bound ``xi_0 + slope * width`` of a bracket of 1e-9 of it,
-    bisected on the slope's sign through ``exp(M s)``.  The run takes
-    ``XI0_OUTPUTS`` output intervals of the fewest equal pieces with
-    ``h ||M||_inf <= 1/2``, at most ``EXACT_SUBSTEPS``.  An escape of the run
-    is unstable.
-    """
+    """:func:`check_xi0_stability` of a Metzler ``matrix``: each level's delta is ``eps
+    / peak``, ``peak`` the largest ``xi_0`` of one exact run from the unit corner, at
+    its outputs and at a bracket of each crossing of the slope ``(M xi)_0`` through 0.
+    The run takes ``XI0_OUTPUTS`` output intervals of the fewest equal pieces with
+    ``h ||M||_inf <= 1/2``, at most ``EXACT_SUBSTEPS``; an escape is unstable."""
     mat = system.matrix
     per = max(1, math.ceil(min(2.0 * T_check / XI0_OUTPUTS * _inf_norm(mat), EXACT_SUBSTEPS)))
     times = np.linspace(0.0, T_check, XI0_OUTPUTS * per + 1)
@@ -666,6 +618,32 @@ def _exact_xi0(system, levels, T_check):
                             witness={"delta_table": [(e, e / peak) for e in levels], **witness})
 
 
+def _bracket_xi0(chain, levels, T_check):
+    """:func:`check_xi0_stability` of a clocked chain, between the Metzler systems of
+    :func:`_bracket` while ``xi_0 <= eps``: by the comparison theorem :func:`_exact_xi0`
+    of ``M_up`` gives a delta for the box and that of ``M_lo`` an upper bound,
+    per distinct level in increasing order.  An unstable ``M_lo`` run is
+    ``unstable``, an unstable ``M_up`` run alone ``inconclusive``."""
+    table, upper, runs = [], [], {}
+    bracket = {"T_check": T_check, "solver": "bracket", "note": BRACKET_EVIDENCE_NOTE}
+    for eps in levels:
+        if eps not in runs:
+            runs[eps] = [_exact_xi0(linear_system(m), [eps], T_check)
+                         for m in _bracket(chain, eps)]
+        lower, higher = runs[eps]
+        failed = lower if lower.kind == "unstable" else higher
+        if failed.kind == "unstable":
+            return StabilityVerdict(kind=lower.kind if failed is lower else "inconclusive",
+                                    witness={**failed.witness, **bracket, "delta_table": table,
+                                             "delta_upper": upper})
+        table += higher.witness["delta_table"]
+        upper += lower.witness["delta_table"]
+    smallest = runs[levels[0]][1]
+    return StabilityVerdict(kind=smallest.kind, witness={
+        "delta_table": table, "delta_upper": upper,
+        "decay_ratio": smallest.witness["decay_ratio"], **bracket})
+
+
 def _counters(traj: ComparisonTrajectory) -> dict:
     return {"clamp_events": traj.clamp_events, "steps": traj.steps,
             "rejected": traj.rejected, "solver": traj.solver}
@@ -680,28 +658,35 @@ def check_practical(system: ComparisonSystem, lam: float, bound: float,
     horizon against ``bound``; the flow is practically (lam, bound,
     horizon)-stable when the inequality is strict.  The witness carries the counters of the
     integration and its ``solver`` (see :func:`integrate`), up to the
-    blow-up when the comparison state escapes.
+    blow-up when the comparison state escapes.  A clocked ``chain`` is
+    ``practically_stable`` when ``lam`` is below the delta of :func:`_exact_xi0`
+    of ``M_up`` at the level ``bound`` (``bound`` at horizon 0), else ``inconclusive``.
     """
     if not 0 < lam < bound:
         raise ValueError("requires 0 < lam < bound")
-    start = float(lam) * np.ones(system.dim)
     threshold = float(bound)
+    window = {"lambda": lam, "bound": bound, "horizon": horizon, "threshold": threshold}
+    if system.matrix is None and system.chain is not None:
+        witness = (_exact_xi0(linear_system(_bracket(system.chain, bound)[1]), [bound],
+                              horizon).witness if horizon else {"delta_table": [(bound, bound)]})
+        delta = dict(witness["delta_table"]).get(bound, 0.0)
+        return StabilityVerdict(kind="practically_stable" if delta > lam else "inconclusive",
+                                witness={**witness, **window, "solver": "bracket",
+                                         "note": BRACKET_EVIDENCE_NOTE})
+    start = float(lam) * np.ones(system.dim)
     try:
         traj = integrate(system, start, np.linspace(0.0, horizon, 257 if horizon else 1),
                          rtol=CHECK_RTOL)
     except BlowupError as exc:
         return StabilityVerdict(kind="unstable", witness={
             "diagnostic": f"comparison system blew up at t={exc.reached_time:.6g}",
-            "lambda": lam, "bound": bound, "horizon": horizon,
-            "threshold": threshold, **_counters(exc.partial)})
+            **window, **_counters(exc.partial)})
     xi0_final = float(traj.states[-1, 0])
     margin = threshold - xi0_final
     kind = "practically_stable" if margin > 0 else "inconclusive"
     return StabilityVerdict(kind=kind, witness={
         "xi0_final": xi0_final, "xi0_max": float(np.max(traj.states[:, 0])),
-        "threshold": threshold, "margin": margin,
-        "lambda": lam, "bound": bound, "horizon": horizon,
-        "initial_state": start, **_counters(traj)})
+        "margin": margin, **window, "initial_state": start, **_counters(traj)})
 
 
 @dataclass(frozen=True)

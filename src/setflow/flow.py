@@ -91,6 +91,23 @@ class ScalarFunction:
             raise ValueError(f"unknown scalar function kind {self.kind!r}")
         return value if many else float(value)
 
+    def range(self, lo, hi):
+        """``(min, max)`` on ``[lo, hi]``, ``0 <= lo <= hi``: a table takes them at
+        the ends or its nodes inside, a rational ``p/q`` at the ends or the roots
+        inside of ``p'q - pq'``."""
+        if self.kind == "constant":
+            return self.value, self.value
+        inner = self.s_nodes
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "rational":
+                p, q = (np.polynomial.Polynomial(c) for c in (self.num or 0.0, self.den))
+                slope = (p.deriv() * q - p * q.deriv()).coef
+                if not np.all(np.isfinite(slope)):
+                    raise ValueError("the slope p'q - pq' of the rational function is not finite")
+                inner = _nonnegative_roots(slope).tolist()
+            values = self(np.array([lo, hi, *(s for s in inner if lo < s < hi)]))
+        return float(np.min(values)), float(np.max(values))
+
 
 def _horner(coeffs, x):
     # np.polyval's loop over the ascending coefficients, without its

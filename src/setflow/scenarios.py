@@ -48,16 +48,12 @@ MAX_MIXED_COUNT = 64
 # The largest comparison system: the 'k' of a 'cyclic' system, the order of
 # a 'linear' one.  Its state is a row of every batched sample below.
 MAX_SYSTEM_DIM = 64
-# The largest sampled checks and searches.  Wazewski and Lyapunov evaluate
-# their samples in batches, so a size is memory held at once; each trial of
-# xi0_stability is one run from a corner.  A system with a Metzler matrix
-# reads none of these sizes: its checks are decided from the matrix, and
-# its xi0 search is one run.  The builtins and the benchmark use at most
-# 4096 samples and 40 bisection steps, and 40 halvings already take an eps
-# of 1 to the delta floor of 1e-12.
+# The largest sampled checks.  Wazewski and Lyapunov evaluate their samples
+# in batches, so a size is memory held at once.  A system with a Metzler
+# matrix reads none of these sizes: its checks are decided from the matrix.
+# The builtins and the benchmark use at most 4096 samples.
 MAX_SAMPLES = 65536             # 'samples' of wazewski and lyapunov
-MAX_BISECT_ITERS = 64           # 'iters' of xi0_stability
-MAX_EPS = 64                    # 'eps' of xi0_stability: one bisection each
+MAX_EPS = 64                    # 'eps' of xi0_stability: up to two exact runs each
 GROWTH_LENGTHS = (4, 8, 16)     # the default 'lengths' of growth_scaling
 
 
@@ -330,8 +326,8 @@ _SYSTEMS = {
 def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSystem:
     """Build the comparison system named by a check (or infer one).
 
-    ``"auto"`` inspects the flow parameters: a zero source gives the scalar
-    volume equation, linear under a constant clock; a linear-body source
+    ``"auto"`` inspects the flow parameters: a zero source gives the volume
+    equation (:func:`comparison.volume_system`); a linear-body source
     with scalar A gives the nilpotent pair (B^2 = 0) or the cyclic chain
     (B^k = identity); a driftless flow with det B < 0 <= tr B gives the
     growth system of the set equation.
@@ -352,11 +348,7 @@ def resolve_system(system_spec, scenario: Scenario) -> comparison.ComparisonSyst
 
     if src.kind == "zero":
         _require(is_scalar_a, "auto system with zero source needs scalar A")
-        if params.phi.kind == "constant":
-            return comparison.linear_system([[rate]], name="volume_only")
-        return comparison.scalar_system(
-            lambda t, v: 2 * diag * params.phi(np.maximum(v, 0.0)) * v,
-            name="volume_only")
+        return comparison.volume_system(params.phi, a=diag)
     if src.kind == "linear":
         mat, det, square = _finite_products(src.matrix, "params.source.B")
         tr = float(np.trace(mat))
@@ -433,14 +425,17 @@ def _system(check, scenario):
     return resolve_system(check.get("system", "auto"), scenario)
 
 
-def _exact_span(system, span, field):
-    # the exact solver of a Metzler system refuses a longer run
-    # (comparison.EXACT_MAX_SPAN); 'field' names where the span came from
-    if system.matrix is not None:
-        norm = comparison._inf_norm(system.matrix)
-        _require(span * norm <= comparison.EXACT_MAX_SPAN,
-                 f"{field} times the comparison matrix's ||M||_inf ({norm:.3g}) must be "
-                 f"at most {comparison.EXACT_MAX_SPAN:.0e}, got {span * norm:.3g}")
+def _exact_span(system, span, field, levels=()):
+    # the exact solver refuses a longer run (comparison.EXACT_MAX_SPAN) of a
+    # Metzler system, or of a clocked chain's bracket at each of 'levels';
+    # 'field' names where the span came from
+    mats, chain = [system.matrix], system.chain
+    if system.matrix is None:
+        mats = [m for eps in levels for m in comparison._bracket(chain, eps)] if chain else []
+    norm = max(map(comparison._inf_norm, mats), default=0.0)
+    _require(span * norm <= comparison.EXACT_MAX_SPAN,
+             f"{field} times the comparison matrix's ||M||_inf ({norm:.3g}) must be "
+             f"at most {comparison.EXACT_MAX_SPAN:.0e}, got {span * norm:.3g}")
 
 
 def _box(check, default, system):
@@ -517,7 +512,8 @@ def _check_bound(check, scenario):
 def _check_practical(check, scenario):
     system = _system(check, scenario)
     lam, bound, horizon = _lambda_bound_horizon(check, scenario)
-    _exact_span(system, horizon, "practical: 'T'" if "T" in check else "practical: 'horizon'")
+    _exact_span(system, horizon, "practical: 'T'" if "T" in check else "practical: 'horizon'",
+                (bound,))
     expect = _verdict(check, "practically_stable",
                       ("practically_stable", "inconclusive", "unstable"))
 
@@ -532,14 +528,11 @@ def _check_xi0(check, scenario):
     eps = _param(check, "eps", [0.1, 1.0], lambda v: _positives(v) and len(v) <= MAX_EPS,
                  f"a list of 1 to {MAX_EPS} positive numbers")
     t_check = _span(check, "T_check", 50.0)
-    _exact_span(system, t_check, "xi0_stability: 'T_check'")
-    iters = _count(check, "iters", 40, 0, MAX_BISECT_ITERS)
+    _exact_span(system, t_check, "xi0_stability: 'T_check'", eps)
     expect = _verdict(check, None, (None, "stable", "asymptotically_stable", "unstable"))
 
     def run(traj):
-        verdict = comparison.check_xi0_stability(
-            system, eps_grid=tuple(eps), T_check=t_check, bisect_iters=iters,
-            seed=scenario.seed)
+        verdict = comparison.check_xi0_stability(system, eps_grid=tuple(eps), T_check=t_check)
         passed = (verdict.kind == expect if expect
                   else verdict.kind in ("stable", "asymptotically_stable"))
         return passed, verdict.to_dict()

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from setflow import bodies, flow
 
@@ -360,8 +361,8 @@ def reference_integrate(system, xi0, times, rtol=1e-8, ceiling=math.inf):
 # ---------------------------------------------------------------------------
 # the corner search: every level bisected on its own, each trial one run of
 # ``integrate`` (by default the scalar loop ``reference_integrate``) from the
-# corner of its delta box, which ``comparison.check_xi0_stability`` must
-# match
+# corner of its delta box; the oracle of the deltas that
+# ``comparison.check_xi0_stability`` finds in closed form
 
 
 def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
@@ -460,3 +461,28 @@ def reference_lyapunov_quadratic_check(system, weights=None, sample_box=(1e-3, 1
             worst, worst_pt = ratio, xi
     return comparison.QuadraticDecayReport(passed=worst < 0.0, worst_ratio=worst,
                                            worst_point=worst_pt, samples=n_samples)
+
+
+# ---------------------------------------------------------------------------
+# clocks that a document can name, as hypothesis strategies
+
+
+def _accepted_rational(num, den):
+    try:
+        return flow.rational(num, den)
+    except ValueError:
+        return None
+
+
+# p/q of degree up to 2 each, q with positive coefficients (no root on the
+# axis), coefficients to three decimals; the p that are negative somewhere
+# on the axis are left out
+COEFFICIENTS = st.integers(-1000, 2000).map(lambda n: n / 1000)
+RATIONAL_CLOCKS = st.builds(
+    _accepted_rational, st.lists(COEFFICIENTS, min_size=1, max_size=3),
+    st.lists(st.integers(200, 2000).map(lambda n: n / 1000), min_size=1, max_size=3),
+).filter(lambda f: f is not None)
+TABLE_CLOCKS = st.integers(2, 5).flatmap(lambda n: st.builds(
+    lambda start, gaps, values: flow.table(np.cumsum([start, *gaps]).tolist(), values),
+    st.floats(0.0, 0.5), st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1),
+    st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))

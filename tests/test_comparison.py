@@ -18,6 +18,7 @@ MINUS_I = -np.eye(2)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 SHEAR = np.array([[0.0, 1.0], [0.0, 0.0]])
 RATIONAL = F.rational([1.0], [1.0, 1.0])
+CLOCKS = helpers.RATIONAL_CLOCKS | helpers.TABLE_CLOCKS
 
 # xi0' = 50 (0.08 - xi1) xi0 with xi1 frozen: only states with xi1 < 0.08
 # grow, so a start below another can end above it, and the Wazewski test
@@ -35,8 +36,9 @@ LATE_VIOLATION = C.ComparisonSystem(
 
 
 def rk4(system):
-    """The same right-hand side without its matrix, which ``integrate`` steps by RK4."""
-    return dataclasses.replace(system, matrix=None)
+    """The same right-hand side without its matrix or chain, which ``integrate``
+    steps by RK4 and which no check decides in closed form."""
+    return dataclasses.replace(system, matrix=None, chain=None)
 
 
 def counted(system):
@@ -135,10 +137,13 @@ class TestIntegrate:
         # horizon of 1e-12 as an underflow, and a horizon of 1e-14 as reached
         # by its first step
         system = C.nilpotent_source_system(RATIONAL, F.constant(0.5))
-        practical = C.check_practical(system, lam=0.1, bound=10.0, horizon=T)
+        practical = C.check_practical(rk4(system), lam=0.1, bound=10.0, horizon=T)
         assert practical.kind == "practically_stable" and practical.witness["steps"] >= 6
+        # the bracket's exact runs take the same short spans
         verdict = C.check_xi0_stability(system, eps_grid=(0.5,), T_check=T)
         assert verdict.kind == "stable" and verdict.witness["delta_table"] == [(0.5, 0.5)]
+        assert C.check_practical(system, lam=0.1, bound=10.0, horizon=T).kind == (
+            "practically_stable")
 
     @pytest.mark.parametrize("kwargs", [
         {"times": np.linspace(0.0, np.nan, 5)}, {"times": [0.0, 0.5, np.inf]},
@@ -568,18 +573,19 @@ class TestExactPath:
     # the nilpotent pair at phi = 1, psi = 2, whose xi_0 peaks between grid points
     @example(([-2.0, -2.0], [0.0, 4.0, 0.0, 0.0], [1.0, 1.0], [0.5], 5.0, 12))
     def test_the_closed_forms_bound_the_sampled_checks(self, case):
-        # against the matrix-free twin: its corner bisection finds a delta
-        # no smaller, to one bisection step (a twin ending unstable found
-        # none above eps 2^-iters); 4096 starts drawn in the box stay below
+        # against the corner bisection of the test oracle on the matrix-free
+        # twin: it finds a delta no smaller, to one bisection step (a twin
+        # ending unstable found none above eps 2^-iters); 4096 starts drawn in the box stay below
         # eps on 10^5 + 1 times; no sampled Lyapunov ratio passes the top
         # eigenvalue, and the sampled Wazewski test passes
         diag, off, weights, eps_grid, T_check, iters = case
         dim = len(diag)
         mat = np.reshape(off, (dim, dim))
         system = C.linear_system(mat + np.diag(np.subtract(diag, np.diagonal(mat))))
-        kwargs = dict(eps_grid=eps_grid, T_check=T_check, bisect_iters=iters)
+        kwargs = dict(eps_grid=eps_grid, T_check=T_check)
         verdict = C.check_xi0_stability(system, **kwargs)
-        twin = C.check_xi0_stability(rk4(system), **kwargs)
+        twin = helpers.reference_check_xi0_stability(rk4(system), bisect_iters=iters,
+                                                     integrate=C.integrate, **kwargs)
         found = dict(twin.witness["delta_table"])
         if twin.kind == "unstable":
             found[twin.witness["failed_eps"]] = 0.0
@@ -707,28 +713,28 @@ class TestExactPath:
         assert system.matrix is None and traj.solver == "rk4"
         assert traj.clamp_events > 0 and traj.rejected >= 0
 
-    @pytest.mark.parametrize("system, kwargs, kind", [
+    @pytest.mark.parametrize("system, kwargs, iters, kind", [
         (C.nilpotent_source_system(F.constant(1.0), F.constant(2.0)),
-         dict(eps_grid=(0.5,), T_check=5.0, bisect_iters=12), "asymptotically_stable"),
+         dict(eps_grid=(0.5,), T_check=5.0), 12, "asymptotically_stable"),
         (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2),
-         dict(eps_grid=(0.1, 0.5), T_check=15.0, bisect_iters=45), "unstable"),
-        (C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4862523591439185), 3), {},
+         dict(eps_grid=(0.1, 0.5), T_check=15.0), 45, "unstable"),
+        (C.cyclic_mixed_system(F.constant(1.0), F.constant(0.4862523591439185), 3), {}, 40,
          "asymptotically_stable"),
-        (C.sde_growth_system(SWAP), dict(eps_grid=(0.5,), T_check=10.0, bisect_iters=10),
-         "stable"),
+        (C.sde_growth_system(SWAP), dict(eps_grid=(0.5,), T_check=10.0), 10, "stable"),
     ], ids=["bisecting", "floor", "cyclic3", "unstable"])
-    def test_search_matches_per_direction_search(self, system, kwargs, kind):
-        # the closed form against the corner bisection on the exact path,
-        # which tests crossings at the output times only: its delta is never
-        # smaller, to one bisection step.  The bisection of the growth
-        # system stops 10 steps short of its delta 0.5 e^-20 and ends
-        # unstable; the closed form finds that delta
+    def test_search_matches_per_direction_search(self, system, kwargs, iters, kind):
+        # the closed form against the test oracle's corner bisection on RK4
+        # runs of the matrix-free twin, which tests crossings at the steps
+        # and output times only: its delta is never smaller, to one
+        # bisection step.  The bisection of the growth system stops 10
+        # steps short of its delta 0.5 e^-20 and ends unstable; the closed
+        # form finds that delta
         verdict = C.check_xi0_stability(system, **kwargs)
-        bisected = helpers.reference_check_xi0_stability(system, integrate=C.integrate,
-                                                         **kwargs)
+        bisected = helpers.reference_check_xi0_stability(rk4(system), bisect_iters=iters,
+                                                         integrate=C.integrate, **kwargs)
         assert verdict.kind == kind and verdict.witness["solver"] == "exact"
         assert bisected.kind == ("unstable" if kind == "stable" else kind)
-        step = 2.0 ** -kwargs.get("bisect_iters", 40)
+        step = 2.0 ** -iters
         for (eps, delta), (_, found) in zip(verdict.witness["delta_table"],
                                             bisected.witness["delta_table"]):
             assert delta <= found + eps * step
@@ -807,23 +813,46 @@ class TestWazewski:
                              **{"sample_box": (0.0, 5.0), **kwargs})
 
 
+def counted_runs(monkeypatch):
+    """The list that each call of ``comparison.integrate`` appends its initial state's shape to."""
+    calls = []
+    integrate = C.integrate
+    monkeypatch.setattr(C, "integrate",
+                        lambda s, xi0, *args, **kw: calls.append(np.shape(xi0))
+                        or integrate(s, xi0, *args, **kw))
+    return calls
+
+
+def oracle_deltas(expected):
+    """The oracle's delta per level, 0 at the level where it ended unstable."""
+    found = dict(expected.witness.get("delta_table", []))
+    if expected.kind == "unstable":
+        found[expected.witness["failed_eps"]] = 0.0
+    return found
+
+
+# nilpotent_decay's comparison system: phi = 1/(1+V), psi = 1/2, a = -1
+DECAY_CHAIN = C.nilpotent_source_system(RATIONAL, F.constant(0.5))
+
+
 class TestXi0Stability:
     def test_decaying_pair_is_asymptotically_stable(self):
         sys2 = C.nilpotent_source_system(F.constant(1.0), F.constant(0.5))
-        verdict = C.check_xi0_stability(sys2, eps_grid=(0.5,), T_check=10.0,
-                                        bisect_iters=12)
+        verdict = C.check_xi0_stability(sys2, eps_grid=(0.5,), T_check=10.0)
         assert verdict.kind == "asymptotically_stable"
 
     def test_growth_system_is_unstable(self):
         # from the unit corner xi_0 = e^{2t}: at T_check = 13.6 its peak
         # e^27.2 puts delta = 0.5 e^-27.2 below the floor, and by 14 the run
-        # leaves the guard 1e12.  The twin without a matrix bisects 10 steps
-        # at T_check = 10 and stops short of its delta 0.5 e^-20
+        # leaves the guard 1e12.  The test oracle's bisection of the twin
+        # without a matrix takes 10 steps at T_check = 10 and stops short of
+        # its delta 0.5 e^-20
         system = C.sde_growth_system(SWAP)
         floor = C.check_xi0_stability(system, eps_grid=(0.5,), T_check=13.6)
         escape = C.check_xi0_stability(system, eps_grid=(0.5,), T_check=14.0)
-        twin = C.check_xi0_stability(rk4(system), eps_grid=(0.5,), T_check=10.0,
-                                     bisect_iters=10)
+        twin = helpers.reference_check_xi0_stability(rk4(system), eps_grid=(0.5,),
+                                                      T_check=10.0, bisect_iters=10,
+                                                      integrate=C.integrate)
         assert floor.kind == escape.kind == twin.kind == "unstable"
         assert floor.witness["peak"] == pytest.approx(np.exp(27.2), rel=1e-12)
         assert "blew up" in escape.witness["diagnostic"] and "peak" not in escape.witness
@@ -832,9 +861,9 @@ class TestXi0Stability:
             assert witness["delta_floor"] == C.DELTA_FLOOR and witness["solver"] == "exact"
 
     def test_flat_scalar_is_stable_not_asymptotic(self):
-        flat = C.scalar_system(lambda t, x: 0.0)
-        verdict = C.check_xi0_stability(flat, eps_grid=(0.5,), T_check=5.0, bisect_iters=8)
-        assert verdict.kind == "stable"
+        flat = C.linear_system([[0.0]])
+        verdict = C.check_xi0_stability(flat, eps_grid=(0.5,), T_check=5.0)
+        assert verdict.kind == "stable" and verdict.witness["delta_table"] == [(0.5, 0.5)]
 
     def test_nontrivial_origin_rejected(self):
         shifted = C.scalar_system(lambda t, x: 1.0 + x)
@@ -842,138 +871,131 @@ class TestXi0Stability:
             C.check_xi0_stability(shifted, eps_grid=(0.5,))
 
     @pytest.mark.parametrize("kwargs", [
-        {"eps_grid": ()}, {"eps_grid": (0.5, -1.0)}, {"bisect_iters": -1}, {"T_check": 0.0},
-    ], ids=["empty_eps", "negative_eps", "negative_iters", "zero_T_check"])
+        {"eps_grid": ()}, {"eps_grid": (0.5, -1.0)}, {"T_check": 0.0},
+    ], ids=["empty_eps", "negative_eps", "zero_T_check"])
     def test_bad_parameters_rejected(self, kwargs):
         flat = C.scalar_system(lambda t, x: 0.0)
         with pytest.raises(ValueError):
             C.check_xi0_stability(flat, **kwargs)
 
-    @pytest.mark.parametrize("system, kwargs", [
-        (rk4(C.nilpotent_source_system(F.constant(1.0), F.constant(0.5))),
-         dict(eps_grid=(0.5,), T_check=10.0, bisect_iters=12)),
-        (rk4(C.nilpotent_source_system(F.constant(1.0), F.constant(2.0))),
-         dict(eps_grid=(0.5,), T_check=5.0, bisect_iters=12)),
-        (C.scalar_system(lambda t, x: 0.0), dict(eps_grid=(0.5,), T_check=5.0, bisect_iters=8)),
-        (rk4(C.sde_growth_system(SWAP)), dict(eps_grid=(0.5,), T_check=10.0, bisect_iters=10)),
-        (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0, bisect_iters=4, seed=3)),
-        (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0, bisect_iters=4, seed=4)),
+    @pytest.mark.parametrize("system, kwargs, iters, seed", [
+        (C.nilpotent_source_system(F.constant(1.0), F.constant(0.5)),
+         dict(eps_grid=(0.5,), T_check=10.0), 12, 0),
+        (C.nilpotent_source_system(F.constant(1.0), F.constant(2.0)),
+         dict(eps_grid=(0.5,), T_check=5.0), 12, 0),
+        (C.scalar_system(lambda t, x: 0.0), dict(eps_grid=(0.5,), T_check=5.0), 8, 0),
+        (C.sde_growth_system(SWAP), dict(eps_grid=(0.5,), T_check=10.0), 10, 0),
+        (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0), 4, 3),
+        (NON_MONOTONE, dict(eps_grid=(1.0,), T_check=10.0), 4, 4),
     ], ids=["asymptotic", "bisecting", "flat", "unstable", "decay_run_fails",
             "decay_run_fails_late"])
-    def test_matches_per_direction_search(self, system, kwargs):
-        # the one direction searched is the corner (1, ..., 1); NON_MONOTONE
-        # fails the Wazewski test first, with the violation the reference finds
+    def test_matches_per_direction_search(self, system, kwargs, iters, seed):
+        # against the test oracle, which searches the one direction (1, ..., 1)
+        # by RK4 runs of the twin without a matrix: a system with a matrix
+        # finds a delta no smaller, to one bisection step, and agrees on the
+        # verdict unless the oracle stopped short of the delta (unstable).
+        # A system with no matrix or chain is inconclusive, with nothing
+        # sampled, where the oracle reads the flat system stable and
+        # NON_MONOTONE inconclusive (its Wazewski samples fail)
         verdict = C.check_xi0_stability(system, **kwargs)
-        expected = helpers.reference_check_xi0_stability(system, **kwargs)
-        assert verdict.to_dict() == expected.to_dict()
+        expected = helpers.reference_check_xi0_stability(rk4(system), bisect_iters=iters,
+                                                         seed=seed, integrate=C.integrate,
+                                                         **kwargs)
+        if system.matrix is None:
+            assert expected.kind == ("stable" if system.dim == 1 else "inconclusive")
+            assert verdict.to_dict() == {"kind": "inconclusive", "T_check": kwargs["T_check"],
+                                         "note": C.NO_BOUND_NOTE}
+            return
+        assert verdict.kind == expected.kind or expected.kind == "unstable"
+        found = oracle_deltas(expected)
+        for eps, delta in verdict.witness["delta_table"]:
+            assert delta <= found[eps] + eps * 2.0 ** -iters
 
     @pytest.mark.parametrize("system, kwargs, bisecting", [
-        (rk4(C.nilpotent_source_system(F.constant(1.0), F.constant(0.5))),
+        (C.nilpotent_source_system(F.constant(1.0), F.constant(0.5)),
          dict(eps_grid=(1.0, 0.1, 0.5), T_check=10.0), []),
-        (C.nilpotent_source_system(RATIONAL, F.constant(0.5)),
-         dict(eps_grid=(0.05, 0.1, 0.5), T_check=10.0), []),
+        (DECAY_CHAIN, dict(eps_grid=(0.05, 0.1, 0.5), T_check=10.0), []),
         (C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0])),
          dict(eps_grid=(0.05, 0.5, 2.0, 5.0), T_check=10.0, bisect_iters=6), [2.0, 5.0]),
-        (C.nilpotent_source_system(RATIONAL, F.constant(0.5)),
-         dict(eps_grid=(20.0, 0.05, 5.0, 0.5), T_check=10.0, bisect_iters=6), [5.0, 20.0]),
-        (rk4(C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2)),
-         dict(eps_grid=(0.1, 0.5, 1.0), T_check=15.0, bisect_iters=45),
-         None),
+        (DECAY_CHAIN, dict(eps_grid=(20.0, 0.05, 5.0, 0.5), T_check=10.0, bisect_iters=6),
+         [5.0, 20.0]),
+        (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2),
+         dict(eps_grid=(0.1, 0.5, 1.0), T_check=15.0, bisect_iters=45), None),
         (C.cyclic_mixed_system(RATIONAL, F.constant(0.9), 2),
          dict(eps_grid=(0.05, 0.5, 50.0), T_check=10.0, bisect_iters=3), None),
     ], ids=["no_level_bisects_constant", "no_level_bisects_rational",
             "some_levels_bisect_constant", "some_levels_bisect_rational",
             "floor_constant", "unstable_level_rational"])
     def test_rounds_match_per_direction_search(self, system, kwargs, bisecting, monkeypatch):
-        kwargs = {"bisect_iters": 8, **kwargs}
-        calls = []
-        integrate = C.integrate
-        monkeypatch.setattr(C, "integrate",
-                            lambda s, xi0, *args, **kw: calls.append(np.shape(xi0))
-                            or integrate(s, xi0, *args, **kw))
+        # the ids name the rounds of the test oracle, which bisects the
+        # levels listed (None: it ends unstable).  The closed form takes one
+        # exact run from a matrix, two per distinct level from a chain's
+        # bracket, and finds no delta smaller than the oracle's, to one
+        # bisection step; the oracle's deltas lie below the bracket's upper ends
+        kwargs = dict(kwargs)
+        iters = kwargs.pop("bisect_iters", 8)
+        expected = helpers.reference_check_xi0_stability(rk4(system), bisect_iters=iters,
+                                                         rtol=1e-10, integrate=C.integrate,
+                                                         **kwargs)
+        calls = counted_runs(monkeypatch)
         verdict = C.check_xi0_stability(system, **kwargs)
-        expected = helpers.reference_check_xi0_stability(system, **kwargs)
-        assert verdict.to_dict() == expected.to_dict()
-        table = verdict.witness["delta_table"]
-        iters = kwargs["bisect_iters"]
-        # every trial is one run from the corner, one state
-        assert set(calls) == {(system.dim,)}
-        bisected = [e for e, d in table if d != e]
         if bisecting is None:
-            assert verdict.kind == "unstable"
-            failed = verdict.witness["failed_eps"]
-            if iters > 40:                  # the bisection reached the floor
-                assert failed == min(kwargs["eps_grid"])
-            else:
-                assert len(table) == 2
-            # the search ends at the failing level: no level above it is tried
-            floor_iters = next(k for k in range(iters + 1)
-                               if k == iters or failed / 2 ** (k + 1) <= 1e-12)
-            assert len(calls) == len(table) + 1 + iters * len(bisected) + floor_iters
+            assert expected.kind == "unstable"
         else:
-            assert verdict.kind == "asymptotically_stable"
-            assert bisected == bisecting
-            # a trial per level at delta = eps, the bisections, the decay run
-            assert len(calls) == len(kwargs["eps_grid"]) + iters * len(bisecting) + 1
+            assert expected.kind == verdict.kind == "asymptotically_stable"
+            assert [e for e, d in expected.witness["delta_table"] if d != e] == bisecting
+        # every run is one from the unit corner
+        assert set(calls) == {(system.dim,)}
+        levels = set(kwargs["eps_grid"])
+        assert len(calls) == (1 if system.matrix is not None else 2 * len(levels))
+        assert verdict.witness["solver"] == ("exact" if system.matrix is not None else "bracket")
+        found = oracle_deltas(expected)
+        upper = dict(verdict.witness.get("delta_upper", []))
+        for eps, delta in verdict.witness["delta_table"]:
+            assert delta <= found.get(eps, delta) + eps * 2.0 ** -iters
+            assert found.get(eps, 0.0) <= upper.get(eps, np.inf) * (1 + 1e-6)
 
-    @pytest.mark.parametrize("system, eps, kwargs", [
-        (C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0])), 0.5,
-         dict(T_check=10.0, bisect_iters=6)),
-        (C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0])), 2.0,
-         dict(T_check=10.0, bisect_iters=6)),
-        (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2), 0.1,
-         dict(T_check=15.0, bisect_iters=45)),
+    @pytest.mark.parametrize("system, eps, T_check", [
+        (C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0])), 0.5, 10.0),
+        (C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0])), 2.0, 10.0),
+        (C.cyclic_mixed_system(F.constant(1.0), F.constant(2.0), 2), 0.1, 15.0),
     ], ids=["passing", "bisecting", "floor"])
-    def test_equal_levels_repeat_one_entry(self, system, eps, kwargs):
-        # the search is deterministic: a repeated level takes the same trials
-        # again and finds the same delta (the bisection, also for a Metzler system)
-        single = C.check_xi0_stability(rk4(system), eps_grid=[eps], **kwargs)
-        verdict = C.check_xi0_stability(rk4(system), eps_grid=[eps] * 8, **kwargs)
-        expected = helpers.reference_check_xi0_stability(system, eps_grid=[eps] * 8, **kwargs)
-        assert verdict.to_dict() == expected.to_dict()
+    def test_equal_levels_repeat_one_entry(self, system, eps, T_check, monkeypatch):
+        # a repeated level repeats the entry of its one pair of bracket runs
+        # (at eps = 2 the bracket's delta_lo is below eps); a matrix's one
+        # run decides every level
+        calls = counted_runs(monkeypatch)
+        single = C.check_xi0_stability(system, eps_grid=[eps], T_check=T_check)
+        once = len(calls)
+        verdict = C.check_xi0_stability(system, eps_grid=[eps] * 8, T_check=T_check)
+        assert len(calls) == 2 * once
         if single.kind == "unstable":
             assert verdict.to_dict() == single.to_dict()
         else:
             assert verdict.kind == single.kind
-            assert verdict.witness["delta_table"] == single.witness["delta_table"] * 8
+            for key in ("delta_table", "delta_upper"):
+                assert verdict.witness[key] == single.witness[key] * 8
 
     def test_a_repeated_level_repeats_its_entry_in_the_table(self):
         system = C.nilpotent_source_system(F.constant(1.0), F.rational([0.3, 1.0], [1.0]))
-        kwargs = dict(T_check=10.0, bisect_iters=6)
-        distinct = C.check_xi0_stability(system, eps_grid=(0.5, 1.0), **kwargs)
-        repeated = C.check_xi0_stability(system, eps_grid=(0.5, 0.5, 1.0), **kwargs)
+        distinct = C.check_xi0_stability(system, eps_grid=(0.5, 1.0), T_check=10.0)
+        repeated = C.check_xi0_stability(system, eps_grid=(0.5, 0.5, 1.0), T_check=10.0)
         (low, high) = distinct.witness["delta_table"]
-        assert high[1] < high[0]        # the level 1.0 bisects
+        assert high[1] < high[0]        # the level 1.0 has delta_lo below eps
         assert repeated.kind == distinct.kind == "asymptotically_stable"
         assert repeated.witness["delta_table"] == [low, low, high]
 
-    def test_a_level_that_blows_up_fails_alone(self, monkeypatch):
-        # above 0.3 the right-hand side is NaN, so the step size of the trial
-        # of eps = 1 at delta = 1 underflows; the other levels must not fail
-        # with it
-        cliff = C.scalar_system(lambda t, x: np.where(x > 0.3, np.nan, -x))
-        kwargs = dict(eps_grid=(0.1, 1.0, 0.2), T_check=10.0, bisect_iters=6)
-        with pytest.raises(BlowupError, match="underflow"):
-            C.integrate(cliff, [1.0], np.linspace(0.0, 10.0, 201))
-        raised = []
-        integrate = C.integrate
-
-        def counted(system, xi0, *args, **kw):
-            try:
-                return integrate(system, xi0, *args, **kw)
-            except BlowupError:
-                raised.append((xi0[0], kw["ceiling"]))
-                raise
-        monkeypatch.setattr(C, "integrate", counted)
-        verdict = C.check_xi0_stability(cliff, **kwargs)
-        expected = helpers.reference_check_xi0_stability(cliff, **kwargs)
-        assert verdict.to_dict() == expected.to_dict()
-        # the levels 0.1 and 0.2 passed; the trial of eps = 1 at delta = 1
-        # raised first, then only its bisection trials above 0.3
-        assert raised[0] == (1.0 - 1e-12, 1.0)
-        assert all(eps == 1.0 and start > 0.3 for start, eps in raised)
-        assert verdict.kind == "asymptotically_stable"
-        assert dict(verdict.witness["delta_table"])[0.2] == 0.2
+    def test_a_level_that_blows_up_fails_alone(self):
+        # xi' = (-2 + 20 xi^2) xi: at eps = 1 the upper bracket's rate 18
+        # takes its run past the guard, while the lower one, rate -2, decays,
+        # so that level is inconclusive; the levels 0.1 and 0.2 below it keep
+        # their deltas
+        cliff = C.cyclic_mixed_system(F.constant(1.0), F.rational([0.0, 0.0, 10.0], [1.0]), 1)
+        verdict = C.check_xi0_stability(cliff, eps_grid=(0.1, 1.0, 0.2), T_check=10.0)
+        assert verdict.kind == "inconclusive" and verdict.witness["failed_eps"] == 1.0
+        assert "blew up" in verdict.witness["diagnostic"]
+        assert verdict.witness["delta_table"] == [(0.1, 0.1), (0.2, 0.2)]
+        assert verdict.witness["delta_upper"] == [(0.1, 0.1), (0.2, 0.2)]
 
     @pytest.mark.parametrize("system, kwargs, delta", [
         # the corner is the Perron vector of M = 0.4 I + 1.2 (C - I), so
@@ -1005,13 +1027,10 @@ class TestXi0Stability:
     def test_a_metzler_witness_explains_itself(self, monkeypatch):
         # from the unit corner xi_0 = e^{-2t} (1 + 4t): peak 2 e^{-1/2} at
         # t = 1/4, and 21 e^{-10} at T_check = 5.  One integration decides
-        # every level, and neither bisect_iters nor seed is read
+        # every level
         system = C.nilpotent_source_system(F.constant(1.0), F.constant(2.0))
         kwargs = dict(eps_grid=(0.5, 0.25, 0.5), T_check=5.0)
-        calls = []
-        integrate = C.integrate
-        monkeypatch.setattr(C, "integrate",
-                            lambda *args, **kw: calls.append(args) or integrate(*args, **kw))
+        calls = counted_runs(monkeypatch)
         verdict = C.check_xi0_stability(system, **kwargs)
         witness = verdict.witness
         assert len(calls) == 1 and verdict.kind == "asymptotically_stable"
@@ -1020,38 +1039,97 @@ class TestXi0Stability:
         assert witness["peak_time"] == pytest.approx(0.25, abs=1e-9)
         assert witness["decay_ratio"] == pytest.approx(21.0 * np.exp(-10.0), rel=1e-12)
         assert witness["delta_table"] == [(e, e / witness["peak"]) for e in (0.25, 0.5, 0.5)]
-        for other in (dict(bisect_iters=0), dict(seed=9)):
-            assert C.check_xi0_stability(system, **kwargs, **other).to_dict() == verdict.to_dict()
 
     def test_a_non_quasimonotone_system_is_inconclusive(self):
-        # xi_0' falls as xi_1 grows, so no start bounds the states below it
-        verdict = C.check_xi0_stability(NON_MONOTONE, eps_grid=(0.5, 1.0), T_check=10.0)
+        # xi_0' falls as xi_1 grows, so no start bounds the states below it;
+        # the system carries no matrix or chain, and nothing is sampled: the
+        # right-hand side is called once, on the zero state
+        logged, calls = counted(NON_MONOTONE)
+        verdict = C.check_xi0_stability(logged, eps_grid=(0.5, 1.0), T_check=10.0)
         wazewski = C.check_wazewski(NON_MONOTONE, (0.0, 1.0))
         assert verdict.kind == "inconclusive" and not wazewski.passed
-        assert C._plain(verdict.witness["wazewski"]) == C._plain(wazewski)
-        assert wazewski.violation["component"] == 0
-        assert "delta_table" not in verdict.witness
+        assert verdict.witness == {"T_check": 10.0, "note": C.NO_BOUND_NOTE}
+        assert calls == [(2,)] and wazewski.violation["component"] == 0
 
-    @pytest.mark.parametrize("seed, bisect_iters", [(3, 16), (4, 8)])
-    def test_failed_decay_run_is_only_stable(self, seed, bisect_iters):
-        # xi_0' = 2 xi_1 - xi_0 with xi_1 frozen: from the corner delta (1, 1)
-        # xi_0(t) = delta (2 - e^{-t}) rises and never decays, so the run at
-        # half the found delta fails the decay rule.  The system has no
-        # matrix, so it passes the Wazewski pre-check drawn from seed first
-        rising = C.ComparisonSystem(
-            dim=2, rhs=lambda t, xi: np.array([2.0 * xi.T[1] - xi.T[0], 0.0 * xi.T[1]]).T,
-            name="rising")
-        T_check = 10.0
-        verdict = C.check_xi0_stability(rising, eps_grid=(1.0,), T_check=T_check,
-                                        bisect_iters=bisect_iters, seed=seed)
-        assert verdict.kind == "stable"
-        assert "wazewski" not in verdict.witness
-        (eps, found), = verdict.witness["delta_table"]
-        assert abs(found - 1.0 / (2.0 - np.exp(-T_check))) <= 2.0 ** -bisect_iters
-        half = 0.5 * found * (1 - 1e-12)
-        times = np.linspace(0.0, T_check, C.XI0_OUTPUTS + 1)
-        final = C.integrate(rising, np.full(2, half), times, rtol=C.XI0_RTOL).states[-1, 0]
-        assert final >= C.DECAY_FACTOR * half
+    def test_a_chain_is_decided_by_its_bracket(self, monkeypatch):
+        # at eps = 5 the clock 1/(1+V) ranges over [1/6, 1]: M_up = [[-1/3, 1],
+        # [0, -1/3]], whose xi_0 = e^{-t/3} (1 + t) peaks at 3 e^{-2/3} at
+        # t = 2, and M_lo = [[-2, 1], [0, -2]], whose xi_0 never rises.  So
+        # delta lies in [5 e^{2/3} / 3, 5], in two exact runs at any T_check
+        lower, upper = C._bracket(DECAY_CHAIN.chain, 5.0)
+        assert np.allclose(upper, [[-1.0 / 3.0, 1.0], [0.0, -1.0 / 3.0]], rtol=1e-15)
+        assert np.array_equal(lower, [[-2.0, 1.0], [0.0, -2.0]])
+        calls = counted_runs(monkeypatch)
+        for T_check in (5.0, 50.0, 1e6):
+            verdict = C.check_xi0_stability(DECAY_CHAIN, eps_grid=(5.0,), T_check=T_check)
+            (eps, low), = verdict.witness["delta_table"]
+            assert low == pytest.approx(5.0 * np.exp(2.0 / 3.0) / 3.0, rel=1e-12)
+            assert verdict.witness["delta_upper"] == [(5.0, 5.0)]
+            assert verdict.witness["solver"] == "bracket"
+            assert verdict.witness["note"] == C.BRACKET_EVIDENCE_NOTE
+        assert len(calls) == 6
+        with pytest.raises(ValueError, match="1e\\+07"):
+            C.check_xi0_stability(DECAY_CHAIN, eps_grid=(5.0,), T_check=1e7)
+
+    def test_a_bracket_that_does_not_decay_is_only_stable(self):
+        # at eps = 1 the upper bracket [[-1, 1], [0, -1]] gives xi_0 = e^{-t} (1 + t)
+        # from the unit corner: 6 e^{-5} at T_check = 5, above DECAY_FACTOR,
+        # and 51 e^{-50} at 50
+        short = C.check_xi0_stability(DECAY_CHAIN, eps_grid=(1.0, 2.0), T_check=5.0)
+        long = C.check_xi0_stability(DECAY_CHAIN, eps_grid=(1.0, 2.0), T_check=50.0)
+        assert short.kind == "stable" and long.kind == "asymptotically_stable"
+        assert short.witness["decay_ratio"] == pytest.approx(6.0 * np.exp(-5.0), rel=1e-12)
+        assert short.witness["delta_table"][0] == long.witness["delta_table"][0] == (1.0, 1.0)
+
+    @pytest.mark.parametrize("system", [
+        C.nilpotent_source_system(F.constant(1.0), F.constant(0.5), a=-0.5),
+        C.cyclic_mixed_system(F.constant(0.3), F.constant(1.2), 4, a=0.5),
+        C.volume_system(F.constant(2.0), a=-1.0),
+    ], ids=lambda s: s.name)
+    def test_constant_clocks_bracket_to_the_matrix(self, system):
+        # both ends of the bracket are the matrix, bit for bit, at any level
+        for level in (0.0, 0.5, 100.0):
+            for end in C._bracket(system.chain, level):
+                assert np.array_equal(end, system.matrix)
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(CLOCKS, CLOCKS, st.floats(-2.0, 1.0), st.integers(0, 4), st.floats(0.05, 2.0),
+           st.floats(0.5, 6.0))
+    # the lower bracket grows at 2/1.5 + 4 and leaves its guard by t = 6: unstable
+    @example(phi=RATIONAL, psi=F.table([0.0, 1.0], [2.0, 2.0]), a=1.0, k=2, eps=0.5,
+             T_check=6.0)
+    def test_fuzz_the_bracket_holds_the_chain(self, phi, psi, a, k, eps, T_check):
+        # k = 0 draws the nilpotent pair.  The oracle's corner delta (RK4
+        # runs of the twin without a chain, 0 where it ends unstable, none
+        # where its Wazewski samples fail) lies in [delta_lo, delta_hi], to
+        # one bisection step below and to 1e-6 above, and 256 starts in the
+        # delta_lo box, half on its far faces, keep xi_0 below eps on RK4
+        # runs at rtol 1e-10
+        system = (C.nilpotent_source_system(phi, psi, a=a) if k == 0
+                  else C.cyclic_mixed_system(phi, psi, k, a=a))
+        verdict = C.check_xi0_stability(system, eps_grid=(eps,), T_check=T_check)
+        expected = helpers.reference_check_xi0_stability(
+            rk4(system), eps_grid=(eps,), T_check=T_check, bisect_iters=10, rtol=1e-10,
+            integrate=C.integrate)
+        low = dict(verdict.witness["delta_table"]).get(eps, 0.0)
+        high = dict(verdict.witness.get("delta_upper", [])).get(eps)
+        if expected.kind != "inconclusive":
+            found = oracle_deltas(expected)[eps]
+            assert low <= found + eps * 2.0 ** -10
+            if high is not None:
+                assert found <= high * (1 + 1e-6)
+            if verdict.kind == "unstable":     # delta_hi is below the oracle's last step
+                assert found == 0.0
+        if verdict.kind not in ("stable", "asymptotically_stable"):
+            return
+        dim = system.dim
+        starts = np.random.default_rng(5).uniform(0.0, low * (1 - 1e-12), size=(256, dim))
+        starts[128:] *= low * (1 - 1e-12) / np.max(starts[128:], axis=1, keepdims=True)
+        stacked = C.ComparisonSystem(
+            dim=256 * dim, rhs=lambda t, xi: rk4(system)(t, xi.reshape(256, dim)).ravel())
+        states = C.integrate(stacked, starts.ravel(), np.linspace(0.0, T_check, 257),
+                             rtol=1e-10).states
+        assert np.max(states[:, ::dim]) < eps
 
 
 class TestPractical:
@@ -1094,6 +1172,24 @@ class TestPractical:
         assert (witness["steps"], witness["rejected"], witness["clamp_events"]) == (
             partial.steps, partial.rejected, partial.clamp_events)
         assert witness["steps"] > 0
+
+    def test_a_chain_takes_the_upper_bracket_at_its_bound(self):
+        # at A = 5 the upper bracket of nilpotent_decay's chain peaks at
+        # 3 e^{-2/3} = 1.5403 from the unit corner, and the lower one never
+        # rises: lambda 3 passes and lambda 4 is inconclusive, at a horizon
+        # past the peak and at 1e6 alike.  At horizon 0 every lambda < A passes
+        for lam, kind in ((3.0, "practically_stable"), (4.0, "inconclusive")):
+            for horizon in (5.0, 1e6):
+                verdict = C.check_practical(DECAY_CHAIN, lam=lam, bound=5.0, horizon=horizon)
+                assert verdict.kind == kind and verdict.witness["solver"] == "bracket"
+                assert verdict.witness["peak"] == pytest.approx(3.0 * np.exp(-2.0 / 3.0),
+                                                               rel=1e-12)
+        at_zero = C.check_practical(DECAY_CHAIN, lam=4.9, bound=5.0, horizon=0.0)
+        assert at_zero.kind == "practically_stable"
+        # an upper bracket that leaves its guard reads inconclusive, not unstable
+        cliff = C.cyclic_mixed_system(F.constant(1.0), F.rational([0.0, 0.0, 10.0], [1.0]), 1)
+        escape = C.check_practical(cliff, lam=0.5, bound=5.0, horizon=10.0)
+        assert escape.kind == "inconclusive" and "blew up" in escape.witness["diagnostic"]
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -418,6 +419,35 @@ class TestScalarFunction:
             assert type(got) is float and got == float(formula(float(x)))
         assert np.array_equal(f(s), np.broadcast_to(formula(s), s.shape))
         assert np.array_equal(f(s.reshape(5, 41)), f(s).reshape(5, 41))
+
+    @pytest.mark.parametrize("f, lo, hi, expected", [
+        (F.constant(0.7), 0.0, 5.0, (0.7, 0.7)),
+        (F.rational([], [1.0]), 0.0, 5.0, (0.0, 0.0)),
+        (F.rational([1.0], [1.0, 1.0]), 0.0, 5.0, (1.0 / 6.0, 1.0)),
+        # (1 + s/2) / (1 + s^2/4) peaks at s = 2 (sqrt 2 - 1), at (1 + sqrt 2) / 2
+        (F.rational([1.0, 0.5], [1.0, 0.0, 0.25]), 0.0, 5.0,
+         (3.5 / 7.25, (1.0 + np.sqrt(2.0)) / 2.0)),
+        (F.rational([1.0, -2.0, 1.0], [1.0]), 0.5, 1.5, (0.0, 0.25)),
+        (F.table([0.0, 1.0, 4.0], [1.0, 0.5, 2.0]), 0.0, 5.0, (0.5, 2.0)),
+        (F.table([0.0, 1.0, 4.0], [1.0, 0.5, 2.0]), 0.5, 1.5, (0.5, 0.75)),
+        (F.table([0.0, 1.0, 4.0], [1.0, 0.5, 2.0]), 2.0, 2.0, (1.0, 1.0)),
+    ], ids=["constant", "zero", "decreasing", "interior_peak", "interior_root", "table",
+            "table_node_inside", "table_point"])
+    def test_the_range_takes_the_extremes(self, f, lo, hi, expected):
+        assert f.range(lo, hi) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(helpers.RATIONAL_CLOCKS | helpers.TABLE_CLOCKS, st.floats(0.0, 5.0),
+           st.floats(0.0, 5.0))
+    def test_the_range_holds_dense_samples(self, f, a, b):
+        # the extremes of 10^5 + 1 equal samples of [lo, hi], its ends
+        # among them, lie in the range, to the rounding of the values
+        lo, hi = sorted((a, b))
+        values = f(np.linspace(lo, hi, 10 ** 5 + 1))
+        low, high = f.range(lo, hi)
+        tol = 1e-12 * max(1.0, float(np.max(values)))
+        assert low - tol <= np.min(values) and np.max(values) <= high + tol
+        assert low <= values[0] <= high and low <= values[-1] <= high
 
     def test_parameters_define_equality(self):
         assert F.rational([1.0], [1.0, 1.0]) == F.rational([1.0], [1.0, 1.0])

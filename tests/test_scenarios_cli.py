@@ -9,6 +9,7 @@ import json
 import math
 import sys
 import tempfile
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -358,7 +359,7 @@ class TestReportSerialization:
 def search_doc():
     """A reflection-source flow whose "auto" system is the cyclic k=2 chain."""
     doc = quick_doc(name="search", checks=[
-        {"kind": "xi0_stability", "eps": [0.5], "T_check": 5.0, "iters": 4},
+        {"kind": "xi0_stability", "eps": [0.5], "T_check": 5.0},
         {"kind": "wazewski", "box": [0.0, 10.0], "samples": 16},
         {"kind": "lyapunov", "samples": 16, "weights": [1.0, 2.0]},
     ])
@@ -539,7 +540,6 @@ class TestCli:
         (0, {"eps": [0.1, -1.0]}, "eps"),
         (0, {"T_check": 0}, "T_check"),
         (0, {"T_check": 5e-324}, "T_check"),
-        (0, {"iters": -1}, "iters"),
         (1, {"box": [5.0, 1.0]}, "box"),
         (1, {"box": [-1.0, 1.0]}, "box"),
         (1, {"samples": 0}, "samples"),
@@ -555,7 +555,7 @@ class TestCli:
         (0, {"system": {"kind": "nilpotent", "phi": {"kind": "constant", "value": 1.0},
                         "psi": {"kind": "constant", "value": 0.5}, "a": "nan"}}, "'a'"),
     ], ids=["xi0_empty_eps", "xi0_negative_eps", "xi0_zero_T_check", "xi0_subnormal_T_check",
-            "xi0_negative_iters", "wazewski_inverted_box",
+            "wazewski_inverted_box",
             "wazewski_box_outside_cone", "wazewski_no_samples",
             "lyapunov_no_samples", "lyapunov_box_rows", "lyapunov_weight_count",
             "lyapunov_negative_weight", "lyapunov_bad_system", "unknown_kind",
@@ -765,6 +765,33 @@ class TestCli:
             assert "params.A" in proc.stderr and "Warning" not in proc.stderr
             assert not out.exists()
 
+    @pytest.mark.parametrize("check, key, verdict", [
+        ({"kind": "xi0_stability"}, "T_check", "asymptotically_stable"),
+        ({"kind": "practical", "lambda": 0.5, "A": 5.0}, "T", "practically_stable"),
+    ], ids=["xi0_stability", "practical"])
+    def test_a_clocked_check_ends_in_seconds_at_any_span(self, tmp_path, check, key, verdict):
+        # nilpotent_decay's "auto" chain runs on the rational clock 1/(1+V)
+        # and is decided from its Metzler bracket: at a span of 1e6 in a few
+        # exact runs, and past EXACT_MAX_SPAN the document exits 2 naming
+        # the field, before the flow runs (in a fresh interpreter, where a
+        # numpy warning would reach stderr)
+        doc = scenarios.builtin_scenarios()["nilpotent_decay"]
+        doc["checks"] = [dict(check, **{key: 1e6})]
+        (_, run), = scenarios.parse_scenario(doc).checks
+        start = time.perf_counter()
+        passed, details = run(None)
+        assert time.perf_counter() - start < 5.0
+        assert passed and details["kind"] == verdict and details["solver"] == "bracket"
+        for span in (1e12, 1e20):
+            doc["checks"] = [dict(check, **{key: span})]
+            path = tmp_path / "long.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / "out"
+            proc = run_python("-m", "setflow.cli", "run", str(path), "--out", str(out))
+            assert proc.returncode == cli.EXIT_SCHEMA, proc.stderr
+            assert f"{check['kind']}: {key!r} times the comparison matrix" in proc.stderr
+            assert "Warning" not in proc.stderr and not out.exists()
+
     def test_an_explicit_system_whose_constants_overflow_exits_2(self, tmp_path):
         # 2 a phi = 2e308, the coupling 2 psi = 2e308, and the norm of a
         # Metzler matrix doubled overflow; each system used to fall back to
@@ -850,8 +877,6 @@ class TestCli:
         (lambda d: d.update(track=["V", {"kind": "mixed",
                                          "count": scenarios.MAX_MIXED_COUNT + 1}]),
          "mixed: 'count'"),
-        (lambda d: d["checks"][0].update(iters=scenarios.MAX_BISECT_ITERS + 1),
-         "xi0_stability: 'iters'"),
         (lambda d: d["checks"][1].update(samples=scenarios.MAX_SAMPLES + 1),
          "wazewski: 'samples'"),
         (lambda d: d["checks"][2].update(samples=scenarios.MAX_SAMPLES + 1),
@@ -868,7 +893,7 @@ class TestCli:
         (lambda d: d["checks"].append({"kind": "growth_scaling",
                                        "lengths": [1.0] * flows_at_the_cap(d)}),
          "growth_scaling: 'lengths'"),
-    ], ids=["mixed_count", "xi0_iters", "wazewski_samples",
+    ], ids=["mixed_count", "wazewski_samples",
             "lyapunov_samples", "cyclic_k", "linear_order", "xi0_eps",
             "growth_scaling_lengths"])
     def test_sizes_over_their_caps_exit_2(self, tmp_path, capsys, mutate, field):
@@ -884,7 +909,6 @@ class TestCli:
     def test_sizes_at_their_caps_parse(self):
         doc = search_doc()
         doc["track"] = ["V", {"kind": "mixed", "count": scenarios.MAX_MIXED_COUNT}]
-        doc["checks"][0].update(iters=scenarios.MAX_BISECT_ITERS)
         doc["checks"][1]["samples"] = scenarios.MAX_SAMPLES
         doc["checks"][2].update(samples=scenarios.MAX_SAMPLES, weights=None, system={
             "kind": "linear", "matrix": (-np.eye(scenarios.MAX_SYSTEM_DIM)).tolist()})
@@ -1196,7 +1220,7 @@ CHECK_KEYS = {
     "closed_form_area": ["terms", "rtol"],
     "bound_check": ["system", "functionals", "tol_scale"],
     "practical": ["system", "lambda", "A", "T", "expect"],
-    "xi0_stability": ["system", "eps", "T_check", "iters", "expect"],
+    "xi0_stability": ["system", "eps", "T_check", "expect"],
     "wazewski": ["system", "box", "samples", "expect"],
     "lyapunov": ["system", "box", "samples", "weights", "expect"],
     "fixed_point": ["phi", "psi", "n", "expect_stable"],
