@@ -11,6 +11,7 @@ prints the bundled experiments.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -149,7 +150,10 @@ def _cmd_list(_args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on the first call and shared by every
+    later one; parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="setflow",
         description="Flows of planar convex bodies: run scenarios, query geometry.")

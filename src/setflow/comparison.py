@@ -21,7 +21,7 @@ from .errors import BlowupError
 from .flow import ScalarFunction, constant
 
 GUARD_FACTOR = 1e12
-RK4_ATOL = 1e-12            # absolute part of the step tolerance of integrate
+STEP_ATOL = 1e-12           # absolute part of the step tolerance of integrate
 EXACT_SUBSTEPS = 64         # most grid intervals per output interval of the exact xi0 search
 # The longest run of the exact path, as times[-1] * ||M||_inf: it errs by
 # about that many ulps, and the unit corner of [[-1, 1], [1, -1]], a fixed
@@ -56,7 +56,7 @@ class ComparisonSystem:
     ``matrix`` is set only by the factories below, when ``rhs(t, xi) = M xi``
     for a Metzler matrix ``M`` (off-diagonal entries >= 0, the Wazewski
     condition); :func:`integrate` then solves the system exactly instead of
-    stepping RK4, and the checks answer from the matrix.  The factories
+    stepping it, and the checks answer from the matrix.  The factories
     keep their own ``rhs``, which the systems' matrix-free twins call.
     ``chain = (a, phi, psi, N)`` is set by the factories of clocked chains,
     ``rhs(t, xi) = 2 a phi(xi_0) xi + psi(xi_0) N xi`` with ``N >= 0``.
@@ -199,7 +199,8 @@ def sde_growth_system(matrix) -> ComparisonSystem:
 
 def linear_system(matrix, name: str = "linear") -> ComparisonSystem:
     """``xi' = M xi``; solved exactly when ``M`` is Metzler (one whose norm doubled
-    overflows is a ValueError), else stepped by RK4, which clamps states to the cone."""
+    overflows is a ValueError), else stepped by :func:`integrate`, which clamps states
+    to the cone."""
     mat = np.asarray(matrix, dtype=float)
     if not (mat.ndim == 2 and mat.shape[0] == mat.shape[1] > 0 and np.all(np.isfinite(mat))):
         raise ValueError("matrix must be square, nonempty and finite")
@@ -222,54 +223,42 @@ def scalar_system(f, name: str = "scalar") -> ComparisonSystem:
 # -- integration -------------------------------------------------------------
 
 
+# The Dormand-Prince 5(4) pair (Dormand and Prince, J. Comput. Appl. Math. 6,
+# 1980).  Stage i of the stages K is the slope at xi + h DP_A[i, :i] @ K[:i],
+# time t + DP_C[i] h; the last row of DP_A gives the fifth-order solution,
+# whose slope, the 7th stage, is the next step's first (FSAL).  h DP_E @ K is
+# the fifth-order solution less the fourth-order one, and row j of h DP_D @ K
+# the coefficient of theta^(j+1) in the fourth-order continuous extension
+# (Shampine, Math. Comp. 46, 1986; Hairer, Norsett and Wanner, Solving
+# ODEs I, II.6)
+DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+DP_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0]])
+DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+DP_D = np.array([
+    [1, 0, 0, 0, 0, 0, 0],
+    [-8048581381 / 2820520608, 0, 131558114200 / 32700410799, -1754552775 / 470086768,
+     127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423],
+    [8663915743 / 2820520608, 0, -68118460800 / 10900136933, 14199869525 / 1410260304,
+     -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423],
+    [-12715105075 / 11282082432, 0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423]])
+
+
 @dataclass
 class ComparisonTrajectory:
     times: np.ndarray           # the output times reached
     states: np.ndarray          # shape (len(times), dim)
     clamp_events: int = 0
-    steps: int = 0              # accepted RK4 steps, or exact output intervals
-    rejected: int = 0           # rejected RK4 steps; 0 when exact
-    solver: str = "rk4"         # "exact" for a Metzler system.matrix, else "rk4"
-
-
-def _rk4(system, t, xi, h, k1):
-    """One classical RK4 step of the state ``xi`` of length ``h`` from its given ``k1``."""
-    k2 = system(t + 0.5 * h, xi + 0.5 * h * k1)
-    k3 = system(t + 0.5 * h, xi + 0.5 * h * k2)
-    k4 = system(t + h, xi + h * k3)
-    return xi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _double_step(system, t, xi, h):
-    """Step doubling from ``(t, xi)``: one step of ``h`` and two of ``h/2``.
-
-    Returns ``(k1, half, k_half, big, two)``: the slope at the start, the
-    state after the first half step and the slope there (the first stage of
-    the second half step), the full step and the two half steps.  The full
-    step and the first half step share ``k1``: 11 right-hand sides in all.
-    """
-    k1 = system(t, xi)
-    big = _rk4(system, t, xi, h, k1)
-    half = _rk4(system, t, xi, 0.5 * h, k1)
-    k_half = system(t + 0.5 * h, half)
-    return k1, half, k_half, big, _rk4(system, t + 0.5 * h, half, 0.5 * h, k_half)
-
-
-def _dense(theta, h, x0, f0, xm, fm, x1):
-    """Dense output of an accepted step at ``theta = (t - t0) / h``, clamped at 0.
-
-    The quartic in ``theta`` through the step's start ``x0`` with slope
-    ``f0``, its midpoint ``xm`` with slope ``fm`` and its end ``x1``.  All
-    arrays broadcast elementwise, so each output gets its own arithmetic.
-    """
-    hf0 = h * f0
-    d1 = x1 - x0 - hf0
-    dm = xm - x0 - 0.5 * hf0
-    df = h * fm - hf0
-    c2 = 16.0 * dm + d1 - 4.0 * df
-    c3 = 12.0 * df - 4.0 * d1 - 32.0 * dm
-    c4 = 16.0 * dm - 8.0 * df + 4.0 * d1
-    return np.maximum(x0 + theta * (hf0 + theta * (c2 + theta * (c3 + theta * c4))), 0.0)
+    steps: int = 0              # accepted steps, or exact output intervals
+    rejected: int = 0           # rejected steps; 0 when exact
+    solver: str = "dopri5"      # "exact" for a Metzler system.matrix, else "dopri5"
 
 
 def _step_factor(tol, err, ok):
@@ -296,24 +285,25 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
     exceeds ``EXACT_MAX_SPAN``, past which that rounding, not the system,
     would decide a verdict.
 
-    Any other system steps adaptive RK4 (``solver`` "rk4").  Step doubling
-    holds the local error of each step below ``RK4_ATOL + rtol * max|xi|``.
-    Steps are cut only at the final time; an output time inside a step is
-    read from the step's dense output, a quartic through the step's start,
-    midpoint and end values and its slopes at the start and midpoint, which
-    costs no right-hand side and errs by about a fifth of the step's own
-    error estimate.  The outputs thus carry the global error of the step
-    sequence, some tens of ``rtol`` relative over a few dozen steps,
-    whatever their number.  Negative undershoots are clamped to zero (the
-    cone is the domain of the theory) and counted, as are accepted and
-    rejected steps.
+    Any other system steps the adaptive Dormand-Prince 5(4) pair (``solver``
+    "dopri5").  Its fourth-order solution holds the local error of each
+    step below ``STEP_ATOL + rtol * max(|xi|, |xi_new|)``, and the step
+    goes on from the fifth-order one.  The last of its seven stages, the
+    slope at the new state, is the next step's first unless the state was
+    clamped, so an attempt takes 6 right-hand sides after the first's 7 (7
+    again after a clamped step).  Steps are cut only at the final time; an
+    output time inside a step is read from the pair's fourth-order
+    continuous extension, clamped at 0, which costs no right-hand side.  The
+    outputs thus carry the global error of the step sequence, whatever
+    their number.  Negative undershoots are clamped to zero (the cone is the
+    domain of the theory) and counted, as are accepted and rejected steps.
 
     A run ends early only by an escape, which raises :class:`BlowupError`:
-    the state at an accepted RK4 step or an exact output leaves the
-    overflow guard, or its ``xi_0`` reaches (``>=``) ``ceiling`` (one
-    number; none by default), which escapes the same way, or an RK4 step
-    size underflows.  The error's ``partial`` holds the outputs reached
-    before the escaping step or output.
+    the state at an accepted step or an exact output leaves the overflow
+    guard, or its ``xi_0`` reaches (``>=``) ``ceiling`` (one number; none by
+    default), which escapes the same way, or the step size underflows.  The
+    error's ``partial`` holds the outputs reached before the escaping step
+    or output.
     """
     xi = np.asarray(xi0, dtype=float)
     if xi.shape != (system.dim,):
@@ -402,7 +392,7 @@ def _exact(mat, states, times, ceiling):
 
 
 def _adaptive(system, states, times, rtol, ceiling):
-    """The RK4 path of :func:`integrate`, from ``states[0]``; the outputs go
+    """The stepped path of :func:`integrate`, from ``states[0]``; the outputs go
     into ``states``, and the trajectories returned hold slices of it."""
     xi = states[0]
     last, end = len(times) - 1, float(times[-1])
@@ -414,6 +404,8 @@ def _adaptive(system, states, times, rtol, ceiling):
     nxt = 1                             # index of the next output time
     t, h = 0.0, (end / max(last, 1)) / 4.0
     clamped = steps = rejected = 0
+    stages = np.empty((len(DP_C), len(xi)))
+    stages[0] = system(t, xi)
 
     def result():
         return ComparisonTrajectory(times[:nxt], states[:nxt], clamp_events=clamped,
@@ -421,34 +413,41 @@ def _adaptive(system, states, times, rtol, ceiling):
 
     while nxt <= last:
         h_try = min(h, end - t)
-        k1, half, k_half, big, two = _double_step(system, t, xi, h_try)
-        err = float(np.max(np.abs(big - two))) / 15.0
-        tol = RK4_ATOL + rtol * max(float(np.max(np.abs(xi))), float(np.max(np.abs(two))),
-                                    1e-300)
+        for i in range(1, len(DP_C)):
+            new = xi + h_try * (DP_A[i, :i] @ stages[:i])
+            stages[i] = system(t + DP_C[i] * h_try, new)
+        err = h_try * float(np.max(np.abs(DP_E @ stages)))
+        tol = STEP_ATOL + rtol * max(float(np.max(np.abs(xi))), float(np.max(np.abs(new))),
+                                     1e-300)
         ok = err <= tol
         if ok:
             t0, x0 = t, xi
             t += h_try
             steps += 1
-            clamped += int(np.sum(two < 0))
-            xi = np.maximum(two, 0.0)
+            low = int(np.sum(new < 0))
+            clamped += low
+            xi = np.maximum(new, 0.0)
             if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard or xi[0] >= ceiling:
                 raise BlowupError(f"comparison state escaped the guard at t={t:.6g}",
                                   reached_time=t, partial=result())
             k = int(np.searchsorted(inside, t))
             if k > nxt:
-                theta = (times[nxt:k] - t0) / h_try
-                states[nxt:k] = _dense(theta[:, None], h_try, x0, k1, half, k_half, xi)
+                theta = ((times[nxt:k] - t0) / h_try)[:, None]
+                c1, c2, c3, c4 = h_try * (DP_D @ stages)
+                states[nxt:k] = np.maximum(x0 + theta * (c1 + theta * (c2 + theta * (
+                    c3 + theta * c4))), 0.0)
                 nxt = k
             k = int(np.searchsorted(reach, t, side="right"))
             if k > nxt:
                 states[nxt:k] = xi
                 nxt = k
+            # a clamp moved the state off the point of the last stage
+            stages[0] = system(t, xi) if low and nxt <= last else stages[-1]
         else:
             rejected += 1
         h = h_try * _step_factor(tol, err, ok)
         if nxt <= last and h < 1e-13 * end:
-            raise BlowupError("step size underflow in adaptive RK4", reached_time=t,
+            raise BlowupError("step size underflow in adaptive dopri5", reached_time=t,
                               partial=result())
     return result()
 
@@ -653,7 +652,7 @@ def check_practical(system: ComparisonSystem, lam: float, bound: float,
                     horizon: float) -> StabilityVerdict:
     """Practical stability via the comparison state started at ``lam * e``.
 
-    Integrates (at ``rtol = CHECK_RTOL`` on the RK4 path) from the all-ones
+    Integrates (at ``rtol = CHECK_RTOL`` on the stepped path) from the all-ones
     profile scaled by ``lam`` and compares the first component at the
     horizon against ``bound``; the flow is practically (lam, bound,
     horizon)-stable when the inequality is strict.  The witness carries the counters of the
@@ -700,7 +699,7 @@ class DominanceReport:
     clamp_events: int           # the counters of the comparison solution
     steps: int
     rejected: int
-    solver: str                 # "exact" (``steps`` counts output intervals) or "rk4"
+    solver: str                 # "exact" (``steps`` counts output intervals) or "dopri5"
 
 
 def bound_check(trajectory, system: ComparisonSystem, functional_names,
@@ -709,7 +708,7 @@ def bound_check(trajectory, system: ComparisonSystem, functional_names,
 
     The comparison system starts from the functional values at the first
     stored frame and is sampled at exactly the stored times, at ``rtol =
-    CHECK_RTOL`` on the RK4 path; the check is ``W_i(t) <= xi_i(t) + tol`` with a tolerance
+    CHECK_RTOL`` on the stepped path; the check is ``W_i(t) <= xi_i(t) + tol`` with a tolerance
     relative to the overall scale of the compared quantities.  The report
     carries the counters of that integration and its ``solver`` (see
     :func:`integrate`).

@@ -128,8 +128,14 @@ def _finite(numbers, what):
 def _nonnegative_roots(coeffs):
     # sorted real roots in [0, inf) of the polynomial with ascending
     # coefficients (a root within 1e-6 of the axis counts); the zero
-    # polynomial vanishes at 0
-    roots = np.roots(coeffs[::-1]) if any(coeffs) else np.zeros(1)
+    # polynomial vanishes at 0.  np.roots divides the coefficients by the
+    # leading one, and a quotient that overflows is refused here, before its
+    # warning and its eigenvalues of inf
+    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(coeffs / coeffs[-1:])):
+            raise ValueError("a coefficient over the leading one is not finite")
+    roots = np.roots(coeffs[::-1]) if coeffs.size else np.zeros(1)
     on_axis = np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots))
     return np.sort(roots.real[on_axis & (roots.real >= 0)])
 
@@ -601,11 +607,13 @@ def solve_reduced(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
     ``tau = int phi`` and ``sigma = int psi``.  Constant clocks give closed
     forms; other clocks need ``clocks(rhs, start, times)``, the ODE's states
     ``(tau, rho or sigma)``, and go to :func:`evolve` without it or when it
-    raises :class:`BlowupError` (escaping clocks, or more RK4 steps than
-    :func:`evolve`'s).  The frames are formed ``BLOCK_BYTES`` at a time, as
-    ``weights[i:j, None, :] @ basis``, and each reads :func:`evolve`'s overflow
-    guard; each ``tracked`` column is called once on each block as one body and
-    returns one value or row per frame, else a ValueError names it.
+    raises :class:`BlowupError` (escaping clocks, or more right-hand side
+    calls than 7, one Dormand-Prince attempt, for each of :func:`evolve`'s
+    steps or stored frames).  The frames are formed ``BLOCK_BYTES`` at a
+    time, as ``weights[i:j, None, :] @ basis``, and each reads
+    :func:`evolve`'s overflow guard; each ``tracked`` column is called once
+    on each block as one body and returns one value or row per frame, else a
+    ValueError names it.
     """
     if not (0.0 < horizon < math.inf and 0.0 < dt < math.inf):
         raise ValueError("horizon and dt must be positive")
@@ -649,9 +657,9 @@ def solve_reduced(u0: SupportFunction2D, params: SemiflowParams, horizon: float,
                 r[moving] *= np.expm1(x[moving]) / x[moving]
         else:
             gram = np.array([[bodies._mixed_form(g, f) for f in basis] for g in basis])
-            # 11 calls an RK4 attempt, as many attempts as evolve's steps or
-            # stored frames: a stiff clock costs no unbounded work
-            budget = 11 * max(MAX_STORED_FRAMES, math.ceil(horizon / dt))
+            # 7 calls a Dormand-Prince attempt, as many attempts as evolve's
+            # steps or stored frames: a stiff clock costs no unbounded work
+            budget = 7 * max(MAX_STORED_FRAMES, math.ceil(horizon / dt))
 
             def rhs(t, state):
                 nonlocal budget

@@ -425,12 +425,16 @@ def _system(check, scenario):
     return resolve_system(check.get("system", "auto"), scenario)
 
 
-def _exact_span(system, span, field, levels=()):
+def _exact_span(system, span, field, levels=(), spec=None):
     # the exact solver refuses a longer run (comparison.EXACT_MAX_SPAN) of a
-    # Metzler system, or of a clocked chain's bracket at each of 'levels';
-    # 'field' names where the span came from
+    # Metzler system, or of a clocked chain's bracket at each of 'levels'; a
+    # stepped run of the 'linear' system 'spec' takes steps in proportion to
+    # the span, and the same bound keeps them bounded.  'field' names where
+    # the span came from
     mats, chain = [system.matrix], system.chain
-    if system.matrix is None:
+    if isinstance(spec, dict) and spec["kind"] == "linear":
+        mats = [np.asarray(spec["matrix"], dtype=float)]
+    elif system.matrix is None:
         mats = [m for eps in levels for m in comparison._bracket(chain, eps)] if chain else []
     norm = max(map(comparison._inf_norm, mats), default=0.0)
     _require(span * norm <= comparison.EXACT_MAX_SPAN,
@@ -501,7 +505,7 @@ def _check_bound(check, scenario):
                    and all(n in tracked for n in v),
                    f"{system.dim} of the tracked functionals {tracked}")
     tol_scale = _positive(check, "tol_scale", 1e-4)
-    _exact_span(system, scenario.horizon, "bound_check: 'horizon'")
+    _exact_span(system, scenario.horizon, "bound_check: 'horizon'", spec=check.get("system"))
 
     def run(traj):
         rep = comparison.bound_check(traj, system, names, tol_scale=tol_scale)
@@ -513,7 +517,7 @@ def _check_practical(check, scenario):
     system = _system(check, scenario)
     lam, bound, horizon = _lambda_bound_horizon(check, scenario)
     _exact_span(system, horizon, "practical: 'T'" if "T" in check else "practical: 'horizon'",
-                (bound,))
+                (bound,), check.get("system"))
     expect = _verdict(check, "practically_stable",
                       ("practically_stable", "inconclusive", "unstable"))
 
@@ -621,11 +625,11 @@ def _check_growth_scaling(check, scenario):
     closed form, and the ratios of consecutive areas against the squared
     length ratios.
 
-    Each length runs its segment under the scenario's flow to the horizon
-    (through :func:`solve`), except a length whose segment has the samples
-    of the initial body bit for bit: the main run already solved that body,
-    so its final area is read from the main run's last body, the value a
-    second run would compute.
+    Each length's final area is the area of its segment's last body under
+    the scenario's flow at the horizon, run through :func:`solve` with no
+    tracked column, except for a length whose segment has the samples of
+    the initial body bit for bit: the main run already solved that body,
+    and its last body is the one a second run would reach.
     """
     lengths = _param(check, "lengths", GROWTH_LENGTHS,
                      lambda v: _positives(v, 2) and max(v) <= 2 * MAX_BODY_NORM,
@@ -641,11 +645,9 @@ def _check_growth_scaling(check, scenario):
         finals = []
         for length in lengths:
             seg = bodies.make_segment(length, grid_size=scenario.grid_size)
-            if seg.values.tobytes() == initial:
-                finals.append(float(bodies.area(traj.final)))
-                continue
-            tr = solve(seg, scenario.params, t_end, scenario.dt, tracked={"V": bodies.area})
-            finals.append(float(tr.tracked["V"][-1]))
+            last = (traj.final if seg.values.tobytes() == initial
+                    else solve(seg, scenario.params, t_end, scenario.dt, tracked={}).final)
+            finals.append(float(bodies.area(last)))
         try:
             rel_errors = [abs(v - certificates.segment_growth_value(t_end, l))
                           / certificates.segment_growth_value(t_end, l)
@@ -699,7 +701,7 @@ _CHECKS = {
 
 
 def _clocks(rhs, start, times):
-    # the clock ODE of flow.solve_reduced, by the comparison layer's RK4
+    # the clock ODE of flow.solve_reduced, by the comparison layer's stepped path
     system = comparison.ComparisonSystem(dim=len(start), rhs=rhs, name="clocks")
     return comparison.integrate(system, start, times, rtol=1e-12).states
 

@@ -267,12 +267,28 @@ def reference_step(u, params, dt):
 
 
 # ---------------------------------------------------------------------------
-# the scalar adaptive RK4 loop: one state, which the right-hand side sees
-# as a ``(dim,)`` array at a Python-float time, with Python-float steps,
-# error norms and step factors; ``comparison.integrate``, whose right-hand
-# side sees one-row batches, must match it bit for bit, states, times,
-# counters and escapes.  An accepted state whose xi_0 reaches the ceiling
-# escapes, as one past the guard does.
+# the adaptive Dormand-Prince 5(4) loop as Hairer's DOPRI5 writes it: one
+# state, which the right-hand side sees as a ``(dim,)`` array at a
+# Python-float time, each stage and the error estimate summed term by term
+# from the coefficients of the paper (Dormand and Prince, J. Comput. Appl.
+# Math. 6, 1980), and the dense output in Hairer's form
+# ``y0 + theta (dy + (1 - theta) (r3 + theta (r4 + (1 - theta) r5)))``.
+# ``comparison.integrate``, which sums its stages and its dense output as
+# matrix products, matches it to rounding (``assert_matches_reference``),
+# with the same times, counters and escapes.  An accepted state whose xi_0
+# reaches the ceiling escapes, as one past the guard does.
+
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+# fifth-order weights minus the fourth-order ones
+_DP_ERR = (35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695, 125 / 192 - 393 / 640,
+           -2187 / 6784 + 92097 / 339200, 11 / 84 - 187 / 2100, -1 / 40)
+_DP_DENSE = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+             -10690763975 / 1880347072, 701980252875 / 199316789632,
+             -1453857185 / 822651844, 69997945 / 29380423)
 
 
 def reference_step_factor(tol, err, ok):
@@ -281,24 +297,15 @@ def reference_step_factor(tol, err, ok):
     return max(0.1, 0.9 * (tol / err) ** 0.2)
 
 
-def _reference_rk4(system, t, xi, h, k1):
-    k2 = system(t + 0.5 * h, xi + 0.5 * h * k1)
-    k3 = system(t + 0.5 * h, xi + 0.5 * h * k2)
-    k4 = system(t + h, xi + h * k3)
-    return xi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _reference_double_step(system, t, xi, h):
-    k1 = system(t, xi)
-    big = _reference_rk4(system, t, xi, h, k1)
-    half = _reference_rk4(system, t, xi, 0.5 * h, k1)
-    k_half = system(t + 0.5 * h, half)
-    two = _reference_rk4(system, t + 0.5 * h, half, 0.5 * h, k_half)
-    return k1, half, k_half, big, two
+def _weighted(h, weights, slopes):
+    total = 0.0 * slopes[0]
+    for w, k in zip(weights, slopes):
+        total = total + (h * w) * k
+    return total
 
 
 def reference_integrate(system, xi0, times, rtol=1e-8, ceiling=math.inf):
-    from setflow.comparison import GUARD_FACTOR, RK4_ATOL, ComparisonTrajectory, _dense
+    from setflow.comparison import GUARD_FACTOR, STEP_ATOL, ComparisonTrajectory
     from setflow.errors import BlowupError
 
     xi = np.asarray(xi0, dtype=float).copy()
@@ -317,22 +324,27 @@ def reference_integrate(system, xi0, times, rtol=1e-8, ceiling=math.inf):
     clamped = steps = rejected = 0
     t = 0.0
     h = (end / max(last, 1)) / 4.0
+    k1 = system(t, xi)
 
     def result():
         return ComparisonTrajectory(times[:nxt], states[:nxt], clamped, steps, rejected)
 
     while nxt <= last:
         h_try = min(h, end - t)
-        k1, half, k_half, big, two = _reference_double_step(system, t, xi, h_try)
-        err = float(np.max(np.abs(big - two))) / 15.0
-        tol = RK4_ATOL + rtol * max(float(np.max(np.abs(xi))),
-                                    float(np.max(np.abs(two))), 1e-300)
+        slopes = [k1]
+        for c, row in zip(_DP_C, _DP_A):
+            new = xi + _weighted(h_try, row, slopes)
+            slopes.append(system(t + c * h_try, new))
+        err = float(np.max(np.abs(_weighted(h_try, _DP_ERR, slopes))))
+        tol = STEP_ATOL + rtol * max(float(np.max(np.abs(xi))),
+                                     float(np.max(np.abs(new))), 1e-300)
         if err <= tol:
             t0, x0 = t, xi
             t += h_try
-            xi = two
+            xi = new
             steps += 1
-            if np.any(xi < 0):
+            low = bool(np.any(xi < 0))
+            if low:
                 clamped += int(np.sum(xi < 0))
                 xi = np.maximum(xi, 0.0)
             if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard or xi[0] >= ceiling:
@@ -341,21 +353,89 @@ def reference_integrate(system, xi0, times, rtol=1e-8, ceiling=math.inf):
                     reached_time=t, partial=result())
             k = int(np.searchsorted(inside, t))
             if k > nxt:
-                theta = (times[nxt:k] - t0) / h_try
-                states[nxt:k] = _dense(theta[:, None], h_try, x0, k1, half, k_half, xi)
+                theta = ((times[nxt:k] - t0) / h_try)[:, None]
+                dy = new - x0
+                r3 = h_try * slopes[0] - dy
+                r4 = dy - h_try * slopes[6] - r3
+                r5 = _weighted(h_try, _DP_DENSE, slopes)
+                dense = x0 + theta * (dy + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
+                states[nxt:k] = np.maximum(dense, 0.0)
                 nxt = k
             k = int(np.searchsorted(reach, t, side="right"))
             if k > nxt:
                 states[nxt:k] = xi
                 nxt = k
+            if nxt <= last:
+                k1 = system(t, xi) if low else slopes[6]
         else:
             rejected += 1
         if nxt <= last:
             h = h_try * reference_step_factor(tol, err, err <= tol)
             if h < 1e-13 * end:
-                raise BlowupError("step size underflow in adaptive RK4",
+                raise BlowupError("step size underflow in adaptive dopri5",
                                   reached_time=t, partial=result())
     return result()
+
+
+def reference_doubling_final(system, xi0, times, rtol):
+    """The last state of the adaptive RK4 by step doubling that ``integrate``
+    stepped before the Dormand-Prince pair, and its right-hand side calls: the
+    full step and the two half steps from one slope, 11 calls an attempt,
+    the two half steps accepted and clamped to the cone, under the same
+    controller; the baseline of the pair's gains."""
+    from setflow.comparison import STEP_ATOL
+
+    calls = []
+
+    def f(t, x):
+        calls.append(t)
+        return system(t, x)
+
+    def rk4(t, x, h, k1):
+        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = f(t + h, x + h * k3)
+        return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    xi = np.asarray(xi0, dtype=float)
+    end = float(times[-1])
+    t, h = 0.0, (end / max(len(times) - 1, 1)) / 4.0
+    while t < end - 1e-14 * end:
+        h_try = min(h, end - t)
+        k1 = f(t, xi)
+        big = rk4(t, xi, h_try, k1)
+        half = rk4(t, xi, 0.5 * h_try, k1)
+        two = rk4(t + 0.5 * h_try, half, 0.5 * h_try, f(t + 0.5 * h_try, half))
+        err = float(np.max(np.abs(big - two))) / 15.0
+        tol = STEP_ATOL + rtol * max(float(np.max(np.abs(xi))),
+                                     float(np.max(np.abs(two))), 1e-300)
+        if err <= tol:
+            t += h_try
+            xi = np.maximum(two, 0.0)
+        h = h_try * reference_step_factor(tol, err, err <= tol)
+    return xi, len(calls)
+
+
+def assert_matches_reference(run, ref, rtol=1e-8):
+    """``run`` of ``comparison.integrate`` against ``ref`` of ``reference_integrate`` at
+    ``rtol``, trajectories or escapes (``BlowupError``).  The two round differently,
+    and the error estimate, a sum of nearly cancelling stages, carries that
+    rounding into the step sizes (by some 1e-8 relative at rtol 1e-10), so they
+    take the same output times and counters, end at the same time to 1e-6
+    relative, and their states agree to ``rtol`` of the largest, one step's
+    error allowance."""
+    from setflow.errors import BlowupError
+
+    assert isinstance(run, BlowupError) == isinstance(ref, BlowupError)
+    if isinstance(ref, BlowupError):
+        assert str(run).split()[:3] == str(ref).split()[:3]
+        assert math.isclose(run.reached_time, ref.reached_time, rel_tol=1e-6)
+        run, ref = run.partial, ref.partial
+    assert np.array_equal(run.times, ref.times)
+    assert ((run.clamp_events, run.steps, run.rejected)
+            == (ref.clamp_events, ref.steps, ref.rejected))
+    scale = float(np.max(np.abs(ref.states), initial=0.0))
+    assert np.max(np.abs(run.states - ref.states), initial=0.0) <= rtol * scale
 
 
 # ---------------------------------------------------------------------------

@@ -183,9 +183,9 @@ class TestInstability:
 
 class TestHausdorffStability:
     def test_contractive_envelope(self, monkeypatch):
-        def no_rk4(*args):
-            raise AssertionError("the norm envelope stepped RK4")
-        monkeypatch.setattr(C, "_adaptive", no_rk4)
+        def no_steps(*args):
+            raise AssertionError("the norm envelope took adaptive steps")
+        monkeypatch.setattr(C, "_adaptive", no_steps)
         params = F.SemiflowParams(A=MINUS_I, phi=F.constant(1.0),
                                   source=F.zero_source())
         verdict = CERT.hausdorff_stability_report(

@@ -218,7 +218,7 @@ def test_a_growing_ball_flow_still_blows_up(tmp_path, phi, solver):
 
 
 def test_a_stiff_clock_is_stepped_within_a_bounded_budget():
-    # rho' = -1e13 rho + 1: RK4 would need some 1e13 steps
+    # rho' = -1e13 rho + 1: an explicit stepper would need some 1e13 steps
     u0 = bodies.make_ball(1.0, grid_size=64)
     params = flow.SemiflowParams(A=-np.eye(2), phi=flow.rational([1e13], [1.0]),
                                  source=flow.ball_source(flow.constant(1.0)))

@@ -395,6 +395,13 @@ class TestCli:
         assert "reflection_square" in out
         assert "sde_bound" in out
 
+    def test_the_parser_is_built_once_and_keeps_no_state(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        parser.parse_args(["run", "a", "--jobs", "2", "--out", "x"])
+        again = parser.parse_args(["run", "b"])
+        assert (again.scenario, again.jobs, again.out) == (["b"], 1, None)
+
     def test_geom_area(self, capsys):
         assert cli.main(["geom", "area", "ball:1"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(
@@ -792,6 +799,34 @@ class TestCli:
             assert f"{check['kind']}: {key!r} times the comparison matrix" in proc.stderr
             assert "Warning" not in proc.stderr and not out.exists()
 
+    @pytest.mark.parametrize("check, key, field", [
+        ({"kind": "practical", "lambda": 0.5, "A": 5.0, "T": 1e12}, {}, "practical: 'T'"),
+        ({"kind": "bound_check", "functionals": ["V", "W1"]}, {"horizon": 1e7, "dt": 10.0},
+         "bound_check: 'horizon'"),
+    ], ids=["practical", "bound_check"])
+    def test_a_stepped_linear_check_past_the_span_exits_2(self, tmp_path, check, key, field):
+        # the non-Metzler [[-1, -0.5], [0, -1]] has no matrix or bracket and
+        # is stepped, in steps that grow with its span T ||M||_inf = 1.5 T;
+        # past EXACT_MAX_SPAN the document exits 2 naming the field, before
+        # the flow runs (in a fresh interpreter, where a numpy warning would
+        # reach stderr), and a short span is stepped
+        doc = scenarios.builtin_scenarios()["nilpotent_decay"] | key
+        system = {"kind": "linear", "matrix": [[-1.0, -0.5], [0.0, -1.0]]}
+        doc["grid_size"], doc["checks"] = 16, [dict(check, system=system)]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        proc = run_python("-m", "setflow.cli", "run", str(path), "--out", str(out))
+        assert proc.returncode == cli.EXIT_SCHEMA, proc.stderr
+        assert f"{field} times the comparison matrix's ||M||_inf (1.5)" in proc.stderr
+        assert "Warning" not in proc.stderr and not out.exists()
+        doc.update(horizon=3.0, dt=1e-3)
+        doc["checks"][0].pop("T", None)     # a practical T defaults to the horizon
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(out)]) != cli.EXIT_SCHEMA
+        report = json.loads((out / f"{doc['name']}.json").read_text())
+        assert report["checks"][0]["details"]["solver"] == "dopri5"
+
     def test_an_explicit_system_whose_constants_overflow_exits_2(self, tmp_path):
         # 2 a phi = 2e308, the coupling 2 psi = 2e308, and the norm of a
         # Metzler matrix doubled overflow; each system used to fall back to
@@ -942,6 +977,24 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
         assert f"bad {field}" in capsys.readouterr().err
         assert not out.exists()     # rejected before the flow ran
+
+    @pytest.mark.parametrize("function", [
+        {"kind": "rational", "num": [1.0, 1e-310], "den": [1.0]},
+        {"kind": "rational", "num": [1.0], "den": [1.0, 1e-310]},
+    ], ids=["num", "den"])
+    def test_a_rational_whose_roots_overflow_exits_2(self, tmp_path, function):
+        # 1 / 1e-310 overflows in the companion matrix of the roots, which
+        # used to warn and fail in numpy's eigenvalues; in a fresh
+        # interpreter, so that numpy's warning would reach stderr
+        doc = quick_doc(name="tiny_lead")
+        doc["params"]["phi"] = function
+        path = tmp_path / "tiny_lead.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        proc = run_python("-m", "setflow.cli", "run", str(path), "--out", str(out))
+        assert proc.returncode == cli.EXIT_SCHEMA, proc.stderr
+        assert "bad phi 'rational' parameters: a coefficient over the leading one" in proc.stderr
+        assert "Warning" not in proc.stderr and not out.exists()
 
     @pytest.mark.parametrize("name", list(scenarios.builtin_scenarios()))
     def test_every_non_finite_number_is_a_schema_error(self, name):
