@@ -24,7 +24,7 @@ for t_probe in (0.25, 0.5, 1.0):
 print("\ncontractive system (A = -I): radius saturates at 1 - exp(-t)")
 # the frames are not kept, so the radius is tracked as a column of its own
 traj = reach_set(-np.eye(2), disc, origin, horizon=2.0, dt=1e-3,
-                 tracked={"radius": lambda u: float(np.max(u.values))})
+                 tracked={"radius": lambda u: np.max(u.values, axis=-1)})
 print(f"{'t':>5} {'max h':>12} {'1 - exp(-t)':>12}")
 for t_probe in (0.5, 1.0, 2.0):
     i = int(np.argmin(np.abs(traj.times - t_probe)))

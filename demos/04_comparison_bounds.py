@@ -36,8 +36,9 @@ for t, row in zip(xi.times, xi.states):
     print(f"  t={t:4.2f}  xi0={row[0]:9.5f}  xi1={row[1]:9.5f}")
 
 verdict = check_practical(system, lam=1.0, bound=100.0, horizon=1.0)
+(_, delta), = verdict.witness["delta_table"]
 print(f"\npractical stability (lam=1, bound=100, T=1): {verdict.kind}, "
-      f"margin {verdict.witness['margin']:.2f}")
+      f"peak {verdict.witness['peak']:.4f} from the unit corner, delta {delta:.4f}")
 
 exp_rep = sde_growth_exponents(swap)
 print(f"growth exponents: formula {exp_rep.formula_plus:.2f}/"

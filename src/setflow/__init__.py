@@ -7,7 +7,7 @@ The package splits into four layers:
 - :mod:`setflow.flow` -- the volume-coupled linear flow with Minkowski
   sources, its split-step integrator and Picard oracle;
 - :mod:`setflow.comparison` -- comparison ODE systems on the nonnegative
-  cone and sampled stability verdicts;
+  cone and stability verdicts, decided from Metzler matrices;
 - :mod:`setflow.certificates` -- closed-form criteria: fixed points,
   linearization, growth exponents, Hausdorff-norm stability.
 

@@ -273,7 +273,8 @@ def practical_growth_criterion(matrix, lam: float, bound: float, horizon: float)
     Evaluates ``2 + (2 - mu_minus) exp(mu_plus T) < bound * sqrt(tr^2 B +
     16 |det B|) / lam`` with the formula exponents, next to the same
     inequality with the eigenvalue exponents.  Reported for reference; the
-    binding verdict comes from integrating the growth system.  A left side
+    binding verdict is :func:`setflow.comparison.check_practical` of the growth
+    system's matrix.  A left side
     that is infinite (by the sign of ``2 - mu_minus``) becomes None in a report.
     """
     rep = sde_growth_exponents(matrix)

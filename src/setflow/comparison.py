@@ -12,7 +12,6 @@ clocked chain (:func:`_bracket`); the sampled checks are evidence, not proof.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ EXACT_MAX_SPAN = 1e7
 XI0_OUTPUTS = 32            # output intervals on [0, T_check] of the xi0 search
 DECAY_FACTOR = 1e-3         # asymptotic: xi_0(T_check) < DECAY_FACTOR * xi_0(0) at the corner
 DELTA_FLOOR = 1e-12         # the xi0 search ends unstable at a level whose delta is at most this
-CHECK_RTOL = 1e-10          # integrate's rtol in check_practical and bound_check
+CHECK_RTOL = 1e-10          # integrate's rtol in bound_check
 WAZEWSKI_TOL = 1e-9         # slack of the sampled quasimonotonicity inequality
 WAZEWSKI_BLOCK = 2 ** 18    # doubles in the lowered points of one check_wazewski block
 SAMPLED_EVIDENCE_NOTE = ("sampled evidence only: quasimonotonicity and cone "
@@ -270,8 +269,7 @@ def _step_factor(tol, err, ok):
     return max(0.1, 0.9 * (tol / err) ** 0.2)
 
 
-def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
-              ceiling=None) -> ComparisonTrajectory:
+def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8) -> ComparisonTrajectory:
     """The trajectory from the state ``xi0``, shape ``(dim,)``, read off at
     ``times``, finite and increasing from 0; ``states`` has shape
     ``(len(times), dim)``.
@@ -300,10 +298,8 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
 
     A run ends early only by an escape, which raises :class:`BlowupError`:
     the state at an accepted step or an exact output leaves the overflow
-    guard, or its ``xi_0`` reaches (``>=``) ``ceiling`` (one number; none by
-    default), which escapes the same way, or the step size underflows.  The
-    error's ``partial`` holds the outputs reached before the escaping step
-    or output.
+    guard, or the step size underflows.  The error's ``partial`` holds the
+    outputs reached before the escaping step or output.
     """
     xi = np.asarray(xi0, dtype=float)
     if xi.shape != (system.dim,):
@@ -314,9 +310,6 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
     if (times.ndim != 1 or times.size == 0 or times[0] != 0.0
             or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0)):
         raise ValueError("output times must be finite and increase from 0")
-    ceiling = math.inf if ceiling is None else ceiling
-    if not isinstance(ceiling, numbers.Real) or math.isnan(ceiling):
-        raise ValueError("ceiling must be one number, not NaN")
     states = np.empty((len(times), system.dim))
     states[0] = xi
     if system.matrix is not None:
@@ -324,8 +317,8 @@ def integrate(system: ComparisonSystem, xi0, times, rtol: float = 1e-8,
         if span > EXACT_MAX_SPAN:
             raise ValueError(f"the exact path runs to times[-1] * ||M||_inf <= "
                              f"{EXACT_MAX_SPAN:.0e}, got {span:.3g}")
-        return _exact(system.matrix, states, times, ceiling)
-    return _adaptive(system, states, times, rtol, ceiling)
+        return _exact(system.matrix, states, times)
+    return _adaptive(system, states, times, rtol)
 
 
 def _metzler_expm(mat, h):
@@ -362,11 +355,11 @@ def _metzler_expm(mat, h):
     return out
 
 
-def _exact(mat, states, times, ceiling):
+def _exact(mat, states, times):
     """The exact path of :func:`integrate` for the Metzler matrix ``mat``:
     output interval ``j`` multiplies the state by ``exp(M h_j)``, one
-    exponential per distinct length ``h_j``.  The guard and the ceiling see
-    all the outputs at once, after the last product."""
+    exponential per distinct length ``h_j``.  The guard sees all the outputs
+    at once, after the last product."""
     with np.errstate(over="ignore", invalid="ignore"):
         lengths, kind = np.unique(np.diff(times), return_inverse=True)
         props = [_metzler_expm(mat, h) for h in lengths.tolist()]
@@ -377,12 +370,9 @@ def _exact(mat, states, times, ceiling):
     # overall maximum fails that test
     guard = GUARD_FACTOR * max(1.0, float(np.max(states[0])))
     ends = states[1:]
-    escaped = ends[:, 0] >= ceiling
     if not np.max(ends, initial=0.0) <= guard:
-        escaped |= ~(np.max(ends, axis=1) <= guard)
-    hits = np.flatnonzero(escaped)
-    if hits.size:
-        done = int(hits[0]) + 1         # the escaping output, and the intervals taken
+        # the escaping output (the first that fails), and the intervals taken
+        done = int(np.argmin(np.max(ends, axis=1) <= guard)) + 1
         reached = float(times[done])
         raise BlowupError(
             f"comparison state escaped the guard at t={reached:.6g}", reached_time=reached,
@@ -391,7 +381,7 @@ def _exact(mat, states, times, ceiling):
     return ComparisonTrajectory(times, states, steps=len(times) - 1, solver="exact")
 
 
-def _adaptive(system, states, times, rtol, ceiling):
+def _adaptive(system, states, times, rtol):
     """The stepped path of :func:`integrate`, from ``states[0]``; the outputs go
     into ``states``, and the trajectories returned hold slices of it."""
     xi = states[0]
@@ -427,7 +417,7 @@ def _adaptive(system, states, times, rtol, ceiling):
             low = int(np.sum(new < 0))
             clamped += low
             xi = np.maximum(new, 0.0)
-            if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard or xi[0] >= ceiling:
+            if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > guard:
                 raise BlowupError(f"comparison state escaped the guard at t={t:.6g}",
                                   reached_time=t, partial=result())
             k = int(np.searchsorted(inside, t))
@@ -457,7 +447,7 @@ def _adaptive(system, states, times, rtol, ceiling):
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Outcome of a sampled stability check, with the evidence it rests on."""
+    """Outcome of a stability check, with the evidence it rests on."""
 
     kind: str                   # stable | asymptotically_stable |
                                 # practically_stable | unstable | inconclusive
@@ -643,49 +633,30 @@ def _bracket_xi0(chain, levels, T_check):
         "decay_ratio": smallest.witness["decay_ratio"], **bracket})
 
 
-def _counters(traj: ComparisonTrajectory) -> dict:
-    return {"clamp_events": traj.clamp_events, "steps": traj.steps,
-            "rejected": traj.rejected, "solver": traj.solver}
-
-
 def check_practical(system: ComparisonSystem, lam: float, bound: float,
                     horizon: float) -> StabilityVerdict:
-    """Practical stability via the comparison state started at ``lam * e``.
+    """Practical (lam, bound, horizon) stability, decided at the corner: every start
+    ``x >= 0`` with ``|x|_inf < lam`` keeps ``xi_0 < bound`` on [0, horizon].
 
-    Integrates (at ``rtol = CHECK_RTOL`` on the stepped path) from the all-ones
-    profile scaled by ``lam`` and compares the first component at the
-    horizon against ``bound``; the flow is practically (lam, bound,
-    horizon)-stable when the inequality is strict.  The witness carries the counters of the
-    integration and its ``solver`` (see :func:`integrate`), up to the
-    blow-up when the comparison state escapes.  A clocked ``chain`` is
-    ``practically_stable`` when ``lam`` is below the delta of :func:`_exact_xi0`
-    of ``M_up`` at the level ``bound`` (``bound`` at horizon 0), else ``inconclusive``.
+    The delta of :func:`_exact_xi0` at the one level ``bound`` (``bound`` itself at
+    horizon 0), of the ``matrix`` or of a ``chain``'s upper bracket ``M_up`` at
+    ``bound`` (:func:`_bracket`): ``practically_stable`` when ``lam`` is below it,
+    else ``inconclusive``.  Any other system is ``inconclusive``, with nothing run.
     """
     if not 0 < lam < bound:
         raise ValueError("requires 0 < lam < bound")
-    threshold = float(bound)
-    window = {"lambda": lam, "bound": bound, "horizon": horizon, "threshold": threshold}
-    if system.matrix is None and system.chain is not None:
-        witness = (_exact_xi0(linear_system(_bracket(system.chain, bound)[1]), [bound],
-                              horizon).witness if horizon else {"delta_table": [(bound, bound)]})
-        delta = dict(witness["delta_table"]).get(bound, 0.0)
-        return StabilityVerdict(kind="practically_stable" if delta > lam else "inconclusive",
-                                witness={**witness, **window, "solver": "bracket",
-                                         "note": BRACKET_EVIDENCE_NOTE})
-    start = float(lam) * np.ones(system.dim)
-    try:
-        traj = integrate(system, start, np.linspace(0.0, horizon, 257 if horizon else 1),
-                         rtol=CHECK_RTOL)
-    except BlowupError as exc:
-        return StabilityVerdict(kind="unstable", witness={
-            "diagnostic": f"comparison system blew up at t={exc.reached_time:.6g}",
-            **window, **_counters(exc.partial)})
-    xi0_final = float(traj.states[-1, 0])
-    margin = threshold - xi0_final
-    kind = "practically_stable" if margin > 0 else "inconclusive"
-    return StabilityVerdict(kind=kind, witness={
-        "xi0_final": xi0_final, "xi0_max": float(np.max(traj.states[:, 0])),
-        "margin": margin, **window, "initial_state": start, **_counters(traj)})
+    window = {"lambda": lam, "bound": bound, "horizon": horizon}
+    if system.matrix is not None:
+        mat, solver, note = system.matrix, "exact", MATRIX_EVIDENCE_NOTE
+    elif system.chain is not None:
+        mat, solver, note = _bracket(system.chain, bound)[1], "bracket", BRACKET_EVIDENCE_NOTE
+    else:
+        return StabilityVerdict(kind="inconclusive", witness={**window, "note": NO_BOUND_NOTE})
+    witness = (_exact_xi0(linear_system(mat), [bound], horizon).witness if horizon
+               else {"delta_table": [(bound, bound)]})
+    delta = dict(witness["delta_table"]).get(bound, 0.0)
+    return StabilityVerdict(kind="practically_stable" if lam < delta else "inconclusive",
+                            witness={**witness, **window, "solver": solver, "note": note})
 
 
 @dataclass(frozen=True)
@@ -726,7 +697,8 @@ def bound_check(trajectory, system: ComparisonSystem, functional_names,
     margins = {n: float(np.max(diff[:, i])) for i, n in enumerate(names)}
     worst = max(margins.values())
     return DominanceReport(passed=worst <= tol, max_violation=worst,
-                           tolerance=tol, margins=margins, **_counters(comp))
+                           tolerance=tol, margins=margins, clamp_events=comp.clamp_events,
+                           steps=comp.steps, rejected=comp.rejected, solver=comp.solver)
 
 
 @dataclass(frozen=True)

@@ -821,11 +821,12 @@ def reach_set(A, control_body: SupportFunction2D, start: SupportFunction2D,
     """Attainability sets of ``x' = A x + u`` with controls ranging in a body.
 
     The support function of the reachable set solves ``dh/dt = A*h + h_U``,
-    which is the flow with unit clock and constant source.
+    which is the flow with unit clock and constant source, solved by
+    :func:`solve_reduced`: in closed form for a scalar ``A``, else by :func:`evolve`.
     """
     params = SemiflowParams(A=A, phi=constant(1.0),
                             source=constant_source(control_body))
-    return evolve(start, params, horizon, dt, **kwargs)
+    return solve_reduced(start, params, horizon, dt, **kwargs)
 
 
 def mixed_columns(op, count: int) -> dict:

@@ -308,6 +308,21 @@ def _finite_products(mat, what):
     return mat, det, square
 
 
+def _linear(spec):
+    """The 'linear' system, or a SchemaError naming its first negative off-diagonal
+    entry: the comparison theorem needs a quasimonotone (Metzler) matrix."""
+    matrix = _param(spec, "matrix", None,
+                    lambda v: isinstance(v, list) and 0 < len(v) <= MAX_SYSTEM_DIM,
+                    f"a square matrix of order 1 to {MAX_SYSTEM_DIM}")
+    system = comparison.linear_system(matrix)
+    if system.matrix is None:
+        mat = np.asarray(matrix, dtype=float)
+        i, j = next((i, j) for i, j in zip(*np.nonzero(mat < 0)) if i != j)
+        raise SchemaError(f"comparison system 'linear': 'matrix' entry ({i}, {j}) is "
+                          f"{mat[i, j]:g}; off the diagonal it must be >= 0 (Metzler)")
+    return system
+
+
 _SYSTEMS = {
     "nilpotent": lambda spec: comparison.nilpotent_source_system(
         _parse_function(spec["phi"], "phi"), _parse_function(spec["psi"], "psi"),
@@ -317,9 +332,7 @@ _SYSTEMS = {
         k=_count(spec, "k", None, 1, MAX_SYSTEM_DIM), a=_number(spec, "a", -1.0)),
     "sde": lambda spec: comparison.sde_growth_system(
         _finite_products(_parse_matrix(spec["B"], "B"), "comparison system 'sde' B")[0]),
-    "linear": lambda spec: comparison.linear_system(_param(
-        spec, "matrix", None, lambda v: isinstance(v, list) and 0 < len(v) <= MAX_SYSTEM_DIM,
-        f"a square matrix of order 1 to {MAX_SYSTEM_DIM}")),
+    "linear": _linear,
 }
 
 
@@ -425,16 +438,12 @@ def _system(check, scenario):
     return resolve_system(check.get("system", "auto"), scenario)
 
 
-def _exact_span(system, span, field, levels=(), spec=None):
+def _exact_span(system, span, field, levels=()):
     # the exact solver refuses a longer run (comparison.EXACT_MAX_SPAN) of a
-    # Metzler system, or of a clocked chain's bracket at each of 'levels'; a
-    # stepped run of the 'linear' system 'spec' takes steps in proportion to
-    # the span, and the same bound keeps them bounded.  'field' names where
-    # the span came from
+    # Metzler system, or of a clocked chain's bracket at each of 'levels';
+    # 'field' names where the span came from
     mats, chain = [system.matrix], system.chain
-    if isinstance(spec, dict) and spec["kind"] == "linear":
-        mats = [np.asarray(spec["matrix"], dtype=float)]
-    elif system.matrix is None:
+    if system.matrix is None:
         mats = [m for eps in levels for m in comparison._bracket(chain, eps)] if chain else []
     norm = max(map(comparison._inf_norm, mats), default=0.0)
     _require(span * norm <= comparison.EXACT_MAX_SPAN,
@@ -505,7 +514,7 @@ def _check_bound(check, scenario):
                    and all(n in tracked for n in v),
                    f"{system.dim} of the tracked functionals {tracked}")
     tol_scale = _positive(check, "tol_scale", 1e-4)
-    _exact_span(system, scenario.horizon, "bound_check: 'horizon'", spec=check.get("system"))
+    _exact_span(system, scenario.horizon, "bound_check: 'horizon'")
 
     def run(traj):
         rep = comparison.bound_check(traj, system, names, tol_scale=tol_scale)
@@ -517,9 +526,8 @@ def _check_practical(check, scenario):
     system = _system(check, scenario)
     lam, bound, horizon = _lambda_bound_horizon(check, scenario)
     _exact_span(system, horizon, "practical: 'T'" if "T" in check else "practical: 'horizon'",
-                (bound,), check.get("system"))
-    expect = _verdict(check, "practically_stable",
-                      ("practically_stable", "inconclusive", "unstable"))
+                (bound,))
+    expect = _verdict(check, "practically_stable", ("practically_stable", "inconclusive"))
 
     def run(traj):
         verdict = comparison.check_practical(system, lam=lam, bound=bound, horizon=horizon)

@@ -440,8 +440,9 @@ def assert_matches_reference(run, ref, rtol=1e-8):
 
 # ---------------------------------------------------------------------------
 # the corner search: every level bisected on its own, each trial one run of
-# ``integrate`` (by default the scalar loop ``reference_integrate``) from the
-# corner of its delta box; the oracle of the deltas that
+# ``integrate`` (by default the scalar loop ``reference_integrate``, whose
+# states stop once they reach their level, a check of every accepted step)
+# from the corner of its delta box; the oracle of the deltas that
 # ``comparison.check_xi0_stability`` finds in closed form
 
 
@@ -462,8 +463,9 @@ def reference_check_xi0_stability(system, eps_grid=(0.1, 1.0), T_check=50.0,
     def final(delta, eps):
         start = np.full(system.dim, delta * (1 - 1e-12))
         try:
-            x = (integrate or reference_integrate)(system, start, times, rtol=rtol,
-                                                   ceiling=eps).states[:, 0]
+            run = (integrate(system, start, times, rtol=rtol) if integrate
+                   else reference_integrate(system, start, times, rtol=rtol, ceiling=eps))
+            x = run.states[:, 0]
         except BlowupError:
             return None
         return None if np.max(x) >= eps else x[-1]

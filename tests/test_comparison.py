@@ -137,8 +137,9 @@ class TestIntegrate:
         # horizon of 1e-12 as an underflow, and a horizon of 1e-14 as reached
         # by its first step
         system = C.nilpotent_source_system(RATIONAL, F.constant(0.5))
-        practical = C.check_practical(stepped(system), lam=0.1, bound=10.0, horizon=T)
-        assert practical.kind == "practically_stable" and practical.witness["steps"] >= 6
+        traj = C.integrate(system, np.full(2, 0.1), np.linspace(0.0, T, 257), rtol=C.CHECK_RTOL)
+        assert traj.solver == "dopri5" and len(traj.times) == 257 and traj.steps >= 6
+        assert np.all(traj.states[:, 0] < 0.2)
         # the bracket's exact runs take the same short spans
         verdict = C.check_xi0_stability(system, eps_grid=(0.5,), T_check=T)
         assert verdict.kind == "stable" and verdict.witness["delta_table"] == [(0.5, 0.5)]
@@ -231,68 +232,6 @@ class TestIntegrate:
             assert single.states.shape == (31, system.dim)
             helpers.assert_matches_reference(single, ref)
 
-    def test_a_row_stops_alone(self):
-        # the state from 1 grows past its ceiling 2 near t = ln 2 and
-        # escapes where the scalar loop does; the state from 0 holds still
-        growth = stepped(C.linear_system([[1.0]]))
-        times = np.linspace(0.0, 3.0, 31)
-        with pytest.raises(BlowupError, match="escaped the guard") as ref:
-            helpers.reference_integrate(growth, [1.0], times, ceiling=2.0)
-        with pytest.raises(BlowupError, match="escaped the guard") as single:
-            C.integrate(growth, [1.0], times, ceiling=2.0)
-        alone = C.integrate(growth, [0.0], times, ceiling=2.0)
-        helpers.assert_matches_reference(single.value, ref.value)
-        assert abs(single.value.reached_time - np.log(2.0)) < 0.1
-        assert 1 < len(single.value.partial.times) < 31
-        assert np.all(alone.states == 0.0) and len(alone.times) == 31
-
-    def test_rows_stop_at_their_own_thresholds(self):
-        # the states from rows 0, 2, 3 and 5 reach their ceilings, 1 and 4 never do
-        system = C.cyclic_mixed_system(F.rational([1.0], [1.0, 1.0]), F.constant(0.9), 3)
-        xi0 = np.random.default_rng(21).uniform(0.0, 1.0, size=(6, 3))
-        ceiling = np.array([1.5, 40.0, 2.0, 1.2, 150.0, 3.0])
-        times = np.linspace(0.0, 4.0, 41)
-
-        def run(integrate, row, cap):
-            # the trajectory, or the escape
-            try:
-                return integrate(system, row, times, ceiling=cap)
-            except BlowupError as err:
-                return err
-        escapes = 0
-        for i, row in enumerate(xi0):
-            ref = run(helpers.reference_integrate, row, ceiling[i])
-            helpers.assert_matches_reference(run(C.integrate, row, ceiling[i]), ref)
-            escapes += isinstance(ref, BlowupError)
-        assert escapes == 4
-        # the states below their ceilings keep the bits they get with none
-        for i in (1, 4):
-            below = C.integrate(system, xi0[i], times, ceiling=ceiling[i])
-            assert np.array_equal(below.states, C.integrate(system, xi0[i], times).states)
-
-    @pytest.mark.parametrize("system", [C.linear_system([[-1.0, 0.5], [0.5, -1.0]]),
-                                        stepped(C.linear_system([[-1.0, 0.5], [0.5, -1.0]]))],
-                             ids=["exact", "rk4"])
-    @pytest.mark.parametrize("ceiling", [np.nan, [1.0, np.nan, 2.0], [[1.0], [2.0], [3.0]],
-                                         [1.0, 2.0], "high"],
-                             ids=["nan", "nan_row", "column", "two_for_three", "text"])
-    def test_a_bad_ceiling_is_refused(self, system, ceiling):
-        with pytest.raises(ValueError, match="ceiling"):
-            C.integrate(system, np.ones(2), [0.0, 1.0], ceiling=ceiling)
-
-    def test_one_ceiling_serves_all_rows(self):
-        # a ceiling is one real number of any type, or None for none; a
-        # list, even of one entry, is refused
-        system = stepped(C.linear_system([[0.5]]))
-        runs = [C.integrate(system, [1.0], [0.0, 1.0], ceiling=c)
-                for c in (10.0, np.float64(10.0), 10, None)]
-        for run in runs[1:]:
-            assert np.array_equal(run.states, runs[0].states)
-        with pytest.raises(BlowupError, match="escaped the guard"):
-            C.integrate(system, [1.0], [0.0, 1.0], ceiling=np.float64(1.5))
-        with pytest.raises(ValueError, match="ceiling"):
-            C.integrate(system, [1.0], [0.0, 1.0], ceiling=[10.0])
-
     def test_batch_row_leaving_guard_raises(self):
         # each state's guard scales with its own start: the state from
         # (1, 0) escapes where the scalar loop does, the one from (0, 1e6)
@@ -361,55 +300,60 @@ class TestDenseOutput:
         assert len(log) > 7 + 6 * (traj.steps + traj.rejected - 1)
 
     def test_the_last_output_is_the_accepted_state(self):
-        # xi_0 = cosh 2t grows, so a ceiling at the last output's xi_0 is
-        # first reached by the last accepted state, at t = 1, and a ceiling
-        # one ulp above it is never reached: that state has the same xi_0
-        system = stepped(C.sde_growth_system(SWAP))
-        times = np.linspace(0.0, 1.0, 1001)
-        traj = C.integrate(system, [1.0, 0.0], times, rtol=C.CHECK_RTOL)
-        last = traj.states[-1, 0]
+        # the last output is the accepted state at the horizon, at which the
+        # last stage of the last step, the last right-hand side call, is taken
+        states = []
+
+        def rhs(t, xi):
+            states.append(xi.copy())
+            return C.sde_growth_system(SWAP)(t, xi)
+        system = C.ComparisonSystem(dim=2, rhs=rhs)
+        traj = C.integrate(system, [1.0, 0.0], np.linspace(0.0, 1.0, 1001), rtol=C.CHECK_RTOL)
+        assert np.array_equal(states[-1], traj.states[-1])
+        # xi' = xi from 1 passes the guard 1e12 at 12 ln 10 = 27.631: at the
+        # horizon 27.64 only the last accepted state, at the last output, is past it
+        growth = stepped(C.linear_system([[1.0]]))
+        times = np.linspace(0.0, 27.64, 1001)
         with pytest.raises(BlowupError, match="escaped the guard") as err:
-            C.integrate(system, [1.0, 0.0], times, rtol=C.CHECK_RTOL, ceiling=last)
-        assert err.value.reached_time == pytest.approx(1.0, abs=1e-14)
-        above = C.integrate(system, [1.0, 0.0], times, rtol=C.CHECK_RTOL,
-                            ceiling=np.nextafter(last, np.inf))
-        assert np.array_equal(above.states, traj.states) and above.steps == traj.steps
+            C.integrate(growth, [1.0], times, rtol=C.CHECK_RTOL)
+        assert err.value.reached_time == times[-1]
         # the partial trajectory ends before the last step, whose outputs it lacks
         partial = err.value.partial
-        assert 1 < len(partial.times) < 1000 and partial.steps == traj.steps
-        assert np.array_equal(partial.states, traj.states[:len(partial.times)])
+        assert 1 < len(partial.times) < len(times) and partial.times[-1] < 12 * np.log(10.0)
+        assert np.array_equal(partial.times, times[:len(partial.times)])
+        assert np.allclose(partial.states[:, 0], np.exp(partial.times), rtol=1e-8)
 
     def test_a_stop_keeps_the_outputs_before_the_stopping_state(self):
-        # xi' = xi reaches its ceiling 2 at the first accepted state past
-        # ln 2; the partial trajectory ends with the last output before the
-        # step that reached it, as in the reference loop
+        # xi' = xi passes the guard 1e12 at the first accepted state past
+        # 12 ln 10; the partial trajectory ends with the last output before
+        # the step that passed it, as in the reference loop
         growth = stepped(C.linear_system([[1.0]]))
-        times = np.linspace(0.0, 3.0, 301)
+        times = np.linspace(0.0, 30.0, 3001)
         with pytest.raises(BlowupError, match="escaped the guard") as err:
-            C.integrate(growth, [1.0], times, rtol=C.CHECK_RTOL, ceiling=2.0)
+            C.integrate(growth, [1.0], times, rtol=C.CHECK_RTOL)
         with pytest.raises(BlowupError, match="escaped the guard") as ref:
-            helpers.reference_integrate(growth, [1.0], times, rtol=C.CHECK_RTOL, ceiling=2.0)
+            helpers.reference_integrate(growth, [1.0], times, rtol=C.CHECK_RTOL)
         helpers.assert_matches_reference(err.value, ref.value, C.CHECK_RTOL)
         partial, t_stop = err.value.partial, err.value.reached_time
-        assert np.log(2.0) <= t_stop < np.log(2.0) + 0.1
+        crossing = 12 * np.log(10.0)
+        assert crossing <= t_stop < crossing + 0.5
         assert np.array_equal(partial.times, times[:len(partial.times)])
-        assert partial.times[-1] < np.log(2.0) and np.all(partial.states < 2.0)
+        assert partial.times[-1] < crossing and np.all(partial.states <= 1e12)
         assert np.allclose(partial.states[:, 0], np.exp(partial.times), rtol=1e-8)
-        # the full run's outputs up to there are the same; the next one lies
-        # inside the step that reached the ceiling
-        full = C.integrate(growth, [1.0], times, rtol=C.CHECK_RTOL)
-        assert np.array_equal(full.states[:len(partial.times)], partial.states)
+        # the next output lies inside the step that passed the guard
         assert times[len(partial.times)] < t_stop
 
     def test_reports_carry_the_rk4_counters(self):
+        # bound_check reports the counters of its stepped comparison run
         system = stepped(C.sde_growth_system(SWAP))
-        witness = C.check_practical(system, lam=1.0, bound=100.0, horizon=1.0).witness
-        traj = C.integrate(system, [1.0, 1.0], np.linspace(0.0, 1.0, 257),
-                           rtol=C.CHECK_RTOL)
-        assert (witness["steps"], witness["rejected"], witness["clamp_events"]) == (
+        times = np.linspace(0.0, 1.0, 257)
+        traj = C.integrate(system, [1.0, 1.0], times, rtol=C.CHECK_RTOL)
+        flow = F.Trajectory(times, {"W0": traj.states[:, 0], "W1": traj.states[:, 1]}, None)
+        rep = C.bound_check(flow, system, ["W0", "W1"])
+        assert (rep.steps, rep.rejected, rep.clamp_events) == (
             traj.steps, traj.rejected, traj.clamp_events)
-        assert 0 < witness["steps"] < 256
-        assert witness["solver"] == traj.solver == "dopri5"
+        assert 0 < rep.steps < 256 and rep.passed
+        assert rep.solver == traj.solver == "dopri5"
 
 
 class TestDormandPrince:
@@ -645,29 +589,6 @@ class TestExactPath:
             exact.worst_ratio, abs=1e-10)
         assert C.check_wazewski(stepped(system), (0.0, 10.0)).passed
 
-    def test_a_stop_inside_an_output_interval(self):
-        # xi' = xi reaches its ceiling 2 at t = ln 2, inside (0.6, 0.7];
-        # the run escapes at the output t = 0.7 and keeps the outputs up
-        # to 0.6
-        times = np.linspace(0.0, 3.0, 31)
-        with pytest.raises(BlowupError, match="escaped the guard") as err:
-            C.integrate(C.linear_system([[1.0]]), [1.0], times, ceiling=2.0)
-        assert err.value.reached_time == times[7]
-        partial = err.value.partial
-        assert partial.solver == "exact" and partial.times.tolist() == times[:7].tolist()
-        assert np.allclose(partial.states[:, 0], np.exp(times[:7]), rtol=1e-14)
-        # 7 output intervals, the escaping one included
-        assert partial.steps == 7
-
-    def test_a_stop_at_an_output_time_does_not_reach_it(self):
-        # a ceiling at the state of t = 1 is reached at that output time,
-        # which the partial trajectory does not hold
-        system = C.linear_system([[1.0]])
-        at_one = C.integrate(system, [1.0], [0.0, 1.0, 2.0]).states[1, 0]
-        with pytest.raises(BlowupError, match="escaped the guard") as err:
-            C.integrate(system, [1.0], [0.0, 1.0, 2.0], ceiling=at_one)
-        assert err.value.reached_time == 1.0 and err.value.partial.times.tolist() == [0.0]
-
     def test_guard_escape_raises_with_the_partial_trajectory(self):
         # xi' = xi passes 1e12 times its scale at t = 12 ln 10 = 27.63; a
         # state with a larger scale has a higher guard
@@ -676,50 +597,21 @@ class TestExactPath:
             C.integrate(system, [1.0, 0.0], np.linspace(0.0, 30.0, 31))
         assert 12 * np.log(10.0) < err.value.reached_time < 12 * np.log(10.0) + 0.5
         partial = err.value.partial
-        assert partial.solver == "exact" and partial.steps > 0
+        # 28 output intervals, the escaping one included
+        assert partial.solver == "exact" and partial.steps == 28
         assert partial.times.tolist() == list(range(28))
         assert np.allclose(partial.states[:, 0], np.exp(partial.times), rtol=1e-13)
         assert C.integrate(system, [0.0, 1e6], np.linspace(0.0, 30.0, 31)).states[-1, 1] == 1e6
 
     def test_a_stop_before_an_escape_in_the_same_chunk_stops(self):
-        # one escape test over all outputs: xi' = xi reaches its ceiling 2 at
-        # the first output, t = 1 (so only t = 0 is reached), and would
-        # escape the guard at t = 28; the first escape stops the run
+        # one escape test over all outputs: xi' = xi passes the guard at the
+        # output t = 28, and every later output overflows to inf; the first
+        # escape stops the run
         with pytest.raises(BlowupError, match="escaped the guard") as err:
-            C.integrate(C.linear_system([[1.0]]), [1.0], np.linspace(0.0, 100.0, 101),
-                        ceiling=2.0)
-        assert err.value.reached_time == 1.0
-        assert err.value.partial.times.tolist() == [0.0] and err.value.partial.steps == 1
-
-    def test_rows_below_their_ceilings_keep_their_bits(self):
-        # each state has a ceiling a tenth above its largest output, which no
-        # output reaches, and gets the bits and steps it gets with none
-        system = C.cyclic_mixed_system(F.constant(0.7), F.constant(0.3), 5, a=-1.5)
-        times = np.linspace(0.0, 10.0, 33)
-        for row in np.random.default_rng(23).uniform(0.0, 2.0, size=(6, 5)):
-            alone = C.integrate(system, row, times)
-            capped = C.integrate(system, row, times, ceiling=1.1 * alone.states[:, 0].max())
-            assert np.array_equal(capped.states, alone.states)
-            assert capped.steps == alone.steps
-
-    def test_a_crossing_cuts_every_row_at_its_sub_step(self):
-        # from (1, 0) xi_0 reaches the ceiling 5 at the output t = 2
-        # (ln 5 = 1.61 lies in (1, 2]); from (0, 1) xi_0 stays 0, and the
-        # state escapes the guard at t = 28 (past 27.63) instead
-        system = C.linear_system([[1.0, 0.0], [0.0, 1.0]])
-        times = np.linspace(0.0, 100.0, 101)
-        with pytest.raises(BlowupError, match="escaped the guard") as err:
-            C.integrate(system, [1.0, 0.0], times, ceiling=5.0)
-        assert err.value.reached_time == 2.0
-        partial = err.value.partial
-        assert partial.times.tolist() == [0.0, 1.0]
-        assert partial.states[:, 0] == pytest.approx([1.0, np.e], rel=1e-14)
-        # two output intervals, the escaping one included
-        assert partial.steps == 2
-        with pytest.raises(BlowupError, match="escaped the guard") as guard:
-            C.integrate(system, [0.0, 1.0], times, ceiling=5.0)
-        assert 12 * np.log(10.0) < guard.value.reached_time < 12 * np.log(10.0) + 0.5
-        assert guard.value.partial.times.tolist() == list(range(28))
+            C.integrate(C.linear_system([[1.0]]), [1.0], np.linspace(0.0, 1000.0, 1001))
+        assert err.value.reached_time == 28.0
+        assert err.value.partial.times.tolist() == list(range(28))
+        assert err.value.partial.steps == 28
 
     def test_a_negative_start_is_rejected(self):
         # exp(M h) keeps the cone only for starts inside it
@@ -784,16 +676,16 @@ class TestExactPath:
             assert delta < eps * step
 
     def test_reports_name_the_solver(self):
-        system = C.sde_growth_system(SWAP)
-        witness = C.check_practical(system, lam=1.0, bound=100.0, horizon=1.0).witness
-        traj = C.integrate(system, [1.0, 1.0], np.linspace(0.0, 1.0, 257))
-        assert witness["solver"] == "exact" and witness["xi0_final"] == traj.states[-1, 0]
-        # 256 intervals of 1/256, one exp(M h) each
-        assert (witness["steps"], witness["rejected"], witness["clamp_events"]) == (256, 0, 0)
-        blown = C.check_practical(C.linear_system([[40.0]]), lam=1.0, bound=100.0,
-                                  horizon=1.0).witness
-        assert blown["solver"] == "exact" and blown["steps"] > 0
-        assert "blew up" in blown["diagnostic"]
+        # a matrix decides "exact", a chain's upper bracket "bracket", and
+        # a matrix whose corner run leaves the guard is inconclusive
+        witness = C.check_practical(C.sde_growth_system(SWAP), lam=1.0, bound=100.0,
+                                    horizon=1.0).witness
+        assert witness["solver"] == "exact" and witness["note"] == C.MATRIX_EVIDENCE_NOTE
+        chain = C.check_practical(DECAY_CHAIN, lam=1.0, bound=5.0, horizon=1.0).witness
+        assert chain["solver"] == "bracket" and chain["note"] == C.BRACKET_EVIDENCE_NOTE
+        blown = C.check_practical(C.linear_system([[40.0]]), lam=1.0, bound=100.0, horizon=1.0)
+        assert blown.kind == "inconclusive" and blown.witness["solver"] == "exact"
+        assert "blew up" in blown.witness["diagnostic"]
 
 
 class TestWazewski:
@@ -1174,25 +1066,85 @@ class TestXi0Stability:
 
 class TestPractical:
     def test_swap_matrix_bound(self):
+        # from the unit corner xi_0 = e^{2t} peaks at T = 1, so delta = 100 / e^2
         verdict = C.check_practical(C.sde_growth_system(SWAP), lam=1.0,
                                     bound=100.0, horizon=1.0)
         assert verdict.kind == "practically_stable"
-        assert verdict.witness["xi0_final"] == pytest.approx(np.exp(2.0), rel=1e-6)
-        assert verdict.witness["margin"] > 0
+        assert verdict.witness["peak"] == pytest.approx(np.exp(2.0), rel=1e-12)
+        (level, delta), = verdict.witness["delta_table"]
+        assert level == 100.0 and delta == pytest.approx(100.0 / np.exp(2.0), rel=1e-12)
 
     def test_zero_horizon_compares_measures(self):
-        # integrate reads the one output t = 0 on either path, in no step
-        for system in (C.sde_growth_system(SWAP), stepped(C.sde_growth_system(SWAP))):
-            verdict = C.check_practical(system, lam=1.0, bound=2.0, horizon=0.0)
-            assert verdict.kind == "practically_stable"
-            assert verdict.witness["xi0_final"] == verdict.witness["xi0_max"] == 1.0
-            assert verdict.witness["steps"] == 0
+        # at horizon 0 delta is the bound itself, with nothing run; a system
+        # with no matrix or bracket is inconclusive at any horizon
+        verdict = C.check_practical(C.sde_growth_system(SWAP), lam=1.0, bound=2.0, horizon=0.0)
+        assert verdict.kind == "practically_stable"
+        assert verdict.witness["delta_table"] == [(2.0, 2.0)]
+        twin = C.check_practical(stepped(C.sde_growth_system(SWAP)), lam=1.0, bound=2.0,
+                                 horizon=0.0)
+        assert twin.kind == "inconclusive" and twin.witness["note"] == C.NO_BOUND_NOTE
 
     def test_failure_side(self):
+        # delta = 5 / e^2 = 0.68 lies below lambda = 1
         verdict = C.check_practical(C.sde_growth_system(SWAP), lam=1.0,
                                     bound=5.0, horizon=1.0)
         assert verdict.kind == "inconclusive"
-        assert verdict.witness["margin"] <= 0
+        (_, delta), = verdict.witness["delta_table"]
+        assert delta == pytest.approx(5.0 / np.exp(2.0), rel=1e-12)
+
+    def test_the_peak_not_the_end_decides(self):
+        # from 0.5 (1, 1), xi_0 = e^{-t} (0.5 + 5 t) peaks at 2.03 > A = 1 at
+        # t = 0.9 and ends at 0.17 < A at T = 5; the unit corner peaks at
+        # 10 e^{-0.9}, so delta = 1 / 4.066 < lambda
+        verdict = C.check_practical(C.linear_system([[-1.0, 10.0], [0.0, -1.0]]),
+                                    lam=0.5, bound=1.0, horizon=5.0)
+        assert verdict.kind == "inconclusive"
+        assert verdict.witness["peak"] == pytest.approx(10.0 * np.exp(-0.9), rel=1e-9)
+
+    def test_any_other_system_is_inconclusive(self, monkeypatch):
+        # a non-Metzler matrix, a scalar system and a stepped twin run nothing
+        monkeypatch.setattr(C, "integrate", None)
+        for system in (C.linear_system([[0.5, -1.0], [0.0, 0.5]]),
+                       C.scalar_system(lambda t, x: x * x), stepped(C.sde_growth_system(SWAP))):
+            verdict = C.check_practical(system, lam=0.5, bound=1.0, horizon=5.0)
+            assert verdict.kind == "inconclusive"
+            assert verdict.witness == {"lambda": 0.5, "bound": 1.0, "horizon": 5.0,
+                                       "note": C.NO_BOUND_NOTE}
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(0.0, 3.0), q=st.floats(0.0, 3.0), a=st.sampled_from([-1.0, -0.5, 0.5]),
+           k=st.sampled_from([2, 3]), lam=st.floats(0.01, 10.0), gap=st.floats(1.01, 100.0),
+           horizon=st.sampled_from([0.0, 0.3, 2.0, 20.0]))
+    def test_a_flat_table_clock_decides_as_its_constant(self, p, q, a, k, lam, gap, horizon):
+        # the constant clocks give the matrix, the flat two-node tables a
+        # bracket whose upper matrix is that matrix: one verdict and one delta
+        def chain(phi, psi):
+            if k == 2:
+                return C.nilpotent_source_system(phi, psi, a=a)
+            return C.cyclic_mixed_system(phi, psi, k, a=a)
+        flat = (lambda v: F.table([0.0, 100.0], [v, v]))
+        exact = C.check_practical(chain(F.constant(p), F.constant(q)), lam, lam * gap, horizon)
+        bracket = C.check_practical(chain(flat(p), flat(q)), lam, lam * gap, horizon)
+        assert exact.witness["solver"] == "exact" and bracket.witness["solver"] == "bracket"
+        assert exact.kind == bracket.kind
+        assert exact.witness["delta_table"] == bracket.witness["delta_table"]
+
+    @settings(max_examples=40, deadline=None)
+    @example(entries=[-1.0, 10.0, 0.0, -1.0] + [0.0] * 5, dim=2, lam=0.5, gap=2.0, horizon=5.0)
+    @given(entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+           dim=st.sampled_from([1, 2, 3]), lam=st.floats(0.01, 1.0),
+           gap=st.floats(1.01, 50.0), horizon=st.floats(0.1, 5.0))
+    def test_a_practical_verdict_holds_at_4096_times(self, entries, dim, lam, gap, horizon):
+        # scipy's expm oracle: a practically_stable Metzler system keeps the
+        # corner run lambda exp(M t) 1 below A at 4096 times of [0, T]
+        mat = np.array(entries[:dim * dim]).reshape(dim, dim)
+        mat[~np.eye(dim, dtype=bool)] = np.abs(mat[~np.eye(dim, dtype=bool)])
+        bound = lam * gap
+        verdict = C.check_practical(C.linear_system(mat), lam, bound, horizon)
+        if verdict.kind == "practically_stable":
+            times = np.linspace(0.0, horizon, 4096)
+            xi0 = [lam * (expm(mat * t) @ np.ones(dim))[0] for t in times]
+            assert max(xi0) < bound
 
     def test_monotone_in_lambda(self):
         # the verdict cannot flip fail -> pass as lambda grows
@@ -1202,16 +1154,6 @@ class TestPractical:
                   for lam in (0.5, 1.0, 2.0, 4.0, 8.0)]
         for earlier, later in zip(passed, passed[1:]):
             assert earlier or not later
-
-    def test_blowup_reports_the_rk4_counters(self):
-        quad = C.scalar_system(lambda t, x: x * x)
-        witness = C.check_practical(quad, lam=1.0, bound=100.0, horizon=2.0).witness
-        with pytest.raises(BlowupError) as err:
-            C.integrate(quad, [1.0], np.linspace(0.0, 2.0, 257), rtol=C.CHECK_RTOL)
-        partial = err.value.partial
-        assert (witness["steps"], witness["rejected"], witness["clamp_events"]) == (
-            partial.steps, partial.rejected, partial.clamp_events)
-        assert witness["steps"] > 0
 
     def test_a_chain_takes_the_upper_bracket_at_its_bound(self):
         # at A = 5 the upper bracket of nilpotent_decay's chain peaks at
@@ -1356,4 +1298,4 @@ class TestVerdictSerialization:
                                     bound=100.0, horizon=1.0)
         text = json.dumps(verdict.to_dict(), sort_keys=True)
         assert "practically_stable" in text
-        assert "margin" in text
+        assert "delta_table" in text and "peak" in text

@@ -799,33 +799,30 @@ class TestCli:
             assert f"{check['kind']}: {key!r} times the comparison matrix" in proc.stderr
             assert "Warning" not in proc.stderr and not out.exists()
 
-    @pytest.mark.parametrize("check, key, field", [
-        ({"kind": "practical", "lambda": 0.5, "A": 5.0, "T": 1e12}, {}, "practical: 'T'"),
-        ({"kind": "bound_check", "functionals": ["V", "W1"]}, {"horizon": 1e7, "dt": 10.0},
-         "bound_check: 'horizon'"),
-    ], ids=["practical", "bound_check"])
-    def test_a_stepped_linear_check_past_the_span_exits_2(self, tmp_path, check, key, field):
-        # the non-Metzler [[-1, -0.5], [0, -1]] has no matrix or bracket and
-        # is stepped, in steps that grow with its span T ||M||_inf = 1.5 T;
-        # past EXACT_MAX_SPAN the document exits 2 naming the field, before
-        # the flow runs (in a fresh interpreter, where a numpy warning would
-        # reach stderr), and a short span is stepped
-        doc = scenarios.builtin_scenarios()["nilpotent_decay"] | key
-        system = {"kind": "linear", "matrix": [[-1.0, -0.5], [0.0, -1.0]]}
-        doc["grid_size"], doc["checks"] = 16, [dict(check, system=system)]
-        path = tmp_path / "long.json"
+    @pytest.mark.parametrize("check", [
+        {"kind": "xi0_stability"}, {"kind": "practical", "lambda": 0.5, "A": 5.0},
+        {"kind": "bound_check", "functionals": ["V", "W1"]}, {"kind": "wazewski"},
+        {"kind": "lyapunov"},
+    ], ids=lambda check: check["kind"])
+    def test_a_non_metzler_linear_system_exits_2(self, tmp_path, check):
+        # the comparison theorem needs a quasimonotone system: a 'linear'
+        # matrix with a negative off-diagonal entry exits 2 naming the first,
+        # before the flow runs (in a fresh interpreter, where a numpy warning
+        # would reach stderr)
+        doc = scenarios.builtin_scenarios()["nilpotent_decay"]
+        system = {"kind": "linear", "matrix": [[-1.0, 0.5, 0.0], [0.0, -1.0, -0.5],
+                                               [-2.0, 0.0, -1.0]]}
+        if check["kind"] == "bound_check":
+            system["matrix"] = [[-1.0, 0.0], [-0.5, -1.0]]
+        doc["checks"] = [dict(check, system=system)]
+        path = tmp_path / "quasi.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         proc = run_python("-m", "setflow.cli", "run", str(path), "--out", str(out))
         assert proc.returncode == cli.EXIT_SCHEMA, proc.stderr
-        assert f"{field} times the comparison matrix's ||M||_inf (1.5)" in proc.stderr
-        assert "Warning" not in proc.stderr and not out.exists()
-        doc.update(horizon=3.0, dt=1e-3)
-        doc["checks"][0].pop("T", None)     # a practical T defaults to the horizon
-        path.write_text(json.dumps(doc))
-        assert cli.main(["run", str(path), "--out", str(out)]) != cli.EXIT_SCHEMA
-        report = json.loads((out / f"{doc['name']}.json").read_text())
-        assert report["checks"][0]["details"]["solver"] == "dopri5"
+        entry = "(1, 0)" if check["kind"] == "bound_check" else "(1, 2)"
+        assert f"comparison system 'linear': 'matrix' entry {entry}" in proc.stderr
+        assert proc.stdout == "" and "Warning" not in proc.stderr and not out.exists()
 
     def test_an_explicit_system_whose_constants_overflow_exits_2(self, tmp_path):
         # 2 a phi = 2e308, the coupling 2 psi = 2e308, and the norm of a
@@ -1118,13 +1115,16 @@ class TestCli:
 
     @pytest.mark.parametrize("check", [
         {"kind": "lyapunov", "box": [0.0, 1e300]},
-        {"kind": "wazewski", "system": {"kind": "linear",
-                                        "matrix": [[-1e308, -1e308], [1e308, -1e308]]}},
+        {"kind": "wazewski", "system": {
+            "kind": "nilpotent", "phi": {"kind": "table", "s": [0.0, 10.0], "values": [0.0, 1e308]},
+            "psi": {"kind": "constant", "value": 0.5}}},
     ], ids=["lyapunov", "wazewski"])
     def test_sampled_checks_that_overflow_fail_without_a_warning(self, tmp_path, check):
         # the right-hand side overflows at the samples: the lyapunov ratio is
-        # NaN and the wazewski comparison reads -inf, both written as null; in
-        # a fresh interpreter, so that numpy's warnings would reach stderr
+        # NaN, and the wazewski comparison of the clocked chain, whose rate
+        # -2 phi falls with xi_0 past -1.8e308, reads -inf; both are written
+        # as null.  In a fresh interpreter, so that numpy's warnings would
+        # reach stderr
         doc = scenarios.builtin_scenarios()["nilpotent_decay"] | {"name": "huge",
                                                                   "checks": [check]}
         path = tmp_path / "huge.json"
