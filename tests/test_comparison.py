@@ -1122,9 +1122,9 @@ class TestPractical:
             if k == 2:
                 return C.nilpotent_source_system(phi, psi, a=a)
             return C.cyclic_mixed_system(phi, psi, k, a=a)
-        flat = (lambda v: F.table([0.0, 100.0], [v, v]))
+        flat = [F.table([0.0, 100.0], [v, v]) for v in (p, q)]
         exact = C.check_practical(chain(F.constant(p), F.constant(q)), lam, lam * gap, horizon)
-        bracket = C.check_practical(chain(flat(p), flat(q)), lam, lam * gap, horizon)
+        bracket = C.check_practical(chain(*flat), lam, lam * gap, horizon)
         assert exact.witness["solver"] == "exact" and bracket.witness["solver"] == "bracket"
         assert exact.kind == bracket.kind
         assert exact.witness["delta_table"] == bracket.witness["delta_table"]
@@ -1143,8 +1143,8 @@ class TestPractical:
         verdict = C.check_practical(C.linear_system(mat), lam, bound, horizon)
         if verdict.kind == "practically_stable":
             times = np.linspace(0.0, horizon, 4096)
-            xi0 = [lam * (expm(mat * t) @ np.ones(dim))[0] for t in times]
-            assert max(xi0) < bound
+            xi0 = lam * np.sum(expm(times[:, None, None] * mat)[:, 0, :], axis=1)
+            assert np.max(xi0) < bound
 
     def test_monotone_in_lambda(self):
         # the verdict cannot flip fail -> pass as lambda grows
